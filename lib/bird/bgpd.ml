@@ -9,1743 +9,100 @@
      the structure the paper credits for BIRD's fast native validation;
    - scalar attribute reads parse payloads on demand.
 
-   Both daemons run the *same extension bytecode* — that is the point of
-   xBGP — and the integration tests check the resulting routing state is
-   identical. *)
+   Only the representation lives here; the daemon itself is the shared
+   [Pipeline.Make], so both hosts run the *same extension bytecode*
+   through the same pipeline — that is the point of xBGP — and the
+   integration tests check the resulting routing state is identical. *)
 
-type peer_conf = {
-  pname : string;
-  remote_as : int;
-  remote_addr : int;
-  rr_client : bool;
-  port : Netsim.Pipe.port;
-}
+module Repr = struct
+  type attrs = Eattr.set
+  type roa_store = Rpki.Store_hash.t
 
-type config = {
-  name : string;
-  router_id : int;
-  local_as : int;
-  local_addr : int;
-  cluster_id : int;
-  hold_time : int;
-  native_rr : bool;
-  native_ov : Rpki.Store_hash.t option;
-      (** native origin validation (hash-based, BIRD-style) *)
-  igp_metric : int -> int;
-  xtras : (string * bytes) list;
-  batch_updates : bool;
-      (** process a multi-prefix UPDATE's NLRI as one batch sharing one
-          converted attribute view (off = the legacy per-prefix path,
-          kept for the dispatch-bench baseline) *)
-  update_groups : bool;
-      (** partition peers into update groups and run export policy,
-          outbound dispatch and UPDATE encoding once per group (off =
-          the legacy per-peer path, kept as the fan-out baseline) *)
-  shards : int;
-      (** partition the Loc-RIB (and the VMM's per-prefix dispatch
-          state) across this many OCaml domains; 1 = the sequential
-          daemon, bit-for-bit today's behaviour with no domain spawned *)
-}
+  let impl = "bird"
+  let of_attrs = Eattr.of_attrs
+  let to_attrs = Eattr.to_attrs
+  let equal = Eattr.equal
 
-let config ?(cluster_id = 0) ?(hold_time = 90) ?(native_rr = false)
-    ?native_ov ?(igp_metric = fun _ -> 0) ?(xtras = [])
-    ?(batch_updates = true) ?(update_groups = true) ?(shards = 1) ~name
-    ~router_id ~local_as ~local_addr () =
-  {
-    name;
-    router_id;
-    local_as;
-    local_addr;
-    cluster_id = (if cluster_id = 0 then router_id else cluster_id);
-    hold_time;
-    native_rr;
-    native_ov;
-    igp_metric;
-    xtras;
-    batch_updates;
-    update_groups;
-    shards = max 1 shards;
-  }
+  (* BIRD groups by the serialized attribute bytes themselves, which are
+     also the native encoder's output *)
+  module Group_tbl = Hashtbl.Make (String)
 
-(* identical tag values to the FRR-like daemon so results are comparable *)
-let ov_community_valid = (65535 * 65536) + 1
-let ov_community_invalid = (65535 * 65536) + 2
-let ov_community_notfound = (65535 * 65536) + 3
+  let group_key a = Bytes.to_string (Eattr.encode_known a)
+  let encode_known buf key _ = Buffer.add_string buf key
+  let get_tlv = Eattr.get_tlv
 
-let src_local = 0
-let src_ebgp = 1
-let src_ibgp = 2
+  let set_tlv a tlv =
+    match Eattr.set_tlv a tlv with
+    | a -> Some a
+    | exception Invalid_argument _ -> None
 
-type route = {
-  attrs : Eattr.set;
-  src : int;
-  src_type : int;
-  src_router_id : int;
-  src_addr : int;
-  src_rr_client : bool;
-  igp_cost : int;
-}
+  let remove a code = Eattr.remove_code code a
+  let set_cache_gate = Eattr.set_cache_gate
 
-type peer = {
-  idx : int;
-  conf : peer_conf;
-  peer_type : int;
-  session : Session.Fsm.t;
-  mutable synced : bool;
-}
+  (* eattr sets are immutable apart from their memos, which the cache
+     gate already keeps down under shards *)
+  let serialize_for_domains () = ()
 
-type stats = Telemetry.daemon_stats = {
-  mutable updates_rx : int;
-  mutable routes_in : int;
-  mutable withdrawals_rx : int;
-  mutable import_rejected : int;
-  mutable export_rejected : int;
-  mutable updates_tx : int;
-}
+  (* the decision view reads wire payloads on demand — BIRD's profile *)
+  let local_pref = Eattr.local_pref
+  let as_path_len (a : attrs) = a.path_len
+  let origin = Eattr.origin
+  let med = Eattr.med
+  let neighbor_as = Eattr.neighbor_as
 
-(* Counter handles interned once at daemon creation; [stats] snapshots
-   them, so the registry is the single source of truth. *)
-type probes = {
-  c_updates_rx : Telemetry.Counter.t;
-  c_routes_in : Telemetry.Counter.t;
-  c_withdrawals_rx : Telemetry.Counter.t;
-  c_import_rejected : Telemetry.Counter.t;
-  c_export_rejected : Telemetry.Counter.t;
-  c_updates_tx : Telemetry.Counter.t;
-  c_decisions : Telemetry.Counter.t;
-  c_roa_valid : Telemetry.Counter.t;
-  c_roa_invalid : Telemetry.Counter.t;
-  c_roa_notfound : Telemetry.Counter.t;
-}
+  let originator_id a ~default =
+    match Eattr.originator_id a with 0 -> default | oid -> oid
 
-let make_probes tele ~daemon ~impl ~store =
-  let labels = [ ("daemon", daemon); ("impl", impl) ] in
-  let c help name = Telemetry.counter tele ~help ~name ~labels () in
-  let roa result =
-    Telemetry.counter tele ~help:"native origin-validation lookups"
-      ~name:"bgp_roa_lookups_total"
-      ~labels:(labels @ [ ("store", store); ("result", result) ])
-      ()
-  in
-  {
-    c_updates_rx = c "UPDATE messages received" "bgp_updates_rx_total";
-    c_routes_in = c "routes accepted into Adj-RIB-In" "bgp_routes_in_total";
-    c_withdrawals_rx = c "prefixes withdrawn by peers" "bgp_withdrawals_rx_total";
-    c_import_rejected = c "routes rejected by import policy" "bgp_import_rejected_total";
-    c_export_rejected = c "routes rejected by export policy" "bgp_export_rejected_total";
-    c_updates_tx = c "UPDATE messages sent" "bgp_updates_tx_total";
-    c_decisions = c "decision-process route comparisons" "bgp_decisions_total";
-    c_roa_valid = roa "valid";
-    c_roa_invalid = roa "invalid";
-    c_roa_notfound = roa "not_found";
-  }
+  let cluster_list_len = Eattr.cluster_list_len
+  let next_hop = Eattr.next_hop
+  let origin_as = Eattr.origin_as
+  let contains_as = Eattr.contains_as
+  let store_name = "hash"
+  let validate = Rpki.Store_hash.validate
 
-type t = {
-  config : config;
-  sched : Netsim.Sched.t;
-  vmm : Xbgp.Vmm.t option;
-  tele : Telemetry.t;
-  probes : probes;
-  mutable peers : peer array;
-  adj_in : route Rib.Adj_rib.t;
-  adj_out : Eattr.set Rib.Adj_rib.t;
-  loc : route Shard.Sharded_loc.t;
-  pool : Shard.Runtime.t option;  (** worker domains; [None] unsharded *)
-  mutable par_batches : int;
-      (** NLRI batches whose import dispatch ran on the worker pool *)
-  mutable seq_batches : int;
-      (** batches the serial lane took (chain not shard-parallel-safe) *)
-  pending_adv : (int, (Bgp.Prefix.t * Eattr.set) list ref) Hashtbl.t;
-  pending_wd : (int, Bgp.Prefix.t list ref) Hashtbl.t;
-  mutable flush_scheduled : bool;
-  ugroups : Eattr.set Rib.Update_group.t;
-      (** update-group partition (the encode-once/fan-out-many path);
-          unused when [config.update_groups] is off *)
-  mutable group_gen : int;
-      (** {!Xbgp.Vmm.generation} at the last re-grouping; -1 forces the
-          first {!refresh_grouping} to compute the partition key *)
-  mutable groupable : bool;
-      (** both outbound points pass {!Xbgp.Vmm.group_invariant}; when
-          false every peer gets a singleton "solo" group *)
-  mutable chain_sig : string;  (** outbound chain signatures *)
-  mutable gate_gen : int;
-      (** {!Xbgp.Vmm.generation} at the last conversion-cache gate sync;
-          -1 forces the first dispatch to sync *)
-  prov : (Bgp.Prefix.t * int, Obs.Provenance.t) Hashtbl.t;
-      (** import half of the provenance record, keyed by (prefix, source
-          peer index; -1 = local). Decision disposal is computed on
-          demand against the live Loc-RIB, never stored. *)
-  last_prov : (Bgp.Prefix.t, Obs.Provenance.t) Hashtbl.t;
-      (** last reject/withdraw record per prefix — what [show
-          provenance] answers once no candidate is left *)
-  mutable recorder : Obs.Recorder.t option;
-  mutable collector : Obs.Bmp.collector option;
-      (** BMP-style monitoring mirror (RFC 7854-inspired) *)
-  xtras : (string, bytes) Hashtbl.t;
-  mutable log_fn : string -> unit;
-  mutable base_ops : Xbgp.Host_intf.ops;
-      (** the per-update-invariant ops closures, built once at [create]
-          instead of per message (dispatch fast path) *)
-  args_pool : Xbgp.Host_intf.Args.t array;
-  mutable args_busy : int;  (** bitmask over [args_pool] slots *)
-}
-
-(* The decision view reads wire payloads on demand — BIRD's profile. *)
-let decision_view : route Rib.Decision.view =
-  {
-    local_pref = (fun r -> Eattr.local_pref r.attrs);
-    as_path_len = (fun r -> r.attrs.path_len);
-    origin = (fun r -> Eattr.origin r.attrs);
-    med = (fun r -> Eattr.med r.attrs);
-    neighbor_as = (fun r -> Eattr.neighbor_as r.attrs);
-    is_ebgp = (fun r -> r.src_type = src_ebgp);
-    igp_cost = (fun r -> r.igp_cost);
-    originator_id =
-      (fun r ->
-        match Eattr.originator_id r.attrs with
-        | 0 -> r.src_router_id
-        | oid -> oid);
-    cluster_list_len = (fun r -> Eattr.cluster_list_len r.attrs);
-    peer_addr = (fun r -> r.src_addr);
-  }
-
-let peer_info t (p : peer) : Xbgp.Host_intf.peer_info =
-  {
-    peer_type =
-      (if p.peer_type = src_ebgp then Xbgp.Api.ebgp_session
-       else Xbgp.Api.ibgp_session);
-    peer_as = p.conf.remote_as;
-    peer_router_id = Session.Fsm.peer_id p.session;
-    peer_addr = p.conf.remote_addr;
-    local_as = t.config.local_as;
-    local_router_id = t.config.router_id;
-    cluster_id = t.config.cluster_id;
-    rr_client = p.conf.rr_client;
-  }
-
-(* forward declaration knot: base_ops needs route injection, which needs
-   the outbound machinery defined below *)
-let rib_add_hook :
-    (t -> addr:int -> len:int -> nexthop:int -> bool) ref =
-  ref (fun _ ~addr:_ ~len:_ ~nexthop:_ -> false)
-
-let make_base_ops t =
-  {
-    Xbgp.Host_intf.null_ops with
-    get_xtra = (fun key -> Hashtbl.find_opt t.xtras key);
-    rib_add = (fun ~addr ~len ~nexthop -> !rib_add_hook t ~addr ~len ~nexthop);
-    log = (fun m -> t.log_fn (t.config.name ^ ": " ^ m));
-  }
-
-(* Reusable argument buffers for [Vmm.run]: a dispatch borrows a parked
-   buffer and returns it when the run ends. Dispatches nest — a rib_add
-   helper can originate, propagate and re-enter [Vmm.run] while the
-   outer run still reads its arguments — so a small pool with a busy
-   bitmask hands each nesting level its own buffer, allocating fresh
-   only past the pool's depth. *)
-let borrow_args t =
-  let n = Array.length t.args_pool in
-  let rec go i =
-    if i >= n then Xbgp.Host_intf.Args.create ()
-    else if t.args_busy land (1 lsl i) = 0 then begin
-      t.args_busy <- t.args_busy lor (1 lsl i);
-      t.args_pool.(i)
-    end
-    else go (i + 1)
-  in
-  go 0
-
-let release_args t a =
-  Xbgp.Host_intf.Args.clear a;
-  let n = Array.length t.args_pool in
-  let rec go i =
-    if i < n then
-      if t.args_pool.(i) == a then
-        t.args_busy <- t.args_busy land lnot (1 lsl i)
-      else go (i + 1)
-  in
-  go 0
-
-(* Keep the global conversion-cache gate in sync with whether any
-   extension is attached (one integer compare per dispatch) — the
-   BIRD-side mirror of the FRR daemon's gate sync: the pure-native
-   baseline must not pay for memos nothing can read, and instances
-   sharing the global cache re-assert their own state before
-   dispatching (last writer wins, single-threaded runtime). *)
-let refresh_cache_gate t =
-  let gen = match t.vmm with Some v -> Xbgp.Vmm.generation v | None -> 0 in
-  if gen <> t.gate_gen then begin
-    (* the per-set memos are written without synchronization, so a
-       sharded daemon keeps the gate down: worker dispatches convert
-       fresh instead of racing on the memo fields *)
-    Eattr.set_cache_gate
-      (t.config.shards = 1
-      &&
-      match t.vmm with
-      | Some v -> Xbgp.Vmm.has_any_attachment v
-      | None -> false);
-    (* a chain change may alter the BGP_DECISION behaviour hidden inside
-       the Loc-RIB's compare closure: drop the incumbent fast path until
-       each prefix has re-selected in full *)
-    Shard.Sharded_loc.invalidate_best t.loc;
-    t.gate_gen <- gen
-  end
-
-let vmm_run ?(shard = 0) t point ~ops ~args ~default =
-  refresh_cache_gate t;
-  match t.vmm with
-  | None -> default ()
-  | Some vmm -> Xbgp.Vmm.run ~shard vmm point ~ops ~args ~default
-
-let set_prefix_arg b p =
-  Bytes.set_int32_be b 0 (Int32.of_int (Bgp.Prefix.addr p));
-  Bytes.set_uint8 b 4 (Bgp.Prefix.len p)
-
-let prefix_arg p =
-  let b = Bytes.create 5 in
-  set_prefix_arg b p;
-  b
-
-let source_arg (r : route) =
-  Xbgp.Host_intf.source_to_bytes
-    {
-      src_peer_type = r.src_type;
-      src_router_id = r.src_router_id;
-      src_addr = r.src_addr;
-      src_rr_client = r.src_rr_client;
-      src_is_local = r.src = -1;
-    }
-
-(* The thin BIRD-side adapter: eattrs are already in wire form. *)
-let route_ops t ~peer ~(route_ref : route ref) =
-  {
-    t.base_ops with
-    Xbgp.Host_intf.peer_info =
-      (fun () -> Option.map (fun p -> peer_info t p) peer);
-    nexthop =
-      (fun () ->
-        let nh = Eattr.next_hop !route_ref.attrs in
-        Some (nh, t.config.igp_metric nh));
-    get_attr = (fun code -> Eattr.get_tlv !route_ref.attrs code);
-    set_attr =
-      (fun tlv ->
-        match Eattr.set_tlv !route_ref.attrs tlv with
-        | attrs ->
-          route_ref := { !route_ref with attrs };
-          true
-        | exception Invalid_argument _ -> false);
-    remove_attr =
-      (fun code ->
-        route_ref :=
-          { !route_ref with attrs = Eattr.remove_code code !route_ref.attrs };
-        true);
-  }
-
-(* The BGP_DECISION insertion point (circle 3 of Fig. 2): extension
-   bytecode may compare two candidate routes ahead of the native
-   RFC 4271 tie-breaking; a tie (or fault) falls back to it. *)
-let candidate_arg t (r : route) =
-  ignore t;
-  Xbgp.Host_intf.candidate_to_bytes
-    {
-      Xbgp.Host_intf.cd_local_pref = Eattr.local_pref r.attrs;
-      cd_as_path_len = r.attrs.path_len;
-      cd_origin = Eattr.origin r.attrs;
-      cd_med = Eattr.med r.attrs;
-      cd_igp_metric = r.igp_cost;
-      cd_originator_id =
-        (match Eattr.originator_id r.attrs with
-        | 0 -> r.src_router_id
-        | oid -> oid);
-      cd_peer_addr = r.src_addr;
-      cd_is_ebgp = r.src_type = src_ebgp;
-    }
-
-(* [shard] is the Loc-RIB slice asking: decision dispatches run on that
-   slice's VM shard, so a per-shard decision map stays partitioned by
-   prefix just like the filter points' maps. *)
-let decision_compare t vmm ~shard a b =
-  Telemetry.Counter.inc t.probes.c_decisions;
-  if Xbgp.Vmm.has_attachment vmm Xbgp.Api.Bgp_decision then begin
-    let args = borrow_args t in
-    Xbgp.Host_intf.Args.set args Xbgp.Api.arg_candidate_a (candidate_arg t a);
-    Xbgp.Host_intf.Args.set args Xbgp.Api.arg_candidate_b (candidate_arg t b);
-    let verdict =
-      Xbgp.Vmm.run ~shard vmm Xbgp.Api.Bgp_decision ~ops:t.base_ops ~args
-        ~default:(fun () -> Xbgp.Api.decision_tie)
-    in
-    release_args t args;
-    if verdict = Xbgp.Api.decision_first then -1
-    else if verdict = Xbgp.Api.decision_second then 1
-    else Rib.Decision.compare decision_view a b
-  end
-  else Rib.Decision.compare decision_view a b
-
-(* --- provenance and monitoring mirror (same contract as the FRR-like
-   host: records carry no counters or timestamps, so both daemons and
-   all dispatch paths produce equal records for the same route) --- *)
-
-let src_label t idx =
-  if idx < 0 then "local"
-  else
-    let p = t.peers.(idx) in
-    Printf.sprintf "peer %s (AS %d)" p.conf.pname p.conf.remote_as
-
-(* Read the import chain's execution trace immediately after the
-   dispatch: the VMM keeps only the last dispatch per point, and the
-   propagate step below re-enters it for the outbound chain. *)
-let import_trace ?(shard = 0) t =
-  match t.vmm with
-  | None -> []
-  | Some vmm -> (
-    match Xbgp.Vmm.last_trace ~shard vmm Xbgp.Api.Bgp_inbound_filter with
-    | Some steps -> steps
-    | None -> [])
-
-let chain_decided (chain : Obs.Provenance.step list) =
-  match List.rev chain with
-  | last :: _ ->
-    last.Obs.Provenance.outcome <> "next()"
-    && last.Obs.Provenance.outcome <> "fault"
-  | [] -> false
-
-let import_verdict chain ~accepted =
-  let base = if accepted then "accepted" else "rejected" in
-  if chain_decided chain then base else base ^ " (native)"
-
-(* Decision-process disposal computed on demand against the live
-   Loc-RIB; runner-up ranking uses the native RFC 4271 order and never
-   dispatches the BGP_DECISION chain (explaining a route must not
-   perturb it) — an attached decision extension is reported as
-   [Xprog_decided]. *)
-let decision_info t prefix ~src :
-    Obs.Provenance.decision option * Obs.Provenance.status =
-  match Shard.Sharded_loc.best_with_peer t.loc prefix with
-  | None -> (None, Obs.Provenance.Withdrawn)
-  | Some (bpeer, best) ->
-    let cands = Shard.Sharded_loc.candidates t.loc prefix in
-    let others = List.filter (fun (p, _) -> p <> bpeer) cands in
-    let xprog =
-      match t.vmm with
-      | Some vmm -> Xbgp.Vmm.has_attachment vmm Xbgp.Api.Bgp_decision
-      | None -> false
-    in
-    if src = bpeer then
-      match others with
-      | [] -> (Some Obs.Provenance.Only_candidate, Obs.Provenance.Installed)
-      | first :: rest ->
-        let rup, ru =
-          List.fold_left
-            (fun (bp, br) (p, r) ->
-              if Rib.Decision.compare decision_view r br < 0 then (p, r)
-              else (bp, br))
-            first rest
-        in
-        let d =
-          if xprog then
-            Obs.Provenance.Xprog_decided { runner_up = src_label t rup }
-          else
-            let step = Rib.Decision.deciding_step decision_view best ru in
-            Obs.Provenance.Best
-              {
-                runner_up = src_label t rup;
-                step;
-                step_name = Rib.Decision.step_name step;
-              }
-        in
-        (Some d, Obs.Provenance.Installed)
-    else
-      let d =
-        if xprog then
-          Some (Obs.Provenance.Xprog_decided { runner_up = src_label t bpeer })
-        else
-          match List.assoc_opt src cands with
-          | None -> None
-          | Some r ->
-            let step = Rib.Decision.deciding_step decision_view best r in
-            Some
-              (Obs.Provenance.Shadowed
-                 {
-                   best = src_label t bpeer;
-                   step;
-                   step_name = Rib.Decision.step_name step;
-                 })
-      in
-      (d, Obs.Provenance.Candidate)
-
-let assemble_prov t prefix (stored : Obs.Provenance.t) ~src =
-  let decision, status = decision_info t prefix ~src in
-  { stored with Obs.Provenance.decision; status }
-
-let import_record t prefix ~src ~chain ~import ~status : Obs.Provenance.t =
-  {
-    Obs.Provenance.prefix = Bgp.Prefix.to_string prefix;
-    ingress = src_label t src;
-    chain;
-    import;
-    decision = None;
-    status;
-  }
-
-let note_gone t prefix ~src (pr : Obs.Provenance.t) =
-  Hashtbl.remove t.prov (prefix, src);
-  Hashtbl.replace t.last_prov prefix pr
-
-let record_route_event t kind prefix (pr : Obs.Provenance.t) =
-  match t.recorder with
-  | None -> ()
-  | Some rc ->
-    Obs.Recorder.record rc kind
-      [
-        ("daemon", t.config.name);
-        ("prefix", Bgp.Prefix.to_string prefix);
-        ("prov", Obs.Provenance.summary pr);
-      ]
-
-let bmp_peer (p : peer) : Obs.Bmp.peer =
-  {
-    Obs.Bmp.addr = p.conf.remote_addr;
-    asn = p.conf.remote_as;
-    bgp_id = Session.Fsm.peer_id p.session;
-  }
-
-let mirror t frame =
-  match t.collector with
-  | None -> ()
-  | Some col -> Obs.Bmp.receive col frame
-
-(* --- native policies --- *)
-
-let native_import t (route_ref : route ref) prefix peer =
-  let r = !route_ref in
-  let reject = ref false in
-  if t.config.native_rr && peer.peer_type = src_ibgp then begin
-    if Eattr.originator_id r.attrs = t.config.router_id then reject := true;
-    (match Eattr.find_code Bgp.Attr.code_cluster_list r.attrs with
+  let reflection_loop a ~router_id ~cluster_id =
+    Eattr.originator_id a = router_id
+    ||
+    match Eattr.find_code Bgp.Attr.code_cluster_list a with
     | Some e ->
-      let n = String.length e.payload / 4 in
-      for i = 0 to n - 1 do
-        if Eattr.read_u32 e.payload (4 * i) = t.config.cluster_id then
-          reject := true
-      done
-    | None -> ())
-  end;
-  if !reject then Xbgp.Api.filter_reject
-  else begin
-    (match t.config.native_ov with
-    | Some store ->
-      let origin = Option.value ~default:0 (Eattr.origin_as r.attrs) in
-      let tag =
-        match Rpki.Store_hash.validate store prefix origin with
-        | Rpki.Roa.Valid ->
-          Telemetry.Counter.inc t.probes.c_roa_valid;
-          ov_community_valid
-        | Rpki.Roa.Invalid ->
-          Telemetry.Counter.inc t.probes.c_roa_invalid;
-          ov_community_invalid
-        | Rpki.Roa.Not_found ->
-          Telemetry.Counter.inc t.probes.c_roa_notfound;
-          ov_community_notfound
+      let rec go i =
+        i + 4 <= String.length e.payload
+        && (Eattr.read_u32 e.payload i = cluster_id || go (i + 4))
       in
-      route_ref := { r with attrs = Eattr.append_community r.attrs tag }
-    | None -> ());
-    Xbgp.Api.filter_accept
-  end
+      go 0
+    | None -> false
 
-let native_export t (route_ref : route ref) (target : peer) =
-  let r = !route_ref in
-  if r.src_type = src_ibgp && target.peer_type = src_ibgp then
-    if t.config.native_rr && (r.src_rr_client || target.conf.rr_client) then begin
-      let attrs = r.attrs in
-      let attrs =
-        if Eattr.originator_id attrs = 0 then
-          Eattr.set_eattr attrs
-            {
-              code = Bgp.Attr.code_originator_id;
-              flags = Bgp.Attr.flag_optional;
-              payload = Eattr.u32_payload r.src_router_id;
-            }
-        else attrs
-      in
-      let attrs = Eattr.prepend_cluster attrs t.config.cluster_id in
-      route_ref := { r with attrs };
-      Xbgp.Api.filter_accept
-    end
-    else Xbgp.Api.filter_reject
-  else Xbgp.Api.filter_accept
+  let ov_tag = Eattr.append_community
 
-let canonicalize t (r : route) (target : peer) =
-  let attrs = r.attrs in
-  if target.peer_type = src_ebgp then begin
-    let attrs = Eattr.prepend_as attrs t.config.local_as in
-    let attrs =
-      Eattr.set_eattr attrs
-        {
-          code = Bgp.Attr.code_next_hop;
-          flags = Bgp.Attr.flag_transitive;
-          payload = Eattr.u32_payload t.config.local_addr;
-        }
+  let u32_eattr code flags v =
+    { Eattr.code; flags; payload = Eattr.u32_payload v }
+
+  let reflect a ~originator_id ~cluster_id =
+    let a =
+      if Eattr.originator_id a = 0 then
+        Eattr.set_eattr a
+          (u32_eattr Bgp.Attr.code_originator_id Bgp.Attr.flag_optional
+             originator_id)
+      else a
     in
-    let attrs = Eattr.remove_code Bgp.Attr.code_local_pref attrs in
-    (* MED is meant for the neighbouring AS but is not propagated beyond
-       it: strip it only from eBGP-learned routes *)
-    let attrs =
-      if r.src_type = src_ebgp then
-        Eattr.remove_code Bgp.Attr.code_med attrs
-      else attrs
-    in
-    let attrs = Eattr.remove_code Bgp.Attr.code_originator_id attrs in
-    Eattr.remove_code Bgp.Attr.code_cluster_list attrs
-  end
-  else begin
-    let attrs =
-      if r.src_type = src_ibgp then attrs
-      else
-        Eattr.set_eattr attrs
-          {
-            code = Bgp.Attr.code_next_hop;
-            flags = Bgp.Attr.flag_transitive;
-            payload = Eattr.u32_payload t.config.local_addr;
-          }
-    in
-    Eattr.set_eattr attrs
-      {
-        code = Bgp.Attr.code_local_pref;
-        flags = Bgp.Attr.flag_transitive;
-        payload = Eattr.u32_payload (Eattr.local_pref attrs);
-      }
-  end
+    Eattr.prepend_cluster a cluster_id
 
-(* --- outbound machinery --- *)
+  let next_hop_self a local_addr =
+    Eattr.set_eattr a
+      (u32_eattr Bgp.Attr.code_next_hop Bgp.Attr.flag_transitive local_addr)
 
-let pending_list tbl peer =
-  match Hashtbl.find_opt tbl peer with
-  | Some l -> l
-  | None ->
-    let l = ref [] in
-    Hashtbl.replace tbl peer l;
-    l
+  let canonicalize_ebgp a ~local_as ~local_addr ~strip_med =
+    let a = next_hop_self (Eattr.prepend_as a local_as) local_addr in
+    let a = Eattr.remove_code Bgp.Attr.code_local_pref a in
+    let a = if strip_med then Eattr.remove_code Bgp.Attr.code_med a else a in
+    let a = Eattr.remove_code Bgp.Attr.code_originator_id a in
+    Eattr.remove_code Bgp.Attr.code_cluster_list a
 
-(* A withdrawal supersedes any advertisement of the same prefix still
-   sitting in the peer's pending queue. Flush emits withdrawals before
-   advertisements, so a stale queued advertisement would be delivered
-   AFTER the withdrawal that semantically follows it — the receiver
-   would keep a candidate this side's adj-RIB-out no longer tracks, and
-   no later event would ever correct it (path hunting then "converges"
-   onto ghost routes). *)
-let purge_pending_adv t peer_idx prefix =
-  match Hashtbl.find_opt t.pending_adv peer_idx with
-  | Some l ->
-    l := List.filter (fun (p, _) -> Bgp.Prefix.compare p prefix <> 0) !l
-  | None -> ()
+  let canonicalize_ibgp a ~next_hop_self:nhs ~local_addr =
+    let a = if nhs then next_hop_self a local_addr else a in
+    Eattr.set_eattr a
+      (u32_eattr Bgp.Attr.code_local_pref Bgp.Attr.flag_transitive
+         (Eattr.local_pref a))
+end
 
-(* RFC 4271 §4: both export paths frame through [split_update_raw], so a
-   prefix list (or an attribute block grown by an encode-point
-   extension) can never push a frame past the 4096-byte maximum. *)
-let withdrawal_frames prefixes =
-  Bgp.Message.split_update_raw ~withdrawn:prefixes ~attr_bytes:Bytes.empty
-    ~nlri:[]
-
-let rec schedule_flush t =
-  if not t.flush_scheduled then begin
-    t.flush_scheduled <- true;
-    Netsim.Sched.after t.sched 0 (fun () ->
-        t.flush_scheduled <- false;
-        flush t)
-  end
-
-and flush t =
-  if t.config.update_groups then flush_groups t
-  else
-    Array.iter
-      (fun peer ->
-        if Session.Fsm.is_established peer.session then begin
-          (match Hashtbl.find_opt t.pending_wd peer.idx with
-          | Some ({ contents = _ :: _ } as l) ->
-            let prefixes = List.rev !l in
-            l := [];
-            send_withdrawals t peer prefixes
-          | _ -> ());
-          match Hashtbl.find_opt t.pending_adv peer.idx with
-          | Some ({ contents = _ :: _ } as l) ->
-            let advs = List.rev !l in
-            l := [];
-            send_advertisements t peer advs
-          | _ -> ()
-        end)
-      t.peers
-
-(* The fan-out fast path: drain each group's queued events as flush
-   classes (members whose pending streams are identical), encode each
-   class's frames once, and share the buffers across every member
-   session. A class of one degrades to exactly the per-peer baseline. *)
-and flush_groups t =
-  (* Drain every group's flush classes first: the class list (in group
-     order) is the deterministic work-list both the sequential and the
-     offloaded encode path walk. Classes without a live session are
-     dropped before encoding so the offloaded path never runs an encode
-     dispatch the sequential daemon would have skipped. *)
-  let classes = ref [] in
-  Rib.Update_group.iter_groups t.ugroups (fun g ->
-      List.iter
-        (fun (members, wds, advs) ->
-          let sessions =
-            List.filter_map
-              (fun m ->
-                let p = t.peers.(m) in
-                if Session.Fsm.is_established p.session then Some p.session
-                else None)
-              members
-          in
-          if sessions <> [] then
-            classes := (members, wds, advs, sessions) :: !classes)
-        (Rib.Update_group.take_classes g));
-  let classes = Array.of_list (List.rev !classes) in
-  let send sessions frames =
-    List.iter
-      (fun frame ->
-        let sent = Session.Fsm.send_raw_shared sessions frame in
-        Telemetry.Counter.add t.probes.c_updates_tx sent;
-        Rib.Update_group.note_fanout_saved t.ugroups
-          ((sent - 1) * Bytes.length frame))
-      frames
-  in
-  let offload =
-    match t.pool with
-    | Some pool when Array.length classes > 1 -> (
-      match t.vmm with
-      | Some vmm ->
-        if Xbgp.Vmm.shard_parallel_safe vmm Xbgp.Api.Bgp_encode_message then
-          Some pool
-        else None
-      | None -> Some pool)
-    | _ -> None
-  in
-  match offload with
-  | Some pool ->
-    (* UPDATE encoding (attribute serialization + the encode-point
-       dispatch + 4096-byte framing) fans out across the worker pool,
-       one class per job; sending stays on this domain, in class order.
-       [parallel_map] places item [i] on worker [i mod workers] — the
-       dispatch runs on that worker's VM shard, so each shard's VMs
-       still see a single driving domain. *)
-    refresh_cache_gate t;
-    let w = Shard.Runtime.workers pool in
-    let indexed = Array.mapi (fun i c -> (i, c)) classes in
-    let encoded =
-      Shard.Runtime.parallel_map pool indexed
-        (fun (i, (members, wds, advs, _sessions)) ->
-          let shard = i mod w in
-          (match t.vmm with
-          | Some vmm -> Xbgp.Vmm.begin_events vmm ~shard
-          | None -> ());
-          let wd_frames = withdrawal_frames wds in
-          let adv_frames =
-            if advs = [] then []
-            else
-              advertisement_frames ~shard ~isolated:true t
-                t.peers.(List.hd members)
-                advs
-          in
-          let events =
-            match t.vmm with
-            | Some vmm -> Xbgp.Vmm.take_events vmm ~shard
-            | None -> []
-          in
-          (wd_frames, adv_frames, events))
-    in
-    Array.iteri
-      (fun i (wd_frames, adv_frames, events) ->
-        (match t.vmm with
-        | Some vmm -> Xbgp.Vmm.replay_events vmm events
-        | None -> ());
-        let _, _, _, sessions = classes.(i) in
-        send sessions wd_frames;
-        send sessions adv_frames)
-      encoded
-  | None ->
-    Array.iter
-      (fun (members, wds, advs, sessions) ->
-        send sessions (withdrawal_frames wds);
-        if advs <> [] then
-          send sessions
-            (advertisement_frames t t.peers.(List.hd members) advs))
-      classes
-
-and send_withdrawals t peer prefixes =
-  List.iter
-    (fun frame ->
-      Telemetry.Counter.inc t.probes.c_updates_tx;
-      Session.Fsm.send_raw peer.session frame)
-    (withdrawal_frames prefixes)
-
-(* Build the UPDATE frames advertising [advs] towards [peer]. The
-   grouped path calls this once per flush class with a representative
-   member — sound because peers only share a group when the outbound
-   chains pass [Vmm.group_invariant], so the bytecode provably never
-   observes which peer the ops record answers for. *)
-(* [isolated] marks a call running on a worker domain: it must not touch
-   the daemon's argument-buffer pool or the cache-gate bookkeeping, and
-   its encode dispatch is pinned to [shard]'s VMs. *)
-and advertisement_frames ?(shard = 0) ?(isolated = false) t peer advs =
-  (* BIRD groups by the serialized attribute bytes themselves *)
-  let groups : (string, (Eattr.set * Bgp.Prefix.t list ref)) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let order = ref [] in
-  List.iter
-    (fun (p, attrs) ->
-      let key = Bytes.to_string (Eattr.encode_known attrs) in
-      match Hashtbl.find_opt groups key with
-      | Some (_, l) -> l := p :: !l
-      | None ->
-        Hashtbl.replace groups key (attrs, ref [ p ]);
-        order := key :: !order)
-    advs;
-  List.concat_map
-    (fun key ->
-      let attrs, prefixes_ref = Hashtbl.find groups key in
-      let prefixes = List.rev !prefixes_ref in
-      let buf = Buffer.create 64 in
-      Buffer.add_string buf key;
-      let ops =
-        {
-          t.base_ops with
-          Xbgp.Host_intf.peer_info = (fun () -> Some (peer_info t peer));
-          get_attr = (fun code -> Eattr.get_tlv attrs code);
-          write_buf =
-            (fun b ->
-              Buffer.add_bytes buf b;
-              true);
-        }
-      in
-      let args =
-        if isolated then Xbgp.Host_intf.Args.create () else borrow_args t
-      in
-      Xbgp.Host_intf.Args.set args Xbgp.Api.arg_update_payload
-        (Buffer.to_bytes buf);
-      (if isolated then
-         match t.vmm with
-         | None -> ()
-         | Some vmm ->
-           ignore
-             (Xbgp.Vmm.run ~shard vmm Xbgp.Api.Bgp_encode_message ~ops ~args
-                ~default:(fun () -> Xbgp.Api.ret_ok))
-       else
-         ignore
-           (vmm_run ~shard t Xbgp.Api.Bgp_encode_message ~ops ~args
-              ~default:(fun () -> Xbgp.Api.ret_ok)));
-      if not isolated then release_args t args;
-      let attr_bytes = Buffer.to_bytes buf in
-      Bgp.Message.split_update_raw ~withdrawn:[] ~attr_bytes ~nlri:prefixes)
-    (List.rev !order)
-
-and send_advertisements t peer advs =
-  List.iter
-    (fun frame ->
-      Telemetry.Counter.inc t.probes.c_updates_tx;
-      Session.Fsm.send_raw peer.session frame)
-    (advertisement_frames t peer advs)
-
-and export t (target : peer) prefix (r : route) : Eattr.set option =
-  if r.src = target.idx then None
-  else begin
-    let route_ref = ref r in
-    let ops = route_ops t ~peer:(Some target) ~route_ref in
-    let args = borrow_args t in
-    Xbgp.Host_intf.Args.set args Xbgp.Api.arg_prefix (prefix_arg prefix);
-    Xbgp.Host_intf.Args.set args Xbgp.Api.arg_source (source_arg r);
-    let verdict =
-      (* outbound dispatches stay on this domain, but still run on the
-         prefix's owning VM shard so a per-shard outbound map keeps its
-         keys partitioned exactly like the inbound points' maps *)
-      vmm_run
-        ~shard:(Shard.Sharded_loc.shard_of t.loc prefix)
-        t Xbgp.Api.Bgp_outbound_filter ~ops ~args
-        ~default:(fun () -> native_export t route_ref target)
-    in
-    release_args t args;
-    if verdict = Xbgp.Api.filter_accept then
-      Some (canonicalize t !route_ref target)
-    else begin
-      Telemetry.Counter.inc t.probes.c_export_rejected;
-      None
-    end
-  end
-
-(* Which update group a peer belongs in: everything the export path can
-   observe about the peer. [native_export] and [canonicalize] read only
-   the peer type and reflection role; the xprog chains are covered by
-   their signatures and may not read peer identity at all when
-   [t.groupable] holds. Peer-dependent chains degrade every peer to a
-   singleton group, which flows through the same machinery as the
-   per-peer baseline. *)
-and group_key t peer =
-  if not t.groupable then Printf.sprintf "solo:%d" peer.idx
-  else
-    Printf.sprintf "pt%d:rr%b:%s" peer.peer_type peer.conf.rr_client
-      t.chain_sig
-
-(* Re-derive the partition key when the attached chains changed (one
-   integer compare per propagate — [Vmm.generation] bumps only on
-   attach/detach). Queued events are drained under the old partition
-   first; the re-key itself emits nothing, like the baseline. *)
-and refresh_grouping t =
-  let gen = match t.vmm with Some v -> Xbgp.Vmm.generation v | None -> 0 in
-  if gen <> t.group_gen then begin
-    flush_groups t;
-    (match t.vmm with
-    | Some vmm ->
-      t.groupable <-
-        Xbgp.Vmm.group_invariant vmm Xbgp.Api.Bgp_outbound_filter
-          ~allow_write_buf:false
-        && Xbgp.Vmm.group_invariant vmm Xbgp.Api.Bgp_encode_message
-             ~allow_write_buf:true;
-      t.chain_sig <-
-        Xbgp.Vmm.chain_signature vmm Xbgp.Api.Bgp_outbound_filter
-        ^ "|"
-        ^ Xbgp.Vmm.chain_signature vmm Xbgp.Api.Bgp_encode_message
-    | None ->
-      t.groupable <- true;
-      t.chain_sig <- "");
-    t.group_gen <- gen;
-    Rib.Update_group.rekey t.ugroups ~desired:(fun m ->
-        group_key t t.peers.(m))
-  end
-
-(* One export evaluation per group instead of per peer: run the filter
-   chain for a representative member and let the engine expand the
-   result into per-member transitions. *)
-and export_to_group t g prefix (r : route) =
-  let members = Rib.Update_group.members g in
-  match List.find_opt (fun m -> m <> r.src) members with
-  | None -> Rib.Update_group.route_update t.ugroups g prefix None
-  | Some rep ->
-    let entry =
-      match export t t.peers.(rep) prefix r with
-      | Some attrs ->
-        let skip = if List.mem r.src members then r.src else -1 in
-        Some (attrs, skip)
-      | None ->
-        (* keep the rejection counter peer-accurate: the baseline counts
-           one rejection per eligible member *)
-        let eligible =
-          List.length members - (if List.mem r.src members then 1 else 0)
-        in
-        Telemetry.Counter.add t.probes.c_export_rejected (eligible - 1);
-        None
-    in
-    Rib.Update_group.route_update t.ugroups g prefix entry
-
-and propagate t prefix (change : route Rib.Loc_rib.change) =
-  if t.config.update_groups then begin
-    refresh_grouping t;
-    match change with
-    | Rib.Loc_rib.Unchanged -> ()
-    | Rib.Loc_rib.Withdrawn ->
-      Rib.Update_group.iter_groups t.ugroups (fun g ->
-          Rib.Update_group.route_update t.ugroups g prefix None);
-      schedule_flush t
-    | Rib.Loc_rib.New_best r ->
-      Rib.Update_group.iter_groups t.ugroups (fun g ->
-          export_to_group t g prefix r);
-      schedule_flush t
-  end
-  else
-    match change with
-    | Rib.Loc_rib.Unchanged -> ()
-    | Rib.Loc_rib.Withdrawn ->
-      Array.iter
-        (fun peer ->
-          match Rib.Adj_rib.clear t.adj_out ~peer:peer.idx prefix with
-          | Some _ ->
-            purge_pending_adv t peer.idx prefix;
-            let l = pending_list t.pending_wd peer.idx in
-            l := prefix :: !l
-          | None -> ())
-        t.peers;
-      schedule_flush t
-    | Rib.Loc_rib.New_best r ->
-      Array.iter
-        (fun peer ->
-          if Session.Fsm.is_established peer.session && peer.synced then
-            advertise_to t peer prefix r)
-        t.peers;
-      schedule_flush t
-
-and advertise_to t peer prefix r =
-  match export t peer prefix r with
-  | Some attrs ->
-    let previous = Rib.Adj_rib.find t.adj_out ~peer:peer.idx prefix in
-    let same =
-      match previous with Some p -> Eattr.equal p attrs | None -> false
-    in
-    if not same then begin
-      ignore (Rib.Adj_rib.set t.adj_out ~peer:peer.idx prefix attrs);
-      let l = pending_list t.pending_adv peer.idx in
-      l := (prefix, attrs) :: !l
-    end
-  | None -> (
-    match Rib.Adj_rib.clear t.adj_out ~peer:peer.idx prefix with
-    | Some _ ->
-      purge_pending_adv t peer.idx prefix;
-      let l = pending_list t.pending_wd peer.idx in
-      l := prefix :: !l
-    | None -> ())
-
-(* --- inbound processing --- *)
-
-let withdraw_prefix t peer prefix =
-  match Rib.Adj_rib.clear t.adj_in ~peer:peer.idx prefix with
-  | Some _ ->
-    Telemetry.Counter.inc t.probes.c_withdrawals_rx;
-    let pr =
-      import_record t prefix ~src:peer.idx ~chain:[] ~import:"withdrawn"
-        ~status:Obs.Provenance.Withdrawn
-    in
-    note_gone t prefix ~src:peer.idx pr;
-    let change = Shard.Sharded_loc.update t.loc ~peer:peer.idx prefix None in
-    record_route_event t Obs.Recorder.Route_withdraw prefix pr;
-    propagate t prefix change
-  | None -> ()
-
-let accept_route t peer prefix (r : route) ~chain ~import =
-  Telemetry.Counter.inc t.probes.c_routes_in;
-  let existed =
-    t.recorder <> None
-    && Rib.Adj_rib.find t.adj_in ~peer:peer.idx prefix <> None
-  in
-  ignore (Rib.Adj_rib.set t.adj_in ~peer:peer.idx prefix r);
-  let stored =
-    import_record t prefix ~src:peer.idx ~chain ~import
-      ~status:Obs.Provenance.Candidate
-  in
-  Hashtbl.replace t.prov (prefix, peer.idx) stored;
-  let change = Shard.Sharded_loc.update t.loc ~peer:peer.idx prefix (Some r) in
-  (match t.recorder with
-  | None -> ()
-  | Some _ ->
-    record_route_event t
-      (if existed then Obs.Recorder.Route_replace else Obs.Recorder.Route_add)
-      prefix
-      (assemble_prov t prefix stored ~src:peer.idx));
-  propagate t prefix change
-
-let reject_route t peer prefix ~chain ~import =
-  Telemetry.Counter.inc t.probes.c_import_rejected;
-  withdraw_prefix t peer prefix;
-  (* the rejection supersedes the withdrawal record the clear leaves *)
-  Hashtbl.replace t.last_prov prefix
-    (import_record t prefix ~src:peer.idx ~chain ~import
-       ~status:Obs.Provenance.Rejected)
-
-(* The legacy per-prefix path (kept verbatim for the dispatch-bench
-   baseline; [config.batch_updates = false]). *)
-let learn_route t peer prefix (route : route) =
-  let route_ref = ref route in
-  let ops = route_ops t ~peer:(Some peer) ~route_ref in
-  let shard = Shard.Sharded_loc.shard_of t.loc prefix in
-  let verdict =
-    vmm_run ~shard t Xbgp.Api.Bgp_inbound_filter ~ops
-      ~args:
-        (Xbgp.Host_intf.Args.of_list
-           [
-             (Xbgp.Api.arg_prefix, prefix_arg prefix);
-             (Xbgp.Api.arg_source, source_arg route);
-           ])
-      ~default:(fun () -> native_import t route_ref prefix peer)
-  in
-  let chain = import_trace ~shard t in
-  if verdict = Xbgp.Api.filter_accept then
-    accept_route t peer prefix !route_ref ~chain
-      ~import:(import_verdict chain ~accepted:true)
-  else
-    reject_route t peer prefix ~chain
-      ~import:(import_verdict chain ~accepted:false)
-
-(* Batched NLRI processing: every prefix of one UPDATE shares the same
-   attribute set, so share the eattr view and the dispatch plumbing
-   across the batch. *)
-let learn_routes t peer prefixes (route : route) =
-  match prefixes with
-  | [] -> ()
-  | first :: _ ->
-    let has_inbound_ext =
-      match t.vmm with
-      | Some vmm -> Xbgp.Vmm.has_attachment vmm Xbgp.Api.Bgp_inbound_filter
-      | None -> false
-    in
-    let batchable_ext =
-      (not has_inbound_ext)
-      ||
-      match t.vmm with
-      | Some vmm ->
-        Xbgp.Vmm.batch_invariant vmm Xbgp.Api.Bgp_inbound_filter
-          ~variant_args:[ Xbgp.Api.arg_prefix ]
-      | None -> true
-    in
-    if batchable_ext && t.config.native_ov = None then begin
-      (* Fast path: no prefix-dependent policy anywhere on the import
-         chain. The RFC 4456 loop checks in [native_import] read only
-         the shared attributes, and any attached bytecode provably
-         never fetches the prefix argument and has no per-call state
-         ([Vmm.batch_invariant]) — so one verdict (and one set of
-         route-attribute edits) covers the whole NLRI list. *)
-      let route_ref = ref route in
-      let verdict =
-        if has_inbound_ext then begin
-          let ops = route_ops t ~peer:(Some peer) ~route_ref in
-          let args = borrow_args t in
-          Xbgp.Host_intf.Args.set args Xbgp.Api.arg_prefix (prefix_arg first);
-          Xbgp.Host_intf.Args.set args Xbgp.Api.arg_source (source_arg route);
-          let v =
-            vmm_run t Xbgp.Api.Bgp_inbound_filter ~ops ~args
-              ~default:(fun () -> native_import t route_ref first peer)
-          in
-          release_args t args;
-          v
-        end
-        else native_import t route_ref first peer
-      in
-      (* one trace covers the whole batch — [batch_invariant] is exactly
-         the proof that per-prefix dispatches would have replayed it *)
-      let chain = if has_inbound_ext then import_trace t else [] in
-      let accepted = verdict = Xbgp.Api.filter_accept in
-      let import = import_verdict chain ~accepted in
-      if accepted then
-        List.iter
-          (fun prefix -> accept_route t peer prefix !route_ref ~chain ~import)
-          prefixes
-      else
-        List.iter
-          (fun prefix -> reject_route t peer prefix ~chain ~import)
-          prefixes
-    end
-    else begin
-      let parallel_ok =
-        t.pool <> None
-        && ((not has_inbound_ext)
-           ||
-           match t.vmm with
-           | Some vmm ->
-             Xbgp.Vmm.shard_parallel_safe vmm Xbgp.Api.Bgp_inbound_filter
-           | None -> true)
-      in
-      match (t.pool, parallel_ok) with
-      | Some pool, true when List.length prefixes > 1 ->
-        (* The parallel import lane — see the FRR-like host for the
-           full determinism argument. Workers run only the dispatch
-           for the prefixes their shard owns (in NLRI order within the
-           shard); every state transition happens afterwards on this
-           domain in NLRI order, with staged recorder events replayed
-           at each commit. *)
-        refresh_cache_gate t;
-        let arr = Array.of_list prefixes in
-        let n = Array.length arr in
-        let results = Array.make n None in
-        let nshards = Shard.Runtime.workers pool in
-        let buckets = Array.make nshards [] in
-        for i = n - 1 downto 0 do
-          let s = Shard.Sharded_loc.shard_of t.loc arr.(i) in
-          buckets.(s) <- (i, arr.(i)) :: buckets.(s)
-        done;
-        Array.iteri
-          (fun s items ->
-            if items <> [] then
-              Shard.Runtime.submit pool ~worker:s (fun () ->
-                  let route_ref = ref route in
-                  let ops = route_ops t ~peer:(Some peer) ~route_ref in
-                  let src = source_arg route in
-                  let pbuf = Bytes.create 5 in
-                  let args = Xbgp.Host_intf.Args.create () in
-                  Xbgp.Host_intf.Args.set args Xbgp.Api.arg_prefix pbuf;
-                  Xbgp.Host_intf.Args.set args Xbgp.Api.arg_source src;
-                  List.iter
-                    (fun (i, prefix) ->
-                      route_ref := route;
-                      set_prefix_arg pbuf prefix;
-                      (match t.vmm with
-                      | Some vmm -> Xbgp.Vmm.begin_events vmm ~shard:s
-                      | None -> ());
-                      let verdict =
-                        match t.vmm with
-                        | Some vmm when has_inbound_ext ->
-                          Xbgp.Vmm.run ~shard:s vmm Xbgp.Api.Bgp_inbound_filter
-                            ~ops ~args ~default:(fun () ->
-                              native_import t route_ref prefix peer)
-                        | _ -> native_import t route_ref prefix peer
-                      in
-                      let chain =
-                        if has_inbound_ext then import_trace ~shard:s t
-                        else []
-                      in
-                      let events =
-                        match t.vmm with
-                        | Some vmm -> Xbgp.Vmm.take_events vmm ~shard:s
-                        | None -> []
-                      in
-                      results.(i) <- Some (verdict, !route_ref, chain, events))
-                    items))
-          buckets;
-        Shard.Runtime.barrier pool;
-        t.par_batches <- t.par_batches + 1;
-        Array.iteri
-          (fun i result ->
-            match result with
-            | None -> ()
-            | Some (verdict, rt, chain, events) ->
-              (match t.vmm with
-              | Some vmm -> Xbgp.Vmm.replay_events vmm events
-              | None -> ());
-              let prefix = arr.(i) in
-              if verdict = Xbgp.Api.filter_accept then
-                accept_route t peer prefix rt ~chain
-                  ~import:(import_verdict chain ~accepted:true)
-              else
-                reject_route t peer prefix ~chain
-                  ~import:(import_verdict chain ~accepted:false))
-          results
-      | _ ->
-        (* The serial per-prefix lane (also the sharded daemon's
-           fallback when the chain is not shard-parallel-safe): the ops
-           record, the source argument and the argument buffer are
-           hoisted out of the loop. The 5-byte prefix buffer is mutated
-           in place between runs — safe because [get_arg] copies the
-           payload into the VM heap. Dispatches still run on each
-           prefix's owning VM shard, so per-shard map placement never
-           depends on which lane ran. *)
-        if t.pool <> None then t.seq_batches <- t.seq_batches + 1;
-        let route_ref = ref route in
-        let ops = route_ops t ~peer:(Some peer) ~route_ref in
-        let src = source_arg route in
-        let pbuf = Bytes.create 5 in
-        let args = borrow_args t in
-        Xbgp.Host_intf.Args.set args Xbgp.Api.arg_prefix pbuf;
-        Xbgp.Host_intf.Args.set args Xbgp.Api.arg_source src;
-        List.iter
-          (fun prefix ->
-            route_ref := route;
-            set_prefix_arg pbuf prefix;
-            let shard = Shard.Sharded_loc.shard_of t.loc prefix in
-            let verdict =
-              vmm_run ~shard t Xbgp.Api.Bgp_inbound_filter ~ops ~args
-                ~default:(fun () -> native_import t route_ref prefix peer)
-            in
-            let chain = import_trace ~shard t in
-            if verdict = Xbgp.Api.filter_accept then
-              accept_route t peer prefix !route_ref ~chain
-                ~import:(import_verdict chain ~accepted:true)
-            else
-              reject_route t peer prefix ~chain
-                ~import:(import_verdict chain ~accepted:false))
-          prefixes;
-        release_args t args
-    end
-
-(* RFC 7606 treat-as-withdraw: NLRI announced without the mandatory
-   ORIGIN / AS_PATH / NEXT_HOP attributes is withdrawn, not learned —
-   keeping the eattr list free of half-formed routes that a record-based
-   host would pad with defaults (and so diverge on). An extension at
-   BGP_RECEIVE_MESSAGE may still supply the missing attribute first. *)
-let mandatory_present (attrs : Bgp.Attr.t list) extra_tlvs =
-  let codes =
-    List.map Bgp.Attr.code attrs
-    @ List.filter_map
-        (fun tlv ->
-          match Bgp.Attr.of_tlv tlv with
-          | a -> Some (Bgp.Attr.code a)
-          | exception Bgp.Attr.Parse_error _ -> None)
-        extra_tlvs
-  in
-  List.mem Bgp.Attr.code_origin codes
-  && List.mem Bgp.Attr.code_as_path codes
-  && List.mem Bgp.Attr.code_next_hop codes
-
-let on_update t peer (u : Bgp.Message.update) ~raw =
-  Telemetry.Counter.inc t.probes.c_updates_rx;
-  (* BMP-style route monitoring: mirror the UPDATE PDU verbatim, pre
-     policy (RFC 7854 §5) *)
-  if t.collector <> None then
-    mirror t
-      (Obs.Bmp.route_monitoring ~peer:(bmp_peer peer)
-         ~ts_us:(Netsim.Sched.now t.sched)
-         ~update:(Bytes.to_string raw));
-  let extra_tlvs = ref [] in
-  (* withdraw-only UPDATEs go through the point too (flap damping needs
-     to see withdrawals; the point runs before they are processed);
-     only truly empty messages — End-of-RIB markers — are skipped *)
-  (if u.nlri <> [] || u.withdrawn <> [] then
-     let body =
-       Bytes.sub raw Bgp.Message.header_size
-         (Bytes.length raw - Bgp.Message.header_size)
-     in
-     let ops =
-       {
-         t.base_ops with
-         Xbgp.Host_intf.peer_info = (fun () -> Some (peer_info t peer));
-         set_attr =
-           (fun tlv ->
-             extra_tlvs := tlv :: !extra_tlvs;
-             true);
-       }
-     in
-     let args = borrow_args t in
-     Xbgp.Host_intf.Args.set args Xbgp.Api.arg_update_payload body;
-     ignore
-       (vmm_run t Xbgp.Api.Bgp_receive_message ~ops ~args
-          ~default:(fun () -> Xbgp.Api.ret_ok));
-     release_args t args);
-  List.iter (fun p -> withdraw_prefix t peer p) u.withdrawn;
-  if u.nlri <> [] && not (mandatory_present u.attrs (List.rev !extra_tlvs))
-  then
-    List.iter
-      (fun p ->
-        withdraw_prefix t peer p;
-        Hashtbl.replace t.last_prov p
-          (import_record t p ~src:peer.idx ~chain:[]
-             ~import:
-               "rejected: missing mandatory attribute (treat-as-withdraw)"
-             ~status:Obs.Provenance.Rejected))
-      u.nlri
-  else if u.nlri <> [] then begin
-    let attrs0 = Eattr.of_attrs u.attrs in
-    let attrs0 =
-      List.fold_left
-        (fun acc tlv ->
-          match Eattr.set_tlv acc tlv with
-          | a -> a
-          | exception Invalid_argument _ -> acc)
-        attrs0 (List.rev !extra_tlvs)
-    in
-    (* RFC 4271: a route whose AS_PATH already contains our AS is
-       unfeasible — an implicit withdrawal of any earlier route for the
-       same NLRI from this peer. Silently ignoring it would keep the
-       older advertisement alive after the sender switched to a looped
-       path, and path hunting then locks onto ghost cycles. *)
-    if
-      peer.peer_type = src_ebgp && Eattr.contains_as attrs0 t.config.local_as
-    then
-      List.iter
-        (fun p ->
-          reject_route t peer p ~chain:[]
-            ~import:"rejected: own AS in AS_PATH (eBGP loop)")
-        u.nlri
-    else begin
-      let route =
-        {
-          attrs = attrs0;
-          src = peer.idx;
-          src_type = peer.peer_type;
-          src_router_id = Session.Fsm.peer_id peer.session;
-          src_addr = peer.conf.remote_addr;
-          src_rr_client = peer.conf.rr_client;
-          igp_cost = t.config.igp_metric (Eattr.next_hop attrs0);
-        }
-      in
-      if t.config.batch_updates then learn_routes t peer u.nlri route
-      else List.iter (fun p -> learn_route t peer p route) u.nlri
-    end
-  end
-
-(* --- session lifecycle --- *)
-
-let sync_peer t peer =
-  if t.collector <> None then
-    mirror t
-      (Obs.Bmp.peer_up ~peer:(bmp_peer peer)
-         ~ts_us:(Netsim.Sched.now t.sched)
-         ~local_addr:t.config.local_addr ~local_asn:t.config.local_as
-         ~local_bgp_id:t.config.router_id ~hold_time:t.config.hold_time);
-  peer.synced <- true;
-  if t.config.update_groups then begin
-    refresh_grouping t;
-    let g =
-      Rib.Update_group.join t.ugroups ~peer:peer.idx ~key:(group_key t peer)
-    in
-    (* catch-up: one fresh export per Loc-RIB best, targeted at the
-       joiner only — identical to a baseline initial sync, and
-       self-healing for group entries dropped while nobody listened *)
-    Shard.Sharded_loc.iter_best t.loc (fun prefix r ->
-        match export t peer prefix r with
-        | Some attrs ->
-          let skip =
-            if Rib.Update_group.is_member g r.src then r.src else -1
-          in
-          Rib.Update_group.catch_up_entry g prefix attrs ~skip
-            ~member:peer.idx
-        | None -> ())
-  end
-  else
-    Shard.Sharded_loc.iter_best t.loc (fun prefix r -> advertise_to t peer prefix r);
-  schedule_flush t
-
-let on_close t peer =
-  if t.collector <> None then
-    mirror t
-      (Obs.Bmp.peer_down ~peer:(bmp_peer peer)
-         ~ts_us:(Netsim.Sched.now t.sched)
-         ~reason:Obs.Bmp.reason_remote_no_notification);
-  peer.synced <- false;
-  if t.config.update_groups then
-    Rib.Update_group.leave t.ugroups ~peer:peer.idx;
-  (* a closed session must not leave stale queued frames behind — on
-     re-establishment the initial sync re-sends the whole table *)
-  (match Hashtbl.find_opt t.pending_adv peer.idx with
-  | Some l -> l := []
-  | None -> ());
-  (match Hashtbl.find_opt t.pending_wd peer.idx with
-  | Some l -> l := []
-  | None -> ());
-  let prefixes =
-    let acc = ref [] in
-    Rib.Adj_rib.iter_peer t.adj_in ~peer:peer.idx (fun p _ ->
-        acc := p :: !acc);
-    !acc
-  in
-  List.iter
-    (fun prefix ->
-      ignore (Rib.Adj_rib.clear t.adj_in ~peer:peer.idx prefix);
-      let pr =
-        import_record t prefix ~src:peer.idx ~chain:[]
-          ~import:"withdrawn: session closed"
-          ~status:Obs.Provenance.Withdrawn
-      in
-      note_gone t prefix ~src:peer.idx pr;
-      let change = Shard.Sharded_loc.update t.loc ~peer:peer.idx prefix None in
-      record_route_event t Obs.Recorder.Route_withdraw prefix pr;
-      propagate t prefix change)
-    prefixes;
-  Rib.Adj_rib.drop_peer t.adj_out peer.idx
-
-let create ?telemetry ?vmm ~sched (config : config)
-    (peer_confs : peer_conf list) : t =
-  (* share the VMM's registry unless the caller supplies one, so the
-     whole deployment lands in a single export *)
-  let tele =
-    match telemetry with
-    | Some t -> t
-    | None -> (
-      match vmm with
-      | Some v -> Xbgp.Vmm.telemetry v
-      | None -> Telemetry.create ~enabled:false ())
-  in
-  (match vmm with
-  | Some v when config.shards > 1 && Xbgp.Vmm.shards v <> config.shards -> (
-    match Xbgp.Vmm.set_shards v config.shards with
-    | Ok () -> ()
-    | Error e -> invalid_arg ("Bgpd.create: " ^ e))
-  | _ -> ());
-  let t =
-    {
-      config;
-      sched;
-      vmm;
-      tele;
-      probes = make_probes tele ~daemon:config.name ~impl:"bird" ~store:"hash";
-      peers = [||];
-      adj_in = Rib.Adj_rib.create ();
-      adj_out = Rib.Adj_rib.create ();
-      loc = Shard.Sharded_loc.create ~shards:config.shards decision_view;
-      pool =
-        (if config.shards > 1 then
-           Some (Shard.Runtime.create ~workers:config.shards ())
-         else None);
-      par_batches = 0;
-      seq_batches = 0;
-      pending_adv = Hashtbl.create 8;
-      pending_wd = Hashtbl.create 8;
-      flush_scheduled = false;
-      ugroups =
-        Rib.Update_group.create ~telemetry:tele ~daemon:config.name
-          ~equal:Eattr.equal ();
-      group_gen = -1;
-      groupable = false;
-      chain_sig = "";
-      gate_gen = -1;
-      prov = Hashtbl.create 64;
-      last_prov = Hashtbl.create 16;
-      recorder = None;
-      collector = None;
-      xtras = Hashtbl.create 8;
-      log_fn = ignore;
-      base_ops = Xbgp.Host_intf.null_ops;
-      args_pool = Array.init 4 (fun _ -> Xbgp.Host_intf.Args.create ());
-      args_busy = 0;
-    }
-  in
-  t.base_ops <- make_base_ops t;
-  List.iter (fun (k, v) -> Hashtbl.replace t.xtras k v) config.xtras;
-  t.peers <-
-    Array.of_list
-      (List.mapi
-         (fun idx conf ->
-           let peer_type =
-             if conf.remote_as = config.local_as then src_ibgp else src_ebgp
-           in
-           let session_config =
-             {
-               Session.Fsm.local_as = config.local_as;
-               local_id = config.router_id;
-               peer_as = conf.remote_as;
-               hold_time = config.hold_time;
-             }
-           in
-           let rec peer =
-             lazy
-               {
-                 idx;
-                 conf;
-                 peer_type;
-                 session =
-                   Session.Fsm.create ~telemetry:tele sched conf.port
-                     session_config
-                     {
-                       on_update =
-                         (fun u ~raw -> on_update t (Lazy.force peer) u ~raw);
-                       on_established =
-                         (fun () -> sync_peer t (Lazy.force peer));
-                       on_close = (fun _ -> on_close t (Lazy.force peer));
-                     };
-                 synced = false;
-               }
-           in
-           Lazy.force peer)
-         peer_confs);
-  (match vmm with
-  | Some vmm ->
-    (* bake each slice's shard index into its compare closure, so
-       decision dispatches land on the VM shard owning the prefix *)
-    for s = 0 to config.shards - 1 do
-      Rib.Loc_rib.set_compare
-        (Shard.Sharded_loc.slice t.loc s)
-        (Some (fun a b -> decision_compare t vmm ~shard:s a b))
-    done
-  | None ->
-    (* still count decision comparisons when no VMM is attached *)
-    Shard.Sharded_loc.set_compare t.loc
-      (Some
-         (fun a b ->
-           Telemetry.Counter.inc t.probes.c_decisions;
-           Rib.Decision.compare decision_view a b)));
-  t
-
-let shutdown t =
-  match t.pool with Some p -> Shard.Runtime.shutdown p | None -> ()
-
-let start t =
-  (match t.vmm with
-  | Some vmm -> Xbgp.Vmm.run_init vmm ~ops:t.base_ops
-  | None -> ());
-  Array.iter (fun p -> Session.Fsm.start p.session) t.peers
-
-let originate t prefix (attrs : Bgp.Attr.t list) =
-  let route =
-    {
-      attrs = Eattr.of_attrs attrs;
-      src = -1;
-      src_type = src_local;
-      src_router_id = t.config.router_id;
-      src_addr = t.config.local_addr;
-      src_rr_client = false;
-      igp_cost = 0;
-    }
-  in
-  let existed = t.recorder <> None && Hashtbl.mem t.prov (prefix, -1) in
-  let stored =
-    import_record t prefix ~src:(-1) ~chain:[]
-      ~import:"accepted (local origination)" ~status:Obs.Provenance.Candidate
-  in
-  Hashtbl.replace t.prov (prefix, -1) stored;
-  let change = Shard.Sharded_loc.update t.loc ~peer:(-1) prefix (Some route) in
-  (match t.recorder with
-  | None -> ()
-  | Some _ ->
-    record_route_event t
-      (if existed then Obs.Recorder.Route_replace else Obs.Recorder.Route_add)
-      prefix
-      (assemble_prov t prefix stored ~src:(-1)));
-  propagate t prefix change
-
-(* the add_route_to_rib helper: inject a locally-sourced route *)
-let () =
-  rib_add_hook :=
-    fun t ~addr ~len ~nexthop ->
-      match Bgp.Prefix.v addr len with
-      | prefix ->
-        originate t prefix
-          [
-            Bgp.Attr.v (Bgp.Attr.Origin Bgp.Attr.Incomplete);
-            Bgp.Attr.v (Bgp.Attr.As_path []);
-            Bgp.Attr.v (Bgp.Attr.Next_hop nexthop);
-          ];
-        true
-      | exception Invalid_argument _ -> false
-
-let withdraw_local t prefix =
-  if Hashtbl.mem t.prov (prefix, -1) then begin
-    let pr =
-      import_record t prefix ~src:(-1) ~chain:[] ~import:"withdrawn (local)"
-        ~status:Obs.Provenance.Withdrawn
-    in
-    note_gone t prefix ~src:(-1) pr;
-    record_route_event t Obs.Recorder.Route_withdraw prefix pr
-  end;
-  let change = Shard.Sharded_loc.update t.loc ~peer:(-1) prefix None in
-  propagate t prefix change
-
-(** Replace (or add) one named configuration extra at runtime — how the
-    simulated operator delivers an updated ROA file or a new threshold
-    to a running router. Extensions observe the new blob on their next
-    [get_xtra]; state built at init time needs {!rerun_init}. *)
-let set_xtra t key value = Hashtbl.replace t.xtras key value
-
-(** Re-run the extension init bytecodes against the current xtras — the
-    runtime half of a configuration swap (e.g. an RPKI ROA update that
-    must be folded into the origin-validation map). *)
-let rerun_init t =
-  match t.vmm with
-  | Some vmm -> Xbgp.Vmm.run_init vmm ~ops:t.base_ops
-  | None -> ()
-
-(** Re-open any session that has fallen back to Idle (e.g. after a link
-    failure healed). Peers already Established are untouched. *)
-let restart_sessions t =
-  Array.iter
-    (fun p ->
-      if not (Session.Fsm.is_established p.session) then
-        Session.Fsm.start p.session)
-    t.peers
-
-(** Re-evaluate export policy for every best route towards every peer —
-    what a real daemon does when IGP state changes (§3.1: the export
-    filter consults the live IGP metric of the next hop). *)
-let refresh_exports t =
-  if t.config.update_groups then begin
-    refresh_grouping t;
-    Shard.Sharded_loc.iter_best t.loc (fun prefix r ->
-        Rib.Update_group.iter_groups t.ugroups (fun g ->
-            export_to_group t g prefix r))
-  end
-  else
-    Shard.Sharded_loc.iter_best t.loc (fun prefix r ->
-        Array.iter
-          (fun peer ->
-            if Session.Fsm.is_established peer.session && peer.synced then
-              advertise_to t peer prefix r)
-          t.peers);
-  schedule_flush t
-
-(* --- introspection --- *)
-
-let loc_count t = Shard.Sharded_loc.count t.loc
-let loc_best t prefix = Shard.Sharded_loc.best t.loc prefix
-let iter_loc t f = Shard.Sharded_loc.iter_best t.loc f
-(* a point-in-time snapshot assembled from the registry counters *)
-let stats t : stats =
-  {
-    updates_rx = Telemetry.Counter.value t.probes.c_updates_rx;
-    routes_in = Telemetry.Counter.value t.probes.c_routes_in;
-    withdrawals_rx = Telemetry.Counter.value t.probes.c_withdrawals_rx;
-    import_rejected = Telemetry.Counter.value t.probes.c_import_rejected;
-    export_rejected = Telemetry.Counter.value t.probes.c_export_rejected;
-    updates_tx = Telemetry.Counter.value t.probes.c_updates_tx;
-  }
-
-let telemetry t = t.tele
-let shard_info t : Shard.Info.t =
-  let n = Shard.Sharded_loc.shards t.loc in
-  {
-    Shard.Info.shards = n;
-    counts = Shard.Sharded_loc.counts t.loc;
-    runs =
-      (match t.vmm with
-      | Some vmm -> Array.init n (fun s -> Xbgp.Vmm.shard_runs vmm s)
-      | None -> Array.make n 0);
-    queues =
-      (match t.pool with
-      | Some pool ->
-        Array.init (Shard.Runtime.workers pool) (fun i ->
-            Shard.Runtime.worker_stats pool i)
-      | None -> [||]);
-    barriers = (match t.pool with Some p -> Shard.Runtime.barriers p | None -> 0);
-    par_batches = t.par_batches;
-    seq_batches = t.seq_batches;
-  }
-
-let group_count t = Rib.Update_group.group_count t.ugroups
-let vmm t = t.vmm
-
-(** Attach (or detach, [None]) a flight recorder: the daemon itself
-    records route events, and the hook is pushed down to the VMM
-    (faults, fallbacks, map evictions), the session FSMs (transitions)
-    and the update-group engine (split/merge/rekey). *)
-let set_recorder t r =
-  t.recorder <- r;
-  (match t.vmm with
-  | Some vmm -> Xbgp.Vmm.set_recorder vmm r
-  | None -> ());
-  Rib.Update_group.set_recorder t.ugroups r;
-  Array.iter (fun p -> Session.Fsm.set_recorder p.session r) t.peers
-
-let recorder t = t.recorder
-
-(** Attach a BMP-style monitoring collector; the daemon mirrors every
-    received UPDATE and every session up/down edge to it. *)
-let set_collector t c = t.collector <- c
-
-let collector t = t.collector
-
-(** Provenance of the prefix's current best route (decision disposal
-    computed against the live Loc-RIB), falling back to the last
-    reject/withdraw record once no candidate is left. *)
-let provenance t prefix =
-  match Shard.Sharded_loc.best_with_peer t.loc prefix with
-  | Some (bpeer, _) -> (
-    match Hashtbl.find_opt t.prov (prefix, bpeer) with
-    | Some stored -> Some (assemble_prov t prefix stored ~src:bpeer)
-    | None -> Hashtbl.find_opt t.last_prov prefix)
-  | None -> Hashtbl.find_opt t.last_prov prefix
-
-(** Provenance of every candidate for the prefix. *)
-let provenance_candidates t prefix =
-  List.filter_map
-    (fun (src, _) ->
-      Option.map
-        (fun stored -> assemble_prov t prefix stored ~src)
-        (Hashtbl.find_opt t.prov (prefix, src)))
-    (Shard.Sharded_loc.candidates t.loc prefix)
-
-(** One provenance record per installed best route, sorted by prefix. *)
-let provenance_snapshot t =
-  let acc = ref [] in
-  Shard.Sharded_loc.iter_best t.loc (fun p _ ->
-      match provenance t p with
-      | Some pr -> acc := (p, pr) :: !acc
-      | None -> ());
-  List.sort (fun (a, _) (b, _) -> Bgp.Prefix.compare a b) !acc
-
-(** Update-group partition: [(key, ascending member indices)] in group
-    creation order — the [show update-groups] payload. *)
-let group_details t =
-  let acc = ref [] in
-  Rib.Update_group.iter_groups t.ugroups (fun g ->
-      acc := (Rib.Update_group.key g, Rib.Update_group.members g) :: !acc);
-  List.rev !acc
-
-let peer t idx = t.peers.(idx)
-let peer_established t idx = Session.Fsm.is_established t.peers.(idx).session
-let set_log t f = t.log_fn <- f
-let name t = t.config.name
-
-let best_attrs t prefix =
-  Option.map (fun r -> Eattr.to_attrs r.attrs) (loc_best t prefix)
-
-(** Whole-Loc-RIB snapshot in the neutral codec form, sorted by prefix —
-    the xBGP-visible state the differential fuzzer compares across
-    hosts. *)
-let loc_snapshot t =
-  let acc = ref [] in
-  iter_loc t (fun p r -> acc := (p, Eattr.to_attrs r.attrs) :: !acc);
-  List.sort (fun (a, _) (b, _) -> Bgp.Prefix.compare a b) !acc
-
-let best_route t prefix = loc_best t prefix
+include Pipeline.Make (Repr)

@@ -43,6 +43,7 @@ type live_map = {
   m_updates : Telemetry.Counter.t;
   m_deletes : Telemetry.Counter.t;
   m_evictions : Telemetry.Counter.t;
+  m_rejected : Telemetry.Counter.t;
 }
 
 type ext = {
@@ -429,6 +430,8 @@ let map_probe t (ext : ext) ?shard (spec : Ebpf.Map.spec) : live_map =
     m_updates = counter "map updates applied" "xbgp_map_updates_total";
     m_deletes = counter "map entries deleted" "xbgp_map_deletes_total";
     m_evictions = counter "LRU evictions" "xbgp_map_evictions_total";
+    m_rejected =
+      counter "inserts refused by a full map" "xbgp_map_rejected_inserts_total";
   }
 
 let ensure_maps_live t (ext : ext) =
@@ -672,23 +675,33 @@ let make_runtime t (ext : ext) ~shard (code : Ebpf.Insn.t list) : runtime =
           let value =
             Bytes.to_string (read_mem vm a.(2) spec.Ebpf.Map.value_size)
           in
-          let ok, evicted, entries =
+          let ok, evicted, rejected, entries =
             with_map_lock lm (fun () ->
-                let ev0 = (Ebpf.Map.stats lm.map).Ebpf.Map.evictions in
+                let s = Ebpf.Map.stats lm.map in
+                let ev0 = s.Ebpf.Map.evictions and rej0 = s.Ebpf.Map.rejected in
                 let ok = Ebpf.Map.update lm.map key value in
-                let ev1 = (Ebpf.Map.stats lm.map).Ebpf.Map.evictions in
-                (ok, ev1 - ev0, Ebpf.Map.length lm.map))
+                ( ok,
+                  s.Ebpf.Map.evictions - ev0,
+                  s.Ebpf.Map.rejected - rej0,
+                  Ebpf.Map.length lm.map ))
           in
-          if evicted > 0 then begin
-            Telemetry.Counter.add lm.m_evictions evicted;
-            emit_event t ~shard Obs.Recorder.Map_evict
+          let map_event kind counter n =
+            Telemetry.Counter.add counter n;
+            emit_event t ~shard kind
               [
                 ("host", t.host);
                 ("program", ext.prog.Xprog.name);
                 ("map", spec.Ebpf.Map.name);
-                ("n", string_of_int evicted);
+                ("n", string_of_int n);
               ]
-          end;
+          in
+          if evicted > 0 then
+            map_event Obs.Recorder.Map_evict lm.m_evictions evicted;
+          (* a reached bound is never silent: bytecode often ignores the
+             helper's error return (stock origin_validation's ROA load
+             does), so the refusal is counted and recorded here *)
+          if rejected > 0 then
+            map_event Obs.Recorder.Map_full lm.m_rejected rejected;
           if ok then begin
             Telemetry.Counter.inc lm.m_updates;
             Telemetry.Gauge.set lm.m_entries entries;
@@ -1609,9 +1622,10 @@ let map_stats t ~program idx =
              updates = acc.updates + s.Ebpf.Map.updates;
              deletes = acc.deletes + s.Ebpf.Map.deletes;
              evictions = acc.evictions + s.Ebpf.Map.evictions;
+             rejected = acc.rejected + s.Ebpf.Map.rejected;
            })
          { Ebpf.Map.lookups = 0; hits = 0; updates = 0; deletes = 0;
-           evictions = 0 }
+           evictions = 0; rejected = 0 }
          (map_instances rows idx))
   | _ -> None
 

@@ -228,9 +228,10 @@ val generation : t -> int
     whole-chain closures invalidate on the same edge. *)
 
 val set_recorder : t -> Obs.Recorder.t option -> unit
-(** Attach a flight recorder: bytecode faults, native fallbacks and LRU
-    map evictions are recorded as structured events. [None] (the
-    default) makes every hook one load-and-branch. *)
+(** Attach a flight recorder: bytecode faults, native fallbacks, LRU
+    map evictions and inserts refused by a full map are recorded as
+    structured events. [None] (the default) makes every hook one
+    load-and-branch. *)
 
 val recorder : t -> Obs.Recorder.t option
 
@@ -240,8 +241,8 @@ type event = Obs.Recorder.kind * (string * string) list
 
 val begin_events : t -> shard:int -> unit
 (** Start staging recorder-bound events (bytecode faults, native
-    fallbacks, map evictions) from [shard]'s dispatches instead of
-    recording them — workers bracket each task with
+    fallbacks, map evictions and rejections) from [shard]'s dispatches
+    instead of recording them — workers bracket each task with
     [begin_events]/[take_events] so the coordinating domain can replay
     event streams in deterministic submission order and keep the flight
     recorder byte-identical to a sequential run. *)

@@ -20,9 +20,9 @@
    entry can never alias bytecode-visible VM memory: the Vmm copies
    bytes out of the VM to build the key/value and copies the value into
    freshly allocated ephemeral heap on lookup. This module keeps its own
-   counters (lookups/hits/updates/deletes/evictions) so the Vmm can
-   export map health through the telemetry registry without reaching
-   into the representation. *)
+   counters (lookups/hits/updates/deletes/evictions, and inserts a full
+   [Hash] map refused) so the Vmm can export map health through the
+   telemetry registry without reaching into the representation. *)
 
 type kind = Hash | Lru | Per_peer_array
 
@@ -81,6 +81,7 @@ type stats = {
   mutable updates : int;
   mutable deletes : int;
   mutable evictions : int;
+  mutable rejected : int;  (* new keys refused by a full Hash map *)
 }
 
 type entry = { mutable value : string; mutable tick : int }
@@ -105,7 +106,9 @@ let create (spec : spec) : t =
       | Per_peer_array -> Array.make spec.max_entries (zero_value spec)
       | Hash | Lru -> [||]);
     tick = 0;
-    stats = { lookups = 0; hits = 0; updates = 0; deletes = 0; evictions = 0 };
+    stats =
+      { lookups = 0; hits = 0; updates = 0; deletes = 0; evictions = 0;
+        rejected = 0 };
   }
 
 let spec t = t.spec
@@ -192,7 +195,10 @@ let update t (key : string) (value : string) : bool =
       | None ->
         if Hashtbl.length t.table >= t.spec.max_entries then
           if t.spec.kind = Lru then evict_lru t else ();
-        if Hashtbl.length t.table >= t.spec.max_entries then false
+        if Hashtbl.length t.table >= t.spec.max_entries then begin
+          t.stats.rejected <- t.stats.rejected + 1;
+          false
+        end
         else begin
           t.tick <- t.tick + 1;
           Hashtbl.replace t.table key { value; tick = t.tick };

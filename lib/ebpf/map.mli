@@ -46,6 +46,8 @@ type stats = {
   mutable updates : int;
   mutable deletes : int;
   mutable evictions : int;
+  mutable rejected : int;
+      (** inserts of a new key refused because a [Hash] map was full *)
 }
 
 type t

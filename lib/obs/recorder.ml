@@ -40,8 +40,10 @@ type kind =
   | Xprog_fault
   | Native_fallback
   | Map_evict
+  | Map_full
   | Note  (** free-form marker (scenario phase labels, test annotations) *)
 
+(* in [kind_code] order: the per-kind counters are indexed by code *)
 let all_kinds =
   [
     Session_transition;
@@ -55,6 +57,7 @@ let all_kinds =
     Native_fallback;
     Map_evict;
     Note;
+    Map_full;
   ]
 
 let kind_code = function
@@ -69,6 +72,7 @@ let kind_code = function
   | Native_fallback -> 8
   | Map_evict -> 9
   | Note -> 10
+  | Map_full -> 11
 
 let kind_of_code = function
   | 0 -> Session_transition
@@ -82,6 +86,7 @@ let kind_of_code = function
   | 8 -> Native_fallback
   | 9 -> Map_evict
   | 10 -> Note
+  | 11 -> Map_full
   | n -> invalid_arg (Printf.sprintf "Recorder.kind_of_code: %d" n)
 
 let kind_name = function
@@ -95,6 +100,7 @@ let kind_name = function
   | Xprog_fault -> "xprog_fault"
   | Native_fallback -> "native_fallback"
   | Map_evict -> "map_evict"
+  | Map_full -> "map_full"
   | Note -> "note"
 
 type event = {

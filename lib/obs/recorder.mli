@@ -1,12 +1,12 @@
 (** The flight recorder: a bounded binary ring of structured events.
 
-    Sessions, routes, update groups, xprog faults and map evictions all
-    report here; the ring keeps the most recent history, evicts the
-    oldest whole records on overflow and counts every eviction in
-    [xbgp_recorder_dropped_total] — truncation is observable, never
-    silent. Timestamps come from an injectable microsecond clock so a
-    recording made under [Netsim.Sched] is deterministic and
-    byte-reproducible. *)
+    Sessions, routes, update groups, xprog faults, map evictions and
+    full-map rejections all report here; the ring keeps the most recent
+    history, evicts the oldest whole records on overflow and counts
+    every eviction in [xbgp_recorder_dropped_total] — truncation is
+    observable, never silent. Timestamps come from an injectable
+    microsecond clock so a recording made under [Netsim.Sched] is
+    deterministic and byte-reproducible. *)
 
 type kind =
   | Session_transition
@@ -19,6 +19,7 @@ type kind =
   | Xprog_fault
   | Native_fallback
   | Map_evict
+  | Map_full  (** a full map refused an insert *)
   | Note  (** free-form marker (scenario phase labels, test annotations) *)
 
 val all_kinds : kind list

@@ -1,51 +1,41 @@
-(* A uniform handle over the two daemon implementations, for harness code
-   (tests, examples, benchmarks) that instantiates either host. This is
-   deliberately *not* part of the xBGP architecture — the daemons stay
-   independent programs; only the experiment harness needs to treat them
-   alike. *)
+(* A uniform handle over the two daemons, for harness code (tests,
+   examples, benchmarks) that instantiates either host. Both are
+   [Pipeline.Make] over different representations, so both implement
+   [Pipeline.S] and every accessor below is written once over the packed
+   host; their types stay distinct (route attributes are interned records
+   in one, eattr lists in the other), hence the sum type. *)
 
 type t = Frr of Frrouting.Bgpd.t | Bird of Bird.Bgpd.t
+type host = Host : (module Pipeline.S with type t = 'd) * 'd -> host
 
-let name = function
-  | Frr d -> Frrouting.Bgpd.name d
-  | Bird d -> Bird.Bgpd.name d
+let host = function
+  | Frr d -> Host ((module Frrouting.Bgpd), d)
+  | Bird d -> Host ((module Bird.Bgpd), d)
 
-let start = function
-  | Frr d -> Frrouting.Bgpd.start d
-  | Bird d -> Bird.Bgpd.start d
+let name t = match host t with Host ((module D), d) -> D.name d
+let start t = match host t with Host ((module D), d) -> D.start d
 
 let originate t prefix attrs =
-  match t with
-  | Frr d -> Frrouting.Bgpd.originate d prefix attrs
-  | Bird d -> Bird.Bgpd.originate d prefix attrs
+  match host t with Host ((module D), d) -> D.originate d prefix attrs
 
 let withdraw_local t prefix =
-  match t with
-  | Frr d -> Frrouting.Bgpd.withdraw_local d prefix
-  | Bird d -> Bird.Bgpd.withdraw_local d prefix
+  match host t with Host ((module D), d) -> D.withdraw_local d prefix
 
-let loc_count = function
-  | Frr d -> Frrouting.Bgpd.loc_count d
-  | Bird d -> Bird.Bgpd.loc_count d
+let loc_count t = match host t with Host ((module D), d) -> D.loc_count d
 
 let peer_established t idx =
-  match t with
-  | Frr d -> Frrouting.Bgpd.peer_established d idx
-  | Bird d -> Bird.Bgpd.peer_established d idx
+  match host t with Host ((module D), d) -> D.peer_established d idx
 
 (** Attributes of the best route for [prefix], in the shared codec type —
     this is how the equivalence tests compare hosts. *)
 let best_attrs t prefix =
-  match t with
-  | Frr d -> Frrouting.Bgpd.best_attrs d prefix
-  | Bird d -> Bird.Bgpd.best_attrs d prefix
+  match host t with Host ((module D), d) -> D.best_attrs d prefix
 
 let has_route t prefix = best_attrs t prefix <> None
 
 (** Whole-Loc-RIB snapshot in the neutral codec form, sorted by prefix. *)
-let loc_snapshot = function
-  | Frr d -> Frrouting.Bgpd.loc_snapshot d
-  | Bird d -> Bird.Bgpd.loc_snapshot d
+let loc_snapshot t =
+  match host t with Host ((module D), d) -> D.loc_snapshot d
 
 (** AS path (flattened) of the best route towards [prefix]. *)
 let best_path t prefix =
@@ -71,92 +61,50 @@ let best_communities t prefix =
               | _ -> None)
             attrs))
 
-let updates_rx = function
-  | Frr d -> (Frrouting.Bgpd.stats d).updates_rx
-  | Bird d -> (Bird.Bgpd.stats d).updates_rx
+let stats t = match host t with Host ((module D), d) -> D.stats d
+let updates_rx t = (stats t).updates_rx
+let import_rejected t = (stats t).import_rejected
+let set_log t f = match host t with Host ((module D), d) -> D.set_log d f
 
-let import_rejected = function
-  | Frr d -> (Frrouting.Bgpd.stats d).import_rejected
-  | Bird d -> (Bird.Bgpd.stats d).import_rejected
-
-let set_log t f =
-  match t with
-  | Frr d -> Frrouting.Bgpd.set_log d f
-  | Bird d -> Bird.Bgpd.set_log d f
-
-let restart_sessions = function
-  | Frr d -> Frrouting.Bgpd.restart_sessions d
-  | Bird d -> Bird.Bgpd.restart_sessions d
+let restart_sessions t =
+  match host t with Host ((module D), d) -> D.restart_sessions d
 
 let set_xtra t key value =
-  match t with
-  | Frr d -> Frrouting.Bgpd.set_xtra d key value
-  | Bird d -> Bird.Bgpd.set_xtra d key value
+  match host t with Host ((module D), d) -> D.set_xtra d key value
 
-let rerun_init = function
-  | Frr d -> Frrouting.Bgpd.rerun_init d
-  | Bird d -> Bird.Bgpd.rerun_init d
+let rerun_init t = match host t with Host ((module D), d) -> D.rerun_init d
 
-let stats = function
-  | Frr d -> Frrouting.Bgpd.stats d
-  | Bird d -> Bird.Bgpd.stats d
-
-let refresh_exports = function
-  | Frr d -> Frrouting.Bgpd.refresh_exports d
-  | Bird d -> Bird.Bgpd.refresh_exports d
+let refresh_exports t =
+  match host t with Host ((module D), d) -> D.refresh_exports d
 
 (** Active update groups on the daemon (0 with update groups off). *)
-let group_count = function
-  | Frr d -> Frrouting.Bgpd.group_count d
-  | Bird d -> Bird.Bgpd.group_count d
+let group_count t = match host t with Host ((module D), d) -> D.group_count d
 
-let vmm = function
-  | Frr d -> Frrouting.Bgpd.vmm d
-  | Bird d -> Bird.Bgpd.vmm d
-
-let shutdown = function
-  | Frr d -> Frrouting.Bgpd.shutdown d
-  | Bird d -> Bird.Bgpd.shutdown d
-
-let shard_info = function
-  | Frr d -> Frrouting.Bgpd.shard_info d
-  | Bird d -> Bird.Bgpd.shard_info d
+let vmm t = match host t with Host ((module D), d) -> D.vmm d
+let shutdown t = match host t with Host ((module D), d) -> D.shutdown d
+let shard_info t = match host t with Host ((module D), d) -> D.shard_info d
 
 (** Provenance of the prefix's current best route (or the last
     reject/withdraw record). *)
 let provenance t prefix =
-  match t with
-  | Frr d -> Frrouting.Bgpd.provenance d prefix
-  | Bird d -> Bird.Bgpd.provenance d prefix
+  match host t with Host ((module D), d) -> D.provenance d prefix
 
 let provenance_candidates t prefix =
-  match t with
-  | Frr d -> Frrouting.Bgpd.provenance_candidates d prefix
-  | Bird d -> Bird.Bgpd.provenance_candidates d prefix
+  match host t with Host ((module D), d) -> D.provenance_candidates d prefix
 
-let provenance_snapshot = function
-  | Frr d -> Frrouting.Bgpd.provenance_snapshot d
-  | Bird d -> Bird.Bgpd.provenance_snapshot d
+let provenance_snapshot t =
+  match host t with Host ((module D), d) -> D.provenance_snapshot d
 
 let set_recorder t r =
-  match t with
-  | Frr d -> Frrouting.Bgpd.set_recorder d r
-  | Bird d -> Bird.Bgpd.set_recorder d r
+  match host t with Host ((module D), d) -> D.set_recorder d r
 
-let recorder = function
-  | Frr d -> Frrouting.Bgpd.recorder d
-  | Bird d -> Bird.Bgpd.recorder d
+let recorder t = match host t with Host ((module D), d) -> D.recorder d
 
 let set_collector t c =
-  match t with
-  | Frr d -> Frrouting.Bgpd.set_collector d c
-  | Bird d -> Bird.Bgpd.set_collector d c
+  match host t with Host ((module D), d) -> D.set_collector d c
 
-let collector = function
-  | Frr d -> Frrouting.Bgpd.collector d
-  | Bird d -> Bird.Bgpd.collector d
+let collector t = match host t with Host ((module D), d) -> D.collector d
 
 (** Update-group partition [(key, member indices)] in creation order. *)
-let group_details = function
-  | Frr d -> Frrouting.Bgpd.group_details d
-  | Bird d -> Bird.Bgpd.group_details d
+let group_details t =
+  match host t with Host ((module D), d) -> D.group_details d

@@ -1,7 +1,7 @@
-(** A uniform handle over the two daemon implementations, for harness
-    code (tests, examples, benchmarks) that instantiates either host.
-    Deliberately not part of the xBGP architecture — the daemons stay
-    independent programs. *)
+(** A uniform handle over the two daemons, for harness code (tests,
+    examples, benchmarks) that instantiates either host. Both are
+    {!Pipeline.Make} over different representations; their types stay
+    distinct, hence the sum type. *)
 
 type t = Frr of Frrouting.Bgpd.t | Bird of Bird.Bgpd.t
 

@@ -97,8 +97,25 @@ let show_update_groups ?(json = false) d =
 (* --- show maps --- *)
 
 let show_maps ?(json = false) d =
+  (* each map carries the inserts it refused while full, so a reached
+     capacity shows next to the contents it truncated *)
   let state =
-    match Daemon.vmm d with Some vmm -> Xbgp.Vmm.map_state vmm | None -> []
+    match Daemon.vmm d with
+    | Some vmm ->
+      List.map
+        (fun (prog, maps) ->
+          ( prog,
+            List.mapi
+              (fun idx (m, entries) ->
+                let rejected =
+                  match Xbgp.Vmm.map_stats vmm ~program:prog idx with
+                  | Some s -> s.Ebpf.Map.rejected
+                  | None -> 0
+                in
+                (m, rejected, entries))
+              maps ))
+        (Xbgp.Vmm.map_state vmm)
+    | None -> []
   in
   if json then
     Printf.sprintf "{\"daemon\":%s,\"programs\":%s}"
@@ -107,8 +124,9 @@ let show_maps ?(json = false) d =
          (fun (prog, maps) ->
            Printf.sprintf "{\"program\":%s,\"maps\":%s}" (jstr prog)
              (jlist
-                (fun (m, entries) ->
-                  Printf.sprintf "{\"map\":%s,\"entries\":%s}" (jstr m)
+                (fun (m, rejected, entries) ->
+                  Printf.sprintf "{\"map\":%s,\"rejected\":%d,\"entries\":%s}"
+                    (jstr m) rejected
                     (jlist
                        (fun (k, v) ->
                          Printf.sprintf "{\"key\":%s,\"value\":%s}"
@@ -126,9 +144,12 @@ let show_maps ?(json = false) d =
         (fun (prog, maps) ->
           Buffer.add_string b (Printf.sprintf "%s/%s:\n" (Daemon.name d) prog);
           List.iter
-            (fun (m, entries) ->
+            (fun (m, rejected, entries) ->
               Buffer.add_string b
-                (Printf.sprintf "  %s (%d entries)\n" m (List.length entries));
+                (Printf.sprintf "  %s (%d entries%s)\n" m (List.length entries)
+                   (if rejected > 0 then
+                      Printf.sprintf ", %d inserts refused: map full" rejected
+                    else ""));
               List.iter
                 (fun (k, v) ->
                   Buffer.add_string b

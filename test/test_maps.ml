@@ -347,6 +347,73 @@ let test_dump_canonical () =
   check_int "clear empties" 0 (Map.length m);
   check_int "stats survive clear" 4 (Map.stats m).Map.updates
 
+(* --- a reached bound is counted, never silent ------------------------- *)
+
+let test_full_hash_counts_rejections () =
+  let m = Map.create (spec ~max_entries:1024 ()) in
+  for i = 0 to 1099 do
+    ignore (Map.update m (le32 i) (le32 i))
+  done;
+  check_int "capacity kept" 1024 (Map.length m);
+  check_int "rejected inserts" 76 (Map.stats m).Map.rejected;
+  check_bool "overwrite in a full map succeeds" true
+    (Map.update m (le32 0) (le32 7));
+  check_int "an overwrite is no rejection" 76 (Map.stats m).Map.rejected;
+  let lru = Map.create (spec ~kind:Map.Lru ~max_entries:4 ()) in
+  for i = 0 to 9 do
+    ignore (Map.update lru (le32 i) (le32 i))
+  done;
+  check_int "an LRU map evicts instead" 0 (Map.stats lru).Map.rejected
+
+(* Stock origin_validation loads its ROA table into a 1,024-entry hash
+   map and ignores the helper's error return, so ROAs past the cap used
+   to vanish without a trace. The VMM now counts each refusal in the
+   map's stats and telemetry and records a [Map_full] event. *)
+let test_roa_cap_reported () =
+  let roas =
+    List.init 1100 (fun i ->
+        Rpki.Roa.v
+          (Bgp.Prefix.v ((10 lsl 24) lor (i lsl 8)) 24)
+          ~max_len:24 ~asn:(i + 1))
+  in
+  let tele = Telemetry.create () in
+  let vmm = Xbgp.Vmm.create ~telemetry:tele ~host:"test" () in
+  let rc = Obs.Recorder.create () in
+  Xbgp.Vmm.set_recorder vmm (Some rc);
+  let ok = function Ok () -> () | Error e -> Alcotest.fail e in
+  let program = "origin_validation" in
+  ok (Xbgp.Vmm.register vmm Xprogs.Origin_validation.program);
+  ok
+    (Xbgp.Vmm.attach vmm ~program ~bytecode:"init" ~point:Xbgp.Api.Bgp_init
+       ~order:0);
+  Xbgp.Vmm.run_init vmm
+    ~ops:
+      {
+        Xbgp.Host_intf.null_ops with
+        get_xtra =
+          (fun key ->
+            if key = "roa_table" then Some (Xprogs.Util.encode_roa_table roas)
+            else None);
+      };
+  Alcotest.(check (option int))
+    "map holds its capacity" (Some 1024)
+    (Xbgp.Vmm.map_size vmm ~program 0);
+  (match Xbgp.Vmm.map_stats vmm ~program 0 with
+  | Some s -> check_int "map stats: rejected inserts" 76 s.Map.rejected
+  | None -> Alcotest.fail "roa map not live");
+  check_int "telemetry: rejected inserts" 76
+    (Telemetry.counter_value tele ~name:"xbgp_map_rejected_inserts_total"
+       ~labels:[ ("host", "test"); ("program", program); ("map", "roa") ]);
+  let recorded =
+    List.fold_left
+      (fun n (e : Obs.Recorder.event) ->
+        if e.kind = Obs.Recorder.Map_full then
+          n + int_of_string (List.assoc "n" e.fields)
+        else n)
+      0 (Obs.Recorder.events rc)
+  in
+  check_int "recorder: rejected inserts" 76 recorded
+
 let () =
   let qc = Qc.to_alcotest in
   Alcotest.run "maps"
@@ -361,5 +428,12 @@ let () =
           Alcotest.test_case "lookup no aliasing" `Quick
             test_lookup_no_aliasing;
           Alcotest.test_case "canonical dump" `Quick test_dump_canonical;
+        ] );
+      ( "bounds",
+        [
+          Alcotest.test_case "full hash counts rejections" `Quick
+            test_full_hash_counts_rejections;
+          Alcotest.test_case "ROA cap is reported" `Quick
+            test_roa_cap_reported;
         ] );
     ]

@@ -143,12 +143,13 @@ def check_maps(doc):
         for j, m in enumerate(need(prog, ppath, "maps", list)):
             mpath = f"{ppath}.maps[{j}]"
             need(m, mpath, "map", str)
+            need(m, mpath, "rejected", int)
             for k, e in enumerate(need(m, mpath, "entries", list)):
                 epath = f"{mpath}.entries[{k}]"
                 need(e, epath, "key", str)
                 need(e, epath, "value", str)
                 exact_keys(e, epath, ["key", "value"])
-            exact_keys(m, mpath, ["map", "entries"])
+            exact_keys(m, mpath, ["map", "rejected", "entries"])
         exact_keys(prog, ppath, ["program", "maps"])
     exact_keys(doc, "$", ["daemon", "programs"])
 
@@ -156,7 +157,7 @@ def check_maps(doc):
 RECORDER_KINDS = {
     "session", "route_add", "route_replace", "route_withdraw",
     "group_split", "group_merge", "group_rekey", "xprog_fault",
-    "native_fallback", "map_evict", "note",
+    "native_fallback", "map_evict", "map_full", "note",
 }
 
 
