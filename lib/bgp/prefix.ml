@@ -31,7 +31,13 @@ let pp_addr ppf a =
   Fmt.pf ppf "%d.%d.%d.%d" x y z w
 
 let pp ppf t = Fmt.pf ppf "%a/%d" pp_addr t.addr t.len
-let to_string t = Fmt.str "%a" pp t
+(* Same text as [pp], without a formatter: provenance records render a
+   prefix for every imported route. *)
+let to_string t =
+  let octet shift = string_of_int ((t.addr lsr shift) land 0xff) in
+  String.concat ""
+    [ octet 24; "."; octet 16; "."; octet 8; "."; octet 0; "/";
+      string_of_int t.len ]
 
 (** Parse ["a.b.c.d/len"]; @raise Invalid_argument on malformed input. *)
 let of_string s =

@@ -192,6 +192,7 @@ module type S = sig
     idx : int;
     conf : peer_conf;
     peer_type : int;
+    label : string;
     session : Session.Fsm.t;
     mutable synced : bool;
   }
@@ -400,6 +401,7 @@ module Make (R : REPR) :
     idx : int;
     conf : peer_conf;
     peer_type : int;  (** [src_ebgp] or [src_ibgp] *)
+    label : string;  (** ["peer <name> (AS <n>)"], as provenance shows it *)
     session : Session.Fsm.t;
     mutable synced : bool;  (** initial table sent *)
   }
@@ -694,10 +696,7 @@ module Make (R : REPR) :
   (* --- provenance and monitoring mirror --- *)
 
   let src_label t idx =
-    if idx < 0 then "local"
-    else
-      let p = t.peers.(idx) in
-      Printf.sprintf "peer %s (AS %d)" p.conf.pname p.conf.remote_as
+    if idx < 0 then "local" else t.peers.(idx).label
 
   (* Read the import chain's execution trace immediately after the
      dispatch: the VMM keeps only the last dispatch per point, and the
@@ -1789,6 +1788,8 @@ module Make (R : REPR) :
                    idx;
                    conf;
                    peer_type;
+                   label =
+                     Printf.sprintf "peer %s (AS %d)" conf.pname conf.remote_as;
                    session =
                      Session.Fsm.create ~telemetry:tele sched conf.port
                        session_config

@@ -1,163 +1,275 @@
-(* A binary (bit-wise) trie keyed by IPv4 prefix.
+(* A path-compressed binary trie (Patricia trie) keyed by IPv4 prefix.
 
    This is the workhorse behind the Loc-RIB and the Adj-RIBs, and it is
    also — deliberately — the data structure the FRR-like daemon uses for
    its native ROA store (§3.4 of the paper observes FRRouting "browses a
    dedicated trie for validated ROAs each time a prefix needs to be
-   checked", which is why the hash-based extension beats it).
+   checked", which the paper credits for the hash-based extension
+   beating it).
 
-   Depth is bounded by 32, so no path compression is needed; nodes are
-   mutable for cheap incremental RIB updates. *)
+   Every node carries its full key, so a chain of one-child bit nodes
+   collapses into a single edge: a node exists for each stored prefix,
+   plus one valueless "glue" node wherever two stored keys diverge (the
+   layout of FRR's [route_node] table). Invariants:
+   - a node's key covers every key in its subtree, and the subtree under
+     [zero] ([one]) holds keys whose bit at the node's length is 0 (1);
+   - a valueless node has two children, so every non-empty subtree
+     holds at least one binding and a trie of n bindings has < 2n nodes.
+   [remove] restores the second invariant by splicing nodes out, so a
+   removed prefix gives its memory back.
 
-type 'a node = {
-  mutable value : 'a option;
-  mutable zero : 'a node option;  (** subtree where the next bit is 0 *)
-  mutable one : 'a node option;
-}
+   Walks test "does this node's key cover the search key" with one mask
+   per step; leading common bits are only counted when an insert has to
+   split an edge. *)
 
-type 'a t = { root : 'a node; mutable size : int }
+type 'a node =
+  | Empty
+  | Node of {
+      mutable key : Bgp.Prefix.t;
+          (** the caller's prefix; a trie-made copy only on glue nodes *)
+      mutable value : 'a option;
+      mutable zero : 'a node;  (** keys whose next bit is 0 *)
+      mutable one : 'a node;
+    }
 
-let make_node () = { value = None; zero = None; one = None }
-let create () = { root = make_node (); size = 0 }
+type 'a t = { mutable root : 'a node; mutable size : int }
+
+let create () = { root = Empty; size = 0 }
 let size t = t.size
 let is_empty t = t.size = 0
 
-let child node bit = if bit = 0 then node.zero else node.one
+(* netmask of a prefix length: the top [len] of 32 bits *)
+let mask len = (-1 lsl (32 - len)) land 0xFFFFFFFF
 
-let set_child node bit c =
-  if bit = 0 then node.zero <- Some c else node.one <- Some c
+(* bit [i] (0 = most significant) of a 32-bit address *)
+let bit addr i = (addr lsr (31 - i)) land 1
 
-(* Walk (and optionally build) the path for [p], calling [f] on the final
-   node. *)
-let locate ?(build = false) t p =
-  let rec go node depth =
-    if depth = Bgp.Prefix.len p then Some node
+(* leading bits two 32-bit addresses share (32 when equal) *)
+let common_bits a b =
+  let x = ref ((a lxor b) land 0xFFFFFFFF) in
+  if !x = 0 then 32
+  else begin
+    let n = ref 0 in
+    if !x land 0xFFFF0000 = 0 then (n := !n + 16; x := !x lsl 16);
+    if !x land 0xFF000000 = 0 then (n := !n + 8; x := !x lsl 8);
+    if !x land 0xF0000000 = 0 then (n := !n + 4; x := !x lsl 4);
+    if !x land 0xC0000000 = 0 then (n := !n + 2; x := !x lsl 2);
+    if !x land 0x80000000 = 0 then incr n;
+    !n
+  end
+
+(* The node whose key is [addr/len] (valued or glue), or [Empty]. *)
+let rec locate node addr len =
+  match node with
+  | Empty -> Empty
+  | Node n ->
+    let k = n.key in
+    let klen = Bgp.Prefix.len k in
+    if klen > len || (addr lxor Bgp.Prefix.addr k) land mask klen <> 0 then
+      Empty
+    else if klen = len then node
+    else locate (if bit addr klen = 0 then n.zero else n.one) addr len
+
+(* Bind [p] to [v] in the subtree [node], where no node is keyed [p]
+   yet; returns the subtree's new root. *)
+let rec insert node p v =
+  match node with
+  | Empty -> Node { key = p; value = Some v; zero = Empty; one = Empty }
+  | Node n ->
+    let addr = Bgp.Prefix.addr p and len = Bgp.Prefix.len p in
+    let k = n.key in
+    let kaddr = Bgp.Prefix.addr k and klen = Bgp.Prefix.len k in
+    if klen < len && (addr lxor kaddr) land mask klen = 0 then begin
+      (if bit addr klen = 0 then (
+         let c = insert n.zero p v in
+         if c != n.zero then n.zero <- c)
+       else
+         let c = insert n.one p v in
+         if c != n.one then n.one <- c);
+      node
+    end
     else
-      let bit = Bgp.Prefix.bit p depth in
-      match child node bit with
-      | Some c -> go c (depth + 1)
-      | None ->
-        if build then begin
-          let c = make_node () in
-          set_child node bit c;
-          go c (depth + 1)
-        end
-        else None
-  in
-  go t.root 0
+      (* the edge into [node] splits where the two keys diverge *)
+      let c = min (common_bits addr kaddr) (min len klen) in
+      if c = len then
+        (* [p] covers [node], which hangs below the new binding *)
+        if bit kaddr len = 0 then
+          Node { key = p; value = Some v; zero = node; one = Empty }
+        else Node { key = p; value = Some v; zero = Empty; one = node }
+      else
+        let leaf = insert Empty p v and key = Bgp.Prefix.v addr c in
+        if bit addr c = 0 then
+          Node { key; value = None; zero = leaf; one = node }
+        else Node { key; value = None; zero = node; one = leaf }
+
+(* A valueless node keeps its place only with two children. *)
+let collapse node =
+  match node with
+  | Node { value = None; zero = Empty; one = c; _ }
+  | Node { value = None; zero = c; one = Empty; _ } ->
+    c
+  | _ -> node
+
+(* Drop the value of the node keyed [addr/len] (which must exist) and
+   splice out whatever that leaves valueless with fewer than two
+   children; returns the subtree's new root. *)
+let rec unlink node addr len =
+  match node with
+  | Empty -> Empty
+  | Node n ->
+    let klen = Bgp.Prefix.len n.key in
+    if klen = len then (
+      n.value <- None;
+      collapse node)
+    else if bit addr klen = 0 then (
+      let c = unlink n.zero addr len in
+      if c != n.zero then (
+        n.zero <- c;
+        collapse node)
+      else node)
+    else
+      let c = unlink n.one addr len in
+      if c != n.one then (
+        n.one <- c;
+        collapse node)
+      else node
+
+let add t p v =
+  t.root <- insert t.root p v;
+  t.size <- t.size + 1
+
+let drop t p =
+  t.root <- unlink t.root (Bgp.Prefix.addr p) (Bgp.Prefix.len p);
+  t.size <- t.size - 1
 
 (** Insert or replace the binding of [p]; returns the previous value. *)
 let replace t p v =
-  match locate ~build:true t p with
-  | None -> assert false
-  | Some node ->
-    let old = node.value in
-    node.value <- Some v;
-    if old = None then t.size <- t.size + 1;
+  match locate t.root (Bgp.Prefix.addr p) (Bgp.Prefix.len p) with
+  | Node ({ value = Some _ as old; _ } as n) ->
+    n.value <- Some v;
     old
+  | Node n ->
+    (* a glue node becomes a binding *)
+    n.key <- p;
+    n.value <- Some v;
+    t.size <- t.size + 1;
+    None
+  | Empty ->
+    add t p v;
+    None
 
 let find t p =
-  match locate t p with Some { value; _ } -> value | None -> None
+  match locate t.root (Bgp.Prefix.addr p) (Bgp.Prefix.len p) with
+  | Node { value; _ } -> value
+  | Empty -> None
 
 let mem t p = find t p <> None
 
-(** Remove the binding of [p]; returns the removed value. Nodes are left in
-    place (the trie only ever holds <= 2^25 nodes in our workloads and
-    de-allocation buys nothing for RIB churn patterns). *)
+(** Remove the binding of [p]; returns the removed value. *)
 let remove t p =
-  match locate t p with
-  | Some ({ value = Some v; _ } as node) ->
-    node.value <- None;
-    t.size <- t.size - 1;
-    Some v
-  | _ -> None
+  let old = find t p in
+  (match old with Some _ -> drop t p | None -> ());
+  old
 
 (** Update the binding of [p] through [f]; [f None] inserts, returning
     [None] from [f] removes. *)
 let update t p f =
-  match locate ~build:true t p with
-  | None -> assert false
-  | Some node -> (
-    let old = node.value in
-    match (old, f old) with
-    | None, None -> ()
-    | None, (Some _ as v) ->
-      node.value <- v;
+  match locate t.root (Bgp.Prefix.addr p) (Bgp.Prefix.len p) with
+  | Node ({ value = Some _ as old; _ } as n) -> (
+    match f old with Some _ as v -> n.value <- v | None -> drop t p)
+  | Node n -> (
+    match f None with
+    | Some _ as v ->
+      n.key <- p;
+      n.value <- v;
       t.size <- t.size + 1
-    | Some _, (Some _ as v) -> node.value <- v
-    | Some _, None ->
-      node.value <- None;
-      t.size <- t.size - 1)
+    | None -> ())
+  | Empty -> ( match f None with Some v -> add t p v | None -> ())
 
 (** Longest-prefix match: the most specific binding covering address
     [addr], searched down to [max_len] (default 32). *)
 let longest_match ?(max_len = 32) t addr =
-  let rec go node depth best =
-    let best =
-      match node.value with
-      | Some v -> Some (Bgp.Prefix.v addr depth, v)
-      | None -> best
-    in
-    if depth >= max_len then best
-    else
-      let bit = (addr lsr (31 - depth)) land 1 in
-      match child node bit with
-      | Some c -> go c (depth + 1) best
-      | None -> best
+  let rec go node best =
+    match node with
+    | Empty -> best
+    | Node n ->
+      let k = n.key in
+      let klen = Bgp.Prefix.len k in
+      if klen > max_len || (addr lxor Bgp.Prefix.addr k) land mask klen <> 0
+      then best
+      else
+        let best = match n.value with Some _ -> node | None -> best in
+        if klen >= max_len then best
+        else go (if bit addr klen = 0 then n.zero else n.one) best
   in
-  (* re-derive the matched prefix from the depth at which a value was seen *)
-  match go t.root 0 None with
-  | Some (p, v) -> Some (Bgp.Prefix.v (Bgp.Prefix.addr p) (Bgp.Prefix.len p), v)
-  | None -> None
+  match go t.root Empty with
+  | Node { key; value = Some v; _ } -> Some (key, v)
+  | _ -> None
 
-(** In-order iteration: prefixes in (address, shorter-first) trie order. *)
+(** In-order iteration: prefixes in (address, shorter-first) order — a
+    node's key precedes its subtree, the [zero] side precedes [one]. *)
 let iter t f =
-  let rec go node addr depth =
-    (match node.value with
-    | Some v -> f (Bgp.Prefix.v addr depth) v
-    | None -> ());
-    (match node.zero with Some c -> go c addr (depth + 1) | None -> ());
-    match node.one with
-    | Some c -> go c (addr lor (1 lsl (31 - depth))) (depth + 1)
-    | None -> ()
+  let rec go = function
+    | Empty -> ()
+    | Node n ->
+      (match n.value with Some v -> f n.key v | None -> ());
+      go n.zero;
+      go n.one
   in
-  go t.root 0 0
+  go t.root
 
 let fold t f acc =
-  let acc = ref acc in
-  iter t (fun p v -> acc := f p v !acc);
-  !acc
+  let rec go node acc =
+    match node with
+    | Empty -> acc
+    | Node n ->
+      let acc = match n.value with Some v -> f n.key v acc | None -> acc in
+      go n.one (go n.zero acc)
+  in
+  go t.root acc
 
-let to_list t = List.rev (fold t (fun p v acc -> (p, v) :: acc) [])
+let to_list t =
+  let rec go node acc =
+    match node with
+    | Empty -> acc
+    | Node n -> (
+      let acc = go n.zero (go n.one acc) in
+      match n.value with Some v -> (n.key, v) :: acc | None -> acc)
+  in
+  go t.root []
 
 (** [overlaps t p]: some binding covers [p] or lies inside [p] (i.e. the
-    two prefixes share addresses). *)
+    two prefixes share addresses). A non-empty subtree always holds a
+    binding, so reaching one inside [p] answers [true]. *)
 let overlaps t p =
-  let rec on_path node depth =
-    node.value <> None
-    ||
-    if depth < Bgp.Prefix.len p then
-      match child node (Bgp.Prefix.bit p depth) with
-      | Some c -> on_path c (depth + 1)
-      | None -> false
-    else subtree node
-  and subtree node =
-    node.value <> None
-    || (match node.zero with Some c -> subtree c | None -> false)
-    || match node.one with Some c -> subtree c | None -> false
+  let addr = Bgp.Prefix.addr p and len = Bgp.Prefix.len p in
+  let rec go = function
+    | Empty -> false
+    | Node n ->
+      let k = n.key in
+      let kaddr = Bgp.Prefix.addr k and klen = Bgp.Prefix.len k in
+      if klen > len then (addr lxor kaddr) land mask len = 0
+      else
+        (addr lxor kaddr) land mask klen = 0
+        && (klen = len
+           || (match n.value with Some _ -> true | None -> false)
+           || go (if bit addr klen = 0 then n.zero else n.one))
   in
-  on_path t.root 0
+  go t.root
 
 (** All bindings on the path from the root to [p] (i.e. every prefix that
     covers [p]), least specific first. *)
 let covering t p f =
-  let rec go node depth =
-    (match node.value with
-    | Some v -> f (Bgp.Prefix.v (Bgp.Prefix.addr p) depth) v
-    | None -> ());
-    if depth < Bgp.Prefix.len p then
-      match child node (Bgp.Prefix.bit p depth) with
-      | Some c -> go c (depth + 1)
-      | None -> ()
+  let addr = Bgp.Prefix.addr p and len = Bgp.Prefix.len p in
+  let rec go = function
+    | Empty -> ()
+    | Node n ->
+      let k = n.key in
+      let klen = Bgp.Prefix.len k in
+      if klen <= len && (addr lxor Bgp.Prefix.addr k) land mask klen = 0
+      then begin
+        (match n.value with Some v -> f k v | None -> ());
+        if klen < len then go (if bit addr klen = 0 then n.zero else n.one)
+      end
   in
-  go t.root 0
+  go t.root

@@ -1,12 +1,16 @@
-(** A binary (bit-wise) trie keyed by IPv4 prefix.
+(** A path-compressed binary trie (Patricia trie) keyed by IPv4 prefix.
 
     The workhorse behind the Loc-RIB and Adj-RIBs — and, deliberately,
     the data structure the FRR-like daemon uses for its native ROA store
     (§3.4 of the paper observes FRRouting "browses a dedicated trie for
     validated ROAs each time a prefix needs to be checked").
 
-    Nodes are mutable for cheap incremental RIB updates; depth is bounded
-    by 32 so no path compression is needed. *)
+    Like FRR's [route_node] table, it holds one node per stored prefix
+    plus one where two stored prefixes diverge, so a trie of n bindings
+    has fewer than 2n nodes. Nodes keep the caller's prefix as their key
+    and are mutable for cheap incremental RIB updates; [remove] splices
+    out the nodes a binding no longer needs, so memory follows the
+    current size, not the history of inserts. *)
 
 type 'a t
 

@@ -55,6 +55,11 @@ let prop_prefix_string_roundtrip =
   QCheck2.Test.make ~count:500 ~name:"prefix string roundtrip" gen_prefix
     (fun p -> Prefix.equal p (Prefix.of_string (Prefix.to_string p)))
 
+(* provenance and [show] output print prefixes through both paths *)
+let prop_prefix_to_string_is_pp =
+  QCheck2.Test.make ~count:500 ~name:"prefix to_string = pp" gen_prefix
+    (fun p -> Prefix.to_string p = Fmt.str "%a" Prefix.pp p)
+
 (* --- attributes --- *)
 
 let gen_asn = QCheck2.Gen.int_range 1 0xFFFFFFFF
@@ -376,6 +381,7 @@ let () =
           Alcotest.test_case "relations" `Quick test_prefix_relations;
           qc prop_prefix_wire_roundtrip;
           qc prop_prefix_string_roundtrip;
+          qc prop_prefix_to_string_is_pp;
         ] );
       ( "attr",
         [

@@ -16,16 +16,37 @@ let gen_small_prefix =
 
 (* --- Ptrie vs reference model --- *)
 
-type op = Insert of Bgp.Prefix.t * int | Remove of Bgp.Prefix.t
+(* the full depth: lengths 0-32 over addresses that share long prefixes
+   and differ in their low bits, so inserts split edges anywhere down to
+   bit 31 and /32s sit next to each other *)
+let gen_full_prefix =
+  QCheck2.Gen.(
+    let* base = oneofl [ 0x00000000; 0x0A000000; 0xC0A80100; 0xFFFFFFFF ] in
+    let* width = int_range 0 32 in
+    let* low = int_bound ((1 lsl width) - 1) in
+    let* len = frequency [ (3, int_range 24 32); (1, int_range 0 32) ] in
+    return (Bgp.Prefix.v (base lxor low) len))
 
-let gen_ops =
+type op =
+  | Insert of Bgp.Prefix.t * int
+  | Remove of Bgp.Prefix.t
+  | Update of Bgp.Prefix.t * int option
+
+let gen_ops_of gen_prefix =
   QCheck2.Gen.(
     list_size (int_range 0 200)
       (oneof
          [
-           map2 (fun p v -> Insert (p, v)) gen_small_prefix (int_range 0 100);
-           map (fun p -> Remove p) gen_small_prefix;
+           map2 (fun p v -> Insert (p, v)) gen_prefix (int_range 0 100);
+           map (fun p -> Remove p) gen_prefix;
+           map2
+             (fun p v -> Update (p, v))
+             gen_prefix
+             (option (int_range 0 100));
          ]))
+
+let gen_ops = gen_ops_of gen_small_prefix
+let gen_full_ops = gen_ops_of gen_full_prefix
 
 let run_model ops =
   let trie = Rib.Ptrie.create () in
@@ -38,51 +59,155 @@ let run_model ops =
         Hashtbl.replace model p v
       | Remove p ->
         ignore (Rib.Ptrie.remove trie p);
-        Hashtbl.remove model p)
+        Hashtbl.remove model p
+      | Update (p, v) -> (
+        let seen = ref None in
+        Rib.Ptrie.update trie p (fun old ->
+            seen := Some old;
+            v);
+        if !seen <> Some (Hashtbl.find_opt model p) then
+          failwith "update: f saw a different old value";
+        match v with
+        | Some v -> Hashtbl.replace model p v
+        | None -> Hashtbl.remove model p))
     ops;
   (trie, model)
 
+let trie_matches_model (trie, model) =
+  Rib.Ptrie.size trie = Hashtbl.length model
+  && Hashtbl.fold
+       (fun p v acc -> acc && Rib.Ptrie.find trie p = Some v)
+       model true
+  && Rib.Ptrie.fold trie
+       (fun p v acc -> acc && Hashtbl.find_opt model p = Some v)
+       true
+
 let prop_trie_model =
   QCheck2.Test.make ~count:300 ~name:"ptrie agrees with Hashtbl model" gen_ops
-    (fun ops ->
-      let trie, model = run_model ops in
-      Rib.Ptrie.size trie = Hashtbl.length model
-      && Hashtbl.fold
-           (fun p v acc -> acc && Rib.Ptrie.find trie p = Some v)
-           model true
-      && Rib.Ptrie.fold trie
-           (fun p v acc -> acc && Hashtbl.find_opt model p = Some v)
-           true)
+    (fun ops -> trie_matches_model (run_model ops))
+
+let prop_trie_model_full =
+  QCheck2.Test.make ~count:300 ~name:"full depth: ptrie agrees with model"
+    gen_full_ops
+    (fun ops -> trie_matches_model (run_model ops))
+
+let longest_match_agrees (ops, addr) =
+  let trie, model = run_model ops in
+  let expect =
+    Hashtbl.fold
+      (fun p v best ->
+        if Bgp.Prefix.mem addr p then
+          match best with
+          | Some (q, _) when Bgp.Prefix.len q >= Bgp.Prefix.len p -> best
+          | _ -> Some (p, v)
+        else best)
+      model None
+  in
+  Rib.Ptrie.longest_match trie addr = expect
 
 let prop_trie_longest_match =
   QCheck2.Test.make ~count:300 ~name:"longest_match = linear scan"
     QCheck2.Gen.(pair gen_ops (int_range 0 0xFFFFFFFF))
-    (fun (ops, addr) ->
-      let trie, model = run_model ops in
-      let expect =
-        Hashtbl.fold
-          (fun p v best ->
-            if Bgp.Prefix.mem addr p then
-              match best with
-              | Some (q, _) when Bgp.Prefix.len q >= Bgp.Prefix.len p -> best
-              | _ -> Some (p, v)
-            else best)
-          model None
-      in
-      Rib.Ptrie.longest_match trie addr = expect)
+    longest_match_agrees
+
+(* probe addresses next to the stored keys, where the low bits decide *)
+let prop_trie_longest_match_full =
+  QCheck2.Test.make ~count:300 ~name:"full depth: longest_match = scan"
+    QCheck2.Gen.(pair gen_full_ops (map Bgp.Prefix.addr gen_full_prefix))
+    longest_match_agrees
+
+let overlaps_agrees (ops, q) =
+  let trie, model = run_model ops in
+  let expect =
+    Hashtbl.fold
+      (fun stored _ acc ->
+        acc || Bgp.Prefix.subset stored q || Bgp.Prefix.subset q stored)
+      model false
+  in
+  Rib.Ptrie.overlaps trie q = expect
 
 let prop_trie_overlaps =
   QCheck2.Test.make ~count:300 ~name:"overlaps = linear scan"
     QCheck2.Gen.(pair gen_ops gen_small_prefix)
+    overlaps_agrees
+
+let prop_trie_overlaps_full =
+  QCheck2.Test.make ~count:300 ~name:"full depth: overlaps = scan"
+    QCheck2.Gen.(pair gen_full_ops gen_full_prefix)
+    overlaps_agrees
+
+(* (address, shorter first): the order iteration promises *)
+let by_addr_then_len (a, _) (b, _) =
+  match Int.compare (Bgp.Prefix.addr a) (Bgp.Prefix.addr b) with
+  | 0 -> Int.compare (Bgp.Prefix.len a) (Bgp.Prefix.len b)
+  | c -> c
+
+let prop_trie_covering =
+  QCheck2.Test.make ~count:300 ~name:"full depth: covering = scan"
+    QCheck2.Gen.(pair gen_full_ops gen_full_prefix)
     (fun (ops, q) ->
       let trie, model = run_model ops in
       let expect =
         Hashtbl.fold
-          (fun stored _ acc ->
-            acc || Bgp.Prefix.subset stored q || Bgp.Prefix.subset q stored)
-          model false
+          (fun p v acc -> if Bgp.Prefix.subset q p then (p, v) :: acc else acc)
+          model []
+        |> List.sort by_addr_then_len
       in
-      Rib.Ptrie.overlaps trie q = expect)
+      let seen = ref [] in
+      Rib.Ptrie.covering trie q (fun p v -> seen := (p, v) :: !seen);
+      List.rev !seen = expect)
+
+let prop_trie_iter_order =
+  QCheck2.Test.make ~count:300 ~name:"full depth: iter order = sorted"
+    gen_full_ops
+    (fun ops ->
+      let trie, model = run_model ops in
+      let expect =
+        Hashtbl.fold (fun p v acc -> (p, v) :: acc) model []
+        |> List.sort by_addr_then_len
+      in
+      let seen = ref [] in
+      Rib.Ptrie.iter trie (fun p v -> seen := (p, v) :: !seen);
+      List.rev !seen = expect
+      && Rib.Ptrie.to_list trie = expect
+      && List.rev (Rib.Ptrie.fold trie (fun p v acc -> (p, v) :: acc) [])
+         = expect)
+
+(* [n] distinct prefixes from the full-depth universe, in a seeded
+   order *)
+let distinct_prefixes n =
+  let rand = Random.State.make [| n |] in
+  let seen = Hashtbl.create n in
+  let rec fill acc k =
+    if k = 0 then acc
+    else
+      let p = QCheck2.Gen.generate1 ~rand gen_full_prefix in
+      if Hashtbl.mem seen p then fill acc k
+      else begin
+        Hashtbl.add seen p ();
+        fill (p :: acc) (k - 1)
+      end
+  in
+  fill [] n
+
+(* Removing every binding gives all of the trie's memory back. *)
+let test_trie_memory_bounded () =
+  let fresh : int Rib.Ptrie.t = Rib.Ptrie.create () in
+  let fresh = Obj.reachable_words (Obj.repr fresh) in
+  let prefixes = distinct_prefixes 2000 in
+  let t = Rib.Ptrie.create () in
+  for round = 1 to 2 do
+    List.iteri (fun i p -> ignore (Rib.Ptrie.replace t p i)) prefixes;
+    check Alcotest.int "all inserted" 2000 (Rib.Ptrie.size t);
+    (* last in first out, then first in first out *)
+    let order = if round = 1 then List.rev prefixes else prefixes in
+    List.iter (fun p -> ignore (Rib.Ptrie.remove t p)) order;
+    check Alcotest.int "all removed" 0 (Rib.Ptrie.size t);
+    check Alcotest.int
+      (Printf.sprintf "round %d: words back to a fresh trie" round)
+      fresh
+      (Obj.reachable_words (Obj.repr t))
+  done
 
 let test_trie_basics () =
   let t = Rib.Ptrie.create () in
@@ -251,6 +376,35 @@ let prop_loc_rib_count =
       let recount = Rib.Loc_rib.fold_best rib (fun _ _ n -> n + 1) 0 in
       Rib.Loc_rib.count rib = recount)
 
+(* Announce-then-withdraw over distinct prefixes, from several peers,
+   leaves the Loc-RIB exactly as large as a fresh one. *)
+let test_loc_rib_memory_bounded () =
+  let fresh = Obj.reachable_words (Obj.repr (Rib.Loc_rib.create view)) in
+  let rib = Rib.Loc_rib.create view in
+  let prefixes = distinct_prefixes 1500 in
+  for round = 1 to 2 do
+    List.iter
+      (fun px ->
+        for peer = 0 to 2 do
+          ignore
+            (Rib.Loc_rib.update rib ~peer px
+               (Some { base with lp = 100 + peer; paddr = peer }))
+        done)
+      prefixes;
+    check Alcotest.int "all announced" 1500 (Rib.Loc_rib.count rib);
+    List.iter
+      (fun px ->
+        for peer = 2 downto 0 do
+          ignore (Rib.Loc_rib.update rib ~peer px None)
+        done)
+      (List.rev prefixes);
+    check Alcotest.int "all withdrawn" 0 (Rib.Loc_rib.count rib);
+    check Alcotest.int
+      (Printf.sprintf "round %d: words back to a fresh Loc-RIB" round)
+      fresh
+      (Obj.reachable_words (Obj.repr rib))
+  done
+
 (* --- Adj-RIB --- *)
 
 let test_adj_rib () =
@@ -284,6 +438,13 @@ let () =
           qc prop_trie_model;
           qc prop_trie_longest_match;
           qc prop_trie_overlaps;
+          qc prop_trie_model_full;
+          qc prop_trie_longest_match_full;
+          qc prop_trie_overlaps_full;
+          qc prop_trie_covering;
+          qc prop_trie_iter_order;
+          Alcotest.test_case "memory bounded under churn" `Quick
+            test_trie_memory_bounded;
         ] );
       ( "decision",
         [
@@ -295,6 +456,8 @@ let () =
         [
           Alcotest.test_case "change reporting" `Quick test_loc_rib_changes;
           qc prop_loc_rib_count;
+          Alcotest.test_case "memory bounded under churn" `Quick
+            test_loc_rib_memory_bounded;
         ] );
       ("adj-rib", [ Alcotest.test_case "basics" `Quick test_adj_rib ]);
     ]
