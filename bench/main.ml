@@ -1288,175 +1288,6 @@ let fanout_bench () =
   Printf.printf "\n"
 
 (* ------------------------------------------------------------------ *)
-(* shard: multicore import-pipeline scaling (E18)                      *)
-(* ------------------------------------------------------------------ *)
-
-let shard_n =
-  try int_of_string (Sys.getenv "XBGP_BENCH_SHARD_ROUTES")
-  with Not_found -> 4_000
-
-(* A compute-heavy inbound filter that READS the prefix argument: the
-   prefix fetch makes the chain prefix-dependent, so the host cannot
-   collapse the NLRI batch into one dispatch ([batch_invariant] fails)
-   and must run the per-prefix lane — while [h_get_arg] is a batchable
-   helper, so [shard_parallel_safe] still holds and the per-prefix lane
-   is the PARALLEL one. That is the regime sharding exists for: real
-   per-route policy work, fanned out across worker domains. *)
-let shard_vmm ~shards () =
-  let prog =
-    Ebpf.Asm.(
-      assemble
-        [
-          movi Ebpf.Insn.R1 Xbgp.Api.arg_prefix;
-          call Xbgp.Api.h_get_arg;
-          jeqi Ebpf.Insn.R0 0 "compute_init";
-          ldxw Ebpf.Insn.R6 Ebpf.Insn.R0 0;
-          (* fold the address word in so the read is load-bearing *)
-          label "compute_init";
-          movi Ebpf.Insn.R7 120;
-          label "compute";
-          addi Ebpf.Insn.R6 3;
-          subi Ebpf.Insn.R7 1;
-          jnei Ebpf.Insn.R7 0 "compute";
-          movi Ebpf.Insn.R0 0;
-          (* filter_accept *)
-          exit_;
-        ])
-  in
-  let xp = Xbgp.Xprog.v ~name:"shard_bench" [ ("main", prog) ] in
-  let vmm = Xbgp.Vmm.create ~host:"bench" ~engine:Ebpf.Vm.Block () in
-  (if shards > 1 then
-     match Xbgp.Vmm.set_shards vmm shards with
-     | Ok () -> ()
-     | Error e -> failwith ("shard bench: set_shards: " ^ e));
-  (match Xbgp.Vmm.register vmm xp with
-  | Ok () -> ()
-  | Error e -> failwith ("shard bench: register: " ^ e));
-  (match
-     Xbgp.Vmm.attach vmm ~program:"shard_bench" ~bytecode:"main"
-       ~point:Xbgp.Api.Bgp_inbound_filter ~order:0
-   with
-  | Ok () -> ()
-  | Error e -> failwith ("shard bench: attach: " ^ e));
-  vmm
-
-let shard_routes n =
-  List.init n (fun i ->
-      Bgp.Prefix.v
-        (Bgp.Prefix.addr_of_quad (20 + (i lsr 16), (i lsr 8) land 0xff,
-                                  i land 0xff, 0))
-        24)
-
-(* one full-table import through sink 0 in 16-prefix UPDATEs; returns
-   wall-clock seconds until the DUT holds the table and every other
-   sink received it, plus the lane counters *)
-let shard_run ~host ~shards ~npeers routes =
-  let star =
-    Scenario.Star.create ~host ~vmm:(shard_vmm ~shards ()) ~shards
-      ~record_frames:false ~track_rib:false ~npeers ()
-  in
-  Scenario.Star.establish star;
-  let n = List.length routes in
-  let attrs =
-    Bgp.Attr.
-      [
-        v (Origin Igp);
-        v (As_path [ Seq [ 65101 ] ]);
-        v (Next_hop (Scenario.Star.sink_address star 0));
-      ]
-  in
-  let rec chunks = function
-    | [] -> []
-    | l ->
-      let rec take k acc = function
-        | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
-        | rest -> (List.rev acc, rest)
-      in
-      let c, rest = take 16 [] l in
-      c :: chunks rest
-  in
-  let t0 = Unix.gettimeofday () in
-  List.iter (fun c -> Scenario.Star.sink_announce star 0 ~attrs c)
-    (chunks routes);
-  let full () =
-    Scenario.Daemon.loc_count (Scenario.Star.dut star) >= n
-    &&
-    let ok = ref true in
-    for i = 1 to npeers - 1 do
-      if Scenario.Star.sink_adv_seen star i < n then ok := false
-    done;
-    !ok
-  in
-  if not (Scenario.Star.run_until ~timeout_us:3_600_000_000 star full) then
-    failwith "shard bench: import did not converge";
-  let dt = Unix.gettimeofday () -. t0 in
-  let info = Scenario.Daemon.shard_info (Scenario.Star.dut star) in
-  Scenario.Star.shutdown star;
-  (dt, info)
-
-let shard_bench () =
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf
-    "=== Shard: multicore import-pipeline scaling (%d routes, %d cores) \
-     ===\n"
-    shard_n cores;
-  record "shard.cores" (float_of_int cores);
-  record "shard.routes" (float_of_int shard_n);
-  let routes = shard_routes shard_n in
-  let rounds = max 2 (runs_n / 5) in
-  let shard_counts = [ 1; 2; 4; 8 ] in
-  List.iter
-    (fun (host, hname) ->
-      List.iter
-        (fun npeers ->
-          let best = Hashtbl.create 4 in
-          let lanes = Hashtbl.create 4 in
-          let run_leg shards =
-            Gc.compact ();
-            let dt, info = shard_run ~host ~shards ~npeers routes in
-            Hashtbl.replace lanes shards
-              (info.Shard.Info.par_batches, info.Shard.Info.seq_batches);
-            let prev =
-              Option.value ~default:infinity (Hashtbl.find_opt best shards)
-            in
-            Hashtbl.replace best shards (min prev dt)
-          in
-          List.iter run_leg shard_counts (* warmup *);
-          Hashtbl.reset best;
-          let nlegs = List.length shard_counts in
-          for round = 0 to rounds - 1 do
-            (* rotate the leg order so no shard count systematically
-               inherits a fresher heap *)
-            List.iteri
-              (fun i _ ->
-                run_leg (List.nth shard_counts ((i + round) mod nlegs)))
-              shard_counts
-          done;
-          let n = float_of_int shard_n in
-          let t1 = Hashtbl.find best 1 in
-          List.iter
-            (fun shards ->
-              let t = Hashtbl.find best shards in
-              let par, seq = Hashtbl.find lanes shards in
-              let key fmt =
-                Printf.sprintf ("shard.%s.p%d.s%d." ^^ fmt) hname npeers
-                  shards
-              in
-              Printf.printf
-                "%-6s p%-2d s%d  %8.0f routes/s  speedup=%.2fx  \
-                 par_batches=%d seq_batches=%d\n\
-                 %!"
-                hname npeers shards (n /. t) (t1 /. t) par seq;
-              record (key "routes_per_s") (n /. t);
-              record (key "speedup") (t1 /. t);
-              record (key "par_batches") (float_of_int par);
-              record (key "seq_batches") (float_of_int seq))
-            shard_counts)
-        [ 2; 8 ])
-    [ (`Frr, "frr"); (`Bird, "bird") ];
-  Printf.printf "\n"
-
-(* ------------------------------------------------------------------ *)
 (* Flight recorder: record-path cost and pipeline overhead (E16)       *)
 (* ------------------------------------------------------------------ *)
 
@@ -1680,7 +1511,6 @@ let () =
   | "fanout" -> fanout_bench ()
   | "recorder" -> recorder_bench ()
   | "chaos" -> chaos_bench ()
-  | "shard" -> shard_bench ()
   | "json" ->
     (* bare --json: run exactly the benches whose numbers land in the file *)
     micro ();
@@ -1697,10 +1527,10 @@ let () =
   | other ->
     Printf.eprintf
       "unknown bench %S \
-       (fig1|fig4|fig5|ablation|churn|telemetry|dispatch|fanout|recorder|chaos|shard|micro|all; \
+       (fig1|fig4|fig5|ablation|churn|telemetry|dispatch|fanout|recorder|chaos|micro|all; \
        add --json to write BENCH_pr3.json, BENCH_pr9.json for dispatch, \
        BENCH_pr5.json for fanout, BENCH_pr6.json for chaos, \
-       BENCH_pr8.json for recorder, or BENCH_pr10.json for shard)\n"
+       or BENCH_pr8.json for recorder)\n"
       other;
     exit 1);
   if json then
@@ -1710,6 +1540,5 @@ let () =
       | "fanout" -> "BENCH_pr5.json"
       | "chaos" -> "BENCH_pr6.json"
       | "recorder" -> "BENCH_pr8.json"
-      | "shard" -> "BENCH_pr10.json"
       | _ -> "BENCH_pr3.json");
   Printf.printf "done.\n"

@@ -44,10 +44,10 @@ let run_campaign ~cases ~seed ~out ~force_divergence ~quiet =
     summary.results;
   if summary.results = [] then 0 else 1
 
-let run_fanout ~cases ~seed ~shards ~force_divergence ~quiet =
+let run_fanout ~cases ~seed ~force_divergence ~quiet =
   let log s = if not quiet then print_endline s in
   let summary =
-    Fuzz.Fanout.campaign ~perturb:force_divergence ~shards ~log ~seed ~cases ()
+    Fuzz.Fanout.campaign ~perturb:force_divergence ~log ~seed ~cases ()
   in
   Fmt.pr "%a@." Fuzz.Fanout.pp_summary summary;
   List.iter
@@ -57,11 +57,10 @@ let run_fanout ~cases ~seed ~shards ~force_divergence ~quiet =
     summary.failures;
   if summary.failures = [] then 0 else 1
 
-let run_chaos ~cases ~seed ~out ~shards ~force_divergence ~quiet =
+let run_chaos ~cases ~seed ~out ~force_divergence ~quiet =
   let log s = if not quiet then print_endline s in
   let summary =
-    Fuzz.Chaos.campaign ?out ~perturb:force_divergence ~shards ~log ~seed
-      ~cases ()
+    Fuzz.Chaos.campaign ?out ~perturb:force_divergence ~log ~seed ~cases ()
   in
   Fmt.pr "%a@." Fuzz.Chaos.pp_summary summary;
   List.iter
@@ -127,19 +126,6 @@ let run_replay path =
         List.iter (fun f -> Fmt.pr "%a@." Fuzz.Oracle.pp_finding f) fs;
         1)))
 
-let run_sharded ~cases ~seed ~force_divergence ~quiet =
-  let log s = if not quiet then print_endline s in
-  let summary =
-    Fuzz.Shard_oracle.campaign ~perturb:force_divergence ~log ~seed ~cases ()
-  in
-  Fmt.pr "%a@." Fuzz.Shard_oracle.pp_summary summary;
-  List.iter
-    (fun (c, findings) ->
-      Fmt.pr "@.FAILING %a@." Fuzz.Shard_oracle.pp_case c;
-      List.iter (Fmt.pr "  %s@.") findings)
-    summary.failures;
-  if summary.failures = [] then 0 else 1
-
 open Cmdliner
 
 let cases =
@@ -190,23 +176,6 @@ let fanout =
   in
   Arg.(value & flag & info [ "fanout" ] ~doc)
 
-let sharded =
-  let doc =
-    "Run the sharding oracle instead of the main campaign: the same \
-     star-topology scenario under shards=1 and shards=N (N in 2/3/8) \
-     must leave an identical Loc-RIB, byte-identical per-peer UPDATE \
-     streams and provenance, and an identical merged map state."
-  in
-  Arg.(value & flag & info [ "sharded" ] ~doc)
-
-let shards =
-  let doc =
-    "Run every star DUT of the fan-out or chaos campaign with this many \
-     worker domains (default 1, the sequential daemon) — the CI smoke \
-     legs use 4."
-  in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
-
 let chaos =
   let doc =
     "Run the config-space chaos campaign instead of the main campaign: \
@@ -229,18 +198,17 @@ let verbose =
   let doc = "Verbose daemon logging." in
   Arg.(value & flag & info [ "verbose" ] ~doc)
 
-let main cases seed out no_out force_divergence caches fanout chaos sharded
-    shards replay quiet verbose =
+let main cases seed out no_out force_divergence caches fanout chaos replay
+    quiet verbose =
   setup_logs ~quiet verbose;
   Frrouting.Attr_intern.set_conversion_cache caches;
   Bird.Eattr.set_conversion_cache caches;
   match replay with
   | Some path -> run_replay path
-  | None when sharded -> run_sharded ~cases ~seed ~force_divergence ~quiet
-  | None when fanout -> run_fanout ~cases ~seed ~shards ~force_divergence ~quiet
+  | None when fanout -> run_fanout ~cases ~seed ~force_divergence ~quiet
   | None when chaos ->
     let out = if no_out then None else out in
-    run_chaos ~cases ~seed ~out ~shards ~force_divergence ~quiet
+    run_chaos ~cases ~seed ~out ~force_divergence ~quiet
   | None ->
     let out = if no_out then None else out in
     run_campaign ~cases ~seed ~out ~force_divergence ~quiet
@@ -274,6 +242,6 @@ let cmd =
     (Cmd.info "xbgp-fuzz" ~doc ~man)
     Term.(
       const main $ cases $ seed $ out $ no_out $ force_divergence $ caches
-      $ fanout $ chaos $ sharded $ shards $ replay $ quiet $ verbose)
+      $ fanout $ chaos $ replay $ quiet $ verbose)
 
 let () = exit (Cmd.eval' cmd)

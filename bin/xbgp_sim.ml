@@ -7,8 +7,7 @@
      xbgp-sim run SCENARIO    -- run a scenario (rr|ov|dc) and report
      xbgp-sim show QUERY...   -- build a scenario and answer a live
                                  introspection query (rib, provenance,
-                                 update-groups, maps, shards, recorder,
-                                 bmp)
+                                 update-groups, maps, recorder, bmp)
 *)
 
 open Cmdliner
@@ -313,14 +312,14 @@ let run_cmd =
      where e.g. `show provenance 8.8.0.0/16` explains a route whose
      import chain ran on every hop. *)
 
-let show_star ~host ~batch_updates ~update_groups ~capacity ~shards =
+let show_star ~host ~batch_updates ~update_groups ~capacity =
   let pfx = Bgp.Prefix.of_string in
   let roas = [ Rpki.Roa.v (pfx "10.32.0.0/24") ~max_len:24 ~asn:65101 ] in
   let star =
     Scenario.Star.create ~host ~npeers:4
       ~manifest:Xprogs.Origin_validation.manifest
       ~xtras:[ ("roa_table", Xprogs.Util.encode_roa_table roas) ]
-      ~batch_updates ~update_groups ~shards ()
+      ~batch_updates ~update_groups ()
   in
   let rc = Obs.Recorder.create ~capacity ~name:"dut" () in
   Scenario.Star.attach_recorder star rc;
@@ -373,8 +372,7 @@ let show_cmd =
       & info [] ~docv:"QUERY"
           ~doc:
             "Query words: $(b,rib) | $(b,provenance) $(i,PREFIX) | \
-             $(b,update-groups) | $(b,maps) | $(b,shards) | $(b,recorder) | \
-             $(b,bmp)")
+             $(b,update-groups) | $(b,maps) | $(b,recorder) | $(b,bmp)")
   in
   let scenario_arg =
     let s = Arg.enum [ ("star", `Star); ("fabric", `Fabric) ] in
@@ -417,21 +415,12 @@ let show_cmd =
       & info [ "router" ] ~docv:"NAME"
           ~doc:"Fabric router to query (fabric scenario only)")
   in
-  let shards_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Run the star DUT with $(docv) worker domains and a \
-             prefix-sharded Loc-RIB (star scenario only); pairs with the \
-             $(b,shards) query")
-  in
   let run scenario host json since batch_updates update_groups capacity router
-      shards query =
+      query =
     setup_logs ();
     let d =
       match scenario with
-      | `Star -> show_star ~host ~batch_updates ~update_groups ~capacity ~shards
+      | `Star -> show_star ~host ~batch_updates ~update_groups ~capacity
       | `Fabric ->
         show_fabric ~host ~batch_updates ~update_groups ~capacity ~router
     in
@@ -440,19 +429,14 @@ let show_cmd =
       | [ "recorder" ], Some s -> [ "recorder"; "--since"; string_of_int s ]
       | q, _ -> q
     in
-    let code =
-      match Scenario.Introspect.query d ~json query with
-      | Ok out ->
-        print_string out;
-        if out = "" || out.[String.length out - 1] <> '\n' then
-          print_newline ();
-        0
-      | Error e ->
-        Fmt.epr "%s@." e;
-        1
-    in
-    Scenario.Daemon.shutdown d;
-    code
+    match Scenario.Introspect.query d ~json query with
+    | Ok out ->
+      print_string out;
+      if out = "" || out.[String.length out - 1] <> '\n' then print_newline ();
+      0
+    | Error e ->
+      Fmt.epr "%s@." e;
+      1
   in
   Cmd.v
     (Cmd.info "show"
@@ -460,7 +444,7 @@ let show_cmd =
          "Answer a live introspection query against an observed scenario")
     Term.(
       const run $ scenario_arg $ host_arg $ json_arg $ since_arg $ batch_arg
-      $ groups_arg $ capacity_arg $ router_arg $ shards_arg $ query_arg)
+      $ groups_arg $ capacity_arg $ router_arg $ query_arg)
 
 let () =
   let info =

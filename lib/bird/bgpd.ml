@@ -39,10 +39,6 @@ module Repr = struct
   let remove a code = Eattr.remove_code code a
   let set_cache_gate = Eattr.set_cache_gate
 
-  (* eattr sets are immutable apart from their memos, which the cache
-     gate already keeps down under shards *)
-  let serialize_for_domains () = ()
-
   (* the decision view reads wire payloads on demand — BIRD's profile *)
   let local_pref = Eattr.local_pref
   let as_path_len (a : attrs) = a.path_len

@@ -53,9 +53,8 @@ let to_string t =
   List.iter
     (fun (p, (m : Ebpf.Map.spec)) ->
       Buffer.add_string b
-        (Printf.sprintf "map %s %s %s %d %d %d%s\n" p m.name
-           (Ebpf.Map.kind_name m.kind) m.key_size m.value_size m.max_entries
-           (if m.shared then " shared" else "")))
+        (Printf.sprintf "map %s %s %s %d %d %d\n" p m.name
+           (Ebpf.Map.kind_name m.kind) m.key_size m.value_size m.max_entries))
     t.maps;
   List.iter
     (fun a ->
@@ -93,11 +92,8 @@ let parse (s : string) : (t, string) result =
         | None -> err lineno "unknown engine %S" engine_s)
       | "map" :: program :: name :: kind_s :: key_s :: value_s :: entries_s
         :: mode -> (
-        (* optional trailing [shared] token: one instance across every
-           VMM shard instead of one per shard *)
         match mode with
-        | [] | [ "shared" ] -> (
-          let shared = mode = [ "shared" ] in
+        | [] -> (
           match
             ( Ebpf.Map.kind_of_name kind_s,
               int_of_string_opt key_s,
@@ -106,7 +102,7 @@ let parse (s : string) : (t, string) result =
           with
           | Some kind, Some key_size, Some value_size, Some max_entries -> (
             let spec =
-              { Ebpf.Map.name; kind; key_size; value_size; max_entries; shared }
+              { Ebpf.Map.name; kind; key_size; value_size; max_entries }
             in
             match Ebpf.Map.validate spec with
             | Ok () ->
@@ -116,7 +112,7 @@ let parse (s : string) : (t, string) result =
             | Error e -> err lineno "%s" e)
           | None, _, _, _ -> err lineno "unknown map kind %S" kind_s
           | _ -> err lineno "bad map sizes %S %S %S" key_s value_s entries_s)
-        | m :: _ -> err lineno "bad map mode %S (expected \"shared\")" m)
+        | m :: _ -> err lineno "bad map mode %S" m)
       | [ "attach"; program; bytecode; point_s; order_s ] -> (
         match (Api.point_of_name point_s, int_of_string_opt order_s) with
         | Some point, Some order ->

@@ -32,11 +32,6 @@ exception Next
    monotone — the chaos telemetry oracle depends on that. *)
 type live_map = {
   map : Ebpf.Map.t;
-  m_lock : Mutex.t option;
-      (** [Some] iff the spec is [shared]: the single instance serves
-          every shard, so helper calls on it serialize here. Per-shard
-          instances are only ever touched from one domain at a time and
-          need no lock. *)
   m_entries : Telemetry.Gauge.t;
   m_hits : Telemetry.Counter.t;
   m_misses : Telemetry.Counter.t;
@@ -48,13 +43,10 @@ type live_map = {
 
 type ext = {
   prog : Xprog.t;
-  mutable maps : live_map array array option;
-      (** [Some] while the program is attached anywhere; [None] before
-          the first attach and after the last detach. Outer index =
-          shard, inner = map declaration index. A [shared] map is ONE
-          physical [live_map] referenced from every shard's row; an
-          unshared map is one instance per shard. Unsharded VMMs have a
-          single row. *)
+  mutable maps : live_map array option;
+      (** [Some] while the program is attached anywhere, indexed by map
+          declaration; [None] before the first attach and after the last
+          detach. *)
   scratch : bytes;  (** persistent across runs, shared by the program *)
 }
 
@@ -89,13 +81,7 @@ type attachment = {
   ext : ext;
   bc_name : string;
   order : int;
-  runtimes : runtime array;
-      (** one VM per shard — the per-shard execution surface. A shard's
-          runtimes are only ever driven from one domain at a time (the
-          shard's worker in the parallel lane, or the coordinating
-          domain after a barrier), which is what makes the mutable
-          [runtime] fields safe without locks. Unsharded VMMs have a
-          single entry. *)
+  rt : runtime;
   probe : probe;
   summary : Xprog.dispatch_summary;
       (** computed once at attach time; persistent scratch makes the
@@ -177,8 +163,7 @@ type fused = {
    pays two int stores per bytecode and nothing allocates. Hosts turn it
    into provenance steps via [last_trace] immediately after their
    dispatch wrapper returns — a nested dispatch (import -> rib_add ->
-   export) overwrites it. One trace per shard: concurrent dispatches on
-   different shards each keep their own. *)
+   export) overwrites it. *)
 type trace = {
   mutable trace_point : int;  (** point index of the traced dispatch; -1 none *)
   mutable trace_gen : int;  (** [generation] at capture; stale -> no trace *)
@@ -186,51 +171,6 @@ type trace = {
   mutable trace_out : int array;  (** 0 = returned value, 1 = next(), 2 = fault *)
   mutable trace_val : int64;  (** r0 of the deciding bytecode *)
 }
-
-(* A staged recorder event: what [Obs.Recorder.record] would have been
-   called with. Workers stage instead of recording so the coordinating
-   domain can replay events in deterministic (submission) order. *)
-type event = Obs.Recorder.kind * (string * string) list
-
-(* Everything a dispatch mutates, split per shard so shard [s]'s
-   dispatches — driven from at most one domain at a time — never share
-   mutable state with shard [s']'s. The single-writer-per-shard
-   discipline is the host's to uphold (workers own their shard; the
-   coordinating domain only touches a shard's surface after a barrier);
-   the VMM provides the partitioned state. *)
-type shard_state = {
-  s_stats : stats;
-  s_trace : trace;
-  s_fused : fused option array;
-      (** indexed by [Api.point_index]: the point's whole-chain compiled
-          dispatch unit for this shard, valid while [s_fused_gen]
-          matches [generation]. [None] under a current generation means
-          the chain is not fusable (empty, or not all-[Chain]) and [run]
-          keeps the generic loop *)
-  s_fused_gen : int array;
-  mutable s_events : event list;  (** staged, newest first *)
-  mutable s_capturing : bool;
-      (** when set, recorder-bound events from this shard's dispatches
-          are staged in [s_events] instead of hitting the recorder *)
-}
-
-let fresh_shard_state () =
-  {
-    s_stats =
-      { runs = 0; native_fallbacks = 0; faults = 0; next_calls = 0; insns = 0 };
-    s_trace =
-      {
-        trace_point = -1;
-        trace_gen = -1;
-        trace_len = 0;
-        trace_out = Array.make 8 0;
-        trace_val = 0L;
-      };
-    s_fused = Array.make Api.num_points None;
-    s_fused_gen = Array.make Api.num_points (-1);
-    s_events = [];
-    s_capturing = false;
-  }
 
 type t = {
   host : string;
@@ -242,9 +182,15 @@ type t = {
   heap_size : int;
   budget : int;
   engine : Ebpf.Vm.engine;
-  mutable shard_state : shard_state array;
-      (** one per shard; length 1 = the unsharded VMM, where every code
-          path below degenerates to the pre-sharding behaviour *)
+  stats : stats;
+  trace : trace;
+  fused : fused option array;
+      (** indexed by [Api.point_index]: the point's whole-chain compiled
+          dispatch unit, valid while [fused_gen] matches [generation].
+          [None] under a current generation means the chain is not
+          fusable (empty, or not all-[Chain]) and [run] keeps the generic
+          loop *)
+  fused_gen : int array;
   tele : Telemetry.t;
   fallbacks : Telemetry.Counter.t array;  (** indexed by [Api.point_index] *)
   mutable last_fault_record : fault option;
@@ -281,7 +227,18 @@ let create ?(heap_size = 1 lsl 16) ?(budget = Ebpf.Vm.default_budget)
     heap_size;
     budget;
     engine;
-    shard_state = [| fresh_shard_state () |];
+    stats =
+      { runs = 0; native_fallbacks = 0; faults = 0; next_calls = 0; insns = 0 };
+    trace =
+      {
+        trace_point = -1;
+        trace_gen = -1;
+        trace_len = 0;
+        trace_out = Array.make 8 0;
+        trace_val = 0L;
+      };
+    fused = Array.make Api.num_points None;
+    fused_gen = Array.make Api.num_points (-1);
     tele;
     fallbacks;
     last_fault_record = None;
@@ -289,40 +246,7 @@ let create ?(heap_size = 1 lsl 16) ?(budget = Ebpf.Vm.default_budget)
     recorder = None;
   }
 
-let shards t = Array.length t.shard_state
-
-(** Re-partition the VMM into [n] shards. Only legal while nothing is
-    attached: attachments own per-shard VMs and live maps, and resizing
-    under them would have to rebuild both (hosts set the shard count
-    once, before loading the manifest). *)
-let set_shards t n : (unit, string) result =
-  if n < 1 then Error "set_shards: shard count must be >= 1"
-  else if Array.exists (fun c -> Array.length c > 0) t.chains then
-    Error "set_shards: programs are attached; set the shard count first"
-  else begin
-    t.shard_state <- Array.init n (fun _ -> fresh_shard_state ());
-    Ok ()
-  end
-
-(* Aggregate stats across shards. The unsharded VMM hands out its live
-   record (callers hold it across runs and read updated fields — the
-   historical contract); a sharded one sums into a fresh snapshot. *)
-let stats t =
-  if Array.length t.shard_state = 1 then t.shard_state.(0).s_stats
-  else
-    Array.fold_left
-      (fun acc ss ->
-        {
-          runs = acc.runs + ss.s_stats.runs;
-          native_fallbacks = acc.native_fallbacks + ss.s_stats.native_fallbacks;
-          faults = acc.faults + ss.s_stats.faults;
-          next_calls = acc.next_calls + ss.s_stats.next_calls;
-          insns = acc.insns + ss.s_stats.insns;
-        })
-      { runs = 0; native_fallbacks = 0; faults = 0; next_calls = 0; insns = 0 }
-      t.shard_state
-
-let shard_runs t shard = t.shard_state.(shard).s_stats.runs
+let stats t = t.stats
 let generation t = t.generation
 let telemetry t = t.tele
 let last_fault_record t = t.last_fault_record
@@ -330,38 +254,10 @@ let last_fault t = Option.map render_fault t.last_fault_record
 let set_recorder t r = t.recorder <- r
 let recorder t = t.recorder
 
-(* Route one recorder-bound event: staged when the shard is capturing
-   (the host replays it later in deterministic order), straight to the
-   recorder otherwise. *)
-let emit_event t ~shard kind fields =
-  let ss = t.shard_state.(shard) in
-  if ss.s_capturing then ss.s_events <- (kind, fields) :: ss.s_events
-  else
-    match t.recorder with
-    | None -> ()
-    | Some r -> Obs.Recorder.record r kind fields
-
-(** Start staging recorder-bound events (faults, native fallbacks, map
-    evictions) from [shard]'s dispatches instead of recording them. *)
-let begin_events t ~shard =
-  let ss = t.shard_state.(shard) in
-  ss.s_events <- [];
-  ss.s_capturing <- true
-
-(** Stop staging and return the staged events in emission order. *)
-let take_events t ~shard : event list =
-  let ss = t.shard_state.(shard) in
-  let evs = List.rev ss.s_events in
-  ss.s_events <- [];
-  ss.s_capturing <- false;
-  evs
-
-(** Replay events captured by {!take_events} into the recorder — called
-    by the coordinating domain, in commit order. *)
-let replay_events t (evs : event list) =
+let emit_event t kind fields =
   match t.recorder with
   | None -> ()
-  | Some r -> List.iter (fun (k, fields) -> Obs.Recorder.record r k fields) evs
+  | Some r -> Obs.Recorder.record r kind fields
 
 (** Register an xBGP program: verify every bytecode against the structural
     checks, the program's helper whitelist and its map declarations, then
@@ -405,23 +301,15 @@ let register t (prog : Xprog.t) : (unit, string) result =
    of them can run). Contents do survive plain dispatches; only the
    attach/detach edges move state. *)
 
-let map_probe t (ext : ext) ?shard (spec : Ebpf.Map.spec) : live_map =
+let map_probe t (ext : ext) (spec : Ebpf.Map.spec) : live_map =
   let labels =
     [ ("host", t.host); ("program", ext.prog.Xprog.name); ("map", spec.name) ]
-    @
-    (* per-shard instances get their own telemetry series; the single
-       instance of a shared map (and every map of an unsharded VMM)
-       keeps the historical label set *)
-    match shard with
-    | Some s -> [ ("shard", string_of_int s) ]
-    | None -> []
   in
   let counter help name =
     Telemetry.counter t.tele ~help ~name ~labels ()
   in
   {
     map = Ebpf.Map.create spec;
-    m_lock = (if spec.shared then Some (Mutex.create ()) else None);
     m_entries =
       Telemetry.gauge t.tele ~help:"live map entries" ~name:"xbgp_map_entries"
         ~labels ();
@@ -438,37 +326,11 @@ let ensure_maps_live t (ext : ext) =
   match ext.maps with
   | Some _ -> ()
   | None ->
-    let n = Array.length t.shard_state in
-    let specs = ext.prog.Xprog.maps in
-    (* a shared spec yields ONE instance referenced from every shard's
-       row; an unshared spec yields one instance per shard *)
-    let shared_insts =
-      List.map
-        (fun (s : Ebpf.Map.spec) ->
-          if s.shared then Some (map_probe t ext s) else None)
-        specs
-    in
-    ext.maps <-
-      Some
-        (Array.init n (fun shard ->
-             Array.of_list
-               (List.map2
-                  (fun (s : Ebpf.Map.spec) pre ->
-                    match pre with
-                    | Some lm -> lm
-                    | None ->
-                      map_probe t ext
-                        ?shard:(if n > 1 then Some shard else None)
-                        s)
-                  specs shared_insts)))
+    ext.maps <- Some (Array.of_list (List.map (map_probe t ext) ext.prog.maps))
 
 let destroy_maps (ext : ext) =
   (match ext.maps with
-  | Some rows ->
-    Array.iter
-      (fun live ->
-        Array.iter (fun lm -> Telemetry.Gauge.set lm.m_entries 0) live)
-      rows
+  | Some live -> Array.iter (fun lm -> Telemetry.Gauge.set lm.m_entries 0) live
   | None -> ());
   ext.maps <- None
 
@@ -515,7 +377,7 @@ let instrument_helper t (id, f) =
    resetting [heap_pos]; its *contents* are not scrubbed, which is safe
    because the region starts zeroed and belongs to one attachment of one
    program (its own earlier writes are all it can ever see). *)
-let make_runtime t (ext : ext) ~shard (code : Ebpf.Insn.t list) : runtime =
+let make_runtime t (ext : ext) (code : Ebpf.Insn.t list) : runtime =
   let mem = Ebpf.Memory.create () in
   let heap =
     Ebpf.Memory.add_region mem ~name:"heap" ~base:Api.heap_base ~writable:true
@@ -533,19 +395,7 @@ let make_runtime t (ext : ext) ~shard (code : Ebpf.Insn.t list) : runtime =
      and a runtime dies with its attachment while the maps outlive it —
      so the per-call [ext.maps] match of earlier revisions bought
      nothing. A program with no maps binds the empty array. *)
-  let live_maps =
-    match ext.maps with Some rows -> rows.(shard) | None -> [||]
-  in
-  (* a shared map's single instance is hit from every shard's VMs, so
-     its helper bodies serialize on the instance lock; per-shard
-     instances take the [None] branch and pay nothing *)
-  let with_map_lock lm f =
-    match lm.m_lock with
-    | None -> f ()
-    | Some l ->
-      Mutex.lock l;
-      Fun.protect ~finally:(fun () -> Mutex.unlock l) f
-  in
+  let live_maps = Option.value ext.maps ~default:[||] in
   let rec rt =
     lazy
       {
@@ -658,7 +508,7 @@ let make_runtime t (ext : ext) ~shard (code : Ebpf.Insn.t list) : runtime =
           let lm = live_map (u32_of a.(0)) in
           let ks = (Ebpf.Map.spec lm.map).Ebpf.Map.key_size in
           let key = Bytes.to_string (read_mem vm a.(1) ks) in
-          match with_map_lock lm (fun () -> Ebpf.Map.lookup lm.map key) with
+          match Ebpf.Map.lookup lm.map key with
           | Some value ->
             Telemetry.Counter.inc lm.m_hits;
             alloc_bytes (Bytes.of_string value)
@@ -675,19 +525,14 @@ let make_runtime t (ext : ext) ~shard (code : Ebpf.Insn.t list) : runtime =
           let value =
             Bytes.to_string (read_mem vm a.(2) spec.Ebpf.Map.value_size)
           in
-          let ok, evicted, rejected, entries =
-            with_map_lock lm (fun () ->
-                let s = Ebpf.Map.stats lm.map in
-                let ev0 = s.Ebpf.Map.evictions and rej0 = s.Ebpf.Map.rejected in
-                let ok = Ebpf.Map.update lm.map key value in
-                ( ok,
-                  s.Ebpf.Map.evictions - ev0,
-                  s.Ebpf.Map.rejected - rej0,
-                  Ebpf.Map.length lm.map ))
-          in
+          let s = Ebpf.Map.stats lm.map in
+          let ev0 = s.Ebpf.Map.evictions and rej0 = s.Ebpf.Map.rejected in
+          let ok = Ebpf.Map.update lm.map key value in
+          let evicted = s.Ebpf.Map.evictions - ev0
+          and rejected = s.Ebpf.Map.rejected - rej0 in
           let map_event kind counter n =
             Telemetry.Counter.add counter n;
-            emit_event t ~shard kind
+            emit_event t kind
               [
                 ("host", t.host);
                 ("program", ext.prog.Xprog.name);
@@ -704,7 +549,7 @@ let make_runtime t (ext : ext) ~shard (code : Ebpf.Insn.t list) : runtime =
             map_event Obs.Recorder.Map_full lm.m_rejected rejected;
           if ok then begin
             Telemetry.Counter.inc lm.m_updates;
-            Telemetry.Gauge.set lm.m_entries entries;
+            Telemetry.Gauge.set lm.m_entries (Ebpf.Map.length lm.map);
             0L
           end
           else -1L );
@@ -713,13 +558,9 @@ let make_runtime t (ext : ext) ~shard (code : Ebpf.Insn.t list) : runtime =
           let lm = live_map (u32_of a.(0)) in
           let ks = (Ebpf.Map.spec lm.map).Ebpf.Map.key_size in
           let key = Bytes.to_string (read_mem vm a.(1) ks) in
-          let deleted, entries =
-            with_map_lock lm (fun () ->
-                (Ebpf.Map.delete lm.map key, Ebpf.Map.length lm.map))
-          in
-          if deleted then begin
+          if Ebpf.Map.delete lm.map key then begin
             Telemetry.Counter.inc lm.m_deletes;
-            Telemetry.Gauge.set lm.m_entries entries;
+            Telemetry.Gauge.set lm.m_entries (Ebpf.Map.length lm.map);
             0L
           end
           else -1L );
@@ -744,10 +585,10 @@ let outcome_name = function
   | Deferred -> "next"
   | Faulted _ -> "fault"
 
-let exec_one t att ~shard ~(ops : Host_intf.ops) ~(args : Host_intf.Args.t) :
+let exec_one t att ~(ops : Host_intf.ops) ~(args : Host_intf.Args.t) :
     exec_outcome =
-  let rt = att.runtimes.(shard) in
-  let st = t.shard_state.(shard).s_stats in
+  let rt = att.rt in
+  let st = t.stats in
   rt.ops <- ops;
   rt.args <- args;
   rt.heap_pos <- 0;
@@ -797,8 +638,8 @@ let exec_one t att ~shard ~(ops : Host_intf.ops) ~(args : Host_intf.Args.t) :
 (* Capture the structured fault record and bump the labeled fault
    counter. The disassembly is best effort: exact for the interpreter,
    the faulting block's leader for [Block], absent for [Compiled]. *)
-let record_fault ?chain_slot t att ~shard point ~init msg =
-  let vm = att.runtimes.(shard).vm in
+let record_fault ?chain_slot t att point ~init msg =
+  let vm = att.rt.vm in
   let pc = Ebpf.Vm.fault_pc vm in
   let insn =
     Option.bind pc (fun pc ->
@@ -825,7 +666,7 @@ let record_fault ?chain_slot t att ~shard point ~init msg =
        ~labels:
          (att.probe.span_tags @ [ ("insn", Option.value ~default:"-" insn) ])
        ());
-  emit_event t ~shard Obs.Recorder.Xprog_fault
+  emit_event t Obs.Recorder.Xprog_fault
     [
       ("host", t.host);
       ("point", Api.point_name point);
@@ -910,13 +751,12 @@ let unarmed_default () =
 let fusable chain =
   Array.length chain > 0
   && Array.for_all
-       (fun att -> Ebpf.Vm.engine att.runtimes.(0).vm = Ebpf.Vm.Chain)
+       (fun att -> Ebpf.Vm.engine att.rt.vm = Ebpf.Vm.Chain)
        chain
 
-let compile_fused t ~shard idx point chain =
-  let ss = t.shard_state.(shard) in
-  let st = ss.s_stats in
-  let tr = ss.s_trace in
+let compile_fused t idx point chain =
+  let st = t.stats in
+  let tr = t.trace in
   let n = Array.length chain in
   if Array.length tr.trace_out < n then tr.trace_out <- Array.make n 0;
   let ctx =
@@ -928,12 +768,12 @@ let compile_fused t ~shard idx point chain =
   in
   let layout =
     Ebpf.Chain.layout
-      (Array.map (fun att -> Ebpf.Vm.program_slots att.runtimes.(shard).vm) chain)
+      (Array.map (fun att -> Ebpf.Vm.program_slots att.rt.vm) chain)
   in
   let fallback () =
     st.native_fallbacks <- st.native_fallbacks + 1;
     Telemetry.Counter.inc t.fallbacks.(idx);
-    emit_event t ~shard Obs.Recorder.Native_fallback
+    emit_event t Obs.Recorder.Native_fallback
       [ ("host", t.host); ("point", Api.point_name point) ];
     ctx.c_default ()
   in
@@ -941,7 +781,7 @@ let compile_fused t ~shard idx point chain =
      [Telemetry.enabled] is re-read per run (the registry is mutable);
      only what cannot change under this generation is resolved here. *)
   let site i att =
-    let rt = att.runtimes.(shard) in
+    let rt = att.rt in
     let probe = att.probe in
     let entry = Ebpf.Vm.prepared_entry rt.vm in
     let wants_args = att.summary.Xprog.arg_reads <> Some [] in
@@ -1013,7 +853,7 @@ let compile_fused t ~shard idx point chain =
       in
       let err =
         render_fault
-          (record_fault ?chain_slot t att ~shard point ~init:false msg)
+          (record_fault ?chain_slot t att point ~init:false msg)
       in
       Log.warn (fun m -> m "%s" err);
       ctx.c_ops.log err;
@@ -1030,21 +870,16 @@ let compile_fused t ~shard idx point chain =
   in
   { f_enter; f_ctx = ctx; f_layout = layout }
 
-(* The (point, shard) fused unit under the current generation: cached,
-   [None] if the chain is unfusable, recompiled at most once per
-   generation per shard. Lazy compilation inherits the shard's
-   single-driver discipline: whoever dispatches on the shard compiles
-   for it, and nobody else dispatches on it concurrently. *)
-let fused_for t ~shard idx point chain =
-  let ss = t.shard_state.(shard) in
-  if ss.s_fused_gen.(idx) = t.generation then ss.s_fused.(idx)
+(* The point's fused unit under the current generation: cached, [None]
+   if the chain is unfusable, recompiled at most once per generation. *)
+let fused_for t idx point chain =
+  if t.fused_gen.(idx) = t.generation then t.fused.(idx)
   else begin
     let f =
-      if fusable chain then Some (compile_fused t ~shard idx point chain)
-      else None
+      if fusable chain then Some (compile_fused t idx point chain) else None
     in
-    ss.s_fused.(idx) <- f;
-    ss.s_fused_gen.(idx) <- t.generation;
+    t.fused.(idx) <- f;
+    t.fused_gen.(idx) <- t.generation;
     f
   end
 
@@ -1058,34 +893,7 @@ let attach t ~program ~bytecode ~point ~order : (unit, string) result =
     match Xprog.bytecode ext.prog bytecode with
     | None ->
       Error (Printf.sprintf "program %S has no bytecode %S" program bytecode)
-    | Some code -> (
-      let nshards = Array.length t.shard_state in
-      (* Control points (message decode/encode/init) are not routed by
-         prefix, so under sharding their dispatches may land on any
-         shard — a per-shard map there would silently split state the
-         program expects to be whole. Prefix-scoped points are exempt:
-         their per-shard instances see a stable prefix partition. *)
-      let control_point =
-        match point with
-        | Api.Bgp_init | Api.Bgp_receive_message | Api.Bgp_encode_message ->
-          true
-        | Api.Bgp_inbound_filter | Api.Bgp_decision | Api.Bgp_outbound_filter
-          ->
-          false
-      in
-      let per_shard_map =
-        List.find_opt
-          (fun (s : Ebpf.Map.spec) -> not s.shared)
-          ext.prog.Xprog.maps
-      in
-      match per_shard_map with
-      | Some m when nshards > 1 && control_point ->
-        Error
-          (Printf.sprintf
-             "program %S declares per-shard map %S; attaching at control \
-              point %s under %d shards requires declaring it 'shared'"
-             program m.Ebpf.Map.name (Api.point_name point) nshards)
-      | _ ->
+    | Some code ->
       let idx = Api.point_index point in
       let summary =
         let s = Xprog.dispatch_summary code in
@@ -1099,8 +907,7 @@ let attach t ~program ~bytecode ~point ~order : (unit, string) result =
           ext;
           bc_name = bytecode;
           order;
-          runtimes =
-            Array.init nshards (fun shard -> make_runtime t ext ~shard code);
+          rt = make_runtime t ext code;
           probe = make_probe t ext ~bytecode ~point;
           summary;
         }
@@ -1113,7 +920,7 @@ let attach t ~program ~bytecode ~point ~order : (unit, string) result =
              (fun a b -> Int.compare a.order b.order)
              (att :: Array.to_list t.chains.(idx)));
       t.generation <- t.generation + 1;
-      Ok ()))
+      Ok ())
 
 let detach t ~program ~point =
   let idx = Api.point_index point in
@@ -1234,10 +1041,7 @@ let replace_program t (prog : Xprog.t) : (unit, string) result =
                         ext;
                         bc_name = att.bc_name;
                         order = att.order;
-                        runtimes =
-                          Array.init
-                            (Array.length t.shard_state)
-                            (fun shard -> make_runtime t ext ~shard code);
+                        rt = make_runtime t ext code;
                         probe = make_probe t ext ~bytecode:att.bc_name ~point;
                         summary;
                       }
@@ -1262,12 +1066,10 @@ let has_any_attachment t =
 (* Whether the point currently dispatches through a compiled fused unit
    — introspection for the rekey test and the live-status CLI. Compiling
    is lazy (first dispatch after a generation bump), so this reports the
-   state as of the last dispatch, without forcing a compile. Shard 0 is
-   the reference surface (the only one in an unsharded VMM). *)
+   state as of the last dispatch, without forcing a compile. *)
 let chain_compiled t point =
   let idx = Api.point_index point in
-  let ss = t.shard_state.(0) in
-  ss.s_fused_gen.(idx) = t.generation && Option.is_some ss.s_fused.(idx)
+  t.fused_gen.(idx) = t.generation && Option.is_some t.fused.(idx)
 
 (* Chain offset -> (program, bytecode, local pc) for the chain attached
    at [point] — fault reporters and divergence reports use it to
@@ -1277,13 +1079,12 @@ let chain_compiled t point =
 let locate_chain_slot t point off =
   let idx = Api.point_index point in
   let chain = t.chains.(idx) in
-  let ss = t.shard_state.(0) in
   let layout =
-    match ss.s_fused.(idx) with
-    | Some f when ss.s_fused_gen.(idx) = t.generation -> f.f_layout
+    match t.fused.(idx) with
+    | Some f when t.fused_gen.(idx) = t.generation -> f.f_layout
     | _ ->
       Ebpf.Chain.layout
-        (Array.map (fun att -> Ebpf.Vm.program_slots att.runtimes.(0).vm) chain)
+        (Array.map (fun att -> Ebpf.Vm.program_slots att.rt.vm) chain)
   in
   Option.map
     (fun (site, pc) ->
@@ -1349,63 +1150,6 @@ let group_invariant t point ~allow_write_buf =
            att.summary.Xprog.helpers)
     t.chains.(Api.point_index point)
 
-(* True when the chain at [point] may be dispatched concurrently from
-   per-shard workers, one prefix-disjoint task stream per shard, and
-   still be indistinguishable — route-for-route, map-entry-for-map-entry
-   — from dispatching the same tasks sequentially. Each clause kills a
-   specific way parallel order could become observable:
-
-   - persistent scratch is one byte region shared by every shard's VMs:
-     any scratch program both races and observes scheduling order;
-   - helpers outside [batchable_helpers] (logging, rib_add, write_buf)
-     have host-visible per-call effects whose interleaving the host
-     cannot re-serialize; map writes are re-admitted below under their
-     own placement rule;
-   - a write to a SHARED map is applied under the instance lock in
-     worker completion order, which is not submission order — only
-     per-shard instances (disjoint key spaces, deterministic per-shard
-     FIFO) keep writes deterministic;
-   - a read of a shared LRU map refreshes recency, a write in disguise
-     — the same reason LRU reads disqualify batching. Per-shard LRU
-     reads stay in: each instance sees its shard's deterministic
-     subsequence.
-
-   Statically unresolvable map accesses ([None]) fail closed. An empty
-   chain is vacuously safe (nothing runs). Hosts gate their parallel
-   lane on this per generation and fall back to the serial lane — which
-   still routes through the same per-shard VMs, so map placement never
-   flips with the lane. *)
-let shard_parallel_safe t point =
-  Array.for_all
-    (fun att ->
-      att.ext.prog.Xprog.scratch_size = 0
-      && List.for_all
-           (fun id ->
-             List.mem id Xprog.batchable_helpers
-             || id = Api.h_map_update || id = Api.h_map_delete)
-           att.summary.Xprog.helpers
-      && (match att.summary.Xprog.map_writes with
-         | None -> false
-         | Some idxs ->
-           List.for_all
-             (fun i ->
-               match List.nth_opt att.ext.prog.Xprog.maps i with
-               | Some spec -> not spec.Ebpf.Map.shared
-               | None -> false)
-             idxs)
-      &&
-      match att.summary.Xprog.map_reads with
-      | None -> false
-      | Some idxs ->
-        List.for_all
-          (fun i ->
-            match List.nth_opt att.ext.prog.Xprog.maps i with
-            | Some spec ->
-              (not spec.Ebpf.Map.shared) || spec.Ebpf.Map.kind <> Ebpf.Map.Lru
-            | None -> false)
-          idxs)
-    t.chains.(Api.point_index point)
-
 (* A stable textual identity of the chain at [point] — update-group keys
    embed it so an attach/detach re-partitions the peers. *)
 let chain_signature t point =
@@ -1425,7 +1169,7 @@ let registered t =
     (ids from [Api]); [default] is the host's native implementation of the
     operation, used when nothing is attached, when the last bytecode calls
     [next()], or when a bytecode faults. *)
-let run ?(shard = 0) t point ~(ops : Host_intf.ops)
+let run t point ~(ops : Host_intf.ops)
     ~(args : Host_intf.Args.t) ~(default : unit -> int64) : int64 =
   let idx = Api.point_index point in
   let chain = t.chains.(idx) in
@@ -1434,7 +1178,7 @@ let run ?(shard = 0) t point ~(ops : Host_intf.ops)
     (* the common case — no extension attached — costs one array load
        and a length test, with nothing allocated *)
   else
-    match fused_for t ~shard idx point chain with
+    match fused_for t idx point chain with
     | Some f ->
       (* whole-chain fused dispatch: arm the trace and the per-dispatch
          context, then one call runs the entire chain. The context is
@@ -1442,7 +1186,7 @@ let run ?(shard = 0) t point ~(ops : Host_intf.ops)
          (a host callback raising) leaves it armed until the next
          dispatch overwrites it, exactly as harmless as the stale
          last-dispatch trace. *)
-      let tr = t.shard_state.(shard).s_trace in
+      let tr = t.trace in
       tr.trace_point <- idx;
       tr.trace_gen <- t.generation;
       tr.trace_len <- 0;
@@ -1457,9 +1201,8 @@ let run ?(shard = 0) t point ~(ops : Host_intf.ops)
       r
     | None ->
   begin
-    let ss = t.shard_state.(shard) in
-    let st = ss.s_stats in
-    let tr = ss.s_trace in
+    let st = t.stats in
+    let tr = t.trace in
     (* arm the last-dispatch trace (two stores per bytecode, no
        allocation; [last_trace] rebuilds the structured view on demand) *)
     if Array.length tr.trace_out < n then tr.trace_out <- Array.make n 0;
@@ -1469,7 +1212,7 @@ let run ?(shard = 0) t point ~(ops : Host_intf.ops)
     let i = ref 0 and decided = ref false and result = ref 0L in
     while (not !decided) && !i < n do
       let att = chain.(!i) in
-      match exec_one t att ~shard ~ops ~args with
+      match exec_one t att ~ops ~args with
       | Value v ->
         result := v;
         decided := true;
@@ -1483,7 +1226,7 @@ let run ?(shard = 0) t point ~(ops : Host_intf.ops)
       | Faulted msg ->
         st.faults <- st.faults + 1;
         let err =
-          render_fault (record_fault t att ~shard point ~init:false msg)
+          render_fault (record_fault t att point ~init:false msg)
         in
         Log.warn (fun m -> m "%s" err);
         ops.log err;
@@ -1496,26 +1239,23 @@ let run ?(shard = 0) t point ~(ops : Host_intf.ops)
     else begin
       st.native_fallbacks <- st.native_fallbacks + 1;
       Telemetry.Counter.inc t.fallbacks.(idx);
-      emit_event t ~shard Obs.Recorder.Native_fallback
+      emit_event t Obs.Recorder.Native_fallback
         [ ("host", t.host); ("point", Api.point_name point) ];
       default ()
     end
   end
 
 (** Run every bytecode attached to [Bgp_init] once (manifest load time).
-    Faults are logged; initialization continues with the next bytecode.
-    Init runs on shard 0 — persistent scratch and maps reachable from
-    init must be shared or shard-0-resident by the attach-time rule. *)
+    Faults are logged; initialization continues with the next bytecode. *)
 let run_init t ~ops =
   Array.iter
     (fun att ->
-      match exec_one t att ~shard:0 ~ops ~args:Host_intf.Args.empty with
+      match exec_one t att ~ops ~args:Host_intf.Args.empty with
       | Value _ | Deferred -> ()
       | Faulted msg ->
-        t.shard_state.(0).s_stats.faults <-
-          t.shard_state.(0).s_stats.faults + 1;
+        t.stats.faults <- t.stats.faults + 1;
         let err =
-          render_fault (record_fault t att ~shard:0 Api.Bgp_init ~init:true msg)
+          render_fault (record_fault t att Api.Bgp_init ~init:true msg)
         in
         ops.log err)
     t.chains.(Api.point_index Api.Bgp_init)
@@ -1544,9 +1284,9 @@ let outcome_value_name point v =
    [None] when the last traced dispatch was at a different point or the
    chains changed since — callers must read it before dispatching
    anything else (a nested import -> rib_add -> export overwrites it). *)
-let last_trace ?(shard = 0) t point : Obs.Provenance.step list option =
+let last_trace t point : Obs.Provenance.step list option =
   let idx = Api.point_index point in
-  let tr = t.shard_state.(shard).s_trace in
+  let tr = t.trace in
   if tr.trace_point <> idx || tr.trace_gen <> t.generation then None
   else begin
     let chain = t.chains.(idx) in
@@ -1589,87 +1329,44 @@ let last_trace ?(shard = 0) t point : Obs.Provenance.step list option =
     Some !steps
   end
 
-(* The physical instances behind map declaration [idx]: one (the first
-   row's) for a shared map, one per shard otherwise. *)
-let map_instances (rows : live_map array array) idx =
-  let lm0 = rows.(0).(idx) in
-  if (Ebpf.Map.spec lm0.map).Ebpf.Map.shared then [ lm0 ]
-  else Array.to_list rows |> List.map (fun row -> row.(idx))
-
 let map_size t ~program idx =
   match Hashtbl.find_opt t.extensions program with
   | Some ext when idx >= 0 && idx < List.length ext.prog.Xprog.maps -> (
     match ext.maps with
-    | Some rows ->
-      Some
-        (List.fold_left
-           (fun n lm -> n + Ebpf.Map.length lm.map)
-           0 (map_instances rows idx))
+    | Some live -> Some (Ebpf.Map.length live.(idx).map)
     | None -> Some 0 (* declared but not live: registered, unattached *))
   | _ -> None
 
 let map_stats t ~program idx =
   match Hashtbl.find_opt t.extensions program with
-  | Some { maps = Some rows; _ } when idx >= 0 && idx < Array.length rows.(0)
-    ->
-    Some
-      (List.fold_left
-         (fun (acc : Ebpf.Map.stats) lm ->
-           let s = Ebpf.Map.stats lm.map in
-           {
-             Ebpf.Map.lookups = acc.lookups + s.Ebpf.Map.lookups;
-             hits = acc.hits + s.Ebpf.Map.hits;
-             updates = acc.updates + s.Ebpf.Map.updates;
-             deletes = acc.deletes + s.Ebpf.Map.deletes;
-             evictions = acc.evictions + s.Ebpf.Map.evictions;
-             rejected = acc.rejected + s.Ebpf.Map.rejected;
-           })
-         { Ebpf.Map.lookups = 0; hits = 0; updates = 0; deletes = 0;
-           evictions = 0; rejected = 0 }
-         (map_instances rows idx))
+  | Some { maps = Some live; _ } when idx >= 0 && idx < Array.length live ->
+    Some (Ebpf.Map.stats live.(idx).map)
   | _ -> None
 
-(* One declaration's canonical dump: the union of its physical
-   instances' dumps, re-sorted by key bytes. For a prefix-keyed
-   per-shard map the shards hold disjoint keys, so the union is exactly
-   what a single-instance run would dump; a key duplicated across
-   shards surfaces as a duplicate entry — deliberately, because it
-   means the program violated the per-shard keying contract and the
-   equality oracle SHOULD fail. *)
-let merged_dump rows idx =
-  map_instances rows idx
-  |> List.concat_map (fun lm -> Ebpf.Map.dump lm.map)
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+(* [(map name, canonical dump)] per declared map, in declaration order. *)
+let live_dumps prog live =
+  List.mapi
+    (fun idx (s : Ebpf.Map.spec) ->
+      (s.Ebpf.Map.name, Ebpf.Map.dump live.(idx).map))
+    prog.Xprog.maps
 
 (* Canonical dumps for the fuzz oracles: every live map of [program] (in
    declaration order) with its entries sorted by key bytes. *)
 let map_dump t ~program =
   match Hashtbl.find_opt t.extensions program with
-  | Some { maps = Some rows; prog; _ } ->
-    Some
-      (List.mapi
-         (fun idx (s : Ebpf.Map.spec) -> (s.Ebpf.Map.name, merged_dump rows idx))
-         prog.Xprog.maps)
+  | Some { maps = Some live; prog; _ } -> Some (live_dumps prog live)
   | _ -> None
 
 (* The whole VMM's live map state, sorted by program name — the
    cross-leg comparison unit of the map-state oracle. Programs with no
    live maps are omitted, so a VMM that never attached a stateful
-   program compares equal to one that attached and fully detached it.
-   Sharded VMMs report the merged canonical union, so a sharded leg
-   compares route-for-route against a sequential one. *)
+   program compares equal to one that attached and fully detached it. *)
 let map_state t =
   Hashtbl.fold
     (fun name ext acc ->
       match ext.maps with
-      | Some rows when Array.length rows.(0) > 0 ->
-        let dumps =
-          List.mapi
-            (fun idx (s : Ebpf.Map.spec) ->
-              (s.Ebpf.Map.name, merged_dump rows idx))
-            ext.prog.Xprog.maps
-        in
-        (name, dumps) :: acc
+      | Some live when Array.length live > 0 ->
+        (name, live_dumps ext.prog live) :: acc
       | _ -> acc)
     t.extensions []
   |> List.sort (fun (a, _) (b, _) -> compare a b)

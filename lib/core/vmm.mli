@@ -70,40 +70,7 @@ val create :
     so counters still count but nothing else is retained). *)
 
 val stats : t -> stats
-(** Aggregate over every shard. The unsharded VMM returns its live
-    record (the historical contract: hold it, read updated fields); a
-    sharded one returns a fresh summed snapshot. *)
-
-val shards : t -> int
-(** Current shard count (1 unless {!set_shards} raised it). *)
-
-val set_shards : t -> int -> (unit, string) result
-(** Re-partition the VMM into [n] shards: per-attachment VMs, dispatch
-    stats, last-dispatch traces and fused chain closures all become
-    per-shard, and unshared maps get one instance per shard while
-    [shared] specs keep one lock-serialized instance. Only legal while
-    nothing is attached — hosts set the count once, before loading the
-    manifest. Shard [s]'s dispatch surface must then be driven from at
-    most one domain at a time (its worker in the parallel lane, or the
-    coordinating domain after a barrier): the VMM partitions the state,
-    the host owns the discipline. *)
-
-val shard_runs : t -> int -> int
-(** Bytecode executions started on one shard — per-shard load for the
-    [show shards] introspection surface. *)
-
-val shard_parallel_safe : t -> Api.point -> bool
-(** True when the chain at [point] may be dispatched concurrently from
-    per-shard workers over prefix-disjoint task streams and remain
-    indistinguishable from sequential dispatch: no persistent scratch,
-    helpers confined to the batchable set plus map writes, map writes
-    statically resolved to per-shard (unshared) maps only — a shared-map
-    write lands in lock-acquisition order, not submission order — and no
-    reads of shared LRU maps (recency refresh is a write in disguise).
-    Statically unresolvable map accesses fail closed; an empty chain is
-    vacuously safe. Hosts gate their parallel lane on this per
-    generation; the serial fallback routes through the same per-shard
-    VMs so map placement never flips with the lane. *)
+(** The live record: hold it, read updated fields. *)
 
 val telemetry : t -> Telemetry.t
 (** The registry this VMM records into. *)
@@ -140,13 +107,7 @@ val attach :
   order:int ->
   (unit, string) result
 (** Attach a bytecode to an insertion point; [order] positions it in the
-    point's execution queue. Builds the attachment's per-shard VMs.
-    Under sharding ({!set_shards} > 1), attaching a program that
-    declares a per-shard (unshared) map at a control point
-    ([Bgp_init] / [Bgp_receive_message] / [Bgp_encode_message]) is
-    rejected: control dispatches are not routed by prefix, so a
-    per-shard instance there would silently split state the program
-    expects to be whole. *)
+    point's execution queue. Builds the attachment's VM. *)
 
 val detach : t -> program:string -> point:Api.point -> unit
 (** Remove [program]'s attachments at [point]. When this was the
@@ -235,25 +196,7 @@ val set_recorder : t -> Obs.Recorder.t option -> unit
 
 val recorder : t -> Obs.Recorder.t option
 
-type event = Obs.Recorder.kind * (string * string) list
-(** A staged recorder event: exactly what {!Obs.Recorder.record} would
-    have been called with. *)
-
-val begin_events : t -> shard:int -> unit
-(** Start staging recorder-bound events (bytecode faults, native
-    fallbacks, map evictions and rejections) from [shard]'s dispatches
-    instead of recording them — workers bracket each task with
-    [begin_events]/[take_events] so the coordinating domain can replay
-    event streams in deterministic submission order and keep the flight
-    recorder byte-identical to a sequential run. *)
-
-val take_events : t -> shard:int -> event list
-(** Stop staging and return the staged events in emission order. *)
-
-val replay_events : t -> event list -> unit
-(** Record captured events into the recorder (no-op without one). *)
-
-val last_trace : ?shard:int -> t -> Api.point -> Obs.Provenance.step list option
+val last_trace : t -> Api.point -> Obs.Provenance.step list option
 (** The dispatch {!run} just executed at [point], as provenance steps —
     one per bytecode that ran, in order, with its dynamic verdict
     ("accept" / "reject" / "next()" / "fault" / point-rendered return)
@@ -264,15 +207,13 @@ val last_trace : ?shard:int -> t -> Api.point -> Obs.Provenance.step list option
     [rib_add] -> export) overwrites the trace. *)
 
 val run :
-  ?shard:int ->
   t ->
   Api.point ->
   ops:Host_intf.ops ->
   args:Host_intf.Args.t ->
   default:(unit -> int64) ->
   int64
-(** Execute the chain attached to a point, on [shard]'s VMs (default
-    [0], the only shard of an unsharded VMM). [args] are the
+(** Execute the chain attached to a point. [args] are the
     insertion-point arguments exposed through [get_arg] (ids from
     {!Api}) — hosts on the hot path reuse one {!Host_intf.Args.t} buffer
     across calls, one-shot callers build one with

@@ -12,14 +12,14 @@ type map_spec = Ebpf.Map.spec = {
   key_size : int;
   value_size : int;
   max_entries : int;
-  shared : bool;
 }
 
 (* Spec builder for the common case: a small anonymous hash map. [v]
-   names anonymous maps "map<i>" by declaration index. *)
+   names anonymous maps "map<i>" by declaration index. [shared] is
+   ignored: every map is one instance per program. *)
 let map ?(name = "") ?(kind = Ebpf.Map.Hash) ?(max_entries = 1024)
-    ?(shared = false) ~key_size ~value_size () =
-  { name; kind; key_size; value_size; max_entries; shared }
+    ?shared:_ ~key_size ~value_size () =
+  { name; kind; key_size; value_size; max_entries }
 
 type t = {
   name : string;

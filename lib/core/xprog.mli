@@ -12,7 +12,6 @@ type map_spec = Ebpf.Map.spec = {
   key_size : int;
   value_size : int;
   max_entries : int;
-  shared : bool;  (** one instance across VMM shards (see {!Ebpf.Map.spec}) *)
 }
 
 val map :
@@ -25,9 +24,10 @@ val map :
   unit ->
   map_spec
 (** Spec builder; defaults to an anonymous 1024-entry hash map
-    (anonymous maps are named ["map<i>"] by {!v}), per-shard
-    ([shared] defaults to [false]). Not validated here — {!v} validates
-    via {!Ebpf.Map.validate}. *)
+    (anonymous maps are named ["map<i>"] by {!v}). Not validated here —
+    {!v} validates via {!Ebpf.Map.validate}. [shared] is accepted for
+    source compatibility and ignored: every map is a single instance
+    per program. *)
 
 type t = {
   name : string;

@@ -43,9 +43,6 @@ type spec = {
   key_size : int;
   value_size : int;
   max_entries : int;
-  shared : bool;
-      (* one instance across every VMM shard (serialized) vs. one
-         instance per shard; meaningless when the VMM is unsharded *)
 }
 
 (* Bounds enforced at registration (and thus before any bytecode that

@@ -23,14 +23,6 @@ type spec = {
   key_size : int;
   value_size : int;
   max_entries : int;
-  shared : bool;
-      (** Placement under a sharded VMM: a shared map keeps ONE instance
-          serving every shard (helper calls on it are serialized by the
-          VMM), preserving cross-prefix or cross-point state such as
-          per-peer rate windows. A non-shared map is instantiated once
-          per shard, which is only sound when the program derives its
-          keys from the dispatched prefix. Irrelevant when the VMM runs
-          unsharded (the default). *)
 }
 
 val max_key_size : int

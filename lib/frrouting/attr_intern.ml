@@ -126,17 +126,8 @@ end)
 let intern_table : t Table.t = Table.create 4096
 let uid_counter = ref 0
 
-(* The intern table is process-global, and a sharded daemon interns from
-   its worker domains (origin-validation tagging, set_attr edits inside
-   an import dispatch). [set_intern_serialized true] — flipped once,
-   before any worker domain exists, and never back — routes every intern
-   through a mutex; single-domain runs keep the lock-free path. *)
-let intern_serialized = ref false
-let intern_lock = Mutex.create ()
-
-let set_intern_serialized b = intern_serialized := b
-
-let intern_unlocked raw =
+let intern raw =
+  let raw = { raw with as_path_len = Bgp.Attr.as_path_length raw.as_path } in
   match Table.find_opt intern_table raw with
   | Some canonical -> canonical
   | None ->
@@ -144,16 +135,6 @@ let intern_unlocked raw =
     let raw = { raw with uid = !uid_counter } in
     Table.add intern_table raw raw;
     raw
-
-let intern raw =
-  let raw = { raw with as_path_len = Bgp.Attr.as_path_length raw.as_path } in
-  if !intern_serialized then begin
-    Mutex.lock intern_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock intern_lock)
-      (fun () -> intern_unlocked raw)
-  end
-  else intern_unlocked raw
 
 (* --- the conversion cache ---
 
@@ -210,19 +191,7 @@ let reset_conversion_cache_stats () =
   cache_hits := 0;
   cache_misses := 0
 
-(* Serialized alongside the intern table: a worker-domain attribute edit
-   invalidates its record's memo entry, and the memo table is as global
-   as the intern table is. The coordinating domain never serves memo
-   entries while workers run (the sharded daemons force the cache gate
-   down), so removal is the only concurrent access to guard. *)
-let invalidate_conversion t =
-  if t.uid <> 0 then
-    if !intern_serialized then begin
-      Mutex.lock intern_lock;
-      Hashtbl.remove memo_tbl t.uid;
-      Mutex.unlock intern_lock
-    end
-    else Hashtbl.remove memo_tbl t.uid
+let invalidate_conversion t = if t.uid <> 0 then Hashtbl.remove memo_tbl t.uid
 
 let memo_for t =
   match Hashtbl.find_opt memo_tbl t.uid with

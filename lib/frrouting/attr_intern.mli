@@ -78,12 +78,6 @@ val get_tlv : t -> int -> bytes option
     {!prepend_as}) invalidate their result's entry explicitly, and
     {!reset_intern_table} drops the whole cache. *)
 
-val set_intern_serialized : bool -> unit
-(** Route every {!intern} (and memo invalidation) through a mutex —
-    required before a sharded daemon's worker domains intern
-    concurrently. Flipped once per process, before any worker exists,
-    and never back; single-domain runs keep the lock-free path. *)
-
 val set_conversion_cache : bool -> unit
 (** Enable/disable the memo (enabled by default). Disabling clears it,
     so re-enabling starts cold — what the bench ablation and the fuzz

@@ -41,9 +41,6 @@ module Repr = struct
   let remove = Attr_intern.remove
   let set_cache_gate = Attr_intern.set_cache_gate
 
-  (* interning must be serialized before the first worker domain can
-     touch the table *)
-  let serialize_for_domains () = Attr_intern.set_intern_serialized true
   let local_pref = Attr_intern.local_pref_or_default
   let as_path_len (a : attrs) = a.as_path_len
   let origin (a : attrs) = a.origin

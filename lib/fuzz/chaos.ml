@@ -154,19 +154,13 @@ let dut_extra_attrs =
   Bgp.Attr.
     [ v (Origin Igp); v (As_path [ Seq [ 64999 ] ]); v (Next_hop 0x0A000001) ]
 
-let build_chain_vmm ~(knobs : Cg.knobs) ~telemetry ~shards chain =
+let build_chain_vmm ~(knobs : Cg.knobs) ~telemetry chain =
   match chain with
   | [] -> None
   | chain ->
     let vmm =
       Xbgp.Vmm.create ~engine:knobs.engine ~telemetry ~host:"dut" ()
     in
-    (if shards > 1 then
-       (* before the manifests load: a VMM refuses to re-partition once
-          programs are attached *)
-       match Xbgp.Vmm.set_shards vmm shards with
-       | Ok () -> ()
-       | Error e -> invalid_arg ("Chaos: " ^ e));
     List.iter
       (fun name ->
         match Xprogs.Registry.find_manifest name with
@@ -192,15 +186,15 @@ let star_xtras (c : Cg.case) =
     [ ("rate_limit", Xprogs.Util.encode_u32 n) ]
   | _ -> []
 
-let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers ~shards : leg =
+let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers : leg =
   set_caches knobs.caches;
   let telemetry = Telemetry.create ~enabled:knobs.telemetry () in
   Telemetry.set_span_sampling telemetry knobs.span_sampling;
-  let vmm = build_chain_vmm ~knobs ~telemetry ~shards c.chain in
+  let vmm = build_chain_vmm ~knobs ~telemetry c.chain in
   let star =
     Scenario.Star.create ~host:knobs.host ?vmm ~telemetry
       ~update_groups:knobs.update_groups ~batch_updates:knobs.batch_updates
-      ~shards ~hold_time:3 ~xtras:(star_xtras c) ~npeers ()
+      ~hold_time:3 ~xtras:(star_xtras c) ~npeers ()
   in
   let rc = Obs.Recorder.create ~capacity:4096 ~name:"dut" () in
   Scenario.Star.attach_recorder star rc;
@@ -369,7 +363,6 @@ let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers ~shards : leg =
            (String.concat "," c.chain));
     List.iter note (check_inflight ~leg:knobs telemetry)
   end;
-  Scenario.Star.shutdown star;
   {
     knobs;
     phases;
@@ -523,12 +516,9 @@ let run_fabric_leg (c : Cg.case) (knobs : Cg.knobs) ~fconfig ~with_transit :
     tail = Obs.Recorder.tail_lines ~n:12 ~prefix:"    " rc;
   }
 
-(* [shards] sharding applies to the star DUT only; a fabric case runs a
-   dozen routers and sharding each of them buys nothing the star legs do
-   not already prove. *)
-let run_leg ?(shards = 1) (c : Cg.case) (knobs : Cg.knobs) : leg =
+let run_leg (c : Cg.case) (knobs : Cg.knobs) : leg =
   match c.topology with
-  | Cg.Star { npeers } -> run_star_leg c knobs ~npeers ~shards
+  | Cg.Star { npeers } -> run_star_leg c knobs ~npeers
   | Cg.Fabric { fconfig; with_transit } ->
     run_fabric_leg c knobs ~fconfig ~with_transit
 
@@ -653,9 +643,9 @@ let perturb_leg (l : leg) : leg =
     in
     { l with phases = List.rev ({ last with locs; maps } :: rest) }
 
-let run_case ?(perturb = false) ?(shards = 1) (c : Cg.case) :
+let run_case ?(perturb = false) (c : Cg.case) :
     finding list * (string * int) list =
-  let legs = List.map (fun k -> run_leg ~shards c k) c.grid in
+  let legs = List.map (run_leg c) c.grid in
   set_caches true (* restore the process-wide default *);
   let legs =
     match legs with
@@ -695,12 +685,12 @@ let run_case ?(perturb = false) ?(shards = 1) (c : Cg.case) :
    predicate preserves the original divergence CLASS, not just "any
    finding" — a convergence timeout must not shrink into an unrelated
    telemetry violation. *)
-let shrink_case ?(shards = 1) ~perturb (c : Cg.case) ~classes =
+let shrink_case ~perturb (c : Cg.case) ~classes =
   let still_fails dims =
     match dims with
     | [| faults; routes |] ->
       let c' = Cg.restrict ~faults ~routes c in
-      let findings, _ = run_case ~perturb ~shards c' in
+      let findings, _ = run_case ~perturb c' in
       List.exists (fun f -> List.mem f.cls classes) findings
     | _ -> assert false
   in
@@ -732,11 +722,11 @@ type summary = {
           the raw material for the bench's convergence distributions *)
 }
 
-let result_of ~perturb ~shards ~out (c : Cg.case) ~classes =
-  let minimized, faults, routes = shrink_case ~shards ~perturb c ~classes in
-  let findings, _ = run_case ~perturb ~shards minimized in
+let result_of ~perturb ~out (c : Cg.case) ~classes =
+  let minimized, faults, routes = shrink_case ~perturb c ~classes in
+  let findings, _ = run_case ~perturb minimized in
   let findings =
-    if findings = [] then fst (run_case ~perturb ~shards c) else findings
+    if findings = [] then fst (run_case ~perturb c) else findings
   in
   let note =
     match findings with [] -> "" | f :: _ -> Fmt.str "%a" pp_finding f
@@ -755,8 +745,8 @@ let result_of ~perturb ~shards ~out (c : Cg.case) ~classes =
   let repro_path = Option.map (fun dir -> Replay.Chaos.save ~dir repro) out in
   { case = minimized; findings; classes; repro; repro_path }
 
-let campaign ?out ?(perturb = false) ?(shards = 1) ?(log = fun _ -> ())
-    ~seed ~cases () : summary =
+let campaign ?out ?(perturb = false) ?(log = fun _ -> ()) ~seed ~cases () :
+    summary =
   let histogram = Hashtbl.create 8 in
   let order = ref [] in
   let bump name =
@@ -768,13 +758,13 @@ let campaign ?out ?(perturb = false) ?(shards = 1) ?(log = fun _ -> ())
   for index = 0 to cases - 1 do
     let c = Cg.case ~seed ~index in
     bump (Cg.topology_name c.topology);
-    let findings, durations = run_case ~perturb ~shards c in
+    let findings, durations = run_case ~perturb c in
     convergence := List.rev_append durations !convergence;
     (match findings with
     | [] -> ()
     | first :: _ ->
       log (Fmt.str "FAIL %a: %a" Cg.pp_case c pp_finding first);
-      let r = result_of ~perturb ~shards ~out c ~classes:(classes_of findings) in
+      let r = result_of ~perturb ~out c ~classes:(classes_of findings) in
       (match r.repro_path with
       | Some p -> log (Fmt.str "  reproducer: %s" p)
       | None -> ());

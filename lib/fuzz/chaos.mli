@@ -39,15 +39,12 @@ type leg = {
 val phase_budget_us : int
 (** Simulated-time convergence budget per phase (60 s). *)
 
-val run_leg : ?shards:int -> Config_gen.case -> Config_gen.knobs -> leg
-(** Run one case under one knob leg. [shards] (default 1) runs a star
-    case's DUT with that many worker domains — the chaos smoke leg for
-    the sharded daemon; fabric cases ignore it. Does not restore the
-    global conversion-cache toggles; prefer {!run_case}. *)
+val run_leg : Config_gen.case -> Config_gen.knobs -> leg
+(** Run one case under one knob leg. Does not restore the global
+    conversion-cache toggles; prefer {!run_case}. *)
 
 val run_case :
   ?perturb:bool ->
-  ?shards:int ->
   Config_gen.case ->
   finding list * (string * int) list
 (** Run every leg of the case's grid and compare legs 1.. against leg 0.
@@ -56,7 +53,6 @@ val run_case :
     self-test knob proving the oracle and shrink/replay pipeline fire. *)
 
 val shrink_case :
-  ?shards:int ->
   perturb:bool ->
   Config_gen.case ->
   classes:cls list ->
@@ -86,7 +82,6 @@ type summary = {
 val campaign :
   ?out:string ->
   ?perturb:bool ->
-  ?shards:int ->
   ?log:(string -> unit) ->
   seed:int ->
   cases:int ->
@@ -94,9 +89,7 @@ val campaign :
   summary
 (** Run cases [0..cases-1] of [seed]; each failing case is shrunk
     (class-preserving) and, when [out] is given, saved as a
-    [Replay.Chaos] reproducer under it. [shards] (default 1) runs every
-    star DUT sharded across that many domains — the whole grid must
-    still agree leg-for-leg. *)
+    [Replay.Chaos] reproducer under it. *)
 
 val replay :
   Replay.Chaos.t ->

@@ -9,20 +9,25 @@
    hosts, peer counts, outbound extensions (none, a group-invariant one,
    a peer-dependent one that forces the solo fallback) and churn
    (session bounce, a spoke originating routes back into its own group's
-   hub — the split-horizon source-member case — and mid-run detach of
-   the outbound chain, which forces a live regroup). *)
+   hub — the split-horizon source-member case — a withdrawal racing
+   another spoke's re-advertisement of the same prefixes, and mid-run
+   detach of the outbound chain, which forces a live regroup). *)
 
 type churn =
   | No_churn
   | Bounce  (** one spoke's link fails, hold timers expire, it rejoins *)
   | Sink_feed  (** one spoke originates routes into the hub, then withdraws *)
   | Rechain  (** the outbound chain is detached mid-run (regroup) *)
+  | Wd_race
+      (** a withdrawal and a re-advertisement of the same prefixes from
+          another spoke land in one unsettled window *)
 
 let churn_name = function
   | No_churn -> "none"
   | Bounce -> "bounce"
   | Sink_feed -> "sink_feed"
   | Rechain -> "rechain"
+  | Wd_race -> "wd_race"
 
 type case = {
   seed : int;
@@ -78,6 +83,12 @@ let case ~seed ~index : case =
       Some "flap_damping"
     else extension
   in
+  (* Likewise the withdrawal race takes over a fifth of the cases from
+     its own stream, leaving every other field as it was. *)
+  let churn =
+    let wrand = Random.State.make [| seed; index; 0x7764 |] in
+    if Random.State.int wrand 5 = 0 then Wd_race else churn
+  in
   { seed; index; host; npeers; extension; churn; routes }
 
 (* what the spokes and the hub look like after the scenario settles *)
@@ -94,11 +105,19 @@ let extra_prefix k = Bgp.Prefix.v (Bgp.Prefix.addr_of_quad (199, 51, k, 0)) 24
 
 let feed_prefix k = Bgp.Prefix.v (Bgp.Prefix.addr_of_quad (198, 18, k, 0)) 24
 
-let run_leg (c : case) ~grouped ~shards : obs =
+let sink_attrs star j =
+  Bgp.Attr.
+    [
+      v (Origin Igp);
+      v (As_path [ Seq [ 65101 + j ] ]);
+      v (Next_hop (Scenario.Star.sink_address star j));
+    ]
+
+let run_leg (c : case) ~grouped : obs =
   let manifest = Option.bind c.extension Xprogs.Registry.find_manifest in
   let star =
     Scenario.Star.create ~host:c.host ?manifest ~update_groups:grouped
-      ~shards ~hold_time:3 ~npeers:c.npeers ()
+      ~hold_time:3 ~npeers:c.npeers ()
   in
   let rc = Obs.Recorder.create ~capacity:4096 ~name:"dut" () in
   Scenario.Star.attach_recorder star rc;
@@ -126,18 +145,22 @@ let run_leg (c : case) ~grouped ~shards : obs =
   | Sink_feed ->
     (* spoke j becomes a source member of its own update group: its
        routes must fan out to every spoke EXCEPT itself *)
-    let attrs =
-      Bgp.Attr.
-        [
-          v (Origin Igp);
-          v (As_path [ Seq [ 65101 + j ] ]);
-          v (Next_hop (Scenario.Star.sink_address star j));
-        ]
-    in
     let fed = List.init 4 feed_prefix in
-    Scenario.Star.sink_announce star j ~attrs fed;
+    Scenario.Star.sink_announce star j ~attrs:(sink_attrs star j) fed;
     Scenario.Star.settle star;
     Scenario.Star.sink_withdraw star j [ feed_prefix 0; feed_prefix 2 ];
+    Scenario.Star.settle star
+  | Wd_race ->
+    (* once spoke j's block has settled, its withdrawal and spoke k's
+       re-advertisement of the SAME prefixes land in one unsettled
+       window: the hub must process the two batches in arrival order,
+       and both export modes must emit the resulting transitions *)
+    let k = (j + 1) mod c.npeers in
+    let race = List.init 8 feed_prefix in
+    Scenario.Star.sink_announce star j ~attrs:(sink_attrs star j) race;
+    Scenario.Star.settle star;
+    Scenario.Star.sink_withdraw star j race;
+    Scenario.Star.sink_announce star k ~attrs:(sink_attrs star k) race;
     Scenario.Star.settle star
   | Rechain -> (
     match (Scenario.Star.dut_vmm star, c.extension) with
@@ -154,23 +177,19 @@ let run_leg (c : case) ~grouped ~shards : obs =
   Scenario.Star.withdraw_local star
     (match c.routes with r :: _ -> r.prefix | [] -> extra_prefix 1);
   Scenario.Star.settle star;
-  let obs =
-    {
-      frames =
-        Array.init c.npeers (fun i ->
-            List.map Bytes.to_string (Scenario.Star.sink_frames star i));
-      ribs = Array.init c.npeers (Scenario.Star.sink_rib star);
-      loc = Scenario.Daemon.loc_snapshot (Scenario.Star.dut star);
-      groups = Scenario.Daemon.group_count (Scenario.Star.dut star);
-      maps =
-        (match Scenario.Star.dut_vmm star with
-        | Some vmm -> Oracle.render_map_state (Xbgp.Vmm.map_state vmm)
-        | None -> "");
-      tail = Obs.Recorder.tail_lines ~n:12 ~prefix:"    " rc;
-    }
-  in
-  Scenario.Star.shutdown star;
-  obs
+  {
+    frames =
+      Array.init c.npeers (fun i ->
+          List.map Bytes.to_string (Scenario.Star.sink_frames star i));
+    ribs = Array.init c.npeers (Scenario.Star.sink_rib star);
+    loc = Scenario.Daemon.loc_snapshot (Scenario.Star.dut star);
+    groups = Scenario.Daemon.group_count (Scenario.Star.dut star);
+    maps =
+      (match Scenario.Star.dut_vmm star with
+      | Some vmm -> Oracle.render_map_state (Xbgp.Vmm.map_state vmm)
+      | None -> "");
+    tail = Obs.Recorder.tail_lines ~n:12 ~prefix:"    " rc;
+  }
 
 let first_mismatch a b =
   let rec go i a b =
@@ -209,9 +228,9 @@ let diff (c : case) (g : obs) (b : obs) : string list =
       g.maps b.maps;
   List.rev !fs
 
-let run_case ?(perturb = false) ?(shards = 1) (c : case) : string list =
-  let grouped = run_leg c ~grouped:true ~shards in
-  let baseline = run_leg c ~grouped:false ~shards in
+let run_case ?(perturb = false) (c : case) : string list =
+  let grouped = run_leg c ~grouped:true in
+  let baseline = run_leg c ~grouped:false in
   let grouped =
     if perturb && Array.length grouped.frames > 0 then (
       (* self-test: corrupt one grouped frame AND the map fingerprint so
@@ -241,13 +260,13 @@ let pp_summary ppf s =
     s.cases
     (List.length s.failures)
 
-let campaign ?(perturb = false) ?(shards = 1) ?(log = fun _ -> ()) ~seed
-    ~cases () : summary =
+let campaign ?(perturb = false) ?(log = fun _ -> ()) ~seed ~cases () :
+    summary =
   let failures = ref [] in
   for index = 0 to cases - 1 do
     let c = case ~seed ~index in
     log (Format.asprintf "%a" pp_case c);
-    match run_case ~perturb ~shards c with
+    match run_case ~perturb c with
     | [] -> ()
     | fs -> failures := (c, fs) :: !failures
   done;

@@ -7,10 +7,11 @@
     map-state fingerprint. Cases sweep both hosts, peer counts,
     extensions (none / group-invariant / peer-dependent forcing the
     solo fallback / the map-carrying flap-damping chain) and churn
-    (session bounce, split-horizon feeding from a spoke, mid-run chain
-    detach forcing a live regroup). *)
+    (session bounce, split-horizon feeding from a spoke, a withdrawal
+    racing another spoke's re-advertisement of the same prefixes,
+    mid-run chain detach forcing a live regroup). *)
 
-type churn = No_churn | Bounce | Sink_feed | Rechain
+type churn = No_churn | Bounce | Sink_feed | Rechain | Wd_race
 
 val churn_name : churn -> string
 
@@ -40,12 +41,11 @@ type obs = {
           context, never compared between legs *)
 }
 
-val run_leg : case -> grouped:bool -> shards:int -> obs
+val run_leg : case -> grouped:bool -> obs
 (** Execute one export mode of the case and snapshot everything the
-    oracle compares (exposed for tests); [shards > 1] runs the DUT
-    sharded (worker domains are joined before returning). *)
+    oracle compares (exposed for tests). *)
 
-val run_case : ?perturb:bool -> ?shards:int -> case -> string list
+val run_case : ?perturb:bool -> case -> string list
 (** Run both export modes and compare; returns divergence descriptions
     (empty = equivalent). [perturb] corrupts one grouped-side frame and
     the map fingerprint so the oracle provably fires (self-test mode). *)
@@ -59,11 +59,8 @@ val pp_summary : Format.formatter -> summary -> unit
 
 val campaign :
   ?perturb:bool ->
-  ?shards:int ->
   ?log:(string -> unit) ->
   seed:int ->
   cases:int ->
   unit ->
   summary
-(** [shards] (default 1) runs every DUT sharded across that many worker
-    domains — both export modes must still agree byte-for-byte. *)

@@ -5,9 +5,9 @@
    BIRD keeps eattrs in wire form; FRRouting validates origins against a
    ROA trie, BIRD against a hash store. The same extension bytecode runs
    unchanged on both. This module is everything else — sessions, the
-   Fig. 2 processing pipeline, export and update groups, shard staging,
-   provenance, recorder and BMP hooks, introspection — written once over
-   a [REPR] that holds only what differs between hosts. A divergence the
+   Fig. 2 processing pipeline, export and update groups, provenance,
+   recorder and BMP hooks, introspection — written once over a [REPR]
+   that holds only what differs between hosts. A divergence the
    differential fuzzer reports between the two instantiations can
    therefore only come from a representation.
 
@@ -61,10 +61,6 @@ module type REPR = sig
 
   val set_cache_gate : bool -> unit
   (** The host's conversion-cache attachment gate. *)
-
-  val serialize_for_domains : unit -> unit
-  (** Make the attribute store safe for concurrent worker domains; called
-      once, before a sharded daemon spawns its workers. *)
 
   (** {1 Decision-view reads} *)
 
@@ -140,7 +136,6 @@ module type S = sig
     ?xtras:(string * bytes) list ->
     ?batch_updates:bool ->
     ?update_groups:bool ->
-    ?shards:int ->
     name:string ->
     router_id:int ->
     local_as:int ->
@@ -156,14 +151,7 @@ module type S = sig
       update groups ({!Rib.Update_group}) so export policy, outbound
       dispatch and UPDATE encoding run once per group and the frames fan
       out to every member; [false] restores the per-peer export path
-      (the fan-out baseline). [shards] (default [1]) partitions the
-      Loc-RIB by prefix hash across that many OCaml domains: import-filter
-      dispatch and UPDATE encoding fan out to per-shard workers when the
-      attached chains pass {!Xbgp.Vmm.shard_parallel_safe}, while every
-      state commit stays on the coordinating domain in submission order
-      — so the observable routing state is identical, route for route,
-      to [shards = 1]. [1] spawns no domain and is bit-for-bit today's
-      sequential path. *)
+      (the fan-out baseline). *)
 
   (** Validation-result communities attached by native origin validation
       and, identically, by the extension (65535:1/2/3). *)
@@ -222,11 +210,6 @@ module type S = sig
   val start : t -> unit
   (** Run extension init bytecodes, then open all sessions. *)
 
-  val shutdown : t -> unit
-  (** Join the worker domains (no-op for an unsharded daemon). Call when
-      the simulation retires the router; the parallel lanes are unusable
-      afterwards. *)
-
   val originate : t -> Bgp.Prefix.t -> Bgp.Attr.t list -> unit
   (** Originate a route locally with explicit attributes (e.g. a RIS
       feed, §3.2); it enters the Loc-RIB and is advertised per policy. *)
@@ -269,11 +252,6 @@ module type S = sig
   val group_count : t -> int
   (** Active update groups (0 until a peer syncs, or when
       [update_groups] is off). *)
-
-  val shard_info : t -> Shard.Info.t
-  (** Per-shard route balance, VM load, queue pressure and lane counters
-      — the [show shards] payload. Degenerate but well-formed when
-      unsharded. *)
 
   val peer : t -> int -> peer
   val peer_established : t -> int -> bool
@@ -351,16 +329,12 @@ module Make (R : REPR) :
         (** partition peers into update groups and run export policy,
             outbound dispatch and UPDATE encoding once per group (off =
             the legacy per-peer path, kept as the fan-out baseline) *)
-    shards : int;
-        (** partition the Loc-RIB (and the VMM's per-prefix dispatch
-            state) across this many OCaml domains; 1 = the sequential
-            daemon, bit-for-bit today's behaviour with no domain spawned *)
   }
 
   let config ?(cluster_id = 0) ?(hold_time = 90) ?(native_rr = false)
       ?native_ov ?(igp_metric = fun _ -> 0) ?(xtras = [])
-      ?(batch_updates = true) ?(update_groups = true) ?(shards = 1) ~name
-      ~router_id ~local_as ~local_addr () =
+      ?(batch_updates = true) ?(update_groups = true) ~name ~router_id
+      ~local_as ~local_addr () =
     {
       name;
       router_id;
@@ -374,7 +348,6 @@ module Make (R : REPR) :
       xtras;
       batch_updates;
       update_groups;
-      shards = max 1 shards;
     }
 
   (* Communities used to tag origin-validation results, both by native code
@@ -463,12 +436,7 @@ module Make (R : REPR) :
     mutable peers : peer array;
     adj_in : route Rib.Adj_rib.t;
     adj_out : R.attrs Rib.Adj_rib.t;
-    loc : route Shard.Sharded_loc.t;
-    pool : Shard.Runtime.t option;  (** worker domains; [None] unsharded *)
-    mutable par_batches : int;
-        (** NLRI batches whose import dispatch ran on the worker pool *)
-    mutable seq_batches : int;
-        (** batches the serial lane took (chain not shard-parallel-safe) *)
+    loc : route Rib.Loc_rib.t;
     pending_adv : (int, (Bgp.Prefix.t * R.attrs) list ref) Hashtbl.t;
     pending_wd : (int, Bgp.Prefix.t list ref) Hashtbl.t;
     mutable flush_scheduled : bool;
@@ -585,32 +553,27 @@ module Make (R : REPR) :
      the gate lowered while no attachment exists, the baseline converts
      exactly as it did before the cache existed. Instances sharing the
      global cache re-assert their own state here, so the last dispatcher
-     wins — correct in the single-threaded runtime, where conversions
-     happen inside the asserting instance's processing window. *)
+     wins — correct because conversions happen inside the asserting
+     instance's processing window. *)
   let refresh_cache_gate t =
     let gen = match t.vmm with Some v -> Xbgp.Vmm.generation v | None -> 0 in
     if gen <> t.gate_gen then begin
-      (* Neither host's memo is domain-safe, so a sharded daemon keeps the
-         gate down unconditionally: worker dispatches convert fresh
-         instead of racing on the memo. *)
       R.set_cache_gate
-        (t.config.shards = 1
-        &&
-        match t.vmm with
+        (match t.vmm with
         | Some v -> Xbgp.Vmm.has_any_attachment v
         | None -> false);
       (* a chain change may alter the BGP_DECISION behaviour hidden inside
          the Loc-RIB's compare closure: drop the incumbent fast path until
          each prefix has re-selected in full *)
-      Shard.Sharded_loc.invalidate_best t.loc;
+      Rib.Loc_rib.invalidate_best t.loc;
       t.gate_gen <- gen
     end
 
-  let vmm_run ?(shard = 0) t point ~ops ~args ~default =
+  let vmm_run t point ~ops ~args ~default =
     refresh_cache_gate t;
     match t.vmm with
     | None -> default ()
-    | Some vmm -> Xbgp.Vmm.run ~shard vmm point ~ops ~args ~default
+    | Some vmm -> Xbgp.Vmm.run vmm point ~ops ~args ~default
 
   let set_prefix_arg b p =
     Bytes.set_int32_be b 0 (Int32.of_int (Bgp.Prefix.addr p));
@@ -673,17 +636,14 @@ module Make (R : REPR) :
         cd_is_ebgp = r.src_type = src_ebgp;
       }
 
-  (* [shard] is the Loc-RIB slice asking: decision dispatches run on that
-     slice's VM shard, so a per-shard decision map stays partitioned by
-     prefix just like the filter points' maps. *)
-  let decision_compare t vmm ~shard a b =
+  let decision_compare t vmm a b =
     Telemetry.Counter.inc t.probes.c_decisions;
     if Xbgp.Vmm.has_attachment vmm Xbgp.Api.Bgp_decision then begin
       let args = borrow_args t in
       Xbgp.Host_intf.Args.set args Xbgp.Api.arg_candidate_a (candidate_arg t a);
       Xbgp.Host_intf.Args.set args Xbgp.Api.arg_candidate_b (candidate_arg t b);
       let verdict =
-        Xbgp.Vmm.run ~shard vmm Xbgp.Api.Bgp_decision ~ops:t.base_ops ~args
+        Xbgp.Vmm.run vmm Xbgp.Api.Bgp_decision ~ops:t.base_ops ~args
           ~default:(fun () -> Xbgp.Api.decision_tie)
       in
       release_args t args;
@@ -701,11 +661,11 @@ module Make (R : REPR) :
   (* Read the import chain's execution trace immediately after the
      dispatch: the VMM keeps only the last dispatch per point, and the
      propagate step below re-enters it for the outbound chain. *)
-  let import_trace ?(shard = 0) t =
+  let import_trace t =
     match t.vmm with
     | None -> []
     | Some vmm -> (
-      match Xbgp.Vmm.last_trace ~shard vmm Xbgp.Api.Bgp_inbound_filter with
+      match Xbgp.Vmm.last_trace vmm Xbgp.Api.Bgp_inbound_filter with
       | Some steps -> steps
       | None -> [])
 
@@ -733,10 +693,10 @@ module Make (R : REPR) :
      [Xprog_decided] instead of a fabricated tie-break step. *)
   let decision_info t prefix ~src :
       Obs.Provenance.decision option * Obs.Provenance.status =
-    match Shard.Sharded_loc.best_with_peer t.loc prefix with
+    match Rib.Loc_rib.best_with_peer t.loc prefix with
     | None -> (None, Obs.Provenance.Withdrawn)
     | Some (bpeer, best) ->
-      let cands = Shard.Sharded_loc.candidates t.loc prefix in
+      let cands = Rib.Loc_rib.candidates t.loc prefix in
       let others = List.filter (fun (p, _) -> p <> bpeer) cands in
       let xprog =
         match t.vmm with
@@ -954,11 +914,6 @@ module Make (R : REPR) :
      class's frames once, and share the buffers across every member
      session. A class of one degrades to exactly the per-peer baseline. *)
   and flush_groups t =
-    (* Drain every group's flush classes first: the class list (in group
-       order) is the deterministic work-list both the sequential and the
-       offloaded encode path walk. Classes without a live session are
-       dropped before encoding so the offloaded path never runs an encode
-       dispatch the sequential daemon would have skipped. *)
     let classes = ref [] in
     Rib.Update_group.iter_groups t.ugroups (fun g ->
         List.iter
@@ -974,7 +929,6 @@ module Make (R : REPR) :
             if sessions <> [] then
               classes := (members, wds, advs, sessions) :: !classes)
           (Rib.Update_group.take_classes g));
-    let classes = Array.of_list (List.rev !classes) in
     let send sessions frames =
       List.iter
         (fun frame ->
@@ -984,67 +938,12 @@ module Make (R : REPR) :
             ((sent - 1) * Bytes.length frame))
         frames
     in
-    let offload =
-      match t.pool with
-      | Some pool when Array.length classes > 1 -> (
-        match t.vmm with
-        | Some vmm ->
-          if Xbgp.Vmm.shard_parallel_safe vmm Xbgp.Api.Bgp_encode_message then
-            Some pool
-          else None
-        | None -> Some pool)
-      | _ -> None
-    in
-    match offload with
-    | Some pool ->
-      (* UPDATE encoding (attribute serialization + the encode-point
-         dispatch + 4096-byte framing) fans out across the worker pool,
-         one class per job; sending stays on this domain, in class order.
-         [parallel_map] places item [i] on worker [i mod workers] — the
-         dispatch runs on that worker's VM shard, so each shard's VMs
-         still see a single driving domain. *)
-      refresh_cache_gate t;
-      let w = Shard.Runtime.workers pool in
-      let indexed = Array.mapi (fun i c -> (i, c)) classes in
-      let encoded =
-        Shard.Runtime.parallel_map pool indexed
-          (fun (i, (members, wds, advs, _sessions)) ->
-            let shard = i mod w in
-            (match t.vmm with
-            | Some vmm -> Xbgp.Vmm.begin_events vmm ~shard
-            | None -> ());
-            let wd_frames = withdrawal_frames wds in
-            let adv_frames =
-              if advs = [] then []
-              else
-                advertisement_frames ~shard ~isolated:true t
-                  t.peers.(List.hd members)
-                  advs
-            in
-            let events =
-              match t.vmm with
-              | Some vmm -> Xbgp.Vmm.take_events vmm ~shard
-              | None -> []
-            in
-            (wd_frames, adv_frames, events))
-      in
-      Array.iteri
-        (fun i (wd_frames, adv_frames, events) ->
-          (match t.vmm with
-          | Some vmm -> Xbgp.Vmm.replay_events vmm events
-          | None -> ());
-          let _, _, _, sessions = classes.(i) in
-          send sessions wd_frames;
-          send sessions adv_frames)
-        encoded
-    | None ->
-      Array.iter
-        (fun (members, wds, advs, sessions) ->
-          send sessions (withdrawal_frames wds);
-          if advs <> [] then
-            send sessions
-              (advertisement_frames t t.peers.(List.hd members) advs))
-        classes
+    List.iter
+      (fun (members, wds, advs, sessions) ->
+        send sessions (withdrawal_frames wds);
+        if advs <> [] then
+          send sessions (advertisement_frames t t.peers.(List.hd members) advs))
+      (List.rev !classes)
 
   and send_withdrawals t peer prefixes =
     List.iter
@@ -1058,10 +957,7 @@ module Make (R : REPR) :
      member — sound because peers only share a group when the outbound
      chains pass [Vmm.group_invariant], so the bytecode provably never
      observes which peer the ops record answers for. *)
-  (* [isolated] marks a call running on a worker domain: it must not touch
-     the daemon's argument-buffer pool or the cache-gate bookkeeping, and
-     its encode dispatch is pinned to [shard]'s VMs. *)
-  and advertisement_frames ?(shard = 0) ?(isolated = false) t peer advs =
+  and advertisement_frames t peer advs =
     (* group prefixes whose attributes share the host's grouping key *)
     let groups : (R.attrs * Bgp.Prefix.t list ref) R.Group_tbl.t =
       R.Group_tbl.create 16
@@ -1096,23 +992,13 @@ module Make (R : REPR) :
                 true);
           }
         in
-        let args =
-          if isolated then Xbgp.Host_intf.Args.create () else borrow_args t
-        in
+        let args = borrow_args t in
         Xbgp.Host_intf.Args.set args Xbgp.Api.arg_update_payload
           (Buffer.to_bytes buf);
-        (if isolated then
-           match t.vmm with
-           | None -> ()
-           | Some vmm ->
-             ignore
-               (Xbgp.Vmm.run ~shard vmm Xbgp.Api.Bgp_encode_message ~ops ~args
-                  ~default:(fun () -> Xbgp.Api.ret_ok))
-         else
-           ignore
-             (vmm_run ~shard t Xbgp.Api.Bgp_encode_message ~ops ~args
-                ~default:(fun () -> Xbgp.Api.ret_ok)));
-        if not isolated then release_args t args;
+        ignore
+          (vmm_run t Xbgp.Api.Bgp_encode_message ~ops ~args
+             ~default:(fun () -> Xbgp.Api.ret_ok));
+        release_args t args;
         let attr_bytes = Buffer.to_bytes buf in
         Bgp.Message.split_update_raw ~withdrawn:[] ~attr_bytes ~nlri:prefixes)
       (List.rev !order)
@@ -1133,12 +1019,7 @@ module Make (R : REPR) :
       Xbgp.Host_intf.Args.set args Xbgp.Api.arg_prefix (prefix_arg prefix);
       Xbgp.Host_intf.Args.set args Xbgp.Api.arg_source (source_arg r);
       let verdict =
-        (* outbound dispatches stay on this domain, but still run on the
-           prefix's owning VM shard so a per-shard outbound map keeps its
-           keys partitioned exactly like the inbound points' maps *)
-        vmm_run
-          ~shard:(Shard.Sharded_loc.shard_of t.loc prefix)
-          t Xbgp.Api.Bgp_outbound_filter ~ops ~args
+        vmm_run t Xbgp.Api.Bgp_outbound_filter ~ops ~args
           ~default:(fun () -> native_export t route_ref target)
       in
       release_args t args;
@@ -1282,7 +1163,7 @@ module Make (R : REPR) :
           ~status:Obs.Provenance.Withdrawn
       in
       note_gone t prefix ~src:peer.idx pr;
-      let change = Shard.Sharded_loc.update t.loc ~peer:peer.idx prefix None in
+      let change = Rib.Loc_rib.update t.loc ~peer:peer.idx prefix None in
       record_route_event t Obs.Recorder.Route_withdraw prefix pr;
       propagate t prefix change
     | None -> ()
@@ -1299,7 +1180,7 @@ module Make (R : REPR) :
         ~status:Obs.Provenance.Candidate
     in
     Hashtbl.replace t.prov (prefix, peer.idx) stored;
-    let change = Shard.Sharded_loc.update t.loc ~peer:peer.idx prefix (Some r) in
+    let change = Rib.Loc_rib.update t.loc ~peer:peer.idx prefix (Some r) in
     (match t.recorder with
     | None -> ()
     | Some _ ->
@@ -1322,9 +1203,8 @@ module Make (R : REPR) :
   let learn_route t peer prefix (route : route) =
     let route_ref = ref route in
     let ops = route_ops t ~peer:(Some peer) ~route_ref in
-    let shard = Shard.Sharded_loc.shard_of t.loc prefix in
     let verdict =
-      vmm_run ~shard t Xbgp.Api.Bgp_inbound_filter ~ops
+      vmm_run t Xbgp.Api.Bgp_inbound_filter ~ops
         ~args:
           (Xbgp.Host_intf.Args.of_list
              [
@@ -1333,7 +1213,7 @@ module Make (R : REPR) :
              ])
         ~default:(fun () -> native_import t route_ref prefix peer)
     in
-    let chain = import_trace ~shard t in
+    let chain = import_trace t in
     if verdict = Xbgp.Api.filter_accept then
       accept_route t peer prefix !route_ref ~chain
         ~import:(import_verdict chain ~accepted:true)
@@ -1400,130 +1280,34 @@ module Make (R : REPR) :
             prefixes
       end
       else begin
-        let parallel_ok =
-          t.pool <> None
-          && ((not has_inbound_ext)
-             ||
-             match t.vmm with
-             | Some vmm ->
-               Xbgp.Vmm.shard_parallel_safe vmm Xbgp.Api.Bgp_inbound_filter
-             | None -> true)
-        in
-        match (t.pool, parallel_ok) with
-        | Some pool, true when List.length prefixes > 1 ->
-          (* The parallel import lane. Workers run only the DISPATCH —
-             the filter chain (or native import) over a private route
-             ref — for the prefixes their shard owns, in NLRI order
-             within the shard (a deterministic subsequence of the
-             batch). Every state transition (Adj-RIB-In, Loc-RIB commit,
-             provenance, recorder, propagation) happens afterwards on
-             this domain, walking the results in NLRI order — so the
-             observable outcome is byte-for-byte the sequential lane's,
-             which is exactly what the sharding oracle checks.
-             Recorder-bound events from inside a dispatch (faults,
-             fallbacks, map evictions) are staged per shard and replayed
-             here in commit order. *)
-          refresh_cache_gate t;
-          let arr = Array.of_list prefixes in
-          let n = Array.length arr in
-          let results = Array.make n None in
-          let nshards = Shard.Runtime.workers pool in
-          let buckets = Array.make nshards [] in
-          for i = n - 1 downto 0 do
-            let s = Shard.Sharded_loc.shard_of t.loc arr.(i) in
-            buckets.(s) <- (i, arr.(i)) :: buckets.(s)
-          done;
-          Array.iteri
-            (fun s items ->
-              if items <> [] then
-                Shard.Runtime.submit pool ~worker:s (fun () ->
-                    let route_ref = ref route in
-                    let ops = route_ops t ~peer:(Some peer) ~route_ref in
-                    let src = source_arg route in
-                    let pbuf = Bytes.create 5 in
-                    let args = Xbgp.Host_intf.Args.create () in
-                    Xbgp.Host_intf.Args.set args Xbgp.Api.arg_prefix pbuf;
-                    Xbgp.Host_intf.Args.set args Xbgp.Api.arg_source src;
-                    List.iter
-                      (fun (i, prefix) ->
-                        route_ref := route;
-                        set_prefix_arg pbuf prefix;
-                        (match t.vmm with
-                        | Some vmm -> Xbgp.Vmm.begin_events vmm ~shard:s
-                        | None -> ());
-                        let verdict =
-                          match t.vmm with
-                          | Some vmm when has_inbound_ext ->
-                            Xbgp.Vmm.run ~shard:s vmm Xbgp.Api.Bgp_inbound_filter
-                              ~ops ~args ~default:(fun () ->
-                                native_import t route_ref prefix peer)
-                          | _ -> native_import t route_ref prefix peer
-                        in
-                        let chain =
-                          if has_inbound_ext then import_trace ~shard:s t
-                          else []
-                        in
-                        let events =
-                          match t.vmm with
-                          | Some vmm -> Xbgp.Vmm.take_events vmm ~shard:s
-                          | None -> []
-                        in
-                        results.(i) <- Some (verdict, !route_ref, chain, events))
-                      items))
-            buckets;
-          Shard.Runtime.barrier pool;
-          t.par_batches <- t.par_batches + 1;
-          Array.iteri
-            (fun i result ->
-              match result with
-              | None -> ()
-              | Some (verdict, rt, chain, events) ->
-                (match t.vmm with
-                | Some vmm -> Xbgp.Vmm.replay_events vmm events
-                | None -> ());
-                let prefix = arr.(i) in
-                if verdict = Xbgp.Api.filter_accept then
-                  accept_route t peer prefix rt ~chain
-                    ~import:(import_verdict chain ~accepted:true)
-                else
-                  reject_route t peer prefix ~chain
-                    ~import:(import_verdict chain ~accepted:false))
-            results
-        | _ ->
-          (* The serial per-prefix lane (also the sharded daemon's
-             fallback when the chain is not shard-parallel-safe): the ops
-             record, the source argument and the argument buffer are
-             hoisted out of the loop. The 5-byte prefix buffer is mutated
-             in place between runs — safe because [get_arg] copies the
-             payload into the VM heap. Dispatches still run on each
-             prefix's owning VM shard, so per-shard map placement never
-             depends on which lane ran. *)
-          if t.pool <> None then t.seq_batches <- t.seq_batches + 1;
-          let route_ref = ref route in
-          let ops = route_ops t ~peer:(Some peer) ~route_ref in
-          let src = source_arg route in
-          let pbuf = Bytes.create 5 in
-          let args = borrow_args t in
-          Xbgp.Host_intf.Args.set args Xbgp.Api.arg_prefix pbuf;
-          Xbgp.Host_intf.Args.set args Xbgp.Api.arg_source src;
-          List.iter
-            (fun prefix ->
-              route_ref := route;
-              set_prefix_arg pbuf prefix;
-              let shard = Shard.Sharded_loc.shard_of t.loc prefix in
-              let verdict =
-                vmm_run ~shard t Xbgp.Api.Bgp_inbound_filter ~ops ~args
-                  ~default:(fun () -> native_import t route_ref prefix peer)
-              in
-              let chain = import_trace ~shard t in
-              if verdict = Xbgp.Api.filter_accept then
-                accept_route t peer prefix !route_ref ~chain
-                  ~import:(import_verdict chain ~accepted:true)
-              else
-                reject_route t peer prefix ~chain
-                  ~import:(import_verdict chain ~accepted:false))
-            prefixes;
-          release_args t args
+        (* The per-prefix lane: the ops record, the source argument and
+           the argument buffer are hoisted out of the loop. The 5-byte
+           prefix buffer is mutated in place between runs — safe because
+           [get_arg] copies the payload into the VM heap. *)
+        let route_ref = ref route in
+        let ops = route_ops t ~peer:(Some peer) ~route_ref in
+        let src = source_arg route in
+        let pbuf = Bytes.create 5 in
+        let args = borrow_args t in
+        Xbgp.Host_intf.Args.set args Xbgp.Api.arg_prefix pbuf;
+        Xbgp.Host_intf.Args.set args Xbgp.Api.arg_source src;
+        List.iter
+          (fun prefix ->
+            route_ref := route;
+            set_prefix_arg pbuf prefix;
+            let verdict =
+              vmm_run t Xbgp.Api.Bgp_inbound_filter ~ops ~args
+                ~default:(fun () -> native_import t route_ref prefix peer)
+            in
+            let chain = import_trace t in
+            if verdict = Xbgp.Api.filter_accept then
+              accept_route t peer prefix !route_ref ~chain
+                ~import:(import_verdict chain ~accepted:true)
+            else
+              reject_route t peer prefix ~chain
+                ~import:(import_verdict chain ~accepted:false))
+          prefixes;
+        release_args t args
       end
 
   (* RFC 7606 treat-as-withdraw: an UPDATE that carries NLRI but lacks any
@@ -1653,7 +1437,7 @@ module Make (R : REPR) :
       (* catch-up: one fresh export per Loc-RIB best, targeted at the
          joiner only — identical to a baseline initial sync, and
          self-healing for group entries dropped while nobody listened *)
-      Shard.Sharded_loc.iter_best t.loc (fun prefix r ->
+      Rib.Loc_rib.iter_best t.loc (fun prefix r ->
           match export t peer prefix r with
           | Some attrs ->
             let skip =
@@ -1664,7 +1448,8 @@ module Make (R : REPR) :
           | None -> ())
     end
     else
-      Shard.Sharded_loc.iter_best t.loc (fun prefix r -> advertise_to t peer prefix r);
+      Rib.Loc_rib.iter_best t.loc (fun prefix r ->
+          advertise_to t peer prefix r);
     schedule_flush t
 
   let on_close t peer =
@@ -1699,7 +1484,7 @@ module Make (R : REPR) :
             ~status:Obs.Provenance.Withdrawn
         in
         note_gone t prefix ~src:peer.idx pr;
-        let change = Shard.Sharded_loc.update t.loc ~peer:peer.idx prefix None in
+        let change = Rib.Loc_rib.update t.loc ~peer:peer.idx prefix None in
         record_route_event t Obs.Recorder.Route_withdraw prefix pr;
         propagate t prefix change)
       prefixes;
@@ -1717,15 +1502,6 @@ module Make (R : REPR) :
         | Some v -> Xbgp.Vmm.telemetry v
         | None -> Telemetry.create ~enabled:false ())
     in
-    (* Re-partition the VMM before any attachment exists; the attribute
-       store must be made domain-safe before the first worker exists. *)
-    (match vmm with
-    | Some v when config.shards > 1 && Xbgp.Vmm.shards v <> config.shards -> (
-      match Xbgp.Vmm.set_shards v config.shards with
-      | Ok () -> ()
-      | Error e -> invalid_arg ("Bgpd.create: " ^ e))
-    | _ -> ());
-    if config.shards > 1 then R.serialize_for_domains ();
     let t =
       {
         config;
@@ -1737,13 +1513,7 @@ module Make (R : REPR) :
         peers = [||];
         adj_in = Rib.Adj_rib.create ();
         adj_out = Rib.Adj_rib.create ();
-        loc = Shard.Sharded_loc.create ~shards:config.shards decision_view;
-        pool =
-          (if config.shards > 1 then
-             Some (Shard.Runtime.create ~workers:config.shards ())
-           else None);
-        par_batches = 0;
-        seq_batches = 0;
+        loc = Rib.Loc_rib.create decision_view;
         pending_adv = Hashtbl.create 8;
         pending_wd = Hashtbl.create 8;
         flush_scheduled = false;
@@ -1805,26 +1575,16 @@ module Make (R : REPR) :
              in
              Lazy.force peer)
            peer_confs);
-    (match vmm with
-    | Some vmm ->
-      (* per-slice closures bake the slice's shard in, so a decision
-         dispatch lands on the VM shard owning the contested prefix *)
-      for s = 0 to config.shards - 1 do
-        Rib.Loc_rib.set_compare
-          (Shard.Sharded_loc.slice t.loc s)
-          (Some (fun a b -> decision_compare t vmm ~shard:s a b))
-      done
-    | None ->
-      (* still count decision comparisons when no VMM is attached *)
-      Shard.Sharded_loc.set_compare t.loc
-        (Some
-           (fun a b ->
+    Rib.Loc_rib.set_compare t.loc
+      (Some
+         (match vmm with
+         | Some vmm -> decision_compare t vmm
+         | None ->
+           (* still count decision comparisons when no VMM is attached *)
+           fun a b ->
              Telemetry.Counter.inc t.probes.c_decisions;
-             Rib.Decision.compare decision_view a b)));
+             Rib.Decision.compare decision_view a b));
     t
-
-  let shutdown t =
-    match t.pool with Some p -> Shard.Runtime.shutdown p | None -> ()
 
   let start t =
     (match t.vmm with
@@ -1850,7 +1610,7 @@ module Make (R : REPR) :
         ~import:"accepted (local origination)" ~status:Obs.Provenance.Candidate
     in
     Hashtbl.replace t.prov (prefix, -1) stored;
-    let change = Shard.Sharded_loc.update t.loc ~peer:(-1) prefix (Some route) in
+    let change = Rib.Loc_rib.update t.loc ~peer:(-1) prefix (Some route) in
     (match t.recorder with
     | None -> ()
     | Some _ ->
@@ -1886,7 +1646,7 @@ module Make (R : REPR) :
       note_gone t prefix ~src:(-1) pr;
       record_route_event t Obs.Recorder.Route_withdraw prefix pr
     end;
-    let change = Shard.Sharded_loc.update t.loc ~peer:(-1) prefix None in
+    let change = Rib.Loc_rib.update t.loc ~peer:(-1) prefix None in
     propagate t prefix change
 
   let set_xtra t key value = Hashtbl.replace t.xtras key value
@@ -1906,12 +1666,12 @@ module Make (R : REPR) :
   let refresh_exports t =
     if t.config.update_groups then begin
       refresh_grouping t;
-      Shard.Sharded_loc.iter_best t.loc (fun prefix r ->
+      Rib.Loc_rib.iter_best t.loc (fun prefix r ->
           Rib.Update_group.iter_groups t.ugroups (fun g ->
               export_to_group t g prefix r))
     end
     else
-      Shard.Sharded_loc.iter_best t.loc (fun prefix r ->
+      Rib.Loc_rib.iter_best t.loc (fun prefix r ->
           Array.iter
             (fun peer ->
               if Session.Fsm.is_established peer.session && peer.synced then
@@ -1921,9 +1681,9 @@ module Make (R : REPR) :
 
   (* --- introspection --- *)
 
-  let loc_count t = Shard.Sharded_loc.count t.loc
-  let loc_best t prefix = Shard.Sharded_loc.best t.loc prefix
-  let iter_loc t f = Shard.Sharded_loc.iter_best t.loc f
+  let loc_count t = Rib.Loc_rib.count t.loc
+  let loc_best t prefix = Rib.Loc_rib.best t.loc prefix
+  let iter_loc t f = Rib.Loc_rib.iter_best t.loc f
 
   (* a point-in-time snapshot assembled from the registry counters *)
   let stats t : stats =
@@ -1937,26 +1697,6 @@ module Make (R : REPR) :
     }
 
   let telemetry t = t.tele
-
-  let shard_info t : Shard.Info.t =
-    let n = Shard.Sharded_loc.shards t.loc in
-    {
-      Shard.Info.shards = n;
-      counts = Shard.Sharded_loc.counts t.loc;
-      runs =
-        (match t.vmm with
-        | Some vmm -> Array.init n (fun s -> Xbgp.Vmm.shard_runs vmm s)
-        | None -> Array.make n 0);
-      queues =
-        (match t.pool with
-        | Some pool ->
-          Array.init (Shard.Runtime.workers pool) (fun i ->
-              Shard.Runtime.worker_stats pool i)
-        | None -> [||]);
-      barriers = (match t.pool with Some p -> Shard.Runtime.barriers p | None -> 0);
-      par_batches = t.par_batches;
-      seq_batches = t.seq_batches;
-    }
 
   let group_count t = Rib.Update_group.group_count t.ugroups
   let vmm t = t.vmm
@@ -1976,7 +1716,7 @@ module Make (R : REPR) :
   let collector t = t.collector
 
   let provenance t prefix =
-    match Shard.Sharded_loc.best_with_peer t.loc prefix with
+    match Rib.Loc_rib.best_with_peer t.loc prefix with
     | Some (bpeer, _) -> (
       match Hashtbl.find_opt t.prov (prefix, bpeer) with
       | Some stored -> Some (assemble_prov t prefix stored ~src:bpeer)
@@ -1989,11 +1729,11 @@ module Make (R : REPR) :
         Option.map
           (fun stored -> assemble_prov t prefix stored ~src)
           (Hashtbl.find_opt t.prov (prefix, src)))
-      (Shard.Sharded_loc.candidates t.loc prefix)
+      (Rib.Loc_rib.candidates t.loc prefix)
 
   let provenance_snapshot t =
     let acc = ref [] in
-    Shard.Sharded_loc.iter_best t.loc (fun p _ ->
+    Rib.Loc_rib.iter_best t.loc (fun p _ ->
         match provenance t p with
         | Some pr -> acc := (p, pr) :: !acc
         | None -> ());

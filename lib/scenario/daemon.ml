@@ -81,8 +81,6 @@ let refresh_exports t =
 let group_count t = match host t with Host ((module D), d) -> D.group_count d
 
 let vmm t = match host t with Host ((module D), d) -> D.vmm d
-let shutdown t = match host t with Host ((module D), d) -> D.shutdown d
-let shard_info t = match host t with Host ((module D), d) -> D.shard_info d
 
 (** Provenance of the prefix's current best route (or the last
     reject/withdraw record). *)

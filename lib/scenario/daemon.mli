@@ -50,12 +50,6 @@ val group_count : t -> int
 
 val vmm : t -> Xbgp.Vmm.t option
 
-val shutdown : t -> unit
-(** Join the daemon's worker domains (no-op when unsharded). *)
-
-val shard_info : t -> Shard.Info.t
-(** Per-shard route balance, VM load, queue pressure and lane counters. *)
-
 val provenance : t -> Bgp.Prefix.t -> Obs.Provenance.t option
 (** Provenance of the prefix's current best route, falling back to the
     last reject/withdraw record once no candidate is left. *)

@@ -159,64 +159,6 @@ let show_maps ?(json = false) d =
         state;
     Buffer.contents b
 
-(* --- show shards --- *)
-
-let show_shards ?(json = false) d =
-  let info = Daemon.shard_info d in
-  let open Shard.Info in
-  let slice s =
-    let count = info.counts.(s) in
-    let runs = if s < Array.length info.runs then info.runs.(s) else 0 in
-    let q =
-      if s < Array.length info.queues then Some info.queues.(s) else None
-    in
-    (count, runs, q)
-  in
-  if json then
-    Printf.sprintf
-      "{\"daemon\":%s,\"shards\":%d,\"barriers\":%d,\"par_batches\":%d,\
-       \"seq_batches\":%d,\"slices\":%s}"
-      (jstr (Daemon.name d))
-      info.shards info.barriers info.par_batches info.seq_batches
-      (jlist
-         (fun s ->
-           let count, runs, q = slice s in
-           match q with
-           | None ->
-             Printf.sprintf "{\"shard\":%d,\"routes\":%d,\"vm_runs\":%d}" s
-               count runs
-           | Some st ->
-             Printf.sprintf
-               "{\"shard\":%d,\"routes\":%d,\"vm_runs\":%d,\
-                \"jobs_submitted\":%d,\"jobs_completed\":%d,\
-                \"queue_depth\":%d,\"queue_hwm\":%d}"
-               s count runs st.Shard.Runtime.submitted
-               st.Shard.Runtime.completed st.Shard.Runtime.queue_depth
-               st.Shard.Runtime.queue_hwm)
-         (List.init info.shards Fun.id))
-  else
-    let b = Buffer.create 256 in
-    Buffer.add_string b
-      (Printf.sprintf
-         "%s: %d shard(s), %d merge barrier(s), %d parallel batch(es), %d \
-          serial batch(es)\n"
-         (Daemon.name d) info.shards info.barriers info.par_batches
-         info.seq_batches);
-    for s = 0 to info.shards - 1 do
-      let count, runs, q = slice s in
-      Buffer.add_string b
-        (match q with
-        | None ->
-          Printf.sprintf "  shard %d: %d route(s), %d vm run(s)\n" s count runs
-        | Some st ->
-          Printf.sprintf
-            "  shard %d: %d route(s), %d vm run(s), %d/%d job(s) done, queue \
-             depth %d (hwm %d)\n"
-            s count runs st.Shard.Runtime.completed st.Shard.Runtime.submitted
-            st.Shard.Runtime.queue_depth st.Shard.Runtime.queue_hwm)
-    done;
-    Buffer.contents b
-
 (* --- show recorder --- *)
 
 let show_recorder ?(json = false) ?since d =
@@ -272,7 +214,7 @@ let show_bmp ?(json = false) d =
         (List.length (Obs.Bmp.errors col))
 
 let usage =
-  "show queries: rib | provenance <prefix> | update-groups | maps | shards | \
+  "show queries: rib | provenance <prefix> | update-groups | maps | \
    recorder [--since SEQ] | bmp"
 
 (* --- dispatcher --- *)
@@ -287,7 +229,6 @@ let query d ~json args =
       Error (Printf.sprintf "malformed prefix %S (want a.b.c.d/len)" p))
   | [ "update-groups" ] -> Ok (show_update_groups ~json d)
   | [ "maps" ] -> Ok (show_maps ~json d)
-  | [ "shards" ] -> Ok (show_shards ~json d)
   | [ "recorder" ] -> Ok (show_recorder ~json d)
   | [ "recorder"; "--since"; s ] -> (
     match int_of_string_opt s with

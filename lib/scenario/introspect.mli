@@ -14,12 +14,6 @@ val show_provenance : ?json:bool -> Daemon.t -> Bgp.Prefix.t -> string
 val show_update_groups : ?json:bool -> Daemon.t -> string
 val show_maps : ?json:bool -> Daemon.t -> string
 
-val show_shards : ?json:bool -> Daemon.t -> string
-(** The multicore pipeline's live state: per-shard Loc-RIB route counts
-    and VM run counters, per-worker queue depths/high-water marks, and
-    the merge counters (barriers, parallel vs serial import batches).
-    On a single-domain daemon it reports one shard and no queues. *)
-
 val show_recorder : ?json:bool -> ?since:int -> Daemon.t -> string
 (** Flight-recorder contents; [since] restricts to events with
     seqno >= the given value. *)
@@ -30,5 +24,5 @@ val usage : string
 
 val query : Daemon.t -> json:bool -> string list -> (string, string) result
 (** Dispatch a tokenized query — [["rib"]], [["provenance"; p]],
-    [["update-groups"]], [["maps"]], [["shards"]], [["recorder"]],
+    [["update-groups"]], [["maps"]], [["recorder"]],
     [["recorder"; "--since"; n]], [["bmp"]]. *)

@@ -31,7 +31,7 @@ type t = {
 let addr = Bgp.Prefix.addr_of_quad
 
 let create ?(host = `Frr) ?manifest ?(engine = Ebpf.Vm.Interpreted) ?telemetry
-    ?vmm ?(update_groups = true) ?(batch_updates = true) ?(shards = 1)
+    ?vmm ?(update_groups = true) ?(batch_updates = true)
     ?(ibgp = false) ?(native_rr = false) ?(rr_client = fun _ -> false)
     ?(hold_time = 90) ?(record_frames = true) ?(track_rib = true) ?(xtras = [])
     ~npeers () : t =
@@ -59,8 +59,7 @@ let create ?(host = `Frr) ?manifest ?(engine = Ebpf.Vm.Interpreted) ?telemetry
     | None ->
       Option.map
         (fun m ->
-          Xprogs.Registry.vmm_of_manifest ~engine ~telemetry ~shards
-            ~host:"dut" m)
+          Xprogs.Registry.vmm_of_manifest ~engine ~telemetry ~host:"dut" m)
         manifest
   in
   let dut =
@@ -70,7 +69,7 @@ let create ?(host = `Frr) ?manifest ?(engine = Ebpf.Vm.Interpreted) ?telemetry
         (Frrouting.Bgpd.create ~telemetry ?vmm:dut_vmm ~sched
            (Frrouting.Bgpd.config ~name:"dut" ~router_id:dut_addr
               ~local_as:dut_as ~local_addr:dut_addr ~hold_time ~native_rr
-              ~batch_updates ~update_groups ~shards ~xtras ())
+              ~batch_updates ~update_groups ~xtras ())
            (List.init npeers (fun i ->
                 {
                   Frrouting.Bgpd.pname = Printf.sprintf "sink%d" i;
@@ -84,7 +83,7 @@ let create ?(host = `Frr) ?manifest ?(engine = Ebpf.Vm.Interpreted) ?telemetry
         (Bird.Bgpd.create ~telemetry ?vmm:dut_vmm ~sched
            (Bird.Bgpd.config ~name:"dut" ~router_id:dut_addr
               ~local_as:dut_as ~local_addr:dut_addr ~hold_time ~native_rr
-              ~batch_updates ~update_groups ~shards ~xtras ())
+              ~batch_updates ~update_groups ~xtras ())
            (List.init npeers (fun i ->
                 {
                   Bird.Bgpd.pname = Printf.sprintf "sink%d" i;
@@ -230,4 +229,3 @@ let restart t =
         Session.Fsm.start s.fsm)
     t.sinks
 
-let shutdown t = Daemon.shutdown t.dut

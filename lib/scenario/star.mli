@@ -20,7 +20,6 @@ val create :
   ?vmm:Xbgp.Vmm.t ->
   ?update_groups:bool ->
   ?batch_updates:bool ->
-  ?shards:int ->
   ?ibgp:bool ->
   ?native_rr:bool ->
   ?rr_client:(int -> bool) ->
@@ -35,8 +34,6 @@ val create :
     bytecode); otherwise [manifest] is instantiated through the program
     registry. [ibgp] makes every spoke an iBGP peer (default: each spoke
     its own AS); [rr_client i] marks spoke [i] a route-reflector client.
-    [shards] (default 1) runs the DUT with a prefix-sharded Loc-RIB and
-    that many worker domains — pair with {!shutdown}.
     [record_frames] / [track_rib] (default true) can be switched off to
     keep full-table benchmark runs lean. [xtras] are the DUT's named
     configuration extras (ROA tables, thresholds) fed to [get_xtra].
@@ -112,7 +109,3 @@ val restart : t -> unit
 (** Re-open every session that has fallen back to Idle on both the DUT
     and the sinks (e.g. after a link failure healed). *)
 
-val shutdown : t -> unit
-(** Join the DUT's worker domains (no-op unless [shards > 1]). Sharded
-    harness legs must call this before the star goes out of scope, or
-    the worker domains leak for the rest of the process. *)

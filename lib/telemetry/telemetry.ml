@@ -15,55 +15,29 @@
      depends on nothing: the simulator injects its deterministic
      microsecond clock, hosts with a real clock inject nanoseconds. *)
 
-(* --- metric primitives ---
-
-   All three are domain-safe since the multicore shard runtime: worker
-   domains increment the same handles the main domain snapshots.
-   Counters keep one cell per domain slot (merged on read) so parallel
-   increments never contend on one cache line; gauges and histogram
-   buckets use atomic adds; the span ring and nesting stack sit behind a
-   mutex (spans are sampled, so the lock is off the hot path). *)
+(* --- metric primitives --- *)
 
 module Counter = struct
-  (* Per-domain cells: a domain increments the cell at [domain id mod
-     slots]; [value] merges on snapshot. Collisions between domains
-     sharing a slot stay correct (the cells are atomic) — the slots
-     exist to keep the common case contention-free. *)
-  let slots = 8
+  type t = { mutable v : int }
 
-  type t = { cells : int Atomic.t array }
-
-  let make () = { cells = Array.init slots (fun _ -> Atomic.make 0) }
-
-  let cell c =
-    c.cells.((Domain.self () :> int) land (slots - 1))
-
-  let inc c = ignore (Atomic.fetch_and_add (cell c) 1)
-  let add c n = ignore (Atomic.fetch_and_add (cell c) n)
-
-  let value c =
-    let s = ref 0 in
-    Array.iter (fun a -> s := !s + Atomic.get a) c.cells;
-    !s
+  let make () = { v = 0 }
+  let inc c = c.v <- c.v + 1
+  let add c n = c.v <- c.v + n
+  let value c = c.v
 end
 
 module Gauge = struct
-  type t = { v : int Atomic.t; hwm : int Atomic.t }
+  type t = { mutable v : int; mutable hwm : int }
 
-  let make () = { v = Atomic.make 0; hwm = Atomic.make 0 }
-
-  let rec raise_hwm g v =
-    let cur = Atomic.get g.hwm in
-    if v > cur && not (Atomic.compare_and_set g.hwm cur v) then
-      raise_hwm g v
+  let make () = { v = 0; hwm = 0 }
 
   let set g v =
-    Atomic.set g.v v;
-    raise_hwm g v
+    g.v <- v;
+    if v > g.hwm then g.hwm <- v
 
-  let add g n = raise_hwm g (Atomic.fetch_and_add g.v n + n)
-  let value g = Atomic.get g.v
-  let max_value g = Atomic.get g.hwm
+  let add g n = set g (g.v + n)
+  let value g = g.v
+  let max_value g = g.hwm
 end
 
 module Histogram = struct
@@ -71,17 +45,12 @@ module Histogram = struct
   let buckets = 64
 
   type t = {
-    counts : int Atomic.t array;
-    total : int Atomic.t;
-    sum : int Atomic.t;
+    counts : int array;
+    mutable total : int;
+    mutable sum : int;
   }
 
-  let make () =
-    {
-      counts = Array.init buckets (fun _ -> Atomic.make 0);
-      total = Atomic.make 0;
-      sum = Atomic.make 0;
-    }
+  let make () = { counts = Array.make buckets 0; total = 0; sum = 0 }
 
   let bucket_index v =
     if v <= 0 then 0
@@ -102,35 +71,30 @@ module Histogram = struct
 
   let observe h v =
     let k = bucket_index v in
-    ignore (Atomic.fetch_and_add h.counts.(k) 1);
-    ignore (Atomic.fetch_and_add h.total 1);
-    ignore (Atomic.fetch_and_add h.sum (max v 0))
+    h.counts.(k) <- h.counts.(k) + 1;
+    h.total <- h.total + 1;
+    h.sum <- h.sum + max v 0
 
-  let count h = Atomic.get h.total
-  let sum h = Atomic.get h.sum
-
-  let bucket_count h k =
-    if k >= 0 && k < buckets then Atomic.get h.counts.(k) else 0
+  let count h = h.total
+  let sum h = h.sum
+  let bucket_count h k = if k >= 0 && k < buckets then h.counts.(k) else 0
 
   let merge_into ~dst src =
-    Array.iteri
-      (fun i c -> ignore (Atomic.fetch_and_add dst.counts.(i) (Atomic.get c)))
-      src.counts;
-    ignore (Atomic.fetch_and_add dst.total (Atomic.get src.total));
-    ignore (Atomic.fetch_and_add dst.sum (Atomic.get src.sum))
+    Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
+    dst.total <- dst.total + src.total;
+    dst.sum <- dst.sum + src.sum
 
   let percentile h p =
-    let total = count h in
-    if total = 0 then 0
+    if h.total = 0 then 0
     else begin
       let p = Float.max 0. (Float.min 100. p) in
       let rank =
-        max 1 (int_of_float (Float.ceil (p /. 100. *. float_of_int total)))
+        max 1 (int_of_float (Float.ceil (p /. 100. *. float_of_int h.total)))
       in
       let k = ref 0 and seen = ref 0 in
       (try
          for i = 0 to buckets - 1 do
-           seen := !seen + Atomic.get h.counts.(i);
+           seen := !seen + h.counts.(i);
            if !seen >= rank then begin
              k := i;
              raise Exit
@@ -189,14 +153,11 @@ let dummy_span : Span.t =
 type t = {
   mutable enabled : bool;
   mutable sample_n : int;  (* record 1 span in [sample_n]; 1 = every span *)
-  sample_tick : int Atomic.t;
+  mutable sample_tick : int;
   families : (string, family) Hashtbl.t;
-  reg_lock : Mutex.t;  (* guards [families] interning *)
   mutable clock_us : unit -> int;
   mutable clock_ns : unit -> int;
-  (* tracer; [ring_lock] guards everything below (spans are sampled, so
-     the lock sits off the hot path) *)
-  ring_lock : Mutex.t;
+  (* tracer *)
   ring : Span.t array;
   capacity : int;
   mutable ring_head : int;  (* next write slot *)
@@ -213,12 +174,10 @@ let create ?(enabled = true) ?(ring_capacity = 4096) () =
   {
     enabled;
     sample_n = 1;
-    sample_tick = Atomic.make 0;
+    sample_tick = 0;
     families = Hashtbl.create 32;
-    reg_lock = Mutex.create ();
     clock_us = (fun () -> 0);
     clock_ns = default_ns;
-    ring_lock = Mutex.create ();
     ring = Array.make capacity dummy_span;
     capacity;
     ring_head = 0;
@@ -233,19 +192,27 @@ let set_enabled t e = t.enabled <- e
 
 let set_span_sampling t n =
   t.sample_n <- max 1 n;
-  Atomic.set t.sample_tick 0
+  t.sample_tick <- 0
 
 let span_sampling t = t.sample_n
 
 (* One shared deterministic tick stream: every would-be expensive event
    (a span, a helper-latency measurement) consumes a tick and records
    only when its tick is the [sample_n]-th. Counters never consult this —
-   they are always exact. The tick is atomic so worker domains can
-   consume ticks concurrently; the 1-in-N rate stays exact. *)
+   they are always exact. *)
 let sample t =
   t.enabled
   && (t.sample_n <= 1
-     || (Atomic.fetch_and_add t.sample_tick 1 + 1) mod t.sample_n = 0)
+     ||
+     let tick = t.sample_tick + 1 in
+     if tick >= t.sample_n then begin
+       t.sample_tick <- 0;
+       true
+     end
+     else begin
+       t.sample_tick <- tick;
+       false
+     end)
 let set_clock_us t f = t.clock_us <- f
 let set_clock_ns t f = t.clock_ns <- f
 let now_us t = t.clock_us ()
@@ -272,22 +239,15 @@ let family t ~name ~help ~kind =
     f
 
 let instance t ~name ~help ~kind ~labels make =
-  (* interning is rare (handles are resolved once, at create/attach
-     time) but may happen from a worker domain — e.g. a map created by
-     a sharded attach — so it serializes on the registry lock *)
-  Mutex.lock t.reg_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.reg_lock)
-    (fun () ->
-      let f = family t ~name ~help ~kind in
-      let labels = normalize_labels labels in
-      let key = label_key labels in
-      match Hashtbl.find_opt f.instances key with
-      | Some (_, m) -> m
-      | None ->
-        let m = make () in
-        Hashtbl.replace f.instances key (labels, m);
-        m)
+  let f = family t ~name ~help ~kind in
+  let labels = normalize_labels labels in
+  let key = label_key labels in
+  match Hashtbl.find_opt f.instances key with
+  | Some (_, m) -> m
+  | None ->
+    let m = make () in
+    Hashtbl.replace f.instances key (labels, m);
+    m
 
 let counter t ?(help = "") ~name ~labels () =
   match
@@ -366,12 +326,10 @@ let gauges t =
 let span_begin t ?(tags = []) name : Span.t =
   if not (sample t) then dummy_span
   else begin
-    Mutex.lock t.ring_lock;
     let id = t.next_id in
     t.next_id <- id + 1;
     let parent = match t.open_stack with [] -> 0 | p :: _ -> p in
     t.open_stack <- id :: t.open_stack;
-    Mutex.unlock t.ring_lock;
     {
       id;
       parent;
@@ -401,7 +359,6 @@ let span_end t ?(tags = []) (s : Span.t) =
     s.dur_us <- max 0 (t.clock_us () - s.ts_us);
     s.dur_ns <- max 0 (t.clock_ns () - s.ts_ns);
     if tags <> [] then s.tags <- s.tags @ tags;
-    Mutex.lock t.ring_lock;
     (* pop this span — and any forgotten descendants — off the nesting
        stack; a span closed out of order just unwinds past the others *)
     let rec unwind = function
@@ -409,28 +366,20 @@ let span_end t ?(tags = []) (s : Span.t) =
       | id :: rest -> if id = s.id then rest else unwind rest
     in
     if List.mem s.id t.open_stack then t.open_stack <- unwind t.open_stack;
-    ring_push t s;
-    Mutex.unlock t.ring_lock
+    ring_push t s
   end
 
 let spans t =
-  Mutex.lock t.ring_lock;
-  let out =
-    List.init t.ring_len (fun i ->
-        t.ring.((t.ring_head + i) mod t.capacity))
-  in
-  Mutex.unlock t.ring_lock;
-  out
+  List.init t.ring_len (fun i ->
+      t.ring.((t.ring_head + i) mod t.capacity))
 
 let dropped_spans t = t.dropped
 
 let reset_spans t =
-  Mutex.lock t.ring_lock;
   t.ring_head <- 0;
   t.ring_len <- 0;
   t.dropped <- 0;
-  t.open_stack <- [];
-  Mutex.unlock t.ring_lock
+  t.open_stack <- []
 
 (* --- exporters --- *)
 

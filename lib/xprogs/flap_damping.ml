@@ -179,11 +179,8 @@ let program =
   Xbgp.Xprog.v ~name:"flap_damping"
     ~maps:
       [
-        (* shared across VMM shards: the receive-point bytecode (a
-           control point, shard 0) and the import-point bytecode (routed
-           by prefix) read and write the same damping state *)
         Xbgp.Xprog.map ~name:"damp" ~kind:Ebpf.Map.Lru ~max_entries:256
-          ~key_size:8 ~value_size:8 ~shared:true ();
+          ~key_size:8 ~value_size:8 ();
       ]
     ~allowed_helpers:
       Xbgp.Api.[ h_next; h_get_arg; h_map_lookup; h_map_update ]

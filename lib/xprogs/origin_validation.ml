@@ -178,10 +178,7 @@ let import =
 
 let program =
   Xbgp.Xprog.v ~name:"origin_validation"
-    (* the ROA table is read-only config data filled once at Bgp_init —
-       one instance visible to every shard, so the init attachment stays
-       legal at a control point under a sharded VMM *)
-    ~maps:[ Xbgp.Xprog.map ~name:"roa" ~shared:true ~key_size:8 ~value_size:4 () ]
+    ~maps:[ Xbgp.Xprog.map ~name:"roa" ~key_size:8 ~value_size:4 () ]
     ~allowed_helpers:
       Xbgp.Api.
         [

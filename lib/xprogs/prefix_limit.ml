@@ -63,14 +63,7 @@ let import =
 
 let program =
   Xbgp.Xprog.v ~name:"prefix_limit"
-    (* the per-peer counter is keyed by PEER, not prefix, so it cannot
-       be partitioned by prefix hash: per-shard instances would each
-       count their shard's subsequence and trip the limit late. One
-       shared instance keeps the count global — and, because shared-map
-       writes are not shard-parallel-safe, correctly pins this chain to
-       the serial import lane under a sharded daemon. *)
-    ~maps:
-      [ Xbgp.Xprog.map ~name:"seen" ~shared:true ~key_size:4 ~value_size:4 () ]
+    ~maps:[ Xbgp.Xprog.map ~name:"seen" ~key_size:4 ~value_size:4 () ]
     ~allowed_helpers:
       Xbgp.Api.
         [ h_next; h_get_peer_info; h_get_xtra; h_map_lookup; h_map_update ]

@@ -112,11 +112,8 @@ let program =
   Xbgp.Xprog.v ~name:"rate_limit"
     ~maps:
       [
-        (* shared across VMM shards: the window is indexed by peer, not
-           prefix, so per-shard instances would each see a fraction of
-           the peer's true announcement rate *)
         Xbgp.Xprog.map ~name:"win" ~kind:Ebpf.Map.Per_peer_array
-          ~max_entries:slots ~key_size:4 ~value_size:8 ~shared:true ();
+          ~max_entries:slots ~key_size:4 ~value_size:8 ();
       ]
     ~allowed_helpers:
       Xbgp.Api.

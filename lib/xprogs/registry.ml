@@ -37,17 +37,10 @@ let manifests =
 
 let find_manifest name = List.assoc_opt name manifests
 
-(** Build a VMM for [host] and load [manifest] into it. [shards] must be
-    set here, before the load, because a VMM refuses to re-partition
-    once programs are attached.
+(** Build a VMM for [host] and load [manifest] into it.
     @raise Invalid_argument when the manifest does not apply cleanly. *)
-let vmm_of_manifest ?heap_size ?budget ?engine ?telemetry ?(shards = 1) ~host
-    manifest =
+let vmm_of_manifest ?heap_size ?budget ?engine ?telemetry ~host manifest =
   let vmm = Xbgp.Vmm.create ?heap_size ?budget ?engine ?telemetry ~host () in
-  (if shards > 1 then
-     match Xbgp.Vmm.set_shards vmm shards with
-     | Ok () -> ()
-     | Error e -> invalid_arg ("Registry.vmm_of_manifest: " ^ e));
   (match Xbgp.Manifest.load vmm ~registry:find manifest with
   | Ok () -> ()
   | Error e -> invalid_arg ("Registry.vmm_of_manifest: " ^ e));

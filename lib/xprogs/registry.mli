@@ -16,11 +16,8 @@ val vmm_of_manifest :
   ?budget:int ->
   ?engine:Ebpf.Vm.engine ->
   ?telemetry:Telemetry.t ->
-  ?shards:int ->
   host:string ->
   Xbgp.Manifest.t ->
   Xbgp.Vmm.t
-(** Build a VMM for [host] and load the manifest into it. [shards]
-    (default 1) partitions the VMM {e before} the load — a VMM refuses
-    to re-partition once programs are attached.
+(** Build a VMM for [host] and load the manifest into it.
     @raise Invalid_argument when the manifest does not apply cleanly. *)

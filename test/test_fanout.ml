@@ -445,7 +445,8 @@ let engine_model_prop =
    identical derived adj-RIB-ins and an identical Loc-RIB; cases sweep
    hosts, peer counts, outbound extensions (including the peer-dependent
    one that forces solo groups) and churn, including the mid-run chain
-   detach that triggers a live split/merge regroup. *)
+   detach that triggers a live split/merge regroup and a withdrawal
+   racing another spoke's re-advertisement of the same prefixes. *)
 
 let star_equivalence_prop =
   QCheck.Test.make ~count:30
@@ -456,9 +457,9 @@ let star_equivalence_prop =
 
 (* every churn variant, pinned, on both hosts *)
 let test_equivalence_per_churn () =
-  let seen = Hashtbl.create 8 in
+  let seen = Hashtbl.create 10 in
   let index = ref 0 in
-  while Hashtbl.length seen < 8 && !index < 4000 do
+  while Hashtbl.length seen < 10 && !index < 4000 do
     let c = Fuzz.Fanout.case ~seed:1234 ~index:!index in
     let k = (c.host, Fuzz.Fanout.churn_name c.churn) in
     if not (Hashtbl.mem seen k) then begin
@@ -470,7 +471,27 @@ let test_equivalence_per_churn () =
     end;
     incr index
   done;
-  check_int "all host x churn combinations exercised" 8 (Hashtbl.length seen)
+  check_int "all host x churn combinations exercised" 10 (Hashtbl.length seen)
+
+(* the commit-order trap, pinned on both hosts: a withdrawal and another
+   spoke's re-advertisement of the same 8-prefix block land in one
+   unsettled window *)
+let test_wd_race_pinned () =
+  List.iter
+    (fun host ->
+      let rec find index =
+        if index > 400 then Alcotest.fail "no wd_race case in range"
+        else
+          let c = Fuzz.Fanout.case ~seed:4242 ~index in
+          if c.churn = Fuzz.Fanout.Wd_race && c.host = host then c
+          else find (index + 1)
+      in
+      let c = find 0 in
+      check_bool
+        (Format.asprintf "equivalent: %a" Fuzz.Fanout.pp_case c)
+        true
+        (Fuzz.Fanout.run_case c = []))
+    [ `Frr; `Bird ]
 
 (* grouped mode actually groups: identical spokes share one group, and
    the fan-out saves bytes *)
@@ -521,8 +542,8 @@ let test_map_state_equivalence () =
       incr checked;
       let label = Format.asprintf "%a" Fuzz.Fanout.pp_case c in
       check_bool (label ^ ": equivalent") true (Fuzz.Fanout.run_case c = []);
-      let g = Fuzz.Fanout.run_leg c ~grouped:true ~shards:1 in
-      let b = Fuzz.Fanout.run_leg c ~grouped:false ~shards:1 in
+      let g = Fuzz.Fanout.run_leg c ~grouped:true in
+      let b = Fuzz.Fanout.run_leg c ~grouped:false in
       check_bool (label ^ ": maps non-empty") true (g.Fuzz.Fanout.maps <> "");
       check_bool (label ^ ": map fingerprints byte-identical") true
         (g.Fuzz.Fanout.maps = b.Fuzz.Fanout.maps)
@@ -581,6 +602,7 @@ let () =
         [
           Qc.to_alcotest star_equivalence_prop;
           ("every host x churn variant", `Quick, test_equivalence_per_churn);
+          ("withdrawal racing re-advertisement", `Quick, test_wd_race_pinned);
           ("grouping effectiveness", `Quick, test_grouping_effectiveness);
           ("map state across export modes", `Quick,
             test_map_state_equivalence);

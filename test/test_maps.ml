@@ -164,7 +164,6 @@ let agree_prop ~kind ~key_size ~value_size ~max_entries model_of lookup update
       key_size;
       value_size;
       max_entries;
-      shared = false;
     }
   in
   QCheck2.Test.make ~count:300
@@ -200,7 +199,7 @@ let prop_array_model =
 
 let spec ?(kind = Map.Hash) ?(key_size = 4) ?(value_size = 4)
     ?(max_entries = 4) () =
-  { Map.name = "m"; kind; key_size; value_size; max_entries; shared = false }
+  { Map.name = "m"; kind; key_size; value_size; max_entries }
 
 let test_validation () =
   let bad s = check_bool (Format.asprintf "%a" Map.pp_spec s) true

@@ -75,6 +75,11 @@ let test_manifest_parse_errors () =
   check_bool "bad point" true (bad "attach p b NOT_A_POINT 0");
   check_bool "bad order" true (bad "attach p b BGP_INIT x");
   check_bool "unknown directive" true (bad "frobnicate yes");
+  check_bool "plain map ok" false (bad "map p m hash 4 4 16");
+  check_bool "trailing map mode token" true
+    (match Xbgp.Manifest.parse "map p m hash 4 4 16 shared" with
+    | Error e -> String.ends_with ~suffix:"bad map mode \"shared\"" e
+    | Ok _ -> false);
   check_bool "comments and blanks ok" false
     (bad "# hello\n\nprogram p # trailing\n")
 

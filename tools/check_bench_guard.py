@@ -1,27 +1,13 @@
 #!/usr/bin/env python3
-"""Bench regression guard over a BENCH_pr*.json artifact.
+"""Bench regression guard over the dispatch bench artifact (BENCH_pr9.json).
 
-Two modes, auto-detected from the file name (or forced with --mode):
-
-dispatch (BENCH_pr9.json) — the whole-chain fused engine's acceptance
-figure is the paired ext/native ratio (1.0 = native parity) per host x
-grid; fails when any median ratio exceeds --threshold, i.e. when an
+The whole-chain fused engine's acceptance figure is the paired
+ext/native ratio (1.0 = native parity) per host x grid; the guard fails
+when any median ratio exceeds --threshold, i.e. when an
 extension-attached dispatch chain costs more than THRESHOLD x the
 native re-implementation of the same function.
 
-shard (BENCH_pr10.json) — the multicore import pipeline's acceptance
-figure is the 4-domain speedup over the single-domain baseline per
-host x peer-count leg; fails when any 4-shard leg comes in under
---min-speedup x. Enforced ONLY when the artifact was produced on a
-machine with at least --min-cores cores (the bench records
-Domain.recommended_domain_count as "shard.cores"): on a starved
-runner the domains time-slice one core and a speedup figure is noise,
-so the guard reports and passes. It still fails anywhere if a sharded
-leg never engaged the parallel lane (par_batches = 0) — that is a
-wiring bug, not a scaling result.
-
-Usage: check_bench_guard.py [--mode dispatch|shard] [--threshold 1.3]
-       [--min-speedup 2.0] [--min-cores 4] [BENCH_pr9.json]
+Usage: check_bench_guard.py [--threshold 1.3] [BENCH_pr9.json]
 """
 
 import argparse
@@ -30,9 +16,6 @@ import sys
 
 SUFFIX = ".chain_native_ratio.median"
 EXPECTED = 4  # 2 hosts (frr, bird) x 2 grids (rr, ov)
-
-SHARD_SUFFIX = ".s4.speedup"
-SHARD_EXPECTED = 4  # 2 hosts (frr, bird) x 2 peer counts
 
 
 def check_dispatch(bench, args):
@@ -66,88 +49,15 @@ def check_dispatch(bench, args):
     return 0
 
 
-def check_shard(bench, args):
-    cores = int(bench.get("shard.cores", 0))
-    speedups = {k: v for k, v in bench.items() if k.endswith(SHARD_SUFFIX)}
-    if len(speedups) < SHARD_EXPECTED:
-        print(
-            f"guard: expected >= {SHARD_EXPECTED} 4-shard speedups in "
-            f"{args.path}, found {len(speedups)} — was the shard bench "
-            "run with --json?",
-            file=sys.stderr,
-        )
-        return 1
-
-    # Every sharded leg must have taken the parallel lane — a zero
-    # par_batches count means the fan-out never ran and the "speedup"
-    # measured the serial fallback. This holds regardless of cores.
-    wiring = []
-    for key in sorted(bench):
-        if ".s1." in key or not key.endswith(".par_batches"):
-            continue
-        if bench[key] == 0:
-            wiring.append(key)
-    if wiring:
-        for key in wiring:
-            print(
-                f"guard: {key} = 0 — the sharded leg never engaged the "
-                "parallel import lane",
-                file=sys.stderr,
-            )
-        return 1
-
-    enforce = cores >= args.min_cores
-    bad = []
-    for key in sorted(speedups):
-        speedup = speedups[key]
-        verdict = (
-            "ok"
-            if speedup >= args.min_speedup
-            else ("FAIL" if enforce else "low, not enforced")
-        )
-        print(f"  {key[: -len(SHARD_SUFFIX)]}: s4 {speedup:.2f}x [{verdict}]")
-        if enforce and speedup < args.min_speedup:
-            bad.append((key, speedup))
-
-    if not enforce:
-        print(
-            f"guard: artifact recorded {cores} core(s) < {args.min_cores} — "
-            f"parallel lane wiring verified, {args.min_speedup:.1f}x scaling "
-            "floor not enforced on a starved runner"
-        )
-        return 0
-    if bad:
-        for key, speedup in bad:
-            print(
-                f"guard: {key} = {speedup:.2f}x under the "
-                f"{args.min_speedup:.1f}x 4-domain scaling floor "
-                f"({cores} cores)",
-                file=sys.stderr,
-            )
-        return 1
-    print(
-        f"guard: all 4-domain legs at or above {args.min_speedup:.1f}x "
-        f"({cores} cores)"
-    )
-    return 0
-
-
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("path", nargs="?", default="BENCH_pr9.json")
-    ap.add_argument("--mode", choices=["dispatch", "shard"])
     ap.add_argument("--threshold", type=float, default=1.3)
-    ap.add_argument("--min-speedup", type=float, default=2.0)
-    ap.add_argument("--min-cores", type=int, default=4)
     args = ap.parse_args()
-
-    mode = args.mode or ("shard" if "pr10" in args.path else "dispatch")
 
     with open(args.path) as f:
         bench = json.load(f)
 
-    if mode == "shard":
-        return check_shard(bench, args)
     return check_dispatch(bench, args)
 
 

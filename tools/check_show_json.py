@@ -2,7 +2,7 @@
 """Shape checker for `xbgp-sim show <query> --json` documents.
 
 Reads one JSON document from stdin (or a file argument), infers which
-of the seven query shapes it is from its top-level keys, and validates
+of the six query shapes it is from its top-level keys, and validates
 the document structurally: required keys, value types, and the nested
 event/provenance/map record layouts. No external dependencies — CI
 pipes every `show --json` output through this to keep the machine
@@ -206,59 +206,21 @@ def check_bmp(doc):
     exact_keys(doc, "$", ["daemon", "bmp"])
 
 
-def check_shards(doc):
-    need(doc, "$", "daemon", str)
-    shards = need(doc, "$", "shards", int)
-    if shards < 1:
-        fail("$.shards", f"expected >= 1, got {shards}")
-    need(doc, "$", "barriers", int)
-    need(doc, "$", "par_batches", int)
-    need(doc, "$", "seq_batches", int)
-    slices = need(doc, "$", "slices", list)
-    if len(slices) != shards:
-        fail("$.slices", f"shards={shards} but {len(slices)} slice(s)")
-    for i, s in enumerate(slices):
-        path = f"$.slices[{i}]"
-        if need(s, path, "shard", int) != i:
-            fail(f"{path}.shard", f"expected {i}, got {s['shard']}")
-        need(s, path, "routes", int)
-        need(s, path, "vm_runs", int)
-        # worker-queue counters only exist on a sharded daemon (the
-        # single-domain daemon has no worker pool)
-        if "jobs_submitted" in s:
-            submitted = need(s, path, "jobs_submitted", int)
-            completed = need(s, path, "jobs_completed", int)
-            if completed > submitted:
-                fail(f"{path}.jobs_completed",
-                     f"{completed} completed > {submitted} submitted")
-            need(s, path, "queue_depth", int)
-            need(s, path, "queue_hwm", int)
-            exact_keys(s, path, ["shard", "routes", "vm_runs",
-                                 "jobs_submitted", "jobs_completed",
-                                 "queue_depth", "queue_hwm"])
-        else:
-            exact_keys(s, path, ["shard", "routes", "vm_runs"])
-    exact_keys(doc, "$", ["daemon", "shards", "barriers", "par_batches",
-                          "seq_batches", "slices"])
-
-
 CHECKERS = {
     "rib": check_rib,
     "provenance": check_provenance,
     "update-groups": check_update_groups,
     "maps": check_maps,
-    "shards": check_shards,
     "recorder": check_recorder,
     "bmp": check_bmp,
 }
 
-# distinguishing top-level key -> shape (all seven carry "daemon")
+# distinguishing top-level key -> shape (all six carry "daemon")
 SHAPE_OF_KEY = {
     "routes": "rib",
     "provenance": "provenance",
     "groups": "update-groups",
     "programs": "maps",
-    "slices": "shards",
     "recorder": "recorder",
     "bmp": "bmp",
 }
