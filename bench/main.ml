@@ -5,7 +5,7 @@
      dune exec bench/main.exe fig4       -- extension vs native performance
      dune exec bench/main.exe fig5       -- valley-free fabric audit
      dune exec bench/main.exe micro      -- Bechamel micro-benchmarks
-     dune exec bench/main.exe ablation   -- three-engine pipeline comparison
+     dune exec bench/main.exe ablation   -- engine pipeline comparison
      dune exec bench/main.exe telemetry  -- telemetry on/off overhead
      dune exec bench/main.exe -- --json  -- micro + ablation + telemetry,
                                             and write the measurements to
@@ -221,7 +221,7 @@ let micro () =
   let open Toolkit in
   (* one pre-created VM per engine, budget refilled per iteration — the
      VMM's steady state (it keeps one VM per insertion point), and the
-     only baseline under which the three engines are comparable *)
+     only baseline under which the engines are comparable *)
   let engine_bench name engine ~helpers program =
     let vm = Ebpf.Vm.create ~engine ~helpers program in
     Test.make ~name
@@ -257,19 +257,12 @@ let micro () =
   in
   let seven = [ (1, fun _ _ -> 7L) ] in
   let vm_loop = engine_bench "ebpf-interp-3k-insns" Ebpf.Vm.Interpreted ~helpers:[] loop_program in
-  let vm_loop_compiled =
-    engine_bench "ebpf-compiled-3k-insns" Ebpf.Vm.Compiled ~helpers:[] loop_program
-  in
   let vm_loop_block =
     engine_bench "ebpf-block-3k-insns" Ebpf.Vm.Block ~helpers:[] loop_program
   in
   let helper_call =
     engine_bench "ebpf-200-helper-calls" Ebpf.Vm.Interpreted ~helpers:seven
       call_program
-  in
-  let helper_call_compiled =
-    engine_bench "ebpf-200-helper-calls-compiled" Ebpf.Vm.Compiled
-      ~helpers:seven call_program
   in
   let helper_call_block =
     engine_bench "ebpf-200-helper-calls-block" Ebpf.Vm.Block ~helpers:seven
@@ -330,9 +323,8 @@ let micro () =
   in
   let tests =
     [
-      vm_loop; vm_loop_compiled; vm_loop_block; helper_call;
-      helper_call_compiled; helper_call_block; trie_bench; hash_bench;
-      frr_tlv; bird_tlv;
+      vm_loop; vm_loop_block; helper_call; helper_call_block; trie_bench;
+      hash_bench; frr_tlv; bird_tlv;
     ]
   in
   Printf.printf "=== Micro-benchmarks (Bechamel) ===\n%!";
@@ -530,7 +522,7 @@ let telemetry_bench () =
   record "telemetry.enabled_overhead_pct" over
 
 (* ------------------------------------------------------------------ *)
-(* Ablation: interpreted vs closure-compiled eBPF engine               *)
+(* Ablation: interpreted vs block-compiled eBPF engine                 *)
 (* ------------------------------------------------------------------ *)
 
 (* §4 of the paper calls for comparing virtual machines by performance;
@@ -587,7 +579,7 @@ let ablation () =
   List.iter
     (fun (label, rts, native_mode, ext_mode) ->
       Printf.printf "--- %s ---\n%!" label;
-      (* the four configurations run back-to-back inside each iteration,
+      (* the configurations run back-to-back inside each iteration,
          so machine drift is common-mode; the overhead statistic is the
          median of per-iteration ratios against that iteration's native
          run, which cancels the drift a ratio of medians would keep *)
@@ -736,8 +728,8 @@ let dispatch_micro () =
   List.iter
     (fun (hname, get_attr) ->
       (* one VMM per engine: the engine is fixed at VM creation, and the
-         grid below ablates all four (the whole-chain fused engine is
-         the deployment-speed configuration) *)
+         grid below ablates both (the block engine is the
+         deployment-speed configuration) *)
       let vmm_of engine manifest =
         Xprogs.Registry.vmm_of_manifest ~engine
           ~telemetry:(Telemetry.create ~enabled:false ())
@@ -793,8 +785,8 @@ let dispatch_micro () =
           (Array.mapi (fun i (name, _, _) -> (name, times.(i))) legs)
       in
       (* A grid = the pre-PR baseline leg plus the hoisted fast loop on
-         every engine; "fast" is the whole-chain fused engine, the
-         deployment configuration. *)
+         every engine; "fast" is the block engine, the deployment
+         configuration. *)
       let grid group ~updates ~legacy ~fast_of =
         let legs =
           Array.of_list
@@ -805,7 +797,7 @@ let dispatch_micro () =
         in
         let named = paired ~updates legs in
         let t name = List.assoc name named in
-        let base = t "baseline" and fast = t "chain" in
+        let base = t "baseline" and fast = t "block" in
         let ((sp, sp_lo, sp_hi) as speedup) = ratio_stats base fast in
         let key fmt =
           Printf.sprintf ("dispatch.micro.%s.%s." ^^ fmt) hname group
@@ -827,9 +819,6 @@ let dispatch_micro () =
             let en = Ebpf.Vm.engine_name e in
             record (key "engine.%s.updates_per_s" en) (1.0 /. median (t en)))
           Ebpf.Vm.all_engines;
-        (* the tentpole's own ablation: what fusing the chain buys over
-           the per-block engine it is built from *)
-        record_ratio (key "chain_vs_block") (ratio_stats (t "block") (t "chain"));
         sp
       in
       let hoisted vmm body_of =
@@ -1018,9 +1007,9 @@ let dispatch_pipeline () =
         (fun (sname, mk) ->
           let key fmt = Printf.sprintf ("dispatch.%s.%s." ^^ fmt) hname sname in
           (* leg list: the legacy baseline, the cache x telemetry grid
-             with batching on and the fused chain engine (cache_on.
-             tele_off is the fast leg), and — for extension scenarios —
-             the remaining engines as an ablation *)
+             with batching on and the block engine (cache_on.tele_off
+             is the fast leg), and — for extension scenarios — the
+             interpreter as an engine ablation *)
           let legs =
             (("baseline", false, mk ~engine:Ebpf.Vm.Interpreted ~batch:false ~tele:`Off)
             :: List.concat_map
@@ -1030,18 +1019,17 @@ let dispatch_pipeline () =
                      (fun tele ->
                        ( cname ^ "." ^ tele_name tele,
                          cache,
-                         mk ~engine:Ebpf.Vm.Chain ~batch:true ~tele ))
+                         mk ~engine:Ebpf.Vm.Block ~batch:true ~tele ))
                      [ `Off; `Full; `Sampled ])
                  [ false; true ])
             @
             if sname = "native" then []
             else
-              List.map
-                (fun e ->
-                  ( "engine_" ^ Ebpf.Vm.engine_name e,
-                    true,
-                    mk ~engine:e ~batch:true ~tele:`Off ))
-                [ Ebpf.Vm.Interpreted; Ebpf.Vm.Compiled; Ebpf.Vm.Block ]
+              [
+                ( "engine_interpreted",
+                  true,
+                  mk ~engine:Ebpf.Vm.Interpreted ~batch:true ~tele:`Off );
+              ]
           in
           let t = paired_legs legs in
           let ups lname = float_of_int n /. median (t lname) in
@@ -1092,29 +1080,29 @@ let dispatch_pipeline () =
          native trie/hash OV for ov) in the same rounds; the ratio is
          ext_time / native_time per round (1.0 = native parity, the
          regression guard trips above 1.3). Caches on, batching on,
-         telemetry off, chain engine — the deployment configuration. *)
+         telemetry off, block engine — the deployment configuration. *)
       let ratio_pool =
         [
           ( "rr_native",
             true,
             fun () ->
               Scenario.Testbed.mode ~host ~ibgp:true ~native_rr:true () );
-          ( "rr_chain",
+          ( "rr_ext",
             true,
             fun () ->
               Scenario.Testbed.mode ~host ~ibgp:true
                 ~manifest:Xprogs.Route_reflector.manifest
-                ~engine:Ebpf.Vm.Chain () );
+                ~engine:Ebpf.Vm.Block () );
           ( "ov_native",
             true,
             fun () ->
               Scenario.Testbed.mode ~host ~ibgp:false ~native_ov_roas:roas () );
-          ( "ov_chain",
+          ( "ov_ext",
             true,
             fun () ->
               Scenario.Testbed.mode ~host ~ibgp:false
                 ~manifest:Xprogs.Origin_validation.manifest
-                ~engine:Ebpf.Vm.Chain
+                ~engine:Ebpf.Vm.Block
                 ~xtras:[ ("roa_table", Xprogs.Util.encode_roa_table roas) ]
                 () );
         ]
@@ -1123,13 +1111,13 @@ let dispatch_pipeline () =
       List.iter
         (fun grid ->
           let ((m, lo, hi) as r) =
-            ratio_stats (t (grid ^ "_chain")) (t (grid ^ "_native"))
+            ratio_stats (t (grid ^ "_ext")) (t (grid ^ "_native"))
           in
           Printf.printf
-            "%-6s %-8s chain/native ratio: %.3f [%.3f..%.3f]\n%!" hname grid m
+            "%-6s %-8s ext/native ratio: %.3f [%.3f..%.3f]\n%!" hname grid m
             lo hi;
           record_ratio
-            (Printf.sprintf "dispatch.%s.%s.chain_native_ratio" hname grid)
+            (Printf.sprintf "dispatch.%s.%s.ext_native_ratio" hname grid)
             r)
         [ "rr"; "ov" ])
     hosts

@@ -5,9 +5,9 @@
    bytecode through both the FRR-like and BIRD-like hosts, plus VM /
    verifier crash-safety scenarios in which every verifier-accepted
    program must behave identically — result, final registers, helper
-   trace, VMM round trip — on all three eBPF engines (interpreter,
-   closure-threaded, block-compiled). Every failing case is shrunk to a
-   minimized, seed-pinned reproducer file.
+   trace, VMM round trip — on both eBPF engines (interpreter,
+   block-compiled). Every failing case is shrunk to a minimized,
+   seed-pinned reproducer file.
 
    Replay mode (--replay FILE) regenerates a reproducer's case and
    re-runs the oracle on it.
@@ -223,8 +223,8 @@ let cmd =
          bytecode through both the FRR-like and the BIRD-like daemon and \
          asserts that the xBGP-visible state (Loc-RIBs rendered in the \
          neutral attribute form) is identical; runs every \
-         verifier-accepted generated program on all three eBPF engines \
-         (interpreter, closure-threaded, block-compiled) and asserts \
+         verifier-accepted generated program on both eBPF engines \
+         (interpreter, block-compiled) and asserts \
          identical results, register files and helper traces; and checks \
          that the verifier and VM never let an exception escape on \
          arbitrary programs. Every failing case is shrunk and written as \

@@ -22,22 +22,17 @@ type attachment = {
 type t = {
   programs : string list;
   attachments : attachment list;
-  engines : (string * Ebpf.Vm.engine) list;
-      (** per-program execution-engine overrides ([engine] directives) *)
   maps : (string * Ebpf.Map.spec) list;
       (** per-program map declarations ([map] directives); when a
           program has any, they replace the program's built-in specs at
           [load] time *)
 }
 
-let empty = { programs = []; attachments = []; engines = []; maps = [] }
+let empty = { programs = []; attachments = []; maps = [] }
+let v ~programs ~attachments = { programs; attachments; maps = [] }
 
-let v ~programs ~attachments =
-  { programs; attachments; engines = []; maps = [] }
-
-(* the record is public: callers add overrides with [with_engines] or a
-   record update *)
-let with_engines engines t = { t with engines }
+(* the record is public: callers add map declarations with [with_maps]
+   or a record update *)
 let with_maps maps t = { t with maps }
 
 (* --- text form --- *)
@@ -45,11 +40,6 @@ let with_maps maps t = { t with maps }
 let to_string t =
   let b = Buffer.create 256 in
   List.iter (fun p -> Buffer.add_string b ("program " ^ p ^ "\n")) t.programs;
-  List.iter
-    (fun (p, e) ->
-      Buffer.add_string b
-        (Printf.sprintf "engine %s %s\n" p (Ebpf.Vm.engine_name e)))
-    t.engines;
   List.iter
     (fun (p, (m : Ebpf.Map.spec)) ->
       Buffer.add_string b
@@ -85,11 +75,6 @@ let parse (s : string) : (t, string) result =
       | [] -> go (lineno + 1) acc rest
       | [ "program"; name ] ->
         go (lineno + 1) { acc with programs = name :: acc.programs } rest
-      | [ "engine"; program; engine_s ] -> (
-        match Ebpf.Vm.engine_of_name engine_s with
-        | Some e ->
-          go (lineno + 1) { acc with engines = (program, e) :: acc.engines } rest
-        | None -> err lineno "unknown engine %S" engine_s)
       | "map" :: program :: name :: kind_s :: key_s :: value_s :: entries_s
         :: mode -> (
         match mode with
@@ -128,13 +113,12 @@ let parse (s : string) : (t, string) result =
       {
         programs = List.rev t.programs;
         attachments = List.rev t.attachments;
-        engines = List.rev t.engines;
         maps = List.rev t.maps;
       }
   | e -> e
 
 (** Apply a manifest to a VMM: register every listed program (resolved
-    through [registry]), applying any [engine] override, and attach its
+    through [registry]), applying its [map] declarations, and attach its
     bytecodes. Stops at the first error, leaving earlier registrations in
     place. *)
 let load vmm ~registry t : (unit, string) result =
@@ -145,11 +129,6 @@ let load vmm ~registry t : (unit, string) result =
       match registry name with
       | None -> Error (Printf.sprintf "unknown program %S" name)
       | Some (prog : Xprog.t) ->
-        let prog =
-          match List.assoc_opt name t.engines with
-          | Some e -> { prog with Xprog.engine = Some e }
-          | None -> prog
-        in
         (* [map] directives for this program replace its built-in
            specs wholesale: the operator declares the sizes they are
            willing to host, exactly like the helper whitelist *)

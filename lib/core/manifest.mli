@@ -10,17 +10,14 @@
     {v
 # GeoLoc on the edge routers
 program geoloc
-engine  geoloc block
 map    geoloc visited hash 8 4 1024
 attach geoloc receive BGP_RECEIVE_MESSAGE 0
 attach geoloc import  BGP_INBOUND_FILTER  10
     v}
 
-    The optional [engine] directive pins a program to one of the eBPF
-    execution engines ([interpreted], [compiled] or [block]); programs
-    without one use the VMM's default. [map] directives declare the
-    name, kind ([hash]/[lru]/[array]) and sizes of the maps the
-    operator is willing to host for a program. *)
+    Every program runs on the VMM's execution engine. [map] directives
+    declare the name, kind ([hash]/[lru]/[array]) and sizes of the maps
+    the operator is willing to host for a program. *)
 
 type attachment = {
   program : string;
@@ -32,8 +29,6 @@ type attachment = {
 type t = {
   programs : string list;
   attachments : attachment list;
-  engines : (string * Ebpf.Vm.engine) list;
-      (** per-program execution-engine overrides ([engine] directives) *)
   maps : (string * Ebpf.Map.spec) list;
       (** per-program map declarations ([map] directives:
           [map <program> <name> <kind> <key> <value> <entries>], kind
@@ -44,11 +39,7 @@ type t = {
 val empty : t
 
 val v : programs:string list -> attachments:attachment list -> t
-(** A manifest with no engine overrides or map declarations; see
-    {!with_engines} and {!with_maps}. *)
-
-val with_engines : (string * Ebpf.Vm.engine) list -> t -> t
-(** Replace the per-program engine overrides. *)
+(** A manifest with no map declarations; see {!with_maps}. *)
 
 val with_maps : (string * Ebpf.Map.spec) list -> t -> t
 (** Replace the per-program map declarations. *)

@@ -104,10 +104,6 @@ type fault = {
   fault_engine : Ebpf.Vm.engine;
   fault_pc : int option;
   fault_insn : string option;
-  fault_chain_slot : int option;
-      (** the faulting slot in the fused chain's address space
-          ({!Ebpf.Chain.layout}); [Some] only for faults caught inside a
-          fused dispatch *)
   fault_msg : string;
   fault_init : bool;
 }
@@ -125,38 +121,16 @@ let render_fault f =
       f.fault_msg
 
 let fault_detail f =
-  let chain =
-    match f.fault_chain_slot with
-    | Some off -> Printf.sprintf "; chain slot %d" off
-    | None -> ""
-  in
   let where =
     match (f.fault_pc, f.fault_insn) with
-    | Some pc, Some insn -> Printf.sprintf " [%s, slot %d: %s%s]"
-        (Ebpf.Vm.engine_name f.fault_engine) pc insn chain
+    | Some pc, Some insn -> Printf.sprintf " [%s, slot %d: %s]"
+        (Ebpf.Vm.engine_name f.fault_engine) pc insn
     | Some pc, None ->
-      Printf.sprintf " [%s, slot %d%s]"
-        (Ebpf.Vm.engine_name f.fault_engine) pc chain
+      Printf.sprintf " [%s, slot %d]"
+        (Ebpf.Vm.engine_name f.fault_engine) pc
     | None, _ -> Printf.sprintf " [%s]" (Ebpf.Vm.engine_name f.fault_engine)
   in
   render_fault f ^ where
-
-(* Per-dispatch context of a fused chain: [run] arms the host's ops,
-   args and native default here (three stores), the fused sites and the
-   fallback read them. One preallocated cell per compiled unit. *)
-type fused_ctx = {
-  mutable c_ops : Host_intf.ops;
-  mutable c_args : Host_intf.Args.t;
-  mutable c_default : unit -> int64;
-}
-
-(* A whole-chain compiled dispatch unit — the [Chain] engine's upper
-   half (its lower half, inside [Ebpf.Vm], executes as [Block]). *)
-type fused = {
-  f_enter : unit -> int64;
-  f_ctx : fused_ctx;
-  f_layout : Ebpf.Chain.layout;
-}
 
 (* Last-dispatch trace: which bytecodes of the chain ran and what each
    returned, captured by [run] into preallocated arrays so the hot path
@@ -184,13 +158,6 @@ type t = {
   engine : Ebpf.Vm.engine;
   stats : stats;
   trace : trace;
-  fused : fused option array;
-      (** indexed by [Api.point_index]: the point's whole-chain compiled
-          dispatch unit, valid while [fused_gen] matches [generation].
-          [None] under a current generation means the chain is not
-          fusable (empty, or not all-[Chain]) and [run] keeps the generic
-          loop *)
-  fused_gen : int array;
   tele : Telemetry.t;
   fallbacks : Telemetry.Counter.t array;  (** indexed by [Api.point_index] *)
   mutable last_fault_record : fault option;
@@ -237,8 +204,6 @@ let create ?(heap_size = 1 lsl 16) ?(budget = Ebpf.Vm.default_budget)
         trace_out = Array.make 8 0;
         trace_val = 0L;
       };
-    fused = Array.make Api.num_points None;
-    fused_gen = Array.make Api.num_points (-1);
     tele;
     fallbacks;
     last_fault_record = None;
@@ -387,8 +352,6 @@ let make_runtime t (ext : ext) (code : Ebpf.Insn.t list) : runtime =
     ignore
       (Ebpf.Memory.add_region mem ~name:"scratch" ~base:Api.scratch_base
          ~writable:true ext.scratch);
-  (* the program's manifest-declared engine wins over the VMM default *)
-  let engine = Option.value ext.prog.engine ~default:t.engine in
   (* Map-helper slots bind their live [Ebpf.Map] instances here, once:
      runtimes are only ever built for a program whose maps are already
      up ([attach] and [replace_program] call [ensure_maps_live] first),
@@ -400,7 +363,7 @@ let make_runtime t (ext : ext) (code : Ebpf.Insn.t list) : runtime =
     lazy
       {
         vm =
-          Ebpf.Vm.create ~budget:t.budget ~engine ~mem
+          Ebpf.Vm.create ~budget:t.budget ~engine:t.engine ~mem
             ~helpers:(List.map (instrument_helper t) helpers)
             code;
         heap;
@@ -637,8 +600,8 @@ let exec_one t att ~(ops : Host_intf.ops) ~(args : Host_intf.Args.t) :
 
 (* Capture the structured fault record and bump the labeled fault
    counter. The disassembly is best effort: exact for the interpreter,
-   the faulting block's leader for [Block], absent for [Compiled]. *)
-let record_fault ?chain_slot t att point ~init msg =
+   the faulting block's leader for [Block]. *)
+let record_fault t att point ~init msg =
   let vm = att.rt.vm in
   let pc = Ebpf.Vm.fault_pc vm in
   let insn =
@@ -654,7 +617,6 @@ let record_fault ?chain_slot t att point ~init msg =
       fault_engine = Ebpf.Vm.engine vm;
       fault_pc = pc;
       fault_insn = insn;
-      fault_chain_slot = chain_slot;
       fault_msg = msg;
       fault_init = init;
     }
@@ -677,14 +639,13 @@ let record_fault ?chain_slot t att point ~init msg =
   f
 
 let make_probe t (ext : ext) ~bytecode ~point =
-  let engine = Option.value ext.prog.engine ~default:t.engine in
   let labels =
     [
       ("host", t.host);
       ("point", Api.point_name point);
       ("program", ext.prog.name);
       ("bytecode", bytecode);
-      ("engine", Ebpf.Vm.engine_name engine);
+      ("engine", Ebpf.Vm.engine_name t.engine);
     ]
   in
   {
@@ -706,182 +667,6 @@ let make_probe t (ext : ext) ~bytecode ~point =
         ~help:"ephemeral-heap bytes used by the last run (max = high water)"
         ~name:"xbgp_heap_bytes" ~labels ();
   }
-
-(* --- whole-chain compilation: the [Chain] engine's upper half ---
-
-   [Block] removed per-instruction dispatch *inside* one bytecode; the
-   E8/E9 ablation showed the residual native-vs-extension gap lives in
-   the crossing *around* it — [exec_one]'s engine dispatch, outcome
-   boxing, and the loop that walks the attachment chain. When every
-   attachment at a point resolves to the [Chain] engine, the VMM
-   compiles the point's whole chain into one closure ([Ebpf.Chain.fuse])
-   on the first dispatch after the chains change:
-
-   - each site specializes its prologue/epilogue — budget refill, heap
-     reset, probe handles, trace stores — around [Vm.prepared_entry],
-     which resolves the VM's engine dispatch and entry checks once;
-   - the attach-time dispatch summary prunes argument plumbing for
-     bytecodes that provably never read an argument ([get_attr] TLVs
-     already cross at most once per dispatch: conversion caching keys on
-     the route, so a chain of N programs re-reading the same attribute
-     marshals it once, not N times);
-   - map-helper slots were bound to their live [Ebpf.Map] instances when
-     the runtime was built (see [make_runtime]);
-   - a value exits the closure directly, a deferral falls through to the
-     next site's closure with no loop re-entry, a fault routes to the
-     shared fallback.
-
-   Per-site budget refill is kept deliberately: hoisting a single budget
-   across the chain would change which programs exhaust it — the fused
-   unit must stay bit-exact with the generic loop (the N-way fuzz oracle
-   checks value, registers, helper trace, map fingerprints and
-   provenance across engines on every campaign).
-
-   Anything unfusable — an empty chain, a mixed-engine chain — keeps the
-   generic loop below, which is exact for [Chain] attachments too: a
-   [Chain] VM executes as [Block] inside [Ebpf.Vm]. Invalidation rides
-   the existing [generation] machinery (attach / detach /
-   [replace_program] each bump it), so a rekey recompiles the fused
-   closure on the very next dispatch with no dropped dispatches in
-   between. *)
-
-let unarmed_default () =
-  invalid_arg "xbgp: fused dispatch entered with no armed context"
-
-let fusable chain =
-  Array.length chain > 0
-  && Array.for_all
-       (fun att -> Ebpf.Vm.engine att.rt.vm = Ebpf.Vm.Chain)
-       chain
-
-let compile_fused t idx point chain =
-  let st = t.stats in
-  let tr = t.trace in
-  let n = Array.length chain in
-  if Array.length tr.trace_out < n then tr.trace_out <- Array.make n 0;
-  let ctx =
-    {
-      c_ops = Host_intf.null_ops;
-      c_args = Host_intf.Args.empty;
-      c_default = unarmed_default;
-    }
-  in
-  let layout =
-    Ebpf.Chain.layout
-      (Array.map (fun att -> Ebpf.Vm.program_slots att.rt.vm) chain)
-  in
-  let fallback () =
-    st.native_fallbacks <- st.native_fallbacks + 1;
-    Telemetry.Counter.inc t.fallbacks.(idx);
-    emit_event t Obs.Recorder.Native_fallback
-      [ ("host", t.host); ("point", Api.point_name point) ];
-    ctx.c_default ()
-  in
-  (* One site = [exec_one]'s exact observable sequence, specialized.
-     [Telemetry.enabled] is re-read per run (the registry is mutable);
-     only what cannot change under this generation is resolved here. *)
-  let site i att =
-    let rt = att.rt in
-    let probe = att.probe in
-    let entry = Ebpf.Vm.prepared_entry rt.vm in
-    let wants_args = att.summary.Xprog.arg_reads <> Some [] in
-    let budget = t.budget in
-    let run () =
-      rt.ops <- ctx.c_ops;
-      if wants_args then rt.args <- ctx.c_args;
-      rt.heap_pos <- 0;
-      Ebpf.Vm.set_budget rt.vm budget;
-      st.runs <- st.runs + 1;
-      Telemetry.Counter.inc probe.p_runs;
-      let enabled = Telemetry.enabled t.tele in
-      let span =
-        Telemetry.span_begin t.tele ~tags:probe.span_tags "xbgp.run"
-      in
-      let sampled = span.Telemetry.Span.id <> 0 in
-      let before = Ebpf.Vm.executed rt.vm in
-      let t0_ns = if sampled then Telemetry.now_ns t.tele else 0 in
-      let finish outcome =
-        let insns = Ebpf.Vm.executed rt.vm - before in
-        st.insns <- st.insns + insns;
-        if enabled then begin
-          Telemetry.Histogram.observe probe.p_insns insns;
-          Telemetry.Gauge.set probe.p_heap rt.heap_pos
-        end;
-        if sampled then begin
-          Telemetry.Histogram.observe probe.p_ns
-            (Telemetry.now_ns t.tele - t0_ns);
-          Telemetry.span_end t.tele span
-            ~tags:
-              [
-                ("outcome", outcome);
-                ("insns", string_of_int insns);
-                ("budget_left", string_of_int (Ebpf.Vm.budget rt.vm));
-                ("heap", string_of_int rt.heap_pos);
-              ]
-        end;
-        rt.ops <- Host_intf.null_ops;
-        rt.args <- Host_intf.Args.empty
-      in
-      match entry () with
-      | v ->
-        finish "value";
-        v
-      | exception Next ->
-        st.next_calls <- st.next_calls + 1;
-        Telemetry.Counter.inc probe.p_next;
-        finish "next";
-        raise Next
-      | exception ((Ebpf.Vm.Error _ | Ebpf.Memory.Fault _) as e) ->
-        finish "fault";
-        raise e
-    in
-    let on_value v =
-      tr.trace_out.(i) <- 0;
-      tr.trace_val <- v;
-      tr.trace_len <- i + 1
-    in
-    let on_defer () =
-      tr.trace_out.(i) <- 1;
-      tr.trace_len <- i + 1
-    in
-    let on_fault msg =
-      st.faults <- st.faults + 1;
-      let chain_slot =
-        Option.map
-          (fun pc -> Ebpf.Chain.offset layout ~site:i ~pc)
-          (Ebpf.Vm.fault_pc rt.vm)
-      in
-      let err =
-        render_fault
-          (record_fault ?chain_slot t att point ~init:false msg)
-      in
-      Log.warn (fun m -> m "%s" err);
-      ctx.c_ops.log err;
-      tr.trace_out.(i) <- 2;
-      tr.trace_len <- i + 1
-    in
-    { Ebpf.Chain.run; on_value; on_defer; on_fault }
-  in
-  let sites = Array.mapi site chain in
-  let f_enter =
-    Ebpf.Chain.fuse
-      ~is_defer:(function Next -> true | _ -> false)
-      ~sites ~fallback
-  in
-  { f_enter; f_ctx = ctx; f_layout = layout }
-
-(* The point's fused unit under the current generation: cached, [None]
-   if the chain is unfusable, recompiled at most once per generation. *)
-let fused_for t idx point chain =
-  if t.fused_gen.(idx) = t.generation then t.fused.(idx)
-  else begin
-    let f =
-      if fusable chain then Some (compile_fused t idx point chain) else None
-    in
-    t.fused.(idx) <- f;
-    t.fused_gen.(idx) <- t.generation;
-    f
-  end
 
 (** Attach one bytecode of a registered program to an insertion point;
     [order] positions it in the point's execution queue (§2.1: "the
@@ -951,13 +736,13 @@ let point_of_index =
     Attachments and their orders survive: every point where the program
     is attached gets fresh runtimes built from the new bytecodes, and
     the generation bump invalidates everything cached off the chains
-    (update-group keys, fused chain closures), so the very next dispatch
-    runs the new code — there is no detached window in which dispatches
-    would fall back to native. The new version must pass the same
-    verification as [register] and must still carry every bytecode name
-    currently attached. Persistent scratch survives when its size is
-    unchanged; map instances (and their contents) survive when the map
-    specs are unchanged, otherwise they are torn down and recreated. *)
+    (update-group keys), so the very next dispatch runs the new code —
+    there is no detached window in which dispatches would fall back to
+    native. The new version must pass the same verification as
+    [register] and must still carry every bytecode name currently
+    attached. Persistent scratch survives when its size is unchanged;
+    map instances (and their contents) survive when the map specs are
+    unchanged, otherwise they are torn down and recreated. *)
 let replace_program t (prog : Xprog.t) : (unit, string) result =
   match Hashtbl.find_opt t.extensions prog.name with
   | None -> Error (Printf.sprintf "program %S not registered" prog.name)
@@ -1063,35 +848,6 @@ let has_attachment t point =
 let has_any_attachment t =
   Array.exists (fun chain -> Array.length chain > 0) t.chains
 
-(* Whether the point currently dispatches through a compiled fused unit
-   — introspection for the rekey test and the live-status CLI. Compiling
-   is lazy (first dispatch after a generation bump), so this reports the
-   state as of the last dispatch, without forcing a compile. *)
-let chain_compiled t point =
-  let idx = Api.point_index point in
-  t.fused_gen.(idx) = t.generation && Option.is_some t.fused.(idx)
-
-(* Chain offset -> (program, bytecode, local pc) for the chain attached
-   at [point] — fault reporters and divergence reports use it to
-   disassemble a fused-chain slot. Cold path; reuses the compiled unit's
-   layout when one is live, recomputes otherwise, so it works whether or
-   not the point is fused. *)
-let locate_chain_slot t point off =
-  let idx = Api.point_index point in
-  let chain = t.chains.(idx) in
-  let layout =
-    match t.fused.(idx) with
-    | Some f when t.fused_gen.(idx) = t.generation -> f.f_layout
-    | _ ->
-      Ebpf.Chain.layout
-        (Array.map (fun att -> Ebpf.Vm.program_slots att.rt.vm) chain)
-  in
-  Option.map
-    (fun (site, pc) ->
-      let att = chain.(site) in
-      (att.ext.prog.Xprog.name, att.bc_name, pc))
-    (Ebpf.Chain.locate layout off)
-
 (* True when every bytecode attached at [point] provably computes the
    same result for every element of a batch whose members differ only in
    [variant_args]: no effectful helpers or persistent scratch, every
@@ -1177,30 +933,7 @@ let run t point ~(ops : Host_intf.ops)
   if n = 0 then default ()
     (* the common case — no extension attached — costs one array load
        and a length test, with nothing allocated *)
-  else
-    match fused_for t idx point chain with
-    | Some f ->
-      (* whole-chain fused dispatch: arm the trace and the per-dispatch
-         context, then one call runs the entire chain. The context is
-         disarmed on the way out; an exception escaping the fused unit
-         (a host callback raising) leaves it armed until the next
-         dispatch overwrites it, exactly as harmless as the stale
-         last-dispatch trace. *)
-      let tr = t.trace in
-      tr.trace_point <- idx;
-      tr.trace_gen <- t.generation;
-      tr.trace_len <- 0;
-      let ctx = f.f_ctx in
-      ctx.c_ops <- ops;
-      ctx.c_args <- args;
-      ctx.c_default <- default;
-      let r = f.f_enter () in
-      ctx.c_ops <- Host_intf.null_ops;
-      ctx.c_args <- Host_intf.Args.empty;
-      ctx.c_default <- unarmed_default;
-      r
-    | None ->
-  begin
+  else begin
     let st = t.stats in
     let tr = t.trace in
     (* arm the last-dispatch trace (two stores per bytecode, no
@@ -1317,9 +1050,7 @@ let last_trace t point : Obs.Provenance.step list option =
         {
           Obs.Provenance.program = att.ext.prog.name;
           bytecode = att.bc_name;
-          engine =
-            Ebpf.Vm.engine_name
-              (Option.value att.ext.prog.engine ~default:t.engine);
+          engine = Ebpf.Vm.engine_name t.engine;
           outcome;
           attrs_mutated;
           maps_written;

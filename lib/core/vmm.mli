@@ -34,8 +34,8 @@ type stats = {
 (** The structured record of a bytecode fault: where it happened
     (insertion point, program, bytecode, engine), best-effort location in
     the program ([fault_pc] and disassembly — exact for the interpreter,
-    the faulting block's leader for [Block], absent for [Compiled]), and
-    the raw error message. *)
+    the faulting block's leader for [Block]), and the raw error
+    message. *)
 type fault = {
   fault_host : string;
   fault_point : Api.point;
@@ -44,11 +44,6 @@ type fault = {
   fault_engine : Ebpf.Vm.engine;
   fault_pc : int option;
   fault_insn : string option;  (** disassembly of the faulting insn *)
-  fault_chain_slot : int option;
-      (** the faulting slot in the fused chain's address space
-          ({!Ebpf.Chain.layout}) — [Some] only for faults caught inside
-          a whole-chain fused dispatch; {!locate_chain_slot} inverts
-          it *)
   fault_msg : string;
   fault_init : bool;  (** faulted during {!run_init} *)
 }
@@ -64,10 +59,10 @@ val create :
 (** [host] names the embedding implementation (for log messages);
     [heap_size] is the per-attachment ephemeral heap (default 64 KiB);
     [budget] the per-run instruction limit; [engine] selects the eBPF
-    execution engine for every attached bytecode whose program does not
-    carry its own [Xprog.engine] override; [telemetry] is the shared
-    registry every run records into (default: a fresh disabled registry,
-    so counters still count but nothing else is retained). *)
+    execution engine for every attached bytecode (default
+    [Interpreted]); [telemetry] is the shared registry every run records
+    into (default: a fresh disabled registry, so counters still count
+    but nothing else is retained). *)
 
 val stats : t -> stats
 (** The live record: hold it, read updated fields. *)
@@ -120,8 +115,8 @@ val replace_program : t -> Xprog.t -> (unit, string) result
     Attachments and their orders survive: every point where the program
     is attached gets fresh runtimes built from the new bytecodes, and
     the generation bump invalidates everything cached off the chains
-    (update-group keys, fused whole-chain closures), so the very next
-    dispatch runs the new code with no detached window. The new version
+    (update-group keys), so the very next dispatch runs the new code
+    with no detached window. The new version
     must pass {!register}'s verification and still carry every bytecode
     name currently attached. Persistent scratch survives when its size
     is unchanged; map instances (and contents) survive when the map
@@ -136,19 +131,6 @@ val has_any_attachment : t -> bool
 (** True when any point has at least one attachment — the hosts gate
     their conversion caches on this so the pure-native baseline pays
     for no memoization it can never use. *)
-
-val chain_compiled : t -> Api.point -> bool
-(** Whether [point] currently dispatches through a whole-chain fused
-    closure (every attachment resolved to the [Chain] engine and the
-    unit has been compiled by a dispatch under the current generation).
-    Compilation is lazy, so right after an attach/detach/rekey this is
-    [false] until the next dispatch. *)
-
-val locate_chain_slot :
-  t -> Api.point -> int -> (string * string * int) option
-(** Invert a fused-chain slot ({!fault}'s [fault_chain_slot]) to
-    [(program, bytecode, local pc)] for the chain currently attached at
-    [point]. *)
 
 val registered : t -> string list
 
@@ -185,8 +167,7 @@ val chain_signature : t -> Api.point -> string
 val generation : t -> int
 (** Monotonic counter bumped by every {!attach}, {!detach} and
     {!replace_program} — lets a host revalidate chain-derived cached
-    decisions (update-group keys) with one integer compare; the fused
-    whole-chain closures invalidate on the same edge. *)
+    decisions (update-group keys) with one integer compare. *)
 
 val set_recorder : t -> Obs.Recorder.t option -> unit
 (** Attach a flight recorder: bytecode faults, native fallbacks, LRU
@@ -220,11 +201,7 @@ val run :
     [Host_intf.Args.of_list]; [default] is the host's native
     implementation, used when nothing is attached, when the last
     bytecode calls [next()], or when a bytecode faults. A point with no
-    attachments costs one array load before [default] runs. A point
-    whose attachments all resolve to the [Chain] engine dispatches
-    through one whole-chain fused closure, compiled lazily on the first
-    dispatch after the chains change; every other shape takes the
-    generic loop, with identical observable behavior. *)
+    attachments costs one array load before [default] runs. *)
 
 val run_init : t -> ops:Host_intf.ops -> unit
 (** Run every bytecode attached to [Bgp_init] once (manifest load time);

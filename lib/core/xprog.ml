@@ -29,13 +29,9 @@ type t = {
   allowed_helpers : int list option;
       (** helper whitelist ([None] = unrestricted); enforced by the
           verifier at registration time *)
-  engine : Ebpf.Vm.engine option;
-      (** per-program execution-engine override; [None] uses the VMM's
-          default. Set from the manifest's [engine] directive. *)
 }
 
-let v ?(maps = []) ?(scratch_size = 0) ?allowed_helpers ?engine ~name bytecodes
-    =
+let v ?(maps = []) ?(scratch_size = 0) ?allowed_helpers ~name bytecodes =
   if bytecodes = [] then invalid_arg "Xprog.v: no bytecodes";
   let maps =
     List.mapi
@@ -50,7 +46,7 @@ let v ?(maps = []) ?(scratch_size = 0) ?allowed_helpers ?engine ~name bytecodes
       maps
   in
   if scratch_size < 0 then invalid_arg "Xprog.v: negative scratch size";
-  { name; bytecodes; maps; scratch_size; allowed_helpers; engine }
+  { name; bytecodes; maps; scratch_size; allowed_helpers }
 
 let bytecode t name = List.assoc_opt name t.bytecodes
 

@@ -37,16 +37,12 @@ type t = {
   allowed_helpers : int list option;
       (** helper whitelist ([None] = unrestricted), enforced by the
           verifier at registration *)
-  engine : Ebpf.Vm.engine option;
-      (** per-program execution-engine override ([None] = the VMM's
-          default); set from the manifest's [engine] directive *)
 }
 
 val v :
   ?maps:map_spec list ->
   ?scratch_size:int ->
   ?allowed_helpers:int list ->
-  ?engine:Ebpf.Vm.engine ->
   name:string ->
   (string * Ebpf.Insn.t list) list ->
   t

@@ -11,15 +11,9 @@
    [Error]; the caller (the xBGP virtual machine manager) catches it and
    falls back to the host's native code, as §2.1 of the paper specifies.
 
-   Four engines share these semantics bit for bit:
-   - [Interpreted]: a classic decode-and-dispatch loop over the slots;
-   - [Compiled]: closure threading — at VM creation every instruction is
-     translated once into an OCaml closure that performs the operation
-     and tail-calls its successor, removing the per-instruction decode
-     and dispatch. This is the repository's stand-in for ubpf's JIT and
-     feeds the §4 discussion ("eBPF should be compared with other Virtual
-     Machines by considering performance"); the ablation bench measures
-     the gap;
+   Two engines share these semantics bit for bit:
+   - [Interpreted]: a classic decode-and-dispatch loop over the slots,
+     the reference oracle the other engine is checked against;
    - [Block]: a basic-block pre-compiler (see [Block] the module). The
      program is partitioned once into basic blocks with fused
      instruction pairs; each block is one closure that charges its whole
@@ -30,45 +24,23 @@
      reuse a preallocated argument buffer. When the remaining budget
      cannot cover a whole block the engine re-enters the interpreter at
      the block's leader, so budget-exhaustion faults (including partial
-     helper side effects) are bit-identical to the interpreter's;
-   - [Chain]: block compilation plus whole-chain fusion one layer up.
-     Inside this module [Chain] executes exactly as [Block] (same block
-     closures, same metering, same faults); the variant exists so the
-     xBGP VMM can tell, per attachment, that the *dispatch* around the
-     VM should also be specialized — the [Chain] module fuses an
-     attachment point's whole bytecode chain (prologue, argument
-     plumbing, outcome routing, fallback) into one closure entered via
-     {!prepared_entry}, removing the per-program entry/exit from every
-     dispatch.
+     helper side effects) are bit-identical to the interpreter's.
 
    Engine equivalence on success is exact: same r0, same final register
    file, same helper-call sequence, same retired-instruction count. On a
    fault the engines agree on the fault itself but may differ in the
-   retired-instruction counter ([Compiled] does not tick on pad-slot
-   jumps; [Block] charges a faulting block up front) — the fuzz oracle
-   therefore compares outcomes, registers and host-visible state, not
-   the meters, on faulting runs. *)
+   retired-instruction counter ([Block] charges a faulting block up
+   front) — the fuzz oracle therefore compares outcomes, registers and
+   host-visible state, not the meters, on faulting runs. *)
 
 exception Error of string
 
 let error fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
-type engine = Interpreted | Compiled | Block | Chain
+type engine = Interpreted | Block
 
-let engine_name = function
-  | Interpreted -> "interpreted"
-  | Compiled -> "compiled"
-  | Block -> "block"
-  | Chain -> "chain"
-
-let engine_of_name = function
-  | "interpreted" -> Some Interpreted
-  | "compiled" -> Some Compiled
-  | "block" -> Some Block
-  | "chain" -> Some Chain
-  | _ -> None
-
-let all_engines = [ Interpreted; Compiled; Block; Chain ]
+let engine_name = function Interpreted -> "interpreted" | Block -> "block"
+let all_engines = [ Interpreted; Block ]
 
 type slot = I of Insn.t | Pad
 
@@ -84,18 +56,14 @@ type t = {
   mutable helper_calls : int;
   mutable last_pc : int;
       (** slot of the most recent instruction entered, for fault
-          attribution; -1 when untracked (the [Compiled] engine) or before
-          any run. [Interpreted] tracks exactly; [Block] records the block
-          leader on entry (exact again once it falls back to the
-          interpreter on budget exhaustion). *)
-  mutable compiled : (unit -> int64) array;
-      (** per-slot entry points; empty unless the engine is [Compiled] *)
+          attribution; -1 before any run. [Interpreted] tracks exactly;
+          [Block] records the block leader on entry (exact again once it
+          falls back to the interpreter on budget exhaustion). *)
   mutable blocks : (unit -> int64) array;
       (** per-basic-block entry points; empty unless the engine is
-          [Block] or [Chain] *)
+          [Block] *)
   mutable block_index : int array;
-      (** slot -> block id (-1 when not a leader); empty unless [Block]
-          or [Chain] *)
+      (** slot -> block id (-1 when not a leader); empty unless [Block] *)
 }
 
 and helper = t -> int64 array -> int64
@@ -120,7 +88,6 @@ let reg t r = t.regs.(Insn.reg_index r)
 let set_reg t r v = t.regs.(Insn.reg_index r) <- v
 let executed t = t.executed
 let helper_calls t = t.helper_calls
-let program_slots t = Array.length t.program
 let set_budget t b = t.budget <- b
 let budget t = t.budget
 let fault_pc t = if t.last_pc < 0 then None else Some t.last_pc
@@ -220,152 +187,6 @@ let do_call t id =
       [| t.regs.(1); t.regs.(2); t.regs.(3); t.regs.(4); t.regs.(5) |]
     in
     t.regs.(0) <- f t args
-
-(* --- closure-threaded compilation --- *)
-
-(* Translate every slot into a closure that performs the operation and
-   tail-calls its successor through the closure table. Semantics are
-   identical to the interpreter: same metering, same faults. *)
-let compile t : (unit -> int64) array =
-  let n = Array.length t.program in
-  let fns = Array.make n (fun () -> error "unreachable") in
-  let tick () =
-    if t.budget <= 0 then error "instruction budget exhausted";
-    t.budget <- t.budget - 1;
-    t.executed <- t.executed + 1
-  in
-  let goto pc =
-    if pc < 0 || pc >= n then fun () ->
-      error "pc %d out of program (0..%d)" pc (n - 1)
-    else fun () -> fns.(pc) ()
-  in
-  let source = function
-    | Insn.Imm i ->
-      let v = Int64.of_int32 i in
-      fun () -> v
-    | Insn.Reg r ->
-      let s = Insn.reg_index r in
-      fun () -> t.regs.(s)
-  in
-  Array.iteri
-    (fun i slot ->
-      match slot with
-      | Pad ->
-        fns.(i) <-
-          (fun () -> error "jump into the middle of lddw at slot %d" i)
-      | I insn -> (
-        let dst_checked r =
-          let d = Insn.reg_index r in
-          if d = 10 then None else Some d
-        in
-        let bad_r10 () =
-          fns.(i) <- (fun () -> error "write to frame pointer r10")
-        in
-        match insn with
-        | Alu (w, op, dst, src) -> (
-          match dst_checked dst with
-          | None -> bad_r10 ()
-          | Some d ->
-            let get = source src in
-            let cont = goto (i + 1) in
-            let f =
-              match w with
-              | Insn.W64bit -> alu64 op
-              | Insn.W32bit -> alu32 op
-            in
-            fns.(i) <-
-              (fun () ->
-                tick ();
-                t.regs.(d) <- f t.regs.(d) (get ());
-                cont ()))
-        | Endian (e, dst, bits) -> (
-          match dst_checked dst with
-          | None -> bad_r10 ()
-          | Some d ->
-            let cont = goto (i + 1) in
-            fns.(i) <-
-              (fun () ->
-                tick ();
-                t.regs.(d) <- endian_apply e bits t.regs.(d);
-                cont ()))
-        | Lddw (dst, v) -> (
-          match dst_checked dst with
-          | None -> bad_r10 ()
-          | Some d ->
-            let cont = goto (i + 2) in
-            fns.(i) <-
-              (fun () ->
-                tick ();
-                t.regs.(d) <- v;
-                cont ()))
-        | Ldx (sz, dst, src, off) -> (
-          match dst_checked dst with
-          | None -> bad_r10 ()
-          | Some d ->
-            let s = Insn.reg_index src in
-            let offl = Int64.of_int off in
-            let cont = goto (i + 1) in
-            fns.(i) <-
-              (fun () ->
-                tick ();
-                (try
-                   t.regs.(d) <-
-                     Memory.load t.mem sz (Int64.add t.regs.(s) offl)
-                 with Memory.Fault m -> error "load: %s" m);
-                cont ()))
-        | St (sz, dst, off, imm) ->
-          let d = Insn.reg_index dst in
-          let offl = Int64.of_int off in
-          let v = Int64.of_int32 imm in
-          let cont = goto (i + 1) in
-          fns.(i) <-
-            (fun () ->
-              tick ();
-              (try Memory.store t.mem sz (Int64.add t.regs.(d) offl) v
-               with Memory.Fault m -> error "store: %s" m);
-              cont ())
-        | Stx (sz, dst, off, src) ->
-          let d = Insn.reg_index dst in
-          let s = Insn.reg_index src in
-          let offl = Int64.of_int off in
-          let cont = goto (i + 1) in
-          fns.(i) <-
-            (fun () ->
-              tick ();
-              (try
-                 Memory.store t.mem sz (Int64.add t.regs.(d) offl) t.regs.(s)
-               with Memory.Fault m -> error "store: %s" m);
-              cont ())
-        | Ja off ->
-          let cont = goto (i + 1 + off) in
-          fns.(i) <-
-            (fun () ->
-              tick ();
-              cont ())
-        | Jcond (w, c, dst, src, off) ->
-          let d = Insn.reg_index dst in
-          let get = source src in
-          let taken = goto (i + 1 + off) in
-          let fallthrough = goto (i + 1) in
-          fns.(i) <-
-            (fun () ->
-              tick ();
-              if cond_holds w c t.regs.(d) (get ()) then taken ()
-              else fallthrough ())
-        | Call id ->
-          let cont = goto (i + 1) in
-          fns.(i) <-
-            (fun () ->
-              tick ();
-              do_call t id;
-              cont ())
-        | Exit ->
-          fns.(i) <-
-            (fun () ->
-              tick ();
-              t.regs.(0))))
-    t.program;
-  fns
 
 (* --- the interpreter proper --- *)
 
@@ -697,15 +518,13 @@ let create ?(budget = default_budget) ?(engine = Interpreted) ?mem ~helpers
       executed = 0;
       helper_calls = 0;
       last_pc = -1;
-      compiled = [||];
       blocks = [||];
       block_index = [||];
     }
   in
   (match engine with
   | Interpreted -> ()
-  | Compiled -> t.compiled <- compile t
-  | Block | Chain ->
+  | Block ->
     let bfns, index = compile_blocks t in
     t.blocks <- bfns;
     t.block_index <- index);
@@ -726,49 +545,10 @@ let run ?(entry = 0) t =
     Int64.add (Memory.region_addr t.stack) (Int64.of_int stack_size);
   match t.engine with
   | Interpreted -> interp_from t entry
-  | Compiled ->
-    if entry < 0 || entry >= n then
-      error "pc %d out of program (0..%d)" entry (n - 1);
-    t.compiled.(entry) ()
-  | Block | Chain ->
+  | Block ->
     if entry < 0 || entry >= n then
       error "pc %d out of program (0..%d)" entry (n - 1);
     let bid = t.block_index.(entry) in
     (* a non-leader entry (possible only through an explicit [~entry])
        runs interpreted; block dispatch needs a leader *)
     if bid >= 0 then t.blocks.(bid) () else interp_from t entry
-
-(** A closure equivalent to [run t] (entry 0), with the engine dispatch,
-    the entry bounds check and the r10 value all resolved now instead of
-    per run. The whole-chain compiler calls each attachment's VM through
-    this — one indirect call per bytecode, no per-run [match]. *)
-let prepared_entry t =
-  let n = Array.length t.program in
-  let r10 = Int64.add (Memory.region_addr t.stack) (Int64.of_int stack_size) in
-  let reset () =
-    t.last_pc <- -1;
-    Array.fill t.regs 0 10 0L;
-    t.regs.(10) <- r10
-  in
-  if n = 0 then fun () ->
-    reset ();
-    error "pc 0 out of program (0..%d)" (n - 1)
-  else
-    match t.engine with
-    | Interpreted ->
-      fun () ->
-        reset ();
-        interp_from t 0
-    | Compiled ->
-      let entry = t.compiled.(0) in
-      fun () ->
-        reset ();
-        entry ()
-    | Block | Chain ->
-      let bid = t.block_index.(0) in
-      if bid >= 0 then fun () ->
-        reset ();
-        t.blocks.(bid) ()
-      else fun () ->
-        reset ();
-        interp_from t 0

@@ -15,30 +15,21 @@
 
 exception Error of string
 
-(** The execution engine: a classic interpreter; closure threading built
-    at VM creation (the repository's stand-in for ubpf's JIT); the
-    basic-block pre-compiler, which decodes the program once into fused
-    basic blocks, charges the instruction budget per block instead of
-    per instruction, accesses statically-bounded r10 stack slots
-    directly, and resolves helper calls at compile time; or the
-    whole-chain engine, which executes exactly as [Block] inside this
-    module but additionally signals the xBGP VMM to fuse the whole
-    attachment chain around the VM into one compiled dispatch unit (see
-    {!Chain}). All four share the same semantics; the ablation bench
-    measures the gaps. *)
-type engine = Interpreted | Compiled | Block | Chain
+(** The execution engine: a classic interpreter, the reference oracle; or
+    the basic-block pre-compiler, which decodes the program once into
+    fused basic blocks, charges the instruction budget per block instead
+    of per instruction, accesses statically-bounded r10 stack slots
+    directly, and resolves helper calls at compile time. Both share the
+    same semantics; the ablation bench measures the gap. *)
+type engine = Interpreted | Block
 
 val engine_name : engine -> string
-(** ["interpreted"], ["compiled"], ["block"] or ["chain"] — the names
-    used by manifests, benches and the fuzz oracle. *)
-
-val engine_of_name : string -> engine option
-(** Inverse of {!engine_name}. *)
+(** ["interpreted"] or ["block"] — the names used by benches, telemetry
+    labels and the fuzz oracle. *)
 
 val all_engines : engine list
-(** Every engine, in [Interpreted; Compiled; Block; Chain] order — the
-    set the differential oracle and the conformance suite quantify
-    over. *)
+(** Every engine, in [Interpreted; Block] order — the set the
+    differential oracle and the conformance suite quantify over. *)
 
 type t
 
@@ -69,12 +60,6 @@ val run : ?entry:int -> t -> int64
     Registers r0..r9 are zeroed on entry and r10 re-pointed at the stack
     top, so a VM can be reused. @raise Error on any fault. *)
 
-val prepared_entry : t -> unit -> int64
-(** A closure equivalent to [run t]: same register reset, same faults,
-    same result — but the engine dispatch and the entry checks are
-    resolved once, when the closure is built. The whole-chain compiler
-    ({!Chain}) enters each attachment's VM through this. *)
-
 val memory : t -> Memory.t
 val reg : t -> Insn.reg -> int64
 val set_reg : t -> Insn.reg -> int64 -> unit
@@ -88,15 +73,10 @@ val budget : t -> int
 
 val fault_pc : t -> int option
 (** Best-effort slot of the instruction being executed when the last run
-    faulted: exact for [Interpreted] (and for [Block]/[Chain] once they
-    have fallen back to the interpreter on budget exhaustion), the
-    faulting block's leader for [Block] and [Chain], [None] for
-    [Compiled] (untracked — pc stores would defeat closure threading)
-    and before any run. Only meaningful right after {!run} raised. *)
-
-val program_slots : t -> int
-(** Slots the program occupies (LDDW counts two) — the VM's share of a
-    fused chain's address space ({!Chain.layout}). *)
+    faulted: exact for [Interpreted] (and for [Block] once it has fallen
+    back to the interpreter on budget exhaustion), the faulting block's
+    leader for [Block], [None] before any run. Only meaningful right
+    after {!run} raised. *)
 
 val insn_at : t -> int -> Insn.t option
 (** The decoded instruction at a slot ([None] out of range or on an LDDW

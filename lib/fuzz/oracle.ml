@@ -10,9 +10,9 @@
      session on each host; the surviving Loc-RIB (normalized to the
      attributes both hosts represent) and the session fate must agree.
    - VM safety: every generated program either fails the verifier with a
-     clean error list, or executes to an identical outcome on every
-     execution engine (interpreter, closure-threaded, block-compiled) —
-     a value or a contained fault, never an escaped exception — with an
+     clean error list, or executes to an identical outcome on both
+     execution engines (interpreter, block-compiled) — a value or a
+     contained fault, never an escaped exception — with an
      identical final register file and an identical host-visible helper
      trace, and survives a full VMM round trip per engine.
 
@@ -405,8 +405,7 @@ let render_map_state ms =
    traced. [Obs.Provenance.step] embeds the engine name (truthful
    display), so the cross-engine oracle renders every field *but* that
    one: program, bytecode, dynamic verdict, attribute mutability and
-   writable maps must all agree between the generic loop and the fused
-   chain. *)
+   writable maps must all agree across engines. *)
 let render_provenance = function
   | None -> "-"
   | Some steps ->
@@ -541,15 +540,15 @@ let check_prog ~perturb pi prog =
     let outs =
       List.map (fun e -> (e, run_engine e prog)) Ebpf.Vm.all_engines
     in
-    (* the perturb knob corrupts the newest engine's view, proving the
-       N-way oracle and the shrink/replay pipeline fire end to end *)
+    (* the perturb knob corrupts the block engine's view, proving the
+       engine oracle and the shrink/replay pipeline fire end to end *)
     let outs =
       if not perturb then outs
       else
         List.map
           (fun (e, o) ->
             match (e, o.result) with
-            | Ebpf.Vm.Chain, Value v ->
+            | Ebpf.Vm.Block, Value v ->
               (e, { o with result = Value (Int64.add v 1L) })
             | _ -> (e, o))
           outs

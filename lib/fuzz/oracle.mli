@@ -1,10 +1,9 @@
 (** The differential oracle: runs one generated case and reports every
-    way the two hosts (or the eBPF execution engines — interpreter,
-    closure-threaded, block-compiled) disagreed about xBGP-visible
-    state, plus every exception that escaped a layer that promises not
-    to raise.
+    way the two hosts (or the two eBPF execution engines — interpreter
+    and block-compiled) disagreed about xBGP-visible state, plus every
+    exception that escaped a layer that promises not to raise.
 
-    For VM scenarios the engine comparison is N-way against the
+    For VM scenarios the block engine is compared against the
     interpreter baseline: return value, final register file and the
     helper-call trace on success; fault-vs-value and the trace on
     faults; plus a full VMM round trip per engine whose result,

@@ -426,7 +426,7 @@ let test_vm_reuse_zeroes_regs () =
   Vm.set_reg vm r1 42L;
   check_i64 "run sees 0 (regs zeroed on entry)" 0L (Vm.run vm)
 
-(* --- compiled engines --- *)
+(* --- engine equivalence --- *)
 
 let outcome engine prog =
   let vm = Vm.create ~budget:10_000 ~engine ~helpers:[ (7, fun _ a -> Int64.add a.(0) 1L) ] prog in
@@ -461,44 +461,15 @@ let prop_verifier_single_gate =
         let base = outcome Vm.Interpreted prog in
         List.for_all (fun e -> outcome e prog = base) Vm.all_engines)
 
-let test_compiled_smoke () =
-  let prog =
-    Asm.(
-      assemble
-        [
-          movi r0 0;
-          movi r1 100;
-          label "top";
-          addi r0 7;
-          subi r1 1;
-          jnei r1 0 "top";
-          exit_;
-        ])
-  in
-  let vm = Vm.create ~engine:Vm.Compiled ~helpers:[] prog in
-  check_i64 "compiled loop" 700L (Vm.run vm);
-  check_bool "engine reported" true (Vm.engine vm = Vm.Compiled);
-  (* reusable like the interpreter *)
-  check_i64 "second run" 700L (Vm.run vm)
-
-let test_compiled_budget_and_faults () =
-  let spin = Asm.(assemble [ label "x"; ja "x"; exit_ ]) in
-  let vm = Vm.create ~engine:Vm.Compiled ~budget:1000 ~helpers:[] spin in
-  check_bool "budget stops compiled loop" true
-    (match Vm.run vm with exception Vm.Error _ -> true | _ -> false);
-  let oob = Asm.(assemble [ ldxw r0 Insn.R10 0; exit_ ]) in
-  let vm = Vm.create ~engine:Vm.Compiled ~helpers:[] oob in
-  check_bool "compiled memory fault" true
-    (match Vm.run vm with exception Vm.Error _ -> true | _ -> false)
-
 let test_compiled_full_programs () =
-  (* every registered xBGP bytecode compiles on both compiled engines *)
+  (* every registered xBGP bytecode builds a VM on every engine *)
   List.iter
     (fun (p : Xbgp.Xprog.t) ->
       List.iter
         (fun (_, code) ->
-          ignore (Vm.create ~engine:Vm.Compiled ~helpers:[] code);
-          ignore (Vm.create ~engine:Vm.Block ~helpers:[] code))
+          List.iter
+            (fun engine -> ignore (Vm.create ~engine ~helpers:[] code))
+            Vm.all_engines)
         p.bytecodes)
     Xprogs.Registry.all
 
@@ -780,9 +751,6 @@ let () =
         ] );
       ( "compiled",
         [
-          Alcotest.test_case "smoke" `Quick test_compiled_smoke;
-          Alcotest.test_case "budget and faults" `Quick
-            test_compiled_budget_and_faults;
           Alcotest.test_case "all registered bytecodes compile" `Quick
             test_compiled_full_programs;
           qc prop_engines_agree;

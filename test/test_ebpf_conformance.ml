@@ -1,12 +1,11 @@
 (* Conformance vectors for the eBPF execution engines, in the style of
    the bpf_conformance project: each vector is a tiny program with a
    pinned expected outcome (a final r0 value or a fault), and every
-   vector is asserted against all three engines — interpreter,
-   closure-threaded, block-compiled. The table concentrates on the
-   corners where implementations historically disagree: 32-bit
-   zero-extension, unsigned div/mod by zero and by -1, shift-amount
-   masking, byte swaps, slot-relative jump offsets and stack memory
-   widths. *)
+   vector is asserted against both engines — interpreter and
+   block-compiled. The table concentrates on the corners where
+   implementations historically disagree: 32-bit zero-extension,
+   unsigned div/mod by zero and by -1, shift-amount masking, byte
+   swaps, slot-relative jump offsets and stack memory widths. *)
 
 open Ebpf
 module I = Insn

@@ -97,6 +97,30 @@ let test_forced_divergence_fires () =
        (fun (f : Fuzz.Oracle.finding) -> f.kind = Fuzz.Oracle.Divergence)
        findings)
 
+(* The VM-scenario self-test: on the first seed-7 [Vm_guided] case
+   carrying a verifier-accepted program, the perturbation knob corrupts
+   the block engine's result and the engine oracle must report it. *)
+let test_forced_engine_divergence_fires () =
+  let rec first index =
+    if index > 500 then Alcotest.fail "no guided VM case in 500 indices"
+    else
+      let c = Fuzz.Gen.case ~seed:7 ~index in
+      match c.scenario with
+      | Fuzz.Gen.Vm_guided
+        when List.exists (fun p -> Ebpf.Verifier.check p = Ok ()) c.progs ->
+        c
+      | _ -> first (index + 1)
+  in
+  let c = first 0 in
+  check_int "clean without perturbation" 0
+    (List.length (Fuzz.Oracle.run c));
+  check_bool "perturbation yields an engine divergence" true
+    (List.exists
+       (fun (f : Fuzz.Oracle.finding) ->
+         f.kind = Fuzz.Oracle.Divergence
+         && String.starts_with ~prefix:"engine divergence" f.detail)
+       (Fuzz.Oracle.run ~perturb:true c))
+
 let test_shrink_minimizes () =
   let c = first_differential_case () in
   let minimized, routes, _, _ = Fuzz.Engine.shrink_case ~perturb:true c in
@@ -377,6 +401,8 @@ let () =
         [
           Alcotest.test_case "forced divergence fires" `Quick
             test_forced_divergence_fires;
+          Alcotest.test_case "forced engine divergence fires" `Quick
+            test_forced_engine_divergence_fires;
           Alcotest.test_case "shrink minimizes" `Quick test_shrink_minimizes;
           Alcotest.test_case "reproducer round trip" `Slow
             test_reproducer_round_trip;

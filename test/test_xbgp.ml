@@ -76,6 +76,10 @@ let test_manifest_parse_errors () =
   check_bool "bad order" true (bad "attach p b BGP_INIT x");
   check_bool "unknown directive" true (bad "frobnicate yes");
   check_bool "plain map ok" false (bad "map p m hash 4 4 16");
+  check_bool "engine directive is gone" true
+    (match Xbgp.Manifest.parse "engine p block" with
+    | Error e -> String.ends_with ~suffix:"unknown directive \"engine\"" e
+    | Ok _ -> false);
   check_bool "trailing map mode token" true
     (match Xbgp.Manifest.parse "map p m hash 4 4 16 shared" with
     | Error e -> String.ends_with ~suffix:"bad map mode \"shared\"" e
@@ -517,12 +521,13 @@ let test_detach_and_listing () =
   check_bool "programs still registered" true
     (List.sort compare (Xbgp.Vmm.registered vmm) = [ "p"; "q" ])
 
-(* --- whole-chain fused dispatch --- *)
+(* --- fault location and rekey on a block-engine chain --- *)
 
-let test_fused_fault_location () =
-  (* a fault caught inside the fused closure carries its slot in the
-     chain's address space; pin the rendering and the inversion *)
-  let vmm = Xbgp.Vmm.create ~host:"test" ~engine:Ebpf.Vm.Chain () in
+let test_chain_fault_location () =
+  (* the second bytecode of a two-bytecode chain faults: dispatch falls
+     back to the default and the fault record locates the faulting
+     block's leader *)
+  let vmm = Xbgp.Vmm.create ~host:"test" ~engine:Ebpf.Vm.Block () in
   let crash =
     Xbgp.Xprog.v ~name:"crash"
       [ ("main", assemble [ lddw r1 0xdeadL; ldxw r0 r1 0; exit_ ]) ]
@@ -535,34 +540,23 @@ let test_fused_fault_location () =
   ok
     (Xbgp.Vmm.attach vmm ~program:"crash" ~bytecode:"main"
        ~point:Xbgp.Api.Bgp_inbound_filter ~order:1);
-  check_bool "compilation is lazy" false
-    (Xbgp.Vmm.chain_compiled vmm Xbgp.Api.Bgp_inbound_filter);
-  check_i64 "fault falls back through the fused unit" 5L
+  check_i64 "fault falls back to the default" 5L
     (run_point vmm Xbgp.Api.Bgp_inbound_filter (fun () -> 5L));
-  check_bool "chain fused" true
-    (Xbgp.Vmm.chain_compiled vmm Xbgp.Api.Bgp_inbound_filter);
   check Alcotest.int "fault counted" 1 (Xbgp.Vmm.stats vmm).faults;
   match Xbgp.Vmm.last_fault_record vmm with
   | None -> Alcotest.fail "no fault record"
   | Some f ->
-    (* [front] is call/movi/exit = 3 slots, so the crash site's base is
-       3; its faulting block leads at local pc 0 *)
-    check
-      Alcotest.(option int)
-      "chain slot" (Some 3) f.Xbgp.Vmm.fault_chain_slot;
-    check_bool "detail renders the chain slot" true
-      (let detail = Xbgp.Vmm.fault_detail f in
-       let needle = "; chain slot 3]" in
-       let n = String.length needle and l = String.length detail in
-       l >= n && String.sub detail (l - n) n = needle);
-    check_bool "slot inverts to the faulting bytecode" true
-      (Xbgp.Vmm.locate_chain_slot vmm Xbgp.Api.Bgp_inbound_filter 3
-      = Some ("crash", "main", 0))
+    check Alcotest.string "faulting program" "crash/main"
+      (f.Xbgp.Vmm.fault_program ^ "/" ^ f.Xbgp.Vmm.fault_bytecode);
+    check_bool "detail names engine, leader slot and insn" true
+      (String.ends_with ~suffix:"[block, slot 0: lddw r1, 0xdead]"
+         (Xbgp.Vmm.fault_detail f))
 
-let test_rekey_recompiles_fused_chain () =
-  (* replace_program invalidates the fused closure; the next dispatch
-     runs the new code with preserved scratch and no dropped dispatch *)
-  let vmm = Xbgp.Vmm.create ~host:"test" ~engine:Ebpf.Vm.Chain () in
+let test_rekey_swaps_chain_code () =
+  (* replace_program swaps the code under a live attachment; the next
+     dispatch runs the new code with preserved scratch and no dropped
+     dispatch *)
+  let vmm = Xbgp.Vmm.create ~host:"test" ~engine:Ebpf.Vm.Block () in
   let counter ~bonus =
     Xbgp.Xprog.v ~name:"ctr" ~scratch_size:8
       [
@@ -586,16 +580,10 @@ let test_rekey_recompiles_fused_chain () =
     (run_point vmm Xbgp.Api.Bgp_decision (fun () -> -1L));
   check_i64 "v1 run 2" 2L
     (run_point vmm Xbgp.Api.Bgp_decision (fun () -> -1L));
-  check_bool "fused before rekey" true
-    (Xbgp.Vmm.chain_compiled vmm Xbgp.Api.Bgp_decision);
   ok (Xbgp.Vmm.replace_program vmm (counter ~bonus:100));
-  check_bool "rekey invalidates the fused unit" false
-    (Xbgp.Vmm.chain_compiled vmm Xbgp.Api.Bgp_decision);
   (* counter reads 2, becomes 3: new code ran AND scratch survived *)
   check_i64 "v2 sees v1's scratch" 103L
     (run_point vmm Xbgp.Api.Bgp_decision (fun () -> -1L));
-  check_bool "recompiled after rekey" true
-    (Xbgp.Vmm.chain_compiled vmm Xbgp.Api.Bgp_decision);
   check Alcotest.int "no dispatch dropped to native" 0
     (Xbgp.Vmm.stats vmm).native_fallbacks;
   check Alcotest.int "no faults" 0 (Xbgp.Vmm.stats vmm).faults;
@@ -656,9 +644,9 @@ let () =
           Alcotest.test_case "run_init" `Quick test_run_init;
           Alcotest.test_case "detach and listing" `Quick
             test_detach_and_listing;
-          Alcotest.test_case "fused fault location" `Quick
-            test_fused_fault_location;
-          Alcotest.test_case "rekey recompiles fused chain" `Quick
-            test_rekey_recompiles_fused_chain;
+          Alcotest.test_case "chain fault location" `Quick
+            test_chain_fault_location;
+          Alcotest.test_case "rekey swaps chain code" `Quick
+            test_rekey_swaps_chain_code;
         ] );
     ]

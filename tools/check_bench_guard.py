@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Bench regression guard over the dispatch bench artifact (BENCH_pr9.json).
 
-The whole-chain fused engine's acceptance figure is the paired
-ext/native ratio (1.0 = native parity) per host x grid; the guard fails
-when any median ratio exceeds --threshold, i.e. when an
-extension-attached dispatch chain costs more than THRESHOLD x the
-native re-implementation of the same function.
+The extension dispatch path's acceptance figure is the paired
+ext/native ratio (1.0 = native parity) per host x grid, measured on the
+block engine; the guard fails when any median ratio exceeds
+--threshold, i.e. when an extension-attached dispatch chain costs more
+than THRESHOLD x the native re-implementation of the same function.
 
 Usage: check_bench_guard.py [--threshold 1.3] [BENCH_pr9.json]
 """
@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-SUFFIX = ".chain_native_ratio.median"
+SUFFIX = ".ext_native_ratio.median"
 EXPECTED = 4  # 2 hosts (frr, bird) x 2 grids (rr, ov)
 
 
@@ -22,7 +22,7 @@ def check_dispatch(bench, args):
     ratios = {k: v for k, v in bench.items() if k.endswith(SUFFIX)}
     if len(ratios) < EXPECTED:
         print(
-            f"guard: expected >= {EXPECTED} chain/native ratios in "
+            f"guard: expected >= {EXPECTED} ext/native ratios in "
             f"{args.path}, found {len(ratios)} — was the dispatch bench "
             "run with --json?",
             file=sys.stderr,
@@ -41,11 +41,11 @@ def check_dispatch(bench, args):
         for key, ratio in bad:
             print(
                 f"guard: {key} = {ratio:.3f} exceeds the "
-                f"{args.threshold:.2f}x fused-vs-native budget",
+                f"{args.threshold:.2f}x ext-vs-native budget",
                 file=sys.stderr,
             )
         return 1
-    print(f"guard: all chain/native medians within {args.threshold:.2f}x")
+    print(f"guard: all ext/native medians within {args.threshold:.2f}x")
     return 0
 
 
