@@ -1,46 +1,171 @@
 (* The benchmark harness: regenerates every figure of the paper.
 
-     dune exec bench/main.exe            -- everything
-     dune exec bench/main.exe fig1       -- CDF of IETF standardization delay
-     dune exec bench/main.exe fig4       -- extension vs native performance
-     dune exec bench/main.exe fig5       -- valley-free fabric audit
-     dune exec bench/main.exe micro      -- Bechamel micro-benchmarks
-     dune exec bench/main.exe ablation   -- engine pipeline comparison
-     dune exec bench/main.exe telemetry  -- telemetry on/off overhead
-     dune exec bench/main.exe -- --json  -- micro + ablation + telemetry,
-                                            and write the measurements to
-                                            BENCH_pr3.json
+     dune exec bench/main.exe                  -- all: fig1 fig4 fig5 churn
+                                                  telemetry micro
+     dune exec bench/main.exe fig4             -- extension vs native
+     dune exec bench/main.exe -- fig4 fanout --json
+                                               -- several benches, in order,
+                                                  and write BENCH.json
 
-   `--json` composes with a subcommand (`micro --json` writes just the
-   micro numbers); alone it runs the micro, ablation and telemetry
-   benches — the sources of every number in BENCH_pr3.json.
+   Benches: fig1 (CDF of IETF standardization delay), fig4 (extension
+   vs native on both hosts and both eBPF engines; `ablation` is the same
+   bench), fig5 (valley-free fabric audit), micro (Bechamel), churn,
+   telemetry, dispatch, fanout, recorder, chaos. A bench named twice
+   runs once.
 
-   Environment knobs for fig4: XBGP_BENCH_ROUTES (table size, default
-   8000), XBGP_BENCH_RUNS (runs per configuration, default 15 — the
-   paper's count). *)
+   `--json` writes every number measured in the invocation to one
+   BENCH.json: a header (core count, OCaml version, each bench's routes
+   and rounds) and metrics keyed <bench>.<host>.<leg>.<metric>, with
+   host "any" for host-independent numbers.
 
-let routes_n =
-  try int_of_string (Sys.getenv "XBGP_BENCH_ROUTES") with Not_found -> 8_000
+   Environment knobs: XBGP_BENCH_ROUTES (table size, default 8000;
+   fanout's default is 100k), XBGP_BENCH_RUNS (paired rounds, default
+   15, the paper's run count; the slower benches take a fraction),
+   XBGP_BENCH_CHAOS_CASES (chaos campaign size, default 200). *)
 
-let runs_n =
-  try int_of_string (Sys.getenv "XBGP_BENCH_RUNS") with Not_found -> 15
+let env_int name default =
+  try int_of_string (Sys.getenv name) with Not_found -> default
 
-(* measurements accumulated for --json, in insertion order *)
-let json_entries : (string * float) list ref = ref []
-let record key value = json_entries := (key, value) :: !json_entries
+let routes_n = env_int "XBGP_BENCH_ROUTES" 8_000
+let runs_n = env_int "XBGP_BENCH_RUNS" 15
+
+(* ------------------------------------------------------------------ *)
+(* Statistics                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Quantile [p] in [0, 1] of a non-empty sample, interpolated linearly
+   between order statistics; [quantile 0.5] is the usual median. *)
+let quantile p xs =
+  let a = Array.copy xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  let i = p *. float_of_int (n - 1) in
+  let lo = int_of_float i in
+  let hi = min (lo + 1) (n - 1) in
+  a.(lo) +. ((i -. float_of_int lo) *. (a.(hi) -. a.(lo)))
+
+let median xs = quantile 0.5 xs
+
+(* Per-round ratios num.(i) /. den.(i) as (median, min, max). Legs of
+   one round share the machine's drift, so a per-round ratio cancels it
+   where a ratio of medians would keep it; the min/max keep a noisy
+   comparison visible. *)
+let ratio_stats num den =
+  let r = Array.map2 ( /. ) num den in
+  (median r, Array.fold_left min infinity r, Array.fold_left max neg_infinity r)
+
+(* a ratio of times as a percentage overhead *)
+let pct (m, lo, hi) =
+  ((m -. 1.) *. 100., (lo -. 1.) *. 100., (hi -. 1.) *. 100.)
+
+(* ------------------------------------------------------------------ *)
+(* The paired-round driver and the Testbed timer                       *)
+(* ------------------------------------------------------------------ *)
+
+(* [paired ~rounds legs] runs every leg once as a warmup (discarded),
+   then [rounds] rounds of every leg, starting each round one leg later:
+   a fixed order hands the early legs a systematically fresher heap, a
+   reproducible 10-20% bias against whichever legs run last. The heap is
+   compacted before each leg, so no leg pays for another's garbage. A
+   leg returns the time it measured; the result is each leg's per-round
+   times, keyed by leg name. *)
+let paired ~rounds legs =
+  let legs = Array.of_list legs in
+  let n = Array.length legs in
+  let run (_, leg) =
+    Gc.compact ();
+    leg ()
+  in
+  Array.iter (fun l -> ignore (run l)) legs;
+  let times = Array.map (fun _ -> Array.make rounds 0.) legs in
+  for r = 0 to rounds - 1 do
+    for k = 0 to n - 1 do
+      let i = (k + r) mod n in
+      times.(i).(r) <- run legs.(i)
+    done
+  done;
+  Array.to_list (Array.mapi (fun i (name, _) -> (name, times.(i))) legs)
+
+let wall f =
+  let t0 = Unix.gettimeofday () in
+  f ();
+  Unix.gettimeofday () -. t0
+
+(* Wall seconds from [act ()] until [converged ()] holds on the
+   testbed's scheduler. *)
+let timed (tb : Scenario.Testbed.t) act converged =
+  wall (fun () ->
+      act ();
+      if not (Netsim.Sched.run_until tb.sched converged) then
+        failwith "bench: pipeline did not converge")
+
+(* One Fig. 3 pipeline run on a fresh testbed ([setup] runs before the
+   sessions come up): the seconds between the first announcement and
+   the downstream router holding all of [routes], and the testbed. *)
+let feed_and_wait ?(setup = ignore) mode routes =
+  let tb = Scenario.Testbed.create mode in
+  setup tb;
+  Scenario.Testbed.establish tb;
+  let n = List.length routes in
+  let dt =
+    timed tb
+      (fun () -> Scenario.Testbed.feed tb routes)
+      (fun () -> Scenario.Testbed.downstream_count tb >= n)
+  in
+  (dt, tb)
+
+let hosts = [ (`Frr, "frr"); (`Bird, "bird") ]
+
+let ris_routes ?(disjoint = false) ?(seed = 42) n =
+  Dataset.Ris_gen.generate
+    { Dataset.Ris_gen.default_config with count = n; disjoint; seed }
+
+(* a ROA table marking 75% of [routes] valid and 13% invalid *)
+let roas_for routes =
+  Dataset.Ris_gen.roas_for ~seed:7 ~valid_pct:75 ~invalid_pct:13 routes
+
+(* ------------------------------------------------------------------ *)
+(* BENCH.json                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let metrics : (string * float) list ref = ref []
+let params : (string * (string * int) list) list ref = ref []
+
+let record bench host leg metric v =
+  metrics := (String.concat "." [ bench; host; leg; metric ], v) :: !metrics
+
+let record_stats bench host leg name (m, lo, hi) =
+  record bench host leg (name ^ "_median") m;
+  record bench host leg (name ^ "_min") lo;
+  record bench host leg (name ^ "_max") hi
+
+(* a bench's size, for the header *)
+let describe bench ps = params := (bench, ps) :: !params
 
 let write_json path =
-  let entries = List.rev !json_entries in
+  let obj indent fields =
+    let pad = String.make indent ' ' in
+    "{\n"
+    ^ String.concat ",\n"
+        (List.map (fun (k, v) -> Printf.sprintf "%s  %S: %s" pad k v) fields)
+    ^ "\n" ^ pad ^ "}"
+  in
+  let ints ps = obj 6 (List.map (fun (k, v) -> (k, string_of_int v)) ps) in
+  let header =
+    obj 2
+      [
+        ("cores", string_of_int (Domain.recommended_domain_count ()));
+        ("ocaml", Printf.sprintf "%S" Sys.ocaml_version);
+        ( "benches",
+          obj 4 (List.rev_map (fun (b, ps) -> (b, ints ps)) !params) );
+      ]
+  in
+  let ms = List.rev_map (fun (k, v) -> (k, Printf.sprintf "%.6g" v)) !metrics in
   let oc = open_out path in
-  output_string oc "{\n";
-  let last = List.length entries - 1 in
-  List.iteri
-    (fun i (k, v) ->
-      Printf.fprintf oc "  %S: %.4f%s\n" k v (if i = last then "" else ","))
-    entries;
-  output_string oc "}\n";
+  output_string oc (obj 0 [ ("header", header); ("metrics", obj 2 ms) ]);
+  output_string oc "\n";
   close_out oc;
-  Printf.printf "wrote %s (%d measurements)\n%!" path (List.length entries)
+  Printf.printf "wrote %s (%d measurements)\n%!" path (List.length ms)
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 1: Delay between first IETF draft and RFC publication          *)
@@ -58,109 +183,88 @@ let fig1 () =
     (Dataset.Rfc_delays.max_delay ())
 
 (* ------------------------------------------------------------------ *)
-(* Fig. 4: relative performance impact of extension vs native code     *)
+(* Fig. 4: extension bytecode vs native code (E3, E4, E9)              *)
 (* ------------------------------------------------------------------ *)
 
-type usecase = Route_reflection | Origin_validation
-
-let usecase_name = function
-  | Route_reflection -> "Route Reflectors"
-  | Origin_validation -> "Origin Validation"
-
-let host_name = function `Frr -> "xFRRouting" | `Bird -> "xBIRD"
-
-(* one full Fig. 3 pipeline run; returns the wall-clock seconds between
-   the first announcement and the downstream router holding the full
-   table *)
-let timed_run ~host ~usecase ~extension routes roas =
-  let mode =
-    match (usecase, extension) with
-    | Route_reflection, false ->
-      Scenario.Testbed.mode ~host ~ibgp:true ~native_rr:true ()
-    | Route_reflection, true ->
-      Scenario.Testbed.mode ~host ~ibgp:true
-        ~manifest:Xprogs.Route_reflector.manifest ()
-    | Origin_validation, false ->
-      Scenario.Testbed.mode ~host ~ibgp:false ~native_ov_roas:roas ()
-    | Origin_validation, true ->
-      Scenario.Testbed.mode ~host ~ibgp:false
-        ~manifest:Xprogs.Origin_validation.manifest
-        ~xtras:[ ("roa_table", Xprogs.Util.encode_roa_table roas) ]
-        ()
-  in
-  let tb = Scenario.Testbed.create mode in
-  Scenario.Testbed.establish tb;
-  let n = List.length routes in
-  let t0 = Unix.gettimeofday () in
-  Scenario.Testbed.feed tb routes;
-  if not (Scenario.Testbed.run_until_downstream_has tb n) then
-    failwith "bench: pipeline did not converge";
-  Unix.gettimeofday () -. t0
-
-let median xs =
-  let a = Array.of_list (List.sort compare xs) in
-  let n = Array.length a in
-  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
-
-let quartiles xs =
-  let a = Array.of_list (List.sort compare xs) in
-  let n = Array.length a in
-  let q p =
-    let i = p *. float_of_int (n - 1) in
-    let lo = int_of_float i in
-    let hi = min (lo + 1) (n - 1) in
-    let frac = i -. float_of_int lo in
-    a.(lo) +. (frac *. (a.(hi) -. a.(lo)))
-  in
-  (a.(0), q 0.25, q 0.5, q 0.75, a.(n - 1))
-
-let fig4_one ~host ~usecase routes roas =
-  let run extension () = timed_run ~host ~usecase ~extension routes roas in
-  let native = ref [] and ext = ref [] in
-  ignore (run false ());
-  (* warmup *)
-  for _ = 1 to runs_n do
-    native := run false () :: !native;
-    ext := run true () :: !ext
-  done;
-  let nat_med = median !native in
-  let rel = List.map (fun e -> (e -. nat_med) /. nat_med *. 100.) !ext in
-  let mn, q1, md, q3, mx = quartiles rel in
-  Printf.printf
-    "%-12s %-18s native_med=%.3fs ext_med=%.3fs  impact%%: min=%+.1f \
-     q1=%+.1f med=%+.1f q3=%+.1f max=%+.1f\n\
-     %!"
-    (host_name host) (usecase_name usecase) nat_med (median !ext) mn q1 md q3
-    mx
-
+(* The one extension-vs-native measurement: hosts x {rr, ov} x {native,
+   interpreted, block}, every leg in the same paired rounds. Each
+   extension leg is compared per round with the host's native
+   re-implementation of the same function (native RR for rr, the native
+   trie/hash ROA store for ov). The block-engine rows are the paper's
+   Fig. 4 and feed the CI guard (tools/check_bench_guard.py); the
+   interpreter rows are the §4 engine ablation. *)
 let fig4 () =
+  let n = routes_n and rounds = runs_n in
+  describe "fig4" [ ("routes", n); ("rounds", rounds) ];
   Printf.printf
-    "=== Fig. 4: performance impact of extension bytecode vs native code \
-     ===\n";
+    "=== Fig. 4: extension bytecode vs native code, per engine ===\n\
+     (%d routes, %d paired rounds; paper: 724k routes, 15 runs)\n\
+     %!"
+    n rounds;
+  let rr_routes = ris_routes n in
+  let ov_routes = ris_routes ~disjoint:true ~seed:43 n in
+  let roas = roas_for ov_routes in
+  let roa_xtra = [ ("roa_table", Xprogs.Util.encode_roa_table roas) ] in
+  let mode host usecase engine =
+    match (usecase, engine) with
+    | "rr", None -> Scenario.Testbed.mode ~host ~ibgp:true ~native_rr:true ()
+    | "rr", Some engine ->
+      Scenario.Testbed.mode ~host ~ibgp:true
+        ~manifest:Xprogs.Route_reflector.manifest ~engine ()
+    | _, None -> Scenario.Testbed.mode ~host ~ibgp:false ~native_ov_roas:roas ()
+    | _, Some engine ->
+      Scenario.Testbed.mode ~host ~ibgp:false
+        ~manifest:Xprogs.Origin_validation.manifest ~xtras:roa_xtra ~engine ()
+  in
+  let variants =
+    (None, "native")
+    :: List.map (fun e -> (Some e, Ebpf.Vm.engine_name e)) Ebpf.Vm.all_engines
+  in
+  let legs =
+    List.concat_map
+      (fun (host, hname) ->
+        List.concat_map
+          (fun (usecase, routes) ->
+            List.map
+              (fun (engine, vname) ->
+                ( Printf.sprintf "%s.%s_%s" hname usecase vname,
+                  fun () ->
+                    fst (feed_and_wait (mode host usecase engine) routes) ))
+              variants)
+          [ ("rr", rr_routes); ("ov", ov_routes) ])
+      hosts
+  in
+  let t = paired ~rounds legs in
   Printf.printf
-    "(%d routes, %d runs per configuration; paper: 724k routes, 15 runs)\n"
-    routes_n runs_n;
-  let routes =
-    Dataset.Ris_gen.generate
-      { Dataset.Ris_gen.default_config with count = routes_n }
-  in
-  let ov_routes =
-    Dataset.Ris_gen.generate
-      {
-        Dataset.Ris_gen.default_config with
-        count = routes_n;
-        disjoint = true;
-        seed = 43;
-      }
-  in
-  let roas =
-    Dataset.Ris_gen.roas_for ~seed:7 ~valid_pct:75 ~invalid_pct:13 ov_routes
-  in
+    "%-5s %-3s %-12s %9s %9s  impact%% per round: min/q1/med/q3/max\n" "host"
+    "use" "engine" "native" "ext";
   List.iter
-    (fun host ->
-      fig4_one ~host ~usecase:Route_reflection routes [];
-      fig4_one ~host ~usecase:Origin_validation ov_routes roas)
-    [ `Frr; `Bird ];
+    (fun (_, hname) ->
+      List.iter
+        (fun usecase ->
+          let leg v = Printf.sprintf "%s_%s" usecase v in
+          let native = List.assoc (hname ^ "." ^ leg "native") t in
+          record "fig4" hname (leg "native") "median_s" (median native);
+          List.iter
+            (fun e ->
+              let en = Ebpf.Vm.engine_name e in
+              let ext = List.assoc (hname ^ "." ^ leg en) t in
+              let impact =
+                Array.map2 (fun e n -> ((e /. n) -. 1.) *. 100.) ext native
+              in
+              let q p = quantile p impact in
+              Printf.printf
+                "%-5s %-3s %-12s %8.3fs %8.3fs  %+.1f / %+.1f / %+.1f / \
+                 %+.1f / %+.1f\n\
+                 %!"
+                hname usecase en (median native) (median ext) (q 0.) (q 0.25)
+                (q 0.5) (q 0.75) (q 1.);
+              record "fig4" hname (leg en) "median_s" (median ext);
+              record_stats "fig4" hname (leg en) "ratio"
+                (ratio_stats ext native))
+            Ebpf.Vm.all_engines)
+        [ "rr"; "ov" ])
+    hosts;
   Printf.printf
     "expected shape (paper): RR extension <20%% slower on both hosts;\n\
      OV extension ~= native on BIRD and ~10%% FASTER than native on \
@@ -269,13 +373,8 @@ let micro () =
       call_program
   in
   (* ROA lookup: FRR-style trie vs BIRD-style hash (the §3.4 story) *)
-  let routes =
-    Dataset.Ris_gen.generate
-      { Dataset.Ris_gen.default_config with count = 20_000; disjoint = true }
-  in
-  let roas =
-    Dataset.Ris_gen.roas_for ~seed:7 ~valid_pct:75 ~invalid_pct:13 routes
-  in
+  let routes = ris_routes ~disjoint:true 20_000 in
+  let roas = roas_for routes in
   let trie = Rpki.Store_trie.of_list roas in
   let hash = Rpki.Store_hash.of_list roas in
   let probe =
@@ -349,7 +448,7 @@ let micro () =
             | Some i -> String.sub name (i + 1) (String.length name - i - 1)
             | None -> name
           in
-          record ("micro." ^ key ^ ".ns_per_iter") est
+          record "micro" "any" key "ns_per_iter" est
         | _ -> Printf.printf "%-36s (no estimate)\n%!" name)
       results
   in
@@ -363,54 +462,44 @@ let micro () =
 (* ------------------------------------------------------------------ *)
 
 let churn () =
+  let n = max 1000 (routes_n / 2) and rounds = max 3 (runs_n / 3) in
+  describe "churn" [ ("routes", n); ("rounds", rounds) ];
   Printf.printf
     "=== Churn: withdraw/re-announce half the table (route reflection) ===\n";
-  let n = max 1000 (routes_n / 2) in
-  let runs = max 3 (runs_n / 3) in
-  let routes =
-    Dataset.Ris_gen.generate { Dataset.Ris_gen.default_config with count = n }
+  let routes = ris_routes n in
+  let half = List.filteri (fun i _ -> i mod 2 = 0) routes in
+  let leg mode () =
+    let _, tb = feed_and_wait mode routes in
+    let count () = Scenario.Testbed.downstream_count tb in
+    timed tb
+      (fun () ->
+        List.iter
+          (fun (r : Dataset.Ris_gen.route) ->
+            Frrouting.Bgpd.withdraw_local tb.upstream r.prefix)
+          half)
+      (fun () -> count () <= n - List.length half)
+    +. timed tb
+         (fun () -> Scenario.Testbed.feed tb half)
+         (fun () -> count () >= n)
   in
-  let half =
-    List.filteri (fun i _ -> i mod 2 = 0) routes
+  let t =
+    paired ~rounds
+      [
+        ("native", leg (Scenario.Testbed.mode ~ibgp:true ~native_rr:true ()));
+        ( "ext",
+          leg
+            (Scenario.Testbed.mode ~ibgp:true
+               ~manifest:Xprogs.Route_reflector.manifest ()) );
+      ]
   in
-  let timed mode =
-    let tb = Scenario.Testbed.create mode in
-    Scenario.Testbed.establish tb;
-    Scenario.Testbed.feed tb routes;
-    if not (Scenario.Testbed.run_until_downstream_has tb n) then
-      failwith "churn: initial transfer did not converge";
-    let t0 = Unix.gettimeofday () in
-    (* withdraw every other prefix, then re-announce *)
-    List.iter
-      (fun (r : Dataset.Ris_gen.route) ->
-        Frrouting.Bgpd.withdraw_local tb.upstream r.prefix)
-      half;
-    if
-      not
-        (Netsim.Sched.run_until tb.sched (fun () ->
-             Scenario.Testbed.downstream_count tb <= n - List.length half))
-    then failwith "churn: withdrawals did not converge";
-    Scenario.Testbed.feed tb half;
-    if not (Scenario.Testbed.run_until_downstream_has tb n) then
-      failwith "churn: re-announcement did not converge";
-    Unix.gettimeofday () -. t0
-  in
-  let native_mode = Scenario.Testbed.mode ~ibgp:true ~native_rr:true () in
-  let ext_mode =
-    Scenario.Testbed.mode ~ibgp:true
-      ~manifest:Xprogs.Route_reflector.manifest ()
-  in
-  ignore (timed native_mode);
-  let native = ref [] and ext = ref [] in
-  for _ = 1 to runs do
-    native := timed native_mode :: !native;
-    ext := timed ext_mode :: !ext
-  done;
-  let nm = median !native and em = median !ext in
+  let native = List.assoc "native" t and ext = List.assoc "ext" t in
+  let ((impact, _, _) as r) = pct (ratio_stats ext native) in
   Printf.printf
     "native churn median=%.3fs  extension churn median=%.3fs  impact: %+.1f%%\n\n%!"
-    nm em
-    ((em -. nm) /. nm *. 100.)
+    (median native) (median ext) impact;
+  record "churn" "frr" "native" "median_s" (median native);
+  record "churn" "frr" "ext" "median_s" (median ext);
+  record_stats "churn" "frr" "ext" "overhead_pct" r
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry overhead: the paired enabled/disabled experiment (E11)    *)
@@ -418,17 +507,17 @@ let churn () =
 
 (* Every Vmm.run now carries the telemetry hooks, so the number that
    matters is the cost of one dispatch with telemetry disabled — the
-   state every test and benchmark runs in. Three identical VMMs run the
-   same extension in tight interleaved loops: two with disabled
-   registries (the A/A pair — any delta between them is measurement
-   noise, since the configurations are byte-identical) and one with a
-   fully enabled registry (histograms, spans, helper latency). Blocks
-   are interleaved across rounds and the per-round minimum is kept:
-   timing noise on a shared machine is one-sided, so the minimum is the
-   stable estimator. The disabled path must be indistinguishable from
-   noise: the A/A delta lands in telemetry.disabled_overhead_pct and is
-   expected within ±2%; the enabled cost is reported next to it. *)
+   state every test and benchmark runs in. The same disabled VMM is
+   timed twice per round (the A/A pair — any delta between them is
+   measurement noise) next to a fully enabled registry (histograms,
+   spans, helper latency). The per-round minimum is kept: timing noise
+   on a shared machine is one-sided, so the minimum is the stable
+   estimator. The disabled path must be indistinguishable from noise:
+   the A/A delta is expected within ±2%; the enabled cost is reported
+   next to it. *)
 let telemetry_bench () =
+  let iters = 50_000 and rounds = max 7 (runs_n / 2) in
+  describe "telemetry" [ ("iters", iters); ("rounds", rounds) ];
   Printf.printf
     "=== Telemetry: disabled-path noise floor (A/A) and enabled cost ===\n";
   (* a representative extension body: a compute loop in the shape of an
@@ -478,204 +567,67 @@ let telemetry_bench () =
   let args =
     Xbgp.Host_intf.Args.of_list [ (Xbgp.Api.arg_prefix, prefix_arg) ]
   in
-  let iters = 50_000 in
-  let time_block vmm =
-    (* pay off the previous block's garbage (the enabled block allocates
-       spans and tag lists) before the clock starts, or its collection
-       lands in whichever block runs next *)
-    Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      ignore
-        (Xbgp.Vmm.run vmm Xbgp.Api.Bgp_inbound_filter
-           ~ops:Xbgp.Host_intf.null_ops ~args
-           ~default:(fun () -> 0L))
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int iters *. 1e9
+  let leg vmm () =
+    Telemetry.reset_spans (Xbgp.Vmm.telemetry vmm);
+    wall (fun () ->
+        for _ = 1 to iters do
+          ignore
+            (Xbgp.Vmm.run vmm Xbgp.Api.Bgp_inbound_filter
+               ~ops:Xbgp.Host_intf.null_ops ~args
+               ~default:(fun () -> 0L))
+        done)
+    /. float_of_int iters *. 1e9
   in
-  ignore (time_block vmm_d);
-  ignore (time_block vmm_e);
-  (* warmup *)
-  (* the A/A pair is the SAME disabled VMM timed in two blocks per
-     round — two instances would differ by allocation layout, which is
-     not telemetry's doing; timing the one object twice isolates pure
-     measurement noise *)
-  let rounds = max 7 (runs_n / 2) in
-  let best_a = ref infinity and best_b = ref infinity and best_e = ref infinity in
-  for _ = 1 to rounds do
-    Telemetry.reset_spans (Xbgp.Vmm.telemetry vmm_e);
-    best_a := min !best_a (time_block vmm_d);
-    best_b := min !best_b (time_block vmm_d);
-    best_e := min !best_e (time_block vmm_e)
-  done;
-  let dis = min !best_a !best_b in
-  let aa = (!best_b -. !best_a) /. !best_a *. 100. in
-  let over = (!best_e -. dis) /. dis *. 100. in
+  (* the A/A pair is the SAME disabled VMM timed twice per round — two
+     instances would differ by allocation layout, which is not
+     telemetry's doing *)
+  let t =
+    paired ~rounds
+      [ ("a", leg vmm_d); ("b", leg vmm_d); ("enabled", leg vmm_e) ]
+  in
+  let best l = Array.fold_left min infinity (List.assoc l t) in
+  let a = best "a" and b = best "b" and e = best "enabled" in
+  let dis = min a b in
+  let aa = (b -. a) /. a *. 100. and over = (e -. dis) /. dis *. 100. in
   Printf.printf "%-22s best=%.1f ns/run\n%!" "telemetry disabled" dis;
-  Printf.printf "%-22s best=%.1f ns/run\n%!" "telemetry enabled" !best_e;
+  Printf.printf "%-22s best=%.1f ns/run\n%!" "telemetry enabled" e;
   Printf.printf
     "disabled A/A delta (noise floor): %+.2f%%   enabled overhead: %+.2f%%\n\n%!"
     aa over;
-  record "telemetry.disabled.ns_per_run" dis;
-  record "telemetry.enabled.ns_per_run" !best_e;
-  record "telemetry.disabled_overhead_pct" aa;
-  record "telemetry.enabled_overhead_pct" over
-
-(* ------------------------------------------------------------------ *)
-(* Ablation: interpreted vs block-compiled eBPF engine                 *)
-(* ------------------------------------------------------------------ *)
-
-(* §4 of the paper calls for comparing virtual machines by performance;
-   this ablation reruns the E3 (route reflection) and E4 (origin
-   validation) pipelines with every eBPF engine and reports each one's
-   overhead against the host's native code. *)
-let ablation () =
-  Printf.printf
-    "=== Ablation: eBPF execution engines (E3/E4 pipelines) ===\n";
-  let n = max 1000 (routes_n / 2) in
-  let runs = max 3 (runs_n / 3) in
-  let routes =
-    Dataset.Ris_gen.generate { Dataset.Ris_gen.default_config with count = n }
-  in
-  let ov_routes =
-    Dataset.Ris_gen.generate
-      {
-        Dataset.Ris_gen.default_config with
-        count = n;
-        disjoint = true;
-        seed = 43;
-      }
-  in
-  let roas =
-    Dataset.Ris_gen.roas_for ~seed:7 ~valid_pct:75 ~invalid_pct:13 ov_routes
-  in
-  let timed rts mode =
-    let tb = Scenario.Testbed.create mode in
-    Scenario.Testbed.establish tb;
-    let t0 = Unix.gettimeofday () in
-    Scenario.Testbed.feed tb rts;
-    if not (Scenario.Testbed.run_until_downstream_has tb n) then
-      failwith "ablation: did not converge";
-    Unix.gettimeofday () -. t0
-  in
-  let pipelines =
-    [
-      ( "route-reflection",
-        routes,
-        Scenario.Testbed.mode ~ibgp:true ~native_rr:true (),
-        fun engine ->
-          Scenario.Testbed.mode ~ibgp:true
-            ~manifest:Xprogs.Route_reflector.manifest ~engine () );
-      ( "origin-validation",
-        ov_routes,
-        Scenario.Testbed.mode ~ibgp:false ~native_ov_roas:roas (),
-        fun engine ->
-          Scenario.Testbed.mode ~ibgp:false
-            ~manifest:Xprogs.Origin_validation.manifest
-            ~xtras:[ ("roa_table", Xprogs.Util.encode_roa_table roas) ]
-            ~engine () );
-    ]
-  in
-  List.iter
-    (fun (label, rts, native_mode, ext_mode) ->
-      Printf.printf "--- %s ---\n%!" label;
-      (* the configurations run back-to-back inside each iteration,
-         so machine drift is common-mode; the overhead statistic is the
-         median of per-iteration ratios against that iteration's native
-         run, which cancels the drift a ratio of medians would keep *)
-      ignore (timed rts native_mode);
-      let native = ref [] in
-      let engines = List.map (fun e -> (e, ref [])) Ebpf.Vm.all_engines in
-      for _ = 1 to runs do
-        let nat = timed rts native_mode in
-        native := nat :: !native;
-        List.iter
-          (fun (e, acc) ->
-            let t = timed rts (ext_mode e) in
-            acc := (t, ((t -. nat) /. nat) *. 100.) :: !acc)
-          engines
-      done;
-      let nat_med = median !native in
-      Printf.printf "%-22s median=%.4fs\n%!" "native" nat_med;
-      record (Printf.sprintf "ablation.%s.native.median_s" label) nat_med;
-      List.iter
-        (fun (e, results) ->
-          let med = median (List.map fst !results) in
-          let over = median (List.map snd !results) in
-          Printf.printf "%-22s median=%.4fs  overhead vs native: %+.1f%%\n%!"
-            ("extension/" ^ Ebpf.Vm.engine_name e)
-            med over;
-          let name = Ebpf.Vm.engine_name e in
-          record (Printf.sprintf "ablation.%s.%s.median_s" label name) med;
-          record
-            (Printf.sprintf "ablation.%s.%s.overhead_pct" label name)
-            over)
-        engines)
-    pipelines;
-  Printf.printf "\n"
+  record "telemetry" "any" "disabled" "ns_per_run" dis;
+  record "telemetry" "any" "enabled" "ns_per_run" e;
+  record "telemetry" "any" "disabled" "overhead_pct" aa;
+  record "telemetry" "any" "enabled" "overhead_pct" over
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch fast path: caches + batching + sampling ablation           *)
 (* ------------------------------------------------------------------ *)
 
-(* Measures the PR-4 dispatch fast path on the full Fig. 3 pipeline, in
-   updates/sec at the downstream router. The knobs restore the legacy
-   behaviour, giving the pre-PR baseline in the same process:
+(* Measures the dispatch fast path (E12). The knobs restore the legacy
+   behaviour, giving the old baseline in the same process:
    - conversion caches off ([Attr_intern] / [Eattr]) = fresh TLV
      conversion on every xBGP boundary crossing;
    - [batch_updates] off = the per-prefix learn path with per-dispatch
-     argument allocation.
-   Two scenarios per host: "native" (native route reflection, no
-   bytecode — exercises the batched NLRI fast path and the encode-side
-   caches) and "rr-ext" (the route-reflector extension — every prefix
-   crosses the xBGP boundary at the inbound and outbound points, the
-   dispatch-heavy case). On top of the fast configuration, a telemetry
-   ablation: off / full (every span) / sampled (1-in-16 spans). *)
+     argument allocation. *)
 let set_caches on =
   Frrouting.Attr_intern.set_conversion_cache on;
   Bird.Eattr.set_conversion_cache on
 
-(* --- paired-ratio statistics ---
-
-   BENCH_pr4 reported each leg's best-of-rounds independently; under
-   container scheduling noise the independent minima drift apart, which
-   is how physically-impossible figures like a negative telemetry
-   overhead got published. Every comparison below is paired instead:
-   all legs run once per round (warmup pass discarded), the ratio is
-   computed within a round where drift is common mode, and the summary
-   is the median ratio with the min/max spread alongside, so a noisy
-   grid is visible in the artifact instead of laundered by a min. *)
-
-let median a =
-  let s = Array.copy a in
-  Array.sort compare s;
-  let n = Array.length s in
-  if n = 0 then nan
-  else if n land 1 = 1 then s.(n / 2)
-  else (s.((n / 2) - 1) +. s.(n / 2)) /. 2.
-
-(* Per-round ratios num_i/den_i -> (median, min, max). *)
-let ratio_stats num den =
-  let n = min (Array.length num) (Array.length den) in
-  let r = Array.init n (fun i -> num.(i) /. den.(i)) in
-  ( median r,
-    Array.fold_left min infinity r,
-    Array.fold_left max neg_infinity r )
-
-let record_ratio key (med, lo, hi) =
-  record (key ^ ".median") med;
-  record (key ^ ".min") lo;
-  record (key ^ ".max") hi
+(* A leg that runs with the conversion caches set to [cache]. *)
+let with_caches cache f () =
+  set_caches cache;
+  f ()
 
 (* The extensions-attached dispatch benchmark, isolated from the rest of
    the pipeline. One "update" is what a daemon must dispatch for one
-   received UPDATE message; the baseline leg reconstructs the pre-PR
+   received UPDATE message; the baseline leg reconstructs the legacy
    work (a fresh ops record, a fresh argument list, fresh prefix/source
    buffers and a dispatch per prefix, conversion caches off) and the
-   fast leg is what the daemons do now (hoisted ops, a reused argument
-   buffer, conversion caches on, and — when [Vmm.batch_invariant] proves
-   the chain never reads the prefix — one dispatch shared by the whole
-   NLRI list). Two programs bound the spectrum:
+   engine legs are what the daemons do now (hoisted ops, a reused
+   argument buffer, conversion caches on, and — when
+   [Vmm.batch_invariant] proves the chain never reads the prefix — one
+   dispatch shared by the whole NLRI list). Two programs bound the
+   spectrum:
 
    - [ov]: origin validation, prefix-dependent, so both legs dispatch
      per prefix (single-prefix updates); the gap is conversion caching
@@ -684,7 +636,7 @@ let record_ratio key (med, lo, hi) =
      updates carrying [batch_k] prefixes (RIS tables are bursty; updates
      sharing one attribute set across many NLRI are the common case);
      the fast leg collapses the batch to one dispatch. *)
-let dispatch_micro () =
+let dispatch_micro ~rounds ~batch_k =
   let pi =
     {
       Xbgp.Host_intf.peer_type = Xbgp.Api.ibgp_session;
@@ -721,20 +673,10 @@ let dispatch_micro () =
       src_is_local = false;
     }
   in
-  let batch_k = 8 in
-  let rounds = max 7 (runs_n / 2) in
   let point = Xbgp.Api.Bgp_inbound_filter in
   let default () = Xbgp.Api.filter_accept in
   List.iter
     (fun (hname, get_attr) ->
-      (* one VMM per engine: the engine is fixed at VM creation, and the
-         grid below ablates both (the block engine is the
-         deployment-speed configuration) *)
-      let vmm_of engine manifest =
-        Xprogs.Registry.vmm_of_manifest ~engine
-          ~telemetry:(Telemetry.create ~enabled:false ())
-          ~host:"bench" manifest
-      in
       let make_ops () =
         {
           Xbgp.Host_intf.null_ops with
@@ -743,7 +685,7 @@ let dispatch_micro () =
           set_attr = (fun _ -> true);
         }
       in
-      (* pre-PR per-prefix dispatch: everything rebuilt per call *)
+      (* legacy per-prefix dispatch: everything rebuilt per call *)
       let legacy_dispatch vmm i =
         let ops = make_ops () in
         let pbuf = Bytes.create 5 in
@@ -758,142 +700,94 @@ let dispatch_micro () =
         in
         ignore (Xbgp.Vmm.run vmm point ~ops ~args ~default)
       in
-      (* one timed pass of [body], in per-update seconds *)
-      let time ~updates ~cache body =
-        set_caches cache;
-        Gc.compact ();
-        let t0 = Unix.gettimeofday () in
-        body ();
-        (Unix.gettimeofday () -. t0) /. float_of_int updates
+      (* the hoisted calling convention: one ops record and one argument
+         buffer per VMM, the prefix rewritten in place *)
+      let hoisted vmm =
+        let ops = make_ops () in
+        let pbuf = Bytes.create 5 in
+        Bytes.set_uint8 pbuf 4 24;
+        let args = Xbgp.Host_intf.Args.create () in
+        Xbgp.Host_intf.Args.set args Xbgp.Api.arg_prefix pbuf;
+        Xbgp.Host_intf.Args.set args Xbgp.Api.arg_source
+          (Xbgp.Host_intf.source_to_bytes source);
+        fun i ->
+          Bytes.set_int32_be pbuf 0 (Int32.of_int i);
+          ignore (Xbgp.Vmm.run vmm point ~ops ~args ~default)
       in
-      (* paired rounds: one warmup pass of every leg (discarded), then
-         every leg once per round so ratios are computed under
-         common-mode drift *)
-      let paired ~updates legs =
-        Array.iter
-          (fun (_, cache, body) -> ignore (time ~updates ~cache body))
-          legs;
-        let times = Array.map (fun _ -> Array.make rounds 0.) legs in
-        for r = 0 to rounds - 1 do
-          Array.iteri
-            (fun i (_, cache, body) ->
-              times.(i).(r) <- time ~updates ~cache body)
-            legs
-        done;
-        set_caches true;
-        Array.to_list
-          (Array.mapi (fun i (name, _, _) -> (name, times.(i))) legs)
-      in
-      (* A grid = the pre-PR baseline leg plus the hoisted fast loop on
-         every engine; "fast" is the block engine, the deployment
-         configuration. *)
-      let grid group ~updates ~legacy ~fast_of =
-        let legs =
-          Array.of_list
-            (("baseline", false, legacy)
+      (* one group: the legacy baseline (block engine, caches off) plus
+         the hoisted loop on every engine, in per-update seconds *)
+      let grid group manifest ~updates ~legacy ~fast =
+        let vmm engine =
+          Xprogs.Registry.vmm_of_manifest ~engine
+            ~telemetry:(Telemetry.create ~enabled:false ())
+            ~host:"bench" manifest
+        in
+        let per_update f () = wall f /. float_of_int updates in
+        let t =
+          paired ~rounds
+            (( "baseline",
+               with_caches false (per_update (legacy (vmm Ebpf.Vm.Block))) )
             :: List.map
-                 (fun e -> (Ebpf.Vm.engine_name e, true, fast_of e))
+                 (fun e ->
+                   let vmm = vmm e in
+                   ( Ebpf.Vm.engine_name e,
+                     with_caches true (per_update (fast vmm (hoisted vmm))) ))
                  Ebpf.Vm.all_engines)
         in
-        let named = paired ~updates legs in
-        let t name = List.assoc name named in
-        let base = t "baseline" and fast = t "block" in
-        let ((sp, sp_lo, sp_hi) as speedup) = ratio_stats base fast in
-        let key fmt =
-          Printf.sprintf ("dispatch.micro.%s.%s." ^^ fmt) hname group
-        in
+        set_caches true;
+        let base = List.assoc "baseline" t and block = List.assoc "block" t in
+        let ((sp, lo, hi) as speedup) = ratio_stats base block in
         Printf.printf
-          "micro  %-6s %-8s baseline=%.0f up/s  fast=%.0f up/s  \
+          "micro  %-6s %-8s baseline=%.0f up/s  block=%.0f up/s  \
            speedup=%.2fx [%.2f..%.2f]\n\
            %!"
           hname group
           (1.0 /. median base)
-          (1.0 /. median fast)
-          sp sp_lo sp_hi;
-        record (key "baseline.updates_per_s") (1.0 /. median base);
-        record (key "fast.updates_per_s") (1.0 /. median fast);
-        record (key "speedup") sp;
-        record_ratio (key "speedup_rounds") speedup;
+          (1.0 /. median block)
+          sp lo hi;
         List.iter
-          (fun e ->
-            let en = Ebpf.Vm.engine_name e in
-            record (key "engine.%s.updates_per_s" en) (1.0 /. median (t en)))
-          Ebpf.Vm.all_engines;
-        sp
-      in
-      let hoisted vmm body_of =
-        let ops = make_ops () in
-        let pbuf = Bytes.create 5 in
-        Bytes.set_uint8 pbuf 4 24;
-        let src = Xbgp.Host_intf.source_to_bytes source in
-        let args = Xbgp.Host_intf.Args.create () in
-        Xbgp.Host_intf.Args.set args Xbgp.Api.arg_prefix pbuf;
-        Xbgp.Host_intf.Args.set args Xbgp.Api.arg_source src;
-        body_of ~vmm ~ops ~args ~pbuf
+          (fun (lname, times) ->
+            record "dispatch" hname
+              (Printf.sprintf "micro_%s_%s" group lname)
+              "updates_per_s"
+              (1.0 /. median times))
+          t;
+        record_stats "dispatch" hname ("micro_" ^ group ^ "_block") "speedup"
+          speedup
       in
       (* --- ov: prefix-dependent, single-prefix updates --- *)
       let iters = 50_000 in
-      let ov_vmms =
-        List.map
-          (fun e -> (e, vmm_of e Xprogs.Origin_validation.manifest))
-          Ebpf.Vm.all_engines
-      in
-      let ov_legacy_vmm = List.assoc Ebpf.Vm.Block ov_vmms in
-      let ov_speedup =
-        grid "ov" ~updates:iters
-          ~legacy:(fun () ->
-            for i = 1 to iters do
-              legacy_dispatch ov_legacy_vmm i
-            done)
-          ~fast_of:(fun e ->
-            hoisted (List.assoc e ov_vmms) (fun ~vmm ~ops ~args ~pbuf () ->
-                for i = 1 to iters do
-                  Bytes.set_int32_be pbuf 0 (Int32.of_int i);
-                  ignore (Xbgp.Vmm.run vmm point ~ops ~args ~default)
-                done))
-      in
-      ignore ov_speedup;
+      grid "ov" Xprogs.Origin_validation.manifest ~updates:iters
+        ~legacy:(fun vmm () ->
+          for i = 1 to iters do
+            legacy_dispatch vmm i
+          done)
+        ~fast:(fun _ dispatch () ->
+          for i = 1 to iters do
+            dispatch i
+          done);
       (* --- rr: batch-invariant, [batch_k]-prefix updates --- *)
       let updates = 8_000 in
-      let rr_vmms =
-        List.map
-          (fun e -> (e, vmm_of e Xprogs.Route_reflector.manifest))
-          Ebpf.Vm.all_engines
-      in
-      let rr_legacy_vmm = List.assoc Ebpf.Vm.Block rr_vmms in
-      let rr_speedup =
-        grid "rr_batch" ~updates
-          ~legacy:(fun () ->
-            for u = 1 to updates do
+      grid "rr_batch" Xprogs.Route_reflector.manifest ~updates
+        ~legacy:(fun vmm () ->
+          for u = 1 to updates do
+            for k = 1 to batch_k do
+              legacy_dispatch vmm ((u * batch_k) + k)
+            done
+          done)
+        ~fast:(fun vmm dispatch () ->
+          for u = 1 to updates do
+            (* the daemon's guard: one dispatch covers the batch only
+               when the chain is provably prefix-independent *)
+            if
+              Xbgp.Vmm.batch_invariant vmm point
+                ~variant_args:[ Xbgp.Api.arg_prefix ]
+            then dispatch (u * batch_k)
+            else
               for k = 1 to batch_k do
-                legacy_dispatch rr_legacy_vmm ((u * batch_k) + k)
+                dispatch ((u * batch_k) + k)
               done
-            done)
-          ~fast_of:(fun e ->
-            hoisted (List.assoc e rr_vmms) (fun ~vmm ~ops ~args ~pbuf () ->
-                for u = 1 to updates do
-                  (* the daemon's guard: one dispatch covers the batch
-                     only when the chain is provably prefix-independent *)
-                  if
-                    Xbgp.Vmm.batch_invariant vmm point
-                      ~variant_args:[ Xbgp.Api.arg_prefix ]
-                  then begin
-                    Bytes.set_int32_be pbuf 0 (Int32.of_int (u * batch_k));
-                    ignore (Xbgp.Vmm.run vmm point ~ops ~args ~default)
-                  end
-                  else
-                    for k = 1 to batch_k do
-                      Bytes.set_int32_be pbuf 0
-                        (Int32.of_int ((u * batch_k) + k));
-                      ignore (Xbgp.Vmm.run vmm point ~ops ~args ~default)
-                    done
-                done))
-      in
-      record
-        (Printf.sprintf "dispatch.micro.%s.rr_batch.batch_k" hname)
-        (float_of_int batch_k);
-      record (Printf.sprintf "dispatch.micro.%s.headline_speedup" hname)
-        rr_speedup)
+          done))
     [
       ( "frr",
         let attrs = Frrouting.Attr_intern.of_attrs attr_list in
@@ -904,30 +798,14 @@ let dispatch_micro () =
     ]
 
 (* End-to-end: the full Fig. 3 pipeline in updates/sec at the downstream
-   router, legs interleaved per round with the per-leg best kept (the
-   telemetry-bench methodology — drift is common-mode across a round).
-   The knobs restore the legacy behaviour for the baseline leg:
-   conversion caches off and [batch_updates] off. On top of the fast
-   configuration, a telemetry ablation: off / full / 1-in-16 sampled. *)
-let dispatch_pipeline () =
-  let n = max 1000 (routes_n / 2) in
-  (* the per-leg minimum over rounds is the statistic: individual runs
-     drift +/-25% under container scheduling noise, the floor converges
-     after a handful of rounds *)
-  let rounds = max 6 (runs_n / 2) in
-  let routes =
-    Dataset.Ris_gen.generate { Dataset.Ris_gen.default_config with count = n }
-  in
-  let timed mode =
-    Gc.compact ();
-    let tb = Scenario.Testbed.create mode in
-    Scenario.Testbed.establish tb;
-    let t0 = Unix.gettimeofday () in
-    Scenario.Testbed.feed tb routes;
-    if not (Scenario.Testbed.run_until_downstream_has tb n) then
-      failwith "dispatch bench: pipeline did not converge";
-    Unix.gettimeofday () -. t0
-  in
+   router. The baseline leg restores the legacy behaviour (interpreter,
+   conversion caches off, [batch_updates] off); the other legs are the
+   block engine with batching on, over conversion caches on/off x a
+   telemetry ablation: off / full (every span) / sampled (1-in-16
+   spans). *)
+let dispatch_pipeline ~n ~rounds =
+  let routes = ris_routes n in
+  let roas = roas_for routes in
   let sample_n = 16 in
   let telemetry_of = function
     | `Off -> None
@@ -942,191 +820,100 @@ let dispatch_pipeline () =
     | `Full -> "tele_full"
     | `Sampled -> Printf.sprintf "tele_sampled_%d" sample_n
   in
-  let roas =
-    Dataset.Ris_gen.roas_for ~seed:7 ~valid_pct:75 ~invalid_pct:13 routes
-  in
-  let hosts = [ (`Frr, "frr"); (`Bird, "bird") ] in
-  let scenarios host =
-    [
-      ( "native",
-        fun ~engine:_ ~batch ~tele () ->
-          Scenario.Testbed.mode ~host ~ibgp:true ~native_rr:true
-            ~batch_updates:batch ?telemetry:(telemetry_of tele) () );
-      ( "rr-ext",
-        fun ~engine ~batch ~tele () ->
-          Scenario.Testbed.mode ~host ~ibgp:true
-            ~manifest:Xprogs.Route_reflector.manifest ~engine
-            ~batch_updates:batch ?telemetry:(telemetry_of tele) () );
-      (* the conversion-heavy extension: OV pulls the AS_PATH and
-         COMMUNITIES TLVs for every prefix *)
-      ( "ov-ext",
-        fun ~engine ~batch ~tele () ->
-          Scenario.Testbed.mode ~host ~ibgp:false
-            ~manifest:Xprogs.Origin_validation.manifest ~engine
-            ~xtras:[ ("roa_table", Xprogs.Util.encode_roa_table roas) ]
-            ~batch_updates:batch
-            ?telemetry:(telemetry_of tele) () );
-    ]
-  in
-  (* Shared paired-rounds driver: warmup pass of every leg (discarded),
-     then every leg once per round, rotating the order each round (a
-     fixed order hands the early legs a systematically fresher heap —
-     a reproducible ~10-20% bias against whichever legs ran last).
-     Returns per-leg per-round times for paired-ratio statistics. *)
-  let paired_legs legs =
-    let times = Hashtbl.create 16 in
-    let run_leg round (lname, cache, mode_of) =
-      set_caches cache;
-      let t = timed (mode_of ()) in
-      match round with
-      | None -> ()
-      | Some r ->
-        let a =
-          match Hashtbl.find_opt times lname with
-          | Some a -> a
-          | None ->
-            let a = Array.make rounds nan in
-            Hashtbl.add times lname a;
-            a
-        in
-        a.(r) <- t
-    in
-    List.iter (run_leg None) legs;
-    let nlegs = List.length legs in
-    for round = 0 to rounds - 1 do
-      List.iteri
-        (fun i _ -> run_leg (Some round) (List.nth legs ((i + round) mod nlegs)))
-        legs
-    done;
-    set_caches true;
-    fun lname -> Hashtbl.find times lname
-  in
   List.iter
     (fun (host, hname) ->
       List.iter
         (fun (sname, mk) ->
-          let key fmt = Printf.sprintf ("dispatch.%s.%s." ^^ fmt) hname sname in
-          (* leg list: the legacy baseline, the cache x telemetry grid
-             with batching on and the block engine (cache_on.tele_off
-             is the fast leg), and — for extension scenarios — the
-             interpreter as an engine ablation *)
-          let legs =
-            (("baseline", false, mk ~engine:Ebpf.Vm.Interpreted ~batch:false ~tele:`Off)
-            :: List.concat_map
-                 (fun cache ->
-                   let cname = if cache then "cache_on" else "cache_off" in
-                   List.map
-                     (fun tele ->
-                       ( cname ^ "." ^ tele_name tele,
-                         cache,
-                         mk ~engine:Ebpf.Vm.Block ~batch:true ~tele ))
-                     [ `Off; `Full; `Sampled ])
-                 [ false; true ])
-            @
-            if sname = "native" then []
-            else
-              [
-                ( "engine_interpreted",
-                  true,
-                  mk ~engine:Ebpf.Vm.Interpreted ~batch:true ~tele:`Off );
-              ]
+          let leg ~engine ~batch ~tele () =
+            let telemetry = telemetry_of tele in
+            fst (feed_and_wait (mk ~engine ~batch ?telemetry ()) routes)
           in
-          let t = paired_legs legs in
-          let ups lname = float_of_int n /. median (t lname) in
-          let baseline = ups "baseline" in
-          let fast = ups "cache_on.tele_off" in
-          let ((sp, sp_lo, sp_hi) as speedup) =
-            ratio_stats (t "baseline") (t "cache_on.tele_off")
+          let grid =
+            List.concat_map
+              (fun cache ->
+                List.map
+                  (fun tele ->
+                    ( Printf.sprintf "%s_cache_%s_%s" sname
+                        (if cache then "on" else "off")
+                        (tele_name tele),
+                      with_caches cache
+                        (leg ~engine:Ebpf.Vm.Block ~batch:true ~tele) ))
+                  [ `Off; `Full; `Sampled ])
+              [ false; true ]
+          in
+          let t =
+            paired ~rounds
+              (( sname ^ "_baseline",
+                 with_caches false
+                   (leg ~engine:Ebpf.Vm.Interpreted ~batch:false ~tele:`Off) )
+              :: grid)
+          in
+          set_caches true;
+          let times l = List.assoc (Printf.sprintf "%s_%s" sname l) t in
+          let ups times = float_of_int n /. median times in
+          List.iter
+            (fun (lname, times) ->
+              record "dispatch" hname lname "updates_per_s" (ups times))
+            t;
+          let fast = "cache_on_tele_off" in
+          let ((sp, lo, hi) as speedup) =
+            ratio_stats (times "baseline") (times fast)
           in
           Printf.printf
             "%-6s %-8s baseline=%.0f up/s  fast=%.0f up/s  speedup=%.2fx \
              [%.2f..%.2f]\n\
              %!"
-            hname sname baseline fast sp sp_lo sp_hi;
-          record (key "baseline.updates_per_s") baseline;
-          record (key "fast.updates_per_s") fast;
-          record (key "speedup") sp;
-          record_ratio (key "speedup_rounds") speedup;
-          List.iter
-            (fun (lname, _, _) ->
-              if lname <> "baseline" then begin
-                Printf.printf "%-6s %-8s %s: %.0f up/s\n%!" hname sname lname
-                  (ups lname);
-                record (key "%s.updates_per_s" lname) (ups lname)
-              end)
-            legs;
-          (* per-dispatch telemetry overhead with span sampling, paired
-             per round against the same fast configuration with
-             telemetry off: the acceptance bound is < 25% *)
-          let overhead slow =
-            let m, lo, hi =
-              ratio_stats (t ("cache_on." ^ tele_name slow)) (t "cache_on.tele_off")
+            hname sname (ups (times "baseline")) (ups (times fast)) sp lo hi;
+          record_stats "dispatch" hname (sname ^ "_" ^ fast) "speedup" speedup;
+          (* per-dispatch telemetry overhead, paired per round against the
+             same fast configuration with telemetry off: the acceptance
+             bound for the sampled leg is < 25% *)
+          let overhead tele =
+            let leg = "cache_on_" ^ tele_name tele in
+            let ((m, _, _) as r) =
+              pct (ratio_stats (times leg) (times fast))
             in
-            ((m -. 1.) *. 100., (lo -. 1.) *. 100., (hi -. 1.) *. 100.)
+            record_stats "dispatch" hname (sname ^ "_" ^ leg) "overhead_pct" r;
+            m
           in
-          let ((full, _, _) as fullr) = overhead `Full in
-          let ((sampled, _, _) as sampledr) = overhead `Sampled in
+          let full = overhead `Full in
+          let sampled = overhead `Sampled in
           Printf.printf
             "%-6s %-8s telemetry overhead: full=%.1f%%  sampled=%.1f%%\n%!"
-            hname sname full sampled;
-          record (key "tele_full_overhead_pct") full;
-          record_ratio (key "tele_full_overhead_pct_rounds") fullr;
-          record (key "tele_sampled_overhead_pct") sampled;
-          record_ratio (key "tele_sampled_overhead_pct_rounds") sampledr)
-        (scenarios host);
-      (* --- extension-attached vs native, the tentpole's acceptance
-         figure. Each extension is paired with its *native
-         re-implementation of the same function* (native RR for rr,
-         native trie/hash OV for ov) in the same rounds; the ratio is
-         ext_time / native_time per round (1.0 = native parity, the
-         regression guard trips above 1.3). Caches on, batching on,
-         telemetry off, block engine — the deployment configuration. *)
-      let ratio_pool =
+            hname sname full sampled)
         [
-          ( "rr_native",
-            true,
-            fun () ->
-              Scenario.Testbed.mode ~host ~ibgp:true ~native_rr:true () );
+          ( "native",
+            fun ~engine:_ ~batch ?telemetry () ->
+              Scenario.Testbed.mode ~host ~ibgp:true ~native_rr:true
+                ~batch_updates:batch ?telemetry () );
           ( "rr_ext",
-            true,
-            fun () ->
+            fun ~engine ~batch ?telemetry () ->
               Scenario.Testbed.mode ~host ~ibgp:true
-                ~manifest:Xprogs.Route_reflector.manifest
-                ~engine:Ebpf.Vm.Block () );
-          ( "ov_native",
-            true,
-            fun () ->
-              Scenario.Testbed.mode ~host ~ibgp:false ~native_ov_roas:roas () );
+                ~manifest:Xprogs.Route_reflector.manifest ~engine
+                ~batch_updates:batch ?telemetry () );
+          (* the conversion-heavy extension: OV pulls the AS_PATH and
+             COMMUNITIES TLVs for every prefix *)
           ( "ov_ext",
-            true,
-            fun () ->
+            fun ~engine ~batch ?telemetry () ->
               Scenario.Testbed.mode ~host ~ibgp:false
-                ~manifest:Xprogs.Origin_validation.manifest
-                ~engine:Ebpf.Vm.Block
+                ~manifest:Xprogs.Origin_validation.manifest ~engine
                 ~xtras:[ ("roa_table", Xprogs.Util.encode_roa_table roas) ]
-                () );
-        ]
-      in
-      let t = paired_legs ratio_pool in
-      List.iter
-        (fun grid ->
-          let ((m, lo, hi) as r) =
-            ratio_stats (t (grid ^ "_ext")) (t (grid ^ "_native"))
-          in
-          Printf.printf
-            "%-6s %-8s ext/native ratio: %.3f [%.3f..%.3f]\n%!" hname grid m
-            lo hi;
-          record_ratio
-            (Printf.sprintf "dispatch.%s.%s.ext_native_ratio" hname grid)
-            r)
-        [ "rr"; "ov" ])
+                ~batch_updates:batch ?telemetry () );
+        ])
     hosts
 
 let dispatch_bench () =
+  let n = max 1000 (routes_n / 2) and rounds = max 6 (runs_n / 2) in
+  let micro_rounds = max 7 (runs_n / 2) and batch_k = 8 in
+  describe "dispatch"
+    [
+      ("routes", n); ("rounds", rounds); ("micro_rounds", micro_rounds);
+      ("batch_k", batch_k);
+    ];
   Printf.printf
     "=== Dispatch fast path: caches x batching x telemetry ===\n";
-  dispatch_micro ();
-  dispatch_pipeline ();
+  dispatch_micro ~rounds:micro_rounds ~batch_k;
+  dispatch_pipeline ~n ~rounds;
   Printf.printf "\n"
 
 (* ------------------------------------------------------------------ *)
@@ -1140,13 +927,7 @@ let dispatch_bench () =
    outbound dispatch and UPDATE encoding once per group instead of once
    per peer. A group-invariant outbound extension is attached so the
    per-peer baseline also pays K bytecode dispatches per route — the
-   deployment shape the update-group engine is for.
-
-   Env knobs: XBGP_BENCH_ROUTES (table size, default 100k here — this is
-   a full-table bench), XBGP_BENCH_RUNS (rounds = max 2 runs/5). *)
-
-let fanout_n =
-  try int_of_string (Sys.getenv "XBGP_BENCH_ROUTES") with Not_found -> 100_000
+   deployment shape the update-group engine is for. *)
 
 let fanout_routes n =
   List.init n (fun i ->
@@ -1209,8 +990,6 @@ let fanout_run ~host ~grouped ~npeers routes =
   in
   Scenario.Star.establish star;
   let n = List.length routes in
-  let t0 = Unix.gettimeofday () in
-  List.iter (fun (p, attrs) -> Scenario.Star.originate star p attrs) routes;
   let full () =
     let ok = ref true in
     for i = 0 to npeers - 1 do
@@ -1218,61 +997,61 @@ let fanout_run ~host ~grouped ~npeers routes =
     done;
     !ok
   in
-  if not (Scenario.Star.run_until ~timeout_us:3_600_000_000 star full) then
-    failwith "fanout bench: export did not converge";
-  (Unix.gettimeofday () -. t0, star)
+  let dt =
+    wall (fun () ->
+        List.iter
+          (fun (p, attrs) -> Scenario.Star.originate star p attrs)
+          routes;
+        if not (Scenario.Star.run_until ~timeout_us:3_600_000_000 star full)
+        then failwith "fanout bench: export did not converge")
+  in
+  (dt, star)
 
 let fanout_bench () =
+  let n = env_int "XBGP_BENCH_ROUTES" 100_000 in
+  let rounds = max 2 (runs_n / 5) in
+  describe "fanout" [ ("routes", n); ("rounds", rounds) ];
   Printf.printf
     "=== Fan-out: update groups (encode once) vs per-peer export ===\n";
-  let routes = fanout_routes fanout_n in
-  let rounds = max 2 (runs_n / 5) in
-  let peer_counts = [ 2; 4; 8; 16; 32 ] in
+  let routes = fanout_routes n in
   List.iter
     (fun (host, hname) ->
       List.iter
         (fun npeers ->
-          let key fmt =
-            Printf.sprintf ("fanout.%s.p%d." ^^ fmt) hname npeers
-          in
-          let best_g = ref infinity and best_b = ref infinity in
           let saved = ref 0 and groups = ref 0 in
-          for round = 0 to rounds - 1 do
-            (* alternate leg order across rounds so neither leg
-               systematically inherits a fresher heap *)
-            let legs =
-              if round mod 2 = 0 then [ true; false ] else [ false; true ]
-            in
-            List.iter
-              (fun grouped ->
-                Gc.compact ();
-                let dt, star = fanout_run ~host ~grouped ~npeers routes in
-                if grouped then begin
-                  best_g := min !best_g dt;
-                  saved :=
-                    Telemetry.counter_value
-                      (Scenario.Star.telemetry star)
-                      ~name:"bgp_fanout_bytes_saved_total"
-                      ~labels:[ ("daemon", "dut") ];
-                  groups := Scenario.Daemon.group_count (Scenario.Star.dut star)
-                end
-                else best_b := min !best_b dt)
-              legs
-          done;
-          let n = float_of_int fanout_n in
-          let speedup = !best_b /. !best_g in
+          let leg grouped () =
+            let dt, star = fanout_run ~host ~grouped ~npeers routes in
+            if grouped then begin
+              saved :=
+                Telemetry.counter_value
+                  (Scenario.Star.telemetry star)
+                  ~name:"bgp_fanout_bytes_saved_total"
+                  ~labels:[ ("daemon", "dut") ];
+              groups := Scenario.Daemon.group_count (Scenario.Star.dut star)
+            end;
+            dt
+          in
+          let t =
+            paired ~rounds [ ("grouped", leg true); ("baseline", leg false) ]
+          in
+          let grouped = List.assoc "grouped" t in
+          let base = List.assoc "baseline" t in
+          let rps times = float_of_int n /. median times in
+          let ((sp, lo, hi) as speedup) = ratio_stats base grouped in
           Printf.printf
             "%-6s p%-3d baseline=%.0f routes/s  grouped=%.0f routes/s  \
-             speedup=%.2fx  groups=%d  bytes_saved=%d\n\
+             speedup=%.2fx [%.2f..%.2f]  groups=%d  bytes_saved=%d\n\
              %!"
-            hname npeers (n /. !best_b) (n /. !best_g) speedup !groups !saved;
-          record (key "baseline.routes_per_s") (n /. !best_b);
-          record (key "grouped.routes_per_s") (n /. !best_g);
-          record (key "speedup") speedup;
-          record (key "groups") (float_of_int !groups);
-          record (key "bytes_saved") (float_of_int !saved))
-        peer_counts)
-    [ (`Frr, "frr"); (`Bird, "bird") ];
+            hname npeers (rps base) (rps grouped) sp lo hi !groups !saved;
+          let leg = Printf.sprintf "p%d_%s" npeers in
+          record "fanout" hname (leg "baseline") "routes_per_s" (rps base);
+          record "fanout" hname (leg "grouped") "routes_per_s" (rps grouped);
+          record "fanout" hname (leg "grouped") "groups" (float_of_int !groups);
+          record "fanout" hname (leg "grouped") "bytes_saved"
+            (float_of_int !saved);
+          record_stats "fanout" hname (leg "grouped") "speedup" speedup)
+        [ 2; 4; 8; 16; 32 ])
+    hosts;
   Printf.printf "\n"
 
 (* ------------------------------------------------------------------ *)
@@ -1284,146 +1063,109 @@ let fanout_bench () =
    end: the Fig. 3 pipeline with route-reflection bytecode, run bare,
    with a flight recorder attached (default 64 KiB ring — a full-table
    feed overflows it, so the eviction path is priced in), and with a
-   recorder plus a BMP mirror. Legs interleave per round with the
-   per-leg best kept (the telemetry-bench methodology: drift is
-   common-mode within a round, timing noise is one-sided). *)
+   recorder plus a BMP mirror; the overhead is the per-round time ratio
+   against the bare leg. *)
 let recorder_bench () =
+  let n = max 1000 (routes_n / 2) and rounds = max 5 (runs_n / 3) in
+  describe "recorder" [ ("routes", n); ("rounds", rounds) ];
   Printf.printf
     "=== Flight recorder: record cost and pipeline overhead ===\n";
-  let micro_rounds = max 5 (runs_n / 3) in
-  let micro_record label capacity =
-    let fields =
-      [
-        ("daemon", "dut"); ("peer", "7"); ("prefix", "10.32.0.0/24");
-        ("why", "as_path_len");
-      ]
-    in
-    let iters = 200_000 in
-    let leg () =
-      let rc = Obs.Recorder.create ~capacity ~name:"bench" () in
-      Gc.compact ();
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to iters do
-        Obs.Recorder.record rc Obs.Recorder.Route_add fields
-      done;
-      (Unix.gettimeofday () -. t0) /. float_of_int iters *. 1e9
-    in
-    ignore (leg ());
-    let best = ref infinity in
-    for _ = 1 to micro_rounds do
-      best := min !best (leg ())
-    done;
-    Printf.printf "%-34s %8.1f ns/event\n%!" label !best;
-    record (Printf.sprintf "recorder.micro.%s.ns_per_event" label) !best
+  let iters = 200_000 in
+  let fields =
+    [
+      ("daemon", "dut"); ("peer", "7"); ("prefix", "10.32.0.0/24");
+      ("why", "as_path_len");
+    ]
   in
-  (* 16 MiB swallows every frame of the loop: pure append *)
-  micro_record "record_append" (1 lsl 24);
-  (* 4 KiB is full within ~60 events: every record also evicts *)
-  micro_record "record_evicting" 4096;
-  let n = max 1000 (routes_n / 2) in
-  let rounds = max 5 (runs_n / 3) in
-  let routes =
-    Dataset.Ris_gen.generate { Dataset.Ris_gen.default_config with count = n }
-  in
-  let mode host =
-    Scenario.Testbed.mode ~host ~ibgp:true
-      ~manifest:Xprogs.Route_reflector.manifest ()
-  in
-  let timed host obs =
-    Gc.compact ();
-    let tb = Scenario.Testbed.create (mode host) in
-    let rc =
-      if obs = `Off then None
-      else begin
-        let rc = Obs.Recorder.create ~name:"dut" () in
-        Obs.Recorder.set_clock rc (fun () ->
-            Netsim.Sched.now tb.Scenario.Testbed.sched);
-        Scenario.Daemon.set_recorder tb.Scenario.Testbed.dut (Some rc);
-        if obs = `Bmp then
-          Scenario.Daemon.set_collector tb.Scenario.Testbed.dut
-            (Some (Obs.Bmp.collector ()));
-        Some rc
-      end
-    in
-    Scenario.Testbed.establish tb;
-    let t0 = Unix.gettimeofday () in
-    Scenario.Testbed.feed tb routes;
-    if not (Scenario.Testbed.run_until_downstream_has tb n) then
-      failwith "recorder bench: pipeline did not converge";
-    (Unix.gettimeofday () -. t0, rc)
+  let micro capacity () =
+    let rc = Obs.Recorder.create ~capacity ~name:"bench" () in
+    wall (fun () ->
+        for _ = 1 to iters do
+          Obs.Recorder.record rc Obs.Recorder.Route_add fields
+        done)
+    /. float_of_int iters *. 1e9
   in
   List.iter
+    (fun (label, times) ->
+      Printf.printf "%-34s %8.1f ns/event\n%!" label (median times);
+      record "recorder" "any" label "ns_per_event" (median times))
+    (paired ~rounds
+       [
+         (* 16 MiB swallows every frame of the loop: pure append *)
+         ("record_append", micro (1 lsl 24));
+         (* 4 KiB is full within ~60 events: every record also evicts *)
+         ("record_evicting", micro 4096);
+       ]);
+  let routes = ris_routes n in
+  List.iter
     (fun (host, hname) ->
-      let legs = [ (`Off, "off"); (`Recorder, "recorder"); (`Bmp, "recorder_bmp") ] in
-      let best = Hashtbl.create 4 in
+      let mode =
+        Scenario.Testbed.mode ~host ~ibgp:true
+          ~manifest:Xprogs.Route_reflector.manifest ()
+      in
       let held = ref 0 and evicted = ref 0 in
-      let run_leg (obs, lname) =
-        let dt, rc = timed host obs in
-        (match rc with
-        | Some rc when obs = `Recorder ->
+      let leg obs () =
+        let setup (tb : Scenario.Testbed.t) =
+          if obs <> `Off then begin
+            let rc = Obs.Recorder.create ~name:"dut" () in
+            Obs.Recorder.set_clock rc (fun () -> Netsim.Sched.now tb.sched);
+            Scenario.Daemon.set_recorder tb.dut (Some rc)
+          end;
+          if obs = `Bmp then
+            Scenario.Daemon.set_collector tb.dut (Some (Obs.Bmp.collector ()))
+        in
+        let dt, tb = feed_and_wait ~setup mode routes in
+        (match (obs, Scenario.Daemon.recorder tb.dut) with
+        | `Recorder, Some rc ->
           held := Obs.Recorder.length rc;
           evicted := Obs.Recorder.dropped rc
         | _ -> ());
-        let prev =
-          Option.value ~default:infinity (Hashtbl.find_opt best lname)
-        in
-        Hashtbl.replace best lname (min prev dt)
+        dt
       in
-      List.iter run_leg legs;
-      (* warmup *)
-      Hashtbl.reset best;
-      let nlegs = List.length legs in
-      for round = 0 to rounds - 1 do
-        (* rotate the leg order so no leg systematically inherits a
-           fresher heap *)
-        List.iteri (fun i _ -> run_leg (List.nth legs ((i + round) mod nlegs))) legs
-      done;
-      let ups lname = float_of_int n /. Hashtbl.find best lname in
-      let off = ups "off" in
-      let pct lname = (off -. ups lname) /. off *. 100. in
+      let t =
+        paired ~rounds
+          [
+            ("off", leg `Off); ("recorder", leg `Recorder);
+            ("recorder_bmp", leg `Bmp);
+          ]
+      in
+      let ups l = float_of_int n /. median (List.assoc l t) in
+      let over l = pct (ratio_stats (List.assoc l t) (List.assoc "off" t)) in
+      let (r, _, _) = over "recorder" and (rb, _, _) = over "recorder_bmp" in
       Printf.printf
         "%-6s off=%.0f up/s  recorder=%.0f up/s (%+.1f%%)  \
          recorder+bmp=%.0f up/s (%+.1f%%)  ring held=%d evicted=%d\n%!"
-        hname off (ups "recorder") (pct "recorder") (ups "recorder_bmp")
-        (pct "recorder_bmp") !held !evicted;
-      let key fmt = Printf.sprintf ("recorder.%s." ^^ fmt) hname in
-      record (key "off.updates_per_s") off;
-      record (key "recorder.updates_per_s") (ups "recorder");
-      record (key "recorder_overhead_pct") (pct "recorder");
-      record (key "recorder_bmp.updates_per_s") (ups "recorder_bmp");
-      record (key "recorder_bmp_overhead_pct") (pct "recorder_bmp");
-      record (key "ring.events_held") (float_of_int !held);
-      record (key "ring.events_evicted") (float_of_int !evicted))
-    [ (`Frr, "frr"); (`Bird, "bird") ];
+        hname (ups "off") (ups "recorder") r (ups "recorder_bmp") rb !held
+        !evicted;
+      let rec_ = record "recorder" hname in
+      rec_ "off" "updates_per_s" (ups "off");
+      List.iter
+        (fun l ->
+          rec_ l "updates_per_s" (ups l);
+          record_stats "recorder" hname l "overhead_pct" (over l))
+        [ "recorder"; "recorder_bmp" ];
+      rec_ "recorder" "ring_events_held" (float_of_int !held);
+      rec_ "recorder" "ring_events_evicted" (float_of_int !evicted))
+    hosts;
   Printf.printf "\n"
 
 (* ------------------------------------------------------------------ *)
 (* chaos: convergence-time distributions from the chaos campaign       *)
 (* ------------------------------------------------------------------ *)
 
-let chaos_cases_n =
-  try int_of_string (Sys.getenv "XBGP_BENCH_CHAOS_CASES")
-  with Not_found -> 200
-
-let chaos_seed =
-  try int_of_string (Sys.getenv "XBGP_BENCH_CHAOS_SEED") with Not_found -> 42
-
 let chaos_bench () =
+  let cases = env_int "XBGP_BENCH_CHAOS_CASES" 200 and seed = 42 in
+  describe "chaos" [ ("cases", cases); ("seed", seed) ];
   Printf.printf
     "=== Chaos: per-phase convergence distributions (%d cases, seed %d) \
      ===\n\
      %!"
-    chaos_cases_n chaos_seed;
-  let s =
-    Fuzz.Chaos.campaign ~seed:chaos_seed ~cases:chaos_cases_n ()
-  in
-  record "chaos.cases" (float_of_int s.cases);
-  record "chaos.failures" (float_of_int (List.length s.failures));
-  List.iter
-    (fun (topo, n) ->
-      record (Printf.sprintf "chaos.topology.%s.cases" topo)
-        (float_of_int n))
-    s.topologies;
+    cases seed;
+  let s = Fuzz.Chaos.campaign ~seed ~cases () in
+  let rec_ = record "chaos" "any" in
+  rec_ "campaign" "cases" (float_of_int s.cases);
+  rec_ "campaign" "failures" (float_of_int (List.length s.failures));
+  List.iter (fun (topo, n) -> rec_ topo "cases" (float_of_int n)) s.topologies;
   if s.failures <> [] then
     Printf.printf "!! %d failing case(s) — distributions below cover the \
                    passing legs only\n"
@@ -1436,97 +1178,72 @@ let chaos_bench () =
     | Some i -> String.sub label 0 i
     | None -> label
   in
-  let percentile p xs =
-    let a = Array.of_list (List.sort compare xs) in
-    let n = Array.length a in
-    let i = p *. float_of_int (n - 1) in
-    let lo = int_of_float i in
-    let hi = min (lo + 1) (n - 1) in
-    let frac = i -. float_of_int lo in
-    a.(lo) +. (frac *. (a.(hi) -. a.(lo)))
-  in
-  let buckets = Hashtbl.create 16 and order = ref [] in
-  List.iter
-    (fun (label, us) ->
-      let f = family label in
-      let l =
-        match Hashtbl.find_opt buckets f with
-        | Some l -> l
-        | None ->
-          let l = ref [] in
-          Hashtbl.add buckets f l;
-          order := f :: !order;
-          l
-      in
-      l := (float_of_int us /. 1e6) :: !l)
-    s.convergence;
-  let stats name xs =
-    let mn, _, md, _, mx = quartiles xs in
-    let p90 = percentile 0.9 xs in
+  let stats name keep =
+    let xs =
+      Array.of_list
+        (List.filter_map
+           (fun (label, us) ->
+             if keep label then Some (float_of_int us /. 1e6) else None)
+           s.convergence)
+    in
+    let q p = quantile p xs in
     Printf.printf
       "%-14s n=%-5d min=%6.2fs  median=%6.2fs  p90=%6.2fs  max=%6.2fs\n%!"
-      name (List.length xs) mn md p90 mx;
-    let key fmt = Printf.sprintf ("chaos.%s." ^^ fmt) name in
-    record (key "n") (float_of_int (List.length xs));
-    record (key "min_s") mn;
-    record (key "median_s") md;
-    record (key "p90_s") p90;
-    record (key "max_s") mx
+      name (Array.length xs) (q 0.) (q 0.5) (q 0.9) (q 1.);
+    rec_ name "n" (float_of_int (Array.length xs));
+    rec_ name "min_s" (q 0.);
+    rec_ name "median_s" (q 0.5);
+    rec_ name "p90_s" (q 0.9);
+    rec_ name "max_s" (q 1.)
   in
-  List.iter (fun f -> stats f !(Hashtbl.find buckets f)) (List.rev !order);
-  (match List.map (fun (_, us) -> float_of_int us /. 1e6) s.convergence with
-  | [] -> ()
-  | all -> stats "all" all);
+  List.iter
+    (fun f -> stats f (fun l -> family l = f))
+    (List.sort_uniq compare (List.map (fun (l, _) -> family l) s.convergence));
+  if s.convergence <> [] then stats "all" (fun _ -> true);
   Printf.printf "\n"
+
+(* ------------------------------------------------------------------ *)
+(* Command line                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let benches =
+  [
+    ("fig1", fig1); ("fig4", fig4); ("ablation", fig4); ("fig5", fig5);
+    ("micro", micro); ("churn", churn); ("telemetry", telemetry_bench);
+    ("dispatch", dispatch_bench); ("fanout", fanout_bench);
+    ("recorder", recorder_bench); ("chaos", chaos_bench);
+  ]
+
+let all = [ "fig1"; "fig4"; "fig5"; "churn"; "telemetry"; "micro" ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let json = List.mem "--json" args in
-  let which =
+  let names =
     match List.filter (fun a -> a <> "--json") args with
-    | [] -> if json then "json" else "all"
-    | w :: _ -> w
+    | [] -> all
+    | names -> List.concat_map (fun a -> if a = "all" then all else [ a ]) names
   in
-  (match which with
-  | "fig1" -> fig1 ()
-  | "fig4" -> fig4 ()
-  | "fig5" -> fig5 ()
-  | "micro" -> micro ()
-  | "ablation" -> ablation ()
-  | "churn" -> churn ()
-  | "telemetry" -> telemetry_bench ()
-  | "dispatch" -> dispatch_bench ()
-  | "fanout" -> fanout_bench ()
-  | "recorder" -> recorder_bench ()
-  | "chaos" -> chaos_bench ()
-  | "json" ->
-    (* bare --json: run exactly the benches whose numbers land in the file *)
-    micro ();
-    ablation ();
-    telemetry_bench ()
-  | "all" ->
-    fig1 ();
-    fig4 ();
-    fig5 ();
-    ablation ();
-    churn ();
-    telemetry_bench ();
-    micro ()
-  | other ->
-    Printf.eprintf
-      "unknown bench %S \
-       (fig1|fig4|fig5|ablation|churn|telemetry|dispatch|fanout|recorder|chaos|micro|all; \
-       add --json to write BENCH_pr3.json, BENCH_pr9.json for dispatch, \
-       BENCH_pr5.json for fanout, BENCH_pr6.json for chaos, \
-       or BENCH_pr8.json for recorder)\n"
-      other;
-    exit 1);
-  if json then
-    write_json
-      (match which with
-      | "dispatch" -> "BENCH_pr9.json"
-      | "fanout" -> "BENCH_pr5.json"
-      | "chaos" -> "BENCH_pr6.json"
-      | "recorder" -> "BENCH_pr8.json"
-      | _ -> "BENCH_pr3.json");
+  let run =
+    List.map
+      (fun name ->
+        match List.assoc_opt name benches with
+        | Some f -> f
+        | None ->
+          Printf.eprintf
+            "unknown bench %S (%s|all; add --json to write BENCH.json)\n" name
+            (String.concat "|" (List.map fst benches));
+          exit 1)
+      names
+  in
+  List.fold_left
+    (fun ran f ->
+      if List.memq f ran then ran
+      else begin
+        f ();
+        f :: ran
+      end)
+    [] run
+  |> ignore;
+  if json then write_json "BENCH.json";
   Printf.printf "done.\n"

@@ -173,8 +173,8 @@ let cache_misses = ref 0
 
 (* The daemon drives this from [Vmm.has_any_attachment]: with no
    extension attached nothing ever probes a TLV, so the native baseline
-   must not pay for memo bookkeeping it can never use (the BENCH_pr4
-   native-speedup regression). Unlike [set_conversion_cache], flipping
+   must not pay for memo bookkeeping it can never use (the native-speedup
+   regression in EXPERIMENTS.md E17). Unlike [set_conversion_cache], flipping
    the gate keeps the memo table — a detach/re-attach cycle restarts
    warm. *)
 let cache_gate = ref true

@@ -1,64 +1,59 @@
 #!/usr/bin/env python3
-"""Bench regression guard over the dispatch bench artifact (BENCH_pr9.json).
+"""Extension-vs-native regression guard over BENCH.json.
 
-The extension dispatch path's acceptance figure is the paired
-ext/native ratio (1.0 = native parity) per host x grid, measured on the
-block engine; the guard fails when any median ratio exceeds
---threshold, i.e. when an extension-attached dispatch chain costs more
-than THRESHOLD x the native re-implementation of the same function.
+The fig4 bench pairs each extension leg with the host's native
+re-implementation of the same function in the same rounds; the ratio is
+extension time / native time per round (1.0 = native parity). The guard
+reads the block engine's median ratio for each host x use case
+(fig4.<host>.<rr|ov>_block.ratio_median, 4 ratios), prints it with its
+round min/max, and fails when any median exceeds --threshold or when
+fewer than 4 ratios are present.
 
-Usage: check_bench_guard.py [--threshold 1.3] [BENCH_pr9.json]
+Usage: check_bench_guard.py [--threshold 1.3] [BENCH.json | -]
 """
 
 import argparse
 import json
+import re
 import sys
 
-SUFFIX = ".ext_native_ratio.median"
-EXPECTED = 4  # 2 hosts (frr, bird) x 2 grids (rr, ov)
-
-
-def check_dispatch(bench, args):
-    ratios = {k: v for k, v in bench.items() if k.endswith(SUFFIX)}
-    if len(ratios) < EXPECTED:
-        print(
-            f"guard: expected >= {EXPECTED} ext/native ratios in "
-            f"{args.path}, found {len(ratios)} — was the dispatch bench "
-            "run with --json?",
-            file=sys.stderr,
-        )
-        return 1
-
-    bad = []
-    for key in sorted(ratios):
-        ratio = ratios[key]
-        verdict = "ok" if ratio <= args.threshold else "FAIL"
-        print(f"  {key[: -len(SUFFIX)]}: {ratio:.3f} [{verdict}]")
-        if ratio > args.threshold:
-            bad.append((key, ratio))
-
-    if bad:
-        for key, ratio in bad:
-            print(
-                f"guard: {key} = {ratio:.3f} exceeds the "
-                f"{args.threshold:.2f}x ext-vs-native budget",
-                file=sys.stderr,
-            )
-        return 1
-    print(f"guard: all ext/native medians within {args.threshold:.2f}x")
-    return 0
+RATIO = re.compile(r"^(fig4\.\w+\.\w+_block\.ratio)_median$")
+EXPECTED = 4  # 2 hosts (frr, bird) x 2 use cases (rr, ov)
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("path", nargs="?", default="BENCH_pr9.json")
+    ap.add_argument("path", nargs="?", default="BENCH.json")
     ap.add_argument("--threshold", type=float, default=1.3)
     args = ap.parse_args()
 
-    with open(args.path) as f:
-        bench = json.load(f)
+    with sys.stdin if args.path == "-" else open(args.path) as f:
+        metrics = json.load(f)["metrics"]
 
-    return check_dispatch(bench, args)
+    stems = sorted(m.group(1) for m in map(RATIO.match, metrics) if m)
+    if len(stems) < EXPECTED:
+        print(
+            f"guard: expected {EXPECTED} block-engine ext/native ratios in "
+            f"{args.path}, found {len(stems)} — did the run include fig4?",
+            file=sys.stderr,
+        )
+        return 1
+
+    bad = 0
+    for stem in stems:
+        med, lo, hi = (metrics.get(f"{stem}_{s}", float("nan"))
+                       for s in ("median", "min", "max"))
+        ok = med <= args.threshold
+        bad += not ok
+        print(f"  {stem}: {med:.3f} [{lo:.3f}..{hi:.3f}] "
+              f"{'ok' if ok else 'FAIL'}")
+
+    if bad:
+        print(f"guard: {bad} ext/native median(s) exceed the "
+              f"{args.threshold:.2f}x budget", file=sys.stderr)
+        return 1
+    print(f"guard: all ext/native medians within {args.threshold:.2f}x")
+    return 0
 
 
 if __name__ == "__main__":
