@@ -12,11 +12,14 @@
    Replay mode (--replay FILE) regenerates a reproducer's case and
    re-runs the oracle on it.
 
-   Fan-out mode (--fanout) runs the multi-peer update-group oracle
-   instead: every case executes one star-topology scenario under both
-   export modes (update groups on / off) and requires byte-identical
-   per-peer UPDATE streams, adj-RIB-ins and Loc-RIBs on both hosts,
-   across session churn and live regrouping.
+   Chaos mode (--chaos) runs the config-space campaign instead: every
+   case runs one star or fabric scenario under a seeded fault schedule
+   once per knob-grid leg and demands convergence, equivalence across
+   the legs and telemetry invariants. A star case's grid includes its
+   own point with update groups flipped, whose per-sink UPDATE frame
+   streams must match byte for byte — grouped export against per-peer
+   export, under session flaps, split-horizon sink feeding, withdrawal
+   races and live regrouping.
 
    Exit status: 0 clean, 1 findings, 124 internal error. *)
 
@@ -43,19 +46,6 @@ let run_campaign ~cases ~seed ~out ~force_divergence ~quiet =
       Option.iter (Fmt.pr "  reproducer: %s@.") f.repro_path)
     summary.results;
   if summary.results = [] then 0 else 1
-
-let run_fanout ~cases ~seed ~force_divergence ~quiet =
-  let log s = if not quiet then print_endline s in
-  let summary =
-    Fuzz.Fanout.campaign ~perturb:force_divergence ~log ~seed ~cases ()
-  in
-  Fmt.pr "%a@." Fuzz.Fanout.pp_summary summary;
-  List.iter
-    (fun (c, findings) ->
-      Fmt.pr "@.FAILING %a@." Fuzz.Fanout.pp_case c;
-      List.iter (Fmt.pr "  %s@.") findings)
-    summary.failures;
-  if summary.failures = [] then 0 else 1
 
 let run_chaos ~cases ~seed ~out ~force_divergence ~quiet =
   let log s = if not quiet then print_endline s in
@@ -97,14 +87,21 @@ let run_chaos_replay path content =
             (String.concat " " repro.classes);
         1))
 
-let run_replay path =
+(* chaos legs set the conversion caches from their own knobs *)
+let caches_with_chaos () =
+  Fmt.epr "xbgp-fuzz: --caches cannot be combined with --chaos or a chaos \
+           reproducer: every chaos leg sets the caches from its knobs@.";
+  124
+
+let run_replay ~caches path =
   (* both reproducer formats are self-describing; route on the magic *)
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error e ->
     Fmt.epr "xbgp-fuzz: cannot read %s: %s@." path e;
     124
   | content when Fuzz.Replay.Chaos.is_chaos content ->
-    run_chaos_replay path content
+    if caches <> None then caches_with_chaos ()
+    else run_chaos_replay path content
   | _ -> (
   match Fuzz.Replay.load path with
   | Error e ->
@@ -150,8 +147,9 @@ let no_out =
 let force_divergence =
   let doc =
     "Artificially corrupt the BIRD-side state (or, on VM scenarios, the \
-     block-compiled engine's result) so the oracle, shrinker and replay \
-     pipeline demonstrably fire (self-test mode)."
+     block-compiled engine's result; with $(b,--chaos), leg 0's final \
+     route, map and UPDATE-frame snapshot) so the oracle, shrinker and \
+     replay pipeline demonstrably fire (self-test mode)."
   in
   Arg.(value & flag & info [ "force-divergence" ] ~doc)
 
@@ -164,17 +162,10 @@ let caches =
     "Force the attribute-conversion caches on or off in both hosts for \
      the whole campaign (default: on, the deployment configuration). \
      Running both settings over the same seed checks that the caches \
-     never change the xBGP-visible state."
+     never change the xBGP-visible state. Rejected with $(b,--chaos) and \
+     chaos reproducers, whose legs set the caches from their own knobs."
   in
-  Arg.(value & opt bool true & info [ "caches" ] ~docv:"BOOL" ~doc)
-
-let fanout =
-  let doc =
-    "Run the multi-peer fan-out oracle instead of the main campaign: \
-     the same star-topology scenario under grouped and per-peer export \
-     must leave byte-identical per-peer UPDATE streams."
-  in
-  Arg.(value & flag & info [ "fanout" ] ~doc)
+  Arg.(value & opt (some bool) None & info [ "caches" ] ~docv:"BOOL" ~doc)
 
 let chaos =
   let doc =
@@ -183,9 +174,11 @@ let chaos =
      engine, caches, batching, update groups, span sampling, xprog \
      chains), runs it through a generated scenario under a seeded fault \
      schedule (session flaps, link failures, ROA swaps, live xprog \
-     detach/attach), and asserts convergence within budget, \
-     route-for-route equivalence across the knob grid, and telemetry \
-     invariants. Failures are ddmin-shrunk over the fault schedule and \
+     detach/attach, split-horizon sink feeding, withdrawal races, live \
+     regrouping), and asserts convergence within budget, route-for-route \
+     equivalence across the knob grid, byte-identical UPDATE streams \
+     between grouped and per-peer export, and telemetry invariants. \
+     Failures are ddmin-shrunk over the fault schedule and \
      route table and written as seed-pinned chaos reproducers."
   in
   Arg.(value & flag & info [ "chaos" ] ~doc)
@@ -198,14 +191,15 @@ let verbose =
   let doc = "Verbose daemon logging." in
   Arg.(value & flag & info [ "verbose" ] ~doc)
 
-let main cases seed out no_out force_divergence caches fanout chaos replay
-    quiet verbose =
+let main cases seed out no_out force_divergence caches chaos replay quiet
+    verbose =
   setup_logs ~quiet verbose;
-  Frrouting.Attr_intern.set_conversion_cache caches;
-  Bird.Eattr.set_conversion_cache caches;
+  let on = Option.value caches ~default:true in
+  Frrouting.Attr_intern.set_conversion_cache on;
+  Bird.Eattr.set_conversion_cache on;
   match replay with
-  | Some path -> run_replay path
-  | None when fanout -> run_fanout ~cases ~seed ~force_divergence ~quiet
+  | Some path -> run_replay ~caches path
+  | None when chaos && caches <> None -> caches_with_chaos ()
   | None when chaos ->
     let out = if no_out then None else out in
     run_chaos ~cases ~seed ~out ~force_divergence ~quiet
@@ -233,7 +227,9 @@ let cmd =
         "$(b,--chaos) switches to the config-space chaos campaign: \
          randomized knob-matrix points driven through generated \
          star/fabric scenarios under seeded fault schedules, with \
-         convergence, cross-knob equivalence and telemetry oracles. \
+         convergence, cross-knob equivalence and telemetry oracles. A \
+         star case also runs its own point with update groups flipped \
+         and demands byte-identical per-sink UPDATE frame streams. \
          Chaos reproducers share the $(b,--replay) flag — the file \
          format is self-describing.";
     ]
@@ -242,6 +238,6 @@ let cmd =
     (Cmd.info "xbgp-fuzz" ~doc ~man)
     Term.(
       const main $ cases $ seed $ out $ no_out $ force_divergence $ caches
-      $ fanout $ chaos $ replay $ quiet $ verbose)
+      $ chaos $ replay $ quiet $ verbose)
 
 let () = exit (Cmd.eval' cmd)

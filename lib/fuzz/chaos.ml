@@ -11,9 +11,12 @@
    (b) equivalence: the xBGP-visible routing state after every phase —
        DUT Loc-RIB, per-sink derived adj-RIB-ins, per-router fabric
        Loc-RIBs and ToR reachability, all in the normalized neutral
-       form — is identical on every leg of the grid. Settling between
-       fault events makes the event history knob-independent, so any
-       difference is a real configuration-dependence bug;
+       form — is identical on every leg of the grid, and legs that agree
+       on host and batching leave every sink a byte-identical UPDATE
+       frame stream (on star cases, grouped against per-peer export).
+       Settling between fault events makes the event history
+       knob-independent, so any difference is a real
+       configuration-dependence bug;
    (c) telemetry invariants: registry counters are monotone across
        phase snapshots, no pipe leaks in-flight chunks at quiescence,
        and update groups re-merge after churn (1 group for a
@@ -56,6 +59,8 @@ type phase = {
   reach : bool list;  (** fabric: ToR-pair reachability flags *)
   maps : string;
       (** star: DUT VMM map-state fingerprint ([Oracle.render_map_state]) *)
+  frames : string list array;
+      (** star: per-sink raw UPDATE frames so far, oldest first *)
 }
 
 type leg = {
@@ -67,34 +72,38 @@ type leg = {
 
 let phase_budget_us = 60_000_000
 
-let set_caches b =
-  Frrouting.Attr_intern.set_conversion_cache b;
-  Bird.Eattr.set_conversion_cache b
-
 (* --- telemetry invariants --- *)
 
 let pp_labels ppf l =
   Fmt.pf ppf "{%s}"
     (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) l))
 
+(* [Telemetry.counters] is sorted by (name, labels), so two snapshots
+   line up in one merge walk. *)
 let check_monotone ~leg ~label prev cur =
-  List.filter_map
-    (fun (n, l, v) ->
-      match
-        List.find_opt (fun (n', l', _) -> n' = n && l' = l) cur
-      with
-      | Some (_, _, v') when v' < v ->
-        Some
-          (finding Telemetry_oracle
-             "[%a] counter %s%a went backwards (%d -> %d) across phase %s"
-             Cg.pp_knobs leg n pp_labels l v v' label)
-      | Some _ -> None
-      | None ->
-        Some
-          (finding Telemetry_oracle
-             "[%a] counter %s%a disappeared across phase %s" Cg.pp_knobs leg n
-             pp_labels l label))
-    prev
+  let rec go acc prev cur =
+    match (prev, cur) with
+    | [], _ -> List.rev acc
+    | (n, l, v) :: prev', (n', l', v') :: cur' -> (
+      match String.compare n n' with
+      | 0 when compare l l' > 0 -> go acc prev cur'
+      | 0 when l = l' ->
+        go
+          (if v' < v then
+             finding Telemetry_oracle
+               "[%a] counter %s%a went backwards (%d -> %d) across phase %s"
+               Cg.pp_knobs leg n pp_labels l v v' label
+             :: acc
+           else acc)
+          prev' cur'
+      | c when c > 0 -> go acc prev cur'
+      | _ -> go (gone n l :: acc) prev' cur)
+    | (n, l, _) :: prev', [] -> go (gone n l :: acc) prev' []
+  and gone n l =
+    finding Telemetry_oracle "[%a] counter %s%a disappeared across phase %s"
+      Cg.pp_knobs leg n pp_labels l label
+  in
+  go [] prev cur
 
 let check_inflight ~leg telemetry =
   List.filter_map
@@ -186,8 +195,9 @@ let star_xtras (c : Cg.case) =
     [ ("rate_limit", Xprogs.Util.encode_u32 n) ]
   | _ -> []
 
+let feed_prefix k = Bgp.Prefix.v (Bgp.Prefix.addr_of_quad (198, 18, k, 0)) 24
+
 let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers : leg =
-  set_caches knobs.caches;
   let telemetry = Telemetry.create ~enabled:knobs.telemetry () in
   Telemetry.set_span_sampling telemetry knobs.span_sampling;
   let vmm = build_chain_vmm ~knobs ~telemetry c.chain in
@@ -200,22 +210,24 @@ let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers : leg =
   Scenario.Star.attach_recorder star rc;
   let dut = Scenario.Star.dut star in
   let sched = Scenario.Star.sched star in
+  let sink_announce j prefixes =
+    Scenario.Star.sink_announce star j
+      ~attrs:
+        Bgp.Attr.
+          [
+            v (Origin Igp);
+            v (As_path [ Seq [ 65101 + j ] ]);
+            v (Next_hop (Scenario.Star.sink_address star j));
+          ]
+      prefixes
+  in
   let extra_count = ref 0 in
   let inject_extra () =
     let p = extra_prefix !extra_count in
     incr extra_count;
     match c.feed with
     | Cg.Dut_originate -> Scenario.Star.originate star p dut_extra_attrs
-    | Cg.Sink_announce ->
-      Scenario.Star.sink_announce star 0
-        ~attrs:
-          Bgp.Attr.
-            [
-              v (Origin Igp);
-              v (As_path [ Seq [ 65101 ] ]);
-              v (Next_hop (Scenario.Star.sink_address star 0));
-            ]
-        [ p ]
+    | Cg.Sink_announce -> sink_announce 0 [ p ]
   in
   let feed_all () =
     List.iter
@@ -294,6 +306,29 @@ let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers : leg =
             | Error e -> failwith ("re-attach " ^ name ^ ": " ^ e))
           m.attachments;
         Scenario.Daemon.refresh_exports dut)
+    | Cg.Sink_feed j ->
+      (* sink j becomes a source member of its own update group: its
+         routes must reach every sink EXCEPT itself *)
+      sink_announce j (List.init 4 feed_prefix);
+      Scenario.Star.settle star;
+      Scenario.Star.sink_withdraw star j [ feed_prefix 0; feed_prefix 2 ]
+    | Cg.Wd_race j ->
+      (* once sink j's block has settled, its withdrawal and sink k's
+         re-advertisement of the SAME prefixes land in one unsettled
+         window: the hub must process the two batches in arrival order *)
+      let race = List.init 8 feed_prefix in
+      sink_announce j race;
+      Scenario.Star.settle star;
+      Scenario.Star.sink_withdraw star j race;
+      sink_announce ((j + 1) mod npeers) race
+    | Cg.Detach name ->
+      (* the generation bump alone must regroup (split or re-merge)
+         without a refresh, keeping every sink's stream seamless *)
+      Option.iter
+        (fun vmm ->
+          Xbgp.Vmm.detach vmm ~program:name
+            ~point:Xbgp.Api.Bgp_outbound_filter)
+        vmm
     | Cg.Fabric_fail _ | Cg.Fabric_double_fail _ ->
       invalid_arg "Chaos: fabric fault in a star case"
   in
@@ -319,6 +354,9 @@ let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers : leg =
               (match vmm with
               | Some vmm -> Oracle.render_map_state (Xbgp.Vmm.map_state vmm)
               | None -> "");
+            frames =
+              Array.init npeers (fun i ->
+                  List.map Bytes.to_string (Scenario.Star.sink_frames star i));
           });
     }
   in
@@ -348,9 +386,13 @@ let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers : leg =
       note
         (finding Convergence "[%a] sessions down after the last phase"
            Cg.pp_knobs knobs);
+    (* a Detach leaves its program off the chain *)
     let expected_groups =
       if not knobs.update_groups then 0
-      else if List.mem "igp_filter" c.chain then npeers
+      else if
+        List.mem "igp_filter" c.chain
+        && not (List.mem (Cg.Detach "igp_filter") c.faults)
+      then npeers
       else 1
     in
     let got = Scenario.Daemon.group_count dut in
@@ -380,7 +422,6 @@ let tor_pairs =
 
 let run_fabric_leg (c : Cg.case) (knobs : Cg.knobs) ~fconfig ~with_transit :
     leg =
-  set_caches knobs.caches;
   let telemetry = Telemetry.create ~enabled:knobs.telemetry () in
   Telemetry.set_span_sampling telemetry knobs.span_sampling;
   let fab =
@@ -492,6 +533,7 @@ let run_fabric_leg (c : Cg.case) (knobs : Cg.knobs) ~fconfig ~with_transit :
                 (fun (a, b) -> Scenario.Fabric.reaches fab a b)
                 tor_pairs;
             maps = "";
+            frames = [||];
           });
     }
   in
@@ -516,51 +558,44 @@ let run_fabric_leg (c : Cg.case) (knobs : Cg.knobs) ~fconfig ~with_transit :
     tail = Obs.Recorder.tail_lines ~n:12 ~prefix:"    " rc;
   }
 
+(* The conversion caches are process-wide: each leg sets them from its
+   own knobs and puts back whatever setting it found. *)
 let run_leg (c : Cg.case) (knobs : Cg.knobs) : leg =
-  match c.topology with
-  | Cg.Star { npeers } -> run_star_leg c knobs ~npeers
-  | Cg.Fabric { fconfig; with_transit } ->
-    run_fabric_leg c knobs ~fconfig ~with_transit
+  let frr = Frrouting.Attr_intern.conversion_cache_enabled ()
+  and bird = Bird.Eattr.conversion_cache_enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Frrouting.Attr_intern.set_conversion_cache frr;
+      Bird.Eattr.set_conversion_cache bird)
+    (fun () ->
+      Frrouting.Attr_intern.set_conversion_cache knobs.caches;
+      Bird.Eattr.set_conversion_cache knobs.caches;
+      match c.topology with
+      | Cg.Star { npeers } -> run_star_leg c knobs ~npeers
+      | Cg.Fabric { fconfig; with_transit } ->
+        run_fabric_leg c knobs ~fconfig ~with_transit)
 
 (* --- grid equivalence --- *)
 
-let pp_route ppf (p, attrs) =
-  Fmt.pf ppf "%a [%a]" Bgp.Prefix.pp p
-    (Fmt.list ~sep:(Fmt.any "; ") Bgp.Attr.pp)
-    attrs
-
-(* First difference between two normalized snapshots (same shape as the
-   host differential's, with leg names instead of host names). *)
-let diff_snap ~what ~l0 ~l1 a b =
-  let rec go a b =
+let first_mismatch a b =
+  let rec go i a b =
     match (a, b) with
-    | [], [] -> None
-    | ra :: _, [] -> Some (Fmt.str "%s: %a only on %s" what pp_route ra l0)
-    | [], rb :: _ -> Some (Fmt.str "%s: %a only on %s" what pp_route rb l1)
-    | ((pa, aa) as ra) :: ta, ((pb, ab) as rb) :: tb ->
-      let cmp = Bgp.Prefix.compare pa pb in
-      if cmp < 0 then Some (Fmt.str "%s: %a only on %s" what pp_route ra l0)
-      else if cmp > 0 then
-        Some (Fmt.str "%s: %a only on %s" what pp_route rb l1)
-      else if
-        List.length aa <> List.length ab
-        || not (List.for_all2 Bgp.Attr.equal aa ab)
-      then
-        Some
-          (Fmt.str "%s: %a differs: %s=%a %s=%a" what Bgp.Prefix.pp pa l0
-             pp_route ra l1 pp_route rb)
-      else go ta tb
+    | x :: a, y :: b when x = y -> go (i + 1) a b
+    | _ -> i
   in
-  go a b
+  go 0 a b
 
-let diff_phase ~l0 ~l1 (p0 : phase) (p1 : phase) : string list =
+(* [frames]: the legs agree on host and batching, the two knobs allowed
+   to change framing, so their sinks' UPDATE streams must match byte
+   for byte. *)
+let diff_phase ~l0 ~l1 ~frames (p0 : phase) (p1 : phase) : string list =
   let locs =
     List.filter_map
       (fun (name, snap0) ->
         match List.assoc_opt name p1.locs with
         | None -> Some (Fmt.str "%s loc-rib missing on %s" name l1)
         | Some snap1 ->
-          diff_snap ~what:(name ^ " loc-rib") ~l0 ~l1 snap0 snap1)
+          Oracle.diff_snapshots ~what:(name ^ " loc-rib") ~l0 ~l1 snap0 snap1)
       p0.locs
   in
   let ribs = ref [] in
@@ -568,7 +603,7 @@ let diff_phase ~l0 ~l1 (p0 : phase) (p1 : phase) : string list =
     Array.iteri
       (fun i snap0 ->
         match
-          diff_snap
+          Oracle.diff_snapshots
             ~what:(Fmt.str "sink %d adj-rib-in" i)
             ~l0 ~l1 snap0 p1.ribs.(i)
         with
@@ -593,13 +628,32 @@ let diff_phase ~l0 ~l1 (p0 : phase) (p1 : phase) : string list =
       [ Fmt.str "map state differs: %s=[%s] %s=[%s]" l0 p0.maps l1 p1.maps ]
     else []
   in
+  let frames =
+    List.filter_map Fun.id
+      (List.mapi
+         (fun i f0 ->
+           let f1 = p1.frames.(i) in
+           if (not frames) || f0 = f1 then None
+           else
+             Some
+               (Fmt.str
+                  "sink %d frame stream diverges at frame %d (%s %d frames, \
+                   %s %d)"
+                  i (first_mismatch f0 f1) l0 (List.length f0) l1
+                  (List.length f1)))
+         (Array.to_list p0.frames))
+  in
   List.map
     (fun d -> Fmt.str "phase %s: %s" p0.label d)
-    (locs @ List.rev !ribs @ reach @ maps)
+    (locs @ List.rev !ribs @ reach @ maps @ frames)
 
 let compare_legs (base : leg) (other : leg) : finding list =
   let l0 = Fmt.str "%a" Cg.pp_knobs base.knobs in
   let l1 = Fmt.str "%a" Cg.pp_knobs other.knobs in
+  let frames =
+    base.knobs.host = other.knobs.host
+    && base.knobs.batch_updates = other.knobs.batch_updates
+  in
   let rec go p0s p1s acc =
     match (p0s, p1s) with
     | [], [] -> acc
@@ -610,7 +664,7 @@ let compare_legs (base : leg) (other : leg) : finding list =
       let diffs =
         List.map
           (fun d -> finding Equivalence "%s vs %s: %s" l0 l1 d)
-          (diff_phase ~l0 ~l1 p0 p1)
+          (diff_phase ~l0 ~l1 ~frames p0 p1)
       in
       go t0 t1 (acc @ diffs)
   in
@@ -620,8 +674,10 @@ let compare_legs (base : leg) (other : leg) : finding list =
    self-tests use to prove the oracle, shrinker and replay pipeline fire
    end to end. A map-carrying case gets its map fingerprint corrupted
    (dropping the leading entry, the moral equivalent of losing one map
-   write), proving the map-state oracle specifically; every case also
-   loses the head route of its first Loc-RIB snapshot. *)
+   write), proving the map-state oracle specifically; a star case also
+   gets the first frame of its first non-empty sink stream corrupted,
+   proving the frame-stream oracle; every case also loses the head route
+   of its first Loc-RIB snapshot. *)
 let perturb_leg (l : leg) : leg =
   match List.rev l.phases with
   | [] -> l
@@ -641,12 +697,15 @@ let perturb_leg (l : leg) : leg =
             (String.length last.maps - i - 1)
         | None -> last.maps ^ "|perturbed"
     in
-    { l with phases = List.rev ({ last with locs; maps } :: rest) }
+    let frames = Array.copy last.frames in
+    (match Array.find_index (fun s -> s <> []) frames with
+    | Some i -> frames.(i) <- ("!" ^ List.hd frames.(i)) :: List.tl frames.(i)
+    | None -> ());
+    { l with phases = List.rev ({ last with locs; maps; frames } :: rest) }
 
 let run_case ?(perturb = false) (c : Cg.case) :
     finding list * (string * int) list =
   let legs = List.map (run_leg c) c.grid in
-  set_caches true (* restore the process-wide default *);
   let legs =
     match legs with
     | base :: rest when perturb -> perturb_leg base :: rest

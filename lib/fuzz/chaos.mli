@@ -25,6 +25,10 @@ type phase = {
   maps : string;
       (** star: DUT VMM map-state fingerprint ([Oracle.render_map_state]);
           compared leg-against-leg like the routing snapshots *)
+  frames : string list array;
+      (** star: each sink's raw UPDATE frames so far, oldest first;
+          compared byte for byte between legs that agree on host and
+          batching *)
 }
 
 type leg = {
@@ -40,8 +44,9 @@ val phase_budget_us : int
 (** Simulated-time convergence budget per phase (60 s). *)
 
 val run_leg : Config_gen.case -> Config_gen.knobs -> leg
-(** Run one case under one knob leg. Does not restore the global
-    conversion-cache toggles; prefer {!run_case}. *)
+(** Run one case under one knob leg. The leg sets the process-wide
+    conversion caches from its knobs and restores the setting it found,
+    also when it raises. *)
 
 val run_case :
   ?perturb:bool ->
@@ -49,8 +54,9 @@ val run_case :
   finding list * (string * int) list
 (** Run every leg of the case's grid and compare legs 1.. against leg 0.
     Returns all findings plus leg 0's per-phase [(label, simulated us)]
-    convergence samples. [perturb] corrupts leg 0's final snapshot — the
-    self-test knob proving the oracle and shrink/replay pipeline fire. *)
+    convergence samples. [perturb] corrupts leg 0's final snapshot (a
+    route, the map fingerprint, one UPDATE frame) — the self-test knob
+    proving the oracle and shrink/replay pipeline fire. *)
 
 val shrink_case :
   perturb:bool ->

@@ -11,7 +11,8 @@
 
    The knob *grid* is part of the case: leg 0 is the generated point,
    and the remaining legs are systematic mutations (the other host, the
-   next engine with every boolean knob flipped) — the oracle demands
+   next engine with every boolean knob flipped, and on star cases update
+   groups alone flipped) — the oracle demands
    route-for-route equivalence across all legs of the same case, which
    is the configuration-space analogue of the FRR-vs-BIRD differential. *)
 
@@ -47,6 +48,15 @@ type fault =
           shortened chain, re-attach per its manifest *)
   | Fabric_fail of int  (** fabric: fail link [i], settle, repair *)
   | Fabric_double_fail of int * int  (** fabric: two overlapping fails *)
+  | Sink_feed of int
+      (** star: sink [j] announces routes into the hub (a split-horizon
+          source member of its own group), then withdraws half *)
+  | Wd_race of int
+      (** star: sink [j]'s withdrawal and sink [j+1]'s re-advertisement
+          of the same prefixes land in one unsettled window *)
+  | Detach of string
+      (** star: detach an outbound program for good, with no export
+          refresh — the live regroup path *)
 
 type case = {
   seed : int;
@@ -78,6 +88,9 @@ let fault_name = function
   | Detach_attach p -> "rechain:" ^ p
   | Fabric_fail i -> Printf.sprintf "linkfail:%d" i
   | Fabric_double_fail (i, j) -> Printf.sprintf "doublefail:%d+%d" i j
+  | Sink_feed j -> Printf.sprintf "sinkfeed:%d" j
+  | Wd_race j -> Printf.sprintf "wdrace:%d" j
+  | Detach p -> "detach:" ^ p
 
 let topology_name = function
   | Star _ -> "star"
@@ -286,6 +299,27 @@ let case ~seed ~index : case =
           @ (if damp then [ "flap_damping" ] else [])
           @ (if rate <> None then [ "rate_limit" ] else []),
           rate )
+    in
+    (* Likewise the export-side churn — split-horizon feeding, the
+       withdrawal race and the live regroup — comes last, from its own
+       stream, as one extra fault at the end of the schedule. *)
+    let faults =
+      let frng =
+        Prng.create ((seed * 37) lxor (index * 0xC2B2AE35) lxor 0x66616e)
+      in
+      let outbound =
+        List.filter (fun p -> p = "community_strip" || p = "igp_filter") chain
+      in
+      match (Prng.int frng 6, outbound) with
+      | (0 | 1), _ -> faults @ [ Sink_feed (Prng.int frng npeers) ]
+      | 2, _ -> faults @ [ Wd_race (Prng.int frng npeers) ]
+      | 3, p :: _ -> faults @ [ Detach p ]
+      | _ -> faults
+    in
+    (* the same point with update groups flipped: same host and batching,
+       so its UPDATE frame streams must match leg 0's byte for byte *)
+    let grid =
+      grid @ [ { base with update_groups = not base.update_groups } ]
     in
     {
       seed;

@@ -38,6 +38,15 @@ type fault =
           shortened chain, re-attach per its manifest *)
   | Fabric_fail of int  (** fabric: fail link [i], settle, repair *)
   | Fabric_double_fail of int * int  (** fabric: two overlapping fails *)
+  | Sink_feed of int
+      (** star: sink [j] announces routes into the hub (a split-horizon
+          source member of its own group), then withdraws half *)
+  | Wd_race of int
+      (** star: sink [j]'s withdrawal and sink [j+1]'s re-advertisement
+          of the same prefixes land in one unsettled window *)
+  | Detach of string
+      (** star: detach an outbound program for good, with no export
+          refresh — the live regroup path *)
 
 type case = {
   seed : int;
@@ -57,10 +66,12 @@ type case = {
 val case : seed:int -> index:int -> case
 (** Deterministic: the same (seed, index) always yields the same case —
     knobs, grid, chain, fault schedule, routes and ROA tables. The
-    map-carrying chain programs (flap_damping, rate_limit) are drawn
-    from an independently seeded stream appended after every other
-    field, so cases generated before they existed are unchanged in
-    every other respect. *)
+    map-carrying chain programs (flap_damping, rate_limit) and a star
+    case's export-side fault ({!Sink_feed}, {!Wd_race}, {!Detach}) are
+    drawn from independently seeded streams appended after every other
+    field, and a star grid's last leg (leg 0 with update groups
+    flipped) draws nothing, so cases generated before they existed are
+    unchanged in every other respect. *)
 
 val restrict : ?faults:int list -> ?routes:int list -> case -> case
 (** Keep only the listed fault / route indices (shrinking, replay); an

@@ -54,24 +54,24 @@ let pp_route ppf (p, attrs) =
     (Fmt.list ~sep:(Fmt.any "; ") Bgp.Attr.pp)
     attrs
 
-(* First difference between two normalized snapshots, if any. *)
-let diff_snapshots ~what a b =
+let diff_snapshots ~what ~l0 ~l1 a b =
+  let only r l = Some (Fmt.str "%s: %a only on %s" what pp_route r l) in
   let rec go a b =
     match (a, b) with
     | [], [] -> None
-    | ra :: _, [] -> Some (Fmt.str "%s: %a only on frr" what pp_route ra)
-    | [], rb :: _ -> Some (Fmt.str "%s: %a only on bird" what pp_route rb)
+    | ra :: _, [] -> only ra l0
+    | [], rb :: _ -> only rb l1
     | ((pa, aa) as ra) :: ta, ((pb, ab) as rb) :: tb ->
       let c = Bgp.Prefix.compare pa pb in
-      if c < 0 then Some (Fmt.str "%s: %a only on frr" what pp_route ra)
-      else if c > 0 then Some (Fmt.str "%s: %a only on bird" what pp_route rb)
+      if c < 0 then only ra l0
+      else if c > 0 then only rb l1
       else if
         List.length aa <> List.length ab
         || not (List.for_all2 Bgp.Attr.equal aa ab)
       then
         Some
-          (Fmt.str "%s: %a differs: frr=%a bird=%a" what Bgp.Prefix.pp pa
-             pp_route ra pp_route rb)
+          (Fmt.str "%s: %a differs: %s=%a %s=%a" what Bgp.Prefix.pp pa l0
+             pp_route ra l1 pp_route rb)
       else go ta tb
   in
   go a b
@@ -182,8 +182,10 @@ let run_differential ~perturb (c : Gen.case) =
       List.filter_map
         (fun x -> x)
         [
-          diff_snapshots ~what:"dut loc-rib" frr.dut bird.dut;
-          diff_snapshots ~what:"downstream loc-rib" frr.down bird.down;
+          diff_snapshots ~what:"dut loc-rib" ~l0:"frr" ~l1:"bird" frr.dut
+            bird.dut;
+          diff_snapshots ~what:"downstream loc-rib" ~l0:"frr" ~l1:"bird"
+            frr.down bird.down;
         ]
       |> List.map (fun d -> divergence "%s" d)
     in
@@ -319,7 +321,10 @@ let run_hostile ~perturb (c : Gen.case) =
       else []
     in
     let rib =
-      match diff_snapshots ~what:"hostile loc-rib" frr.rib bird.rib with
+      match
+        diff_snapshots ~what:"hostile loc-rib" ~l0:"frr" ~l1:"bird" frr.rib
+          bird.rib
+      with
       | Some d -> [ divergence "%s" d ]
       | None -> []
     in

@@ -32,9 +32,20 @@ val normalize :
 (** Drop Unknown attributes and sort each attribute list canonically —
     the neutral form compared across hosts (exposed for tests). *)
 
+val diff_snapshots :
+  what:string ->
+  l0:string ->
+  l1:string ->
+  (Bgp.Prefix.t * Bgp.Attr.t list) list ->
+  (Bgp.Prefix.t * Bgp.Attr.t list) list ->
+  string option
+(** First difference between two normalized, prefix-sorted snapshots,
+    naming the sides [l0] and [l1] ("frr"/"bird" for the host
+    differential, knob legs for the chaos campaign). *)
+
 val render_map_state :
   (string * (string * (string * string) list) list) list -> string
 (** Canonical textual fingerprint of [Vmm.map_state]: keys and values
     hex-encoded, entries in the map's canonical (sorted) dump order —
     the unit of comparison for the map-state oracle, shared with the
-    fan-out and chaos harnesses. *)
+    chaos harness. *)

@@ -1,6 +1,6 @@
 (** Star topology: one DUT hub fanning a table out to N spoke peers — the
-    harness behind the fan-out benchmark, the [--fanout] fuzz oracle and
-    the grouped-vs-per-peer equivalence properties.
+    harness behind the fan-out benchmark and the chaos campaign's star
+    cases, whose groups-flip leg checks grouped against per-peer export.
 
     The DUT runs either host. Every spoke is a minimal scripted "sink"
     peer built directly on {!Session.Fsm}: it completes the handshake,
@@ -91,7 +91,7 @@ val sink_address : t -> int -> int
 
 val sink_frames : t -> int -> bytes list
 (** UPDATE frames received by sink [i], oldest first, raw bytes — the
-    stream the fan-out oracle compares across export modes. *)
+    stream the chaos oracle compares across export modes. *)
 
 val sink_frame_count : t -> int -> int
 val sink_adv_seen : t -> int -> int

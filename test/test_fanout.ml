@@ -2,8 +2,9 @@
    codec boundary, the engine's event semantics (split horizon, late
    joiners, rekey split/merge) with their churn telemetry, a model-based
    property checking the grouped event streams against a naive per-peer
-   model, and the star-level property that grouped and per-peer export
-   are externally indistinguishable on both hosts. *)
+   model, and the star-level property, checked through chaos cases, that
+   grouped and per-peer export are externally indistinguishable on both
+   hosts. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -440,57 +441,79 @@ let engine_model_prop =
 
 (* --- star-level equivalence: grouped == per-peer on the wire ---
 
-   The fan-out oracle runs one deterministic star scenario under both
-   export modes and demands byte-identical per-peer UPDATE streams,
-   identical derived adj-RIB-ins and an identical Loc-RIB; cases sweep
-   hosts, peer counts, outbound extensions (including the peer-dependent
-   one that forces solo groups) and churn, including the mid-run chain
-   detach that triggers a live split/merge regroup and a withdrawal
-   racing another spoke's re-advertisement of the same prefixes. *)
+   Every chaos star case ({!Fuzz.Config_gen}) runs its own point a
+   second time with update groups flipped; the chaos oracle demands
+   byte-identical per-sink UPDATE frame streams, identical derived
+   adj-RIB-ins, Loc-RIB and map state between the two, after every
+   phase. The fault schedules cover session flaps, split-horizon sink
+   feeding, a withdrawal racing another sink's re-advertisement of the
+   same prefixes, and an outbound-program detach that forces a live
+   split/merge regroup. *)
+
+module Cg = Fuzz.Config_gen
+
+let is_star (c : Cg.case) =
+  match c.topology with Cg.Star _ -> true | Cg.Fabric _ -> false
+
+let fault_family f =
+  let n = Cg.fault_name f in
+  match String.index_opt n ':' with Some i -> String.sub n 0 i | None -> n
+
+(* the grid's last leg: leg 0 with update groups flipped *)
+let groups_flipped (c : Cg.case) =
+  let leg0 = List.hd c.grid in
+  List.nth c.grid (List.length c.grid - 1)
+  = { leg0 with update_groups = not leg0.update_groups }
+
+let check_clean (c : Cg.case) =
+  let findings, _ = Fuzz.Chaos.run_case c in
+  List.iter (Format.printf "%a@." Fuzz.Chaos.pp_finding) findings;
+  check_bool
+    (Format.asprintf "equivalent: %a" Cg.pp_case c)
+    true (findings = [])
 
 let star_equivalence_prop =
   QCheck.Test.make ~count:30
     ~name:"grouped export is byte-equivalent to per-peer export"
     QCheck.(pair (int_bound 100_000) (int_bound 500))
     (fun (seed, index) ->
-      Fuzz.Fanout.run_case (Fuzz.Fanout.case ~seed ~index) = [])
+      let c = Cg.case ~seed ~index in
+      (not (is_star c))
+      || (groups_flipped c && fst (Fuzz.Chaos.run_case c) = []))
 
-(* every churn variant, pinned, on both hosts *)
+(* the first seeded star case whose leg 0 runs on [host] and whose fault
+   schedule holds a [family] fault *)
+let find_case ~seed ~host family =
+  let rec go index =
+    if index > 2000 then
+      Alcotest.failf "no %s case on %s in range" family
+        (Cg.host_name host)
+    else
+      let c = Cg.case ~seed ~index in
+      if
+        is_star c
+        && (List.hd c.grid).host = host
+        && List.exists (fun f -> fault_family f = family) c.faults
+      then c
+      else go (index + 1)
+  in
+  go 0
+
+(* every export-side churn variant, pinned, on both hosts *)
 let test_equivalence_per_churn () =
-  let seen = Hashtbl.create 10 in
-  let index = ref 0 in
-  while Hashtbl.length seen < 10 && !index < 4000 do
-    let c = Fuzz.Fanout.case ~seed:1234 ~index:!index in
-    let k = (c.host, Fuzz.Fanout.churn_name c.churn) in
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.replace seen k ();
-      check_bool
-        (Format.asprintf "equivalent: %a" Fuzz.Fanout.pp_case c)
-        true
-        (Fuzz.Fanout.run_case c = [])
-    end;
-    incr index
-  done;
-  check_int "all host x churn combinations exercised" 10 (Hashtbl.length seen)
+  List.iter
+    (fun host ->
+      List.iter
+        (fun family -> check_clean (find_case ~seed:1234 ~host family))
+        [ "flap"; "sinkfeed"; "wdrace"; "detach" ])
+    [ `Frr; `Bird ]
 
 (* the commit-order trap, pinned on both hosts: a withdrawal and another
-   spoke's re-advertisement of the same 8-prefix block land in one
+   sink's re-advertisement of the same 8-prefix block land in one
    unsettled window *)
 let test_wd_race_pinned () =
   List.iter
-    (fun host ->
-      let rec find index =
-        if index > 400 then Alcotest.fail "no wd_race case in range"
-        else
-          let c = Fuzz.Fanout.case ~seed:4242 ~index in
-          if c.churn = Fuzz.Fanout.Wd_race && c.host = host then c
-          else find (index + 1)
-      in
-      let c = find 0 in
-      check_bool
-        (Format.asprintf "equivalent: %a" Fuzz.Fanout.pp_case c)
-        true
-        (Fuzz.Fanout.run_case c = []))
+    (fun host -> check_clean (find_case ~seed:4242 ~host "wdrace"))
     [ `Frr; `Bird ]
 
 (* grouped mode actually groups: identical spokes share one group, and
@@ -527,50 +550,68 @@ let test_grouping_effectiveness () =
 
 (* --- map-carrying chains across export modes ---
 
-   With flap_damping attached on the hub's inbound side, both export
-   legs must agree not just on streams and RIBs but on the DUT VMM's
-   final map state, byte for byte. Pinned to seeded cases known to draw
-   the flap_damping extension with sink_feed churn, whose mid-scenario
-   withdrawals leave non-empty damp-map entries. *)
-let test_map_state_equivalence () =
-  let checked = ref 0 in
-  let index = ref 0 in
-  while !checked < 2 && !index < 200 do
-    let c = Fuzz.Fanout.case ~seed:1234 ~index:!index in
-    if c.extension = Some "flap_damping" && c.churn = Fuzz.Fanout.Sink_feed
-    then begin
-      incr checked;
-      let label = Format.asprintf "%a" Fuzz.Fanout.pp_case c in
-      check_bool (label ^ ": equivalent") true (Fuzz.Fanout.run_case c = []);
-      let g = Fuzz.Fanout.run_leg c ~grouped:true in
-      let b = Fuzz.Fanout.run_leg c ~grouped:false in
-      check_bool (label ^ ": maps non-empty") true (g.Fuzz.Fanout.maps <> "");
-      check_bool (label ^ ": map fingerprints byte-identical") true
-        (g.Fuzz.Fanout.maps = b.Fuzz.Fanout.maps)
-    end;
-    incr index
-  done;
-  check_int "two flap_damping sink_feed cases found" 2 !checked
+   With flap_damping attached on the hub's inbound side, the groups
+   flip must agree not just on streams and RIBs but on the DUT VMM's
+   final map state, byte for byte. Pinned to seeded cases that draw
+   flap_damping and a split-horizon sink feed, whose withdrawals leave
+   non-empty damp-map entries. *)
+let last_phase (l : Fuzz.Chaos.leg) =
+  List.nth l.phases (List.length l.phases - 1)
 
-(* the self-test knob must trip the map-state comparison, not just the
-   frame-stream one *)
+let flap_damping_sinkfeed ~seed n =
+  let rec go index acc =
+    if List.length acc = n || index > 2000 then List.rev acc
+    else
+      let c = Cg.case ~seed ~index in
+      go (index + 1)
+        (if
+           is_star c
+           && List.mem "flap_damping" c.chain
+           && List.exists (fun f -> fault_family f = "sinkfeed") c.faults
+         then c :: acc
+         else acc)
+  in
+  go 0 []
+
+let test_map_state_equivalence () =
+  let cases = flap_damping_sinkfeed ~seed:1234 2 in
+  check_int "two flap_damping sinkfeed cases found" 2 (List.length cases);
+  List.iter
+    (fun (c : Cg.case) ->
+      let label = Format.asprintf "%a" Cg.pp_case c in
+      check_clean c;
+      let leg0 = List.hd c.grid in
+      let g = last_phase (Fuzz.Chaos.run_leg c leg0) in
+      let b =
+        last_phase
+          (Fuzz.Chaos.run_leg c
+             { leg0 with update_groups = not leg0.update_groups })
+      in
+      check_bool (label ^ ": maps non-empty") true (g.maps <> "");
+      check_bool (label ^ ": map fingerprints byte-identical") true
+        (g.maps = b.maps))
+    cases
+
+(* the self-test knob must trip the map-state comparison and the
+   frame-stream one, not just the routing snapshots *)
 let test_map_state_perturb () =
   let contains ~sub s =
     let n = String.length sub and m = String.length s in
     let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
     go 0
   in
-  let rec find index =
-    if index > 200 then Alcotest.fail "no flap_damping case in range"
-    else
-      let c = Fuzz.Fanout.case ~seed:1234 ~index in
-      if c.extension = Some "flap_damping" then c else find (index + 1)
+  let c = List.hd (flap_damping_sinkfeed ~seed:1234 1) in
+  let findings, _ = Fuzz.Chaos.run_case ~perturb:true c in
+  let reported sub =
+    List.exists
+      (fun (f : Fuzz.Chaos.finding) ->
+        f.cls = Fuzz.Chaos.Equivalence && contains ~sub f.detail)
+      findings
   in
-  let c = find 0 in
-  let findings = Fuzz.Fanout.run_case ~perturb:true c in
-  check_bool "perturbation caught" true (findings <> []);
   check_bool "map-state divergence reported" true
-    (List.exists (contains ~sub:"map state differs") findings)
+    (reported "map state differs");
+  check_bool "frame-stream divergence reported" true
+    (reported "frame stream diverges")
 
 let () =
   Alcotest.run "fanout"

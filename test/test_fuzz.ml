@@ -207,6 +207,67 @@ let prop_chaos_gen_pure =
            a
          = a)
 
+(* The export-side faults (sinkfeed, wdrace, detach) and the groups-flip
+   leg came after these cases were first generated. They are drawn from
+   their own stream and appended, so every earlier case keeps its fault
+   schedule and its first legs exactly: the literals below are what the
+   generator produced before they existed. *)
+let test_chaos_gen_stable () =
+  List.iter
+    (fun ((seed, index), faults, legs) ->
+      let c = Fuzz.Config_gen.case ~seed ~index in
+      let names = List.map Fuzz.Config_gen.fault_name c.faults in
+      let label = Printf.sprintf "seed %d case %d" seed index in
+      check_bool (label ^ ": fault schedule kept") true
+        (List.filteri (fun i _ -> i < List.length faults) names = faults);
+      (match List.filteri (fun i _ -> i >= List.length faults) c.faults with
+      | [] | [ (Sink_feed _ | Wd_race _ | Detach _) ] -> ()
+      | _ -> Alcotest.fail (label ^ ": unexpected appended faults"));
+      check_bool (label ^ ": legs 0..2 kept") true
+        (List.filteri (fun i _ -> i < 3)
+           (List.map (Fmt.str "%a" Fuzz.Config_gen.pp_knobs) c.grid)
+        = legs))
+    [
+      ( (42, 17),
+        [ "flap:1" ],
+        [
+          "frr/interpreted caches- batch- groups- tel+ s1";
+          "bird/interpreted caches- batch- groups- tel+ s1";
+          "frr/block caches+ batch+ groups+ tel- s8";
+        ] );
+      ( (7, 0),
+        [ "roa_swap"; "midfail:4" ],
+        [
+          "bird/interpreted caches+ batch+ groups- tel- s16";
+          "frr/interpreted caches+ batch+ groups- tel- s16";
+          "bird/block caches- batch- groups+ tel+ s1";
+        ] );
+      ( (7, 3),
+        [ "midfail:4"; "rechain:igp_filter" ],
+        [
+          "frr/block caches+ batch- groups- tel- s1";
+          "bird/block caches+ batch- groups- tel- s1";
+          "frr/interpreted caches- batch+ groups+ tel+ s8";
+        ] );
+    ]
+
+(* every leg sets the process-wide conversion caches from its knobs; a
+   caller that forced them off must find them off afterwards *)
+let test_chaos_restores_caches () =
+  let set b =
+    Frrouting.Attr_intern.set_conversion_cache b;
+    Bird.Eattr.set_conversion_cache b
+  in
+  set false;
+  Fun.protect
+    ~finally:(fun () -> set true)
+    (fun () ->
+      ignore (Fuzz.Chaos.run_case (Fuzz.Config_gen.case ~seed:42 ~index:17));
+      check_bool "frr caches still off" false
+        (Frrouting.Attr_intern.conversion_cache_enabled ());
+      check_bool "bird caches still off" false
+        (Bird.Eattr.conversion_cache_enabled ()))
+
 let test_chaos_verdict_deterministic () =
   (* same seed => same fault schedule, same verdict, same convergence
      samples — byte-for-byte replayability *)
@@ -430,5 +491,9 @@ let () =
           Qc.to_alcotest prop_chaos_shrink_preserves_class;
           Alcotest.test_case "reproducer empty kept lists" `Quick
             test_chaos_reproducer_empty_lists;
+          Alcotest.test_case "gen keeps earlier cases" `Quick
+            test_chaos_gen_stable;
+          Alcotest.test_case "run_case restores the caches" `Quick
+            test_chaos_restores_caches;
         ] );
     ]
