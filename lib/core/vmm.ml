@@ -165,6 +165,10 @@ type t = {
       (** bumped on every attach/detach, so hosts caching decisions
           derived from the chains (update-group keys) can revalidate
           with one integer compare *)
+  mutable map_writes : int;
+      (** map updates and deletes attempted by bytecode, so hosts
+          memoizing a run that reads maps can tell whether the state it
+          read may have moved since *)
   mutable recorder : Obs.Recorder.t option;
       (** flight recorder for faults, native fallbacks and map
           evictions; [None] (the default) costs one load per event *)
@@ -208,11 +212,13 @@ let create ?(heap_size = 1 lsl 16) ?(budget = Ebpf.Vm.default_budget)
     fallbacks;
     last_fault_record = None;
     generation = 0;
+    map_writes = 0;
     recorder = None;
   }
 
 let stats t = t.stats
 let generation t = t.generation
+let map_writes t = t.map_writes
 let telemetry t = t.tele
 let last_fault_record t = t.last_fault_record
 let last_fault t = Option.map render_fault t.last_fault_record
@@ -488,6 +494,7 @@ let make_runtime t (ext : ext) (code : Ebpf.Insn.t list) : runtime =
           let value =
             Bytes.to_string (read_mem vm a.(2) spec.Ebpf.Map.value_size)
           in
+          t.map_writes <- t.map_writes + 1;
           let s = Ebpf.Map.stats lm.map in
           let ev0 = s.Ebpf.Map.evictions and rej0 = s.Ebpf.Map.rejected in
           let ok = Ebpf.Map.update lm.map key value in
@@ -521,6 +528,7 @@ let make_runtime t (ext : ext) (code : Ebpf.Insn.t list) : runtime =
           let lm = live_map (u32_of a.(0)) in
           let ks = (Ebpf.Map.spec lm.map).Ebpf.Map.key_size in
           let key = Bytes.to_string (read_mem vm a.(1) ks) in
+          t.map_writes <- t.map_writes + 1;
           if Ebpf.Map.delete lm.map key then begin
             Telemetry.Counter.inc lm.m_deletes;
             Telemetry.Gauge.set lm.m_entries (Ebpf.Map.length lm.map);

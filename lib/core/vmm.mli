@@ -169,6 +169,12 @@ val generation : t -> int
     {!replace_program} — lets a host revalidate chain-derived cached
     decisions (update-group keys) with one integer compare. *)
 
+val map_writes : t -> int
+(** Monotonic count of map updates and deletes attempted by bytecode at
+    any point (init included). A host reusing one run's result across
+    calls compares it to tell whether map state the run may have read
+    can have changed in between. *)
+
 val set_recorder : t -> Obs.Recorder.t option -> unit
 (** Attach a flight recorder: bytecode faults, native fallbacks, LRU
     map evictions and inserts refused by a full map are recorded as

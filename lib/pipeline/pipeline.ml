@@ -450,6 +450,20 @@ module Make (R : REPR) :
         (** both outbound points pass {!Xbgp.Vmm.group_invariant}; when
             false every peer gets a singleton "solo" group *)
     mutable chain_sig : string;  (** outbound chain signatures *)
+    mutable batch_gen : int;
+        (** {!Xbgp.Vmm.generation} at the last batch-invariance check; -1
+            forces the first {!refresh_batching} *)
+    mutable import_batchable : bool;
+        (** the inbound chain passes {!Xbgp.Vmm.batch_invariant} over
+            the prefix argument: one import verdict covers an UPDATE *)
+    mutable export_batchable : bool;
+        (** the same proof for the outbound chain: one export evaluation
+            per (route, target) covers an UPDATE's prefixes *)
+    mutable export_memo : (route * int * R.attrs option) option array;
+        (** per target peer index, the last export evaluated inside the
+            current [learn_routes] batch: (route record, {!map_epoch} after
+            the run, result). Empty outside a batch. *)
+    mutable memo_on : bool;  (** a memoizing batch is in progress *)
     mutable gate_gen : int;
         (** {!Xbgp.Vmm.generation} at the last conversion-cache gate sync;
             -1 forces the first dispatch to sync *)
@@ -568,6 +582,9 @@ module Make (R : REPR) :
       Rib.Loc_rib.invalidate_best t.loc;
       t.gate_gen <- gen
     end
+
+  let map_epoch t =
+    match t.vmm with Some v -> Xbgp.Vmm.map_writes v | None -> 0
 
   let vmm_run t point ~ops ~args ~default =
     refresh_cache_gate t;
@@ -849,6 +866,26 @@ module Make (R : REPR) :
       R.canonicalize_ibgp r.attrs ~next_hop_self:(r.src_type <> src_ibgp)
         ~local_addr:t.config.local_addr
 
+  (* One run of the outbound filter point for [target], then
+     canonicalization; [None] (counted) when the route is rejected. *)
+  let evaluate_export t (target : peer) prefix (r : route) =
+    let route_ref = ref r in
+    let ops = route_ops t ~peer:(Some target) ~route_ref in
+    let args = borrow_args t in
+    Xbgp.Host_intf.Args.set args Xbgp.Api.arg_prefix (prefix_arg prefix);
+    Xbgp.Host_intf.Args.set args Xbgp.Api.arg_source (source_arg r);
+    let verdict =
+      vmm_run t Xbgp.Api.Bgp_outbound_filter ~ops ~args
+        ~default:(fun () -> native_export t route_ref target)
+    in
+    release_args t args;
+    if verdict = Xbgp.Api.filter_accept then
+      Some (canonicalize t !route_ref target)
+    else begin
+      Telemetry.Counter.inc t.probes.c_export_rejected;
+      None
+    end
+
   (* --- outbound machinery --- *)
 
   let pending_list tbl peer =
@@ -1010,26 +1047,27 @@ module Make (R : REPR) :
         Session.Fsm.send_raw peer.session frame)
       (advertisement_frames t peer advs)
 
+  (* Inside a [learn_routes] batch whose outbound chain is batch-invariant,
+     every prefix sharing one route record exports identically to a given
+     target: the chain never reads the prefix, and [native_export] and
+     [canonicalize] read only the route and the peer. So the first
+     evaluation per (target, record) is reused for the rest of the
+     UPDATE, as long as no map write (by the import or decision chains
+     running in between) could have changed what the chain read. A
+     rejection still counts once per prefix. *)
   and export t (target : peer) prefix (r : route) : R.attrs option =
     if r.src = target.idx then None
-    else begin
-      let route_ref = ref r in
-      let ops = route_ops t ~peer:(Some target) ~route_ref in
-      let args = borrow_args t in
-      Xbgp.Host_intf.Args.set args Xbgp.Api.arg_prefix (prefix_arg prefix);
-      Xbgp.Host_intf.Args.set args Xbgp.Api.arg_source (source_arg r);
-      let verdict =
-        vmm_run t Xbgp.Api.Bgp_outbound_filter ~ops ~args
-          ~default:(fun () -> native_export t route_ref target)
-      in
-      release_args t args;
-      if verdict = Xbgp.Api.filter_accept then
-        Some (canonicalize t !route_ref target)
-      else begin
-        Telemetry.Counter.inc t.probes.c_export_rejected;
-        None
-      end
-    end
+    else if not t.memo_on then evaluate_export t target prefix r
+    else
+      match t.export_memo.(target.idx) with
+      | Some (r', epoch, result) when r' == r && epoch = map_epoch t ->
+        if Option.is_none result then
+          Telemetry.Counter.inc t.probes.c_export_rejected;
+        result
+      | _ ->
+        let result = evaluate_export t target prefix r in
+        t.export_memo.(target.idx) <- Some (r, map_epoch t, result);
+        result
 
   (* Which update group a peer belongs in: everything the export path can
      observe about the peer. [native_export] and [canonicalize] read only
@@ -1071,24 +1109,41 @@ module Make (R : REPR) :
           group_key t t.peers.(m))
     end
 
+  (* The batch-invariance verdicts behind [learn_routes], likewise
+     re-derived only when the attached chains changed. *)
+  and refresh_batching t =
+    let gen = match t.vmm with Some v -> Xbgp.Vmm.generation v | None -> 0 in
+    if gen <> t.batch_gen then begin
+      (match t.vmm with
+      | Some vmm ->
+        let inv point =
+          Xbgp.Vmm.batch_invariant vmm point
+            ~variant_args:[ Xbgp.Api.arg_prefix ]
+        in
+        t.import_batchable <- inv Xbgp.Api.Bgp_inbound_filter;
+        t.export_batchable <- inv Xbgp.Api.Bgp_outbound_filter
+      | None ->
+        t.import_batchable <- true;
+        t.export_batchable <- true);
+      t.batch_gen <- gen
+    end
+
   (* One export evaluation per group instead of per peer: run the filter
      chain for a representative member and let the engine expand the
      result into per-member transitions. *)
   and export_to_group t g prefix (r : route) =
-    let members = Rib.Update_group.members g in
-    match List.find_opt (fun m -> m <> r.src) members with
+    match Rib.Update_group.representative g ~except:r.src with
     | None -> Rib.Update_group.route_update t.ugroups g prefix None
     | Some rep ->
+      let src_member = Rib.Update_group.is_member g r.src in
       let entry =
         match export t t.peers.(rep) prefix r with
-        | Some attrs ->
-          let skip = if List.mem r.src members then r.src else -1 in
-          Some (attrs, skip)
+        | Some attrs -> Some (attrs, if src_member then r.src else -1)
         | None ->
           (* keep the rejection counter peer-accurate: the baseline counts
              one rejection per eligible member *)
           let eligible =
-            List.length members - (if List.mem r.src members then 1 else 0)
+            Rib.Update_group.size g - if src_member then 1 else 0
           in
           Telemetry.Counter.add t.probes.c_export_rejected (eligible - 1);
           None
@@ -1221,10 +1276,9 @@ module Make (R : REPR) :
       reject_route t peer prefix ~chain
         ~import:(import_verdict chain ~accepted:false)
 
-  (* Batched NLRI processing: every prefix of one UPDATE shares the same
-     attribute record, so share the converted view and the dispatch
-     plumbing across the batch. *)
-  let learn_routes t peer prefixes (route : route) =
+  (* Import every prefix of one UPDATE: one shared verdict when the
+     inbound chain allows it, else one dispatch per prefix. *)
+  let import_batch t peer prefixes (route : route) =
     match prefixes with
     | [] -> ()
     | first :: _ ->
@@ -1233,16 +1287,7 @@ module Make (R : REPR) :
         | Some vmm -> Xbgp.Vmm.has_attachment vmm Xbgp.Api.Bgp_inbound_filter
         | None -> false
       in
-      let batchable_ext =
-        (not has_inbound_ext)
-        ||
-        match t.vmm with
-        | Some vmm ->
-          Xbgp.Vmm.batch_invariant vmm Xbgp.Api.Bgp_inbound_filter
-            ~variant_args:[ Xbgp.Api.arg_prefix ]
-        | None -> true
-      in
-      if batchable_ext && t.config.native_ov = None then begin
+      if t.import_batchable && t.config.native_ov = None then begin
         (* Fast path: no prefix-dependent policy anywhere on the import
            chain. The RFC 4456 loop checks in [native_import] read only
            the shared attributes, and any attached bytecode provably
@@ -1309,6 +1354,30 @@ module Make (R : REPR) :
           prefixes;
         release_args t args
       end
+
+  (* Batched NLRI processing: every prefix of one UPDATE shares the same
+     attribute record, so share the converted view and the dispatch
+     plumbing across the batch. When the outbound chain is batch-invariant
+     too, [export] memoizes per (route record, target) for the duration of
+     the batch, so every prefix whose new best is that same record reuses
+     one outbound evaluation. The inbound and outbound points'
+     [xbgp_runs_total], native-fallback and fault counters and recorder
+     events therefore count evaluations, not prefixes, while
+     [bgp_import_rejected_total] and [bgp_export_rejected_total] still
+     count one per prefix. The memo is dropped when the batch ends, so
+     nothing in it outlives the UPDATE; a single-prefix UPDATE, which
+     could never hit it, skips it. *)
+  let learn_routes t peer prefixes (route : route) =
+    refresh_batching t;
+    match prefixes with
+    | _ :: _ :: _ when t.export_batchable ->
+      t.memo_on <- true;
+      Fun.protect
+        ~finally:(fun () ->
+          t.memo_on <- false;
+          Array.fill t.export_memo 0 (Array.length t.export_memo) None)
+        (fun () -> import_batch t peer prefixes route)
+    | _ -> import_batch t peer prefixes route
 
   (* RFC 7606 treat-as-withdraw: an UPDATE that carries NLRI but lacks any
      of the mandatory ORIGIN / AS_PATH / NEXT_HOP attributes must not be
@@ -1523,6 +1592,11 @@ module Make (R : REPR) :
         group_gen = -1;
         groupable = false;
         chain_sig = "";
+        batch_gen = -1;
+        import_batchable = false;
+        export_batchable = false;
+        export_memo = [||];
+        memo_on = false;
         gate_gen = -1;
         prov = Hashtbl.create 64;
         last_prov = Hashtbl.create 16;
@@ -1575,6 +1649,7 @@ module Make (R : REPR) :
              in
              Lazy.force peer)
            peer_confs);
+    t.export_memo <- Array.make (Array.length t.peers) None;
     Rib.Loc_rib.set_compare t.loc
       (Some
          (match vmm with

@@ -44,7 +44,6 @@ type 'attrs event =
   | Wd of { prefix : Bgp.Prefix.t; targets : target }
 
 type 'attrs group = {
-  id : int;
   key : string;
   mutable members : (int * int) list;
       (* (peer index, join serial), ascending by index; an event with
@@ -61,6 +60,9 @@ type 'attrs t = {
   equal : 'attrs -> 'attrs -> bool;
   daemon : string;
   groups : (string, 'attrs group) Hashtbl.t;
+  mutable ordered : 'attrs group list;
+      (* every live group in creation order: the daemon walks it once
+         per exported prefix, so iteration must not allocate *)
   by_peer : (int, 'attrs group) Hashtbl.t;
   mutable next_id : int;
   g_active : Telemetry.Gauge.t;
@@ -82,6 +84,7 @@ let create ?telemetry ~daemon ~equal () =
     equal;
     daemon;
     groups = Hashtbl.create 8;
+    ordered = [];
     by_peer = Hashtbl.create 8;
     next_id = 0;
     g_active =
@@ -117,6 +120,15 @@ let group_count t = Hashtbl.length t.groups
 let members g = List.map fst g.members
 let key g = g.key
 let is_member g m = List.mem_assoc m g.members
+let size g = List.length g.members
+
+let representative g ~except =
+  let rec go = function
+    | [] -> None
+    | (m, _) :: tl -> if m <> except then Some m else go tl
+  in
+  go g.members
+
 let member_group t peer = Hashtbl.find_opt t.by_peer peer
 let pending g = g.events <> []
 let rib_size g = Ptrie.size g.rib
@@ -130,10 +142,8 @@ let base_key k =
   | Some i -> String.sub k 0 i
   | None -> k
 
-let iter_groups t f =
-  (* stable order (by id) so flush framing is reproducible run-to-run *)
-  let gs = Hashtbl.fold (fun _ g acc -> g :: acc) t.groups [] in
-  List.iter f (List.sort (fun a b -> compare a.id b.id) gs)
+(* stable order (creation) so flush framing is reproducible run-to-run *)
+let iter_groups t f = List.iter f t.ordered
 
 let insert_member ms m js =
   let rec go = function
@@ -144,18 +154,19 @@ let insert_member ms m js =
   go ms
 
 let new_group t ~key =
-  let id = t.next_id in
-  t.next_id <- id + 1;
+  t.next_id <- t.next_id + 1;
   let g =
-    { id; key; members = []; rib = Ptrie.create (); events = []; serial = 0 }
+    { key; members = []; rib = Ptrie.create (); events = []; serial = 0 }
   in
   Hashtbl.replace t.groups key g;
+  t.ordered <- t.ordered @ [ g ];
   Telemetry.Gauge.add t.g_active 1;
   g
 
 let drop_if_empty t g =
   if g.members = [] then begin
     Hashtbl.remove t.groups g.key;
+    t.ordered <- List.filter (fun g' -> g' != g) t.ordered;
     Telemetry.Gauge.add t.g_active (-1)
   end
 
@@ -362,10 +373,7 @@ let rekey t ~desired =
           ]
       end;
       let candidates =
-        Hashtbl.fold
-          (fun _ g2 acc -> if base_key g2.key = want then g2 :: acc else acc)
-          t.groups []
-        |> List.sort (fun a b -> compare a.id b.id)
+        List.filter (fun g2 -> base_key g2.key = want) t.ordered
       in
       let target =
         match List.find_opt (rib_equal t items) candidates with

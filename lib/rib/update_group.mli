@@ -43,10 +43,18 @@ val set_recorder : 'attrs t -> Obs.Recorder.t option -> unit
 val group_count : 'attrs t -> int
 val iter_groups : 'attrs t -> ('attrs group -> unit) -> unit
 (** Stable order (group creation order), so flush framing is
-    reproducible. *)
+    reproducible. Allocates nothing. *)
 
 val members : 'attrs group -> int list
 (** Ascending peer indices. *)
+
+val size : 'attrs group -> int
+(** Number of members. *)
+
+val representative : 'attrs group -> except:int -> int option
+(** The lowest-indexed member other than [except] — the peer a daemon
+    evaluates export policy for on the group's behalf. [None] when
+    [except] is the only member (or the group is empty). *)
 
 val key : 'attrs group -> string
 val is_member : 'attrs group -> int -> bool

@@ -414,6 +414,334 @@ let test_batch_map_chain ~host () =
   check_bool "final map state non-empty" true (b_maps <> []);
   check_bool "batched = sequential map state" true (b_maps = s_maps)
 
+(* --- one outbound evaluation per UPDATE ---------------------------- *)
+
+(* A hub with four sinks; sink 0 feeds the batch. [setup] and then
+   [script] run after the sessions settle, and the leg reports the
+   outbound runs and export rejections [script] caused, the hub's
+   Loc-RIB, every sink's adj-RIB-in and every sink's raw UPDATE frame
+   stream. *)
+let star_peers = 4
+let batch_k = 8
+let star_pfx i = Bgp.Prefix.v (0x0C000000 + (i lsl 8)) 24
+let star_batch = List.init batch_k star_pfx
+
+let star_attrs path =
+  Bgp.Attr.
+    [ v (Origin Igp); v (As_path [ Seq path ]); v (Next_hop 0x0A010002) ]
+
+let outbound_runs tele =
+  let point = Xbgp.Api.point_name Xbgp.Api.Bgp_outbound_filter in
+  List.fold_left
+    (fun acc (name, labels, v) ->
+      if name = "xbgp_runs_total" && List.assoc_opt "point" labels = Some point
+      then acc + v
+      else acc)
+    0 (Telemetry.counters tele)
+
+type star_leg = {
+  runs : int;
+  rejected : int;
+  exporting_groups : int;  (** groups with a member other than sink 0 *)
+  hub : (Bgp.Prefix.t * Bgp.Attr.t list) list;
+  ribs : (Bgp.Prefix.t * Bgp.Attr.t list) list list;
+  frames : string list list;
+}
+
+(* a VMM running [xp] with each named bytecode attached at its point *)
+let vmm_with ?telemetry (xp, points) =
+  let vmm = Xbgp.Vmm.create ?telemetry ~host:"dut" () in
+  let ok = function Ok () -> () | Error e -> Alcotest.fail e in
+  ok (Xbgp.Vmm.register vmm xp);
+  List.iter
+    (fun (bytecode, point) ->
+      ok
+        (Xbgp.Vmm.attach vmm ~program:xp.Xbgp.Xprog.name ~bytecode ~point
+           ~order:0))
+    points;
+  vmm
+
+let star_leg ?manifest ?xprog ?(ibgp = false) ?(rr_client = fun _ -> false)
+    ?(update_groups = true) ?(setup = ignore) ~host ~batch script =
+  let tele = Telemetry.create ~enabled:true () in
+  let vmm = Option.map (vmm_with ~telemetry:tele) xprog in
+  let star =
+    Scenario.Star.create ~host ?manifest ?vmm ~telemetry:tele ~ibgp ~rr_client
+      ~update_groups ~batch_updates:batch ~npeers:star_peers ()
+  in
+  Scenario.Star.establish star;
+  Scenario.Star.settle star;
+  setup star;
+  Scenario.Star.settle star;
+  let dut = Scenario.Star.dut star in
+  let runs0 = outbound_runs tele in
+  let rej0 = (Scenario.Daemon.stats dut).Telemetry.export_rejected in
+  script star;
+  Scenario.Star.settle star;
+  let sinks = List.init star_peers Fun.id in
+  {
+    runs = outbound_runs tele - runs0;
+    rejected = (Scenario.Daemon.stats dut).Telemetry.export_rejected - rej0;
+    exporting_groups =
+      (if update_groups then
+         List.length
+           (List.filter
+              (fun (_, ms) -> List.exists (fun m -> m <> 0) ms)
+              (Scenario.Daemon.group_details dut))
+       else star_peers - 1);
+    hub = Scenario.Daemon.loc_snapshot dut;
+    ribs = List.map (Scenario.Star.sink_rib star) sinks;
+    frames =
+      List.map
+        (fun i -> List.map Bytes.to_string (Scenario.Star.sink_frames star i))
+        sinks;
+  }
+
+let announce_batch ?(path = [ 65101 ]) star =
+  Scenario.Star.sink_announce star 0 ~attrs:(star_attrs path) star_batch
+
+(* the batched leg must leave what the per-prefix leg leaves *)
+let check_same_as_per_prefix label (b : star_leg) (s : star_leg) =
+  let same what x y =
+    match
+      Fuzz.Oracle.diff_snapshots ~what ~l0:"per-prefix" ~l1:"batched" x y
+    with
+    | None -> ()
+    | Some d -> Alcotest.failf "%s: %s" label d
+  in
+  same "hub Loc-RIB" s.hub b.hub;
+  List.iteri
+    (fun i (x, y) -> same (Printf.sprintf "sink %d adj-RIB-in" i) x y)
+    (List.combine s.ribs b.ribs);
+  List.iteri
+    (fun i (x, y) ->
+      check_bool
+        (Printf.sprintf "%s: sink %d frames byte-identical" label i)
+        true (x = y))
+    (List.combine s.frames b.frames)
+
+let host_name = function `Frr -> "frr" | `Bird -> "bird"
+
+(* [f] on both hosts, grouped and per-peer export *)
+let each_export_path f =
+  List.iter
+    (fun host ->
+      List.iter
+        (fun update_groups ->
+          f
+            ~label:(Printf.sprintf "%s groups=%b" (host_name host) update_groups)
+            ~host ~update_groups)
+        [ true; false ])
+    [ `Frr; `Bird ]
+
+let rr_leg ~host ~update_groups ~batch script =
+  star_leg ~manifest:Xprogs.Route_reflector.manifest ~ibgp:true
+    ~rr_client:(fun i -> i < 2) ~update_groups ~host ~batch script
+
+(* the stock RR outbound chain never reads the prefix: one run per
+   exporting group (per peer on the per-peer path) covers the UPDATE *)
+let test_export_once_rr () =
+  each_export_path (fun ~label ~host ~update_groups ->
+      let l = rr_leg ~host ~update_groups ~batch:true announce_batch in
+      check_bool (label ^ ": some group exports") true (l.exporting_groups > 0);
+      check_int
+        (label ^ ": one outbound run per exporting group")
+        l.exporting_groups l.runs;
+      List.iteri
+        (fun i rib ->
+          if i > 0 then
+            check_int
+              (Printf.sprintf "%s: sink %d has the batch" label i)
+              batch_k (List.length rib))
+        l.ribs)
+
+(* a richer RR script — a second source, a re-announcement that changes
+   the exported attributes, withdrawals — must leave the per-prefix
+   leg's hub RIB, sink RIBs and frame streams exactly *)
+let test_export_once_equivalence () =
+  let script star =
+    announce_batch star;
+    Scenario.Star.settle star;
+    Scenario.Star.sink_announce star 2 ~attrs:(star_attrs [ 65001 ])
+      (List.init 3 (fun i -> star_pfx (i + 6)));
+    Scenario.Star.settle star;
+    announce_batch ~path:[ 65101; 65102 ] star;
+    Scenario.Star.settle star;
+    Scenario.Star.sink_withdraw star 0 [ star_pfx 1; star_pfx 7 ]
+  in
+  each_export_path (fun ~label ~host ~update_groups ->
+      let b = rr_leg ~host ~update_groups ~batch:true script in
+      let s = rr_leg ~host ~update_groups ~batch:false script in
+      check_bool (label ^ ": fewer outbound runs") true (b.runs < s.runs);
+      check_same_as_per_prefix label b s)
+
+(* a one-bytecode program attached at the outbound point *)
+let outbound items =
+  ( Xbgp.Xprog.v ~name:"out" [ ("export", Ebpf.Asm.assemble items) ],
+    [ ("export", Xbgp.Api.Bgp_outbound_filter) ] )
+
+(* r0 = 0 is filter_accept, 1 filter_reject *)
+let accept_chain = outbound Ebpf.Asm.[ movi R0 0; exit_ ]
+let reject_chain = outbound Ebpf.Asm.[ movi R0 1; exit_ ]
+
+let prefix_reading_chain =
+  outbound
+    Ebpf.Asm.
+      [
+        movi R1 Xbgp.Api.arg_prefix;
+        call Xbgp.Api.h_get_arg;
+        movi R0 0;
+        exit_;
+      ]
+
+(* eBGP sinks and a peer-blind chain share one update group, so one
+   exporting group serves the whole batch *)
+let test_export_prefix_reader () =
+  List.iter
+    (fun host ->
+      let l =
+        star_leg ~xprog:prefix_reading_chain ~host ~batch:true announce_batch
+      in
+      check_int "one exporting group" 1 l.exporting_groups;
+      check_int
+        (host_name host ^ ": a prefix-reading chain runs once per prefix")
+        batch_k l.runs)
+    [ `Frr; `Bird ]
+
+let test_export_reject_counts () =
+  List.iter
+    (fun host ->
+      let run ~batch = star_leg ~xprog:reject_chain ~host ~batch announce_batch in
+      let b = run ~batch:true and s = run ~batch:false in
+      let label = host_name host in
+      check_int (label ^ ": one evaluation for the batch") 1 b.runs;
+      check_int (label ^ ": per-prefix leg runs k times") batch_k s.runs;
+      check_int
+        (label ^ ": rejections counted per prefix and target")
+        (batch_k * (star_peers - 1))
+        b.rejected;
+      check_int (label ^ ": same rejections as per-prefix") s.rejected
+        b.rejected)
+    [ `Frr; `Bird ]
+
+(* sink 1 holds a runner-up for one mid-batch prefix; sink 0's second
+   UPDATE worsens its own path below it, so that prefix's new best is
+   sink 1's route — a different record, which must get its own
+   evaluation rather than sink 0's memoized one. On the per-peer path
+   the two routes share targets (sinks 2 and 3), so reusing the wrong
+   record's result would show in their frames. *)
+let test_export_displaced_route () =
+  let mid = star_pfx (batch_k / 2) in
+  let setup star =
+    announce_batch star;
+    Scenario.Star.settle star;
+    Scenario.Star.sink_announce star 1
+      ~attrs:(star_attrs [ 65102; 65001 ])
+      [ mid ]
+  in
+  each_export_path (fun ~label ~host ~update_groups ->
+      let run ~batch =
+        star_leg ~xprog:accept_chain ~setup ~update_groups ~host ~batch
+          (announce_batch ~path:[ 65101; 65001; 65002 ])
+      in
+      let b = run ~batch:true and s = run ~batch:false in
+      if update_groups then begin
+        (* one group: sink 0's route exports via sink 1, sink 1's via
+           sink 0 *)
+        check_int (label ^ ": one run per distinct new best") 2 b.runs;
+        check_int (label ^ ": per-prefix leg runs k times") batch_k s.runs
+      end
+      else check_bool (label ^ ": fewer outbound runs") true (b.runs < s.runs);
+      check_bool (label ^ ": sink 0 now hears the runner-up") true
+        (List.mem_assoc mid (List.nth b.ribs 0));
+      check_same_as_per_prefix label b s)
+
+(* The import bytecode bumps a counter in a hash map once per prefix;
+   the export bytecode copies the counter into MED. The export chain
+   never reads the prefix, writes no map and reads no LRU map, so it is
+   batch-invariant — but the state it reads moves between the batch's
+   exports, so no export may be reused: every prefix must carry its own
+   count, as on the per-prefix leg. *)
+let counter_program =
+  let key =
+    Ebpf.Asm.[ stw R10 (-4) 0; movi R1 0; mov R2 R10; addi R2 (-4) ]
+  in
+  let import =
+    key
+    @ Ebpf.Asm.
+        [
+          call Xbgp.Api.h_map_lookup;
+          movi R6 1;
+          jeqi R0 0 "store";
+          ldxw R6 R0 0;
+          addi R6 1;
+          label "store";
+          stxw R10 (-8) R6;
+        ]
+    @ key
+    @ Ebpf.Asm.
+        [
+          mov R3 R10;
+          addi R3 (-8);
+          call Xbgp.Api.h_map_update;
+          movi R0 0;
+          exit_;
+        ]
+  in
+  let export =
+    key
+    @ Ebpf.Asm.
+        [
+          call Xbgp.Api.h_map_lookup;
+          jeqi R0 0 "out";
+          ldxw R6 R0 0;
+          stxw R10 (-8) R6;
+          movi R1 Bgp.Attr.code_med;
+          movi R2 0x80;
+          movi R3 4;
+          mov R4 R10;
+          addi R4 (-8);
+          call Xbgp.Api.h_add_attr;
+          label "out";
+          movi R0 0;
+          exit_;
+        ]
+  in
+  ( Xbgp.Xprog.v ~name:"count"
+      ~maps:
+        [
+          Xbgp.Xprog.map ~name:"n" ~kind:Ebpf.Map.Hash ~key_size:4
+            ~value_size:4 ();
+        ]
+      [
+        ("import", Ebpf.Asm.assemble import);
+        ("export", Ebpf.Asm.assemble export);
+      ],
+    [
+      ("import", Xbgp.Api.Bgp_inbound_filter);
+      ("export", Xbgp.Api.Bgp_outbound_filter);
+    ] )
+
+let test_export_map_epoch () =
+  check_bool "export bytecode is batch-invariant" true
+    (Xbgp.Vmm.batch_invariant (vmm_with counter_program)
+       Xbgp.Api.Bgp_outbound_filter ~variant_args:[ Xbgp.Api.arg_prefix ]);
+  List.iter
+    (fun host ->
+      let run ~batch =
+        star_leg ~xprog:counter_program ~host ~batch announce_batch
+      in
+      let b = run ~batch:true and s = run ~batch:false in
+      let label = host_name host in
+      (* the map read makes the chain peer-sensitive: one solo group per
+         sink *)
+      check_int
+        (label ^ ": one export run per prefix and target")
+        (batch_k * b.exporting_groups)
+        b.runs;
+      check_same_as_per_prefix label b s)
+    [ `Frr; `Bird ]
+
 (* --- differential oracle under forced cache settings ------------- *)
 
 (* the same seed-pinned campaign must be clean with the conversion
@@ -514,6 +842,18 @@ let () =
             (test_batch_map_chain ~host:`Frr);
           Alcotest.test_case "map chain bird" `Quick
             (test_batch_map_chain ~host:`Bird);
+          Alcotest.test_case "export once: rr runs per group" `Quick
+            test_export_once_rr;
+          Alcotest.test_case "export once: same state as per-prefix" `Quick
+            test_export_once_equivalence;
+          Alcotest.test_case "export once: prefix-reading chain" `Quick
+            test_export_prefix_reader;
+          Alcotest.test_case "export once: rejections per prefix" `Quick
+            test_export_reject_counts;
+          Alcotest.test_case "export once: displaced route" `Quick
+            test_export_displaced_route;
+          Alcotest.test_case "export once: map writes between exports" `Quick
+            test_export_map_epoch;
         ] );
       ( "fuzz-oracle",
         [
