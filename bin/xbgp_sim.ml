@@ -81,17 +81,15 @@ let verify_cmd =
     | Some p ->
       let failures = ref 0 in
       List.iter
-        (fun (bc, code) ->
-          match
-            Ebpf.Verifier.check ?allowed_helpers:p.allowed_helpers code
-          with
-          | Ok () -> Fmt.pr "%s/%s: OK@." name bc
+        (fun (bc, result) ->
+          match result with
+          | Ok _ -> Fmt.pr "%s/%s: OK@." name bc
           | Error es ->
             incr failures;
             Fmt.pr "%s/%s: REJECTED %a@." name bc
               Fmt.(list ~sep:semi Ebpf.Verifier.pp_error)
               es)
-        p.bytecodes;
+        (Xbgp.Vmm.verify p);
       if !failures = 0 then 0 else 1
   in
   Cmd.v (Cmd.info "verify" ~doc:"Verify a registered xBGP program")

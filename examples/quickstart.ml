@@ -63,7 +63,7 @@ let () =
   print_endline "=== extension bytecode ===";
   print_string (Ebpf.Disasm.program_to_string max_len_filter);
   (match Ebpf.Verifier.check max_len_filter with
-  | Ok () -> print_endline "verifier: OK"
+  | Ok _ -> print_endline "verifier: OK"
   | Error es ->
     Fmt.pr "verifier rejected: %a@." (Fmt.list Ebpf.Verifier.pp_error) es;
     exit 1);

@@ -41,8 +41,23 @@ type live_map = {
   m_rejected : Telemetry.Counter.t;
 }
 
+(* What one bytecode may do, derived once from the verifier's call sites
+   when its program is registered or replaced. Argument ids and map
+   indices are r1 normalised to the 32 bits every helper reads; [None] =
+   some call site's r1 is unresolved (treat as "could be any"). *)
+type facts = {
+  helpers : int list;
+  arg_reads : int list option;
+  map_reads : int list option;
+  map_writes : int list option;
+  effectful : bool;
+  attrs_mutated : bool;
+  maps_written : string list;
+}
+
 type ext = {
   prog : Xprog.t;
+  facts : (string * facts) list;  (** per bytecode name *)
   mutable maps : live_map array option;
       (** [Some] while the program is attached anywhere, indexed by map
           declaration; [None] before the first attach and after the last
@@ -83,9 +98,7 @@ type attachment = {
   order : int;
   rt : runtime;
   probe : probe;
-  summary : Xprog.dispatch_summary;
-      (** computed once at attach time; persistent scratch makes the
-          run count observable, so such bytecodes are pinned effectful *)
+  facts : facts;
 }
 
 type stats = {
@@ -230,6 +243,133 @@ let emit_event t kind fields =
   | None -> ()
   | Some r -> Obs.Recorder.record r kind fields
 
+let u32_of v = Int64.to_int (Int64.logand v 0xFFFFFFFFL)
+
+(* Helpers whose effect is confined to the run's return value, the
+   ephemeral heap, or the shared route record (attribute edits are
+   applied once and shared by the whole batch, exactly like the
+   converted attribute view). Everything else — map writes, rib_add,
+   write_buf, logging — makes the number of runs observable. *)
+let batchable_helpers =
+  [
+    Api.h_next;
+    Api.h_get_arg;
+    Api.h_arg_len;
+    Api.h_get_peer_info;
+    Api.h_get_nexthop;
+    Api.h_get_attr;
+    Api.h_set_attr;
+    Api.h_add_attr;
+    Api.h_remove_attr;
+    Api.h_get_xtra;
+    Api.h_memalloc;
+    Api.h_htonl;
+    Api.h_htons;
+    Api.h_map_lookup;
+  ]
+
+let add_new x seen = if List.mem x seen then seen else seen @ [ x ]
+
+(* The distinct first arguments the calls of [ids] pass, in first-call
+   order; [None] when any of those calls has an unresolved r1. *)
+let first_args (sites : Ebpf.Verifier.facts) ids =
+  List.fold_left
+    (fun acc (c : Ebpf.Verifier.call_site) ->
+      match (acc, c.r1) with
+      | Some seen, Some v when List.mem c.helper ids ->
+        Some (add_new (u32_of v) seen)
+      | Some _, None when List.mem c.helper ids -> None
+      | acc, _ -> acc)
+    (Some []) sites
+
+let derive (prog : Xprog.t) (sites : Ebpf.Verifier.facts) =
+  let helpers =
+    List.fold_left
+      (fun seen (c : Ebpf.Verifier.call_site) -> add_new c.helper seen)
+      [] sites
+  in
+  let map_writes = first_args sites [ Api.h_map_update; Api.h_map_delete ] in
+  let map_names = List.map (fun s -> s.Ebpf.Map.name) prog.maps in
+  {
+    helpers;
+    arg_reads = first_args sites [ Api.h_get_arg; Api.h_arg_len ];
+    map_reads = first_args sites [ Api.h_map_lookup ];
+    map_writes;
+    (* persistent scratch makes the run count observable *)
+    effectful =
+      prog.scratch_size > 0
+      || List.exists (fun h -> not (List.mem h batchable_helpers)) helpers;
+    attrs_mutated =
+      List.exists
+        (fun h ->
+          List.mem h [ Api.h_set_attr; Api.h_add_attr; Api.h_remove_attr ])
+        helpers;
+    maps_written =
+      (match map_writes with
+      | Some idxs -> List.filteri (fun i _ -> List.mem i idxs) map_names
+      | None -> map_names (* unresolvable: any declared map *));
+  }
+
+(* Map access, which the verifier cannot judge: each spec is
+   bounds-checked, a map helper call is rejected when the program
+   declares no maps, or when its r1 is resolved and out of range. An
+   unresolved index is left to the runtime check. *)
+let map_errors (prog : Xprog.t) (sites : Ebpf.Verifier.facts) =
+  let err slot fmt =
+    Printf.ksprintf
+      (fun message -> Some ({ slot; message } : Ebpf.Verifier.error))
+      fmt
+  in
+  let nmaps = List.length prog.maps in
+  let spec i spec =
+    match Ebpf.Map.validate spec with
+    | Ok () -> None
+    | Error m -> err 0 "map %d: %s" i m
+  in
+  let site (c : Ebpf.Verifier.call_site) =
+    let map_helpers = [ Api.h_map_lookup; Api.h_map_update; Api.h_map_delete ] in
+    if not (List.mem c.helper map_helpers) then None
+    else if nmaps = 0 then
+      err c.slot "map helper %d called but the program declares no maps"
+        c.helper
+    else
+      match Option.map u32_of c.r1 with
+      | Some idx when idx >= nmaps ->
+        err c.slot "map index %d out of range (program declares %d)" idx nmaps
+      | _ -> None
+  in
+  List.filter_map Fun.id (List.mapi spec prog.maps @ List.map site sites)
+
+let verify (prog : Xprog.t) =
+  List.map
+    (fun (name, code) ->
+      ( name,
+        match
+          Ebpf.Verifier.check ?allowed_helpers:prog.allowed_helpers code
+        with
+        | Error es -> Error es
+        | Ok sites -> (
+          match map_errors prog sites with
+          | [] -> Ok (derive prog sites)
+          | es -> Error es) ))
+    prog.bytecodes
+
+(* [verify], reduced to the first rejected bytecode's rendering or every
+   bytecode's facts *)
+let verified (prog : Xprog.t) =
+  let results = verify prog in
+  match
+    List.find_map
+      (function name, Error es -> Some (name, es) | _, Ok _ -> None)
+      results
+  with
+  | Some (name, es) ->
+    Error
+      (Fmt.str "verifier rejected %s/%s: %a" prog.name name
+         Fmt.(list ~sep:semi Ebpf.Verifier.pp_error)
+         es)
+  | None -> Ok (List.map (fun (name, r) -> (name, Result.get_ok r)) results)
+
 (** Register an xBGP program: verify every bytecode against the structural
     checks, the program's helper whitelist and its map declarations, then
     instantiate its persistent scratch. Maps are *not* created here — the
@@ -237,32 +377,17 @@ let emit_event t kind fields =
 let register t (prog : Xprog.t) : (unit, string) result =
   if Hashtbl.mem t.extensions prog.name then
     Error (Printf.sprintf "program %S already registered" prog.name)
-  else begin
-    let bad =
-      List.filter_map
-        (fun (name, code) ->
-          match
-            Ebpf.Verifier.check ?allowed_helpers:prog.allowed_helpers
-              ~map_helpers:[ Api.h_map_lookup; Api.h_map_update; Api.h_map_delete ]
-              ~maps:prog.maps code
-          with
-          | Ok () -> None
-          | Error es ->
-            Some
-              (Fmt.str "%s/%s: %a" prog.name name
-                 Fmt.(list ~sep:semi Ebpf.Verifier.pp_error)
-                 es))
-        prog.bytecodes
-    in
-    match bad with
-    | e :: _ -> Error ("verifier rejected " ^ e)
-    | [] ->
-      let ext =
-        { prog; maps = None; scratch = Bytes.make prog.scratch_size '\x00' }
-      in
-      Hashtbl.replace t.extensions prog.name ext;
-      Ok ()
-  end
+  else
+    Result.map
+      (fun facts ->
+        Hashtbl.replace t.extensions prog.name
+          {
+            prog;
+            facts;
+            maps = None;
+            scratch = Bytes.make prog.scratch_size '\x00';
+          })
+      (verified prog)
 
 (* --- map lifecycle ---
 
@@ -314,8 +439,6 @@ let blob_of_bytes payload =
   Bytes.set_int32_le b 0 (Int32.of_int (Bytes.length payload));
   Bytes.blit payload 0 b Api.blob_header_size (Bytes.length payload);
   b
-
-let u32_of v = Int64.to_int (Int64.logand v 0xFFFFFFFFL)
 
 (* Wrap one helper with its call counter (always on, always exact) and,
    on the sampled ticks of an enabled registry, a latency histogram (the
@@ -688,11 +811,6 @@ let attach t ~program ~bytecode ~point ~order : (unit, string) result =
       Error (Printf.sprintf "program %S has no bytecode %S" program bytecode)
     | Some code ->
       let idx = Api.point_index point in
-      let summary =
-        let s = Xprog.dispatch_summary code in
-        if ext.prog.scratch_size > 0 then { s with Xprog.effectful = true }
-        else s
-      in
       (* maps come up with the program's first attachment *)
       ensure_maps_live t ext;
       let att =
@@ -702,7 +820,7 @@ let attach t ~program ~bytecode ~point ~order : (unit, string) result =
           order;
           rt = make_runtime t ext code;
           probe = make_probe t ext ~bytecode ~point;
-          summary;
+          facts = List.assoc bytecode ext.facts;
         }
       in
       (* the chain is rebuilt per attach — cold path — so [run] reads a
@@ -773,26 +891,9 @@ let replace_program t (prog : Xprog.t) : (unit, string) result =
            "replace %S: attached bytecode %S missing from the new version"
            prog.name bc)
     | [] -> (
-      let bad =
-        List.filter_map
-          (fun (name, code) ->
-            match
-              Ebpf.Verifier.check ?allowed_helpers:prog.allowed_helpers
-                ~map_helpers:
-                  [ Api.h_map_lookup; Api.h_map_update; Api.h_map_delete ]
-                ~maps:prog.maps code
-            with
-            | Ok () -> None
-            | Error es ->
-              Some
-                (Fmt.str "%s/%s: %a" prog.name name
-                   Fmt.(list ~sep:semi Ebpf.Verifier.pp_error)
-                   es))
-          prog.bytecodes
-      in
-      match bad with
-      | e :: _ -> Error ("verifier rejected " ^ e)
-      | [] ->
+      match verified prog with
+      | Error e -> Error e
+      | Ok facts ->
         let scratch =
           if prog.scratch_size = Bytes.length old.scratch then old.scratch
           else Bytes.make prog.scratch_size '\x00'
@@ -800,7 +901,12 @@ let replace_program t (prog : Xprog.t) : (unit, string) result =
         let keep_maps = prog.maps = old.prog.Xprog.maps in
         if not keep_maps then destroy_maps old;
         let ext =
-          { prog; maps = (if keep_maps then old.maps else None); scratch }
+          {
+            prog;
+            facts;
+            maps = (if keep_maps then old.maps else None);
+            scratch;
+          }
         in
         Hashtbl.replace t.extensions prog.name ext;
         let attached_somewhere =
@@ -824,19 +930,13 @@ let replace_program t (prog : Xprog.t) : (unit, string) result =
                       let code =
                         Option.get (Xprog.bytecode prog att.bc_name)
                       in
-                      let summary =
-                        let s = Xprog.dispatch_summary code in
-                        if prog.scratch_size > 0 then
-                          { s with Xprog.effectful = true }
-                        else s
-                      in
                       {
                         ext;
                         bc_name = att.bc_name;
                         order = att.order;
                         rt = make_runtime t ext code;
                         probe = make_probe t ext ~bytecode:att.bc_name ~point;
-                        summary;
+                        facts = List.assoc att.bc_name facts;
                       }
                     end)
                   chain
@@ -868,9 +968,9 @@ let has_any_attachment t =
 let batch_invariant t point ~variant_args =
   Array.for_all
     (fun att ->
-      (not att.summary.Xprog.effectful)
-      && att.summary.Xprog.map_writes = Some []
-      && (match att.summary.Xprog.map_reads with
+      (not att.facts.effectful)
+      && att.facts.map_writes = Some []
+      && (match att.facts.map_reads with
          | None -> false
          | Some idxs ->
            List.for_all
@@ -880,7 +980,7 @@ let batch_invariant t point ~variant_args =
                | None -> false)
              idxs)
       &&
-      match att.summary.Xprog.arg_reads with
+      match att.facts.arg_reads with
       | None -> false
       | Some reads -> not (List.exists (fun a -> List.mem a variant_args) reads))
     t.chains.(Api.point_index point)
@@ -910,8 +1010,8 @@ let group_invariant t point ~allow_write_buf =
              (allow_write_buf && id = Api.h_write_buf)
              || id <> Api.h_get_peer_info
                 && id <> Api.h_map_lookup
-                && List.mem id Xprog.batchable_helpers)
-           att.summary.Xprog.helpers)
+                && List.mem id batchable_helpers)
+           att.facts.helpers)
     t.chains.(Api.point_index point)
 
 (* A stable textual identity of the chain at [point] — update-group keys
@@ -1020,8 +1120,9 @@ let outcome_value_name point v =
 
 (* The last dispatch at [point] as provenance steps: one per bytecode
    that actually ran, in execution order, static facts (may it mutate
-   attributes? which maps can it write?) from the attach-time dispatch
-   summary and the dynamic verdict from the trace [run] just captured.
+   attributes? which maps can it write?) from the bytecode's facts
+   derived at registration and the dynamic verdict from the trace [run]
+   just captured.
    [None] when the last traced dispatch was at a different point or the
    chains changed since — callers must read it before dispatching
    anything else (a nested import -> rib_add -> export overwrites it). *)
@@ -1041,27 +1142,14 @@ let last_trace t point : Obs.Provenance.step list option =
         | 1 -> "next()"
         | _ -> "fault"
       in
-      let attrs_mutated =
-        List.exists
-          (fun h ->
-            h = Api.h_set_attr || h = Api.h_add_attr || h = Api.h_remove_attr)
-          att.summary.Xprog.helpers
-      in
-      let map_names = List.map (fun s -> s.Ebpf.Map.name) att.ext.prog.maps in
-      let maps_written =
-        match att.summary.Xprog.map_writes with
-        | Some idxs ->
-          List.filteri (fun i _ -> List.mem i idxs) map_names
-        | None -> map_names (* unresolvable: any declared map *)
-      in
       steps :=
         {
           Obs.Provenance.program = att.ext.prog.name;
           bytecode = att.bc_name;
           engine = Ebpf.Vm.engine_name t.engine;
           outcome;
-          attrs_mutated;
-          maps_written;
+          attrs_mutated = att.facts.attrs_mutated;
+          maps_written = att.facts.maps_written;
         }
         :: !steps
     done;

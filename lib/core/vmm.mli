@@ -85,14 +85,49 @@ val fault_detail : fault -> string
 (** {!render_fault} plus engine, slot and disassembly when known — what
     fuzz divergence reports print. *)
 
+(** What one bytecode may do, derived once from {!Ebpf.Verifier.facts}
+    when its program is registered or replaced, and read by
+    {!batch_invariant}, {!group_invariant} and {!last_trace}. Argument
+    ids and map indices are r1 at the call site, normalised to the 32
+    bits every helper reads. *)
+type facts = {
+  helpers : int list;  (** every helper id called, in first-call order *)
+  arg_reads : int list option;
+      (** argument ids fetched through [h_get_arg]/[h_arg_len]; [None] =
+          some call's r1 is unresolved (could read any argument) *)
+  map_reads : int list option;
+      (** map indices passed to [h_map_lookup]; [None] = unresolved.
+          Consumers need the indices because a lookup on an LRU map
+          refreshes recency (a write in disguise) while hash/array
+          lookups are pure. *)
+  map_writes : int list option;
+      (** map indices passed to [h_map_update]/[h_map_delete]; [None] =
+          unresolved. Anything but [Some []] makes the number of runs
+          observable. *)
+  effectful : bool;
+      (** per-call observable effects beyond the return value and the
+          route-attribute edits: a helper outside the batchable set (map
+          writes, RIB injection, message-buffer writes, logging) or a
+          program with persistent scratch *)
+  attrs_mutated : bool;  (** may set, add or remove route attributes *)
+  maps_written : string list;
+      (** names of the declared maps it may write (all of them when
+          [map_writes = None]) — the static half of provenance *)
+}
+
+val verify : Xprog.t -> (string * (facts, Ebpf.Verifier.error list) result) list
+(** The verification {!register} and {!replace_program} apply, per
+    bytecode: {!Ebpf.Verifier.check} against the program's helper
+    whitelist, then the map checks — each map spec is bounds-checked, a
+    map helper call is rejected when the program declares no maps, or
+    when its resolved index is out of range (an unresolved index is
+    left to the runtime check). *)
+
 val register : t -> Xprog.t -> (unit, string) result
-(** Verify every bytecode (structural checks, the program's helper
-    whitelist and its map declarations — bad map specs and
-    statically-known out-of-range map indices are rejected here) and
-    instantiate the program's scratch. Maps are created at the
-    program's first {!attach} and destroyed at its last {!detach}:
-    their lifetime is the attachment's, surviving every dispatch in
-    between. *)
+(** {!verify} every bytecode, keep each one's {!facts}, and instantiate
+    the program's scratch. Maps are created at the program's first
+    {!attach} and destroyed at its last {!detach}: their lifetime is the
+    attachment's, surviving every dispatch in between. *)
 
 val attach :
   t ->
@@ -139,7 +174,7 @@ val batch_invariant : t -> Api.point -> variant_args:int list -> bool
     same result for every element of a batch whose members differ only
     in the [variant_args] argument ids: it never fetches those
     arguments, all its argument reads are statically resolved
-    ({!Xprog.dispatch_summary}), and it has no per-call observable
+    ({!facts}), and it has no per-call observable
     effects (map writes, RIB injection, logging, persistent scratch).
     Map lookups are admitted only when every lookup statically resolves
     to a non-LRU map — an LRU lookup refreshes recency, so the run
@@ -187,8 +222,8 @@ val last_trace : t -> Api.point -> Obs.Provenance.step list option
 (** The dispatch {!run} just executed at [point], as provenance steps —
     one per bytecode that ran, in order, with its dynamic verdict
     ("accept" / "reject" / "next()" / "fault" / point-rendered return)
-    and the attach-time static facts (may it mutate route attributes,
-    which maps it may write). [None] when the last traced dispatch was
+    and the static half of its {!facts} (may it mutate route
+    attributes, which maps it may write). [None] when the last traced dispatch was
     at a different point or the chains changed since. Read it
     immediately after the dispatch: a nested dispatch (import ->
     [rib_add] -> export) overwrites the trace. *)

@@ -13,6 +13,11 @@
    - immediate division/modulo by zero is rejected outright;
    - the program fits the size limit.
 
+   The reachability walk also yields the program's facts: every reachable
+   helper call with the constant r1 (the first argument register) carries
+   into it. Callers that know what a helper's first argument means (an
+   argument id, a map index) read them; this library does not.
+
    Dynamic properties (memory safety, termination) are enforced at run
    time by [Memory] bounds checks and the [Vm] instruction budget. *)
 
@@ -22,7 +27,11 @@ let pp_error ppf { slot; message } = Fmt.pf ppf "slot %d: %s" slot message
 
 let max_insns = 65536
 
-type check_result = (unit, error list) result
+type call_site = { slot : int; helper : int; r1 : int64 option }
+type facts = call_site list
+
+(* r1 on entry to an instruction, joined over every path reaching it *)
+type r1 = Unvisited | Const of int64 | Unknown
 
 let writes_r10 (i : Insn.t) =
   match i with
@@ -31,16 +40,21 @@ let writes_r10 (i : Insn.t) =
     true
   | _ -> false
 
+(* r1 after [i], given r1 before it. R1–R5 are caller-saved, so a call
+   leaves r1 unknown; so does any write this analysis does not fold. *)
+let r1_after (i : Insn.t) r1 =
+  match i with
+  | Alu (W64bit, Mov, R1, Imm v) -> Const (Int64.of_int32 v)
+  | Alu (W32bit, Mov, R1, Imm v) ->
+    Const (Int64.logand (Int64.of_int32 v) 0xFFFFFFFFL)
+  | Lddw (R1, v) -> Const v
+  | Alu (_, _, R1, _) | Endian (_, R1, _) | Ldx (_, R1, _, _) | Call _ ->
+    Unknown
+  | _ -> r1
+
 (** [check ?allowed_helpers prog] verifies [prog]; [allowed_helpers] is the
-    manifest whitelist ([None] = all helpers allowed). [map_helpers] are
-    the helper ids that take a map index in r1 (supplied by the caller —
-    this library does not know the xBGP helper numbering) and [maps] the
-    program's declared map specs: a call to a map helper is rejected when
-    the program declares no maps, or when the index in r1 is statically
-    known and out of range. An index the linear scan cannot resolve is
-    left to the runtime check. *)
-let check ?allowed_helpers ?(map_helpers = []) ?(maps = [])
-    (prog : Insn.t list) : check_result =
+    manifest whitelist ([None] = all helpers allowed). *)
+let check ?allowed_helpers (prog : Insn.t list) : (facts, error list) result =
   let errors = ref [] in
   let err slot fmt =
     Printf.ksprintf (fun message -> errors := { slot; message } :: !errors) fmt
@@ -49,147 +63,99 @@ let check ?allowed_helpers ?(map_helpers = []) ?(maps = [])
   if prog = [] then err 0 "empty program";
   if nslots > max_insns then
     err 0 "program too large: %d slots (max %d)" nslots max_insns;
-  (* slot -> instruction start map *)
-  let starts = Array.make (max nslots 1) false in
-  let _ =
-    List.fold_left
-      (fun slot i ->
-        if slot < nslots then starts.(slot) <- true;
-        slot + Insn.slots i)
-      0 prog
-  in
+  let insns = Array.of_list prog in
+  (* slot of the i-th instruction, and instruction index at a slot (-1
+     inside an lddw) *)
+  let index_at = Array.make (max nslots 1) (-1) in
+  let slot_of = Array.make (Array.length insns) 0 in
+  ignore
+    (Array.fold_left
+       (fun (idx, slot) i ->
+         index_at.(slot) <- idx;
+         slot_of.(idx) <- slot;
+         (idx + 1, slot + Insn.slots i))
+       (0, 0) insns);
   let check_target slot off =
     let tgt = slot + 1 + off in
     if tgt < 0 || tgt >= nslots then
       err slot "jump target %d outside program" tgt
-    else if not starts.(tgt) then
+    else if index_at.(tgt) < 0 then
       err slot "jump target %d lands inside lddw" tgt
   in
-  let _ =
-    List.fold_left
-      (fun slot (i : Insn.t) ->
-        if writes_r10 i then err slot "write to frame pointer r10";
-        (match i with
-        | Ja off -> check_target slot off
-        | Jcond (_, _, _, _, off) ->
-          check_target slot off;
-          (* fall-through must stay in range *)
-          if slot + 1 >= nslots then err slot "conditional jump at end"
-        | Call id -> (
-          match allowed_helpers with
-          | Some allowed when not (List.mem id allowed) ->
-            err slot "helper %d not in manifest whitelist" id
-          | _ -> ())
-        | Alu (_, Div, _, Imm 0l) -> err slot "division by zero immediate"
-        | Alu (_, Mod, _, Imm 0l) -> err slot "modulo by zero immediate"
-        | Endian (_, _, bits) ->
-          if bits <> 16 && bits <> 32 && bits <> 64 then
-            err slot "invalid endian width %d" bits
-        | _ -> ());
-        (* no fall-off: any instruction whose successor would be past the
-           end must be an exit or an unconditional jump *)
-        (match i with
-        | Exit | Ja _ -> ()
-        | _ ->
-          if slot + Insn.slots i >= nslots then
-            err slot "control flow falls off the end of the program");
-        slot + Insn.slots i)
-      0 prog
-  in
-  (* map access: the spec bounds themselves, then a linear scan tracking
-     the constant in r1 (the map-index argument register) to catch
-     statically-known out-of-range indices at map-helper call sites. The
-     constant is discarded at every jump target and after every call,
-     mirroring the dispatch-summary analysis: unresolvable degrades to
-     "checked at runtime", never to a wrong rejection. *)
-  List.iteri
-    (fun i spec ->
-      match Map.validate spec with
-      | Ok () -> ()
-      | Error m -> err 0 "map %d: %s" i m)
-    maps;
-  if map_helpers <> [] then begin
-    let nmaps = List.length maps in
-    let jump_targets = Hashtbl.create 16 in
-    let pos = ref 0 in
-    List.iter
-      (fun (i : Insn.t) ->
-        (match i with
-        | Ja off -> Hashtbl.replace jump_targets (!pos + 1 + off) ()
-        | Jcond (_, _, _, _, off) ->
-          Hashtbl.replace jump_targets (!pos + 1 + off) ()
-        | _ -> ());
-        pos := !pos + Insn.slots i)
-      prog;
-    let r1 = ref None in
-    let pos = ref 0 in
-    List.iter
-      (fun (i : Insn.t) ->
-        if Hashtbl.mem jump_targets !pos then r1 := None;
-        (match i with
-        | Alu (_, Mov, R1, Imm v) -> r1 := Some (Int32.to_int v)
-        | Lddw (R1, v) -> r1 := Some (Int64.to_int v)
-        | Alu (_, _, R1, _) | Endian (_, R1, _) | Ldx (_, R1, _, _) ->
-          r1 := None
-        | Call id ->
-          if List.mem id map_helpers then begin
-            if nmaps = 0 then
-              err !pos "map helper %d called but the program declares no maps"
-                id
-            else
-              match !r1 with
-              | Some idx when idx < 0 || idx >= nmaps ->
-                err !pos "map index %d out of range (program declares %d)"
-                  idx nmaps
-              | _ -> ()
-          end;
-          r1 := None
-        | _ -> ());
-        pos := !pos + Insn.slots i)
-      prog
-  end;
-  (* reachability: every instruction must be reachable from slot 0. Only
-     meaningful once the jump targets themselves are sound, so skip the
-     pass when structural errors were already found. *)
-  if !errors = [] && nslots > 0 then begin
-    let insns = Array.of_list prog in
-    (* slot of the i-th instruction, and instruction index at a slot *)
-    let index_at = Array.make nslots (-1) in
-    let slot_of = Array.make (Array.length insns) 0 in
-    let _ =
-      Array.to_list insns
-      |> List.fold_left
-           (fun (idx, slot) i ->
-             index_at.(slot) <- idx;
-             slot_of.(idx) <- slot;
-             (idx + 1, slot + Insn.slots i))
-           (0, 0)
-    in
-    let reachable = Array.make (Array.length insns) false in
-    let rec visit idx =
-      if idx >= 0 && idx < Array.length insns && not reachable.(idx) then begin
-        reachable.(idx) <- true;
-        let slot = slot_of.(idx) in
-        match insns.(idx) with
-        | Exit -> ()
-        | Ja off -> visit index_at.(slot + 1 + off)
-        | Jcond (_, _, _, _, off) ->
-          visit index_at.(slot + 1 + off);
-          visit (idx + 1)
-        | _ -> visit (idx + 1)
+  Array.iteri
+    (fun idx (i : Insn.t) ->
+      let slot = slot_of.(idx) in
+      if writes_r10 i then err slot "write to frame pointer r10";
+      (match i with
+      | Ja off -> check_target slot off
+      | Jcond (_, _, _, _, off) ->
+        check_target slot off;
+        (* fall-through must stay in range *)
+        if slot + 1 >= nslots then err slot "conditional jump at end"
+      | Call id -> (
+        match allowed_helpers with
+        | Some allowed when not (List.mem id allowed) ->
+          err slot "helper %d not in manifest whitelist" id
+        | _ -> ())
+      | Alu (_, Div, _, Imm 0l) -> err slot "division by zero immediate"
+      | Alu (_, Mod, _, Imm 0l) -> err slot "modulo by zero immediate"
+      | Endian (_, _, bits) ->
+        if bits <> 16 && bits <> 32 && bits <> 64 then
+          err slot "invalid endian width %d" bits
+      | _ -> ());
+      (* no fall-off: any instruction whose successor would be past the
+         end must be an exit or an unconditional jump *)
+      match i with
+      | Exit | Ja _ -> ()
+      | _ ->
+        if slot + Insn.slots i >= nslots then
+          err slot "control flow falls off the end of the program")
+    insns;
+  (* The path walk, only meaningful once every edge is sound: a worklist
+     over instruction indices, each holding r1 on entry. At a join a
+     constant survives only when every incoming edge carries it; each
+     state can only move Unvisited -> Const -> Unknown, so loops
+     terminate. An index never visited is unreachable. *)
+  let state = Array.make (Array.length insns) Unvisited in
+  if !errors = [] then begin
+    let work = ref [] in
+    let flow idx v =
+      let old = state.(idx) in
+      let joined = if old = Unvisited || old = v then v else Unknown in
+      if joined <> old then begin
+        state.(idx) <- joined;
+        work := idx :: !work
       end
     in
-    visit 0;
+    flow 0 Unknown;
+    while !work <> [] do
+      let idx = List.hd !work in
+      work := List.tl !work;
+      let i = insns.(idx) in
+      let out = r1_after i state.(idx) in
+      let target off = index_at.(slot_of.(idx) + 1 + off) in
+      match i with
+      | Exit -> ()
+      | Ja off -> flow (target off) out
+      | Jcond (_, _, _, _, off) ->
+        flow (target off) out;
+        flow (idx + 1) out
+      | _ -> flow (idx + 1) out
+    done;
     Array.iteri
-      (fun idx r ->
-        if not r then err slot_of.(idx) "unreachable instruction")
-      reachable
+      (fun idx s ->
+        if s = Unvisited then err slot_of.(idx) "unreachable instruction")
+      state
   end;
-  match !errors with [] -> Ok () | es -> Error (List.rev es)
-
-let check_exn ?allowed_helpers ?map_helpers ?maps prog =
-  match check ?allowed_helpers ?map_helpers ?maps prog with
-  | Ok () -> ()
-  | Error es ->
-    invalid_arg
-      (Fmt.str "verifier rejected program: %a" (Fmt.list ~sep:Fmt.semi pp_error) es)
+  match !errors with
+  | _ :: _ as es -> Error (List.rev es)
+  | [] ->
+    Ok
+      (Array.to_seqi insns
+      |> Seq.filter_map (fun (idx, (i : Insn.t)) ->
+             match i with
+             | Call helper ->
+               let r1 = match state.(idx) with Const v -> Some v | _ -> None in
+               Some { slot = slot_of.(idx); helper; r1 }
+             | _ -> None)
+      |> List.of_seq)

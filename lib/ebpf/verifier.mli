@@ -8,10 +8,11 @@
       rejected, as in the kernel verifier);
     - the frame pointer r10 is never written;
     - helper calls are restricted to the manifest's whitelist;
-    - map specs are bounds-checked and map-helper calls with a
-      statically-known bad map index are rejected;
     - immediate division/modulo by zero is rejected;
     - the program fits {!max_insns}.
+
+    The same path walk that proves reachability yields the program's
+    {!facts}: what each reachable helper call receives in r1.
 
     Dynamic properties (memory safety, termination) are enforced at run
     time by {!Memory} bounds checks and the {!Vm} instruction budget. *)
@@ -22,26 +23,18 @@ val pp_error : Format.formatter -> error -> unit
 
 val max_insns : int
 
-type check_result = (unit, error list) result
+type call_site = {
+  slot : int;
+  helper : int;  (** helper id *)
+  r1 : int64 option;
+      (** r1's 64-bit value at the call when every path reaching it
+          carries the same constant ([mov r1, imm] or [lddw r1, imm]
+          since the last write); [None] otherwise *)
+}
 
-val check :
-  ?allowed_helpers:int list ->
-  ?map_helpers:int list ->
-  ?maps:Map.spec list ->
-  Insn.t list ->
-  check_result
+type facts = call_site list
+(** Every reachable [Call], in slot order. *)
+
+val check : ?allowed_helpers:int list -> Insn.t list -> (facts, error list) result
 (** Verify a program; [allowed_helpers] is the manifest whitelist ([None]
-    = all helpers allowed). [map_helpers] names the helper ids that take
-    a map index in r1 (the caller supplies the numbering) and [maps] the
-    program's declared map specs: each spec is bounds-checked, a map
-    helper call with no declared maps is rejected, and a statically
-    resolvable out-of-range index in r1 is rejected. Unresolvable
-    indices are left to the runtime check. *)
-
-val check_exn :
-  ?allowed_helpers:int list ->
-  ?map_helpers:int list ->
-  ?maps:Map.spec list ->
-  Insn.t list ->
-  unit
-(** @raise Invalid_argument with the error list rendered when rejected. *)
+    = all helpers allowed). *)

@@ -536,12 +536,42 @@ let compare_outcomes ~pi ~base:(bn, (b : vm_outcome)) (en, (e : vm_outcome)) =
     ]
   | Fault _, Fault _ -> trace_diff ()
 
+(* Soundness of the verifier's facts against the interpreter's helper
+   trace: every traced call is one of the facts' call sites, and when
+   every site of that helper resolved r1, the traced r1 is one of those
+   values. The first violation is reported. *)
+let facts_unsound ~pi (facts : Ebpf.Verifier.facts) calls =
+  List.find_map
+    (fun (id, (args : int64 array)) ->
+      let sites =
+        List.filter (fun (c : Ebpf.Verifier.call_site) -> c.helper = id) facts
+      in
+      let resolved =
+        List.filter_map (fun (c : Ebpf.Verifier.call_site) -> c.r1) sites
+      in
+      if sites = [] then
+        Some
+          (divergence "verifier facts on prog %d miss traced helper %d" pi id)
+      else if
+        List.length resolved = List.length sites
+        && not (List.mem args.(0) resolved)
+      then
+        Some
+          (divergence
+             "verifier facts on prog %d: helper %d traced with r1=%Ld, facts \
+              resolve it to {%s}"
+             pi id args.(0)
+             (String.concat "," (List.map Int64.to_string resolved)))
+      else None)
+    calls
+  |> Option.to_list
+
 let check_prog ~perturb pi prog =
   match Ebpf.Verifier.check prog with
   | exception e ->
     [ crash "verifier raised %s on prog %d" (Printexc.to_string e) pi ]
   | Error _ -> [] (* clean rejection is the success case *)
-  | Ok () ->
+  | Ok facts ->
     let outs =
       List.map (fun e -> (e, run_engine e prog)) Ebpf.Vm.all_engines
     in
@@ -614,7 +644,10 @@ let check_prog ~perturb pi prog =
           rest
       | _ -> []
     in
-    escaped @ diverged @ vmm_escaped @ vmm_diverged
+    let unsound =
+      facts_unsound ~pi facts (List.assoc Ebpf.Vm.Interpreted outs).calls
+    in
+    escaped @ diverged @ vmm_escaped @ vmm_diverged @ unsound
 
 let run_vm ~perturb (c : Gen.case) =
   List.concat (List.mapi (fun i p -> check_prog ~perturb i p) c.progs)

@@ -7,7 +7,10 @@
     interpreter baseline: return value, final register file and the
     helper-call trace on success; fault-vs-value and the trace on
     faults; plus a full VMM round trip per engine whose result,
-    fault/fallback counters and final map state must agree.
+    fault/fallback counters and final map state must agree. The
+    interpreter's helper trace must also agree with the verifier's
+    call-site facts: every traced call is a call site, and where every
+    site of that helper resolves r1, the traced r1 is one of them.
 
     An empty finding list is the verdict "equivalent and crash-free". *)
 

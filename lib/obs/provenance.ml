@@ -11,7 +11,8 @@
    - the import chain that ran: per bytecode its program, engine,
      outcome (accept / reject / next()/ fault), whether it may mutate
      route attributes and which maps it may write — the static half
-     comes from [Xprog.dispatch_summary], the dynamic half from the
+     comes from the bytecode's [Vmm.facts], derived once from the
+     verifier's call sites at registration, the dynamic half from the
      VMM's last-dispatch trace;
    - the import verdict (native policy counts too);
    - the decision outcome: which RFC 4271 step separated this route

@@ -268,39 +268,80 @@ let test_batch_invariant () =
     vmm
   in
   check_bool "hash-map read-only chain" true (inv (probe Ebpf.Map.Hash));
-  check_bool "lru-map read is stateful" false (inv (probe Ebpf.Map.Lru))
+  check_bool "lru-map read is stateful" false (inv (probe Ebpf.Map.Lru));
+  (* the argument id is r1 joined over every path to the call: a branch
+     choosing between the peer argument and the prefix leaves it
+     unresolved, which must count as "could read the prefix"; a constant
+     set before the branch survives the join *)
+  let branchy second =
+    let vmm = Xbgp.Vmm.create ~host:"test" () in
+    let xp =
+      Xbgp.Xprog.v ~name:"branchy"
+        [
+          ( "import",
+            Ebpf.Asm.(
+              assemble
+                [
+                  call Xbgp.Api.h_get_peer_info;
+                  movi R1 Xbgp.Api.arg_source;
+                  jeqi R0 0 "join";
+                  movi R1 second;
+                  label "join";
+                  call Xbgp.Api.h_get_arg;
+                  movi R0 0;
+                  exit_;
+                ]) );
+        ]
+    in
+    (match Xbgp.Vmm.register vmm xp with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e);
+    (match
+       Xbgp.Vmm.attach vmm ~program:"branchy" ~bytecode:"import"
+         ~point:Xbgp.Api.Bgp_inbound_filter ~order:0
+     with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e);
+    inv vmm
+  in
+  check_bool "paths that disagree on the argument id" false
+    (branchy Xbgp.Api.arg_prefix);
+  check_bool "paths that agree on the argument id" true
+    (branchy Xbgp.Api.arg_source)
 
 let test_dispatch_summary () =
   let summary_of prog bc =
-    Xbgp.Xprog.dispatch_summary (List.assoc bc prog.Xbgp.Xprog.bytecodes)
+    match List.assoc bc (Xbgp.Vmm.verify prog) with
+    | Ok facts -> facts
+    | Error _ -> Alcotest.failf "%s/%s rejected" prog.Xbgp.Xprog.name bc
   in
   let rr = summary_of Xprogs.Route_reflector.program "import" in
-  check_bool "rr import non-effectful" false rr.Xbgp.Xprog.effectful;
+  check_bool "rr import non-effectful" false rr.Xbgp.Vmm.effectful;
   check
     (Alcotest.option (Alcotest.list Alcotest.int))
-    "rr import arg reads" (Some []) rr.Xbgp.Xprog.arg_reads;
+    "rr import arg reads" (Some []) rr.Xbgp.Vmm.arg_reads;
   let ov = summary_of Xprogs.Origin_validation.program "import" in
-  check_bool "ov import non-effectful" false ov.Xbgp.Xprog.effectful;
+  check_bool "ov import non-effectful" false ov.Xbgp.Vmm.effectful;
   check
     (Alcotest.option (Alcotest.list Alcotest.int))
     "ov import reads the prefix"
     (Some [ Xbgp.Api.arg_prefix ])
-    ov.Xbgp.Xprog.arg_reads;
+    ov.Xbgp.Vmm.arg_reads;
   let pl = summary_of Xprogs.Prefix_limit.program "import" in
   check_bool "prefix_limit import effectful (map writes)" true
-    pl.Xbgp.Xprog.effectful;
+    pl.Xbgp.Vmm.effectful;
   let fd = summary_of Xprogs.Flap_damping.program "import" in
-  check_bool "flap_damping import effectful" true fd.Xbgp.Xprog.effectful;
+  check_bool "flap_damping import effectful" true fd.Xbgp.Vmm.effectful;
   check
     (Alcotest.option (Alcotest.list Alcotest.int))
-    "flap_damping import reads map 0" (Some [ 0 ]) fd.Xbgp.Xprog.map_reads;
+    "flap_damping import reads map 0" (Some [ 0 ]) fd.Xbgp.Vmm.map_reads;
   check
     (Alcotest.option (Alcotest.list Alcotest.int))
-    "flap_damping import writes map 0" (Some [ 0 ]) fd.Xbgp.Xprog.map_writes;
+    "flap_damping import writes map 0" (Some [ 0 ]) fd.Xbgp.Vmm.map_writes;
   let rr = summary_of Xprogs.Route_reflector.program "import" in
   check
     (Alcotest.option (Alcotest.list Alcotest.int))
-    "rr import touches no maps" (Some []) rr.Xbgp.Xprog.map_writes
+    "rr import touches no maps" (Some []) rr.Xbgp.Vmm.map_writes
 
 (* --- batched NLRI processing ≡ sequential ------------------------ *)
 
@@ -742,6 +783,89 @@ let test_export_map_epoch () =
       check_same_as_per_prefix label b s)
     [ `Frr; `Bird ]
 
+(* --- an argument id with its high half set -------------------------- *)
+
+(* Helpers read the low 32 bits of r1, so [lddw r1, 0x1_0000_0002]
+   fetches the prefix (argument 2). The chain rejects prefixes whose
+   third address byte is odd (blob header 4 bytes, then the address in
+   network order), so verdicts differ across a batch. *)
+let lddw_prefix_items =
+  Ebpf.Asm.
+    [
+      lddw R1 0x1_0000_0002L;
+      call Xbgp.Api.h_get_arg;
+      jeqi R0 0 "accept";
+      ldxb R0 R0 6;
+      andi R0 1;
+      exit_;
+      label "accept";
+      movi R0 0;
+      exit_;
+    ]
+
+let lddw_prefix_program =
+  ( Xbgp.Xprog.v ~name:"wide"
+      [ ("filter", Ebpf.Asm.assemble lddw_prefix_items) ],
+    [ ("filter", Xbgp.Api.Bgp_inbound_filter) ] )
+
+let test_lddw_not_invariant () =
+  check_bool "prefix read through a 64-bit id is not batch-invariant" false
+    (Xbgp.Vmm.batch_invariant (vmm_with lddw_prefix_program)
+       Xbgp.Api.Bgp_inbound_filter ~variant_args:[ Xbgp.Api.arg_prefix ])
+
+let test_lddw_batch ~host () =
+  let routes = grouped_routes ~groups:4 ~per_group:8 in
+  (* 11.0.i.0/24 for i = 0..31: the even half is accepted *)
+  let accepted = List.length routes / 2 in
+  let run ~batch =
+    let tb =
+      Scenario.Testbed.create
+        (Scenario.Testbed.mode ~host ~ibgp:false ~manifest:Xbgp.Manifest.empty
+           ~batch_updates:batch ())
+    in
+    let vmm = Option.get tb.Scenario.Testbed.dut_vmm in
+    let xp, points = lddw_prefix_program in
+    (match Xbgp.Vmm.register vmm xp with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e);
+    List.iter
+      (fun (bytecode, point) ->
+        match
+          Xbgp.Vmm.attach vmm ~program:xp.Xbgp.Xprog.name ~bytecode ~point
+            ~order:0
+        with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail e)
+      points;
+    Scenario.Testbed.establish tb;
+    Scenario.Testbed.feed tb routes;
+    check_bool "accepted half converged" true
+      (Scenario.Testbed.run_until_downstream_has tb accepted);
+    check_bool "multi-prefix UPDATEs reached the DUT" true
+      (Scenario.Daemon.updates_rx tb.Scenario.Testbed.dut < List.length routes);
+    dut_state tb
+  in
+  let batched = run ~batch:true in
+  let sequential = run ~batch:false in
+  check_int "per-prefix verdicts: half the table downstream" accepted
+    (List.length (snd sequential));
+  check (Alcotest.pair snap snap) "batched = sequential state" sequential
+    batched
+
+let test_lddw_export () =
+  let chain = outbound lddw_prefix_items in
+  List.iter
+    (fun host ->
+      let run ~batch = star_leg ~xprog:chain ~host ~batch announce_batch in
+      let b = run ~batch:true and s = run ~batch:false in
+      let label = host_name host in
+      check_int (label ^ ": one outbound run per prefix, no memo hit")
+        (batch_k * b.exporting_groups)
+        b.runs;
+      check_int (label ^ ": as many runs as per-prefix") s.runs b.runs;
+      check_same_as_per_prefix label b s)
+    [ `Frr; `Bird ]
+
 (* --- differential oracle under forced cache settings ------------- *)
 
 (* the same seed-pinned campaign must be clean with the conversion
@@ -854,6 +978,14 @@ let () =
             test_export_displaced_route;
           Alcotest.test_case "export once: map writes between exports" `Quick
             test_export_map_epoch;
+          Alcotest.test_case "lddw argument id: not batch-invariant" `Quick
+            test_lddw_not_invariant;
+          Alcotest.test_case "lddw argument id: frr" `Quick
+            (test_lddw_batch ~host:`Frr);
+          Alcotest.test_case "lddw argument id: bird" `Quick
+            (test_lddw_batch ~host:`Bird);
+          Alcotest.test_case "lddw argument id: export per prefix" `Quick
+            test_lddw_export;
         ] );
       ( "fuzz-oracle",
         [

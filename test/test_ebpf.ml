@@ -457,7 +457,7 @@ let prop_verifier_single_gate =
             | Error _ -> (Xbgp.Vmm.stats vmm).runs = 0
             | Ok () -> false)
           Vm.all_engines
-      | Ok () ->
+      | Ok _ ->
         let base = outcome Vm.Interpreted prog in
         List.for_all (fun e -> outcome e prog = base) Vm.all_engines)
 
@@ -617,7 +617,7 @@ let test_block_entry_offset () =
 
 let rejected ?allowed_helpers prog =
   match Verifier.check ?allowed_helpers prog with
-  | Ok () -> false
+  | Ok _ -> false
   | Error _ -> true
 
 let test_verifier () =
@@ -686,14 +686,151 @@ let test_verifier_accepts_all_registered () =
   List.iter
     (fun (p : Xbgp.Xprog.t) ->
       List.iter
-        (fun (name, code) ->
-          match Verifier.check ?allowed_helpers:p.allowed_helpers code with
-          | Ok () -> ()
+        (fun (name, result) ->
+          match result with
+          | Ok _ -> ()
           | Error es ->
             Alcotest.failf "%s/%s rejected: %s" p.name name
               (Fmt.str "%a" (Fmt.list Verifier.pp_error) es))
-        p.bytecodes)
+        (Xbgp.Vmm.verify p))
     Xprogs.Registry.all
+
+(* The path walk's call-site facts: r1 survives a join only when every
+   incoming edge carries the same constant, and a constant is r1's raw
+   64-bit value as the VM computes it. *)
+let test_verifier_facts () =
+  let r1_at_call items =
+    match Verifier.check (Asm.assemble items) with
+    | Ok [ c ] -> c.Verifier.r1
+    | Ok cs -> Alcotest.failf "expected one call site, got %d" (List.length cs)
+    | Error es -> Alcotest.failf "rejected: %a" (Fmt.list Verifier.pp_error) es
+  in
+  let r1 = Alcotest.(option int64) in
+  Alcotest.check r1 "constant before a branch reaches the join" (Some 7L)
+    (r1_at_call
+       Asm.
+         [ movi R1 7; jeqi R0 0 "join"; movi R0 1; label "join"; call 2; exit_ ]);
+  Alcotest.check r1 "paths that disagree leave r1 unresolved" None
+    (r1_at_call
+       Asm.
+         [ movi R1 1; jeqi R0 0 "join"; movi R1 2; label "join"; call 2; exit_ ]);
+  Alcotest.check r1 "a loop body clobbering r1 leaves it unresolved" None
+    (r1_at_call
+       Asm.
+         [
+           movi R6 0;
+           movi R1 3;
+           label "loop";
+           call 2;
+           mov R1 R0;
+           addi R6 1;
+           jlti R6 4 "loop";
+           exit_;
+         ]);
+  Alcotest.check r1 "a loop resetting r1 before the call keeps it" (Some 3L)
+    (r1_at_call
+       Asm.
+         [
+           movi R6 0;
+           label "loop";
+           movi R1 3;
+           call 2;
+           addi R6 1;
+           jlti R6 4 "loop";
+           exit_;
+         ]);
+  Alcotest.check r1 "lddw keeps all 64 bits" (Some 0x1_0000_0002L)
+    (r1_at_call Asm.[ lddw R1 0x1_0000_0002L; call 2; exit_ ]);
+  Alcotest.check r1 "64-bit mov sign-extends" (Some (-1L))
+    (r1_at_call Asm.[ movi R1 (-1); call 2; exit_ ]);
+  Alcotest.check r1 "32-bit mov zero-extends" (Some 0xFFFF_FFFFL)
+    (r1_at_call Asm.[ movi32 R1 (-1); call 2; exit_ ]);
+  Alcotest.check r1 "an unfolded write forgets r1" None
+    (r1_at_call Asm.[ movi R1 3; addi R1 1; call 2; exit_ ]);
+  Alcotest.check r1 "r1 on entry is unknown" None
+    (r1_at_call Asm.[ call 2; exit_ ])
+
+(* [gen_insn] programs repaired into verifier-clean shape, so that a
+   property over accepted programs is not vacuous (raw [gen_insn] lists
+   almost never pass the structural checks): every jump becomes a
+   conditional one whose offset is folded onto an instruction boundary
+   (backward edges make loops, the budget ends them), a mid-program exit
+   is dropped, memory accesses go to the stack, a write to r10 goes to
+   r1 instead, a zero immediate divisor becomes 1, and an exit closes
+   the program. Every instruction stays reachable by fall-through. To
+   give the analysis constants to track, every immediate [mov] and every
+   [lddw] targets r1. *)
+let repair_prog body =
+  let stack off = -8 * (1 + (abs off mod 63)) in
+  let body =
+    List.filter_map
+      (fun (i : Insn.t) ->
+        match i with
+        | Exit -> None
+        | Ja off -> Some (Insn.Jcond (W64bit, Ne, R0, Imm 0l, off))
+        | Alu (w, ((Div | Mod) as op), d, Imm 0l) ->
+          Some (Insn.Alu (w, op, d, Imm 1l))
+        | Alu (w, Mov, _, (Imm _ as src)) | Alu (w, Mov, R10, src) ->
+          Some (Insn.Alu (w, Mov, R1, src))
+        | Alu (w, op, R10, src) -> Some (Insn.Alu (w, op, R1, src))
+        | Endian (e, R10, b) -> Some (Insn.Endian (e, R1, b))
+        | Lddw (_, v) -> Some (Insn.Lddw (R1, v))
+        | Ldx (sz, d, _, off) ->
+          Some (Insn.Ldx (sz, (if d = R10 then R1 else d), R10, stack off))
+        | St (sz, _, off, imm) -> Some (Insn.St (sz, R10, stack off, imm))
+        | Stx (sz, _, off, src) -> Some (Insn.Stx (sz, R10, stack off, src))
+        | i -> Some i)
+      body
+  in
+  let insns = Array.of_list (body @ [ Insn.Exit ]) in
+  let n = Array.length insns in
+  let slot = Array.make (n + 1) 0 in
+  Array.iteri (fun i x -> slot.(i + 1) <- slot.(i) + Insn.slots x) insns;
+  Array.to_list
+    (Array.mapi
+       (fun i (x : Insn.t) ->
+         match x with
+         | Jcond (w, c, d, s, off) ->
+           Insn.Jcond (w, c, d, s, slot.(abs off mod n) - slot.(i) - 1)
+         | x -> x)
+       insns)
+
+(* Soundness of the call-site facts against the interpreter: every
+   helper call a verifier-accepted program makes is one of its call
+   sites, and when every site of that helper resolves r1, the traced r1
+   is one of those values. *)
+let prop_verifier_facts_sound =
+  QCheck2.Test.make ~count:500
+    ~name:"verifier facts cover the interpreter's helper calls"
+    QCheck2.Gen.(map repair_prog (list_size (int_range 1 40) gen_insn))
+    (fun prog ->
+      match Verifier.check prog with
+      | Error _ -> true
+      | Ok facts ->
+        let trace = ref [] in
+        let helpers =
+          List.filter_map
+            (function
+              | Insn.Call id ->
+                Some
+                  ( id,
+                    fun _ (a : int64 array) ->
+                      trace := (id, a.(0)) :: !trace;
+                      Int64.add a.(0) 1L )
+              | _ -> None)
+            prog
+          |> List.sort_uniq (fun (a, _) (b, _) -> compare a b)
+        in
+        let vm = Vm.create ~budget:10_000 ~helpers prog in
+        (try ignore (Vm.run vm) with Vm.Error _ | Memory.Fault _ -> ());
+        List.for_all
+          (fun (id, r1) ->
+            let sites = List.filter (fun c -> c.Verifier.helper = id) facts in
+            sites <> []
+            && List.exists
+                 (fun c -> c.Verifier.r1 = None || c.Verifier.r1 = Some r1)
+                 sites)
+          !trace)
 
 (* --- disassembler --- *)
 
@@ -774,6 +911,8 @@ let () =
           Alcotest.test_case "size limit" `Quick test_verifier_size_limit;
           Alcotest.test_case "all registered programs verify" `Quick
             test_verifier_accepts_all_registered;
+          Alcotest.test_case "call-site facts" `Quick test_verifier_facts;
+          qc prop_verifier_facts_sound;
         ] );
       ( "disasm",
         [ Alcotest.test_case "text output" `Quick test_disasm_text ] );

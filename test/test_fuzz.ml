@@ -107,7 +107,7 @@ let test_forced_engine_divergence_fires () =
       let c = Fuzz.Gen.case ~seed:7 ~index in
       match c.scenario with
       | Fuzz.Gen.Vm_guided
-        when List.exists (fun p -> Ebpf.Verifier.check p = Ok ()) c.progs ->
+        when List.exists (fun p -> Result.is_ok (Ebpf.Verifier.check p)) c.progs ->
         c
       | _ -> first (index + 1)
   in

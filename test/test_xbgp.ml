@@ -141,7 +141,34 @@ let test_register_verifies () =
   check_bool "whitelist enforced" true
     (match Xbgp.Vmm.register vmm sneaky with
     | Error _ -> true
-    | Ok () -> false)
+    | Ok () -> false);
+  (* map access: a map helper needs a declared map, and an index the
+     path walk resolves must be in range, read as the helpers read it
+     (low 32 bits); an unresolved index is left to the runtime check *)
+  let registers ?(maps = 1) name items =
+    let xp =
+      Xbgp.Xprog.v ~name
+        ~maps:
+          (List.init maps (fun _ ->
+               Xbgp.Xprog.map ~key_size:4 ~value_size:4 ()))
+        [ ("main", assemble items) ]
+    in
+    Result.is_ok (Xbgp.Vmm.register vmm xp)
+  in
+  let lookup = [ call Xbgp.Api.h_map_lookup; movi r0 0; exit_ ] in
+  check_bool "map helper without declared maps" false
+    (registers ~maps:0 "nomaps" (movi r1 0 :: lookup));
+  check_bool "in-range index" true (registers "inrange" (movi r1 0 :: lookup));
+  check_bool "out-of-range index" false
+    (registers "direct" (movi r1 1 :: lookup));
+  check_bool "out-of-range index reaching a join" false
+    (registers "joined"
+       ([ movi r1 1; jeqi r0 0 "join"; movi r0 1; label "join" ] @ lookup));
+  check_bool "disagreeing paths: left to the runtime check" true
+    (registers "either"
+       ([ movi r1 0; jeqi r0 0 "join"; movi r1 1; label "join" ] @ lookup));
+  check_bool "index read as its low 32 bits" true
+    (registers "wide" (lddw r1 0x1_0000_0000L :: lookup))
 
 let test_attach_errors () =
   let vmm = fresh_vmm () in
