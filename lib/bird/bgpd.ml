@@ -3,8 +3,10 @@
    Same protocol behaviour as the FRR-like daemon (it must be: both obey
    RFC 4271), entirely different internals:
    - attributes are generic [Eattr.set] lists kept in wire form, so xBGP
-     TLV conversion is nearly free (thin adapter, as in the paper);
-   - no interning: route values are plain immutable records;
+     TLV conversion and the native encoder are nearly free (thin adapter,
+     as in the paper);
+   - attribute sets are hash-consed through a weak table, as BIRD's
+     [ea_lookup] does: every policy step below interns its result once;
    - native origin validation uses a *hash* ROA store ([Rpki.Store_hash]),
      the structure the paper credits for BIRD's fast native validation;
    - scalar attribute reads parse payloads on demand.
@@ -23,12 +25,17 @@ module Repr = struct
   let to_attrs = Eattr.to_attrs
   let equal = Eattr.equal
 
-  (* BIRD groups by the serialized attribute bytes themselves, which are
-     also the native encoder's output *)
-  module Group_tbl = Hashtbl.Make (String)
+  (* interning makes physical identity the grouping key; the stored
+     hash spares the table a walk over the eattrs *)
+  module Group_tbl = Hashtbl.Make (struct
+    type t = Eattr.set
 
-  let group_key a = Bytes.to_string (Eattr.encode_known a)
-  let encode_known buf key _ = Buffer.add_string buf key
+    let equal = ( == )
+    let hash (s : t) = s.hash
+  end)
+
+  let group_key (a : attrs) = a
+  let encode_known buf _ a = Eattr.encode_known buf a
   let get_tlv = Eattr.get_tlv
 
   let set_tlv a tlv =
@@ -73,32 +80,39 @@ module Repr = struct
   let u32_eattr code flags v =
     { Eattr.code; flags; payload = Eattr.u32_payload v }
 
+  (* each multi-step rewrite below is one [Eattr.edit]: the intermediate
+     eattr lists are never interned *)
   let reflect a ~originator_id ~cluster_id =
-    let a =
-      if Eattr.originator_id a = 0 then
-        Eattr.set_eattr a
-          (u32_eattr Bgp.Attr.code_originator_id Bgp.Attr.flag_optional
-             originator_id)
-      else a
-    in
-    Eattr.prepend_cluster a cluster_id
+    Eattr.edit a (fun l ->
+        let l =
+          if Eattr.originator_id a = 0 then
+            Eattr.upsert
+              (u32_eattr Bgp.Attr.code_originator_id Bgp.Attr.flag_optional
+                 originator_id)
+              l
+          else l
+        in
+        Eattr.push_cluster cluster_id l)
 
-  let next_hop_self a local_addr =
-    Eattr.set_eattr a
+  let next_hop_self local_addr =
+    Eattr.upsert
       (u32_eattr Bgp.Attr.code_next_hop Bgp.Attr.flag_transitive local_addr)
 
   let canonicalize_ebgp a ~local_as ~local_addr ~strip_med =
-    let a = next_hop_self (Eattr.prepend_as a local_as) local_addr in
-    let a = Eattr.remove_code Bgp.Attr.code_local_pref a in
-    let a = if strip_med then Eattr.remove_code Bgp.Attr.code_med a else a in
-    let a = Eattr.remove_code Bgp.Attr.code_originator_id a in
-    Eattr.remove_code Bgp.Attr.code_cluster_list a
+    Eattr.edit a (fun l ->
+        let l = next_hop_self local_addr (Eattr.push_as local_as l) in
+        let l = Eattr.drop Bgp.Attr.code_local_pref l in
+        let l = if strip_med then Eattr.drop Bgp.Attr.code_med l else l in
+        let l = Eattr.drop Bgp.Attr.code_originator_id l in
+        Eattr.drop Bgp.Attr.code_cluster_list l)
 
   let canonicalize_ibgp a ~next_hop_self:nhs ~local_addr =
-    let a = if nhs then next_hop_self a local_addr else a in
-    Eattr.set_eattr a
-      (u32_eattr Bgp.Attr.code_local_pref Bgp.Attr.flag_transitive
-         (Eattr.local_pref a))
+    Eattr.edit a (fun l ->
+        let l = if nhs then next_hop_self local_addr l else l in
+        Eattr.upsert
+          (u32_eattr Bgp.Attr.code_local_pref Bgp.Attr.flag_transitive
+             (Eattr.local_pref a))
+          l)
 end
 
 include Pipeline.Make (Repr)

@@ -2,8 +2,8 @@
 
     Same protocol behaviour as the FRR-like daemon (both obey RFC 4271),
     entirely different internals: attributes are generic wire-form
-    {!Eattr} lists (thin xBGP adapter, as in the paper); no interning;
-    native origin validation uses a {e hash} ROA store
+    {!Eattr} lists (thin xBGP adapter, as in the paper), hash-consed as
+    BIRD's [ea_lookup] does; native origin validation uses a {e hash} ROA store
     ({!Rpki.Store_hash}, §3.4); scalar attribute reads parse payloads on
     demand.
 

@@ -8,37 +8,37 @@
 
    Consequences faithfully reproduced here:
    - converting to/from the neutral xBGP TLV is nearly free (the payload
-     *is* the network-byte-order wire payload);
+     *is* the network-byte-order wire payload), and so is the native
+     encoder: it copies each known attribute's payload behind a header;
    - any attribute code, standard or not, is carried uniformly — but the
      native UPDATE parser still only admits codes it knows (so the GeoLoc
      use case behaves the same on both hosts), and the native encoder
      only emits known codes;
+   - attribute sets are hash-consed, as BIRD's `ea_lookup`/`rta_lookup`
+     do in nest/rt-attr.c: one physical set per distinct eattr list, held
+     by a weak table so a set no route references is reclaimed by the GC;
    - scalar readers parse the payload on each access (with the small
      per-route cache BIRD keeps for hot fields, we cache only the AS-path
      length). *)
 
 type t = { code : int; flags : int; payload : string }
 
-(** An attribute set: eattrs sorted by code, unique per code.
+(** An interned attribute set: eattrs sorted by code, unique per code.
 
-    The two memo fields cache this set's neutral conversions (the
-    BIRD-side symmetric of the FRR conversion cache). They are sound by
-    construction: [eattrs] is immutable and every mutation API builds a
-    {e new} record whose memos start empty, so a memo can only ever
-    describe the eattrs it sits next to. [equal] ignores them. *)
+    Every constructor goes through {!intern}, so two live sets with equal
+    eattrs are one physical record and [==] is set equality. [hash] is
+    the eattrs' hash, stored so identity-keyed tables need not walk the
+    list. The memo caches this set's neutral decode (the BIRD-side
+    symmetric of the FRR conversion cache); it is sound because [eattrs]
+    is immutable, and interning shares it between every holder of the
+    set. *)
 type set = {
   eattrs : t list;
   path_len : int;  (** cached AS-path length *)
+  hash : int;
   mutable memo_attrs : Bgp.Attr.t list option;
       (** cached [to_attrs] (the neutral snapshot) *)
-  mutable memo_encoded : bytes option;  (** cached [encode_known] *)
 }
-
-let rec insert_sorted (e : t) = function
-  | [] -> [ e ]
-  | x :: rest when x.code = e.code -> e :: rest
-  | x :: rest when x.code > e.code -> e :: x :: rest
-  | x :: rest -> x :: insert_sorted e rest
 
 let find_code code set =
   List.find_opt (fun (e : t) -> e.code = code) set.eattrs
@@ -89,43 +89,125 @@ let path_asns_of_payload s =
   in
   go 0 []
 
-let recompute_path_len eattrs =
-  match List.find_opt (fun (e : t) -> e.code = Bgp.Attr.code_as_path) eattrs with
-  | Some e -> path_length_of_payload e.payload
-  | None -> 0
+(* --- interning --- *)
 
-let of_eattrs eattrs =
-  let eattrs = List.sort (fun (a : t) b -> compare a.code b.code) eattrs in
-  {
-    eattrs;
-    path_len = recompute_path_len eattrs;
-    memo_attrs = None;
-    memo_encoded = None;
-  }
+let equal_eattr (a : t) (b : t) =
+  a.code = b.code && a.flags = b.flags && String.equal a.payload b.payload
 
-let empty =
-  { eattrs = []; path_len = 0; memo_attrs = None; memo_encoded = None }
+(* Walks every payload in full: the stdlib polymorphic hash stops after
+   a bounded number of list cells, which would collide on long sets. *)
+let hash_eattrs eattrs =
+  List.fold_left
+    (fun h (e : t) ->
+      let h = (((h * 31) + e.code) * 31) + e.flags in
+      ((h * 65599) + Hashtbl.hash e.payload) land max_int)
+    0 eattrs
 
-let set_eattr set (e : t) =
-  let eattrs = insert_sorted e set.eattrs in
-  {
-    eattrs;
-    path_len =
-      (if e.code = Bgp.Attr.code_as_path then
-         path_length_of_payload e.payload
-       else set.path_len);
-    memo_attrs = None;
-    memo_encoded = None;
-  }
+module Table = Weak.Make (struct
+  type t = set
 
-let remove_code code set =
-  let eattrs = List.filter (fun (e : t) -> e.code <> code) set.eattrs in
-  {
-    eattrs;
-    path_len = (if code = Bgp.Attr.code_as_path then 0 else set.path_len);
-    memo_attrs = None;
-    memo_encoded = None;
-  }
+  let equal a b = a.hash = b.hash && List.equal equal_eattr a.eattrs b.eattrs
+  let hash s = s.hash
+end)
+
+let table = Table.create 4096
+
+(* The one live set for [eattrs], which must be sorted by code and
+   unique per code (as [upsert] and [drop] keep it). *)
+let intern eattrs =
+  let path_len =
+    match List.find_opt (fun (e : t) -> e.code = Bgp.Attr.code_as_path) eattrs with
+    | Some e -> path_length_of_payload e.payload
+    | None -> 0
+  in
+  Table.merge table
+    { eattrs; path_len; hash = hash_eattrs eattrs; memo_attrs = None }
+
+let interned_count () = Table.count table
+let empty = intern []
+let equal (a : set) (b : set) = a == b
+
+(* --- list-level edits: a multi-step rewrite chains these and interns
+   once, through [edit] --- *)
+
+let rec upsert (e : t) = function
+  | [] -> [ e ]
+  | x :: rest when x.code = e.code -> e :: rest
+  | x :: rest when x.code > e.code -> e :: x :: rest
+  | x :: rest -> x :: upsert e rest
+
+(* an absent code returns the list itself, so [edit] can skip the
+   intern *)
+let drop code eattrs =
+  if List.exists (fun (e : t) -> e.code = code) eattrs then
+    List.filter (fun (e : t) -> e.code <> code) eattrs
+  else eattrs
+
+let edit set f =
+  let eattrs = f set.eattrs in
+  if eattrs == set.eattrs then set else intern eattrs
+
+let payload_of code eattrs =
+  match List.find_opt (fun (e : t) -> e.code = code) eattrs with
+  | Some e -> e.payload
+  | None -> ""
+
+(** Prepend an ASN to the AS_PATH, working directly on the wire payload
+    (extending a leading AS_SEQUENCE when below 255 hops). *)
+let push_as asn eattrs =
+  let payload = payload_of Bgp.Attr.code_as_path eattrs in
+  let n = String.length payload in
+  let b =
+    if n >= 2 && Char.code payload.[0] = 2 && Char.code payload.[1] < 255 then begin
+      (* extend leading AS_SEQUENCE *)
+      let b = Bytes.create (n + 4) in
+      Bytes.set_uint8 b 0 2;
+      Bytes.set_uint8 b 1 (Char.code payload.[1] + 1);
+      Bytes.blit_string (u32_payload asn) 0 b 2 4;
+      Bytes.blit_string payload 2 b 6 (n - 2);
+      b
+    end
+    else begin
+      let b = Bytes.create (n + 6) in
+      Bytes.set_uint8 b 0 2;
+      Bytes.set_uint8 b 1 1;
+      Bytes.blit_string (u32_payload asn) 0 b 2 4;
+      Bytes.blit_string payload 0 b 6 n;
+      b
+    end
+  in
+  upsert
+    {
+      code = Bgp.Attr.code_as_path;
+      flags = Bgp.Attr.flag_transitive;
+      payload = Bytes.unsafe_to_string b;
+    }
+    eattrs
+
+(** Prepend a cluster id to the CLUSTER_LIST payload. *)
+let push_cluster cid eattrs =
+  upsert
+    {
+      code = Bgp.Attr.code_cluster_list;
+      flags = Bgp.Attr.flag_optional;
+      payload = u32_payload cid ^ payload_of Bgp.Attr.code_cluster_list eattrs;
+    }
+    eattrs
+
+(** Append a community value to the COMMUNITY payload. *)
+let push_community c eattrs =
+  upsert
+    {
+      code = Bgp.Attr.code_communities;
+      flags = Bgp.Attr.flag_optional lor Bgp.Attr.flag_transitive;
+      payload = payload_of Bgp.Attr.code_communities eattrs ^ u32_payload c;
+    }
+    eattrs
+
+let remove_code code set = edit set (drop code)
+let prepend_as set asn = edit set (push_as asn)
+let prepend_cluster set cid = edit set (push_cluster cid)
+let append_community set c = edit set (push_community c)
 
 (* --- the conversion cache toggle (mirrors Attr_intern's) --- *)
 
@@ -147,56 +229,58 @@ let reset_conversion_cache_stats () =
   cache_hits := 0;
   cache_misses := 0
 
-let invalidate_conversion set =
-  set.memo_attrs <- None;
-  set.memo_encoded <- None
-
 (* --- from/to the shared wire codec --- *)
 
-let known_codes =
-  Bgp.Attr.
-    [
-      code_origin;
-      code_as_path;
-      code_next_hop;
-      code_med;
-      code_local_pref;
-      code_atomic_aggregate;
-      code_aggregator;
-      code_communities;
-      code_originator_id;
-      code_cluster_list;
-    ]
+(* The codes the native parser and encoder know: ORIGIN (1) through
+   CLUSTER_LIST (10), every code between them included. A range test
+   spares a polymorphic [List.mem] on every eattr of every encode. *)
+let known code =
+  code >= Bgp.Attr.code_origin && code <= Bgp.Attr.code_cluster_list
+
+(* A known attribute as the record-based host keeps it: with its
+   RFC-default flags, and an empty COMMUNITIES or CLUSTER_LIST as no
+   attribute at all ([None]). Stray flag bits must not survive into
+   xBGP-visible state (the record-based host re-derives flags, so keeping
+   them here would make the two hosts diverge on exactly the malformed
+   input). *)
+let known_eattr (a : Bgp.Attr.t) ~payload =
+  match a.value with
+  | Communities [] | Cluster_list [] -> None
+  | v -> Some { code = Bgp.Attr.code a; flags = Bgp.Attr.default_flags v; payload }
+
+let store code e eattrs =
+  match e with Some e -> upsert e eattrs | None -> drop code eattrs
+
+let rec strictly_sorted = function
+  | a :: (b :: _ as rest) ->
+    Bgp.Attr.code a < Bgp.Attr.code b && strictly_sorted rest
+  | _ -> true
 
 (** Admit parsed attributes into the set; unknown codes are dropped by the
-    *native* parser, like the FRR-side (see module header). Flags of
-    known attributes are canonicalized to their RFC defaults — stray
-    flag bits on the wire must not survive into xBGP-visible state (the
-    record-based host re-derives flags, so keeping them here would make
-    the two hosts diverge on exactly the malformed input). *)
+    *native* parser, like the FRR-side (see module header). A repeated
+    code keeps its last occurrence, as the record-based host's fold
+    does. *)
 let of_attrs (attrs : Bgp.Attr.t list) =
-  let eattrs =
-    List.filter_map
-      (fun (a : Bgp.Attr.t) ->
-        let code = Bgp.Attr.code a in
-        if List.mem code known_codes then
-          Some
-            {
-              code;
-              flags = Bgp.Attr.default_flags a.value;
-              payload = Bytes.to_string (Bgp.Attr.encode_payload a.value);
-            }
-        else None)
-      attrs
+  let eattr (a : Bgp.Attr.t) =
+    known_eattr a
+      ~payload:(Bytes.unsafe_to_string (Bgp.Attr.encode_payload a.value))
   in
-  of_eattrs eattrs
+  let is_known a = known (Bgp.Attr.code a) in
+  intern
+    (if strictly_sorted attrs then
+       (* the wire order of every encoder here: no sort, no upsert *)
+       List.filter_map (fun a -> if is_known a then eattr a else None) attrs
+     else
+       List.fold_left
+         (fun acc a ->
+           if is_known a then store (Bgp.Attr.code a) (eattr a) acc else acc)
+         [] attrs)
 
-(** Decode to the shared codec type (known codes only) for the native
-    encoder. @raise Bgp.Attr.Parse_error on corrupt payloads. *)
+(** Decode to the shared codec type (known codes only). *)
 let to_attrs_fresh set : Bgp.Attr.t list =
   List.filter_map
     (fun (e : t) ->
-      if List.mem e.code known_codes then
+      if known e.code then
         Some
           (Bgp.Attr.decode_payload ~code:e.code ~flags:e.flags
              (Bytes.of_string e.payload))
@@ -216,6 +300,30 @@ let to_attrs set =
       set.memo_attrs <- Some l;
       l
 
+(** The native encoder: each known attribute's stored payload behind its
+    wire header, the extended-length bit set exactly when the payload
+    needs it. Byte-identical to [Bgp.Attr.encode_into_buffer] over
+    {!to_attrs} because every stored known payload was built by the
+    codec or validated by it ({!set_tlv}). *)
+let encode_known buf set =
+  List.iter
+    (fun (e : t) ->
+      if known e.code then begin
+        let len = String.length e.payload in
+        if len > 255 then begin
+          Buffer.add_uint8 buf (e.flags lor Bgp.Attr.flag_extended);
+          Buffer.add_uint8 buf e.code;
+          Buffer.add_uint16_be buf len
+        end
+        else begin
+          Buffer.add_uint8 buf (e.flags land lnot Bgp.Attr.flag_extended);
+          Buffer.add_uint8 buf e.code;
+          Buffer.add_uint8 buf len
+        end;
+        Buffer.add_string buf e.payload
+      end)
+    set.eattrs
+
 (* --- the xBGP adapter: near-zero-cost TLV conversion --- *)
 
 let get_tlv set code =
@@ -230,15 +338,24 @@ let get_tlv set code =
     Bytes.blit_string e.payload 0 b 4 len;
     Some b
 
-(** Install an attribute straight from the neutral TLV — the payload is
-    stored as-is, no parsing. *)
+(** Install an attribute straight from the neutral TLV. A known code's
+    payload is validated by the shared codec and stored as-is with its
+    default flags; any other code is stored as given. *)
 let set_tlv set tlv =
   if Bytes.length tlv < 4 then invalid_arg "Eattr.set_tlv: short TLV";
   let flags = Bytes.get_uint8 tlv 0 in
   let code = Bytes.get_uint8 tlv 1 in
   let len = Bytes.get_uint16_be tlv 2 in
   if Bytes.length tlv < 4 + len then invalid_arg "Eattr.set_tlv: truncated";
-  set_eattr set { code; flags; payload = Bytes.sub_string tlv 4 len }
+  let payload = Bytes.sub tlv 4 len in
+  if known code then
+    match Bgp.Attr.decode_payload ~code ~flags payload with
+    | a ->
+      edit set
+        (store code (known_eattr a ~payload:(Bytes.unsafe_to_string payload)))
+    | exception Bgp.Attr.Parse_error msg ->
+      invalid_arg ("Eattr.set_tlv: " ^ msg)
+  else edit set (upsert { code; flags; payload = Bytes.unsafe_to_string payload })
 
 (* --- scalar accessors (parse on demand) --- *)
 
@@ -274,88 +391,3 @@ let origin_as set =
 
 let contains_as set asn = List.mem asn (path_asns set)
 
-(** Prepend an ASN to the AS_PATH, working directly on the wire payload
-    (extending a leading AS_SEQUENCE when below 255 hops). *)
-let prepend_as set asn =
-  let payload =
-    match find_code Bgp.Attr.code_as_path set with
-    | Some e -> e.payload
-    | None -> ""
-  in
-  let new_payload =
-    let n = String.length payload in
-    if n >= 2 && Char.code payload.[0] = 2 && Char.code payload.[1] < 255 then begin
-      (* extend leading AS_SEQUENCE *)
-      let b = Bytes.create (n + 4) in
-      Bytes.set_uint8 b 0 2;
-      Bytes.set_uint8 b 1 (Char.code payload.[1] + 1);
-      Bytes.blit_string (u32_payload asn) 0 b 2 4;
-      Bytes.blit_string payload 2 b 6 (n - 2);
-      Bytes.to_string b
-    end
-    else begin
-      let b = Bytes.create (n + 6) in
-      Bytes.set_uint8 b 0 2;
-      Bytes.set_uint8 b 1 1;
-      Bytes.blit_string (u32_payload asn) 0 b 2 4;
-      Bytes.blit_string payload 0 b 6 n;
-      Bytes.to_string b
-    end
-  in
-  set_eattr set
-    {
-      code = Bgp.Attr.code_as_path;
-      flags = Bgp.Attr.flag_transitive;
-      payload = new_payload;
-    }
-
-(** Prepend a cluster id to the CLUSTER_LIST payload. *)
-let prepend_cluster set cid =
-  let old =
-    match find_code Bgp.Attr.code_cluster_list set with
-    | Some e -> e.payload
-    | None -> ""
-  in
-  set_eattr set
-    {
-      code = Bgp.Attr.code_cluster_list;
-      flags = Bgp.Attr.flag_optional;
-      payload = u32_payload cid ^ old;
-    }
-
-(** Append a community value to the COMMUNITY payload. *)
-let append_community set c =
-  let old =
-    match find_code Bgp.Attr.code_communities set with
-    | Some e -> e.payload
-    | None -> ""
-  in
-  set_eattr set
-    {
-      code = Bgp.Attr.code_communities;
-      flags = Bgp.Attr.flag_optional lor Bgp.Attr.flag_transitive;
-      payload = old ^ u32_payload c;
-    }
-
-(** Serialized wire form of the whole set (message grouping key and the
-    native encoder input). Known codes only — see module header. The
-    cached bytes are shared across calls; callers must not mutate. *)
-let encode_known set =
-  let fresh () =
-    let buf = Buffer.create 64 in
-    List.iter (Bgp.Attr.encode_into_buffer buf) (to_attrs set);
-    Buffer.to_bytes buf
-  in
-  if (not !cache_enabled) || not !cache_gate then fresh ()
-  else
-    match set.memo_encoded with
-    | Some b ->
-      incr cache_hits;
-      b
-    | None ->
-      incr cache_misses;
-      let b = fresh () in
-      set.memo_encoded <- Some b;
-      b
-
-let equal (a : set) (b : set) = a.eattrs = b.eattrs

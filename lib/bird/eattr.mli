@@ -4,31 +4,56 @@
     includes a flexible API to manage BGP attributes. xBGP simply extends
     this API").
 
-    Consequences reproduced here: converting to/from the neutral TLV is
-    nearly free (the payload {e is} the network-byte-order payload), any
-    code is carried uniformly, and scalar readers parse the payload on
-    access (only the AS-path length is cached). *)
+    Consequences reproduced here: converting to/from the neutral TLV and
+    the native encoding are nearly free (the payload {e is} the
+    network-byte-order payload), any code is carried uniformly, sets are
+    hash-consed as BIRD's [ea_lookup] does, and scalar readers parse the
+    payload on access (only the AS-path length is cached). *)
 
 type t = { code : int; flags : int; payload : string }
 
-(** An attribute set: eattrs sorted by code, unique per code. The memo
-    fields cache this set's neutral conversions ({!to_attrs},
-    {!encode_known}); they are sound by construction — every mutation
-    API returns a {e new} record with empty memos — and {!equal} ignores
-    them. *)
-type set = {
+(** An interned attribute set: eattrs sorted by code, unique per code,
+    one physical record per distinct eattr list among live sets (a weak
+    table holds them, so unreferenced sets are reclaimed). [hash] is the
+    eattrs' stored hash; the memo caches {!to_attrs} and is shared by
+    every holder of the set. *)
+type set = private {
   eattrs : t list;
   path_len : int;  (** cached AS-path length *)
+  hash : int;
   mutable memo_attrs : Bgp.Attr.t list option;
-  mutable memo_encoded : bytes option;
 }
 
 val empty : set
-val of_eattrs : t list -> set
-val set_eattr : set -> t -> set
+
+val interned_count : unit -> int
+(** Live interned sets (dead ones leave at the next major collection). *)
+
+val equal : set -> set -> bool
+(** Physical equality, which interning makes set equality. *)
+
 val remove_code : int -> set -> set
 val find_code : int -> set -> t option
-val equal : set -> set -> bool
+
+(** {1 Edits} — list-level rewrites. A multi-step policy step chains them
+    inside one {!edit}, which interns once. *)
+
+val edit : set -> (t list -> t list) -> set
+(** [edit s f] is the one live set for the eattrs [f s.eattrs], which
+    must stay sorted by code and unique per code (as {!upsert} and
+    {!drop} keep them) with every known code's payload well-formed; [s]
+    itself when [f] returns its argument unchanged. *)
+
+val upsert : t -> t list -> t list
+val drop : int -> t list -> t list
+(** Returns the list itself when the code is absent. *)
+
+val push_as : int -> t list -> t list
+(** Prepend an ASN to the AS_PATH payload (extending a leading
+    AS_SEQUENCE below 255 hops). *)
+
+val push_cluster : int -> t list -> t list
+(** Prepend a cluster id to the CLUSTER_LIST payload. *)
 
 (** {1 Wire payload helpers} *)
 
@@ -41,16 +66,19 @@ val path_asns_of_payload : string -> int list
 
 val of_attrs : Bgp.Attr.t list -> set
 (** Admit parsed attributes; unknown codes are dropped by the native
-    parser (see module header). *)
+    parser (see module header), known ones get their RFC-default flags,
+    an empty COMMUNITIES or CLUSTER_LIST is no attribute, and a repeated
+    code keeps its last occurrence — all as the record-based host. *)
 
 val to_attrs : set -> Bgp.Attr.t list
-(** Known codes only, for the native encoder.
-    @raise Bgp.Attr.Parse_error on corrupt payloads. *)
+(** The known attributes decoded to the shared codec form (memoized per
+    set while the conversion cache is on). *)
 
-val encode_known : set -> bytes
-(** Serialized wire form of the known attributes — the message-grouping
-    key and native encoder input. With the cache enabled the bytes are
-    shared across calls on the same set; treat them as read-only. *)
+val encode_known : Buffer.t -> set -> unit
+(** The native encoder: appends the wire form of the known attributes,
+    each stored payload copied behind its header (extended length when
+    over 255 bytes). Byte-identical to [Bgp.Attr.encode_into_buffer]
+    over {!to_attrs}. *)
 
 (** {1 The conversion cache} (the BIRD-side symmetric of
     [Attr_intern]'s) *)
@@ -73,14 +101,14 @@ val conversion_cache_stats : unit -> int * int
 
 val reset_conversion_cache_stats : unit -> unit
 
-val invalidate_conversion : set -> unit
-(** Drop one set's memos (for hosts mutating out of band). *)
-
 (** {1 The xBGP adapter} — near-zero-cost TLV conversion *)
 
 val get_tlv : set -> int -> bytes option
 val set_tlv : set -> bytes -> set
-(** @raise Invalid_argument on a malformed TLV. *)
+(** A known code's payload is validated by the shared codec and stored
+    with the code's RFC-default flags (an empty COMMUNITIES or
+    CLUSTER_LIST removes the attribute); any other code is stored as
+    given. @raise Invalid_argument on a malformed TLV. *)
 
 (** {1 Scalar accessors} (parse on demand) *)
 
@@ -98,7 +126,7 @@ val contains_as : set -> int -> bool
 (** {1 Wire-level mutations} *)
 
 val prepend_as : set -> int -> set
-(** Extend the leading AS_SEQUENCE directly in the payload. *)
+(** {!push_as}, interned. *)
 
 val prepend_cluster : set -> int -> set
 val append_community : set -> int -> set

@@ -157,6 +157,13 @@ type trace = {
   mutable trace_len : int;
   mutable trace_out : int array;  (** 0 = returned value, 1 = next(), 2 = fault *)
   mutable trace_val : int64;  (** r0 of the deciding bytecode *)
+  mutable steps : Obs.Provenance.step list;
+      (** the last [last_trace] result, returned again while the trace
+          repeats, so routes whose import ran alike share one list *)
+  mutable steps_point : int;  (** the trace [steps] was built from; -1 none *)
+  mutable steps_gen : int;
+  mutable steps_out : int array;  (** its [trace_out] prefix, [trace_len] long *)
+  mutable steps_val : int64;
 }
 
 type t = {
@@ -220,6 +227,11 @@ let create ?(heap_size = 1 lsl 16) ?(budget = Ebpf.Vm.default_budget)
         trace_len = 0;
         trace_out = Array.make 8 0;
         trace_val = 0L;
+        steps = [];
+        steps_point = -1;
+        steps_gen = -1;
+        steps_out = [||];
+        steps_val = 0L;
       };
     tele;
     fallbacks;
@@ -1133,27 +1145,44 @@ let last_trace t point : Obs.Provenance.step list option =
   else begin
     let chain = t.chains.(idx) in
     let n = min tr.trace_len (Array.length chain) in
-    let steps = ref [] in
-    for i = n - 1 downto 0 do
-      let att = chain.(i) in
-      let outcome =
-        match tr.trace_out.(i) with
-        | 0 -> outcome_value_name point tr.trace_val
-        | 1 -> "next()"
-        | _ -> "fault"
-      in
-      steps :=
-        {
-          Obs.Provenance.program = att.ext.prog.name;
-          bytecode = att.bc_name;
-          engine = Ebpf.Vm.engine_name t.engine;
-          outcome;
-          attrs_mutated = att.facts.attrs_mutated;
-          maps_written = att.facts.maps_written;
-        }
-        :: !steps
-    done;
-    Some !steps
+    let rec same i =
+      i >= n || (tr.steps_out.(i) = tr.trace_out.(i) && same (i + 1))
+    in
+    if
+      tr.steps_point = idx
+      && tr.steps_gen = t.generation
+      && Array.length tr.steps_out = n
+      && Int64.equal tr.steps_val tr.trace_val
+      && same 0
+    then Some tr.steps
+    else begin
+      let steps = ref [] in
+      for i = n - 1 downto 0 do
+        let att = chain.(i) in
+        let outcome =
+          match tr.trace_out.(i) with
+          | 0 -> outcome_value_name point tr.trace_val
+          | 1 -> "next()"
+          | _ -> "fault"
+        in
+        steps :=
+          {
+            Obs.Provenance.program = att.ext.prog.name;
+            bytecode = att.bc_name;
+            engine = Ebpf.Vm.engine_name t.engine;
+            outcome;
+            attrs_mutated = att.facts.attrs_mutated;
+            maps_written = att.facts.maps_written;
+          }
+          :: !steps
+      done;
+      tr.steps <- !steps;
+      tr.steps_point <- idx;
+      tr.steps_gen <- t.generation;
+      tr.steps_out <- Array.sub tr.trace_out 0 n;
+      tr.steps_val <- tr.trace_val;
+      Some !steps
+    end
   end
 
 let map_size t ~program idx =

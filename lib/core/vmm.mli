@@ -226,7 +226,9 @@ val last_trace : t -> Api.point -> Obs.Provenance.step list option
     attributes, which maps it may write). [None] when the last traced dispatch was
     at a different point or the chains changed since. Read it
     immediately after the dispatch: a nested dispatch (import ->
-    [rib_add] -> export) overwrites the trace. *)
+    [rib_add] -> export) overwrites the trace. While consecutive calls
+    see the same point, generation and outcomes, they return the same
+    physical list, so routes that ran alike share one. *)
 
 val run :
   t ->

@@ -144,7 +144,9 @@ let prop_frr_cache_equiv =
 
 let observe_bird s =
   ( Bird.Eattr.to_attrs s,
-    Bytes.to_string (Bird.Eattr.encode_known s),
+    (let buf = Buffer.create 64 in
+     Bird.Eattr.encode_known buf s;
+     Buffer.contents buf),
     List.filter_map
       (fun c ->
         Option.map (fun b -> (c, Bytes.to_string b)) (Bird.Eattr.get_tlv s c))
@@ -813,30 +815,34 @@ let test_lddw_not_invariant () =
     (Xbgp.Vmm.batch_invariant (vmm_with lddw_prefix_program)
        Xbgp.Api.Bgp_inbound_filter ~variant_args:[ Xbgp.Api.arg_prefix ])
 
+(* an eBGP testbed whose DUT runs [xp]'s bytecodes at [points] *)
+let testbed_with ~host ~batch (xp, points) =
+  let tb =
+    Scenario.Testbed.create
+      (Scenario.Testbed.mode ~host ~ibgp:false ~manifest:Xbgp.Manifest.empty
+         ~batch_updates:batch ())
+  in
+  let vmm = Option.get tb.Scenario.Testbed.dut_vmm in
+  (match Xbgp.Vmm.register vmm xp with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun (bytecode, point) ->
+      match
+        Xbgp.Vmm.attach vmm ~program:xp.Xbgp.Xprog.name ~bytecode ~point
+          ~order:0
+      with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e)
+    points;
+  tb
+
 let test_lddw_batch ~host () =
   let routes = grouped_routes ~groups:4 ~per_group:8 in
   (* 11.0.i.0/24 for i = 0..31: the even half is accepted *)
   let accepted = List.length routes / 2 in
   let run ~batch =
-    let tb =
-      Scenario.Testbed.create
-        (Scenario.Testbed.mode ~host ~ibgp:false ~manifest:Xbgp.Manifest.empty
-           ~batch_updates:batch ())
-    in
-    let vmm = Option.get tb.Scenario.Testbed.dut_vmm in
-    let xp, points = lddw_prefix_program in
-    (match Xbgp.Vmm.register vmm xp with
-    | Ok () -> ()
-    | Error e -> Alcotest.fail e);
-    List.iter
-      (fun (bytecode, point) ->
-        match
-          Xbgp.Vmm.attach vmm ~program:xp.Xbgp.Xprog.name ~bytecode ~point
-            ~order:0
-        with
-        | Ok () -> ()
-        | Error e -> Alcotest.fail e)
-      points;
+    let tb = testbed_with ~host ~batch lddw_prefix_program in
     Scenario.Testbed.establish tb;
     Scenario.Testbed.feed tb routes;
     check_bool "accepted half converged" true
@@ -865,6 +871,63 @@ let test_lddw_export () =
       check_int (label ^ ": as many runs as per-prefix") s.runs b.runs;
       check_same_as_per_prefix label b s)
     [ `Frr; `Bird ]
+
+(* --- host agreement on extension-written attributes -------------- *)
+
+(* An import filter that writes a COMMUNITIES attribute through add_attr
+   with the given flags and payload length (the payload is 4 stack
+   bytes, of which [len] are passed), then accepts. Both hosts must end
+   in the same state: a 3-byte payload is refused on both (the
+   BIRD-like host used to store it and then fail in the export flush),
+   and off-default flags come back as the RFC defaults on both. *)
+let add_community_program ~flags ~len =
+  ( Xbgp.Xprog.v ~name:"tagger"
+      [
+        ( "filter",
+          Ebpf.Asm.(
+            assemble
+              [
+                stw R10 (-4) 0x01020304;
+                movi R1 Bgp.Attr.code_communities;
+                movi R2 flags;
+                movi R3 len;
+                mov R4 R10;
+                addi R4 (-4);
+                call Xbgp.Api.h_add_attr;
+                movi R0 0;
+                exit_;
+              ]) );
+      ],
+    [ ("filter", Xbgp.Api.Bgp_inbound_filter) ] )
+
+let test_add_attr_hosts_agree () =
+  let routes = grouped_routes ~groups:2 ~per_group:4 in
+  List.iter
+    (fun (flags, len) ->
+      let run host =
+        let tb =
+          testbed_with ~host ~batch:true (add_community_program ~flags ~len)
+        in
+        Scenario.Testbed.establish tb;
+        Scenario.Testbed.feed tb routes;
+        check_bool "table converged" true
+          (Scenario.Testbed.run_until_downstream_has tb (List.length routes));
+        dut_state tb
+      in
+      let label = Printf.sprintf "flags 0x%02x, %d-byte payload" flags len in
+      let frr = run `Frr in
+      check (Alcotest.pair snap snap) (label ^ ": frr = bird") frr (run `Bird);
+      (* the stack word 0x01020304 is stored little-endian *)
+      let tagged =
+        List.filter
+          (fun (_, attrs) ->
+            List.mem (Bgp.Attr.v (Communities [ 0x04030201 ])) attrs)
+          (fst frr)
+      in
+      check_int (label ^ ": routes tagged")
+        (if len = 4 then List.length routes else 0)
+        (List.length tagged))
+    [ (0xC0, 4); (0x80, 4); (0xC0, 3) ]
 
 (* --- differential oracle under forced cache settings ------------- *)
 
@@ -986,6 +1049,8 @@ let () =
             (test_lddw_batch ~host:`Bird);
           Alcotest.test_case "lddw argument id: export per prefix" `Quick
             test_lddw_export;
+          Alcotest.test_case "add_attr: hosts agree" `Quick
+            test_add_attr_hosts_agree;
         ] );
       ( "fuzz-oracle",
         [

@@ -297,6 +297,265 @@ let prop_repr_steps_agree =
           f = b || QCheck2.Test.fail_reportf "step %s differs" step)
         (Frr_steps.run i) (Bird_steps.run i))
 
+(* --- BIRD-like interning and the wire-copy encoder --- *)
+
+(* Same observation of a set through either host's REPR: every code's
+   TLV and the native encoding. *)
+module Observe (R : Pipeline.REPR) = struct
+  let codes = [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 42; 255 ]
+
+  let encode a =
+    let buf = Buffer.create 64 in
+    R.encode_known buf (R.group_key a) a;
+    Buffer.contents buf
+
+  let view a =
+    (List.map (fun c -> Option.map Bytes.to_string (R.get_tlv a c)) codes, encode a)
+
+  (* [None] when the host refuses the TLV *)
+  let after_set attrs tlv = Option.map view (R.set_tlv (R.of_attrs attrs) tlv)
+end
+
+module Frr_obs = Observe (Frrouting.Bgpd.Repr)
+module Bird_obs = Observe (Bird.Bgpd.Repr)
+
+let raw_tlv ~flags ~code payload =
+  let len = String.length payload in
+  let b = Bytes.create (4 + len) in
+  Bytes.set_uint8 b 0 flags;
+  Bytes.set_uint8 b 1 code;
+  Bytes.set_uint16_be b 2 len;
+  Bytes.blit_string payload 0 b 4 len;
+  b
+
+let mandatory =
+  Bgp.Attr.
+    [ v (Origin Igp); v (As_path [ Seq [ 65001 ] ]); v (Next_hop 0x0A000001) ]
+
+let test_set_tlv_agreement () =
+  let probes =
+    [
+      ("3-byte COMMUNITIES", raw_tlv ~flags:0xC0 ~code:8 "\001\002\003", false);
+      ("COMMUNITIES flags 0x80", raw_tlv ~flags:0x80 ~code:8 "\001\002\003\004", true);
+      ("empty COMMUNITIES", raw_tlv ~flags:0xC0 ~code:8 "", true);
+      ("ORIGIN with the extended bit", raw_tlv ~flags:0x50 ~code:1 "\000", true);
+      ("ORIGIN out of range", raw_tlv ~flags:0x40 ~code:1 "\007", false);
+      ("AS_PATH cut in a segment", raw_tlv ~flags:0x40 ~code:2 "\002\002\000", false);
+      ("unknown code, odd flags", raw_tlv ~flags:0x90 ~code:42 "geo", true);
+      ("truncated TLV", Bytes.sub (raw_tlv ~flags:0x80 ~code:4 "\000\000\000\001") 0 6, false);
+    ]
+  in
+  List.iter
+    (fun (label, tlv, accepted) ->
+      let f = Frr_obs.after_set mandatory tlv
+      and b = Bird_obs.after_set mandatory tlv in
+      check_bool (label ^ ": accepted") accepted (Option.is_some f);
+      check_bool (label ^ ": both hosts agree") true (f = b))
+    probes;
+  (* the flags a COMMUNITIES TLV comes back with, through both hosts *)
+  match
+    Bird_obs.after_set mandatory
+      (raw_tlv ~flags:0x80 ~code:8 "\001\002\003\004")
+  with
+  | Some (tlvs, _) ->
+    check
+      Alcotest.(option string)
+      "default flags" (Some "\xC0\x08\x00\x04\001\002\003\004")
+      (List.nth tlvs 8)
+  | None -> Alcotest.fail "refused"
+
+let test_of_attrs_agreement () =
+  let lists =
+    [
+      ( "repeated code: last wins",
+        mandatory
+        @ Bgp.Attr.[ v (Communities [ 1 ]); v (Med 3); v (Communities [ 2 ]) ] );
+      ("empty lists", mandatory @ Bgp.Attr.[ v (Communities []); v (Cluster_list []) ]);
+      ( "unsorted",
+        Bgp.Attr.[ v (Med 9); v (Next_hop 1); v (Origin Egp); v (As_path []) ] );
+      ( "odd flags",
+        mandatory @ [ Bgp.Attr.with_flags 0xF0 (Bgp.Attr.Communities [ 5 ]) ] );
+    ]
+  in
+  List.iter
+    (fun (label, attrs) ->
+      check_bool label true
+        (Frr_obs.view (Frrouting.Bgpd.Repr.of_attrs attrs)
+        = Bird_obs.view (Bird.Bgpd.Repr.of_attrs attrs)))
+    lists
+
+let test_eattr_interning () =
+  let a = Bird.Eattr.of_attrs sample_attrs in
+  check_bool "equal attrs, one set" true (a == Bird.Eattr.of_attrs sample_attrs);
+  (* the same eattrs reached by two edit paths *)
+  let via_remove =
+    Bird.Eattr.remove_code Bgp.Attr.code_med
+      (Bird.Eattr.remove_code Bgp.Attr.code_local_pref a)
+  and via_of_attrs =
+    Bird.Eattr.of_attrs
+      (List.filter
+         (fun x ->
+           let c = Bgp.Attr.code x in
+           c <> Bgp.Attr.code_med && c <> Bgp.Attr.code_local_pref)
+         sample_attrs)
+  in
+  check_bool "edit paths meet" true (via_remove == via_of_attrs);
+  check_bool "absent code: same set" true
+    (Bird.Eattr.remove_code Bgp.Attr.code_atomic_aggregate a == a);
+  (* a set nothing references is reclaimed: the table holds it weakly *)
+  let make () =
+    ignore
+      (Sys.opaque_identity
+         (List.init 1000 (fun i ->
+              Bird.Eattr.of_attrs (mandatory @ [ Bgp.Attr.v (Bgp.Attr.Med i) ]))))
+  in
+  Gc.full_major ();
+  let before = Bird.Eattr.interned_count () in
+  make ();
+  check_bool "1000 sets interned" true
+    (Bird.Eattr.interned_count () >= before + 1000);
+  Gc.full_major ();
+  check_bool "dead sets reclaimed" true
+    (Bird.Eattr.interned_count () < before + 1000)
+
+(* Random attribute lists (unsorted, repeated codes, empty lists, long
+   paths) edited by random TLV sets and removals, malformed TLVs
+   included. After every edit both hosts must accept the same TLVs and
+   expose the same TLVs and native encoding; the BIRD-like wire-copy
+   encoder must equal the codec's encoder over the decoded set; and the
+   final set must be the very set rebuilt along another path. Removals
+   skip ORIGIN, AS_PATH and NEXT_HOP, which the record-based host always
+   carries. *)
+type edit = Set_tlv of bytes | Remove of int
+
+let gen_value =
+  QCheck2.Gen.(
+    let u32 = int_range 0 0xFFFFFFFF in
+    let asns = list_size (int_range 0 4) (int_range 1 70000) in
+    oneof
+      [
+        map (fun o -> Bgp.Attr.Origin o) (oneofl Bgp.Attr.[ Igp; Egp; Incomplete ]);
+        map
+          (fun segs -> Bgp.Attr.As_path segs)
+          (list_size (int_range 0 3)
+             (oneof
+                [
+                  map (fun l -> Bgp.Attr.Seq l) asns;
+                  map (fun l -> Bgp.Attr.Set l) asns;
+                ]));
+        (* over 255 payload bytes: the extended-length header *)
+        map
+          (fun l -> Bgp.Attr.As_path [ Bgp.Attr.Seq l ])
+          (list_size (int_range 63 80) (int_range 1 70000));
+        map (fun n -> Bgp.Attr.Next_hop n) u32;
+        map (fun m -> Bgp.Attr.Med m) u32;
+        map (fun l -> Bgp.Attr.Local_pref l) u32;
+        return Bgp.Attr.Atomic_aggregate;
+        map2 (fun a r -> Bgp.Attr.Aggregator (a, r)) u32 u32;
+        map (fun c -> Bgp.Attr.Communities c) (list_size (int_range 0 4) u32);
+        map (fun o -> Bgp.Attr.Originator_id o) u32;
+        map (fun c -> Bgp.Attr.Cluster_list c) (list_size (int_range 0 3) u32);
+      ])
+
+let gen_edit =
+  QCheck2.Gen.(
+    let flags = int_range 0 255 in
+    oneof
+      [
+        map2
+          (fun f v -> Set_tlv (Bgp.Attr.to_tlv (Bgp.Attr.with_flags f v)))
+          flags gen_value;
+        (* unknown codes are stored as given *)
+        map3
+          (fun f code p -> Set_tlv (raw_tlv ~flags:f ~code p))
+          flags (oneofl [ 0; 11; 42; 255 ])
+          (string_size (int_range 0 6));
+        (* a known code over random bytes: mostly malformed *)
+        map3
+          (fun f code p -> Set_tlv (raw_tlv ~flags:f ~code p))
+          flags (int_range 1 10)
+          (string_size (int_range 0 9));
+        (* a header whose length overruns the TLV *)
+        map2
+          (fun code cut ->
+            let t = raw_tlv ~flags:0x40 ~code "\000\000\000\001" in
+            Set_tlv (Bytes.sub t 0 (min cut (Bytes.length t - 1))))
+          (int_range 1 10) (int_range 0 7);
+        map (fun c -> Remove c) (oneofl [ 0; 4; 5; 6; 7; 8; 9; 10; 42 ]);
+      ])
+
+let gen_edit_case =
+  QCheck2.Gen.(
+    let* extra = list_size (int_range 0 5) gen_value in
+    let* attrs =
+      shuffle_l
+        (mandatory @ List.map (fun v -> Bgp.Attr.with_flags 0 v) extra)
+    in
+    let* edits = list_size (int_range 0 8) gen_edit in
+    return (List.map (fun (a : Bgp.Attr.t) -> Bgp.Attr.v a.value) attrs, edits))
+
+let oracle_encode s =
+  let buf = Buffer.create 64 in
+  List.iter (Bgp.Attr.encode_into_buffer buf) (Bird.Eattr.to_attrs s);
+  Buffer.contents buf
+
+let prop_eattr_edits =
+  QCheck2.Test.make ~count:500
+    ~name:"edited sets: wire-copy encoding, host agreement, one set per eattrs"
+    ~print:(fun (attrs, edits) ->
+      Format.asprintf "%a | %d edits"
+        (Format.pp_print_list Bgp.Attr.pp)
+        attrs (List.length edits))
+    gen_edit_case
+    (fun (attrs, edits) ->
+      let step (f, b) = function
+        | Set_tlv tlv -> (
+          match
+            (Frrouting.Bgpd.Repr.set_tlv f tlv, Bird.Bgpd.Repr.set_tlv b tlv)
+          with
+          | Some f, Some b -> (f, b)
+          | None, None -> (f, b)
+          | _ -> QCheck2.Test.fail_report "hosts disagree on accepting a TLV")
+        | Remove c -> (Frrouting.Bgpd.Repr.remove f c, Bird.Bgpd.Repr.remove b c)
+      in
+      let agree (f, b) =
+        if Bird_obs.encode b <> oracle_encode b then
+          QCheck2.Test.fail_report "wire copy differs from the codec";
+        if Frr_obs.view f <> Bird_obs.view b then
+          QCheck2.Test.fail_report "hosts expose different attributes"
+      in
+      let start =
+        (Frrouting.Bgpd.Repr.of_attrs attrs, Bird.Bgpd.Repr.of_attrs attrs)
+      in
+      let _, final =
+        List.fold_left
+          (fun acc e ->
+            let acc = step acc e in
+            agree acc;
+            acc)
+          (agree start;
+           start)
+          edits
+      in
+      (* the same eattrs again: fresh payload strings, then TLVs applied
+         highest code first to the empty set *)
+      let copied =
+        Bird.Eattr.edit Bird.Eattr.empty (fun _ ->
+            List.map
+              (fun (e : Bird.Eattr.t) ->
+                { e with payload = Bytes.to_string (Bytes.of_string e.payload) })
+              final.eattrs)
+      and replayed =
+        List.fold_left
+          (fun s (e : Bird.Eattr.t) ->
+            match Bird.Eattr.get_tlv final e.code with
+            | Some tlv -> Bird.Eattr.set_tlv s tlv
+            | None -> s)
+          Bird.Eattr.empty (List.rev final.eattrs)
+      in
+      (copied == final && replayed == final)
+      || QCheck2.Test.fail_report "equal eattrs, distinct sets")
+
 (* --- daemon-level behaviour --- *)
 
 let addr = Bgp.Prefix.addr_of_quad
@@ -614,8 +873,15 @@ let () =
           Alcotest.test_case "wire mutations" `Quick test_eattr_wire_mutations;
           Alcotest.test_case "TLV adapter" `Quick test_eattr_tlv_adapter;
           qc prop_representations_agree;
+          Alcotest.test_case "interning" `Quick test_eattr_interning;
         ] );
       ("repr-steps", [ qc prop_repr_steps_agree ]);
+      ( "agreement",
+        [
+          Alcotest.test_case "set_tlv" `Quick test_set_tlv_agreement;
+          Alcotest.test_case "of_attrs" `Quick test_of_attrs_agreement;
+          qc prop_eattr_edits;
+        ] );
       ( "daemon",
         [
           Alcotest.test_case "withdraw propagation" `Quick

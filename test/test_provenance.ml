@@ -180,6 +180,55 @@ let test_cross_host () =
   check_bool "frr and bird provenance byte-identical" true
     (ob `Frr = ob `Bird)
 
+(* Routes whose import ran alike share one step list: [Vmm.last_trace]
+   returns the list it built last while the point, generation and
+   outcomes repeat, and builds a new one when they change. The filter
+   accepts 11.0.i.0/24 for even i and rejects it for odd i. *)
+let test_shared_steps () =
+  let prog =
+    Ebpf.Asm.(
+      assemble
+        [
+          movi R1 Xbgp.Api.arg_prefix;
+          call Xbgp.Api.h_get_arg;
+          jeqi R0 0 "accept";
+          ldxb R0 R0 6;
+          andi R0 1;
+          exit_;
+          label "accept";
+          movi R0 0;
+          exit_;
+        ])
+  in
+  let xp = Xbgp.Xprog.v ~name:"parity" [ ("filter", prog) ] in
+  let vmm = Xbgp.Vmm.create ~host:"test" () in
+  let point = Xbgp.Api.Bgp_inbound_filter in
+  (match Xbgp.Vmm.register vmm xp with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  (match Xbgp.Vmm.attach vmm ~program:"parity" ~bytecode:"filter" ~point ~order:0 with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let args = Xbgp.Host_intf.Args.create () in
+  let run i =
+    let b = Bytes.create 5 in
+    Bytes.set_int32_be b 0 (Int32.of_int (0x0B000000 + (i lsl 8)));
+    Bytes.set_uint8 b 4 24;
+    Xbgp.Host_intf.Args.set args Xbgp.Api.arg_prefix b;
+    ignore
+      (Xbgp.Vmm.run vmm point ~ops:Xbgp.Host_intf.null_ops ~args
+         ~default:(fun () -> 0L));
+    Option.get (Xbgp.Vmm.last_trace vmm point)
+  in
+  let outcome steps = (List.hd steps).Obs.Provenance.outcome in
+  let a = run 0 in
+  check_bool "same outcome, same list" true (a == run 2);
+  let b = run 1 in
+  check_bool "other outcome, other list" false (a == b);
+  check_string "accepted" "accept" (outcome a);
+  check_string "rejected" "reject" (outcome b);
+  check_string "accepted again" "accept" (outcome (run 4))
+
 let host_cases host =
   [
     Alcotest.test_case "knob invariance (batched/grouped)" `Quick
@@ -197,4 +246,5 @@ let () =
       ("frr", host_cases `Frr);
       ("bird", host_cases `Bird);
       ("cross-host", [ Alcotest.test_case "byte-identical" `Quick test_cross_host ]);
+      ("vmm", [ Alcotest.test_case "shared step lists" `Quick test_shared_steps ]);
     ]
