@@ -600,38 +600,22 @@ let telemetry_bench () =
   record "telemetry" "any" "enabled" "overhead_pct" over
 
 (* ------------------------------------------------------------------ *)
-(* Dispatch fast path: caches + batching + sampling ablation           *)
+(* Dispatch fast path: calling convention + batching + sampling        *)
 (* ------------------------------------------------------------------ *)
-
-(* Measures the dispatch fast path (E12). The knobs restore the legacy
-   behaviour, giving the old baseline in the same process:
-   - conversion caches off ([Attr_intern] / [Eattr]) = fresh TLV
-     conversion on every xBGP boundary crossing;
-   - [batch_updates] off = the per-prefix learn path with per-dispatch
-     argument allocation. *)
-let set_caches on =
-  Frrouting.Attr_intern.set_conversion_cache on;
-  Bird.Eattr.set_conversion_cache on
-
-(* A leg that runs with the conversion caches set to [cache]. *)
-let with_caches cache f () =
-  set_caches cache;
-  f ()
 
 (* The extensions-attached dispatch benchmark, isolated from the rest of
    the pipeline. One "update" is what a daemon must dispatch for one
    received UPDATE message; the baseline leg reconstructs the legacy
    work (a fresh ops record, a fresh argument list, fresh prefix/source
-   buffers and a dispatch per prefix, conversion caches off) and the
-   engine legs are what the daemons do now (hoisted ops, a reused
-   argument buffer, conversion caches on, and — when
+   buffers and a dispatch per prefix) and the engine legs are what the
+   daemons do now (hoisted ops, a reused argument buffer, and — when
    [Vmm.batch_invariant] proves the chain never reads the prefix — one
    dispatch shared by the whole NLRI list). Two programs bound the
    spectrum:
 
    - [ov]: origin validation, prefix-dependent, so both legs dispatch
-     per prefix (single-prefix updates); the gap is conversion caching
-     plus the calling convention.
+     per prefix (single-prefix updates); the gap is the calling
+     convention.
    - [rr]: route reflection, statically batch-invariant, dispatched over
      updates carrying [batch_k] prefixes (RIS tables are bursty; updates
      sharing one attribute set across many NLRI are the common case);
@@ -714,8 +698,8 @@ let dispatch_micro ~rounds ~batch_k =
           Bytes.set_int32_be pbuf 0 (Int32.of_int i);
           ignore (Xbgp.Vmm.run vmm point ~ops ~args ~default)
       in
-      (* one group: the legacy baseline (block engine, caches off) plus
-         the hoisted loop on every engine, in per-update seconds *)
+      (* one group: the legacy baseline (block engine) plus the hoisted
+         loop on every engine, in per-update seconds *)
       let grid group manifest ~updates ~legacy ~fast =
         let vmm engine =
           Xprogs.Registry.vmm_of_manifest ~engine
@@ -725,16 +709,13 @@ let dispatch_micro ~rounds ~batch_k =
         let per_update f () = wall f /. float_of_int updates in
         let t =
           paired ~rounds
-            (( "baseline",
-               with_caches false (per_update (legacy (vmm Ebpf.Vm.Block))) )
+            (("baseline", per_update (legacy (vmm Ebpf.Vm.Block)))
             :: List.map
                  (fun e ->
                    let vmm = vmm e in
-                   ( Ebpf.Vm.engine_name e,
-                     with_caches true (per_update (fast vmm (hoisted vmm))) ))
+                   (Ebpf.Vm.engine_name e, per_update (fast vmm (hoisted vmm))))
                  Ebpf.Vm.all_engines)
         in
-        set_caches true;
         let base = List.assoc "baseline" t and block = List.assoc "block" t in
         let ((sp, lo, hi) as speedup) = ratio_stats base block in
         Printf.printf
@@ -799,10 +780,9 @@ let dispatch_micro ~rounds ~batch_k =
 
 (* End-to-end: the full Fig. 3 pipeline in updates/sec at the downstream
    router. The baseline leg restores the legacy behaviour (interpreter,
-   conversion caches off, [batch_updates] off); the other legs are the
-   block engine with batching on, over conversion caches on/off x a
-   telemetry ablation: off / full (every span) / sampled (1-in-16
-   spans). *)
+   [batch_updates] off); the other legs are the block engine with
+   batching on, over a telemetry ablation: off / full (every span) /
+   sampled (1-in-16 spans). *)
 let dispatch_pipeline ~n ~rounds =
   let routes = ris_routes n in
   let roas = roas_for routes in
@@ -829,33 +809,25 @@ let dispatch_pipeline ~n ~rounds =
             fst (feed_and_wait (mk ~engine ~batch ?telemetry ()) routes)
           in
           let grid =
-            List.concat_map
-              (fun cache ->
-                List.map
-                  (fun tele ->
-                    ( Printf.sprintf "%s_cache_%s_%s" sname
-                        (if cache then "on" else "off")
-                        (tele_name tele),
-                      with_caches cache
-                        (leg ~engine:Ebpf.Vm.Block ~batch:true ~tele) ))
-                  [ `Off; `Full; `Sampled ])
-              [ false; true ]
+            List.map
+              (fun tele ->
+                ( Printf.sprintf "%s_%s" sname (tele_name tele),
+                  leg ~engine:Ebpf.Vm.Block ~batch:true ~tele ))
+              [ `Off; `Full; `Sampled ]
           in
           let t =
             paired ~rounds
               (( sname ^ "_baseline",
-                 with_caches false
-                   (leg ~engine:Ebpf.Vm.Interpreted ~batch:false ~tele:`Off) )
+                 leg ~engine:Ebpf.Vm.Interpreted ~batch:false ~tele:`Off )
               :: grid)
           in
-          set_caches true;
           let times l = List.assoc (Printf.sprintf "%s_%s" sname l) t in
           let ups times = float_of_int n /. median times in
           List.iter
             (fun (lname, times) ->
               record "dispatch" hname lname "updates_per_s" (ups times))
             t;
-          let fast = "cache_on_tele_off" in
+          let fast = tele_name `Off in
           let ((sp, lo, hi) as speedup) =
             ratio_stats (times "baseline") (times fast)
           in
@@ -869,7 +841,7 @@ let dispatch_pipeline ~n ~rounds =
              same fast configuration with telemetry off: the acceptance
              bound for the sampled leg is < 25% *)
           let overhead tele =
-            let leg = "cache_on_" ^ tele_name tele in
+            let leg = tele_name tele in
             let ((m, _, _) as r) =
               pct (ratio_stats (times leg) (times fast))
             in
@@ -911,7 +883,7 @@ let dispatch_bench () =
       ("batch_k", batch_k);
     ];
   Printf.printf
-    "=== Dispatch fast path: caches x batching x telemetry ===\n";
+    "=== Dispatch fast path: batching x telemetry ===\n";
   dispatch_micro ~rounds:micro_rounds ~batch_k;
   dispatch_pipeline ~n ~rounds;
   Printf.printf "\n"

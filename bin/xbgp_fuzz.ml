@@ -87,21 +87,14 @@ let run_chaos_replay path content =
             (String.concat " " repro.classes);
         1))
 
-(* chaos legs set the conversion caches from their own knobs *)
-let caches_with_chaos () =
-  Fmt.epr "xbgp-fuzz: --caches cannot be combined with --chaos or a chaos \
-           reproducer: every chaos leg sets the caches from its knobs@.";
-  124
-
-let run_replay ~caches path =
+let run_replay path =
   (* both reproducer formats are self-describing; route on the magic *)
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error e ->
     Fmt.epr "xbgp-fuzz: cannot read %s: %s@." path e;
     124
   | content when Fuzz.Replay.Chaos.is_chaos content ->
-    if caches <> None then caches_with_chaos ()
-    else run_chaos_replay path content
+    run_chaos_replay path content
   | _ -> (
   match Fuzz.Replay.load path with
   | Error e ->
@@ -157,21 +150,11 @@ let replay =
   let doc = "Replay a reproducer file instead of running a campaign." in
   Arg.(value & opt (some file) None & info [ "replay" ] ~docv:"FILE" ~doc)
 
-let caches =
-  let doc =
-    "Force the attribute-conversion caches on or off in both hosts for \
-     the whole campaign (default: on, the deployment configuration). \
-     Running both settings over the same seed checks that the caches \
-     never change the xBGP-visible state. Rejected with $(b,--chaos) and \
-     chaos reproducers, whose legs set the caches from their own knobs."
-  in
-  Arg.(value & opt (some bool) None & info [ "caches" ] ~docv:"BOOL" ~doc)
-
 let chaos =
   let doc =
     "Run the config-space chaos campaign instead of the main campaign: \
      every case draws a random point in the knob/topology matrix (host, \
-     engine, caches, batching, update groups, span sampling, xprog \
+     engine, batching, update groups, span sampling, xprog \
      chains), runs it through a generated scenario under a seeded fault \
      schedule (session flaps, link failures, ROA swaps, live xprog \
      detach/attach, split-horizon sink feeding, withdrawal races, live \
@@ -191,15 +174,10 @@ let verbose =
   let doc = "Verbose daemon logging." in
   Arg.(value & flag & info [ "verbose" ] ~doc)
 
-let main cases seed out no_out force_divergence caches chaos replay quiet
-    verbose =
+let main cases seed out no_out force_divergence chaos replay quiet verbose =
   setup_logs ~quiet verbose;
-  let on = Option.value caches ~default:true in
-  Frrouting.Attr_intern.set_conversion_cache on;
-  Bird.Eattr.set_conversion_cache on;
   match replay with
-  | Some path -> run_replay ~caches path
-  | None when chaos && caches <> None -> caches_with_chaos ()
+  | Some path -> run_replay path
   | None when chaos ->
     let out = if no_out then None else out in
     run_chaos ~cases ~seed ~out ~force_divergence ~quiet
@@ -237,7 +215,7 @@ let cmd =
   Cmd.v
     (Cmd.info "xbgp-fuzz" ~doc ~man)
     Term.(
-      const main $ cases $ seed $ out $ no_out $ force_divergence $ caches
-      $ chaos $ replay $ quiet $ verbose)
+      const main $ cases $ seed $ out $ no_out $ force_divergence $ chaos
+      $ replay $ quiet $ verbose)
 
 let () = exit (Cmd.eval' cmd)

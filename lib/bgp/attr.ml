@@ -104,9 +104,12 @@ let as_path_length segs =
 let as_path_asns segs =
   List.concat_map (function Seq l -> l | Set l -> l) segs
 
-(** Prepend [asn] to the path (a leading AS_SEQUENCE is extended). *)
+(** Prepend [asn] to the path: a leading AS_SEQUENCE is extended while
+    it holds fewer than 255 ASNs (its wire count is one byte), else a
+    new one starts. *)
 let as_path_prepend asn = function
-  | Seq l :: rest -> Seq (asn :: l) :: rest
+  | Seq l :: rest when List.compare_length_with l 255 < 0 ->
+    Seq (asn :: l) :: rest
   | segs -> Seq [ asn ] :: segs
 
 (** Leftmost ASN of the path, i.e. the neighbouring AS, if any. *)

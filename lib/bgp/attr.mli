@@ -83,7 +83,8 @@ val as_path_asns : segment list -> int list
 (** All ASNs in the path, leftmost first. *)
 
 val as_path_prepend : int -> segment list -> segment list
-(** Prepend an ASN (a leading AS_SEQUENCE is extended). *)
+(** Prepend an ASN: a leading AS_SEQUENCE is extended below 255 ASNs,
+    else a new one starts (the wire count is one byte). *)
 
 val as_path_first : segment list -> int option
 (** Leftmost ASN — the neighbouring AS. *)

@@ -44,7 +44,6 @@ module Repr = struct
     | exception Invalid_argument _ -> None
 
   let remove a code = Eattr.remove_code code a
-  let set_cache_gate = Eattr.set_cache_gate
 
   (* the decision view reads wire payloads on demand — BIRD's profile *)
   let local_pref = Eattr.local_pref
@@ -53,8 +52,14 @@ module Repr = struct
   let med = Eattr.med
   let neighbor_as = Eattr.neighbor_as
 
-  let originator_id a ~default =
-    match Eattr.originator_id a with 0 -> default | oid -> oid
+  (* present-or-absent, like the record-based host's option: an
+     ORIGINATOR_ID of 0 is a value, not a missing attribute *)
+  let originator a =
+    Option.map
+      (fun (e : Eattr.t) -> Eattr.read_u32 e.payload 0)
+      (Eattr.find_code Bgp.Attr.code_originator_id a)
+
+  let originator_id a ~default = Option.value ~default (originator a)
 
   let cluster_list_len = Eattr.cluster_list_len
   let next_hop = Eattr.next_hop
@@ -64,7 +69,7 @@ module Repr = struct
   let validate = Rpki.Store_hash.validate
 
   let reflection_loop a ~router_id ~cluster_id =
-    Eattr.originator_id a = router_id
+    originator a = Some router_id
     ||
     match Eattr.find_code Bgp.Attr.code_cluster_list a with
     | Some e ->
@@ -85,7 +90,7 @@ module Repr = struct
   let reflect a ~originator_id ~cluster_id =
     Eattr.edit a (fun l ->
         let l =
-          if Eattr.originator_id a = 0 then
+          if originator a = None then
             Eattr.upsert
               (u32_eattr Bgp.Attr.code_originator_id Bgp.Attr.flag_optional
                  originator_id)

@@ -28,16 +28,11 @@ type t = { code : int; flags : int; payload : string }
     Every constructor goes through {!intern}, so two live sets with equal
     eattrs are one physical record and [==] is set equality. [hash] is
     the eattrs' hash, stored so identity-keyed tables need not walk the
-    list. The memo caches this set's neutral decode (the BIRD-side
-    symmetric of the FRR conversion cache); it is sound because [eattrs]
-    is immutable, and interning shares it between every holder of the
-    set. *)
+    list. *)
 type set = {
   eattrs : t list;
   path_len : int;  (** cached AS-path length *)
   hash : int;
-  mutable memo_attrs : Bgp.Attr.t list option;
-      (** cached [to_attrs] (the neutral snapshot) *)
 }
 
 let find_code code set =
@@ -120,8 +115,7 @@ let intern eattrs =
     | Some e -> path_length_of_payload e.payload
     | None -> 0
   in
-  Table.merge table
-    { eattrs; path_len; hash = hash_eattrs eattrs; memo_attrs = None }
+  Table.merge table { eattrs; path_len; hash = hash_eattrs eattrs }
 
 let interned_count () = Table.count table
 let empty = intern []
@@ -204,30 +198,15 @@ let push_community c eattrs =
     }
     eattrs
 
-let remove_code code set = edit set (drop code)
+(* ORIGIN, AS_PATH and NEXT_HOP are mandatory: removing one leaves the
+   set as it is, as the record-based host does *)
+let remove_code code set =
+  if code >= Bgp.Attr.code_origin && code <= Bgp.Attr.code_next_hop then set
+  else edit set (drop code)
+
 let prepend_as set asn = edit set (push_as asn)
 let prepend_cluster set cid = edit set (push_cluster cid)
 let append_community set c = edit set (push_community c)
-
-(* --- the conversion cache toggle (mirrors Attr_intern's) --- *)
-
-let cache_enabled = ref true
-
-(* Driven from [Vmm.has_any_attachment] by the daemon, mirroring
-   [Attr_intern.set_cache_gate]: the pure-native baseline must not pay
-   for memos no extension can read. Per-set memos are kept across gate
-   flips — they can never be stale. *)
-let cache_gate = ref true
-let cache_hits = ref 0
-let cache_misses = ref 0
-let set_conversion_cache b = cache_enabled := b
-let set_cache_gate b = cache_gate := b
-let conversion_cache_enabled () = !cache_enabled
-let conversion_cache_stats () = (!cache_hits, !cache_misses)
-
-let reset_conversion_cache_stats () =
-  cache_hits := 0;
-  cache_misses := 0
 
 (* --- from/to the shared wire codec --- *)
 
@@ -277,7 +256,7 @@ let of_attrs (attrs : Bgp.Attr.t list) =
          [] attrs)
 
 (** Decode to the shared codec type (known codes only). *)
-let to_attrs_fresh set : Bgp.Attr.t list =
+let to_attrs set : Bgp.Attr.t list =
   List.filter_map
     (fun (e : t) ->
       if known e.code then
@@ -286,19 +265,6 @@ let to_attrs_fresh set : Bgp.Attr.t list =
              (Bytes.of_string e.payload))
       else None)
     set.eattrs
-
-let to_attrs set =
-  if (not !cache_enabled) || not !cache_gate then to_attrs_fresh set
-  else
-    match set.memo_attrs with
-    | Some l ->
-      incr cache_hits;
-      l
-    | None ->
-      incr cache_misses;
-      let l = to_attrs_fresh set in
-      set.memo_attrs <- Some l;
-      l
 
 (** The native encoder: each known attribute's stored payload behind its
     wire header, the extended-length bit set exactly when the payload
@@ -391,3 +357,9 @@ let origin_as set =
 
 let contains_as set asn = List.mem asn (path_asns set)
 
+(* --- perfbench entry points: no conversion cache exists (see the
+   interface) --- *)
+
+let set_conversion_cache (_ : bool) = ()
+let conversion_cache_stats () = (0, 0)
+let reset_conversion_cache_stats () = ()

@@ -15,13 +15,11 @@ type t = { code : int; flags : int; payload : string }
 (** An interned attribute set: eattrs sorted by code, unique per code,
     one physical record per distinct eattr list among live sets (a weak
     table holds them, so unreferenced sets are reclaimed). [hash] is the
-    eattrs' stored hash; the memo caches {!to_attrs} and is shared by
-    every holder of the set. *)
+    eattrs' stored hash. *)
 type set = private {
   eattrs : t list;
   path_len : int;  (** cached AS-path length *)
   hash : int;
-  mutable memo_attrs : Bgp.Attr.t list option;
 }
 
 val empty : set
@@ -33,6 +31,9 @@ val equal : set -> set -> bool
 (** Physical equality, which interning makes set equality. *)
 
 val remove_code : int -> set -> set
+(** Drop one code; ORIGIN, AS_PATH and NEXT_HOP are mandatory and stay
+    in place, as on the record-based host. *)
+
 val find_code : int -> set -> t option
 
 (** {1 Edits} — list-level rewrites. A multi-step policy step chains them
@@ -71,35 +72,13 @@ val of_attrs : Bgp.Attr.t list -> set
     code keeps its last occurrence — all as the record-based host. *)
 
 val to_attrs : set -> Bgp.Attr.t list
-(** The known attributes decoded to the shared codec form (memoized per
-    set while the conversion cache is on). *)
+(** The known attributes decoded to the shared codec form. *)
 
 val encode_known : Buffer.t -> set -> unit
 (** The native encoder: appends the wire form of the known attributes,
     each stored payload copied behind its header (extended length when
     over 255 bytes). Byte-identical to [Bgp.Attr.encode_into_buffer]
     over {!to_attrs}. *)
-
-(** {1 The conversion cache} (the BIRD-side symmetric of
-    [Attr_intern]'s) *)
-
-val set_conversion_cache : bool -> unit
-(** Enable/disable memo use (enabled by default). Existing memos are
-    kept but ignored while disabled — they can never be stale. *)
-
-val set_cache_gate : bool -> unit
-(** The attachment gate (default on), mirroring
-    [Attr_intern.set_cache_gate]: lowered by the daemon while its VMM
-    has no attachment anywhere, so the native baseline skips memo
-    bookkeeping. Memos are kept across gate flips — they can never be
-    stale. *)
-
-val conversion_cache_enabled : unit -> bool
-
-val conversion_cache_stats : unit -> int * int
-(** [(hits, misses)] since {!reset_conversion_cache_stats}. *)
-
-val reset_conversion_cache_stats : unit -> unit
 
 (** {1 The xBGP adapter} — near-zero-cost TLV conversion *)
 
@@ -130,3 +109,17 @@ val prepend_as : set -> int -> set
 
 val prepend_cluster : set -> int -> set
 val append_community : set -> int -> set
+
+(** {1 Benchmark entry points}
+
+    Kept only because the repository benchmark calls them. No conversion
+    cache exists: every {!to_attrs} decodes afresh. *)
+
+val set_conversion_cache : bool -> unit
+(** Ignored. *)
+
+val conversion_cache_stats : unit -> int * int
+(** Always [(0, 0)]: there are no cache hits or misses to count. *)
+
+val reset_conversion_cache_stats : unit -> unit
+(** Does nothing. *)

@@ -965,9 +965,6 @@ let attachments t point =
 let has_attachment t point =
   Array.length t.chains.(Api.point_index point) > 0
 
-let has_any_attachment t =
-  Array.exists (fun chain -> Array.length chain > 0) t.chains
-
 (* True when every bytecode attached at [point] provably computes the
    same result for every element of a batch whose members differ only in
    [variant_args]: no effectful helpers or persistent scratch, every

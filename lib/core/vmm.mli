@@ -162,11 +162,6 @@ val attachments : t -> Api.point -> (string * string * int) list
 
 val has_attachment : t -> Api.point -> bool
 
-val has_any_attachment : t -> bool
-(** True when any point has at least one attachment — the hosts gate
-    their conversion caches on this so the pure-native baseline pays
-    for no memoization it can never use. *)
-
 val registered : t -> string list
 
 val batch_invariant : t -> Api.point -> variant_args:int list -> bool

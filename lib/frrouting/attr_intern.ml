@@ -31,10 +31,6 @@ type t = {
   extra : (int * int * string) list;
       (** (code, flags, payload) of non-standard attributes, sorted by
           code — the attribute API added for xBGP *)
-  uid : int;
-      (** unique id assigned at intern time (0 = not interned) — the
-          cheap conversion-cache key, so a memo lookup costs an int hash
-          instead of a full-structure traversal *)
 }
 
 let empty =
@@ -51,7 +47,6 @@ let empty =
     originator_id = None;
     cluster_list = [];
     extra = [];
-    uid = 0;
   }
 
 (* --- interning --- *)
@@ -104,8 +99,7 @@ module Interned_tbl = Hashtbl.Make (struct
 end)
 
 (* Semantic equality for the intern table: every field except the
-   derived [as_path_len] and the identity [uid] (a record built with
-   [{ canonical with ... }] carries its source's uid until interned). *)
+   derived [as_path_len]. *)
 let semantic_equal a b =
   a.origin = b.origin && a.next_hop = b.next_hop && a.med = b.med
   && a.local_pref = b.local_pref && a.atomic = b.atomic
@@ -124,94 +118,17 @@ module Table = Hashtbl.Make (struct
 end)
 
 let intern_table : t Table.t = Table.create 4096
-let uid_counter = ref 0
 
 let intern raw =
   let raw = { raw with as_path_len = Bgp.Attr.as_path_length raw.as_path } in
   match Table.find_opt intern_table raw with
   | Some canonical -> canonical
   | None ->
-    incr uid_counter;
-    let raw = { raw with uid = !uid_counter } in
     Table.add intern_table raw raw;
     raw
 
-(* --- the conversion cache ---
-
-   Every crossing of the xBGP boundary rebuilds the neutral TLV form
-   from this record (the paper's FRR-side conversion cost). But interned
-   records are immutable and canonical — one physical record per
-   attribute value — so the conversion is a pure function of the
-   record's identity and can be memoized per canonical record: thousands
-   of routes sharing one interned set pay for one conversion.
-
-   The memo is keyed by the [uid] assigned at intern time — a cheap int
-   key, where hashing the record itself would traverse the whole AS path
-   on every lookup and cost more than the conversion it saves. A
-   mutation API ([set_tlv]/[remove]/[prepend_as]) re-interns and returns
-   a record with its own uid, so a memoized conversion can never be
-   observed stale. The mutation APIs still invalidate their result's
-   entry explicitly: a freshly mutated set's next conversion is always
-   recomputed from the post-mutation value rather than served from a
-   previous life of the same canonical record. *)
-
-type memo = {
-  mutable m_attrs : Bgp.Attr.t list option;  (** [to_attrs] result *)
-  mutable m_tlvs : (int * bytes) list;
-      (** neutral TLVs converted so far, lazily per requested code —
-          converting every present attribute up front would charge one
-          [get_tlv] for the whole set (an AS-path conversion to answer a
-          MED probe), which is slower than no cache at all for
-          extensions that only probe one or two attributes *)
-}
-
-let memo_capacity = 65536
-let memo_tbl : (int, memo) Hashtbl.t = Hashtbl.create 4096
-let cache_enabled = ref true
-let cache_hits = ref 0
-let cache_misses = ref 0
-
-(* The daemon drives this from [Vmm.has_any_attachment]: with no
-   extension attached nothing ever probes a TLV, so the native baseline
-   must not pay for memo bookkeeping it can never use (the native-speedup
-   regression in EXPERIMENTS.md E17). Unlike [set_conversion_cache], flipping
-   the gate keeps the memo table — a detach/re-attach cycle restarts
-   warm. *)
-let cache_gate = ref true
-
-let set_conversion_cache b =
-  cache_enabled := b;
-  if not b then Hashtbl.reset memo_tbl
-
-let set_cache_gate b = cache_gate := b
-let conversion_cache_enabled () = !cache_enabled
-let conversion_cache_stats () = (!cache_hits, !cache_misses)
-
-let reset_conversion_cache_stats () =
-  cache_hits := 0;
-  cache_misses := 0
-
-let invalidate_conversion t = if t.uid <> 0 then Hashtbl.remove memo_tbl t.uid
-
-let memo_for t =
-  match Hashtbl.find_opt memo_tbl t.uid with
-  | Some m -> m
-  | None ->
-    (* cap the table rather than tracking LRU: a reset costs one full
-       reconversion wave, reaching the cap at all means the workload has
-       more live attribute sets than any of our scenarios *)
-    if Hashtbl.length memo_tbl >= memo_capacity then Hashtbl.reset memo_tbl;
-    let m = { m_attrs = None; m_tlvs = [] } in
-    Hashtbl.add memo_tbl t.uid m;
-    m
-
 let intern_table_size () = Table.length intern_table
-
-let reset_intern_table () =
-  Table.reset intern_table;
-  (* uids are never recycled (the counter is global), but the memos of
-     the dropped generation are dead weight — free them *)
-  Hashtbl.reset memo_tbl
+let reset_intern_table () = Table.reset intern_table
 
 (* --- conversion from/to the shared wire codec types --- *)
 
@@ -240,7 +157,7 @@ let of_attrs (attrs : Bgp.Attr.t list) =
 
 (** The known attributes, in canonical code order, ready for the native
     encoder. [extra] is deliberately *not* included (see module header). *)
-let to_attrs_fresh t : Bgp.Attr.t list =
+let to_attrs t : Bgp.Attr.t list =
   let open Bgp.Attr in
   let origin =
     match origin_of_code t.origin with Some o -> o | None -> Incomplete
@@ -262,27 +179,11 @@ let to_attrs_fresh t : Bgp.Attr.t list =
       | l -> Some (v (Cluster_list l)));
     ]
 
-let to_attrs t =
-  if (not !cache_enabled) || (not !cache_gate) || t.uid = 0 then
-    to_attrs_fresh t
-  else begin
-    let m = memo_for t in
-    match m.m_attrs with
-    | Some l ->
-      incr cache_hits;
-      l
-    | None ->
-      incr cache_misses;
-      let l = to_attrs_fresh t in
-      m.m_attrs <- Some l;
-      l
-  end
-
 (* --- the xBGP adapter: neutral TLV <-> interned record --- *)
 
 (** Fetch one attribute as a neutral TLV; requires building the wire form
     from the host representation (the FRR-side conversion cost). *)
-let get_tlv_fresh t acode =
+let get_tlv t acode =
   let of_value value = Some (Bgp.Attr.to_tlv (Bgp.Attr.v value)) in
   let open Bgp.Attr in
   if acode = code_origin then
@@ -319,41 +220,6 @@ let get_tlv_fresh t acode =
            (Bgp.Attr.with_flags flags (Unknown { code = c; payload = p })))
     | None -> None
 
-(* Absence is answered from the record fields without touching the memo:
-   probing for an attribute a route does not carry is the common case
-   (an RR extension asking every transit route for its CLUSTER_LIST) and
-   costs nothing in the host representation. *)
-let has_code t acode =
-  let open Bgp.Attr in
-  acode = code_origin || acode = code_as_path || acode = code_next_hop
-  || (acode = code_med && t.med <> None)
-  || (acode = code_local_pref && t.local_pref <> None)
-  || (acode = code_atomic_aggregate && t.atomic)
-  || (acode = code_aggregator && t.aggregator <> None)
-  || (acode = code_communities && t.communities <> [])
-  || (acode = code_originator_id && t.originator_id <> None)
-  || (acode = code_cluster_list && t.cluster_list <> [])
-  || List.exists (fun (c, _, _) -> c = acode) t.extra
-
-let get_tlv t acode =
-  if (not !cache_enabled) || (not !cache_gate) || t.uid = 0 then
-    get_tlv_fresh t acode
-  else if not (has_code t acode) then None
-  else begin
-    let m = memo_for t in
-    match List.assoc_opt acode m.m_tlvs with
-    | Some tlv ->
-      incr cache_hits;
-      (* callers must treat the returned TLV as read-only (the VMM
-         copies it into VM memory before the extension can touch it) *)
-      Some tlv
-    | None ->
-      incr cache_misses;
-      let tlv = get_tlv_fresh t acode in
-      Option.iter (fun v -> m.m_tlvs <- (acode, v) :: m.m_tlvs) tlv;
-      tlv
-  end
-
 (** Install/replace an attribute from its neutral TLV; parses the wire
     form, updates the record and re-interns. @raise Bgp.Attr.Parse_error *)
 let set_tlv t tlv =
@@ -378,11 +244,7 @@ let set_tlv t tlv =
       in
       { t with extra = List.sort Stdlib.compare extra }
   in
-  let t' = intern t in
-  (* explicit invalidation: the mutated set's next conversion is always
-     recomputed from the post-mutation value *)
-  invalidate_conversion t';
-  t'
+  intern t
 
 let remove t acode =
   let open Bgp.Attr in
@@ -396,9 +258,7 @@ let remove t acode =
     else if acode = code_cluster_list then { t with cluster_list = [] }
     else { t with extra = List.filter (fun (c, _, _) -> c <> acode) t.extra }
   in
-  let t' = intern t in
-  invalidate_conversion t';
-  t'
+  intern t
 
 let has_extra t code = List.exists (fun (c, _, _) -> c = code) t.extra
 
@@ -412,6 +272,11 @@ let origin_as t = Bgp.Attr.as_path_origin t.as_path
 let contains_as t asn = List.mem asn (Bgp.Attr.as_path_asns t.as_path)
 
 let prepend_as t asn =
-  let t' = intern { t with as_path = Bgp.Attr.as_path_prepend asn t.as_path } in
-  invalidate_conversion t';
-  t'
+  intern { t with as_path = Bgp.Attr.as_path_prepend asn t.as_path }
+
+(* --- perfbench entry points: no conversion cache exists (see the
+   interface) --- *)
+
+let set_conversion_cache (_ : bool) = ()
+let conversion_cache_stats () = (0, 0)
+let reset_conversion_cache_stats () = ()

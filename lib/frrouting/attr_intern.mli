@@ -27,11 +27,6 @@ type t = {
   cluster_list : int list;
   extra : (int * int * string) list;
       (** (code, flags, payload) of non-standard attributes, sorted *)
-  uid : int;
-      (** unique id assigned at intern time (0 = not interned) — the
-          conversion-cache key; records built with [{ t with ... }] keep
-          their source's uid until re-interned, and the cache ignores
-          uid 0 *)
 }
 
 val empty : t
@@ -61,52 +56,17 @@ val to_attrs : t -> Bgp.Attr.t list
 (** {1 The xBGP adapter} — neutral TLV <-> interned record *)
 
 val get_tlv : t -> int -> bytes option
-(** Fetch one attribute as a neutral TLV (builds the wire form from the
-    host representation — the FRR-side conversion cost). Probing for an
-    absent attribute is answered from the record fields for free; with
-    the conversion cache enabled each present attribute's TLV is built
-    once per canonical record (lazily, per requested code) and served
-    from the memo after that. The returned bytes are shared and must be
-    treated as read-only. *)
-
-(** {2 The conversion cache}
-
-    Interned records are immutable and canonical, so interned-set ->
-    neutral-TLV conversion is a pure function of the record's physical
-    identity; the cache memoizes {!to_attrs} and the {!get_tlv} snapshot
-    per canonical record. The mutation APIs ({!set_tlv}, {!remove},
-    {!prepend_as}) invalidate their result's entry explicitly, and
-    {!reset_intern_table} drops the whole cache. *)
-
-val set_conversion_cache : bool -> unit
-(** Enable/disable the memo (enabled by default). Disabling clears it,
-    so re-enabling starts cold — what the bench ablation and the fuzz
-    force-on/off runs use. *)
-
-val set_cache_gate : bool -> unit
-(** The attachment gate (default on): the daemon lowers it while its
-    VMM has no attachment anywhere, so the pure-native baseline never
-    pays for memo bookkeeping no extension can read. Composes with
-    {!set_conversion_cache} (the memo runs only when both are on);
-    unlike it, flipping the gate keeps the memo table, so a
-    detach/re-attach cycle restarts warm. *)
-
-val conversion_cache_enabled : unit -> bool
-
-val conversion_cache_stats : unit -> int * int
-(** [(hits, misses)] since the last {!reset_conversion_cache_stats}. *)
-
-val reset_conversion_cache_stats : unit -> unit
-
-val invalidate_conversion : t -> unit
-(** Drop the memo entry for one record (mutation APIs call this on their
-    result; exposed for hosts with out-of-band mutations). *)
+(** Fetch one attribute as a neutral TLV, built from the host
+    representation on every call — the FRR-side conversion cost. *)
 
 val set_tlv : t -> bytes -> t
 (** Install/replace an attribute from its TLV; parses, updates the record
     and re-interns. @raise Bgp.Attr.Parse_error *)
 
 val remove : t -> int -> t
+(** Drop one attribute and re-intern; ORIGIN, AS_PATH and NEXT_HOP are
+    mandatory and stay in place. *)
+
 val has_extra : t -> int -> bool
 
 (** {1 Policy / decision accessors} *)
@@ -117,3 +77,17 @@ val neighbor_as : t -> int
 val origin_as : t -> int option
 val contains_as : t -> int -> bool
 val prepend_as : t -> int -> t
+
+(** {1 Benchmark entry points}
+
+    Kept only because the repository benchmark calls them. No conversion
+    cache exists: every {!to_attrs} and {!get_tlv} converts afresh. *)
+
+val set_conversion_cache : bool -> unit
+(** Ignored. *)
+
+val conversion_cache_stats : unit -> int * int
+(** Always [(0, 0)]: there are no cache hits or misses to count. *)
+
+val reset_conversion_cache_stats : unit -> unit
+(** Does nothing. *)

@@ -39,7 +39,6 @@ module Repr = struct
     | exception Bgp.Attr.Parse_error _ -> None
 
   let remove = Attr_intern.remove
-  let set_cache_gate = Attr_intern.set_cache_gate
 
   let local_pref = Attr_intern.local_pref_or_default
   let as_path_len (a : attrs) = a.as_path_len

@@ -558,22 +558,11 @@ let run_fabric_leg (c : Cg.case) (knobs : Cg.knobs) ~fconfig ~with_transit :
     tail = Obs.Recorder.tail_lines ~n:12 ~prefix:"    " rc;
   }
 
-(* The conversion caches are process-wide: each leg sets them from its
-   own knobs and puts back whatever setting it found. *)
 let run_leg (c : Cg.case) (knobs : Cg.knobs) : leg =
-  let frr = Frrouting.Attr_intern.conversion_cache_enabled ()
-  and bird = Bird.Eattr.conversion_cache_enabled () in
-  Fun.protect
-    ~finally:(fun () ->
-      Frrouting.Attr_intern.set_conversion_cache frr;
-      Bird.Eattr.set_conversion_cache bird)
-    (fun () ->
-      Frrouting.Attr_intern.set_conversion_cache knobs.caches;
-      Bird.Eattr.set_conversion_cache knobs.caches;
-      match c.topology with
-      | Cg.Star { npeers } -> run_star_leg c knobs ~npeers
-      | Cg.Fabric { fconfig; with_transit } ->
-        run_fabric_leg c knobs ~fconfig ~with_transit)
+  match c.topology with
+  | Cg.Star { npeers } -> run_star_leg c knobs ~npeers
+  | Cg.Fabric { fconfig; with_transit } ->
+    run_fabric_leg c knobs ~fconfig ~with_transit
 
 (* --- grid equivalence --- *)
 

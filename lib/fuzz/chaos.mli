@@ -44,9 +44,7 @@ val phase_budget_us : int
 (** Simulated-time convergence budget per phase (60 s). *)
 
 val run_leg : Config_gen.case -> Config_gen.knobs -> leg
-(** Run one case under one knob leg. The leg sets the process-wide
-    conversion caches from its knobs and restores the setting it found,
-    also when it raises. *)
+(** Run one case under one knob leg. *)
 
 val run_case :
   ?perturb:bool ->

@@ -2,9 +2,9 @@
 
    A chaos case is a random point in the configuration matrix the
    daemons actually ship: host implementation x eBPF execution engine x
-   conversion caches x batched updates x update groups x telemetry /
-   span sampling x extension chain x topology — plus a seeded fault
-   schedule to run against it. Like {!Gen}, everything is a pure
+   batched updates x update groups x telemetry / span sampling x
+   extension chain x topology — plus a seeded fault schedule to run
+   against it. Like {!Gen}, everything is a pure
    function of (master seed, case index), so the shrinker and the
    replay file only ever need to record those two integers plus kept
    indices.
@@ -21,7 +21,6 @@ module Prng = Dataset.Prng
 type knobs = {
   host : Scenario.Testbed.host;
   engine : Ebpf.Vm.engine;
-  caches : bool;  (** both hosts' attribute conversion caches *)
   batch_updates : bool;
   update_groups : bool;
   telemetry : bool;  (** histograms and spans (counters always count) *)
@@ -99,9 +98,8 @@ let topology_name = function
   | Fabric { fconfig = `Xbgp; _ } -> "fabric_xbgp"
 
 let pp_knobs ppf k =
-  Fmt.pf ppf "%s/%s caches%c batch%c groups%c tel%c s%d" (host_name k.host)
+  Fmt.pf ppf "%s/%s batch%c groups%c tel%c s%d" (host_name k.host)
     (Ebpf.Vm.engine_name k.engine)
-    (if k.caches then '+' else '-')
     (if k.batch_updates then '+' else '-')
     (if k.update_groups then '+' else '-')
     (if k.telemetry then '+' else '-')
@@ -125,16 +123,18 @@ let next_engine e =
   let rec idx i = if engines.(i) = e || i = n - 1 then i else idx (i + 1) in
   engines.((idx 0 + 1) mod n)
 
+(* The draw order is part of the case: changing it gives every
+   (seed, index) other knobs and breaks older chaos reproducers. *)
 let gen_knobs rng =
-  {
-    host = Prng.choose rng hosts;
-    engine = Prng.choose rng engines;
-    caches = Prng.bool rng;
-    batch_updates = Prng.bool rng;
-    update_groups = Prng.bool rng;
-    telemetry = Prng.bool rng;
-    span_sampling = Prng.choose rng [| 1; 1; 4; 16 |];
-  }
+  let span_sampling = Prng.choose rng [| 1; 1; 4; 16 |] in
+  let telemetry = Prng.bool rng in
+  let update_groups = Prng.bool rng in
+  let batch_updates = Prng.bool rng in
+  (* a retired knob's draw, kept so older reproducers still replay *)
+  ignore (Prng.bool rng : bool);
+  let engine = Prng.choose rng engines in
+  let host = Prng.choose rng hosts in
+  { host; engine; batch_updates; update_groups; telemetry; span_sampling }
 
 (* Leg 1 crosses the host (the classic differential); leg 2 moves to the
    next engine and flips every boolean knob at once (any pairwise
@@ -146,7 +146,6 @@ let grid_of rng base =
     {
       base with
       engine = next_engine base.engine;
-      caches = not base.caches;
       batch_updates = not base.batch_updates;
       update_groups = not base.update_groups;
       telemetry = not base.telemetry;

@@ -1,5 +1,5 @@
 (** Seeded generation of chaos-campaign configuration points: random
-    points in the shipped configuration matrix (host x engine x caches x
+    points in the shipped configuration matrix (host x engine x
     batching x update groups x telemetry x extension chain x topology)
     plus a seeded fault schedule to run against each point.
 
@@ -11,7 +11,6 @@
 type knobs = {
   host : Scenario.Testbed.host;
   engine : Ebpf.Vm.engine;
-  caches : bool;  (** both hosts' attribute conversion caches *)
   batch_updates : bool;
   update_groups : bool;
   telemetry : bool;  (** histograms and spans (counters always count) *)

@@ -58,9 +58,8 @@ module type REPR = sig
   (** [None] on a TLV the host cannot parse. *)
 
   val remove : attrs -> int -> attrs
-
-  val set_cache_gate : bool -> unit
-  (** The host's conversion-cache attachment gate. *)
+  (** ORIGIN, AS_PATH and NEXT_HOP are mandatory: removing one is a
+      no-op on both hosts. *)
 
   (** {1 Decision-view reads} *)
 
@@ -464,9 +463,9 @@ module Make (R : REPR) :
             current [learn_routes] batch: (route record, {!map_epoch} after
             the run, result). Empty outside a batch. *)
     mutable memo_on : bool;  (** a memoizing batch is in progress *)
-    mutable gate_gen : int;
-        (** {!Xbgp.Vmm.generation} at the last conversion-cache gate sync;
-            -1 forces the first dispatch to sync *)
+    mutable chain_gen : int;
+        (** {!Xbgp.Vmm.generation} at the last dispatch; -1 makes the
+            first dispatch invalidate the incumbent fast path *)
     prov : (Bgp.Prefix.t * int, Obs.Provenance.t) Hashtbl.t;
         (** import half of the provenance record, keyed by (prefix, source
             peer index; -1 = local). Decision disposal is computed on
@@ -560,34 +559,22 @@ module Make (R : REPR) :
     in
     go 0
 
-  (* Keep the global conversion-cache gate in sync with whether any
-     extension is attached — one integer compare per dispatch. Without
-     it the pure-native baseline slowed down, paying for memo
-     bookkeeping nothing could ever read; with
-     the gate lowered while no attachment exists, the baseline converts
-     exactly as it did before the cache existed. Instances sharing the
-     global cache re-assert their own state here, so the last dispatcher
-     wins — correct because conversions happen inside the asserting
-     instance's processing window. *)
-  let refresh_cache_gate t =
+  (* A chain change may alter the BGP_DECISION behaviour hidden inside
+     the Loc-RIB's compare closure: drop the incumbent fast path until
+     each prefix has re-selected in full. One integer compare per
+     dispatch. *)
+  let invalidate_best_on_chain_change t =
     let gen = match t.vmm with Some v -> Xbgp.Vmm.generation v | None -> 0 in
-    if gen <> t.gate_gen then begin
-      R.set_cache_gate
-        (match t.vmm with
-        | Some v -> Xbgp.Vmm.has_any_attachment v
-        | None -> false);
-      (* a chain change may alter the BGP_DECISION behaviour hidden inside
-         the Loc-RIB's compare closure: drop the incumbent fast path until
-         each prefix has re-selected in full *)
+    if gen <> t.chain_gen then begin
       Rib.Loc_rib.invalidate_best t.loc;
-      t.gate_gen <- gen
+      t.chain_gen <- gen
     end
 
   let map_epoch t =
     match t.vmm with Some v -> Xbgp.Vmm.map_writes v | None -> 0
 
   let vmm_run t point ~ops ~args ~default =
-    refresh_cache_gate t;
+    invalidate_best_on_chain_change t;
     match t.vmm with
     | None -> default ()
     | Some vmm -> Xbgp.Vmm.run vmm point ~ops ~args ~default
@@ -1597,7 +1584,7 @@ module Make (R : REPR) :
         export_batchable = false;
         export_memo = [||];
         memo_on = false;
-        gate_gen = -1;
+        chain_gen = -1;
         prov = Hashtbl.create 64;
         last_prov = Hashtbl.create 16;
         recorder = None;

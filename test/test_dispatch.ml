@@ -1,6 +1,6 @@
-(* The dispatch fast path: conversion-cache equivalence (cached and
-   fresh conversions must be indistinguishable, for both hosts and under
-   mutation), batch-invariance analysis (which import chains may legally
+(* The dispatch fast path: conversions after edits (an edited set must
+   convert exactly as the same value rebuilt from scratch, for both
+   hosts), batch-invariance analysis (which import chains may legally
    share one dispatch across an UPDATE's NLRI), batched NLRI processing
    (a K-prefix UPDATE must leave exactly the state of K single-prefix
    UPDATEs), and span sampling (counters exact, spans 1-in-N). *)
@@ -48,8 +48,9 @@ let gen_attr_list =
                            (fun cl -> Bgp.Attr.Cluster_list cl)
                            (list_size (int_range 1 3) gen_u32)))))))))
 
-(* a mutation: install/replace an attribute, remove an optional one, or
-   prepend to the AS path — the three cache-invalidation paths *)
+(* a mutation: install/replace an attribute, remove one (a mandatory
+   code stays in place on both hosts), or prepend to the AS path — the
+   three edit paths *)
 type mutation =
   | Set of Bgp.Attr.t
   | Remove of int
@@ -71,6 +72,8 @@ let gen_mutation =
           (oneofl
              Bgp.Attr.
                [
+                 code_origin;
+                 code_next_hop;
                  code_med;
                  code_local_pref;
                  code_communities;
@@ -98,117 +101,55 @@ let all_codes =
       code_cluster_list;
     ]
 
-(* --- FRR cache equivalence -------------------------------------- *)
+(* --- edited = rebuilt conversions -------------------------------- *)
 
-(* every xBGP-boundary conversion the record supports, as comparable
-   strings (the returned bytes are shared, so copy) *)
-let observe_frr t =
-  ( Frrouting.Attr_intern.to_attrs t,
+(* Every xBGP-visible conversion of a set: the native encoding and each
+   code's TLV, as comparable strings. *)
+let observe ~encode ~get_tlv t =
+  let buf = Buffer.create 64 in
+  encode buf t;
+  ( Buffer.contents buf,
     List.filter_map
-      (fun c ->
-        Option.map
-          (fun b -> (c, Bytes.to_string b))
-          (Frrouting.Attr_intern.get_tlv t c))
+      (fun c -> Option.map (fun b -> (c, Bytes.to_string b)) (get_tlv t c))
       all_codes )
 
-let apply_frr t = function
-  | Set a -> Frrouting.Attr_intern.set_tlv t (Bgp.Attr.to_tlv a)
-  | Remove c -> Frrouting.Attr_intern.remove t c
-  | Prepend asn -> Frrouting.Attr_intern.prepend_as t asn
+(* After the build and after every mutation, the set must convert as the
+   same value rebuilt with [of_attrs (to_attrs t)]: no edit path may
+   leave state a fresh decode would not. *)
+let edited_matches_rebuilt ~of_attrs ~to_attrs ~apply ~observe (attrs, muts) =
+  let agrees t = observe t = observe (of_attrs (to_attrs t)) in
+  let t0 = of_attrs attrs in
+  agrees t0
+  && snd
+       (List.fold_left
+          (fun (t, ok) m ->
+            let t' = apply t m in
+            (t', ok && agrees t'))
+          (t0, true) muts)
 
-(* run the whole build+mutate sequence, observing all conversions twice
-   after every step (the second observation exercises the warm path) *)
-let trace_frr ~cache (attrs, muts) =
-  Frrouting.Attr_intern.set_conversion_cache cache;
-  Fun.protect
-    ~finally:(fun () -> Frrouting.Attr_intern.set_conversion_cache true)
-    (fun () ->
-      let t0 = Frrouting.Attr_intern.of_attrs attrs in
-      let acc = ref [ observe_frr t0; observe_frr t0 ] in
-      let _final =
-        List.fold_left
-          (fun t m ->
-            let t' = apply_frr t m in
-            acc := observe_frr t' :: observe_frr t' :: !acc;
-            t')
-          t0 muts
-      in
-      List.rev !acc)
-
-let prop_frr_cache_equiv =
-  QCheck2.Test.make ~count:300 ~name:"frr cached = fresh conversions"
+let prop_frr_edited =
+  let module A = Frrouting.Attr_intern in
+  QCheck2.Test.make ~count:300 ~name:"frr edited = rebuilt conversions"
     gen_case
-    (fun case -> trace_frr ~cache:true case = trace_frr ~cache:false case)
+    (edited_matches_rebuilt ~of_attrs:A.of_attrs ~to_attrs:A.to_attrs
+       ~apply:(fun t -> function
+         | Set a -> A.set_tlv t (Bgp.Attr.to_tlv a)
+         | Remove c -> A.remove t c
+         | Prepend asn -> A.prepend_as t asn)
+       ~observe:
+         (observe ~get_tlv:A.get_tlv ~encode:(fun buf t ->
+              List.iter (Bgp.Attr.encode_into_buffer buf) (A.to_attrs t))))
 
-(* --- BIRD cache equivalence ------------------------------------- *)
-
-let observe_bird s =
-  ( Bird.Eattr.to_attrs s,
-    (let buf = Buffer.create 64 in
-     Bird.Eattr.encode_known buf s;
-     Buffer.contents buf),
-    List.filter_map
-      (fun c ->
-        Option.map (fun b -> (c, Bytes.to_string b)) (Bird.Eattr.get_tlv s c))
-      all_codes )
-
-let apply_bird s = function
-  | Set a -> Bird.Eattr.set_tlv s (Bgp.Attr.to_tlv a)
-  | Remove c -> Bird.Eattr.remove_code c s
-  | Prepend asn -> Bird.Eattr.prepend_as s asn
-
-let trace_bird ~cache (attrs, muts) =
-  Bird.Eattr.set_conversion_cache cache;
-  Fun.protect
-    ~finally:(fun () -> Bird.Eattr.set_conversion_cache true)
-    (fun () ->
-      let s0 = Bird.Eattr.of_attrs attrs in
-      let acc = ref [ observe_bird s0; observe_bird s0 ] in
-      let _final =
-        List.fold_left
-          (fun s m ->
-            let s' = apply_bird s m in
-            acc := observe_bird s' :: observe_bird s' :: !acc;
-            s')
-          s0 muts
-      in
-      List.rev !acc)
-
-let prop_bird_cache_equiv =
-  QCheck2.Test.make ~count:300 ~name:"bird cached = fresh conversions"
+let prop_bird_edited =
+  let module E = Bird.Eattr in
+  QCheck2.Test.make ~count:300 ~name:"bird edited = rebuilt conversions"
     gen_case
-    (fun case -> trace_bird ~cache:true case = trace_bird ~cache:false case)
-
-(* the memo actually serves warm probes (otherwise the equivalence
-   property would pass vacuously with a cache that never engages) *)
-let test_cache_hits () =
-  Frrouting.Attr_intern.set_conversion_cache true;
-  Frrouting.Attr_intern.reset_intern_table ();
-  let t =
-    Frrouting.Attr_intern.of_attrs
-      Bgp.Attr.
-        [
-          v (Origin Igp);
-          v (As_path [ Seq [ 65001; 65002 ] ]);
-          v (Next_hop 0x0A000001);
-          v (Communities [ 1; 2; 3 ]);
-        ]
-  in
-  Frrouting.Attr_intern.reset_conversion_cache_stats ();
-  for _ = 1 to 10 do
-    ignore (Frrouting.Attr_intern.get_tlv t Bgp.Attr.code_as_path);
-    ignore (Frrouting.Attr_intern.get_tlv t Bgp.Attr.code_communities)
-  done;
-  let hits, misses = Frrouting.Attr_intern.conversion_cache_stats () in
-  check_int "one miss per distinct code" 2 misses;
-  check_int "warm probes hit" 18 hits;
-  (* absent attributes are answered from the record, not the memo *)
-  Frrouting.Attr_intern.reset_conversion_cache_stats ();
-  ignore (Frrouting.Attr_intern.get_tlv t Bgp.Attr.code_med);
-  check
-    (Alcotest.pair Alcotest.int Alcotest.int)
-    "absent probe touches no memo" (0, 0)
-    (Frrouting.Attr_intern.conversion_cache_stats ())
+    (edited_matches_rebuilt ~of_attrs:E.of_attrs ~to_attrs:E.to_attrs
+       ~apply:(fun s -> function
+         | Set a -> E.set_tlv s (Bgp.Attr.to_tlv a)
+         | Remove c -> E.remove_code c s
+         | Prepend asn -> E.prepend_as s asn)
+       ~observe:(observe ~get_tlv:E.get_tlv ~encode:E.encode_known))
 
 (* --- batch-invariance analysis ---------------------------------- *)
 
@@ -929,27 +870,6 @@ let test_add_attr_hosts_agree () =
         (List.length tagged))
     [ (0xC0, 4); (0x80, 4); (0xC0, 3) ]
 
-(* --- differential oracle under forced cache settings ------------- *)
-
-(* the same seed-pinned campaign must be clean with the conversion
-   caches forced on and forced off: the cache can never change the
-   xBGP-visible state either host exposes *)
-let test_oracle_caches () =
-  let campaign ~caches =
-    Frrouting.Attr_intern.set_conversion_cache caches;
-    Bird.Eattr.set_conversion_cache caches;
-    Fun.protect
-      ~finally:(fun () ->
-        Frrouting.Attr_intern.set_conversion_cache true;
-        Bird.Eattr.set_conversion_cache true)
-      (fun () -> Fuzz.Engine.campaign ~seed:21 ~cases:25 ())
-  in
-  let on = campaign ~caches:true in
-  check_int "caches on: no divergences" 0 (List.length on.Fuzz.Engine.results);
-  let off = campaign ~caches:false in
-  check_int "caches off: no divergences" 0
-    (List.length off.Fuzz.Engine.results)
-
 (* --- span sampling ----------------------------------------------- *)
 
 let test_span_sampling () =
@@ -1005,12 +925,7 @@ let test_span_sampling () =
 let () =
   Alcotest.run "dispatch"
     [
-      ( "conversion-cache",
-        [
-          qc prop_frr_cache_equiv;
-          qc prop_bird_cache_equiv;
-          Alcotest.test_case "memo engages" `Quick test_cache_hits;
-        ] );
+      ("conversion", [ qc prop_frr_edited; qc prop_bird_edited ]);
       ( "batch-invariance",
         [
           Alcotest.test_case "chain analysis" `Quick test_batch_invariant;
@@ -1051,10 +966,6 @@ let () =
             test_lddw_export;
           Alcotest.test_case "add_attr: hosts agree" `Quick
             test_add_attr_hosts_agree;
-        ] );
-      ( "fuzz-oracle",
-        [
-          Alcotest.test_case "caches forced on/off" `Slow test_oracle_caches;
         ] );
       ( "telemetry",
         [ Alcotest.test_case "span sampling" `Quick test_span_sampling ] );

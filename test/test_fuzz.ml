@@ -231,42 +231,25 @@ let test_chaos_gen_stable () =
       ( (42, 17),
         [ "flap:1" ],
         [
-          "frr/interpreted caches- batch- groups- tel+ s1";
-          "bird/interpreted caches- batch- groups- tel+ s1";
-          "frr/block caches+ batch+ groups+ tel- s8";
+          "frr/interpreted batch- groups- tel+ s1";
+          "bird/interpreted batch- groups- tel+ s1";
+          "frr/block batch+ groups+ tel- s8";
         ] );
       ( (7, 0),
         [ "roa_swap"; "midfail:4" ],
         [
-          "bird/interpreted caches+ batch+ groups- tel- s16";
-          "frr/interpreted caches+ batch+ groups- tel- s16";
-          "bird/block caches- batch- groups+ tel+ s1";
+          "bird/interpreted batch+ groups- tel- s16";
+          "frr/interpreted batch+ groups- tel- s16";
+          "bird/block batch- groups+ tel+ s1";
         ] );
       ( (7, 3),
         [ "midfail:4"; "rechain:igp_filter" ],
         [
-          "frr/block caches+ batch- groups- tel- s1";
-          "bird/block caches+ batch- groups- tel- s1";
-          "frr/interpreted caches- batch+ groups+ tel+ s8";
+          "frr/block batch- groups- tel- s1";
+          "bird/block batch- groups- tel- s1";
+          "frr/interpreted batch+ groups+ tel+ s8";
         ] );
     ]
-
-(* every leg sets the process-wide conversion caches from its knobs; a
-   caller that forced them off must find them off afterwards *)
-let test_chaos_restores_caches () =
-  let set b =
-    Frrouting.Attr_intern.set_conversion_cache b;
-    Bird.Eattr.set_conversion_cache b
-  in
-  set false;
-  Fun.protect
-    ~finally:(fun () -> set true)
-    (fun () ->
-      ignore (Fuzz.Chaos.run_case (Fuzz.Config_gen.case ~seed:42 ~index:17));
-      check_bool "frr caches still off" false
-        (Frrouting.Attr_intern.conversion_cache_enabled ());
-      check_bool "bird caches still off" false
-        (Bird.Eattr.conversion_cache_enabled ()))
 
 let test_chaos_verdict_deterministic () =
   (* same seed => same fault schedule, same verdict, same convergence
@@ -493,7 +476,5 @@ let () =
             test_chaos_reproducer_empty_lists;
           Alcotest.test_case "gen keeps earlier cases" `Quick
             test_chaos_gen_stable;
-          Alcotest.test_case "run_case restores the caches" `Quick
-            test_chaos_restores_caches;
         ] );
     ]

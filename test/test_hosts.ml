@@ -332,6 +332,8 @@ let mandatory =
   Bgp.Attr.
     [ v (Origin Igp); v (As_path [ Seq [ 65001 ] ]); v (Next_hop 0x0A000001) ]
 
+let originator_zero = raw_tlv ~flags:0x80 ~code:9 "\000\000\000\000"
+
 let test_set_tlv_agreement () =
   let probes =
     [
@@ -343,6 +345,7 @@ let test_set_tlv_agreement () =
       ("AS_PATH cut in a segment", raw_tlv ~flags:0x40 ~code:2 "\002\002\000", false);
       ("unknown code, odd flags", raw_tlv ~flags:0x90 ~code:42 "geo", true);
       ("truncated TLV", Bytes.sub (raw_tlv ~flags:0x80 ~code:4 "\000\000\000\001") 0 6, false);
+      ("ORIGINATOR_ID 0", originator_zero, true);
     ]
   in
   List.iter
@@ -363,6 +366,62 @@ let test_set_tlv_agreement () =
       "default flags" (Some "\xC0\x08\x00\x04\001\002\003\004")
       (List.nth tlvs 8)
   | None -> Alcotest.fail "refused"
+
+(* An ORIGINATOR_ID of 0 is present, not absent: reflection keeps it
+   and the decision view reads it on both hosts. *)
+let test_reflect_agreement () =
+  let reflect (type a) (module R : Pipeline.REPR with type attrs = a) view =
+    match R.set_tlv (R.of_attrs mandatory) originator_zero with
+    | Some a ->
+      ( view (R.reflect a ~originator_id:0x0A000009 ~cluster_id:7),
+        R.originator_id a ~default:5,
+        R.reflection_loop a ~router_id:0 ~cluster_id:7 )
+    | None -> Alcotest.fail "refused"
+  in
+  let (((tlvs, _), oid, looped) as f) =
+    reflect (module Frrouting.Bgpd.Repr) Frr_obs.view
+  in
+  check_bool "both hosts agree" true
+    (f = reflect (module Bird.Bgpd.Repr) Bird_obs.view);
+  check
+    Alcotest.(option string)
+    "ORIGINATOR_ID 0 kept" (Some "\x80\x09\x00\x04\000\000\000\000")
+    (List.nth tlvs 9);
+  check Alcotest.int "decision view" 0 oid;
+  check_bool "router id 0 loops" true looped
+
+(* Prepending onto a full AS_SEQUENCE (255 ASNs, the one-byte wire
+   count) must start a new segment on both hosts. *)
+let test_prepend_full_segment () =
+  let path = List.init 255 (fun i -> 65000 + i) in
+  let attrs =
+    Bgp.Attr.
+      [ v (Origin Igp); v (As_path [ Seq path ]); v (Next_hop 0x0A000001) ]
+  in
+  let canon (type a) (module R : Pipeline.REPR with type attrs = a) view =
+    view
+      (R.canonicalize_ebgp (R.of_attrs attrs) ~local_as:64512
+         ~local_addr:0x0A000002 ~strip_med:false)
+  in
+  let ((tlvs, wire) as f) = canon (module Frrouting.Bgpd.Repr) Frr_obs.view in
+  check_bool "both hosts agree" true
+    (f = canon (module Bird.Bgpd.Repr) Bird_obs.view);
+  let want = Bgp.Attr.As_path [ Seq [ 64512 ]; Seq path ] in
+  (match List.nth tlvs 2 with
+  | Some tlv ->
+    check_bool "TLV decodes to two segments" true
+      ((Bgp.Attr.of_tlv (Bytes.of_string tlv)).value = want)
+  | None -> Alcotest.fail "no AS_PATH");
+  let rec decode pos acc =
+    if pos >= String.length wire then List.rev acc
+    else
+      let a, next =
+        Bgp.Attr.decode_from (Bytes.of_string wire) pos (String.length wire)
+      in
+      decode next (a :: acc)
+  in
+  check_bool "wire encoding decodes to two segments" true
+    (List.exists (fun (a : Bgp.Attr.t) -> a.value = want) (decode 0 []))
 
 let test_of_attrs_agreement () =
   let lists =
@@ -423,9 +482,8 @@ let test_eattr_interning () =
    included. After every edit both hosts must accept the same TLVs and
    expose the same TLVs and native encoding; the BIRD-like wire-copy
    encoder must equal the codec's encoder over the decoded set; and the
-   final set must be the very set rebuilt along another path. Removals
-   skip ORIGIN, AS_PATH and NEXT_HOP, which the record-based host always
-   carries. *)
+   final set must be the very set rebuilt along another path. Removing
+   ORIGIN, AS_PATH or NEXT_HOP leaves them in place on both hosts. *)
 type edit = Set_tlv of bytes | Remove of int
 
 let gen_value =
@@ -481,7 +539,7 @@ let gen_edit =
             let t = raw_tlv ~flags:0x40 ~code "\000\000\000\001" in
             Set_tlv (Bytes.sub t 0 (min cut (Bytes.length t - 1))))
           (int_range 1 10) (int_range 0 7);
-        map (fun c -> Remove c) (oneofl [ 0; 4; 5; 6; 7; 8; 9; 10; 42 ]);
+        map (fun c -> Remove c) (oneofl (42 :: List.init 11 Fun.id));
       ])
 
 let gen_edit_case =
@@ -880,6 +938,10 @@ let () =
         [
           Alcotest.test_case "set_tlv" `Quick test_set_tlv_agreement;
           Alcotest.test_case "of_attrs" `Quick test_of_attrs_agreement;
+          Alcotest.test_case "reflect: ORIGINATOR_ID 0" `Quick
+            test_reflect_agreement;
+          Alcotest.test_case "prepend onto a full AS_SEQUENCE" `Quick
+            test_prepend_full_segment;
           qc prop_eattr_edits;
         ] );
       ( "daemon",
