@@ -1137,7 +1137,7 @@ let chaos_bench () =
   let rec_ = record "chaos" "any" in
   rec_ "campaign" "cases" (float_of_int s.cases);
   rec_ "campaign" "failures" (float_of_int (List.length s.failures));
-  List.iter (fun (topo, n) -> rec_ topo "cases" (float_of_int n)) s.topologies;
+  List.iter (fun (kind, n) -> rec_ kind "cases" (float_of_int n)) s.kinds;
   if s.failures <> [] then
     Printf.printf "!! %d failing case(s) — distributions below cover the \
                    passing legs only\n"

@@ -1,27 +1,32 @@
-(* The config-space chaos oracle.
+(* The fuzz campaign.
 
-   One case = one configuration point plus a fault schedule
-   ({!Config_gen}). The runner executes the SAME scenario — same
-   topology, same route feed, same faults in the same order, each event
-   settled to quiescence — once per knob grid leg, and demands:
+   One case = one configuration point plus a fault schedule, hostile
+   frames and raw eBPF programs ({!Config_gen}). The runner executes the
+   SAME scenario — same topology, same route feed, same faults in the
+   same order, each event settled to quiescence — once per knob grid
+   leg, and demands:
 
    (a) convergence: every phase (establish, feed, each fault, the
-       aftershock) reaches quiescence inside a simulated-time budget,
-       and every session is re-established once its faults heal;
+       hostile frames, the aftershock) reaches quiescence inside a
+       simulated-time budget, and every session is re-established once
+       its faults heal;
    (b) equivalence: the xBGP-visible routing state after every phase —
-       DUT Loc-RIB, per-sink derived adj-RIB-ins, per-router fabric
-       Loc-RIBs and ToR reachability, all in the normalized neutral
-       form — is identical on every leg of the grid, and legs that agree
-       on host and batching leave every sink a byte-identical UPDATE
-       frame stream (on star cases, grouped against per-peer export).
-       Settling between fault events makes the event history
-       knob-independent, so any difference is a real
+       DUT Loc-RIB, per-sink derived adj-RIB-ins and session states,
+       per-router fabric Loc-RIBs and ToR reachability, all in the
+       normalized neutral form — is identical on every leg of the grid,
+       and legs that agree on host and batching leave every sink a
+       byte-identical UPDATE frame stream (on star cases, grouped
+       against per-peer export). Leg 1 crosses the host, so this is the
+       FRR-vs-BIRD differential; settling between fault events makes
+       the event history knob-independent, so any difference is a real
        configuration-dependence bug;
    (c) telemetry invariants: registry counters are monotone across
        phase snapshots, no pipe leaks in-flight chunks at quiescence,
        and update groups re-merge after churn (1 group for a
        group-invariant outbound chain, one solo group per peer for a
-       peer-dependent one, 0 with grouping off).
+       peer-dependent one, 0 with grouping off);
+   (d) VM safety: each of the case's programs passes
+       {!Oracle.check_prog} (engines, VMM round trip, verifier facts).
 
    Faults restore what they break before the next phase begins, so the
    final state is a function of the configuration alone — which is what
@@ -29,23 +34,10 @@
 
 module Cg = Config_gen
 
-type cls = Convergence | Equivalence | Telemetry_oracle | Crash
+type cls = Oracle.cls = Convergence | Equivalence | Telemetry_oracle | Crash
+type finding = Oracle.finding = { cls : cls; detail : string }
 
-type finding = { cls : cls; detail : string }
-
-let cls_name = function
-  | Convergence -> "convergence"
-  | Equivalence -> "equivalence"
-  | Telemetry_oracle -> "telemetry"
-  | Crash -> "crash"
-
-let all_classes = [ Convergence; Equivalence; Telemetry_oracle; Crash ]
-let cls_of_name n = List.find_opt (fun c -> cls_name c = n) all_classes
-let pp_finding ppf f = Fmt.pf ppf "[%s] %s" (cls_name f.cls) f.detail
-let finding cls fmt = Fmt.kstr (fun s -> { cls; detail = s }) fmt
-
-let classes_of findings =
-  List.sort_uniq compare (List.map (fun f -> f.cls) findings)
+let finding = Oracle.finding
 
 (* --- per-phase observations --- *)
 
@@ -56,7 +48,8 @@ type phase = {
       (** per-daemon normalized Loc-RIB snapshots *)
   ribs : (Bgp.Prefix.t * Bgp.Attr.t list) list array;
       (** star: per-sink derived adj-RIB-ins, normalized *)
-  reach : bool list;  (** fabric: ToR-pair reachability flags *)
+  reach : bool list;
+      (** fabric: ToR-pair reachability; star: per-sink session up *)
   maps : string;
       (** star: DUT VMM map-state fingerprint ([Oracle.render_map_state]) *)
   frames : string list array;
@@ -115,6 +108,19 @@ let check_inflight ~leg telemetry =
              Cg.pp_knobs leg n pp_labels l v)
       else None)
     (Telemetry.gauges telemetry)
+
+(* A stock extension that faults falls back to native on every leg, so
+   no comparison sees it; the fault record is reported instead. *)
+let check_vmm_faults ~leg daemons =
+  List.filter_map
+    (fun (name, d) ->
+      Option.bind (Scenario.Daemon.vmm d) (fun vmm ->
+          Option.map
+            (fun r ->
+              finding Crash "[%a] %s vmm fault: %s" Cg.pp_knobs leg name
+                (Xbgp.Vmm.fault_detail r))
+            (Xbgp.Vmm.last_fault_record vmm)))
+    daemons
 
 (* --- shared leg scaffolding --- *)
 
@@ -201,10 +207,12 @@ let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers : leg =
   let telemetry = Telemetry.create ~enabled:knobs.telemetry () in
   Telemetry.set_span_sampling telemetry knobs.span_sampling;
   let vmm = build_chain_vmm ~knobs ~telemetry c.chain in
+  let rr = List.mem "route_reflector" c.chain in
   let star =
     Scenario.Star.create ~host:knobs.host ?vmm ~telemetry
       ~update_groups:knobs.update_groups ~batch_updates:knobs.batch_updates
-      ~hold_time:3 ~xtras:(star_xtras c) ~npeers ()
+      ~ibgp:rr ~rr_client:(fun _ -> rr) ~hold_time:3 ~xtras:(star_xtras c)
+      ~npeers ()
   in
   let rc = Obs.Recorder.create ~capacity:4096 ~name:"dut" () in
   Scenario.Star.attach_recorder star rc;
@@ -238,6 +246,14 @@ let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers : leg =
           Scenario.Star.sink_announce star 0 ~attrs:r.attrs [ r.prefix ])
       c.routes
   in
+  let rejoin j =
+    Scenario.Star.restart star;
+    if
+      not
+        (Scenario.Star.run_until star (fun () ->
+             Scenario.Star.all_established star))
+    then failwith (Printf.sprintf "sink %d did not re-establish" j)
+  in
   let bounce j ~mid_transfer =
     if mid_transfer then begin
       inject_extra ();
@@ -250,12 +266,7 @@ let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers : leg =
     (* hold_time is 3 s: both ends notice the dead link and close *)
     Scenario.Star.run_for star 4_000_000;
     Scenario.Star.set_link_up star j true;
-    Scenario.Star.restart star;
-    if
-      not
-        (Scenario.Star.run_until star (fun () ->
-             Scenario.Star.all_established star))
-    then failwith (Printf.sprintf "sink %d did not re-establish" j)
+    rejoin j
   in
   let apply_fault = function
     | Cg.Flap j -> bounce j ~mid_transfer:false
@@ -349,7 +360,8 @@ let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers : leg =
             ribs =
               Array.init npeers (fun i ->
                   Oracle.normalize (Scenario.Star.sink_rib star i));
-            reach = [];
+            reach =
+              List.init npeers (Scenario.Daemon.peer_established dut);
             maps =
               (match vmm with
               | Some vmm -> Oracle.render_map_state (Xbgp.Vmm.map_state vmm)
@@ -366,6 +378,30 @@ let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers : leg =
     @ List.map
         (fun fault -> (Cg.fault_name fault, fun () -> apply_fault fault))
         c.faults
+    @ (match c.frames with
+      | [] -> []
+      | frames ->
+        (* the hostile sink writes the frames 1 ms apart, whatever its
+           session thinks; the next phase re-opens whatever they closed *)
+        let j = c.hostile in
+        [
+          ( Printf.sprintf "hostile:%d" j,
+            fun () ->
+              List.iteri
+                (fun i f ->
+                  Netsim.Sched.after sched (1_000 * (i + 1)) (fun () ->
+                      Scenario.Star.sink_send_raw star j f))
+                frames );
+          ( Printf.sprintf "rejoin:%d" j,
+            fun () ->
+              if not (Scenario.Star.all_established star) then begin
+                (* a frame the DUT reads as a NOTIFICATION closes its end
+                   without a reply, and the sink's own session, which
+                   never sent it, only notices at its hold timer *)
+                Scenario.Star.run_for star 4_000_000;
+                rejoin j
+              end );
+        ])
     @ [
         ( "aftershock",
           fun () ->
@@ -403,6 +439,7 @@ let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers : leg =
             (chain=[%s])"
            Cg.pp_knobs knobs got expected_groups
            (String.concat "," c.chain));
+    List.iter note (check_vmm_faults ~leg:knobs [ ("dut", dut) ]);
     List.iter note (check_inflight ~leg:knobs telemetry)
   end;
   {
@@ -549,6 +586,7 @@ let run_fabric_leg (c : Cg.case) (knobs : Cg.knobs) ~fconfig ~with_transit :
            knobs
            (String.concat ", "
               (List.map (fun (a, b) -> a ^ "->" ^ b) unreachable)));
+    List.iter note (check_vmm_faults ~leg:knobs fab.Scenario.Fabric.daemons);
     List.iter note (check_inflight ~leg:knobs telemetry)
   end;
   {
@@ -603,7 +641,7 @@ let diff_phase ~l0 ~l1 ~frames (p0 : phase) (p1 : phase) : string list =
   let reach =
     if p0.reach <> p1.reach then
       [
-        Fmt.str "ToR reachability differs: %s=[%s] %s=[%s]" l0
+        Fmt.str "reachability / session state differs: %s=[%s] %s=[%s]" l0
           (String.concat ""
              (List.map (fun r -> if r then "1" else "0") p0.reach))
           l1
@@ -659,38 +697,48 @@ let compare_legs (base : leg) (other : leg) : finding list =
   in
   go base.phases other.phases []
 
-(* [perturb] corrupts the base leg's final snapshot — the knob the
+(* [perturb] corrupts the base leg's snapshots — the knob the
    self-tests use to prove the oracle, shrinker and replay pipeline fire
-   end to end. A map-carrying case gets its map fingerprint corrupted
-   (dropping the leading entry, the moral equivalent of losing one map
-   write), proving the map-state oracle specifically; a star case also
-   gets the first frame of its first non-empty sink stream corrupted,
-   proving the frame-stream oracle; every case also loses the head route
-   of its first Loc-RIB snapshot. *)
+   end to end, one corruption per input that can carry a failure, so
+   each one shrinks to a core of its own:
+   - the phase that loads the table ("feed" on a star, "start" on a
+     fabric) loses the head route of its first Loc-RIB snapshot, and a
+     star's first non-empty sink stream gets its first frame corrupted
+     — a star case needs one accepted route for this;
+   - the hostile-frames phase has its session states flipped;
+   - the last phase's map fingerprint loses its leading entry (the moral
+     equivalent of losing one map write), proving the map-state oracle;
+   - {!Oracle.check_prog} bumps the block engine's result. *)
 let perturb_leg (l : leg) : leg =
-  match List.rev l.phases with
-  | [] -> l
-  | last :: rest ->
-    let locs =
-      match last.locs with
-      | (name, _ :: routes) :: others -> (name, routes) :: others
-      | locs -> locs
-    in
-    let maps =
-      if last.maps = "" then last.maps
+  let last = List.length l.phases - 1 in
+  let corrupt i p =
+    let p =
+      if p.label <> "feed" && p.label <> "start" then p
       else
-        match String.index_opt last.maps ',' with
-        | Some i ->
-          (* drop the first map entry, keep the rest well-formed *)
-          String.sub last.maps (i + 1)
-            (String.length last.maps - i - 1)
-        | None -> last.maps ^ "|perturbed"
+        let frames = Array.copy p.frames in
+        (match Array.find_index (fun s -> s <> []) frames with
+        | Some s ->
+          frames.(s) <- ("!" ^ List.hd frames.(s)) :: List.tl frames.(s)
+        | None -> ());
+        match p.locs with
+        | (name, _ :: routes) :: others ->
+          { p with locs = (name, routes) :: others; frames }
+        | _ -> { p with frames }
     in
-    let frames = Array.copy last.frames in
-    (match Array.find_index (fun s -> s <> []) frames with
-    | Some i -> frames.(i) <- ("!" ^ List.hd frames.(i)) :: List.tl frames.(i)
-    | None -> ());
-    { l with phases = List.rev ({ last with locs; maps; frames } :: rest) }
+    let p =
+      if String.starts_with ~prefix:"hostile:" p.label then
+        { p with reach = List.map not p.reach }
+      else p
+    in
+    if i <> last || p.maps = "" then p
+    else
+      match String.index_opt p.maps ',' with
+      | Some k ->
+        (* drop the first map entry, keep the rest well-formed *)
+        { p with maps = String.sub p.maps (k + 1) (String.length p.maps - k - 1) }
+      | None -> { p with maps = p.maps ^ "|perturbed" }
+  in
+  { l with phases = List.mapi corrupt l.phases }
 
 let run_case ?(perturb = false) (c : Cg.case) :
     finding list * (string * int) list =
@@ -706,6 +754,7 @@ let run_case ?(perturb = false) (c : Cg.case) :
     | base :: rest -> List.concat_map (compare_legs base) rest
     | [] -> []
   in
+  let vm = List.concat (List.mapi (Oracle.check_prog ~perturb) c.progs) in
   let durations =
     match legs with
     | base :: _ -> List.map (fun p -> (p.label, p.dur_us)) base.phases
@@ -715,7 +764,7 @@ let run_case ?(perturb = false) (c : Cg.case) :
      finding as context — extending a detail keeps the finding count and
      class set exactly what shrinking and the self-tests assert on. *)
   let findings =
-    match (List.rev (leg_findings @ equiv), legs) with
+    match (List.rev (leg_findings @ equiv @ vm), legs) with
     | last :: rest, base :: _ when base.tail <> [] ->
       let text =
         String.concat "\n"
@@ -729,27 +778,16 @@ let run_case ?(perturb = false) (c : Cg.case) :
 
 (* --- shrinking --- *)
 
-(* Minimize the fault schedule and the route table together; the
-   predicate preserves the original divergence CLASS, not just "any
-   finding" — a convergence timeout must not shrink into an unrelated
-   telemetry violation. *)
+(* Minimize the case's named lists together; the predicate preserves
+   the original divergence CLASS, not just "any finding" — a convergence
+   timeout must not shrink into an unrelated telemetry violation. *)
 let shrink_case ~perturb (c : Cg.case) ~classes =
-  let still_fails dims =
-    match dims with
-    | [| faults; routes |] ->
-      let c' = Cg.restrict ~faults ~routes c in
-      let findings, _ = run_case ~perturb c' in
-      List.exists (fun f -> List.mem f.cls classes) findings
-    | _ -> assert false
+  let still_fails kept =
+    let findings, _ = run_case ~perturb (Cg.restrict kept c) in
+    List.exists (fun (f : finding) -> List.mem f.cls classes) findings
   in
-  let kept =
-    Shrink.minimize_multi ~still_fails
-      [| Shrink.indices c.faults; Shrink.indices c.routes |]
-  in
-  match kept with
-  | [| faults; routes |] ->
-    (Cg.restrict ~faults ~routes c, faults, routes)
-  | _ -> assert false
+  let kept = Shrink.minimize_multi ~still_fails (Cg.indices c) in
+  (Cg.restrict kept c, kept)
 
 (* --- the campaign --- *)
 
@@ -757,13 +795,13 @@ type failure = {
   case : Cg.case;  (** minimized *)
   findings : finding list;  (** findings of the minimized case *)
   classes : cls list;  (** divergence classes of the ORIGINAL case *)
-  repro : Replay.Chaos.t;
-  repro_path : string option;
+  repro : Replay.t;
+  repro_path : (string, string) result option;
 }
 
 type summary = {
   cases : int;
-  topologies : (string * int) list;  (** histogram, generation order *)
+  kinds : (string * int) list;  (** histogram, first-seen order *)
   failures : failure list;
   convergence : (string * int) list;
       (** (phase label, simulated us) pairs from every case's leg 0 —
@@ -771,26 +809,26 @@ type summary = {
 }
 
 let result_of ~perturb ~out (c : Cg.case) ~classes =
-  let minimized, faults, routes = shrink_case ~perturb c ~classes in
+  let minimized, kept = shrink_case ~perturb c ~classes in
   let findings, _ = run_case ~perturb minimized in
   let findings =
     if findings = [] then fst (run_case ~perturb c) else findings
   in
   let note =
-    match findings with [] -> "" | f :: _ -> Fmt.str "%a" pp_finding f
+    match findings with [] -> "" | f :: _ -> Fmt.str "%a" Oracle.pp_finding f
   in
   let repro =
     {
-      Replay.Chaos.seed = c.seed;
+      Replay.seed = c.seed;
       case_index = c.index;
+      kind = String.concat "+" (Cg.kinds c);
       perturb;
-      faults = Some faults;
-      routes = Some routes;
-      classes = List.map cls_name classes;
+      kept;
+      classes = List.map Oracle.cls_name classes;
       note;
     }
   in
-  let repro_path = Option.map (fun dir -> Replay.Chaos.save ~dir repro) out in
+  let repro_path = Option.map (fun dir -> Replay.save ~dir repro) out in
   { case = minimized; findings; classes; repro; repro_path }
 
 let campaign ?out ?(perturb = false) ?(log = fun _ -> ()) ~seed ~cases () :
@@ -805,49 +843,50 @@ let campaign ?out ?(perturb = false) ?(log = fun _ -> ()) ~seed ~cases () :
   let failures = ref [] and convergence = ref [] in
   for index = 0 to cases - 1 do
     let c = Cg.case ~seed ~index in
-    bump (Cg.topology_name c.topology);
+    List.iter bump (Cg.kinds c);
     let findings, durations = run_case ~perturb c in
     convergence := List.rev_append durations !convergence;
     (match findings with
     | [] -> ()
     | first :: _ ->
-      log (Fmt.str "FAIL %a: %a" Cg.pp_case c pp_finding first);
-      let r = result_of ~perturb ~out c ~classes:(classes_of findings) in
+      log (Fmt.str "FAIL %a: %a" Cg.pp_case c Oracle.pp_finding first);
+      let r =
+        result_of ~perturb ~out c ~classes:(Oracle.classes_of findings)
+      in
       (match r.repro_path with
-      | Some p -> log (Fmt.str "  reproducer: %s" p)
+      | Some (Ok p) -> log (Fmt.str "  reproducer: %s" p)
+      | Some (Error e) -> log (Fmt.str "  reproducer not written: %s" e)
       | None -> ());
       failures := r :: !failures);
     if (index + 1) mod 25 = 0 then
       log
-        (Fmt.str "%d/%d chaos cases, %d failing" (index + 1) cases
+        (Fmt.str "%d/%d cases, %d failing" (index + 1) cases
            (List.length !failures))
   done;
   {
     cases;
-    topologies = List.rev_map (fun n -> (n, Hashtbl.find histogram n)) !order;
+    kinds = List.rev_map (fun n -> (n, Hashtbl.find histogram n)) !order;
     failures = List.rev !failures;
     convergence = List.rev !convergence;
   }
 
 (* --- replay --- *)
 
-let replay (r : Replay.Chaos.t) =
-  match Replay.Chaos.case_of r with
+let replay (r : Replay.t) =
+  match Replay.case_of r with
   | Error e -> Error e
   | Ok c ->
     let findings, _ = run_case ~perturb:r.perturb c in
     let recorded =
-      List.filter_map cls_of_name r.classes |> List.sort_uniq compare
+      List.filter_map Oracle.cls_of_name r.classes |> List.sort_uniq compare
     in
     let reproduced =
       recorded = []
-      || List.exists (fun f -> List.mem f.cls recorded) findings
+      || List.exists (fun (f : finding) -> List.mem f.cls recorded) findings
     in
     Ok (c, findings, reproduced)
 
 let pp_summary ppf s =
-  Fmt.pf ppf "%d chaos cases (%a): %d failing"
-    s.cases
+  Fmt.pf ppf "%d cases (%a): %d failing" s.cases
     (Fmt.list ~sep:(Fmt.any ", ") (fun ppf (n, c) -> Fmt.pf ppf "%s %d" n c))
-    s.topologies
-    (List.length s.failures)
+    s.kinds (List.length s.failures)

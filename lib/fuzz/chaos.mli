@@ -1,20 +1,13 @@
-(** The config-space chaos campaign: run each {!Config_gen} case — same
-    topology, route feed and fault schedule — once per knob-grid leg,
-    and demand per-phase convergence, route-for-route equivalence across
-    the grid, and telemetry invariants (monotone counters, no leaked
-    in-flight pipe bytes, update groups re-merged after churn). *)
+(** The fuzz campaign: run each {!Config_gen} case — same topology,
+    route feed, fault schedule and hostile frames — once per knob-grid
+    leg, and demand per-phase convergence, route-for-route equivalence
+    across the grid (leg 1 crosses the host: the FRR-vs-BIRD
+    differential), telemetry invariants (monotone counters, no leaked
+    in-flight pipe bytes, update groups re-merged after churn), and the
+    VM check ({!Oracle.check_prog}) on each of the case's programs. *)
 
-type cls = Convergence | Equivalence | Telemetry_oracle | Crash
-(** Divergence classes; shrinking preserves the class, not just "some
-    finding". *)
-
-type finding = { cls : cls; detail : string }
-
-val cls_name : cls -> string
-val cls_of_name : string -> cls option
-val pp_finding : Format.formatter -> finding -> unit
-val classes_of : finding list -> cls list
-(** Distinct classes present, sorted. *)
+type cls = Oracle.cls = Convergence | Equivalence | Telemetry_oracle | Crash
+type finding = Oracle.finding = { cls : cls; detail : string }
 
 type phase = {
   label : string;
@@ -22,6 +15,7 @@ type phase = {
   locs : (string * (Bgp.Prefix.t * Bgp.Attr.t list) list) list;
   ribs : (Bgp.Prefix.t * Bgp.Attr.t list) list array;
   reach : bool list;
+      (** fabric: ToR-pair reachability; star: per-sink session up *)
   maps : string;
       (** star: DUT VMM map-state fingerprint ([Oracle.render_map_state]);
           compared leg-against-leg like the routing snapshots *)
@@ -51,32 +45,36 @@ val run_case :
   Config_gen.case ->
   finding list * (string * int) list
 (** Run every leg of the case's grid and compare legs 1.. against leg 0.
+    Also runs {!Oracle.check_prog} on every program of the case.
     Returns all findings plus leg 0's per-phase [(label, simulated us)]
-    convergence samples. [perturb] corrupts leg 0's final snapshot (a
-    route, the map fingerprint, one UPDATE frame) — the self-test knob
-    proving the oracle and shrink/replay pipeline fire. *)
+    convergence samples. [perturb] corrupts leg 0's snapshots (the
+    table-loading phase's head route and first UPDATE frame, the hostile
+    phase's session states, the last map fingerprint) and the block
+    engine's results — the self-test knob proving the oracle and
+    shrink/replay pipeline fire for every kind of case. *)
 
 val shrink_case :
   perturb:bool ->
   Config_gen.case ->
   classes:cls list ->
-  Config_gen.case * int list * int list
-(** Jointly ddmin the fault schedule and route table
-    ({!Shrink.minimize_multi}) while at least one finding of a class in
-    [classes] survives. Returns (minimized case, kept fault indices,
-    kept route indices). *)
+  Config_gen.case * (string * int list) list
+(** Jointly ddmin the case's named lists ({!Shrink.minimize_multi})
+    while at least one finding of a class in [classes] survives.
+    Returns the minimized case and the kept indices per list. *)
 
 type failure = {
   case : Config_gen.case;  (** minimized *)
   findings : finding list;  (** findings of the minimized case *)
   classes : cls list;  (** divergence classes of the ORIGINAL case *)
-  repro : Replay.Chaos.t;
-  repro_path : string option;  (** written when the campaign got [out] *)
+  repro : Replay.t;
+  repro_path : (string, string) result option;
+      (** with [out]: the written file, or why it could not be written *)
 }
 
 type summary = {
   cases : int;
-  topologies : (string * int) list;  (** histogram, generation order *)
+  kinds : (string * int) list;
+      (** {!Config_gen.kinds} histogram, first-seen order *)
   failures : failure list;
   convergence : (string * int) list;
       (** every case's leg-0 [(phase label, simulated us)] samples — the
@@ -92,11 +90,12 @@ val campaign :
   unit ->
   summary
 (** Run cases [0..cases-1] of [seed]; each failing case is shrunk
-    (class-preserving) and, when [out] is given, saved as a
-    [Replay.Chaos] reproducer under it. *)
+    (class-preserving) and, when [out] is given, saved as a {!Replay}
+    reproducer under it. A reproducer that cannot be written is
+    reported in its failure; the campaign goes on. *)
 
 val replay :
-  Replay.Chaos.t ->
+  Replay.t ->
   (Config_gen.case * finding list * bool, string) result
 (** Regenerate, restrict and re-run a recorded case. The [bool] is
     "reproduced": some finding matches a recorded class (or no classes

@@ -1,12 +1,13 @@
-(** Seeded generation of chaos-campaign configuration points: random
-    points in the shipped configuration matrix (host x engine x
-    batching x update groups x telemetry x extension chain x topology)
-    plus a seeded fault schedule to run against each point.
+(** Seeded generation of fuzz cases: random points in the shipped
+    configuration matrix (host x engine x batching x update groups x
+    telemetry x extension chain x topology), each with a seeded fault
+    schedule, mutated wire frames for one star sink to send, and raw eBPF
+    programs for the engine check.
 
-    Like {!Gen}, a case is a pure function of (master seed, case index):
-    the campaign loop, the shrinker and the replay machinery all
-    regenerate the same case from those two integers and restrict it to
-    kept fault / route indices. *)
+    A case is a pure function of (master seed, case index): the campaign
+    loop, the shrinker and the replay machinery all regenerate the same
+    case from those two integers and restrict its named lists
+    ({!lists}) to kept indices. *)
 
 type knobs = {
   host : Scenario.Testbed.host;
@@ -60,6 +61,12 @@ type case = {
   routes : Dataset.Ris_gen.route list;
   roas : Rpki.Roa.t list;  (** initial ROA table *)
   roas2 : Rpki.Roa.t list;  (** the table Roa_swap installs *)
+  hostile : int;  (** star: the sink that sends [frames] *)
+  frames : bytes list;
+      (** star: mutated wire frames the [hostile] sink sends raw after the
+          fault schedule *)
+  guided : bool;  (** [progs] are verifier-shaped rather than soup *)
+  progs : Ebpf.Insn.t list list;  (** raw programs for the engine check *)
 }
 
 val case : seed:int -> index:int -> case
@@ -68,13 +75,28 @@ val case : seed:int -> index:int -> case
     map-carrying chain programs (flap_damping, rate_limit) and a star
     case's export-side fault ({!Sink_feed}, {!Wd_race}, {!Detach}) are
     drawn from independently seeded streams appended after every other
-    field, and a star grid's last leg (leg 0 with update groups
-    flipped) draws nothing, so cases generated before they existed are
-    unchanged in every other respect. *)
+    field, as are the programs, the hostile frames and the
+    route-reflector variant (iBGP route-reflector-client sinks with
+    route_reflector appended to the chain), and a star grid's last leg
+    (leg 0 with update groups flipped) draws nothing, so cases generated
+    before they existed keep their knobs, chain prefix, routes and
+    faults. *)
 
-val restrict : ?faults:int list -> ?routes:int list -> case -> case
-(** Keep only the listed fault / route indices (shrinking, replay); an
-    absent argument keeps that list whole. *)
+val lists : string list
+(** The names of a case's shrinkable lists: faults, routes, frames,
+    progs. *)
+
+val indices : case -> (string * int list) list
+(** Every index of each named list. *)
+
+val restrict : (string * int list) list -> case -> case
+(** Keep only the listed indices of each named list (shrinking, replay);
+    an absent name keeps that list whole. *)
+
+val kinds : case -> string list
+(** What the case exercises: its topology name, then [rr_ibgp],
+    [hostile_peer] and [vm_soup] / [vm_guided] when it carries them —
+    the campaign histogram's keys. *)
 
 val host_name : Scenario.Testbed.host -> string
 val feed_name : feed -> string

@@ -1,35 +1,42 @@
-(* The differential oracle.
+(* The oracle's vocabulary and its per-input checks.
 
-   One case, three kinds of checks depending on its scenario:
-
-   - host differential: the same route table and the same extension
-     manifest through both the FRR-like and the BIRD-like testbed; the
-     xBGP-visible state (DUT Loc-RIB and downstream Loc-RIB, rendered in
-     the neutral codec form and canonically sorted) must be identical.
-   - hostile peer: the same mutated wire frames against an established
-     session on each host; the surviving Loc-RIB (normalized to the
-     attributes both hosts represent) and the session fate must agree.
+   - findings: one type for the whole campaign, classified so that
+     shrinking can preserve the class of a failure, not just "some
+     finding";
+   - snapshot comparison: Loc-RIB / adj-RIB-in snapshots in the neutral
+     codec form, canonically sorted, compared route for route between
+     two legs of a case (hosts, engines, knob settings);
    - VM safety: every generated program either fails the verifier with a
      clean error list, or executes to an identical outcome on both
      execution engines (interpreter, block-compiled) — a value or a
-     contained fault, never an escaped exception — with an
-     identical final register file and an identical host-visible helper
-     trace, and survives a full VMM round trip per engine.
+     contained fault, never an escaped exception — with an identical
+     final register file and an identical host-visible helper trace, and
+     survives a full VMM round trip per engine. The interpreter's trace
+     must also agree with the verifier's call-site facts. *)
 
-   A [Crash] finding means an exception escaped a layer that promises
-   not to raise; a [Divergence] finding means the two hosts (or the
-   engines) disagreed about xBGP-visible state. *)
+type cls = Convergence | Equivalence | Telemetry_oracle | Crash
 
-type kind = Divergence | Crash
+type finding = { cls : cls; detail : string }
 
-type finding = { kind : kind; detail : string }
+let cls_name = function
+  | Convergence -> "convergence"
+  | Equivalence -> "equivalence"
+  | Telemetry_oracle -> "telemetry"
+  | Crash -> "crash"
 
-let kind_name = function Divergence -> "divergence" | Crash -> "crash"
+let cls_of_name n =
+  List.find_opt
+    (fun c -> cls_name c = n)
+    [ Convergence; Equivalence; Telemetry_oracle; Crash ]
 
-let pp_finding ppf f = Fmt.pf ppf "[%s] %s" (kind_name f.kind) f.detail
+let pp_finding ppf f = Fmt.pf ppf "[%s] %s" (cls_name f.cls) f.detail
+let finding cls fmt = Fmt.kstr (fun s -> { cls; detail = s }) fmt
 
-let divergence fmt = Fmt.kstr (fun s -> { kind = Divergence; detail = s }) fmt
-let crash fmt = Fmt.kstr (fun s -> { kind = Crash; detail = s }) fmt
+let classes_of findings =
+  List.sort_uniq compare (List.map (fun f -> f.cls) findings)
+
+let divergence fmt = finding Equivalence fmt
+let crash fmt = finding Crash fmt
 
 (* --- snapshot normalization --- *)
 
@@ -75,260 +82,6 @@ let diff_snapshots ~what ~l0 ~l1 a b =
       else go ta tb
   in
   go a b
-
-(* --- host differential over the three-router testbed --- *)
-
-type host_state = {
-  dut : (Bgp.Prefix.t * Bgp.Attr.t list) list;
-  down : (Bgp.Prefix.t * Bgp.Attr.t list) list;
-  vmm_fault : string option;
-  tail : string list;  (** DUT flight-recorder tail, report context *)
-}
-
-(* Append the legs' flight-recorder tails to the last finding, so a
-   divergence report shows what the DUTs were doing right before the
-   states were snapshotted — without changing the finding count any
-   caller asserts on. *)
-let with_tails tails findings =
-  let text =
-    String.concat "\n"
-      (List.concat_map
-         (fun (who, lines) ->
-           if lines = [] then []
-           else Printf.sprintf "  %s flight-recorder tail:" who :: lines)
-         tails)
-  in
-  if text = "" then findings
-  else
-    match List.rev findings with
-    | [] -> []
-    | last :: rest ->
-      List.rev ({ last with detail = last.detail ^ "\n" ^ text } :: rest)
-
-let manifest_exn name =
-  match Xprogs.Registry.find_manifest name with
-  | Some m -> m
-  | None -> invalid_arg ("Oracle: unknown manifest " ^ name)
-
-let mode_for host (c : Gen.case) =
-  let module T = Scenario.Testbed in
-  match c.scenario with
-  | Gen.Plain_ebgp -> T.mode ~host ~ibgp:false ()
-  | Gen.Rr_ibgp ->
-    T.mode ~host ~ibgp:true ~manifest:(manifest_exn "route_reflector") ()
-  | Gen.Ov_ebgp ->
-    T.mode ~host ~ibgp:false
-      ~manifest:(manifest_exn "origin_validation")
-      ~xtras:[ ("roa_table", Xprogs.Util.encode_roa_table c.roas) ]
-      ()
-  | Gen.Med_ebgp ->
-    T.mode ~host ~ibgp:false ~manifest:(manifest_exn "med_compare") ()
-  | Gen.Strip_ebgp ->
-    T.mode ~host ~ibgp:false ~manifest:(manifest_exn "community_strip") ()
-  | Gen.Hostile_peer | Gen.Vm_soup | Gen.Vm_guided ->
-    invalid_arg "Oracle.mode_for: not a testbed scenario"
-
-let settle_us = 30_000_000 (* 30 simulated seconds after the feed *)
-
-let run_testbed host (c : Gen.case) : host_state =
-  let module T = Scenario.Testbed in
-  let tb = T.create (mode_for host c) in
-  let rc = Obs.Recorder.create ~capacity:4096 ~name:"dut" () in
-  Obs.Recorder.set_clock rc (fun () -> Netsim.Sched.now tb.sched);
-  Scenario.Daemon.set_recorder tb.dut (Some rc);
-  T.establish tb;
-  T.feed tb c.routes;
-  ignore (Netsim.Sched.run tb.sched ~until:(Netsim.Sched.now tb.sched + settle_us));
-  {
-    dut = normalize (Scenario.Daemon.loc_snapshot tb.dut);
-    down = normalize (Frrouting.Bgpd.loc_snapshot tb.downstream);
-    (* the structured record carries engine/slot/disassembly — worth the
-       extra words in a divergence report *)
-    vmm_fault =
-      Option.bind tb.dut_vmm (fun vmm ->
-          Option.map Xbgp.Vmm.fault_detail (Xbgp.Vmm.last_fault_record vmm));
-    tail = Obs.Recorder.tail_lines ~n:12 ~prefix:"    " rc;
-  }
-
-(* [perturb] artificially corrupts the BIRD-side view — the knob the
-   acceptance test and --force-divergence use to prove the oracle,
-   shrinker and replay pipeline actually fire. *)
-let perturb_state st =
-  match st.dut with [] -> st | _ :: rest -> { st with dut = rest }
-
-let run_differential ~perturb (c : Gen.case) =
-  let guarded host f =
-    match f () with
-    | st -> Ok st
-    | exception e ->
-      Error
-        (crash "%s testbed raised %s on %a" host (Printexc.to_string e)
-           Gen.pp_case c)
-  in
-  match
-    ( guarded "frr" (fun () -> run_testbed `Frr c),
-      guarded "bird" (fun () -> run_testbed `Bird c) )
-  with
-  | Error f, _ | _, Error f -> [ f ]
-  | Ok frr, Ok bird ->
-    let bird = if perturb then perturb_state bird else bird in
-    let faults =
-      List.filter_map
-        (fun (host, st) ->
-          Option.map (fun e -> crash "%s vmm fault: %s" host e) st.vmm_fault)
-        [ ("frr", frr); ("bird", bird) ]
-    in
-    let diffs =
-      List.filter_map
-        (fun x -> x)
-        [
-          diff_snapshots ~what:"dut loc-rib" ~l0:"frr" ~l1:"bird" frr.dut
-            bird.dut;
-          diff_snapshots ~what:"downstream loc-rib" ~l0:"frr" ~l1:"bird"
-            frr.down bird.down;
-        ]
-      |> List.map (fun d -> divergence "%s" d)
-    in
-    with_tails
-      [ ("frr", frr.tail); ("bird", bird.tail) ]
-      (faults @ diffs)
-
-(* --- hostile peer --- *)
-
-(* A scripted "attacker" drives one side of a pipe by hand: it completes
-   the OPEN/KEEPALIVE handshake like a well-behaved peer, then injects
-   the case's raw frames verbatim. The DUT's session layer is shared
-   code, so framing-level behavior is identical by construction; what
-   this mode exercises is each daemon's import path on decodable-but-
-   odd UPDATEs, and the no-exceptions guarantee. *)
-
-type hostile_state = {
-  rib : (Bgp.Prefix.t * Bgp.Attr.t list) list;
-  session_up : bool;
-}
-
-let attacker_as = 65009
-let attacker_addr = Bgp.Prefix.addr_of_quad (10, 9, 0, 2)
-let dut_addr = Bgp.Prefix.addr_of_quad (10, 9, 0, 1)
-
-let run_hostile_host host (c : Gen.case) : hostile_state =
-  Frrouting.Attr_intern.reset_intern_table ();
-  let sched = Netsim.Sched.create () in
-  let p_atk, p_dut = Netsim.Pipe.create sched in
-  let dut =
-    match host with
-    | `Frr ->
-      Scenario.Daemon.Frr
-        (Frrouting.Bgpd.create ~sched
-           (Frrouting.Bgpd.config ~name:"dut" ~router_id:dut_addr
-              ~local_as:65000 ~local_addr:dut_addr ())
-           [
-             {
-               Frrouting.Bgpd.pname = "attacker";
-               remote_as = attacker_as;
-               remote_addr = attacker_addr;
-               rr_client = false;
-               port = p_dut;
-             };
-           ])
-    | `Bird ->
-      Scenario.Daemon.Bird
-        (Bird.Bgpd.create ~sched
-           (Bird.Bgpd.config ~name:"dut" ~router_id:dut_addr ~local_as:65000
-              ~local_addr:dut_addr ())
-           [
-             {
-               Bird.Bgpd.pname = "attacker";
-               remote_as = attacker_as;
-               remote_addr = attacker_addr;
-               rr_client = false;
-               port = p_dut;
-             };
-           ])
-  in
-  (* the attacker half: answer the DUT's OPEN, then stay silent except
-     for the injected frames *)
-  let pending = ref Bytes.empty in
-  let answered = ref false in
-  Netsim.Pipe.set_receiver p_atk (fun chunk ->
-      pending :=
-        (if Bytes.length !pending = 0 then chunk
-         else Bytes.cat !pending chunk);
-      match Bgp.Message.deframe !pending with
-      | frames, rest ->
-        pending := rest;
-        List.iter
-          (fun raw ->
-            match Bgp.Message.decode raw with
-            | Bgp.Message.Open _ when not !answered ->
-              answered := true;
-              Netsim.Pipe.send p_atk
-                (Bgp.Message.encode
-                   (Bgp.Message.Open
-                      {
-                        version = 4;
-                        my_as = attacker_as;
-                        hold_time = 90;
-                        bgp_id = attacker_addr;
-                      }));
-              Netsim.Pipe.send p_atk (Bgp.Message.encode Bgp.Message.Keepalive)
-            | _ -> ()
-            | exception Bgp.Message.Parse_error _ -> ())
-          frames
-      | exception Bgp.Message.Parse_error _ -> pending := Bytes.empty);
-  Scenario.Daemon.start dut;
-  let up () = Scenario.Daemon.peer_established dut 0 in
-  if not (Netsim.Sched.run_until sched up) then
-    failwith "Oracle.run_hostile: session did not establish";
-  (* inject the frames 1 ms apart, then let the dust settle *)
-  List.iteri
-    (fun i frame ->
-      Netsim.Sched.after sched (1_000 * (i + 1)) (fun () ->
-          Netsim.Pipe.send p_atk frame))
-    c.frames;
-  ignore (Netsim.Sched.run sched ~until:(Netsim.Sched.now sched + 10_000_000));
-  {
-    rib = normalize (Scenario.Daemon.loc_snapshot dut);
-    session_up = Scenario.Daemon.peer_established dut 0;
-  }
-
-let run_hostile ~perturb (c : Gen.case) =
-  let guarded host f =
-    match f () with
-    | st -> Ok st
-    | exception e ->
-      Error
-        (crash "%s hostile rig raised %s on %a" host (Printexc.to_string e)
-           Gen.pp_case c)
-  in
-  match
-    ( guarded "frr" (fun () -> run_hostile_host `Frr c),
-      guarded "bird" (fun () -> run_hostile_host `Bird c) )
-  with
-  | Error f, _ | _, Error f -> [ f ]
-  | Ok frr, Ok bird ->
-    let bird =
-      if perturb then { bird with rib = (match bird.rib with [] -> [] | _ :: t -> t) }
-      else bird
-    in
-    let session =
-      if frr.session_up <> bird.session_up then
-        [
-          divergence "session fate differs: frr %s, bird %s"
-            (if frr.session_up then "up" else "closed")
-            (if bird.session_up then "up" else "closed");
-        ]
-      else []
-    in
-    let rib =
-      match
-        diff_snapshots ~what:"hostile loc-rib" ~l0:"frr" ~l1:"bird" frr.rib
-          bird.rib
-      with
-      | Some d -> [ divergence "%s" d ]
-      | None -> []
-    in
-    session @ rib
 
 (* --- VM / verifier safety --- *)
 
@@ -648,16 +401,3 @@ let check_prog ~perturb pi prog =
       facts_unsound ~pi facts (List.assoc Ebpf.Vm.Interpreted outs).calls
     in
     escaped @ diverged @ vmm_escaped @ vmm_diverged @ unsound
-
-let run_vm ~perturb (c : Gen.case) =
-  List.concat (List.mapi (fun i p -> check_prog ~perturb i p) c.progs)
-
-(* --- entry point --- *)
-
-let run ?(perturb = false) (c : Gen.case) : finding list =
-  match c.scenario with
-  | Gen.Plain_ebgp | Gen.Rr_ibgp | Gen.Ov_ebgp | Gen.Med_ebgp | Gen.Strip_ebgp
-    ->
-    run_differential ~perturb c
-  | Gen.Hostile_peer -> run_hostile ~perturb c
-  | Gen.Vm_soup | Gen.Vm_guided -> run_vm ~perturb c

@@ -1,33 +1,39 @@
 (* The reproducer file format.
 
-   A divergence is only useful if it can be handed around, so every
-   finding is written as a small line-oriented text file that pins the
-   master seed, the case index and the surviving input indices after
-   shrinking. Replaying regenerates the case from (seed, index) — the
-   generator is pure — restricts it, and re-runs the oracle.
+   A finding is only useful if it can be handed around, so every failing
+   case is written as a small line-oriented text file that pins the
+   master seed, the case index and the surviving indices of each of the
+   case's named lists after shrinking. Replaying regenerates the case
+   from (seed, index) — the generator is pure — restricts it, and re-runs
+   the oracle. The `classes` line pins the divergence classes the
+   shrinker preserved, so replay can tell "reproduced" from "found
+   something unrelated".
 
-     # xbgp_fuzz reproducer v1
+     # xbgp_fuzz reproducer v2
      seed 42
      case 17
-     scenario ov_ebgp
+     kind star+hostile_peer+vm_soup
      perturb false
-     routes 0 3 9
-     note dut loc-rib: 10.1.2.0/24 differs ...
+     faults 0 2
+     routes 1 4
+     frames
+     progs 0
+     classes equivalence
+     note frr/interpreted ... vs bird/interpreted ...: phase flap:1: ...
 
-   An absent `routes`/`frames`/`progs` line keeps that input whole. *)
+   An absent list line keeps that list whole; a bare key keeps none. *)
 
 type t = {
   seed : int;
   case_index : int;
-  scenario : string;
+  kind : string;
   perturb : bool;
-  routes : int list option;
-  frames : int list option;
-  progs : int list option;
+  kept : (string * int list) list;
+  classes : string list;
   note : string;
 }
 
-let magic = "# xbgp_fuzz reproducer v1"
+let magic = "# xbgp_fuzz reproducer v2"
 
 let to_string r =
   let b = Buffer.create 256 in
@@ -35,46 +41,31 @@ let to_string r =
   line "%s" magic;
   line "seed %d" r.seed;
   line "case %d" r.case_index;
-  line "scenario %s" r.scenario;
+  line "kind %s" r.kind;
   line "perturb %b" r.perturb;
-  let idx_line name = function
-    | None -> ()
-    | Some idxs ->
-      line "%s %s" name (String.concat " " (List.map string_of_int idxs))
-  in
-  idx_line "routes" r.routes;
-  idx_line "frames" r.frames;
-  idx_line "progs" r.progs;
+  List.iter
+    (fun (name, idxs) ->
+      line "%s" (String.concat " " (name :: List.map string_of_int idxs)))
+    r.kept;
+  if r.classes <> [] then line "classes %s" (String.concat " " r.classes);
   if r.note <> "" then
     line "note %s" (String.map (fun c -> if c = '\n' then ' ' else c) r.note);
   Buffer.contents b
 
 let of_string s =
-  let lines =
-    String.split_on_char '\n' s
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "")
-  in
-  match lines with
+  let words v = String.split_on_char ' ' v |> List.filter (( <> ) "") in
+  match
+    String.split_on_char '\n' s |> List.map String.trim
+    |> List.filter (( <> ) "")
+  with
   | m :: rest when m = magic -> (
-    let seed = ref None
-    and case_index = ref None
-    and scenario = ref None
-    and perturb = ref false
-    and routes = ref None
-    and frames = ref None
-    and progs = ref None
-    and note = ref "" in
-    let parse_idxs v =
-      String.split_on_char ' ' v
-      |> List.filter (fun x -> x <> "")
-      |> List.map int_of_string
-    in
+    let seed = ref None and case_index = ref None and kind = ref "" in
+    let perturb = ref false and kept = ref [] and classes = ref [] in
+    let note = ref "" in
     try
       List.iter
         (fun l ->
           let key, v =
-            (* a fully-shrunk index list serializes as a bare key *)
             match String.index_opt l ' ' with
             | None -> (l, "")
             | Some i ->
@@ -83,202 +74,64 @@ let of_string s =
           match key with
           | "seed" -> seed := Some (int_of_string v)
           | "case" -> case_index := Some (int_of_string v)
-          | "scenario" -> scenario := Some v
+          | "kind" -> kind := v
           | "perturb" -> perturb := bool_of_string v
-          | "routes" -> routes := Some (parse_idxs v)
-          | "frames" -> frames := Some (parse_idxs v)
-          | "progs" -> progs := Some (parse_idxs v)
+          | "classes" -> classes := words v
           | "note" -> note := v
+          | name when List.mem name Config_gen.lists ->
+            kept := (name, List.map int_of_string (words v)) :: !kept
           | _ -> failwith ("unknown key: " ^ key))
         rest;
-      match (!seed, !case_index, !scenario) with
-      | Some seed, Some case_index, Some scenario ->
-        if Gen.scenario_of_name scenario = None then
-          Error ("unknown scenario: " ^ scenario)
-        else
-          Ok
-            {
-              seed;
-              case_index;
-              scenario;
-              perturb = !perturb;
-              routes = !routes;
-              frames = !frames;
-              progs = !progs;
-              note = !note;
-            }
-      | _ -> Error "missing seed, case or scenario line"
-    with
-    | Failure e -> Error e
-    | Invalid_argument e -> Error e)
+      match (!seed, !case_index) with
+      | Some seed, Some case_index ->
+        Ok
+          {
+            seed;
+            case_index;
+            kind = !kind;
+            perturb = !perturb;
+            kept = List.rev !kept;
+            classes = !classes;
+            note = !note;
+          }
+      | _ -> Error "missing seed or case line"
+    with Failure e | Invalid_argument e -> Error e)
   | _ -> Error "not an xbgp_fuzz reproducer (bad magic line)"
 
-(* --- case regeneration --- *)
-
+(* The kind check catches a generator change that would make the
+   reproducer silently replay some other case. *)
 let case_of r =
-  let c = Gen.case ~seed:r.seed ~index:r.case_index in
-  let got = Gen.scenario_name c.scenario in
-  if got <> r.scenario then
+  let c = Config_gen.case ~seed:r.seed ~index:r.case_index in
+  let got = String.concat "+" (Config_gen.kinds c) in
+  if got <> r.kind then
     Error
       (Printf.sprintf
-         "reproducer names scenario %s but (seed %d, case %d) generates %s — \
+         "reproducer names kind %s but (seed %d, case %d) generates %s — \
           generator version mismatch?"
-         r.scenario r.seed r.case_index got)
-  else Ok (Gen.restrict ?routes:r.routes ?frames:r.frames ?progs:r.progs c)
+         r.kind r.seed r.case_index got)
+  else Ok (Config_gen.restrict r.kept c)
 
 (* --- files --- *)
 
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
+
 let save ~dir r =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let path =
-    Filename.concat dir
-      (Printf.sprintf "repro-s%d-c%d.txt" r.seed r.case_index)
+    Filename.concat dir (Printf.sprintf "repro-s%d-c%d.txt" r.seed r.case_index)
   in
-  let oc = open_out path in
-  output_string oc (to_string r);
-  close_out oc;
-  path
+  match
+    mkdir_p dir;
+    Out_channel.with_open_text path (fun oc ->
+        Out_channel.output_string oc (to_string r))
+  with
+  | () -> Ok path
+  | exception Sys_error e -> Error e
 
 let load path =
   match In_channel.with_open_text path In_channel.input_all with
   | s -> of_string s
   | exception Sys_error e -> Error e
-
-(* --- chaos reproducers --- *)
-
-(* The chaos campaign's counterpart: same philosophy (regenerate from
-   (seed, index), restrict to kept indices), different generator and an
-   extra `classes` line pinning the divergence classes the shrinker
-   preserved, so replay can tell "reproduced" from "found something
-   unrelated".
-
-     # xbgp_fuzz chaos reproducer v1
-     seed 42
-     case 17
-     perturb false
-     faults 0 2
-     routes 1 4 5
-     classes equivalence telemetry
-     note frr/int ... vs bird/int ...: phase flap:1: dut loc-rib ... *)
-
-module Chaos = struct
-  type t = {
-    seed : int;
-    case_index : int;
-    perturb : bool;
-    faults : int list option;
-    routes : int list option;
-    classes : string list;
-    note : string;
-  }
-
-  let magic = "# xbgp_fuzz chaos reproducer v1"
-
-  let is_chaos s =
-    match String.index_opt s '\n' with
-    | Some i -> String.trim (String.sub s 0 i) = magic
-    | None -> String.trim s = magic
-
-  let to_string r =
-    let b = Buffer.create 256 in
-    let line fmt =
-      Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt
-    in
-    line "%s" magic;
-    line "seed %d" r.seed;
-    line "case %d" r.case_index;
-    line "perturb %b" r.perturb;
-    let idx_line name = function
-      | None -> ()
-      | Some idxs ->
-        line "%s %s" name (String.concat " " (List.map string_of_int idxs))
-    in
-    idx_line "faults" r.faults;
-    idx_line "routes" r.routes;
-    if r.classes <> [] then line "classes %s" (String.concat " " r.classes);
-    if r.note <> "" then
-      line "note %s"
-        (String.map (fun c -> if c = '\n' then ' ' else c) r.note);
-    Buffer.contents b
-
-  let of_string s =
-    let lines =
-      String.split_on_char '\n' s
-      |> List.map String.trim
-      |> List.filter (fun l -> l <> "")
-    in
-    match lines with
-    | m :: rest when m = magic -> (
-      let seed = ref None
-      and case_index = ref None
-      and perturb = ref false
-      and faults = ref None
-      and routes = ref None
-      and classes = ref []
-      and note = ref "" in
-      let parse_idxs v =
-        String.split_on_char ' ' v
-        |> List.filter (fun x -> x <> "")
-        |> List.map int_of_string
-      in
-      try
-        List.iter
-          (fun l ->
-            let key, v =
-              (* a fully-shrunk index list serializes as a bare key *)
-              match String.index_opt l ' ' with
-              | None -> (l, "")
-              | Some i ->
-                ( String.sub l 0 i,
-                  String.sub l (i + 1) (String.length l - i - 1) )
-            in
-            match key with
-            | "seed" -> seed := Some (int_of_string v)
-            | "case" -> case_index := Some (int_of_string v)
-            | "perturb" -> perturb := bool_of_string v
-            | "faults" -> faults := Some (parse_idxs v)
-            | "routes" -> routes := Some (parse_idxs v)
-            | "classes" ->
-              classes :=
-                String.split_on_char ' ' v |> List.filter (fun x -> x <> "")
-            | "note" -> note := v
-            | _ -> failwith ("unknown key: " ^ key))
-          rest;
-        match (!seed, !case_index) with
-        | Some seed, Some case_index ->
-          Ok
-            {
-              seed;
-              case_index;
-              perturb = !perturb;
-              faults = !faults;
-              routes = !routes;
-              classes = !classes;
-              note = !note;
-            }
-        | _ -> Error "missing seed or case line"
-      with
-      | Failure e -> Error e
-      | Invalid_argument e -> Error e)
-    | _ -> Error "not an xbgp_fuzz chaos reproducer (bad magic line)"
-
-  let case_of r =
-    let c = Config_gen.case ~seed:r.seed ~index:r.case_index in
-    Ok (Config_gen.restrict ?faults:r.faults ?routes:r.routes c)
-
-  let save ~dir r =
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    let path =
-      Filename.concat dir
-        (Printf.sprintf "chaos-s%d-c%d.txt" r.seed r.case_index)
-    in
-    let oc = open_out path in
-    output_string oc (to_string r);
-    close_out oc;
-    path
-
-  let load path =
-    match In_channel.with_open_text path In_channel.input_all with
-    | s -> of_string s
-    | exception Sys_error e -> Error e
-end

@@ -1,59 +1,32 @@
-(** Seed-pinned reproducer files: every finding is saved as a small text
-    file from which the exact minimized case can be regenerated and
+(** Seed-pinned reproducer files: every failing case is saved as a small
+    text file from which the exact minimized case can be regenerated and
     re-run deterministically. *)
 
 type t = {
   seed : int;
   case_index : int;
-  scenario : string;  (** recorded for sanity-checking the generator *)
+  kind : string;
+      (** [Config_gen.kinds] of the unrestricted case, ['+']-joined;
+          checked at replay *)
   perturb : bool;
-  routes : int list option;  (** kept indices; [None] keeps all *)
-  frames : int list option;
-  progs : int list option;
+  kept : (string * int list) list;
+      (** kept indices per {!Config_gen.lists} name; an absent name keeps
+          that list whole *)
+  classes : string list;  (** {!Oracle.cls_name}s of the original case *)
   note : string;  (** first finding, for humans *)
 }
 
 val to_string : t -> string
 val of_string : string -> (t, string) result
 
-val case_of : t -> (Gen.case, string) result
+val case_of : t -> (Config_gen.case, string) result
 (** Regenerate the (restricted) case this reproducer pins; fails if the
-    generator no longer produces the recorded scenario for that seed and
+    generator no longer produces the recorded kind for that seed and
     index. *)
 
-val save : dir:string -> t -> string
-(** Write [repro-s<seed>-c<index>.txt] under [dir] (created if needed);
-    returns the path. *)
+val save : dir:string -> t -> (string, string) result
+(** Write [repro-s<seed>-c<index>.txt] under [dir], creating it and any
+    missing parents; returns the path, or the system error when the file
+    cannot be written. *)
 
 val load : string -> (t, string) result
-
-(** Reproducers for the chaos campaign ({!Chaos.t} pins a
-    {!Config_gen.case}): same regenerate-and-restrict scheme, plus the
-    divergence classes the shrinker preserved so replay can distinguish
-    "reproduced" from "found something unrelated". *)
-module Chaos : sig
-  type t = {
-    seed : int;
-    case_index : int;
-    perturb : bool;
-    faults : int list option;  (** kept fault indices; [None] keeps all *)
-    routes : int list option;
-    classes : string list;  (** {!Chaos.cls_name}s of the original case *)
-    note : string;  (** first finding, for humans *)
-  }
-
-  val is_chaos : string -> bool
-  (** Does this file content carry the chaos magic line? (Used by the
-      CLI to route [--replay] to the right campaign.) *)
-
-  val to_string : t -> string
-  val of_string : string -> (t, string) result
-
-  val case_of : t -> (Config_gen.case, string) result
-  (** Regenerate the (restricted) chaos case this reproducer pins. *)
-
-  val save : dir:string -> t -> string
-  (** Write [chaos-s<seed>-c<index>.txt] under [dir]; returns the path. *)
-
-  val load : string -> (t, string) result
-end

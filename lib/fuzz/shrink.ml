@@ -30,32 +30,26 @@ let minimize ~still_fails idxs =
   in
   go idxs (max 1 (List.length idxs / 2))
 
-let indices l = List.init (List.length l) (fun i -> i)
-
-(* Coordinate-descent ddmin over several index lists at once (the chaos
-   shrinker minimizes a fault schedule AND a route table): each pass
-   minimizes one dimension with the others pinned to their current kept
+(* Coordinate-descent ddmin over several named index lists at once (a
+   case's fault schedule, route table, frames and programs): each pass
+   minimizes one list with the others pinned to their current kept
    sets, and passes repeat until a fixpoint (bounded, since every pass
    either shrinks something or stops). *)
 let minimize_multi ~still_fails dims =
-  let cur = Array.copy dims in
-  let changed = ref true in
-  let passes = ref 0 in
+  let cur = ref dims in
+  let changed = ref true and passes = ref 0 in
   while !changed && !passes < 4 do
     changed := false;
     incr passes;
-    Array.iteri
-      (fun d idxs ->
+    List.iter
+      (fun (name, _) ->
+        let set l = List.map (fun (n, l') -> (n, if n = name then l else l')) in
+        let idxs = List.assoc name !cur in
         let kept =
-          minimize
-            ~still_fails:(fun cand ->
-              let trial = Array.copy cur in
-              trial.(d) <- cand;
-              still_fails trial)
-            idxs
+          minimize ~still_fails:(fun cand -> still_fails (set cand !cur)) idxs
         in
         if List.length kept < List.length idxs then changed := true;
-        cur.(d) <- kept)
-      cur
+        cur := set kept !cur)
+      dims
   done;
-  cur
+  !cur

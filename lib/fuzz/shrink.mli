@@ -5,13 +5,13 @@ val minimize : still_fails:(int list -> bool) -> int list -> int list
     holds; [still_fails] must already hold for the input list and must
     be deterministic. *)
 
-val indices : 'a list -> int list
-(** [0; 1; ...; length-1]. *)
-
 val minimize_multi :
-  still_fails:(int list array -> bool) -> int list array -> int list array
-(** Coordinate-descent {!minimize} over several index lists at once —
-    dimension [d] is minimized with the other dimensions pinned to
-    their current kept sets, repeating until a (bounded) fixpoint. The
-    chaos shrinker uses it to minimize a fault schedule and a route
-    table together. [still_fails] must hold for the input array. *)
+  still_fails:((string * int list) list -> bool) ->
+  (string * int list) list ->
+  (string * int list) list
+(** Coordinate-descent {!minimize} over several named index lists at
+    once — each list is minimized with the others pinned to their
+    current kept sets, repeating until a (bounded) fixpoint. The
+    campaign uses it to minimize a case's fault schedule, route table,
+    hostile frames and programs together. [still_fails] must hold for
+    the input. *)

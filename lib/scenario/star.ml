@@ -204,6 +204,7 @@ let sink_withdraw t i prefixes =
   Session.Fsm.send_update t.sinks.(i).fsm
     { Bgp.Message.withdrawn = prefixes; attrs = []; nlri = [] }
 
+let sink_send_raw t i frame = Netsim.Pipe.send t.sinks.(i).port frame
 let sink_established t i = Session.Fsm.is_established t.sinks.(i).fsm
 
 let sink_address t i =

@@ -84,6 +84,11 @@ val sink_announce : t -> int -> attrs:Bgp.Attr.t list -> Bgp.Prefix.t list -> un
 (** Originate routes from sink [i] into the DUT (split-horizon tests). *)
 
 val sink_withdraw : t -> int -> Bgp.Prefix.t list -> unit
+
+val sink_send_raw : t -> int -> bytes -> unit
+(** Write one raw frame on sink [i]'s wire, bypassing its session state
+    machine — how a hostile peer injects mutated frames. *)
+
 val sink_established : t -> int -> bool
 
 val sink_address : t -> int -> int

@@ -226,7 +226,7 @@ and receive t chunk =
   t.pending <-
     (if Bytes.length t.pending = 0 then chunk
      else Bytes.cat t.pending chunk);
-  match Bgp.Message.deframe t.pending with
+  (match Bgp.Message.deframe t.pending with
   | frames, rest ->
     t.pending <- rest;
     List.iter
@@ -246,7 +246,11 @@ and receive t chunk =
   | exception Bgp.Message.Parse_error e ->
     send_msg t
       (Bgp.Message.Notification { code = 1; subcode = 0; data = Bytes.empty });
-    close t ("framing error: " ^ e)
+    close t ("framing error: " ^ e));
+  (* A closed session has no stream to resynchronize: a partial frame
+     left over (one whose length field lied) would swallow the next
+     session's OPEN, so a closed end keeps no bytes. *)
+  if t.state = Idle then t.pending <- Bytes.empty
 
 (* Actively open the session (send OPEN). In the recursive knot because
    the hold-timer expiry of a failed handshake retries through it. *)

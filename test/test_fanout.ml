@@ -467,7 +467,7 @@ let groups_flipped (c : Cg.case) =
 
 let check_clean (c : Cg.case) =
   let findings, _ = Fuzz.Chaos.run_case c in
-  List.iter (Format.printf "%a@." Fuzz.Chaos.pp_finding) findings;
+  List.iter (Format.printf "%a@." Fuzz.Oracle.pp_finding) findings;
   check_bool
     (Format.asprintf "equivalent: %a" Cg.pp_case c)
     true (findings = [])

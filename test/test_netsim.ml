@@ -212,6 +212,41 @@ let test_session_update_exchange () =
   ignore (Netsim.Sched.run ~until:2_000_000 s);
   check Alcotest.(list string) "update delivered" [ "10.0.0.0/8" ] !received
 
+(* A frame whose length field lies leaves a partial frame behind; once
+   the session has closed, those bytes must not swallow the OPEN of the
+   next session on the same link. *)
+let test_session_stale_bytes () =
+  let s = Netsim.Sched.create () in
+  let a, b = Netsim.Pipe.create s in
+  let mk port local_id =
+    Session.Fsm.create s port
+      { Session.Fsm.local_as = 65000; local_id; peer_as = 65000; hold_time = 9 }
+      null_callbacks
+  in
+  let sa = mk a 1 and sb = mk b 2 in
+  Session.Fsm.start sa;
+  Session.Fsm.start sb;
+  ignore (Netsim.Sched.run ~until:1_000_000 s);
+  check_bool "established" true (Session.Fsm.is_established sb);
+  let frame ~len ~typ =
+    let f = Bytes.make Bgp.Message.header_size '\xff' in
+    Bytes.set_uint16_be f 16 len;
+    Bytes.set_uint8 f 18 typ;
+    f
+  in
+  (* an unknown message type closes the session; then a keepalive whose
+     length field claims 40 bytes arrives at the closed end *)
+  Netsim.Pipe.send a (frame ~len:Bgp.Message.header_size ~typ:9);
+  ignore (Netsim.Sched.run ~until:2_000_000 s);
+  check_bool "closed on the bad frame" false (Session.Fsm.is_established sb);
+  Netsim.Pipe.send a (frame ~len:40 ~typ:4);
+  ignore (Netsim.Sched.run ~until:3_000_000 s);
+  Session.Fsm.start sa;
+  Session.Fsm.start sb;
+  ignore (Netsim.Sched.run ~until:4_000_000 s);
+  check_bool "a re-established" true (Session.Fsm.is_established sa);
+  check_bool "b re-established" true (Session.Fsm.is_established sb)
+
 let () =
   Alcotest.run "netsim"
     [
@@ -238,5 +273,7 @@ let () =
           Alcotest.test_case "hold timer" `Quick test_session_hold_timer;
           Alcotest.test_case "update exchange" `Quick
             test_session_update_exchange;
+          Alcotest.test_case "stale bytes dropped when closed" `Quick
+            test_session_stale_bytes;
         ] );
     ]
