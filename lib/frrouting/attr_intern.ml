@@ -2,7 +2,8 @@
 
    Like FRRouting's `struct attr`, this is a *fixed host-byte-order
    record* with one field per known attribute, deduplicated ("interned")
-   through a hash table so identical attribute sets share one allocation.
+   through a weak hash table so identical live attribute sets share one
+   allocation.
    Nothing here is close to the wire format: every crossing of the xBGP
    boundary converts between this record and the neutral network-byte-
    order TLV — the conversion work that made the FRRouting adapter 589
@@ -86,7 +87,8 @@ let hash_attrs t =
     t.extra;
   !h
 
-let hash t = hash_attrs { t with as_path_len = 0 }
+(* [hash_attrs] never reads the derived [as_path_len] *)
+let hash = hash_attrs
 
 (* Hash table over *interned* records: physical equality suffices and the
    full-structure hash avoids the stdlib polymorphic hash's bounded
@@ -110,25 +112,24 @@ let semantic_equal a b =
   && a.cluster_list = b.cluster_list
   && a.extra = b.extra
 
-module Table = Hashtbl.Make (struct
+(* Weak, like the BIRD-like host's table: a record no route references
+   any more is reclaimed, so a peer that keeps sending new attribute sets
+   cannot grow the table without bound. *)
+module Table = Weak.Make (struct
   type nonrec t = t
 
   let equal = semantic_equal
   let hash = hash
 end)
 
-let intern_table : t Table.t = Table.create 4096
+let intern_table = Table.create 4096
 
 let intern raw =
-  let raw = { raw with as_path_len = Bgp.Attr.as_path_length raw.as_path } in
-  match Table.find_opt intern_table raw with
-  | Some canonical -> canonical
-  | None ->
-    Table.add intern_table raw raw;
-    raw
+  Table.merge intern_table
+    { raw with as_path_len = Bgp.Attr.as_path_length raw.as_path }
 
-let intern_table_size () = Table.length intern_table
-let reset_intern_table () = Table.reset intern_table
+let intern_table_size () = Table.count intern_table
+let reset_intern_table () = Table.clear intern_table
 
 (* --- conversion from/to the shared wire codec types --- *)
 

@@ -1,6 +1,7 @@
 (** FRRouting-style attribute storage: a fixed host-byte-order record
     with one field per known attribute, deduplicated ("interned") through
-    a hash table so identical attribute sets share one allocation.
+    a weak hash table so identical live attribute sets share one
+    allocation.
 
     Nothing here is close to the wire format: every crossing of the xBGP
     boundary converts between this record and the neutral
@@ -36,6 +37,9 @@ val intern : t -> t
     length). *)
 
 val intern_table_size : unit -> int
+(** Live interned records. The table holds them weakly: a record no
+    route references is reclaimed by the collector. *)
+
 val reset_intern_table : unit -> unit
 
 val hash : t -> int

@@ -13,8 +13,12 @@
 
    The processing pipeline per received UPDATE follows Fig. 2:
    receive-message point -> parse -> per-prefix inbound filter point ->
-   Adj-RIB-In -> Loc-RIB/decision -> per-peer outbound filter point ->
-   Adj-RIB-Out -> encode-message point -> wire.
+   Loc-RIB candidate/decision -> per-peer outbound filter point ->
+   Adj-RIB-Out -> encode-message point -> wire. The Loc-RIB candidate is
+   the one record kept per (prefix, peer), as FRR's [bgp_path_info] and
+   BIRD's per-channel route are: it is the post-policy Adj-RIB-In, and it
+   carries its import note for provenance. Soft-reconfiguration inbound
+   (a pre-policy copy) is not modelled.
 
    Each native policy step is one [REPR] call, so a host whose mutations
    re-intern (FRR) still interns once per step: without flambda, calls
@@ -369,6 +373,16 @@ module Make (R : REPR) :
     igp_cost : int;
   }
 
+  (* A Loc-RIB candidate: the route as imported plus its import note, the
+     chain steps and verdict that provenance replays. Export, update
+     groups and the E20 memo see only [route], the very record the import
+     built, so the memo's identity check still holds. *)
+  type cand = {
+    route : route;
+    chain : Obs.Provenance.step list;
+    import : string;  (** {!import_verdict}, or a fixed local note *)
+  }
+
   type peer = {
     idx : int;
     conf : peer_conf;
@@ -433,9 +447,8 @@ module Make (R : REPR) :
     tele : Telemetry.t;
     probes : probes;
     mutable peers : peer array;
-    adj_in : route Rib.Adj_rib.t;
     adj_out : R.attrs Rib.Adj_rib.t;
-    loc : route Rib.Loc_rib.t;
+    loc : cand Rib.Loc_rib.t;
     pending_adv : (int, (Bgp.Prefix.t * R.attrs) list ref) Hashtbl.t;
     pending_wd : (int, Bgp.Prefix.t list ref) Hashtbl.t;
     mutable flush_scheduled : bool;
@@ -466,10 +479,9 @@ module Make (R : REPR) :
     mutable chain_gen : int;
         (** {!Xbgp.Vmm.generation} at the last dispatch; -1 makes the
             first dispatch invalidate the incumbent fast path *)
-    prov : (Bgp.Prefix.t * int, Obs.Provenance.t) Hashtbl.t;
-        (** import half of the provenance record, keyed by (prefix, source
-            peer index; -1 = local). Decision disposal is computed on
-            demand against the live Loc-RIB, never stored. *)
+    mutable last_cand : cand option;
+        (** the candidate {!candidate} made last, shared by the next
+            prefix imported alike *)
     last_prov : (Bgp.Prefix.t, Obs.Provenance.t) Hashtbl.t;
         (** last reject/withdraw record per prefix — what [show
             provenance] answers once no candidate is left *)
@@ -485,19 +497,19 @@ module Make (R : REPR) :
     mutable args_busy : int;  (** bitmask over [args_pool] slots *)
   }
 
-  let decision_view : route Rib.Decision.view =
+  let decision_view : cand Rib.Decision.view =
     {
-      local_pref = (fun r -> R.local_pref r.attrs);
-      as_path_len = (fun r -> R.as_path_len r.attrs);
-      origin = (fun r -> R.origin r.attrs);
-      med = (fun r -> R.med r.attrs);
-      neighbor_as = (fun r -> R.neighbor_as r.attrs);
-      is_ebgp = (fun r -> r.src_type = src_ebgp);
-      igp_cost = (fun r -> r.igp_cost);
+      local_pref = (fun c -> R.local_pref c.route.attrs);
+      as_path_len = (fun c -> R.as_path_len c.route.attrs);
+      origin = (fun c -> R.origin c.route.attrs);
+      med = (fun c -> R.med c.route.attrs);
+      neighbor_as = (fun c -> R.neighbor_as c.route.attrs);
+      is_ebgp = (fun c -> c.route.src_type = src_ebgp);
+      igp_cost = (fun c -> c.route.igp_cost);
       originator_id =
-        (fun r -> R.originator_id r.attrs ~default:r.src_router_id);
-      cluster_list_len = (fun r -> R.cluster_list_len r.attrs);
-      peer_addr = (fun r -> r.src_addr);
+        (fun c -> R.originator_id c.route.attrs ~default:c.route.src_router_id);
+      cluster_list_len = (fun c -> R.cluster_list_len c.route.attrs);
+      peer_addr = (fun c -> c.route.src_addr);
     }
 
   (* --- construction --- *)
@@ -644,8 +656,10 @@ module Make (R : REPR) :
     Telemetry.Counter.inc t.probes.c_decisions;
     if Xbgp.Vmm.has_attachment vmm Xbgp.Api.Bgp_decision then begin
       let args = borrow_args t in
-      Xbgp.Host_intf.Args.set args Xbgp.Api.arg_candidate_a (candidate_arg t a);
-      Xbgp.Host_intf.Args.set args Xbgp.Api.arg_candidate_b (candidate_arg t b);
+      Xbgp.Host_intf.Args.set args Xbgp.Api.arg_candidate_a
+        (candidate_arg t a.route);
+      Xbgp.Host_intf.Args.set args Xbgp.Api.arg_candidate_b
+        (candidate_arg t b.route);
       let verdict =
         Xbgp.Vmm.run vmm Xbgp.Api.Bgp_decision ~ops:t.base_ops ~args
           ~default:(fun () -> Xbgp.Api.decision_tie)
@@ -682,9 +696,25 @@ module Make (R : REPR) :
       && last.Obs.Provenance.outcome <> "fault"
     | [] -> false
 
+  (* constant strings, so notes built alike compare physically *)
   let import_verdict chain ~accepted =
-    let base = if accepted then "accepted" else "rejected" in
-    if chain_decided chain then base else base ^ " (native)"
+    match (accepted, chain_decided chain) with
+    | true, true -> "accepted"
+    | true, false -> "accepted (native)"
+    | false, true -> "rejected"
+    | false, false -> "rejected (native)"
+
+  (* The candidate for a route imported with this note. Prefixes imported
+     alike share one, as they share the route record, so a prefix
+     repeated within an UPDATE leaves its incumbent physically in place
+     ([Loc_rib.update] reports [Unchanged]). *)
+  let candidate t route ~chain ~import =
+    match t.last_cand with
+    | Some c when c.route == route && c.chain == chain && c.import == import -> c
+    | _ ->
+      let c = { route; chain; import } in
+      t.last_cand <- Some c;
+      c
 
   (* Decision-process disposal for the route contributed by [src], against
      the Loc-RIB's current state. Computed on demand (query time, recorder
@@ -750,10 +780,6 @@ module Make (R : REPR) :
         in
         (d, Obs.Provenance.Candidate)
 
-  let assemble_prov t prefix (stored : Obs.Provenance.t) ~src =
-    let decision, status = decision_info t prefix ~src in
-    { stored with Obs.Provenance.decision; status }
-
   let import_record t prefix ~src ~chain ~import ~status : Obs.Provenance.t =
     {
       Obs.Provenance.prefix = Bgp.Prefix.to_string prefix;
@@ -764,9 +790,14 @@ module Make (R : REPR) :
       status;
     }
 
-  let note_gone t prefix ~src (pr : Obs.Provenance.t) =
-    Hashtbl.remove t.prov (prefix, src);
-    Hashtbl.replace t.last_prov prefix pr
+  (* The record of [src]'s candidate [c], built when asked for. *)
+  let assemble_prov t prefix (c : cand) ~src =
+    let decision, status = decision_info t prefix ~src in
+    {
+      (import_record t prefix ~src ~chain:c.chain ~import:c.import ~status)
+      with
+      Obs.Provenance.decision;
+    }
 
   let record_route_event t kind prefix (pr : Obs.Provenance.t) =
     match t.recorder with
@@ -1137,7 +1168,7 @@ module Make (R : REPR) :
       in
       Rib.Update_group.route_update t.ugroups g prefix entry
 
-  and propagate t prefix (change : route Rib.Loc_rib.change) =
+  and propagate t prefix (change : cand Rib.Loc_rib.change) =
     if t.config.update_groups then begin
       refresh_grouping t;
       match change with
@@ -1146,7 +1177,7 @@ module Make (R : REPR) :
         Rib.Update_group.iter_groups t.ugroups (fun g ->
             Rib.Update_group.route_update t.ugroups g prefix None);
         schedule_flush t
-      | Rib.Loc_rib.New_best r ->
+      | Rib.Loc_rib.New_best { route = r; _ } ->
         Rib.Update_group.iter_groups t.ugroups (fun g ->
             export_to_group t g prefix r);
         schedule_flush t
@@ -1165,7 +1196,7 @@ module Make (R : REPR) :
             | None -> ())
           t.peers;
         schedule_flush t
-      | Rib.Loc_rib.New_best r ->
+      | Rib.Loc_rib.New_best { route = r; _ } ->
         Array.iter
           (fun peer ->
             if Session.Fsm.is_established peer.session && peer.synced then
@@ -1196,41 +1227,41 @@ module Make (R : REPR) :
 
   (* --- inbound processing --- *)
 
-  let withdraw_prefix t peer prefix =
-    match Rib.Adj_rib.clear t.adj_in ~peer:peer.idx prefix with
-    | Some _ ->
-      Telemetry.Counter.inc t.probes.c_withdrawals_rx;
-      let pr =
-        import_record t prefix ~src:peer.idx ~chain:[] ~import:"withdrawn"
-          ~status:Obs.Provenance.Withdrawn
-      in
-      note_gone t prefix ~src:peer.idx pr;
-      let change = Rib.Loc_rib.update t.loc ~peer:peer.idx prefix None in
-      record_route_event t Obs.Recorder.Route_withdraw prefix pr;
-      propagate t prefix change
-    | None -> ()
+  (* Withdraw [src]'s candidate for [prefix], which exists. *)
+  let drop_candidate t ~src prefix ~import =
+    let pr =
+      import_record t prefix ~src ~chain:[] ~import
+        ~status:Obs.Provenance.Withdrawn
+    in
+    Hashtbl.replace t.last_prov prefix pr;
+    let change = Rib.Loc_rib.update t.loc ~peer:src prefix None in
+    record_route_event t Obs.Recorder.Route_withdraw prefix pr;
+    propagate t prefix change
 
-  let accept_route t peer prefix (r : route) ~chain ~import =
-    Telemetry.Counter.inc t.probes.c_routes_in;
+  let withdraw_prefix t peer prefix =
+    if Rib.Loc_rib.has_candidate t.loc ~peer:peer.idx prefix then begin
+      Telemetry.Counter.inc t.probes.c_withdrawals_rx;
+      drop_candidate t ~src:peer.idx prefix ~import:"withdrawn"
+    end
+
+  (* Install [src]'s candidate [c] for [prefix]. *)
+  let install t ~src prefix (c : cand) =
     let existed =
-      t.recorder <> None
-      && Rib.Adj_rib.find t.adj_in ~peer:peer.idx prefix <> None
+      t.recorder <> None && Rib.Loc_rib.has_candidate t.loc ~peer:src prefix
     in
-    ignore (Rib.Adj_rib.set t.adj_in ~peer:peer.idx prefix r);
-    let stored =
-      import_record t prefix ~src:peer.idx ~chain ~import
-        ~status:Obs.Provenance.Candidate
-    in
-    Hashtbl.replace t.prov (prefix, peer.idx) stored;
-    let change = Rib.Loc_rib.update t.loc ~peer:peer.idx prefix (Some r) in
+    let change = Rib.Loc_rib.update t.loc ~peer:src prefix (Some c) in
     (match t.recorder with
     | None -> ()
     | Some _ ->
       record_route_event t
         (if existed then Obs.Recorder.Route_replace else Obs.Recorder.Route_add)
         prefix
-        (assemble_prov t prefix stored ~src:peer.idx));
+        (assemble_prov t prefix c ~src));
     propagate t prefix change
+
+  let accept_route t peer prefix c =
+    Telemetry.Counter.inc t.probes.c_routes_in;
+    install t ~src:peer.idx prefix c
 
   let reject_route t peer prefix ~chain ~import =
     Telemetry.Counter.inc t.probes.c_import_rejected;
@@ -1256,12 +1287,11 @@ module Make (R : REPR) :
         ~default:(fun () -> native_import t route_ref prefix peer)
     in
     let chain = import_trace t in
-    if verdict = Xbgp.Api.filter_accept then
-      accept_route t peer prefix !route_ref ~chain
-        ~import:(import_verdict chain ~accepted:true)
-    else
-      reject_route t peer prefix ~chain
-        ~import:(import_verdict chain ~accepted:false)
+    let accepted = verdict = Xbgp.Api.filter_accept in
+    let import = import_verdict chain ~accepted in
+    if accepted then
+      accept_route t peer prefix (candidate t !route_ref ~chain ~import)
+    else reject_route t peer prefix ~chain ~import
 
   (* Import every prefix of one UPDATE: one shared verdict when the
      inbound chain allows it, else one dispatch per prefix. *)
@@ -1303,9 +1333,8 @@ module Make (R : REPR) :
         let accepted = verdict = Xbgp.Api.filter_accept in
         let import = import_verdict chain ~accepted in
         if accepted then
-          List.iter
-            (fun prefix -> accept_route t peer prefix !route_ref ~chain ~import)
-            prefixes
+          let c = candidate t !route_ref ~chain ~import in
+          List.iter (fun prefix -> accept_route t peer prefix c) prefixes
         else
           List.iter
             (fun prefix -> reject_route t peer prefix ~chain ~import)
@@ -1332,12 +1361,11 @@ module Make (R : REPR) :
                 ~default:(fun () -> native_import t route_ref prefix peer)
             in
             let chain = import_trace t in
-            if verdict = Xbgp.Api.filter_accept then
-              accept_route t peer prefix !route_ref ~chain
-                ~import:(import_verdict chain ~accepted:true)
-            else
-              reject_route t peer prefix ~chain
-                ~import:(import_verdict chain ~accepted:false))
+            let accepted = verdict = Xbgp.Api.filter_accept in
+            let import = import_verdict chain ~accepted in
+            if accepted then
+              accept_route t peer prefix (candidate t !route_ref ~chain ~import)
+            else reject_route t peer prefix ~chain ~import)
           prefixes;
         release_args t args
       end
@@ -1493,7 +1521,7 @@ module Make (R : REPR) :
       (* catch-up: one fresh export per Loc-RIB best, targeted at the
          joiner only — identical to a baseline initial sync, and
          self-healing for group entries dropped while nobody listened *)
-      Rib.Loc_rib.iter_best t.loc (fun prefix r ->
+      Rib.Loc_rib.iter_best t.loc (fun prefix { route = r; _ } ->
           match export t peer prefix r with
           | Some attrs ->
             let skip =
@@ -1504,8 +1532,8 @@ module Make (R : REPR) :
           | None -> ())
     end
     else
-      Rib.Loc_rib.iter_best t.loc (fun prefix r ->
-          advertise_to t peer prefix r);
+      Rib.Loc_rib.iter_best t.loc (fun prefix c ->
+          advertise_to t peer prefix c.route);
     schedule_flush t
 
   let on_close t peer =
@@ -1525,25 +1553,13 @@ module Make (R : REPR) :
     (match Hashtbl.find_opt t.pending_wd peer.idx with
     | Some l -> l := []
     | None -> ());
-    let prefixes =
-      let acc = ref [] in
-      Rib.Adj_rib.iter_peer t.adj_in ~peer:peer.idx (fun p _ ->
-          acc := p :: !acc);
-      !acc
-    in
+    (* like FRR's [bgp_clear_route] and BIRD's [rt_prune]: walk the
+       Loc-RIB for the peer's candidates *)
     List.iter
       (fun prefix ->
-        ignore (Rib.Adj_rib.clear t.adj_in ~peer:peer.idx prefix);
-        let pr =
-          import_record t prefix ~src:peer.idx ~chain:[]
-            ~import:"withdrawn: session closed"
-            ~status:Obs.Provenance.Withdrawn
-        in
-        note_gone t prefix ~src:peer.idx pr;
-        let change = Rib.Loc_rib.update t.loc ~peer:peer.idx prefix None in
-        record_route_event t Obs.Recorder.Route_withdraw prefix pr;
-        propagate t prefix change)
-      prefixes;
+        drop_candidate t ~src:peer.idx prefix
+          ~import:"withdrawn: session closed")
+      (Rib.Loc_rib.peer_prefixes t.loc ~peer:peer.idx);
     Rib.Adj_rib.drop_peer t.adj_out peer.idx
 
   let create ?telemetry ?vmm ~sched (config : config)
@@ -1567,7 +1583,6 @@ module Make (R : REPR) :
         probes =
           make_probes tele ~daemon:config.name ~impl:R.impl ~store:R.store_name;
         peers = [||];
-        adj_in = Rib.Adj_rib.create ();
         adj_out = Rib.Adj_rib.create ();
         loc = Rib.Loc_rib.create decision_view;
         pending_adv = Hashtbl.create 8;
@@ -1585,7 +1600,7 @@ module Make (R : REPR) :
         export_memo = [||];
         memo_on = false;
         chain_gen = -1;
-        prov = Hashtbl.create 64;
+        last_cand = None;
         last_prov = Hashtbl.create 16;
         recorder = None;
         collector = None;
@@ -1666,21 +1681,8 @@ module Make (R : REPR) :
         igp_cost = 0;
       }
     in
-    let existed = t.recorder <> None && Hashtbl.mem t.prov (prefix, -1) in
-    let stored =
-      import_record t prefix ~src:(-1) ~chain:[]
-        ~import:"accepted (local origination)" ~status:Obs.Provenance.Candidate
-    in
-    Hashtbl.replace t.prov (prefix, -1) stored;
-    let change = Rib.Loc_rib.update t.loc ~peer:(-1) prefix (Some route) in
-    (match t.recorder with
-    | None -> ()
-    | Some _ ->
-      record_route_event t
-        (if existed then Obs.Recorder.Route_replace else Obs.Recorder.Route_add)
-        prefix
-        (assemble_prov t prefix stored ~src:(-1)));
-    propagate t prefix change
+    install t ~src:(-1) prefix
+      { route; chain = []; import = "accepted (local origination)" }
 
   (* the add_route_to_rib helper (the paper's "dedicated helper enables an
      extension to add a new route to the RIB"): inject a locally-sourced
@@ -1700,12 +1702,12 @@ module Make (R : REPR) :
         | exception Invalid_argument _ -> false
 
   let withdraw_local t prefix =
-    if Hashtbl.mem t.prov (prefix, -1) then begin
+    if Rib.Loc_rib.has_candidate t.loc ~peer:(-1) prefix then begin
       let pr =
         import_record t prefix ~src:(-1) ~chain:[] ~import:"withdrawn (local)"
           ~status:Obs.Provenance.Withdrawn
       in
-      note_gone t prefix ~src:(-1) pr;
+      Hashtbl.replace t.last_prov prefix pr;
       record_route_event t Obs.Recorder.Route_withdraw prefix pr
     end;
     let change = Rib.Loc_rib.update t.loc ~peer:(-1) prefix None in
@@ -1728,12 +1730,12 @@ module Make (R : REPR) :
   let refresh_exports t =
     if t.config.update_groups then begin
       refresh_grouping t;
-      Rib.Loc_rib.iter_best t.loc (fun prefix r ->
+      Rib.Loc_rib.iter_best t.loc (fun prefix { route = r; _ } ->
           Rib.Update_group.iter_groups t.ugroups (fun g ->
               export_to_group t g prefix r))
     end
     else
-      Rib.Loc_rib.iter_best t.loc (fun prefix r ->
+      Rib.Loc_rib.iter_best t.loc (fun prefix { route = r; _ } ->
           Array.iter
             (fun peer ->
               if Session.Fsm.is_established peer.session && peer.synced then
@@ -1744,8 +1746,10 @@ module Make (R : REPR) :
   (* --- introspection --- *)
 
   let loc_count t = Rib.Loc_rib.count t.loc
-  let loc_best t prefix = Rib.Loc_rib.best t.loc prefix
-  let iter_loc t f = Rib.Loc_rib.iter_best t.loc f
+  let loc_best t prefix =
+    Option.map (fun c -> c.route) (Rib.Loc_rib.best t.loc prefix)
+
+  let iter_loc t f = Rib.Loc_rib.iter_best t.loc (fun p c -> f p c.route)
 
   (* a point-in-time snapshot assembled from the registry counters *)
   let stats t : stats =
@@ -1779,18 +1783,12 @@ module Make (R : REPR) :
 
   let provenance t prefix =
     match Rib.Loc_rib.best_with_peer t.loc prefix with
-    | Some (bpeer, _) -> (
-      match Hashtbl.find_opt t.prov (prefix, bpeer) with
-      | Some stored -> Some (assemble_prov t prefix stored ~src:bpeer)
-      | None -> Hashtbl.find_opt t.last_prov prefix)
+    | Some (bpeer, c) -> Some (assemble_prov t prefix c ~src:bpeer)
     | None -> Hashtbl.find_opt t.last_prov prefix
 
   let provenance_candidates t prefix =
-    List.filter_map
-      (fun (src, _) ->
-        Option.map
-          (fun stored -> assemble_prov t prefix stored ~src)
-          (Hashtbl.find_opt t.prov (prefix, src)))
+    List.map
+      (fun (src, c) -> assemble_prov t prefix c ~src)
       (Rib.Loc_rib.candidates t.loc prefix)
 
   let provenance_snapshot t =

@@ -1,8 +1,8 @@
-(* Adj-RIB-In / Adj-RIB-Out: one prefix-keyed store per peer (RFC 4271
-   §3.2). The same container serves both directions; daemons keep one
-   [t] for inbound state (exact routes as learned, pre-decision) and one
-   for outbound state (what has been advertised to each peer, which lets
-   them send implicit withdraws only when something actually changed).
+(* Adj-RIB-Out: one prefix-keyed store per peer (RFC 4271 §3.2) of what
+   has been advertised to it, which lets a daemon send implicit
+   withdraws only when something actually changed. There is no
+   Adj-RIB-In: the Loc-RIB candidates are the post-policy Adj-RIB-In
+   (see [Pipeline]), and soft-reconfiguration inbound is not modelled.
 
    A running size counter makes [total] O(1): it is read from stats
    snapshots and [show rib] on every query, where folding [Ptrie.size]
@@ -45,7 +45,6 @@ let drop_peer t peer =
   | None -> ());
   Hashtbl.remove t.tables peer
 
-let iter_peer t ~peer f = Ptrie.iter (table t peer) f
 let count_peer t ~peer = Ptrie.size (table t peer)
 
 let peers t = Hashtbl.fold (fun k _ acc -> k :: acc) t.tables []

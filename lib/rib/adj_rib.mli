@@ -1,7 +1,9 @@
-(** Adj-RIB-In / Adj-RIB-Out: one prefix-keyed store per peer (RFC 4271
-    §3.2). Daemons keep one [t] for inbound state (routes as learned,
-    pre-decision) and one for outbound state (what was advertised to each
-    peer, enabling implicit-withdraw suppression). *)
+(** Adj-RIB-Out: one prefix-keyed store per peer (RFC 4271 §3.2) of what
+    was advertised to it, enabling implicit-withdraw suppression. The
+    daemons keep no separate Adj-RIB-In: their Loc-RIB candidates are the
+    post-policy Adj-RIB-In, one record per (prefix, peer) as in FRR and
+    BIRD, and soft-reconfiguration inbound (a pre-policy copy) is not
+    modelled. *)
 
 type 'r t
 
@@ -18,7 +20,6 @@ val find : 'r t -> peer:int -> Bgp.Prefix.t -> 'r option
 val drop_peer : 'r t -> int -> unit
 (** Drop a peer's whole table (session reset). *)
 
-val iter_peer : 'r t -> peer:int -> (Bgp.Prefix.t -> 'r -> unit) -> unit
 val count_peer : 'r t -> peer:int -> int
 val peers : 'r t -> int list
 val total : 'r t -> int

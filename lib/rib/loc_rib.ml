@@ -105,17 +105,12 @@ let select t (cands : (int * 'r) array) =
     Some !best
   end
 
-(** [update t ~peer p route] replaces ([Some r]) or withdraws ([None]) the
-    candidate contributed by [peer] for prefix [p]. *)
-let update t ~peer p route =
-  let entry =
-    match Ptrie.find t.trie p with
-    | Some e -> e
-    | None ->
-      let e = { cands = [||]; best = None; sel_gen = t.cmp_gen } in
-      ignore (Ptrie.replace t.trie p e);
-      e
-  in
+(* a new prefix's entry; its first update selects in full, since it
+   has no incumbent, and so sets [sel_gen] *)
+let new_entry _ = { cands = [||]; best = None; sel_gen = -1 }
+
+(* [update] on the entry of [p] *)
+let apply t entry ~peer p route =
   let old_best = entry.best in
   let idx = find_peer entry.cands peer in
   let stale = entry.sel_gen <> t.cmp_gen in
@@ -164,6 +159,16 @@ let update t ~peer p route =
   | Some (op, or_), Some (np, nr) ->
     if op = np && or_ == nr then Unchanged else New_best nr
 
+(** [update t ~peer p route] replaces ([Some r]) or withdraws ([None]) the
+    candidate contributed by [peer] for prefix [p]. *)
+let update t ~peer p route =
+  match route with
+  | Some _ -> apply t (Ptrie.find_or_add t.trie p new_entry) ~peer p route
+  | None -> (
+    match Ptrie.find t.trie p with
+    | Some entry -> apply t entry ~peer p route
+    | None -> Unchanged)
+
 let best t p =
   match Ptrie.find t.trie p with
   | Some { best = Some (_, r); _ } -> Some r
@@ -176,6 +181,16 @@ let candidates t p =
   match Ptrie.find t.trie p with
   | Some e -> Array.to_list e.cands
   | None -> []
+
+let has_candidate t ~peer p =
+  match Ptrie.find t.trie p with
+  | Some e -> find_peer e.cands peer >= 0
+  | None -> false
+
+let peer_prefixes t ~peer =
+  Ptrie.fold t.trie
+    (fun p e acc -> if find_peer e.cands peer >= 0 then p :: acc else acc)
+    []
 
 (** Number of prefixes that currently have a best route. O(1). *)
 let count t = t.best_count

@@ -33,6 +33,14 @@ val best : 'r t -> Bgp.Prefix.t -> 'r option
 val best_with_peer : 'r t -> Bgp.Prefix.t -> (int * 'r) option
 val candidates : 'r t -> Bgp.Prefix.t -> (int * 'r) list
 
+val has_candidate : 'r t -> peer:int -> Bgp.Prefix.t -> bool
+(** [peer] contributes a candidate for the prefix. *)
+
+val peer_prefixes : 'r t -> peer:int -> Bgp.Prefix.t list
+(** Every prefix [peer] contributes a candidate for, last prefix first
+    (the reverse of {!iter_best}'s order): what a session reset
+    withdraws, found by one walk over the table. *)
+
 val count : 'r t -> int
 (** Number of prefixes that currently have a best route. O(1). *)
 

@@ -1,11 +1,11 @@
 (* A path-compressed binary trie (Patricia trie) keyed by IPv4 prefix.
 
-   This is the workhorse behind the Loc-RIB and the Adj-RIBs, and it is
-   also — deliberately — the data structure the FRR-like daemon uses for
-   its native ROA store (§3.4 of the paper observes FRRouting "browses a
-   dedicated trie for validated ROAs each time a prefix needs to be
-   checked", which the paper credits for the hash-based extension
-   beating it).
+   This is the workhorse behind the Loc-RIB, the Adj-RIB-Out and the
+   update groups' RIBs, and it is also — deliberately — the data
+   structure the FRR-like daemon uses for its native ROA store (§3.4
+   of the paper observes FRRouting "browses a dedicated trie for
+   validated ROAs each time a prefix needs to be checked", which the
+   paper credits for the hash-based extension beating it).
 
    Every node carries its full key, so a chain of one-child bit nodes
    collapses into a single edge: a node exists for each stored prefix,
@@ -70,37 +70,51 @@ let rec locate node addr len =
     else if klen = len then node
     else locate (if bit addr klen = 0 then n.zero else n.one) addr len
 
-(* Bind [p] to [v] in the subtree [node], where no node is keyed [p]
-   yet; returns the subtree's new root. *)
-let rec insert node p v =
+(* A node for [p] hung where [node] was, [node] being neither keyed [p]
+   nor covering it: above [node] when [p] covers it, else beside it
+   under a glue node keyed where the two diverge. Returns [p]'s node,
+   valueless, and the subtree's new root. *)
+let graft node p =
+  let fresh zero one = Node { key = p; value = None; zero; one } in
   match node with
-  | Empty -> Node { key = p; value = Some v; zero = Empty; one = Empty }
+  | Empty ->
+    let leaf = fresh Empty Empty in
+    (leaf, leaf)
   | Node n ->
     let addr = Bgp.Prefix.addr p and len = Bgp.Prefix.len p in
-    let k = n.key in
-    let kaddr = Bgp.Prefix.addr k and klen = Bgp.Prefix.len k in
-    if klen < len && (addr lxor kaddr) land mask klen = 0 then begin
-      (if bit addr klen = 0 then (
-         let c = insert n.zero p v in
-         if c != n.zero then n.zero <- c)
-       else
-         let c = insert n.one p v in
-         if c != n.one then n.one <- c);
-      node
-    end
+    let kaddr = Bgp.Prefix.addr n.key in
+    let c = min (common_bits addr kaddr) (min len (Bgp.Prefix.len n.key)) in
+    if c = len then
+      let hit = if bit kaddr len = 0 then fresh node Empty else fresh Empty node in
+      (hit, hit)
     else
-      (* the edge into [node] splits where the two keys diverge *)
-      let c = min (common_bits addr kaddr) (min len klen) in
-      if c = len then
-        (* [p] covers [node], which hangs below the new binding *)
-        if bit kaddr len = 0 then
-          Node { key = p; value = Some v; zero = node; one = Empty }
-        else Node { key = p; value = Some v; zero = Empty; one = node }
-      else
-        let leaf = insert Empty p v and key = Bgp.Prefix.v addr c in
-        if bit addr c = 0 then
-          Node { key; value = None; zero = leaf; one = node }
-        else Node { key; value = None; zero = node; one = leaf }
+      let leaf = fresh Empty Empty and key = Bgp.Prefix.v addr c in
+      if bit addr c = 0 then (leaf, Node { key; value = None; zero = leaf; one = node })
+      else (leaf, Node { key; value = None; zero = node; one = leaf })
+
+(* The node keyed [p] = [addr/len] at or below [node] (a child of
+   [parent]), grafted in when absent: one walk. A grafted node is
+   valueless and may have fewer than two children, so the caller binds
+   it at once. *)
+let rec walk t p addr len parent node =
+  match node with
+  | Node n
+    when Bgp.Prefix.len n.key <= len
+         && (addr lxor Bgp.Prefix.addr n.key) land mask (Bgp.Prefix.len n.key) = 0
+    ->
+    let klen = Bgp.Prefix.len n.key in
+    if klen = len then node
+    else walk t p addr len node (if bit addr klen = 0 then n.zero else n.one)
+  | _ ->
+    let hit, sub = graft node p in
+    (match parent with
+    | Node pn ->
+      if bit addr (Bgp.Prefix.len pn.key) = 0 then pn.zero <- sub
+      else pn.one <- sub
+    | Empty -> t.root <- sub);
+    hit
+
+let node_for t p = walk t p (Bgp.Prefix.addr p) (Bgp.Prefix.len p) Empty t.root
 
 (* A valueless node keeps its place only with two children. *)
 let collapse node =
@@ -134,29 +148,38 @@ let rec unlink node addr len =
         collapse node)
       else node
 
-let add t p v =
-  t.root <- insert t.root p v;
-  t.size <- t.size + 1
-
 let drop t p =
   t.root <- unlink t.root (Bgp.Prefix.addr p) (Bgp.Prefix.len p);
   t.size <- t.size - 1
 
+(* Bind a valueless node: a glue node, or one [node_for] grafted. *)
+let bind t node p v =
+  match node with
+  | Node n ->
+    n.key <- p;
+    n.value <- Some v;
+    t.size <- t.size + 1
+  | Empty -> ()
+
 (** Insert or replace the binding of [p]; returns the previous value. *)
 let replace t p v =
-  match locate t.root (Bgp.Prefix.addr p) (Bgp.Prefix.len p) with
+  match node_for t p with
   | Node ({ value = Some _ as old; _ } as n) ->
     n.value <- Some v;
     old
-  | Node n ->
-    (* a glue node becomes a binding *)
-    n.key <- p;
-    n.value <- Some v;
-    t.size <- t.size + 1;
+  | node ->
+    bind t node p v;
     None
-  | Empty ->
-    add t p v;
-    None
+
+(** The value bound to [p], binding [make p] first when there is none;
+    one walk either way. *)
+let find_or_add t p make =
+  match node_for t p with
+  | Node { value = Some v; _ } -> v
+  | node ->
+    let v = make p in
+    bind t node p v;
+    v
 
 let find t p =
   match locate t.root (Bgp.Prefix.addr p) (Bgp.Prefix.len p) with
@@ -177,14 +200,7 @@ let update t p f =
   match locate t.root (Bgp.Prefix.addr p) (Bgp.Prefix.len p) with
   | Node ({ value = Some _ as old; _ } as n) -> (
     match f old with Some _ as v -> n.value <- v | None -> drop t p)
-  | Node n -> (
-    match f None with
-    | Some _ as v ->
-      n.key <- p;
-      n.value <- v;
-      t.size <- t.size + 1
-    | None -> ())
-  | Empty -> ( match f None with Some v -> add t p v | None -> ())
+  | _ -> ( match f None with Some v -> ignore (replace t p v) | None -> ())
 
 (** Longest-prefix match: the most specific binding covering address
     [addr], searched down to [max_len] (default 32). *)

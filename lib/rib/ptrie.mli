@@ -19,7 +19,12 @@ val size : 'a t -> int
 val is_empty : 'a t -> bool
 
 val replace : 'a t -> Bgp.Prefix.t -> 'a -> 'a option
-(** Insert or replace a binding; returns the previous value. *)
+(** Insert or replace a binding; returns the previous value. One walk
+    from the root, inserting or not. *)
+
+val find_or_add : 'a t -> Bgp.Prefix.t -> (Bgp.Prefix.t -> 'a) -> 'a
+(** The value bound to a prefix, binding [make prefix] first when there
+    is none; one walk either way. [make] must not raise. *)
 
 val find : 'a t -> Bgp.Prefix.t -> 'a option
 val mem : 'a t -> Bgp.Prefix.t -> bool

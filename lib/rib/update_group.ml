@@ -209,29 +209,28 @@ let push g ev =
    withdraw transitions the per-peer baseline would, collapsed into
    targeted events. *)
 let route_update t g prefix entry =
-  match (entry, Ptrie.find g.rib prefix) with
-  | None, None -> ()
-  | None, Some (_, skip_old) ->
-    ignore (Ptrie.remove g.rib prefix);
-    push g (Wd { prefix; targets = All_except skip_old })
-  | Some (attrs, skip), None ->
-    ignore (Ptrie.replace g.rib prefix (attrs, skip));
-    push g (Adv { prefix; attrs; targets = All_except skip })
-  | Some (attrs, skip), Some (attrs_old, skip_old) ->
-    ignore (Ptrie.replace g.rib prefix (attrs, skip));
-    let changed = not (t.equal attrs attrs_old) in
-    if skip = skip_old then begin
-      if changed then push g (Adv { prefix; attrs; targets = All_except skip })
-    end
-    else begin
-      (* the new source had the route and must lose it *)
-      if is_member g skip then push g (Wd { prefix; targets = Only skip });
-      if changed then push g (Adv { prefix; attrs; targets = All_except skip })
-      else if is_member g skip_old then
-        (* unchanged for everyone who had it; only the old source,
-           skipped until now, needs the advertisement *)
-        push g (Adv { prefix; attrs; targets = Only skip_old })
-    end
+  match entry with
+  | None -> (
+    match Ptrie.remove g.rib prefix with
+    | Some (_, skip_old) -> push g (Wd { prefix; targets = All_except skip_old })
+    | None -> ())
+  | Some ((attrs, skip) as e) -> (
+    match Ptrie.replace g.rib prefix e with
+    | None -> push g (Adv { prefix; attrs; targets = All_except skip })
+    | Some (attrs_old, skip_old) ->
+      let changed = not (t.equal attrs attrs_old) in
+      if skip = skip_old then begin
+        if changed then push g (Adv { prefix; attrs; targets = All_except skip })
+      end
+      else begin
+        (* the new source had the route and must lose it *)
+        if is_member g skip then push g (Wd { prefix; targets = Only skip });
+        if changed then push g (Adv { prefix; attrs; targets = All_except skip })
+        else if is_member g skip_old then
+          (* unchanged for everyone who had it; only the old source,
+             skipped until now, needs the advertisement *)
+          push g (Adv { prefix; attrs; targets = Only skip_old })
+      end)
 
 (* Catch-up for a member that just joined: the daemon re-runs its export
    per Loc-RIB best and feeds the accepted routes here in RIB order.

@@ -711,20 +711,23 @@ let test_export_map_epoch () =
     (Xbgp.Vmm.batch_invariant (vmm_with counter_program)
        Xbgp.Api.Bgp_outbound_filter ~variant_args:[ Xbgp.Api.arg_prefix ]);
   List.iter
-    (fun host ->
+    (fun (host, update_groups) ->
       let run ~batch =
-        star_leg ~xprog:counter_program ~host ~batch announce_batch
+        star_leg ~xprog:counter_program ~host ~update_groups ~batch
+          announce_batch
       in
       let b = run ~batch:true and s = run ~batch:false in
-      let label = host_name host in
+      let label =
+        host_name host ^ if update_groups then " grouped" else " per-peer"
+      in
       (* the map read makes the chain peer-sensitive: one solo group per
-         sink *)
+         sink, or one export per sink on the per-peer path *)
       check_int
         (label ^ ": one export run per prefix and target")
         (batch_k * b.exporting_groups)
         b.runs;
       check_same_as_per_prefix label b s)
-    [ `Frr; `Bird ]
+    [ (`Frr, true); (`Frr, false); (`Bird, true); (`Bird, false) ]
 
 (* --- an argument id with its high half set -------------------------- *)
 
@@ -870,6 +873,167 @@ let test_add_attr_hosts_agree () =
         (List.length tagged))
     [ (0xC0, 4); (0x80, 4); (0xC0, 3) ]
 
+(* --- candidates are the Adj-RIB-In -------------------------------- *)
+
+(* The Loc-RIB candidate is the only per-(prefix, peer) record, so it
+   must keep an Adj-RIB-In's guarantees. Sink [i] of a
+   three-spoke eBGP star is peer [i]; hold time 3 s, so a dead link
+   closes a session within 4 s of simulated time. *)
+
+let cand_star host =
+  let star =
+    Scenario.Star.create ~host ~hold_time:3 ~npeers:3 ()
+  in
+  Scenario.Star.establish star;
+  star
+
+let cand_pfx i = Bgp.Prefix.v (0x0D000000 + (i lsl 8)) 24
+
+(* sink [i] announces [nlri] with [extra] ASNs after its own *)
+let cand_announce star i ?(extra = []) nlri =
+  Scenario.Star.sink_announce star i
+    ~attrs:
+      Bgp.Attr.
+        [
+          v (Origin Igp);
+          v (As_path [ Seq ((65101 + i) :: extra) ]);
+          v (Next_hop (Scenario.Star.sink_address star i));
+        ]
+    nlri
+
+(* the peers holding a candidate for [p], ascending; -1 = local *)
+let cand_peers dut p =
+  List.sort compare
+    (List.map
+       (fun (pr : Obs.Provenance.t) ->
+         if pr.ingress = "local" then -1
+         else Scanf.sscanf pr.ingress "peer sink%d" Fun.id)
+       (Scenario.Daemon.provenance_candidates dut p))
+
+let local_attrs =
+  Bgp.Attr.[ v (Origin Igp); v (As_path []); v (Next_hop 0x0A000001) ]
+
+let test_withdraw_no_candidate host () =
+  let star = cand_star host in
+  let dut = Scenario.Star.dut star in
+  cand_announce star 0 [ cand_pfx 1 ];
+  Scenario.Star.settle star;
+  let stats0 = Scenario.Daemon.stats dut in
+  let prov0 = Scenario.Daemon.provenance dut (cand_pfx 1) in
+  (* sink 1 never announced either prefix; nobody announced prefix 2 *)
+  Scenario.Star.sink_withdraw star 1 [ cand_pfx 1; cand_pfx 2 ];
+  Scenario.Star.settle star;
+  let stats1 = Scenario.Daemon.stats dut in
+  check_int "updates_rx counts the UPDATE" (stats0.updates_rx + 1)
+    stats1.updates_rx;
+  check_bool "no other counter moves" true
+    ({ stats1 with updates_rx = stats0.updates_rx } = stats0);
+  check_bool "installed route keeps its record" true
+    (Scenario.Daemon.provenance dut (cand_pfx 1) = prov0);
+  check_bool "no record for the unknown prefix" true
+    (Scenario.Daemon.provenance dut (cand_pfx 2) = None);
+  check_bool "candidates unchanged" true (cand_peers dut (cand_pfx 1) = [ 0 ])
+
+let test_close_drops_peer host () =
+  let star = cand_star host in
+  let dut = Scenario.Star.dut star in
+  Scenario.Star.originate star (cand_pfx 0) local_attrs;
+  cand_announce star 0 [ cand_pfx 0; cand_pfx 1; cand_pfx 2 ];
+  cand_announce star 1 [ cand_pfx 1; cand_pfx 3 ];
+  Scenario.Star.settle star;
+  check_bool "sink 0 holds three candidates" true
+    (List.for_all (fun i -> List.mem 0 (cand_peers dut (cand_pfx i))) [ 0; 1; 2 ]);
+  Scenario.Star.set_link_up star 0 false;
+  Scenario.Star.run_for star 4_000_000;
+  check_bool "session closed" false (Scenario.Daemon.peer_established dut 0);
+  check_bool "local kept" true (cand_peers dut (cand_pfx 0) = [ -1 ]);
+  check_bool "other peer kept" true (cand_peers dut (cand_pfx 1) = [ 1 ]);
+  check_bool "sink 0 alone: gone" true (cand_peers dut (cand_pfx 2) = []);
+  check_bool "untouched prefix" true (cand_peers dut (cand_pfx 3) = [ 1 ]);
+  check_bool "best is the other peer's" true
+    (Scenario.Daemon.best_path dut (cand_pfx 1) = Some [ 65102 ]);
+  match Scenario.Daemon.provenance dut (cand_pfx 2) with
+  | Some pr -> Alcotest.(check string) "record" "withdrawn: session closed" pr.import
+  | None -> Alcotest.fail "no record for the withdrawn prefix"
+
+(* Random announce / withdraw / session-close scripts over three peers
+   and four prefixes. After each script the DUT's candidates per prefix
+   must be the reference table's peers, and its best the reference's
+   (shortest path, then the lower sink: sink router ids ascend). *)
+type cand_op =
+  | Announce of int * int list * int  (** sink, prefixes, extra path length *)
+  | Withdraw of int * int list
+  | Close of int
+
+let gen_cand_script =
+  let open QCheck2.Gen in
+  let pfxs = list_size (int_range 1 3) (int_range 0 3) in
+  list_size (int_range 1 10)
+    (frequency
+       [
+         (5, map3 (fun i ps n -> Announce (i, ps, n)) (int_range 0 2) pfxs (int_range 0 2));
+         (3, map2 (fun i ps -> Withdraw (i, ps)) (int_range 0 2) pfxs);
+         (1, map (fun i -> Close i) (int_range 0 2));
+       ])
+
+let print_cand_script ops =
+  String.concat "; "
+    (List.map
+       (function
+         | Announce (i, ps, n) ->
+           Printf.sprintf "announce %d [%s] +%d" i
+             (String.concat "," (List.map string_of_int ps)) n
+         | Withdraw (i, ps) ->
+           Printf.sprintf "withdraw %d [%s]" i
+             (String.concat "," (List.map string_of_int ps))
+         | Close i -> Printf.sprintf "close %d" i)
+       ops)
+
+let cand_script_matches host ops =
+  let star = cand_star host in
+  let dut = Scenario.Star.dut star in
+  let model = Hashtbl.create 16 in
+  List.iter
+    (fun op ->
+      (match op with
+      | Announce (i, ps, n) ->
+        let extra = List.init n (fun k -> 64600 + k) in
+        cand_announce star i ~extra (List.map cand_pfx ps);
+        List.iter (fun p -> Hashtbl.replace model (i, p) ((65101 + i) :: extra)) ps
+      | Withdraw (i, ps) ->
+        Scenario.Star.sink_withdraw star i (List.map cand_pfx ps);
+        List.iter (fun p -> Hashtbl.remove model (i, p)) ps
+      | Close i ->
+        Scenario.Star.set_link_up star i false;
+        Scenario.Star.run_for star 4_000_000;
+        Scenario.Star.set_link_up star i true;
+        Scenario.Star.restart star;
+        if not (Scenario.Star.run_until star (fun () -> Scenario.Star.all_established star))
+        then Alcotest.failf "sink %d did not re-establish" i;
+        List.iter (fun p -> Hashtbl.remove model (i, p)) [ 0; 1; 2; 3 ]);
+      Scenario.Star.settle star)
+    ops;
+  List.for_all
+    (fun p ->
+      let held = List.filter (fun i -> Hashtbl.mem model (i, p)) [ 0; 1; 2 ] in
+      let best =
+        List.fold_left
+          (fun acc i ->
+            let path = Hashtbl.find model (i, p) in
+            match acc with
+            | Some b when List.length b <= List.length path -> acc
+            | _ -> Some path)
+          None held
+      in
+      cand_peers dut (cand_pfx p) = held
+      && Scenario.Daemon.best_path dut (cand_pfx p) = best)
+    [ 0; 1; 2; 3 ]
+
+let prop_candidates_model host =
+  QCheck2.Test.make ~count:25 ~print:print_cand_script
+    ~name:("candidate model: " ^ host_name host)
+    gen_cand_script (cand_script_matches host)
+
 (* --- span sampling ----------------------------------------------- *)
 
 let test_span_sampling () =
@@ -966,6 +1130,19 @@ let () =
             test_lddw_export;
           Alcotest.test_case "add_attr: hosts agree" `Quick
             test_add_attr_hosts_agree;
+        ] );
+      ( "adj-rib-in",
+        [
+          Alcotest.test_case "withdraw without candidate: frr" `Quick
+            (test_withdraw_no_candidate `Frr);
+          Alcotest.test_case "withdraw without candidate: bird" `Quick
+            (test_withdraw_no_candidate `Bird);
+          Alcotest.test_case "session close: frr" `Quick
+            (test_close_drops_peer `Frr);
+          Alcotest.test_case "session close: bird" `Quick
+            (test_close_drops_peer `Bird);
+          qc (prop_candidates_model `Frr);
+          qc (prop_candidates_model `Bird);
         ] );
       ( "telemetry",
         [ Alcotest.test_case "span sampling" `Quick test_span_sampling ] );

@@ -33,6 +33,29 @@ let test_intern_sharing () =
   check Alcotest.int "one table entry" 1
     (Frrouting.Attr_intern.intern_table_size ())
 
+(* The table holds records weakly: 1,000 distinct sets nothing references
+   any more are reclaimed by a full major collection. *)
+let test_intern_reclaims () =
+  let module A = Frrouting.Attr_intern in
+  let make () =
+    ignore
+      (Sys.opaque_identity
+         (List.init 1000 (fun i ->
+              A.of_attrs
+                Bgp.Attr.
+                  [
+                    v (Origin Igp);
+                    v (As_path [ Seq [ 65000 + i ] ]);
+                    v (Next_hop 0x0A000001);
+                  ])))
+  in
+  Gc.full_major ();
+  let before = A.intern_table_size () in
+  make ();
+  check_bool "1000 sets interned" true (A.intern_table_size () >= before + 1000);
+  Gc.full_major ();
+  check_bool "dead sets reclaimed" true (A.intern_table_size () < before + 1000)
+
 let test_intern_path_len_cached () =
   let t = Frrouting.Attr_intern.of_attrs sample_attrs in
   check Alcotest.int "seq(2) + set(1)" 3 t.as_path_len
@@ -923,6 +946,7 @@ let () =
           Alcotest.test_case "cached path length" `Quick
             test_intern_path_len_cached;
           Alcotest.test_case "TLV adapter" `Quick test_intern_tlv_adapter;
+          Alcotest.test_case "weak table" `Quick test_intern_reclaims;
         ] );
       ( "bird-attrs",
         [

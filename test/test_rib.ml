@@ -31,6 +31,7 @@ type op =
   | Insert of Bgp.Prefix.t * int
   | Remove of Bgp.Prefix.t
   | Update of Bgp.Prefix.t * int option
+  | Find_or_add of Bgp.Prefix.t * int
 
 let gen_ops_of gen_prefix =
   QCheck2.Gen.(
@@ -43,6 +44,7 @@ let gen_ops_of gen_prefix =
              (fun p v -> Update (p, v))
              gen_prefix
              (option (int_range 0 100));
+           map2 (fun p v -> Find_or_add (p, v)) gen_prefix (int_range 0 100);
          ]))
 
 let gen_ops = gen_ops_of gen_small_prefix
@@ -69,7 +71,17 @@ let run_model ops =
           failwith "update: f saw a different old value";
         match v with
         | Some v -> Hashtbl.replace model p v
-        | None -> Hashtbl.remove model p))
+        | None -> Hashtbl.remove model p)
+      | Find_or_add (p, v) ->
+        let expect =
+          match Hashtbl.find_opt model p with
+          | Some old -> old
+          | None ->
+            Hashtbl.replace model p v;
+            v
+        in
+        if Rib.Ptrie.find_or_add trie p (fun _ -> v) <> expect then
+          failwith "find_or_add: not the bound value")
     ops;
   (trie, model)
 
