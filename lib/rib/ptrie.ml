@@ -58,15 +58,18 @@ let common_bits a b =
     !n
   end
 
+(* Does key [k] cover [addr/len]? *)
+let[@inline] covers k addr len =
+  let klen = Bgp.Prefix.len k in
+  klen <= len && (addr lxor Bgp.Prefix.addr k) land mask klen = 0
+
 (* The node whose key is [addr/len] (valued or glue), or [Empty]. *)
 let rec locate node addr len =
   match node with
   | Empty -> Empty
   | Node n ->
-    let k = n.key in
-    let klen = Bgp.Prefix.len k in
-    if klen > len || (addr lxor Bgp.Prefix.addr k) land mask klen <> 0 then
-      Empty
+    let klen = Bgp.Prefix.len n.key in
+    if not (covers n.key addr len) then Empty
     else if klen = len then node
     else locate (if bit addr klen = 0 then n.zero else n.one) addr len
 
@@ -98,10 +101,7 @@ let graft node p =
    it at once. *)
 let rec walk t p addr len parent node =
   match node with
-  | Node n
-    when Bgp.Prefix.len n.key <= len
-         && (addr lxor Bgp.Prefix.addr n.key) land mask (Bgp.Prefix.len n.key) = 0
-    ->
+  | Node n when covers n.key addr len ->
     let klen = Bgp.Prefix.len n.key in
     if klen = len then node
     else walk t p addr len node (if bit addr klen = 0 then n.zero else n.one)
@@ -124,33 +124,36 @@ let collapse node =
     c
   | _ -> node
 
-(* Drop the value of the node keyed [addr/len] (which must exist) and
-   splice out whatever that leaves valueless with fewer than two
-   children; returns the subtree's new root. *)
-let rec unlink node addr len =
-  match node with
-  | Empty -> Empty
-  | Node n ->
-    let klen = Bgp.Prefix.len n.key in
-    if klen = len then (
-      n.value <- None;
-      collapse node)
-    else if bit addr klen = 0 then (
-      let c = unlink n.zero addr len in
-      if c != n.zero then (
-        n.zero <- c;
-        collapse node)
-      else node)
-    else
-      let c = unlink n.one addr len in
-      if c != n.one then (
-        n.one <- c;
-        collapse node)
-      else node
+(* Put [sub] where [node], [parent]'s child on [addr]'s side, was. *)
+let relink t parent node sub addr =
+  if sub != node then
+    match parent with
+    | Node pn ->
+      if bit addr (Bgp.Prefix.len pn.key) = 0 then pn.zero <- sub
+      else pn.one <- sub
+    | Empty -> t.root <- sub
 
-let drop t p =
-  t.root <- unlink t.root (Bgp.Prefix.addr p) (Bgp.Prefix.len p);
-  t.size <- t.size - 1
+(* Drop the binding of [addr/len] at or below [node] (a child of
+   [parent]) and splice out every node on the way back up that this
+   leaves valueless with fewer than two children: one walk. Returns the
+   dropped value; an absent key leaves the trie untouched. *)
+let rec unlink t addr len parent node =
+  match node with
+  | Node n when covers n.key addr len ->
+    let klen = Bgp.Prefix.len n.key in
+    let old =
+      if klen = len then begin
+        let v = n.value in
+        n.value <- None;
+        v
+      end
+      else unlink t addr len node (if bit addr klen = 0 then n.zero else n.one)
+    in
+    (match old with
+    | Some _ -> relink t parent node (collapse node) addr
+    | None -> ());
+    old
+  | _ -> None
 
 (* Bind a valueless node: a glue node, or one [node_for] grafted. *)
 let bind t node p v =
@@ -190,8 +193,8 @@ let mem t p = find t p <> None
 
 (** Remove the binding of [p]; returns the removed value. *)
 let remove t p =
-  let old = find t p in
-  (match old with Some _ -> drop t p | None -> ());
+  let old = unlink t (Bgp.Prefix.addr p) (Bgp.Prefix.len p) Empty t.root in
+  (match old with Some _ -> t.size <- t.size - 1 | None -> ());
   old
 
 (** Update the binding of [p] through [f]; [f None] inserts, returning
@@ -199,7 +202,7 @@ let remove t p =
 let update t p f =
   match locate t.root (Bgp.Prefix.addr p) (Bgp.Prefix.len p) with
   | Node ({ value = Some _ as old; _ } as n) -> (
-    match f old with Some _ as v -> n.value <- v | None -> drop t p)
+    match f old with Some _ as v -> n.value <- v | None -> ignore (remove t p))
   | _ -> ( match f None with Some v -> ignore (replace t p v) | None -> ())
 
 (** Longest-prefix match: the most specific binding covering address

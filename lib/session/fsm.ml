@@ -36,6 +36,42 @@ type callbacks = {
   on_close : string -> unit;
 }
 
+(* A session timer: a deadline plus at most one pending scheduler event,
+   as BIRD re-arms [conn->hold_timer] in place and FRR cancels its
+   [t_holdtime] before adding another. Moving the deadline schedules
+   nothing while an event is pending; an event that wakes before the
+   deadline re-schedules itself for the time that remains, so the timer
+   still expires exactly at its deadline. *)
+type timer = {
+  mutable deadline : int;  (** absolute sim time; [max_int] = disarmed *)
+  mutable queued : bool;  (** one scheduler event is pending *)
+  mutable on_expiry : unit -> unit;  (** set once, by [create] *)
+}
+
+let new_timer () = { deadline = max_int; queued = false; on_expiry = ignore }
+
+let rec wake sched tm () =
+  tm.queued <- false;
+  if Netsim.Sched.now sched >= tm.deadline then begin
+    tm.deadline <- max_int;
+    tm.on_expiry ()
+  end
+  else if tm.deadline < max_int then queue sched tm
+
+and queue sched tm =
+  tm.queued <- true;
+  Netsim.Sched.after sched
+    (tm.deadline - Netsim.Sched.now sched)
+    (wake sched tm)
+
+(* (Re)start [tm] to expire [delay] µs from now. *)
+let restart sched tm delay =
+  tm.deadline <- Netsim.Sched.now sched + delay;
+  if not tm.queued then queue sched tm
+
+(* A pending event wakes to find no deadline and lapses. *)
+let disarm tm = tm.deadline <- max_int
+
 type t = {
   sched : Netsim.Sched.t;
   port : Netsim.Pipe.port;
@@ -45,8 +81,8 @@ type t = {
   mutable state : state;
   mutable peer_id : int;  (** learned from the peer's OPEN *)
   mutable pending : bytes;  (** unconsumed stream bytes *)
-  mutable hold_deadline : int;  (** absolute sim time *)
-  mutable keepalive_gen : int;  (** cancels stale keepalive timers *)
+  hold : timer;  (** restarted by every message received *)
+  keepalive : timer;  (** Established only *)
   mutable msgs_rx : int;
   mutable msgs_tx : int;
   mutable recorder : Obs.Recorder.t option;
@@ -101,13 +137,15 @@ let rec create ?telemetry sched port config callbacks =
       state = Idle;
       peer_id = 0;
       pending = Bytes.empty;
-      hold_deadline = max_int;
-      keepalive_gen = 0;
+      hold = new_timer ();
+      keepalive = new_timer ();
       msgs_rx = 0;
       msgs_tx = 0;
       recorder = None;
     }
   in
+  t.hold.on_expiry <- (fun () -> hold_expired t);
+  t.keepalive.on_expiry <- (fun () -> keepalive_expired t);
   Netsim.Pipe.set_receiver port (fun chunk -> receive t chunk);
   t
 
@@ -119,47 +157,42 @@ and close t reason =
   if t.state <> Idle then begin
     Log.debug (fun m -> m "AS%d: session closed: %s" t.config.local_as reason);
     transition t Idle;
-    t.keepalive_gen <- t.keepalive_gen + 1;
+    disarm t.hold;
+    disarm t.keepalive;
     t.pending <- Bytes.empty;
     t.callbacks.on_close reason
   end
 
-and arm_hold_timer t =
-  let deadline = Netsim.Sched.now t.sched + sec t.config.hold_time in
-  t.hold_deadline <- deadline;
-  Netsim.Sched.after t.sched (sec t.config.hold_time) (fun () ->
-      if t.state <> Idle && Netsim.Sched.now t.sched >= t.hold_deadline then begin
-        let handshaking = t.state <> Established in
-        (* no Notification for an expired handshake: when both ends
-           retry at the same instant, each side's Notification would
-           arrive just ahead of the peer's fresh OPEN and tear the new
-           attempt down again — a livelock *)
-        if not handshaking then
-          send_msg t
-            (Bgp.Message.Notification
-               { code = 4; subcode = 0; data = Bytes.empty });
-        close t "hold timer expired";
-        (* connect retry (RFC 4271 §8.2.1): a handshake that never
-           completed lost its OPEN — typically sent into a link that was
-           down at the time — so re-open, or the session would sit Idle
-           forever even after the link heals. An Established session
-           that expires stays down until its owner restarts it. *)
-        if handshaking then start t
-      end)
+and arm_hold_timer t = restart t.sched t.hold (sec t.config.hold_time)
 
-and schedule_keepalive t =
-  let gen = t.keepalive_gen in
-  let interval = max 1 (t.config.hold_time / 3) in
-  Netsim.Sched.after t.sched (sec interval) (fun () ->
-      if t.state = Established && gen = t.keepalive_gen then begin
-        send_msg t Bgp.Message.Keepalive;
-        schedule_keepalive t
-      end)
+and hold_expired t =
+  let handshaking = t.state <> Established in
+  (* no Notification for an expired handshake: when both ends retry at
+     the same instant, each side's Notification would arrive just ahead
+     of the peer's fresh OPEN and tear the new attempt down again — a
+     livelock *)
+  if not handshaking then
+    send_msg t
+      (Bgp.Message.Notification { code = 4; subcode = 0; data = Bytes.empty });
+  close t "hold timer expired";
+  (* connect retry (RFC 4271 §8.2.1): a handshake that never completed
+     lost its OPEN — typically sent into a link that was down at the
+     time — so re-open, or the session would sit Idle forever even after
+     the link heals. An Established session that expires stays down
+     until its owner restarts it. *)
+  if handshaking then start t
+
+and arm_keepalive t =
+  restart t.sched t.keepalive (sec (max 1 (t.config.hold_time / 3)))
+
+and keepalive_expired t =
+  send_msg t Bgp.Message.Keepalive;
+  arm_keepalive t
 
 and establish t =
   transition t Established;
   arm_hold_timer t;
-  schedule_keepalive t;
+  arm_keepalive t;
   t.callbacks.on_established ()
 
 and handle_msg t msg ~raw =

@@ -5,7 +5,9 @@
 
     Both ends open actively; keepalives are emitted every [hold_time]/3
     and the hold timer tears the session down when the peer goes quiet
-    (e.g. after {!Netsim.Pipe.set_up}[ false]). *)
+    (e.g. after {!Netsim.Pipe.set_up}[ false]), at the last receipt plus
+    [hold_time]. Each timer keeps at most one event pending in the
+    scheduler: a received message only moves the hold deadline. *)
 
 type state = Idle | Open_sent | Open_confirm | Established
 

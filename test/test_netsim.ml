@@ -176,6 +176,115 @@ let test_session_hold_timer () =
   check_bool "session closed by hold timer" true !closed;
   check_bool "back to idle" false (Session.Fsm.is_established sa)
 
+(* An UPDATE with one prefix, the minimal valid attribute set. *)
+let one_route_update i =
+  {
+    Bgp.Message.update_empty with
+    attrs =
+      [
+        Bgp.Attr.v (Bgp.Attr.Origin Bgp.Attr.Igp);
+        Bgp.Attr.v (Bgp.Attr.As_path []);
+        Bgp.Attr.v (Bgp.Attr.Next_hop 1);
+      ];
+    nlri = [ Bgp.Prefix.v (0x0A000000 lor (i lsl 8)) 24 ];
+  }
+
+(* Each message received moves the hold deadline but queues no event:
+   the scheduler holds one hold and one keepalive event per session,
+   however many messages arrive within hold_time. *)
+let test_hold_timer_one_event () =
+  let s = Netsim.Sched.create () in
+  let sa, sb = make_session_pair ~hold:90 s in
+  Session.Fsm.start sa;
+  Session.Fsm.start sb;
+  ignore (Netsim.Sched.run ~until:1_000_000 s);
+  check_bool "established" true (Session.Fsm.is_established sb);
+  let rx0, _ = Session.Fsm.stats sb and most = ref 0 in
+  for i = 1 to 1000 do
+    Session.Fsm.send_update sa (one_route_update i);
+    ignore (Netsim.Sched.run ~until:(Netsim.Sched.now s + 1_000) s);
+    most := max !most (Netsim.Sched.pending s)
+  done;
+  check Alcotest.int "all received" 1000 (fst (Session.Fsm.stats sb) - rx0);
+  check Alcotest.int "two timer events per session" 4 !most
+
+(* Expiry lands on the last receipt plus hold_time, to the microsecond. *)
+let test_hold_timer_exact_expiry () =
+  let s = Netsim.Sched.create () in
+  let a, b = Netsim.Pipe.create s in
+  let last_rx = ref 0 and closes = ref [] in
+  let sa =
+    Session.Fsm.create s a
+      { Session.Fsm.local_as = 65000; local_id = 1; peer_as = 65000; hold_time = 9 }
+      {
+        Session.Fsm.on_update = (fun _ ~raw:_ -> last_rx := Netsim.Sched.now s);
+        on_established = ignore;
+        on_close = (fun _ -> closes := Netsim.Sched.now s :: !closes);
+      }
+  in
+  let sb =
+    Session.Fsm.create s b
+      { Session.Fsm.local_as = 65000; local_id = 2; peer_as = 65000; hold_time = 9 }
+      null_callbacks
+  in
+  Session.Fsm.start sa;
+  Session.Fsm.start sb;
+  ignore (Netsim.Sched.run ~until:500_000 s);
+  check_bool "established" true (Session.Fsm.is_established sa);
+  (* UPDATEs every 0.1 s until 1.5 s, then the link fails with nothing
+     in flight: the first keepalive is not due before 3 s *)
+  for i = 1 to 10 do
+    Session.Fsm.send_update sb (one_route_update i);
+    ignore (Netsim.Sched.run ~until:(500_000 + (i * 100_000)) s)
+  done;
+  check Alcotest.int "last UPDATE received" 1_400_100 !last_rx;
+  Netsim.Pipe.set_up a false;
+  ignore (Netsim.Sched.run ~until:30_000_000 s);
+  check
+    Alcotest.(list int)
+    "closed once, at last receipt + hold_time"
+    [ !last_rx + 9_000_000 ]
+    !closes
+
+(* A session closed and restarted within hold_time leaves its first
+   hold event queued; that event must not expire the new handshake,
+   which expires at its own deadline and queues nothing new. *)
+let test_hold_timer_restart () =
+  let s = Netsim.Sched.create () in
+  let a, b = Netsim.Pipe.create s in
+  Netsim.Pipe.set_receiver b ignore;
+  let closes = ref [] in
+  let sa =
+    Session.Fsm.create s a
+      { Session.Fsm.local_as = 65000; local_id = 1; peer_as = 65000; hold_time = 9 }
+      {
+        null_callbacks with
+        on_close = (fun why -> closes := (Netsim.Sched.now s, why) :: !closes);
+      }
+  in
+  (* the far end never answers: the handshake's hold timer is armed at 0
+     for 9 s *)
+  Session.Fsm.start sa;
+  ignore (Netsim.Sched.run ~until:1_000_000 s);
+  Netsim.Pipe.send b
+    (Bgp.Message.encode
+       (Bgp.Message.Notification { code = 6; subcode = 0; data = Bytes.empty }));
+  ignore (Netsim.Sched.run ~until:5_000_000 s);
+  check Alcotest.int "closed by the NOTIFICATION" 1 (List.length !closes);
+  Session.Fsm.start sa;
+  ignore (Netsim.Sched.run ~until:6_000_000 s);
+  (* the OPEN has been delivered; only the first hold event is left *)
+  check Alcotest.int "the stale event is reused" 1 (Netsim.Sched.pending s);
+  ignore (Netsim.Sched.run ~until:20_000_000 s);
+  check
+    Alcotest.(list (pair int string))
+    "expired at the restart + hold_time"
+    [
+      (1_000_100, "notification 6/0 received");
+      (14_000_000, "hold timer expired");
+    ]
+    (List.rev !closes)
+
 let test_session_update_exchange () =
   let s = Netsim.Sched.create () in
   let received = ref [] in
@@ -271,6 +380,12 @@ let () =
           Alcotest.test_case "establishment" `Quick test_session_establishment;
           Alcotest.test_case "wrong AS refused" `Quick test_session_wrong_as;
           Alcotest.test_case "hold timer" `Quick test_session_hold_timer;
+          Alcotest.test_case "hold timer: one pending event" `Quick
+            test_hold_timer_one_event;
+          Alcotest.test_case "hold timer: exact expiry" `Quick
+            test_hold_timer_exact_expiry;
+          Alcotest.test_case "hold timer: restart with a stale event pending"
+            `Quick test_hold_timer_restart;
           Alcotest.test_case "update exchange" `Quick
             test_session_update_exchange;
           Alcotest.test_case "stale bytes dropped when closed" `Quick

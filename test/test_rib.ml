@@ -60,7 +60,12 @@ let run_model ops =
         ignore (Rib.Ptrie.replace trie p v);
         Hashtbl.replace model p v
       | Remove p ->
-        ignore (Rib.Ptrie.remove trie p);
+        let expect = Hashtbl.find_opt model p in
+        let words = Obj.reachable_words (Obj.repr trie) in
+        if Rib.Ptrie.remove trie p <> expect then
+          failwith "remove: not the removed value";
+        if expect = None && Obj.reachable_words (Obj.repr trie) <> words then
+          failwith "remove of an absent prefix changed the trie";
         Hashtbl.remove model p
       | Update (p, v) -> (
         let seen = ref None in
