@@ -17,7 +17,13 @@ type t = {
   mutable len : int;
 }
 
-let create () = { now = 0; next_seq = 0; queue = Array.make 256 dummy; len = 0 }
+(* The heap array starts at this many slots, doubles when full and
+   halves in [pop] when at most a quarter full, so after a burst drains
+   the queue's memory follows the events pending, not the peak. *)
+let initial_slots = 256
+
+let create () =
+  { now = 0; next_seq = 0; queue = Array.make initial_slots dummy; len = 0 }
 
 let now t = t.now
 
@@ -67,6 +73,9 @@ let pop t =
       end
       else continue := false
     done;
+    let cap = Array.length t.queue in
+    if cap > initial_slots && t.len <= cap / 4 then
+      t.queue <- Array.sub t.queue 0 (cap / 2);
     Some top
   end
 

@@ -12,18 +12,25 @@
    instead of a full re-selection fold. A full re-selection only runs
    when the incumbent itself is displaced or withdrawn, or when the
    route order may have changed since the best was picked
-   ({!invalidate_best}). *)
+   ({!invalidate_best}).
+
+   An entry is compact, since a RIB holds one per prefix: peer ids and
+   routes sit in two parallel arrays (no pair per candidate), and the
+   best is an index into them (no option). The trie lookups report an
+   absent prefix by raising, so [update], [has_candidate] and [best]
+   allocate nothing to find the entry. *)
 
 type 'r entry = {
-  mutable cands : (int * 'r) array;  (** sorted by peer id ascending *)
-  mutable best : (int * 'r) option;
+  mutable peers : int array;  (** peer ids, ascending *)
+  mutable cands : 'r array;  (** [cands.(i)] is [peers.(i)]'s route *)
+  mutable best : int;  (** index of the best candidate; -1 when none *)
   mutable sel_gen : int;
       (** {!t.cmp_gen} at the last full selection; a mismatch means the
           route order may have changed under the cached best *)
 }
 
 type 'r t = {
-  trie : 'r entry Ptrie.t;
+  trie : 'r entry Ptrie_core.t;
   view : 'r Decision.view;
   mutable best_count : int;  (** prefixes that currently have a best *)
   mutable compare : 'r -> 'r -> int;
@@ -41,7 +48,7 @@ type 'r change =
 
 let create view =
   {
-    trie = Ptrie.create ();
+    trie = Ptrie_core.create ();
     view;
     best_count = 0;
     compare = Decision.compare view;
@@ -63,144 +70,163 @@ let invalidate_best t = t.cmp_gen <- t.cmp_gen + 1
 
 (* --- sorted candidate array primitives --- *)
 
-(* index of [peer] in [cands], or the insertion point encoded as
+(* index of [peer] in [peers], or the insertion point encoded as
    [-(i+1)] when absent *)
-let find_peer (cands : (int * 'r) array) peer =
-  let lo = ref 0 and hi = ref (Array.length cands) in
+let find_peer (peers : int array) peer =
+  let lo = ref 0 and hi = ref (Array.length peers) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if fst cands.(mid) < peer then lo := mid + 1 else hi := mid
+    if peers.(mid) < peer then lo := mid + 1 else hi := mid
   done;
-  if !lo < Array.length cands && fst cands.(!lo) = peer then !lo
+  if !lo < Array.length peers && peers.(!lo) = peer then !lo
   else -(!lo + 1)
 
-let insert_at (cands : (int * 'r) array) i binding =
-  let n = Array.length cands in
-  let out = Array.make (n + 1) binding in
-  Array.blit cands 0 out 0 i;
-  Array.blit cands i out (i + 1) (n - i);
+let insert_at a i x =
+  let n = Array.length a in
+  let out = Array.make (n + 1) x in
+  Array.blit a 0 out 0 i;
+  Array.blit a i out (i + 1) (n - i);
   out
 
-let remove_at (cands : (int * 'r) array) i =
-  let n = Array.length cands in
+let remove_at a i =
+  let n = Array.length a in
   if n = 1 then [||]
   else begin
-    let out = Array.make (n - 1) cands.(0) in
-    Array.blit cands 0 out 0 i;
-    Array.blit cands (i + 1) out i (n - 1 - i);
+    let out = Array.make (n - 1) a.(0) in
+    Array.blit a 0 out 0 i;
+    Array.blit a (i + 1) out i (n - 1 - i);
     out
   end
 
-(* Full selection: first minimal binding under [t.compare], scanning in
-   peer-id order. *)
-let select t (cands : (int * 'r) array) =
+(* Full selection: index of the first minimal candidate under
+   [t.compare], scanning in peer-id order; -1 when there is none. *)
+let select t entry =
+  entry.sel_gen <- t.cmp_gen;
+  let cands = entry.cands in
   let n = Array.length cands in
-  if n = 0 then None
+  if n = 0 then -1
   else begin
-    let best = ref cands.(0) in
+    let best = ref 0 in
     for i = 1 to n - 1 do
-      let (_, r) = cands.(i) in
-      if t.compare r (snd !best) < 0 then best := cands.(i)
+      if t.compare cands.(i) cands.(!best) < 0 then best := i
     done;
-    Some !best
+    !best
   end
 
 (* a new prefix's entry; its first update selects in full, since it
    has no incumbent, and so sets [sel_gen] *)
-let new_entry _ = { cands = [||]; best = None; sel_gen = -1 }
+let new_entry _ = { peers = [||]; cands = [||]; best = -1; sel_gen = -1 }
 
-(* [update] on the entry of [p] *)
-let apply t entry ~peer p route =
-  let old_best = entry.best in
-  let idx = find_peer entry.cands peer in
-  let stale = entry.sel_gen <> t.cmp_gen in
-  let new_best =
-    match route with
-    | Some r ->
-      let binding = (peer, r) in
-      if idx >= 0 then entry.cands.(idx) <- binding
-      else entry.cands <- insert_at entry.cands (-idx - 1) binding;
-      (match old_best with
-      | Some ((bp, br) as b) when not stale ->
-        if bp = peer then begin
-          (* the incumbent itself was replaced: re-select in full *)
-          entry.sel_gen <- t.cmp_gen;
-          select t entry.cands
-        end
-        else if t.compare r br <= 0 then
-          (* ties go to the arriving route, matching the historical
-             fold order (newest candidate seeded the accumulator) *)
-          Some binding
-        else Some b
-      | _ ->
-        entry.sel_gen <- t.cmp_gen;
-        select t entry.cands)
-    | None ->
-      if idx < 0 then old_best  (* nothing to withdraw *)
-      else begin
-        entry.cands <- remove_at entry.cands idx;
-        match old_best with
-        | Some (bp, _) when (not stale) && bp <> peer -> old_best
-        | _ ->
-          entry.sel_gen <- t.cmp_gen;
-          select t entry.cands
-      end
-  in
-  entry.best <- new_best;
-  (match (old_best, new_best) with
-  | None, Some _ -> t.best_count <- t.best_count + 1
-  | Some _, None -> t.best_count <- t.best_count - 1
-  | _ -> ());
-  if entry.cands = [||] then ignore (Ptrie.remove t.trie p);
-  match (old_best, new_best) with
-  | None, None -> Unchanged
-  | Some _, None -> Withdrawn
-  | None, Some (_, r) -> New_best r
-  | Some (op, or_), Some (np, nr) ->
-    if op = np && or_ == nr then Unchanged else New_best nr
+(* The change from the best before an update — when there [had] been
+   one, peer [op]'s route [or_] — to the entry's best now, keeping
+   [best_count] in step. *)
+let report t entry ~had op or_ =
+  if entry.best < 0 then
+    if had then begin
+      t.best_count <- t.best_count - 1;
+      Withdrawn
+    end
+    else Unchanged
+  else begin
+    let nr = entry.cands.(entry.best) in
+    if not had then begin
+      t.best_count <- t.best_count + 1;
+      New_best nr
+    end
+    else if op = entry.peers.(entry.best) && or_ == nr then Unchanged
+    else New_best nr
+  end
+
+(* [update] with [Some r] on the entry of its prefix *)
+let announce t entry ~peer r =
+  let ob = entry.best in
+  let had = ob >= 0 in
+  let op = if had then entry.peers.(ob) else peer in
+  let or_ = if had then entry.cands.(ob) else r in
+  let idx = find_peer entry.peers peer in
+  let i = if idx >= 0 then idx else -idx - 1 in
+  if idx >= 0 then entry.cands.(i) <- r
+  else begin
+    entry.peers <- insert_at entry.peers i peer;
+    entry.cands <- insert_at entry.cands i r
+  end;
+  entry.best <-
+    (if (not had) || entry.sel_gen <> t.cmp_gen || op = peer then
+       (* no incumbent, a stale one, or the incumbent itself was
+          replaced: re-select in full *)
+       select t entry
+     else if t.compare r or_ <= 0 then
+       (* ties go to the arriving route, matching the historical fold
+          order (newest candidate seeded the accumulator) *)
+       i
+     else if idx < 0 && i <= ob then ob + 1
+     else ob);
+  report t entry ~had op or_
+
+(* [update] with [None] on the entry of [p] *)
+let withdraw t entry ~peer p =
+  let idx = find_peer entry.peers peer in
+  if idx < 0 then Unchanged (* nothing to withdraw *)
+  else begin
+    let ob = entry.best in
+    let had = ob >= 0 in
+    let op = if had then entry.peers.(ob) else peer in
+    let or_ = entry.cands.(if had then ob else idx) in
+    entry.peers <- remove_at entry.peers idx;
+    entry.cands <- remove_at entry.cands idx;
+    entry.best <-
+      (if had && entry.sel_gen = t.cmp_gen && op <> peer then
+         if idx < ob then ob - 1 else ob
+       else select t entry);
+    if Array.length entry.cands = 0 then
+      ignore (Ptrie_core.remove_exn t.trie p);
+    report t entry ~had op or_
+  end
 
 (** [update t ~peer p route] replaces ([Some r]) or withdraws ([None]) the
     candidate contributed by [peer] for prefix [p]. *)
 let update t ~peer p route =
   match route with
-  | Some _ -> apply t (Ptrie.find_or_add t.trie p new_entry) ~peer p route
+  | Some r -> announce t (Ptrie_core.find_or_add t.trie p new_entry) ~peer r
   | None -> (
-    match Ptrie.find t.trie p with
-    | Some entry -> apply t entry ~peer p route
-    | None -> Unchanged)
+    match Ptrie_core.find_exn t.trie p with
+    | entry -> withdraw t entry ~peer p
+    | exception Not_found -> Unchanged)
 
 let best t p =
-  match Ptrie.find t.trie p with
-  | Some { best = Some (_, r); _ } -> Some r
-  | _ -> None
+  match Ptrie_core.find_exn t.trie p with
+  | { best; cands; _ } when best >= 0 -> Some cands.(best)
+  | _ | (exception Not_found) -> None
 
 let best_with_peer t p =
-  match Ptrie.find t.trie p with Some { best; _ } -> best | _ -> None
+  match Ptrie_core.find_exn t.trie p with
+  | { best; peers; cands; _ } when best >= 0 ->
+    Some (peers.(best), cands.(best))
+  | _ | (exception Not_found) -> None
 
 let candidates t p =
-  match Ptrie.find t.trie p with
-  | Some e -> Array.to_list e.cands
-  | None -> []
+  match Ptrie_core.find_exn t.trie p with
+  | e -> List.init (Array.length e.cands) (fun i -> (e.peers.(i), e.cands.(i)))
+  | exception Not_found -> []
 
 let has_candidate t ~peer p =
-  match Ptrie.find t.trie p with
-  | Some e -> find_peer e.cands peer >= 0
-  | None -> false
+  match Ptrie_core.find_exn t.trie p with
+  | e -> find_peer e.peers peer >= 0
+  | exception Not_found -> false
 
 let peer_prefixes t ~peer =
-  Ptrie.fold t.trie
-    (fun p e acc -> if find_peer e.cands peer >= 0 then p :: acc else acc)
+  Ptrie_core.fold t.trie
+    (fun p e acc -> if find_peer e.peers peer >= 0 then p :: acc else acc)
     []
 
 (** Number of prefixes that currently have a best route. O(1). *)
 let count t = t.best_count
 
 let iter_best t f =
-  Ptrie.iter t.trie (fun p e ->
-      match e.best with Some (_, r) -> f p r | None -> ())
+  Ptrie_core.iter t.trie (fun p e ->
+      if e.best >= 0 then f p e.cands.(e.best))
 
 let fold_best t f acc =
-  Ptrie.fold t.trie
-    (fun p e acc ->
-      match e.best with Some (_, r) -> f p r acc | None -> acc)
+  Ptrie_core.fold t.trie
+    (fun p e acc -> if e.best >= 0 then f p e.cands.(e.best) acc else acc)
     acc

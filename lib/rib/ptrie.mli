@@ -7,10 +7,13 @@
 
     Like FRR's [route_node] table, it holds one node per stored prefix
     plus one where two stored prefixes diverge, so a trie of n bindings
-    has fewer than 2n nodes. Nodes keep the caller's prefix as their key
-    and are mutable for cheap incremental RIB updates; [remove] splices
-    out the nodes a binding no longer needs, so memory follows the
-    current size, not the history of inserts. *)
+    has fewer than 2n nodes. A node packs its prefix into one immediate
+    int (no [Bgp.Prefix.t] is kept) and holds its value unboxed; a glue
+    node has no value field and a childless node no child fields, so n
+    bindings of immediate values take at most 9n words. The walks that
+    report bindings rebuild each prefix. Values are replaced in place;
+    [remove] splices out the nodes a binding no longer needs, so memory
+    follows the current size, not the history of inserts. *)
 
 type 'a t
 

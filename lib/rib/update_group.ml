@@ -48,7 +48,7 @@ type 'attrs group = {
   mutable members : (int * int) list;
       (* (peer index, join serial), ascending by index; an event with
          serial [s] applies to a member iff its join serial <= s *)
-  rib : ('attrs * int) Ptrie.t;
+  rib : ('attrs * int) Ptrie_core.t;
       (* the shared adj-RIB-out: best export plus the member index the
          route must be withheld from (its source; -1 when the source is
          not a member) *)
@@ -131,8 +131,8 @@ let representative g ~except =
 
 let member_group t peer = Hashtbl.find_opt t.by_peer peer
 let pending g = g.events <> []
-let rib_size g = Ptrie.size g.rib
-let rib_find g prefix = Ptrie.find g.rib prefix
+let rib_size g = Ptrie_core.size g.rib
+let rib_find g prefix = Ptrie_core.find g.rib prefix
 let note_fanout_saved t n = if n > 0 then Telemetry.Counter.add t.c_saved n
 
 (* Groups created by a re-key when the natural key is taken get a
@@ -156,7 +156,7 @@ let insert_member ms m js =
 let new_group t ~key =
   t.next_id <- t.next_id + 1;
   let g =
-    { key; members = []; rib = Ptrie.create (); events = []; serial = 0 }
+    { key; members = []; rib = Ptrie_core.create (); events = []; serial = 0 }
   in
   Hashtbl.replace t.groups key g;
   t.ordered <- t.ordered @ [ g ];
@@ -211,11 +211,11 @@ let push g ev =
 let route_update t g prefix entry =
   match entry with
   | None -> (
-    match Ptrie.remove g.rib prefix with
-    | Some (_, skip_old) -> push g (Wd { prefix; targets = All_except skip_old })
-    | None -> ())
+    match Ptrie_core.remove_exn g.rib prefix with
+    | _, skip_old -> push g (Wd { prefix; targets = All_except skip_old })
+    | exception Not_found -> ())
   | Some ((attrs, skip) as e) -> (
-    match Ptrie.replace g.rib prefix e with
+    match Ptrie_core.replace g.rib prefix e with
     | None -> push g (Adv { prefix; attrs; targets = All_except skip })
     | Some (attrs_old, skip_old) ->
       let changed = not (t.equal attrs attrs_old) in
@@ -237,12 +237,12 @@ let route_update t g prefix entry =
    Broadcast events already pending predate the member's join serial, so
    a targeted event here can never duplicate one of them. *)
 let catch_up_entry g prefix attrs ~skip ~member =
-  match Ptrie.find g.rib prefix with
-  | Some (_, skip0) ->
+  match Ptrie_core.find_exn g.rib prefix with
+  | _, skip0 ->
     if skip0 <> member then
       push g (Adv { prefix; attrs; targets = Only member })
-  | None ->
-    ignore (Ptrie.replace g.rib prefix (attrs, skip));
+  | exception Not_found ->
+    ignore (Ptrie_core.replace g.rib prefix (attrs, skip));
     push g (Adv { prefix; attrs; targets = Only member })
 
 let event_includes ev m =
@@ -316,7 +316,7 @@ let take_classes g =
         (ms, !wds, !advs))
       !order
 
-let rib_items g = Ptrie.to_list g.rib
+let rib_items g = Ptrie_core.to_list g.rib
 
 let rib_equal t items g2 =
   let items2 = rib_items g2 in
@@ -393,7 +393,9 @@ let rekey t ~desired =
             else want
           in
           let g2 = new_group t ~key in
-          List.iter (fun (p, v) -> ignore (Ptrie.replace g2.rib p v)) items;
+          List.iter
+            (fun (p, v) -> ignore (Ptrie_core.replace g2.rib p v))
+            items;
           g2
       in
       record_group_event t Obs.Recorder.Group_rekey

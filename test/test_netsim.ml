@@ -71,6 +71,43 @@ let test_sched_many_events () =
   ignore (Netsim.Sched.run s);
   check_bool "monotonic time" true !ok
 
+(* what the burst's events fired, in order; global, so the pending
+   events' closures do not reach it *)
+let burst_log = Array.make 65_536 (-1)
+let burst_fired = ref 0
+
+(* A burst of 65,536 events drained to 64 gives the heap array back:
+   the queue is again a few hundred words, not the 65,536 slots of its
+   peak. Shrinking never reorders: every event fires by (time, then
+   scheduling order). *)
+let test_sched_shrinks_after_burst () =
+  let n = 65_536 and left = 64 in
+  let s = Netsim.Sched.create () in
+  let time i = (i * 7919) mod 4096 in
+  for i = 0 to n - 1 do
+    Netsim.Sched.after s (time i) (fun () ->
+        burst_log.(!burst_fired) <- i;
+        incr burst_fired)
+  done;
+  for _ = 1 to n - left do
+    ignore (Netsim.Sched.step s)
+  done;
+  check Alcotest.int "events left" left (Netsim.Sched.pending s);
+  let words = Obj.reachable_words (Obj.repr s) in
+  if words > 2_000 then
+    Alcotest.failf "queue holds %d words after draining to %d events" words
+      left;
+  ignore (Netsim.Sched.run s);
+  let expect =
+    List.sort
+      (fun a b -> compare (time a, a) (time b, b))
+      (List.init n Fun.id)
+  in
+  check
+    Alcotest.(list int)
+    "pop order" expect
+    (Array.to_list (Array.sub burst_log 0 !burst_fired))
+
 (* --- pipes --- *)
 
 let test_pipe_delivery () =
@@ -366,6 +403,8 @@ let () =
           Alcotest.test_case "nested" `Quick test_sched_nested;
           Alcotest.test_case "run until" `Quick test_sched_run_until_limit;
           Alcotest.test_case "heap stress" `Quick test_sched_many_events;
+          Alcotest.test_case "heap shrinks after a burst" `Quick
+            test_sched_shrinks_after_burst;
           Alcotest.test_case "negative delay" `Quick
             test_sched_negative_delay;
         ] );

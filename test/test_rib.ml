@@ -226,6 +226,32 @@ let test_trie_memory_bounded () =
       (Obj.reachable_words (Obj.repr t))
   done
 
+(* The node layout, read through [Obj]: [Empty] is an immediate, a tip
+   a block of 2 fields (key, value), a glue node one of 3 (key, zero,
+   one) and a valued node with children one of 4 (key, value, zero,
+   one). Every glue node must have two children, and a valued node
+   with child fields at least one. With immediate values the walk below
+   also steps into a tip's two int fields, which end it. *)
+let rec nodes_canonical node =
+  Obj.is_int node
+  ||
+  let n = Obj.size node in
+  let zero = Obj.field node (n - 2) and one = Obj.field node (n - 1) in
+  (n <> 3 || not (Obj.is_int zero || Obj.is_int one))
+  && (n <> 4 || not (Obj.is_int zero && Obj.is_int one))
+  && nodes_canonical zero && nodes_canonical one
+
+(* A binding of an immediate value costs at most 9 words: its node (a
+   tip 3, a node with children 5) and at most one glue node (4). The
+   trie record adds 3. *)
+let prop_trie_words =
+  QCheck2.Test.make ~count:300
+    ~name:"full depth: <= 9 words per binding, no node lacks children"
+    gen_full_ops (fun ops ->
+      let trie, _ = run_model ops in
+      Obj.reachable_words (Obj.repr trie) <= (9 * Rib.Ptrie.size trie) + 3
+      && nodes_canonical (Obj.field (Obj.repr trie) 0))
+
 let test_trie_basics () =
   let t = Rib.Ptrie.create () in
   check_bool "empty" true (Rib.Ptrie.is_empty t);
@@ -393,6 +419,156 @@ let prop_loc_rib_count =
       let recount = Rib.Loc_rib.fold_best rib (fun _ _ n -> n + 1) 0 in
       Rib.Loc_rib.count rib = recount)
 
+(* The Loc-RIB against a model of its rules, over random announce,
+   withdraw and invalidate sequences from 1-4 peers on four prefixes
+   (two nested). Routes come from a pool of four, so a peer re-sending
+   the very route it holds is common. The model: an announcement from
+   a peer other than a current (not invalidated) incumbent's is compared
+   with the incumbent alone, ties going to the arriving route; a
+   withdrawal of a shadowed candidate keeps the incumbent; anything
+   else re-selects the first minimal candidate in peer-id order. The
+   change is [Unchanged] when the best keeps its peer and its very
+   route. *)
+type loc_op = Ann of int * int * int | Wd of int * int | Invalidate
+
+let loc_prefixes =
+  [| p "10.0.0.0/8"; p "10.0.0.0/16"; p "10.1.0.0/16"; p "192.168.0.0/24" |]
+
+let gen_loc_case =
+  QCheck2.Gen.(
+    let* npeers = int_range 1 4 in
+    let* pool = list_repeat 4 gen_troute in
+    let peer = int_bound (npeers - 1) and px = int_bound 3 in
+    let+ ops =
+      list_size (int_range 0 150)
+        (frequency
+           [
+             (6, map3 (fun x pe r -> Ann (x, pe, r)) px peer (int_bound 3));
+             (3, map2 (fun x pe -> Wd (x, pe)) px peer);
+             (1, return Invalidate);
+           ])
+    in
+    (npeers, Array.of_list pool, ops))
+
+type loc_model = {
+  mutable cands : (int * troute) list;  (* ascending peer *)
+  mutable mbest : (int * troute) option;
+  mutable stale : bool;
+}
+
+let first_min = function
+  | [] -> None
+  | c :: tl ->
+    Some
+      (List.fold_left
+         (fun (bp, br) (pe, r) ->
+           if Rib.Decision.compare view r br < 0 then (pe, r) else (bp, br))
+         c tl)
+
+let same_change a b =
+  match (a, b) with
+  | Rib.Loc_rib.Unchanged, Rib.Loc_rib.Unchanged
+  | Rib.Loc_rib.Withdrawn, Rib.Loc_rib.Withdrawn ->
+    true
+  | New_best x, New_best y -> x == y
+  | _ -> false
+
+let loc_rib_follows_model (npeers, pool, ops) =
+  let cmp = Rib.Decision.compare view in
+  let rib = Rib.Loc_rib.create view in
+  let model =
+    Array.map (fun _ -> { cands = []; mbest = None; stale = false })
+      loc_prefixes
+  in
+  let apply x peer route =
+    let m = model.(x) in
+    let before = m.mbest in
+    let present = List.mem_assoc peer m.cands in
+    let got = Rib.Loc_rib.update rib ~peer loc_prefixes.(x) route in
+    (match route with
+    | Some r ->
+      m.cands <-
+        List.sort
+          (fun (a, _) (b, _) -> compare a b)
+          ((peer, r) :: List.remove_assoc peer m.cands);
+      m.mbest <-
+        (match before with
+        | Some (bp, br) when (not m.stale) && bp <> peer ->
+          if cmp r br <= 0 then Some (peer, r) else before
+        | _ -> first_min m.cands);
+      m.stale <- false
+    | None when present ->
+      m.cands <- List.remove_assoc peer m.cands;
+      m.mbest <-
+        (match before with
+        | Some (bp, _) when (not m.stale) && bp <> peer -> before
+        | _ -> first_min m.cands);
+      m.stale <- false
+    | None -> ());
+    let expect =
+      match (before, m.mbest) with
+      | None, None -> Rib.Loc_rib.Unchanged
+      | Some _, None -> Withdrawn
+      | None, Some (_, r) -> New_best r
+      | Some (op, or_), Some (np, nr) ->
+        if op = np && or_ == nr then Unchanged else New_best nr
+    in
+    same_change got expect
+  in
+  let step = function
+    | Invalidate ->
+      Rib.Loc_rib.invalidate_best rib;
+      Array.iter (fun m -> m.stale <- true) model;
+      true
+    | Ann (x, peer, r) -> apply x peer (Some pool.(r))
+    | Wd (x, peer) -> apply x peer None
+  in
+  let agrees x m =
+    let px = loc_prefixes.(x) in
+    let got = Rib.Loc_rib.candidates rib px in
+    List.length got = List.length m.cands
+    && List.for_all2 (fun (a, r) (b, s) -> a = b && r == s) got m.cands
+    && (match (Rib.Loc_rib.best_with_peer rib px, m.mbest) with
+       | None, None -> Rib.Loc_rib.best rib px = None
+       | Some (a, r), Some (b, s) ->
+         a = b && r == s
+         && (match Rib.Loc_rib.best rib px with
+            | Some r' -> r' == r
+            | None -> false)
+         && List.for_all (fun (_, c) -> cmp r c <= 0) got
+       | _ -> false)
+    && List.for_all
+         (fun peer ->
+           Rib.Loc_rib.has_candidate rib ~peer px = List.mem_assoc peer m.cands)
+         (List.init npeers Fun.id)
+  in
+  List.for_all
+    (fun op ->
+      step op
+      && Array.for_all Fun.id (Array.mapi agrees model)
+      && Rib.Loc_rib.count rib
+         = Array.fold_left
+             (fun n m -> if m.cands = [] then n else n + 1)
+             0 model)
+    ops
+
+let prop_loc_rib_model =
+  QCheck2.Test.make ~count:300 ~name:"loc-rib follows its model"
+    gen_loc_case loc_rib_follows_model
+
+(* What one prefix costs the Loc-RIB beyond its routes: the trie's tip
+   (3 words), the entry record (5) and its peer-id and route arrays (1
+   word each plus 1 per candidate). *)
+let test_loc_rib_entry_words () =
+  let rib = Rib.Loc_rib.create view in
+  let words () = Obj.reachable_words (Obj.repr rib) in
+  let fresh = words () and route = Obj.reachable_words (Obj.repr base) in
+  let px = p "10.0.0.0/8" in
+  ignore (Rib.Loc_rib.update rib ~peer:3 px (Some base));
+  check Alcotest.int "one candidate" 12 (words () - fresh - route);
+  ignore (Rib.Loc_rib.update rib ~peer:1 px (Some base));
+  check Alcotest.int "two candidates" 14 (words () - fresh - route)
+
 (* Announce-then-withdraw over distinct prefixes, from several peers,
    leaves the Loc-RIB exactly as large as a fresh one. *)
 let test_loc_rib_memory_bounded () =
@@ -494,6 +670,7 @@ let () =
           qc prop_trie_overlaps_full;
           qc prop_trie_covering;
           qc prop_trie_iter_order;
+          qc prop_trie_words;
           Alcotest.test_case "memory bounded under churn" `Quick
             test_trie_memory_bounded;
         ] );
@@ -507,6 +684,8 @@ let () =
         [
           Alcotest.test_case "change reporting" `Quick test_loc_rib_changes;
           qc prop_loc_rib_count;
+          qc prop_loc_rib_model;
+          Alcotest.test_case "words per prefix" `Quick test_loc_rib_entry_words;
           Alcotest.test_case "memory bounded under churn" `Quick
             test_loc_rib_memory_bounded;
         ] );
