@@ -3,14 +3,14 @@
      dune exec bench/main.exe                  -- all: fig1 fig4 fig5 churn
                                                   telemetry micro
      dune exec bench/main.exe fig4             -- extension vs native
-     dune exec bench/main.exe -- fig4 fanout --json
+     dune exec bench/main.exe -- fig4 dispatch --json
                                                -- several benches, in order,
                                                   and write BENCH.json
 
    Benches: fig1 (CDF of IETF standardization delay), fig4 (extension
    vs native on both hosts and both eBPF engines; `ablation` is the same
    bench), fig5 (valley-free fabric audit), micro (Bechamel), churn,
-   telemetry, dispatch, fanout, recorder, chaos. A bench named twice
+   telemetry, dispatch, recorder, chaos. A bench named twice
    runs once.
 
    `--json` writes every number measured in the invocation to one
@@ -18,10 +18,10 @@
    and rounds) and metrics keyed <bench>.<host>.<leg>.<metric>, with
    host "any" for host-independent numbers.
 
-   Environment knobs: XBGP_BENCH_ROUTES (table size, default 8000;
-   fanout's default is 100k), XBGP_BENCH_RUNS (paired rounds, default
-   15, the paper's run count; the slower benches take a fraction),
-   XBGP_BENCH_CHAOS_CASES (chaos campaign size, default 200). *)
+   Environment knobs: XBGP_BENCH_ROUTES (table size, default 8000),
+   XBGP_BENCH_RUNS (paired rounds, default 15, the paper's run count;
+   the slower benches take a fraction), XBGP_BENCH_CHAOS_CASES (chaos
+   campaign size, default 200). *)
 
 let env_int name default =
   try int_of_string (Sys.getenv name) with Not_found -> default
@@ -779,10 +779,8 @@ let dispatch_micro ~rounds ~batch_k =
     ]
 
 (* End-to-end: the full Fig. 3 pipeline in updates/sec at the downstream
-   router. The baseline leg restores the legacy behaviour (interpreter,
-   [batch_updates] off); the other legs are the block engine with
-   batching on, over a telemetry ablation: off / full (every span) /
-   sampled (1-in-16 spans). *)
+   router, on the block engine, over a telemetry ablation: off / full
+   (every span) / sampled (1-in-16 spans). *)
 let dispatch_pipeline ~n ~rounds =
   let routes = ris_routes n in
   let roas = roas_for routes in
@@ -804,22 +802,16 @@ let dispatch_pipeline ~n ~rounds =
     (fun (host, hname) ->
       List.iter
         (fun (sname, mk) ->
-          let leg ~engine ~batch ~tele () =
+          let leg ~tele () =
             let telemetry = telemetry_of tele in
-            fst (feed_and_wait (mk ~engine ~batch ?telemetry ()) routes)
-          in
-          let grid =
-            List.map
-              (fun tele ->
-                ( Printf.sprintf "%s_%s" sname (tele_name tele),
-                  leg ~engine:Ebpf.Vm.Block ~batch:true ~tele ))
-              [ `Off; `Full; `Sampled ]
+            fst (feed_and_wait (mk ~engine:Ebpf.Vm.Block ?telemetry ()) routes)
           in
           let t =
             paired ~rounds
-              (( sname ^ "_baseline",
-                 leg ~engine:Ebpf.Vm.Interpreted ~batch:false ~tele:`Off )
-              :: grid)
+              (List.map
+                 (fun tele ->
+                   (Printf.sprintf "%s_%s" sname (tele_name tele), leg ~tele))
+                 [ `Off; `Full; `Sampled ])
           in
           let times l = List.assoc (Printf.sprintf "%s_%s" sname l) t in
           let ups times = float_of_int n /. median times in
@@ -828,15 +820,8 @@ let dispatch_pipeline ~n ~rounds =
               record "dispatch" hname lname "updates_per_s" (ups times))
             t;
           let fast = tele_name `Off in
-          let ((sp, lo, hi) as speedup) =
-            ratio_stats (times "baseline") (times fast)
-          in
-          Printf.printf
-            "%-6s %-8s baseline=%.0f up/s  fast=%.0f up/s  speedup=%.2fx \
-             [%.2f..%.2f]\n\
-             %!"
-            hname sname (ups (times "baseline")) (ups (times fast)) sp lo hi;
-          record_stats "dispatch" hname (sname ^ "_" ^ fast) "speedup" speedup;
+          Printf.printf "%-6s %-8s %.0f up/s\n%!" hname sname
+            (ups (times fast));
           (* per-dispatch telemetry overhead, paired per round against the
              same fast configuration with telemetry off: the acceptance
              bound for the sampled leg is < 25% *)
@@ -855,22 +840,22 @@ let dispatch_pipeline ~n ~rounds =
             hname sname full sampled)
         [
           ( "native",
-            fun ~engine:_ ~batch ?telemetry () ->
+            fun ~engine:_ ?telemetry () ->
               Scenario.Testbed.mode ~host ~ibgp:true ~native_rr:true
-                ~batch_updates:batch ?telemetry () );
+                ?telemetry () );
           ( "rr_ext",
-            fun ~engine ~batch ?telemetry () ->
+            fun ~engine ?telemetry () ->
               Scenario.Testbed.mode ~host ~ibgp:true
-                ~manifest:Xprogs.Route_reflector.manifest ~engine
-                ~batch_updates:batch ?telemetry () );
+                ~manifest:Xprogs.Route_reflector.manifest ~engine ?telemetry
+                () );
           (* the conversion-heavy extension: OV pulls the AS_PATH and
              COMMUNITIES TLVs for every prefix *)
           ( "ov_ext",
-            fun ~engine ~batch ?telemetry () ->
+            fun ~engine ?telemetry () ->
               Scenario.Testbed.mode ~host ~ibgp:false
                 ~manifest:Xprogs.Origin_validation.manifest ~engine
                 ~xtras:[ ("roa_table", Xprogs.Util.encode_roa_table roas) ]
-                ~batch_updates:batch ?telemetry () );
+                ?telemetry () );
         ])
     hosts
 
@@ -886,144 +871,6 @@ let dispatch_bench () =
     "=== Dispatch fast path: batching x telemetry ===\n";
   dispatch_micro ~rounds:micro_rounds ~batch_k;
   dispatch_pipeline ~n ~rounds;
-  Printf.printf "\n"
-
-(* ------------------------------------------------------------------ *)
-(* Fan-out: encode-once update groups vs per-peer export               *)
-(* ------------------------------------------------------------------ *)
-
-(* Full-table export from a hub DUT to K identical spokes (the Star
-   topology), grouped vs per-peer. Every route carries a distinct MED so
-   attribute grouping cannot collapse the table into a handful of shared
-   frames: the grouped leg's win must come from running export policy,
-   outbound dispatch and UPDATE encoding once per group instead of once
-   per peer. A group-invariant outbound extension is attached so the
-   per-peer baseline also pays K bytecode dispatches per route — the
-   deployment shape the update-group engine is for. *)
-
-let fanout_routes n =
-  List.init n (fun i ->
-      let a =
-        Bgp.Prefix.addr_of_quad
-          (32 + (i lsr 16), (i lsr 8) land 255, i land 255, 0)
-      in
-      ( Bgp.Prefix.v a 24,
-        Bgp.Attr.
-          [
-            v (Origin Igp);
-            v (As_path [ Seq [ 64900; 64901 ] ]);
-            v (Next_hop 0x0A000001);
-            v (Med i);
-          ] ))
-
-(* pure compute, no helpers: provably group-invariant, attached at both
-   outbound points (filter and encode-message — the realistic "policy
-   plus wire rewriter" deployment), so the grouped leg dispatches each
-   once per route while the baseline dispatches once per route per
-   peer *)
-let fanout_vmm () =
-  let prog =
-    Ebpf.Asm.(
-      assemble
-        [
-          movi Ebpf.Insn.R7 60;
-          label "compute";
-          addi Ebpf.Insn.R0 3;
-          subi Ebpf.Insn.R7 1;
-          jnei Ebpf.Insn.R7 0 "compute";
-          movi Ebpf.Insn.R0 0;
-          (* filter_accept *)
-          exit_;
-        ])
-  in
-  let xp = Xbgp.Xprog.v ~name:"fanout_bench" [ ("main", prog) ] in
-  let vmm = Xbgp.Vmm.create ~host:"bench" ~engine:Ebpf.Vm.Block () in
-  (match Xbgp.Vmm.register vmm xp with
-  | Ok () -> ()
-  | Error e -> failwith ("fanout bench: register: " ^ e));
-  List.iter
-    (fun point ->
-      match
-        Xbgp.Vmm.attach vmm ~program:"fanout_bench" ~bytecode:"main" ~point
-          ~order:0
-      with
-      | Ok () -> ()
-      | Error e -> failwith ("fanout bench: attach: " ^ e))
-    [ Xbgp.Api.Bgp_outbound_filter; Xbgp.Api.Bgp_encode_message ];
-  vmm
-
-(* one full-table export; returns wall-clock seconds between the first
-   announcement and every sink holding the whole table, plus the star
-   for telemetry readout *)
-let fanout_run ~host ~grouped ~npeers routes =
-  let star =
-    Scenario.Star.create ~host ~vmm:(fanout_vmm ()) ~update_groups:grouped
-      ~record_frames:false ~track_rib:false ~npeers ()
-  in
-  Scenario.Star.establish star;
-  let n = List.length routes in
-  let full () =
-    let ok = ref true in
-    for i = 0 to npeers - 1 do
-      if Scenario.Star.sink_adv_seen star i < n then ok := false
-    done;
-    !ok
-  in
-  let dt =
-    wall (fun () ->
-        List.iter
-          (fun (p, attrs) -> Scenario.Star.originate star p attrs)
-          routes;
-        if not (Scenario.Star.run_until ~timeout_us:3_600_000_000 star full)
-        then failwith "fanout bench: export did not converge")
-  in
-  (dt, star)
-
-let fanout_bench () =
-  let n = env_int "XBGP_BENCH_ROUTES" 100_000 in
-  let rounds = max 2 (runs_n / 5) in
-  describe "fanout" [ ("routes", n); ("rounds", rounds) ];
-  Printf.printf
-    "=== Fan-out: update groups (encode once) vs per-peer export ===\n";
-  let routes = fanout_routes n in
-  List.iter
-    (fun (host, hname) ->
-      List.iter
-        (fun npeers ->
-          let saved = ref 0 and groups = ref 0 in
-          let leg grouped () =
-            let dt, star = fanout_run ~host ~grouped ~npeers routes in
-            if grouped then begin
-              saved :=
-                Telemetry.counter_value
-                  (Scenario.Star.telemetry star)
-                  ~name:"bgp_fanout_bytes_saved_total"
-                  ~labels:[ ("daemon", "dut") ];
-              groups := Scenario.Daemon.group_count (Scenario.Star.dut star)
-            end;
-            dt
-          in
-          let t =
-            paired ~rounds [ ("grouped", leg true); ("baseline", leg false) ]
-          in
-          let grouped = List.assoc "grouped" t in
-          let base = List.assoc "baseline" t in
-          let rps times = float_of_int n /. median times in
-          let ((sp, lo, hi) as speedup) = ratio_stats base grouped in
-          Printf.printf
-            "%-6s p%-3d baseline=%.0f routes/s  grouped=%.0f routes/s  \
-             speedup=%.2fx [%.2f..%.2f]  groups=%d  bytes_saved=%d\n\
-             %!"
-            hname npeers (rps base) (rps grouped) sp lo hi !groups !saved;
-          let leg = Printf.sprintf "p%d_%s" npeers in
-          record "fanout" hname (leg "baseline") "routes_per_s" (rps base);
-          record "fanout" hname (leg "grouped") "routes_per_s" (rps grouped);
-          record "fanout" hname (leg "grouped") "groups" (float_of_int !groups);
-          record "fanout" hname (leg "grouped") "bytes_saved"
-            (float_of_int !saved);
-          record_stats "fanout" hname (leg "grouped") "speedup" speedup)
-        [ 2; 4; 8; 16; 32 ])
-    hosts;
   Printf.printf "\n"
 
 (* ------------------------------------------------------------------ *)
@@ -1182,8 +1029,8 @@ let benches =
   [
     ("fig1", fig1); ("fig4", fig4); ("ablation", fig4); ("fig5", fig5);
     ("micro", micro); ("churn", churn); ("telemetry", telemetry_bench);
-    ("dispatch", dispatch_bench); ("fanout", fanout_bench);
-    ("recorder", recorder_bench); ("chaos", chaos_bench);
+    ("dispatch", dispatch_bench); ("recorder", recorder_bench);
+    ("chaos", chaos_bench);
   ]
 
 let all = [ "fig1"; "fig4"; "fig5"; "churn"; "telemetry"; "micro" ]

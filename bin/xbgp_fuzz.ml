@@ -7,9 +7,12 @@
    across the legs and telemetry invariants. Star cases may be iBGP
    route-reflector stars, and most carry a hostile sink that writes
    mutated wire frames; the session fate and RIBs after them are
-   compared leg against leg. A star case's grid includes its own point
-   with update groups flipped, whose per-sink UPDATE frame streams must
-   match byte for byte. Every case also carries raw eBPF programs, each
+   compared leg against leg. Legs that share a host must leave every
+   sink a byte-identical UPDATE frame stream; a star case's grid also
+   runs its own point with every multi-prefix UPDATE the sinks send
+   split into one UPDATE per prefix, and after every phase each sink
+   must hold what the export reference model derives from the DUT's
+   Loc-RIB. Every case also carries raw eBPF programs, each
    of which must behave identically — result, final registers, helper
    trace, VMM round trip — on both engines (interpreter,
    block-compiled), and agree with the verifier's call-site facts.
@@ -139,7 +142,7 @@ let cmd =
       `S Manpage.s_description;
       `P
         "Draws random points in the knob matrix (host, eBPF engine, \
-         batching, update groups, telemetry sampling, extension chains), \
+         telemetry sampling, extension chains), \
          drives each through a generated star or Clos-fabric scenario \
          under a seeded fault schedule (session flaps, link failures, ROA \
          swaps, live extension detach/attach, split-horizon sink feeding, \
@@ -147,9 +150,11 @@ let cmd =
          mutated wire frames), once per leg of a knob grid whose second \
          leg runs the other host. It asserts convergence within budget, \
          route-for-route equivalence of the xBGP-visible state (Loc-RIBs, \
-         adj-RIB-ins and session states in the neutral attribute form) \
-         across the grid, byte-identical UPDATE streams between grouped \
-         and per-peer export, and telemetry invariants.";
+         adj-RIB-ins, session states and map state in the neutral form) \
+         across the grid, including a leg whose sinks send one UPDATE per \
+         prefix, byte-identical UPDATE streams between legs on one host, \
+         sink adj-RIB-ins equal to an export reference model of the DUT's \
+         Loc-RIB after every phase, and telemetry invariants.";
       `P
         "Every case also carries generated eBPF programs; each \
          verifier-accepted one must produce identical results, register \

@@ -310,14 +310,14 @@ let run_cmd =
      where e.g. `show provenance 8.8.0.0/16` explains a route whose
      import chain ran on every hop. *)
 
-let show_star ~host ~batch_updates ~update_groups ~capacity =
+let show_star ~host ~capacity =
   let pfx = Bgp.Prefix.of_string in
   let roas = [ Rpki.Roa.v (pfx "10.32.0.0/24") ~max_len:24 ~asn:65101 ] in
   let star =
     Scenario.Star.create ~host ~npeers:4
       ~manifest:Xprogs.Origin_validation.manifest
       ~xtras:[ ("roa_table", Xprogs.Util.encode_roa_table roas) ]
-      ~batch_updates ~update_groups ()
+      ()
   in
   let rc = Obs.Recorder.create ~capacity ~name:"dut" () in
   Scenario.Star.attach_recorder star rc;
@@ -343,11 +343,8 @@ let show_star ~host ~batch_updates ~update_groups ~capacity =
   Scenario.Star.settle star;
   Scenario.Star.dut star
 
-let show_fabric ~host ~batch_updates ~update_groups ~capacity ~router =
-  let f =
-    Scenario.Fabric.build ~host ~with_transit:true ~batch_updates
-      ~update_groups `Xbgp
-  in
+let show_fabric ~host ~capacity ~router =
+  let f = Scenario.Fabric.build ~host ~with_transit:true `Xbgp in
   let rc = Obs.Recorder.create ~capacity ~name:"fabric" () in
   Scenario.Fabric.attach_recorder f rc;
   let d =
@@ -389,18 +386,6 @@ let show_cmd =
       & info [ "since" ] ~docv:"SEQ"
           ~doc:"For $(b,recorder): only events with seqno >= $(docv)")
   in
-  let batch_arg =
-    Arg.(
-      value & opt bool true
-      & info [ "batch-updates" ] ~docv:"BOOL"
-          ~doc:"Batched NLRI processing on the daemons")
-  in
-  let groups_arg =
-    Arg.(
-      value & opt bool true
-      & info [ "update-groups" ] ~docv:"BOOL"
-          ~doc:"Update-group export engine on the daemons")
-  in
   let capacity_arg =
     Arg.(
       value & opt int 4096
@@ -413,14 +398,12 @@ let show_cmd =
       & info [ "router" ] ~docv:"NAME"
           ~doc:"Fabric router to query (fabric scenario only)")
   in
-  let run scenario host json since batch_updates update_groups capacity router
-      query =
+  let run scenario host json since capacity router query =
     setup_logs ();
     let d =
       match scenario with
-      | `Star -> show_star ~host ~batch_updates ~update_groups ~capacity
-      | `Fabric ->
-        show_fabric ~host ~batch_updates ~update_groups ~capacity ~router
+      | `Star -> show_star ~host ~capacity
+      | `Fabric -> show_fabric ~host ~capacity ~router
     in
     let query =
       match (query, since) with
@@ -441,8 +424,8 @@ let show_cmd =
        ~doc:
          "Answer a live introspection query against an observed scenario")
     Term.(
-      const run $ scenario_arg $ host_arg $ json_arg $ since_arg $ batch_arg
-      $ groups_arg $ capacity_arg $ router_arg $ query_arg)
+      const run $ scenario_arg $ host_arg $ json_arg $ since_arg
+      $ capacity_arg $ router_arg $ query_arg)
 
 let () =
   let info =

@@ -12,20 +12,25 @@
        its faults heal;
    (b) equivalence: the xBGP-visible routing state after every phase —
        DUT Loc-RIB, per-sink derived adj-RIB-ins and session states,
-       per-router fabric Loc-RIBs and ToR reachability, all in the
-       normalized neutral form — is identical on every leg of the grid,
-       and legs that agree on host and batching leave every sink a
-       byte-identical UPDATE frame stream (on star cases, grouped
-       against per-peer export). Leg 1 crosses the host, so this is the
-       FRR-vs-BIRD differential; settling between fault events makes
-       the event history knob-independent, so any difference is a real
+       per-router fabric Loc-RIBs and ToR reachability, the DUT's map
+       state, all in the normalized neutral form — is identical on every
+       leg of the grid, and legs that share a host and the sinks'
+       UPDATE framing leave every sink a byte-identical UPDATE frame
+       stream. Leg 1 crosses the host, so this is the FRR-vs-BIRD
+       differential; a star case's split leg sends every multi-prefix
+       UPDATE as one UPDATE per prefix, the metamorphic check of batched
+       import. Settling between fault events makes the event history
+       knob-independent, so any difference is a real
        configuration-dependence bug;
-   (c) telemetry invariants: registry counters are monotone across
+   (c) export: after every phase, each star sink whose session is up
+       holds exactly what {!Export_model} derives from the DUT's Loc-RIB
+       — the reference check of the update-group export engine;
+   (d) telemetry invariants: registry counters are monotone across
        phase snapshots, no pipe leaks in-flight chunks at quiescence,
        and update groups re-merge after churn (1 group for a
        group-invariant outbound chain, one solo group per peer for a
-       peer-dependent one, 0 with grouping off);
-   (d) VM safety: each of the case's programs passes
+       peer-dependent one);
+   (e) VM safety: each of the case's programs passes
        {!Oracle.check_prog} (engines, VMM round trip, verifier facts).
 
    Faults restore what they break before the next phase begins, so the
@@ -128,6 +133,9 @@ type 'a rig = {
   now : unit -> int;
   settle : unit -> unit;
   snapshot : string -> phase;  (** label -> settled observation *)
+  check : unit -> string list;
+      (** per-phase differences from a reference model, if the leg has
+          one *)
 }
 
 let run_phases ~(knobs : Cg.knobs) ~telemetry ~(rig : _ rig) steps =
@@ -149,6 +157,12 @@ let run_phases ~(knobs : Cg.knobs) ~telemetry ~(rig : _ rig) steps =
          let cur = Telemetry.counters telemetry in
          List.iter note (check_monotone ~leg:knobs ~label !counters_prev cur);
          counters_prev := cur;
+         List.iter
+           (fun d ->
+             note
+               (finding Equivalence "[%a] phase %s: %s" Cg.pp_knobs knobs
+                  label d))
+           (rig.check ());
          phases := { (rig.snapshot label) with dur_us = dur } :: !phases)
        steps
    with
@@ -208,18 +222,28 @@ let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers : leg =
   Telemetry.set_span_sampling telemetry knobs.span_sampling;
   let vmm = build_chain_vmm ~knobs ~telemetry c.chain in
   let rr = List.mem "route_reflector" c.chain in
+  (* the chains that may have exported what a sink holds, newest first *)
+  let chains = ref [ c.chain ] in
   let star =
-    Scenario.Star.create ~host:knobs.host ?vmm ~telemetry
-      ~update_groups:knobs.update_groups ~batch_updates:knobs.batch_updates
-      ~ibgp:rr ~rr_client:(fun _ -> rr) ~hold_time:3 ~xtras:(star_xtras c)
-      ~npeers ()
+    Scenario.Star.create ~host:knobs.host ?vmm ~telemetry ~ibgp:rr
+      ~rr_client:(fun _ -> rr) ~hold_time:3 ~xtras:(star_xtras c) ~npeers ()
   in
   let rc = Obs.Recorder.create ~capacity:4096 ~name:"dut" () in
   Scenario.Star.attach_recorder star rc;
   let dut = Scenario.Star.dut star in
   let sched = Scenario.Star.sched star in
+  (* the split leg sends each prefix in its own UPDATE *)
+  let per_update prefixes =
+    if knobs.split then List.map (fun p -> [ p ]) prefixes else [ prefixes ]
+  in
+  let announce j ~attrs prefixes =
+    List.iter (Scenario.Star.sink_announce star j ~attrs) (per_update prefixes)
+  in
+  let withdraw j prefixes =
+    List.iter (Scenario.Star.sink_withdraw star j) (per_update prefixes)
+  in
   let sink_announce j prefixes =
-    Scenario.Star.sink_announce star j
+    announce j
       ~attrs:
         Bgp.Attr.
           [
@@ -242,8 +266,7 @@ let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers : leg =
       (fun (r : Dataset.Ris_gen.route) ->
         match c.feed with
         | Cg.Dut_originate -> Scenario.Star.originate star r.prefix r.attrs
-        | Cg.Sink_announce ->
-          Scenario.Star.sink_announce star 0 ~attrs:r.attrs [ r.prefix ])
+        | Cg.Sink_announce -> announce 0 ~attrs:r.attrs [ r.prefix ])
       c.routes
   in
   let rejoin j =
@@ -280,7 +303,7 @@ let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers : leg =
       | Cg.Sink_announce ->
         List.iter
           (fun (r : Dataset.Ris_gen.route) ->
-            Scenario.Star.sink_announce star 0 ~attrs:r.attrs [ r.prefix ])
+            announce 0 ~attrs:r.attrs [ r.prefix ])
           c.routes
       | Cg.Dut_originate -> ())
     | Cg.Detach_attach name -> (
@@ -322,7 +345,7 @@ let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers : leg =
          routes must reach every sink EXCEPT itself *)
       sink_announce j (List.init 4 feed_prefix);
       Scenario.Star.settle star;
-      Scenario.Star.sink_withdraw star j [ feed_prefix 0; feed_prefix 2 ]
+      withdraw j [ feed_prefix 0; feed_prefix 2 ]
     | Cg.Wd_race j ->
       (* once sink j's block has settled, its withdrawal and sink k's
          re-advertisement of the SAME prefixes land in one unsettled
@@ -330,15 +353,17 @@ let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers : leg =
       let race = List.init 8 feed_prefix in
       sink_announce j race;
       Scenario.Star.settle star;
-      Scenario.Star.sink_withdraw star j race;
+      withdraw j race;
       sink_announce ((j + 1) mod npeers) race
     | Cg.Detach name ->
       (* the generation bump alone must regroup (split or re-merge)
-         without a refresh, keeping every sink's stream seamless *)
+         without a refresh, keeping every sink's stream seamless; routes
+         exported before it keep the full chain's attributes *)
       Option.iter
         (fun vmm ->
           Xbgp.Vmm.detach vmm ~program:name
-            ~point:Xbgp.Api.Bgp_outbound_filter)
+            ~point:Xbgp.Api.Bgp_outbound_filter;
+          chains := List.filter (( <> ) name) (List.hd !chains) :: !chains)
         vmm
     | Cg.Fabric_fail _ | Cg.Fabric_double_fail _ ->
       invalid_arg "Chaos: fabric fault in a star case"
@@ -370,6 +395,7 @@ let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers : leg =
               Array.init npeers (fun i ->
                   List.map Bytes.to_string (Scenario.Star.sink_frames star i));
           });
+      check = (fun () -> Export_model.diff_star star ~chains:!chains);
     }
   in
   let steps =
@@ -410,8 +436,7 @@ let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers : leg =
             | r :: _ -> (
               match c.feed with
               | Cg.Dut_originate -> Scenario.Star.withdraw_local star r.prefix
-              | Cg.Sink_announce ->
-                Scenario.Star.sink_withdraw star 0 [ r.prefix ])
+              | Cg.Sink_announce -> withdraw 0 [ r.prefix ])
             | [] -> () );
       ]
   in
@@ -424,8 +449,7 @@ let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers : leg =
            Cg.pp_knobs knobs);
     (* a Detach leaves its program off the chain *)
     let expected_groups =
-      if not knobs.update_groups then 0
-      else if
+      if
         List.mem "igp_filter" c.chain
         && not (List.mem (Cg.Detach "igp_filter") c.faults)
       then npeers
@@ -463,8 +487,7 @@ let run_fabric_leg (c : Cg.case) (knobs : Cg.knobs) ~fconfig ~with_transit :
   Telemetry.set_span_sampling telemetry knobs.span_sampling;
   let fab =
     Scenario.Fabric.build ~host:knobs.host ~with_transit ~engine:knobs.engine
-      ~telemetry ~batch_updates:knobs.batch_updates
-      ~update_groups:knobs.update_groups fconfig
+      ~telemetry fconfig
   in
   let rc = Obs.Recorder.create ~capacity:4096 ~name:"fabric" () in
   Scenario.Fabric.attach_recorder fab rc;
@@ -572,6 +595,7 @@ let run_fabric_leg (c : Cg.case) (knobs : Cg.knobs) ~fconfig ~with_transit :
             maps = "";
             frames = [||];
           });
+      check = (fun () -> []);
     }
   in
   let phases, findings, note = run_phases ~knobs ~telemetry ~rig steps in
@@ -612,9 +636,9 @@ let first_mismatch a b =
   in
   go 0 a b
 
-(* [frames]: the legs agree on host and batching, the two knobs allowed
-   to change framing, so their sinks' UPDATE streams must match byte
-   for byte. *)
+(* [frames]: the legs agree on host and on the sinks' UPDATE framing,
+   the two things allowed to change what the DUT sends, so their sinks'
+   UPDATE streams must match byte for byte. *)
 let diff_phase ~l0 ~l1 ~frames (p0 : phase) (p1 : phase) : string list =
   let locs =
     List.filter_map
@@ -678,8 +702,7 @@ let compare_legs (base : leg) (other : leg) : finding list =
   let l0 = Fmt.str "%a" Cg.pp_knobs base.knobs in
   let l1 = Fmt.str "%a" Cg.pp_knobs other.knobs in
   let frames =
-    base.knobs.host = other.knobs.host
-    && base.knobs.batch_updates = other.knobs.batch_updates
+    base.knobs.host = other.knobs.host && base.knobs.split = other.knobs.split
   in
   let rec go p0s p1s acc =
     match (p0s, p1s) with

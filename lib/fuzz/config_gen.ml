@@ -1,9 +1,9 @@
 (* Seeded generation of fuzz cases.
 
    A case is a random point in the configuration matrix the daemons
-   actually ship: host implementation x eBPF execution engine x batched
-   updates x update groups x telemetry / span sampling x extension chain
-   x topology — plus a seeded fault schedule to run against it, mutated
+   actually ship: host implementation x eBPF execution engine x
+   telemetry / span sampling x extension chain x topology — plus a
+   seeded fault schedule to run against it, mutated
    wire frames for one star sink to send, and a set of raw eBPF programs
    for the engine check. Everything is a pure function of (master seed,
    case index), so the shrinker and the replay file only ever need to
@@ -12,10 +12,12 @@
 
    The knob *grid* is part of the case: leg 0 is the generated point,
    and the remaining legs are systematic mutations (the other host, the
-   next engine with every boolean knob flipped, and on star cases update
-   groups alone flipped) — the oracle demands route-for-route
-   equivalence across all legs of the same case, which is the
-   configuration-space form of the FRR-vs-BIRD differential.
+   next engine with telemetry flipped, and on star cases the same point
+   with every multi-prefix UPDATE the sinks send split into one UPDATE
+   per prefix) — the oracle demands route-for-route equivalence across
+   all legs of the same case, which is the configuration-space form of
+   the FRR-vs-BIRD differential, and the split leg is the metamorphic
+   check of batched import.
 
    Hostile frames have no attribute restriction beyond the shared
    native vocabulary of their unmutated form; whatever a mutation does
@@ -26,10 +28,11 @@ module Prng = Dataset.Prng
 type knobs = {
   host : Scenario.Testbed.host;
   engine : Ebpf.Vm.engine;
-  batch_updates : bool;
-  update_groups : bool;
   telemetry : bool;  (** histograms and spans (counters always count) *)
   span_sampling : int;  (** 1-in-N span sampling, 1 = everything *)
+  split : bool;
+      (** star: the sinks send one UPDATE per prefix (the import oracle's
+          metamorphic leg) *)
 }
 
 type topology =
@@ -108,12 +111,11 @@ let topology_name = function
   | Fabric { fconfig = `Xbgp; _ } -> "fabric_xbgp"
 
 let pp_knobs ppf k =
-  Fmt.pf ppf "%s/%s batch%c groups%c tel%c s%d" (host_name k.host)
+  Fmt.pf ppf "%s/%s tel%c s%d%s" (host_name k.host)
     (Ebpf.Vm.engine_name k.engine)
-    (if k.batch_updates then '+' else '-')
-    (if k.update_groups then '+' else '-')
     (if k.telemetry then '+' else '-')
     k.span_sampling
+    (if k.split then " split" else "")
 
 let kinds c =
   (topology_name c.topology
@@ -152,26 +154,25 @@ let next_engine e =
 let gen_knobs rng =
   let span_sampling = Prng.choose rng [| 1; 1; 4; 16 |] in
   let telemetry = Prng.bool rng in
-  let update_groups = Prng.bool rng in
-  let batch_updates = Prng.bool rng in
-  (* a retired knob's draw, kept so older reproducers still replay *)
-  ignore (Prng.bool rng : bool);
+  (* three retired knobs' draws (update groups, batched updates,
+     conversion caches), kept so older reproducers still replay *)
+  for _ = 1 to 3 do
+    ignore (Prng.bool rng : bool)
+  done;
   let engine = Prng.choose rng engines in
   let host = Prng.choose rng hosts in
-  { host; engine; batch_updates; update_groups; telemetry; span_sampling }
+  { host; engine; telemetry; span_sampling; split = false }
 
 (* Leg 1 crosses the host (the classic differential); leg 2 moves to the
-   next engine and flips every boolean knob at once (any pairwise
-   divergence still isolates to one leg pair, since legs are compared
-   against leg 0); an occasional leg 3 crosses host *and* knobs. *)
+   next engine and flips telemetry (any pairwise divergence still
+   isolates to one leg pair, since legs are compared against leg 0); an
+   occasional leg 3 crosses host *and* knobs. *)
 let grid_of rng base =
   let cross = { base with host = other_host base.host } in
   let alt =
     {
       base with
       engine = next_engine base.engine;
-      batch_updates = not base.batch_updates;
-      update_groups = not base.update_groups;
       telemetry = not base.telemetry;
       span_sampling = (if base.span_sampling = 1 then 8 else 1);
     }
@@ -543,10 +544,14 @@ let topology_case ~seed ~index : case =
       | 3, p :: _ -> faults @ [ Detach p ]
       | _ -> faults
     in
-    (* the same point with update groups flipped: same host and batching,
-       so its UPDATE frame streams must match leg 0's byte for byte *)
+    (* the same point with every multi-prefix UPDATE a sink sends split
+       into one UPDATE per prefix: routing state, provenance and map
+       state must not notice. rate_limit's window is one UPDATE by
+       design, so splitting changes its verdicts; cases carrying it get
+       no split leg. *)
     let grid =
-      grid @ [ { base with update_groups = not base.update_groups } ]
+      if List.mem "rate_limit" chain then grid
+      else grid @ [ { base with split = true } ]
     in
     {
       seed;

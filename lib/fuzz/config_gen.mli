@@ -1,6 +1,6 @@
 (** Seeded generation of fuzz cases: random points in the shipped
-    configuration matrix (host x engine x batching x update groups x
-    telemetry x extension chain x topology), each with a seeded fault
+    configuration matrix (host x engine x telemetry x extension chain x
+    topology), each with a seeded fault
     schedule, mutated wire frames for one star sink to send, and raw eBPF
     programs for the engine check.
 
@@ -12,10 +12,11 @@
 type knobs = {
   host : Scenario.Testbed.host;
   engine : Ebpf.Vm.engine;
-  batch_updates : bool;
-  update_groups : bool;
   telemetry : bool;  (** histograms and spans (counters always count) *)
   span_sampling : int;  (** 1-in-N span sampling, 1 = everything *)
+  split : bool;
+      (** star: the sinks send one UPDATE per prefix — the import
+          oracle's metamorphic leg, not a daemon setting *)
 }
 
 type topology =
@@ -78,9 +79,10 @@ val case : seed:int -> index:int -> case
     field, as are the programs, the hostile frames and the
     route-reflector variant (iBGP route-reflector-client sinks with
     route_reflector appended to the chain), and a star grid's last leg
-    (leg 0 with update groups flipped) draws nothing, so cases generated
-    before they existed keep their knobs, chain prefix, routes and
-    faults. *)
+    (leg 0 with the sinks' UPDATEs split per prefix, absent when the
+    chain holds rate_limit) draws nothing, so cases generated before
+    they existed keep their knobs, chain prefix, routes and faults. The
+    draws of retired knobs are kept and discarded for the same reason. *)
 
 val lists : string list
 (** The names of a case's shrinkable lists: faults, routes, frames,

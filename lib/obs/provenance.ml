@@ -21,9 +21,9 @@
 
    Determinism contract: a record contains no run counters, no
    timestamps and no engine-internal state, so the same route arriving
-   through the batched fast path, the per-prefix path, a grouped or a
-   per-peer export MUST produce equal records — test_provenance.ml and
-   the CLI's byte-identity check enforce it. *)
+   in one multi-prefix UPDATE or in one UPDATE per prefix MUST produce
+   equal records — test_provenance.ml and the golden [show provenance]
+   outputs enforce it. *)
 
 type step = {
   program : string;

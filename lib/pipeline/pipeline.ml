@@ -12,9 +12,13 @@
    therefore only come from a representation.
 
    The processing pipeline per received UPDATE follows Fig. 2:
-   receive-message point -> parse -> per-prefix inbound filter point ->
-   Loc-RIB candidate/decision -> per-peer outbound filter point ->
-   Adj-RIB-Out -> encode-message point -> wire. The Loc-RIB candidate is
+   receive-message point -> parse -> inbound filter point (once per
+   UPDATE when the chain provably ignores the prefix, else per prefix) ->
+   Loc-RIB candidate/decision -> outbound filter point (once per update
+   group) -> the group's Adj-RIB-Out -> encode-message point (once per
+   flush class) -> wire. There is one import path and one export path,
+   as in the real hosts: FRR exports only through update groups, and
+   BIRD imports a whole UPDATE at a time. The Loc-RIB candidate is
    the one record kept per (prefix, peer), as FRR's [bgp_path_info] and
    BIRD's per-channel route are: it is the post-policy Adj-RIB-In, and it
    carries its import note for provenance. Soft-reconfiguration inbound
@@ -137,8 +141,6 @@ module type S = sig
     ?native_ov:roa_store ->
     ?igp_metric:(int -> int) ->
     ?xtras:(string * bytes) list ->
-    ?batch_updates:bool ->
-    ?update_groups:bool ->
     name:string ->
     router_id:int ->
     local_as:int ->
@@ -147,14 +149,11 @@ module type S = sig
     config
   (** [cluster_id] defaults to the router id; [igp_metric] maps a
       next-hop address to its IGP cost; [xtras] feed the [get_xtra]
-      helper. [batch_updates] (default [true]) processes a multi-prefix
-      UPDATE's NLRI as one batch sharing one converted attribute view;
-      [false] restores the legacy per-prefix path (the dispatch-bench
-      baseline). [update_groups] (default [true]) partitions peers into
-      update groups ({!Rib.Update_group}) so export policy, outbound
-      dispatch and UPDATE encoding run once per group and the frames fan
-      out to every member; [false] restores the per-peer export path
-      (the fan-out baseline). *)
+      helper. A multi-prefix UPDATE's NLRI is imported as one batch
+      sharing one converted attribute view, and peers are partitioned
+      into update groups ({!Rib.Update_group}), so export policy,
+      outbound dispatch and UPDATE encoding run once per group and the
+      frames fan out to every member. *)
 
   (** Validation-result communities attached by native origin validation
       and, identically, by the extension (65535:1/2/3). *)
@@ -253,8 +252,7 @@ module type S = sig
   val telemetry : t -> Telemetry.t
 
   val group_count : t -> int
-  (** Active update groups (0 until a peer syncs, or when
-      [update_groups] is off). *)
+  (** Active update groups (0 until a peer syncs). *)
 
   val peer : t -> int -> peer
   val peer_established : t -> int -> bool
@@ -324,19 +322,10 @@ module Make (R : REPR) :
         (** native origin validation through the host's ROA store *)
     igp_metric : int -> int;  (** IGP metric towards a next-hop address *)
     xtras : (string * bytes) list;  (** config extras for [get_xtra] *)
-    batch_updates : bool;
-        (** process a multi-prefix UPDATE's NLRI as one batch sharing one
-            converted attribute view (off = the legacy per-prefix path,
-            kept for the dispatch-bench baseline) *)
-    update_groups : bool;
-        (** partition peers into update groups and run export policy,
-            outbound dispatch and UPDATE encoding once per group (off =
-            the legacy per-peer path, kept as the fan-out baseline) *)
   }
 
   let config ?(cluster_id = 0) ?(hold_time = 90) ?(native_rr = false)
-      ?native_ov ?(igp_metric = fun _ -> 0) ?(xtras = [])
-      ?(batch_updates = true) ?(update_groups = true) ~name ~router_id
+      ?native_ov ?(igp_metric = fun _ -> 0) ?(xtras = []) ~name ~router_id
       ~local_as ~local_addr () =
     {
       name;
@@ -349,8 +338,6 @@ module Make (R : REPR) :
       native_ov;
       igp_metric;
       xtras;
-      batch_updates;
-      update_groups;
     }
 
   (* Communities used to tag origin-validation results, both by native code
@@ -447,14 +434,11 @@ module Make (R : REPR) :
     tele : Telemetry.t;
     probes : probes;
     mutable peers : peer array;
-    adj_out : R.attrs Rib.Adj_rib.t;
     loc : cand Rib.Loc_rib.t;
-    pending_adv : (int, (Bgp.Prefix.t * R.attrs) list ref) Hashtbl.t;
-    pending_wd : (int, Bgp.Prefix.t list ref) Hashtbl.t;
     mutable flush_scheduled : bool;
     ugroups : R.attrs Rib.Update_group.t;
-        (** update-group partition (the encode-once/fan-out-many path);
-            unused when [config.update_groups] is off *)
+        (** update-group partition, which holds the Adj-RIB-Out: each
+            flush class is encoded once and fanned out to its members *)
     mutable group_gen : int;
         (** {!Xbgp.Vmm.generation} at the last re-grouping; -1 forces the
             first {!refresh_grouping} to compute the partition key *)
@@ -906,28 +890,7 @@ module Make (R : REPR) :
 
   (* --- outbound machinery --- *)
 
-  let pending_list tbl peer =
-    match Hashtbl.find_opt tbl peer with
-    | Some l -> l
-    | None ->
-      let l = ref [] in
-      Hashtbl.replace tbl peer l;
-      l
-
-  (* A withdrawal supersedes any advertisement of the same prefix still
-     sitting in the peer's pending queue. Flush emits withdrawals before
-     advertisements, so a stale queued advertisement would be delivered
-     AFTER the withdrawal that semantically follows it — the receiver
-     would keep a candidate this side's adj-RIB-out no longer tracks, and
-     no later event would ever correct it (path hunting then "converges"
-     onto ghost routes). *)
-  let purge_pending_adv t peer_idx prefix =
-    match Hashtbl.find_opt t.pending_adv peer_idx with
-    | Some l ->
-      l := List.filter (fun (p, _) -> Bgp.Prefix.compare p prefix <> 0) !l
-    | None -> ()
-
-  (* RFC 4271 §4: both export paths frame through [split_update_raw], so a
+  (* RFC 4271 §4: every UPDATE is framed through [split_update_raw], so a
      prefix list (or an attribute block grown by an encode-point
      extension) can never push a frame past the 4096-byte maximum. *)
   let withdrawal_frames prefixes =
@@ -942,33 +905,10 @@ module Make (R : REPR) :
           flush t)
     end
 
+  (* Drain each group's queued events as flush classes (members whose
+     pending streams are identical), encode each class's frames once,
+     and share the buffers across every member session. *)
   and flush t =
-    if t.config.update_groups then flush_groups t
-    else
-      Array.iter
-        (fun peer ->
-          if Session.Fsm.is_established peer.session then begin
-            (* withdrawals first *)
-            (match Hashtbl.find_opt t.pending_wd peer.idx with
-            | Some ({ contents = _ :: _ } as l) ->
-              let prefixes = List.rev !l in
-              l := [];
-              send_withdrawals t peer prefixes
-            | _ -> ());
-            match Hashtbl.find_opt t.pending_adv peer.idx with
-            | Some ({ contents = _ :: _ } as l) ->
-              let advs = List.rev !l in
-              l := [];
-              send_advertisements t peer advs
-            | _ -> ()
-          end)
-        t.peers
-
-  (* The fan-out fast path: drain each group's queued events as flush
-     classes (members whose pending streams are identical), encode each
-     class's frames once, and share the buffers across every member
-     session. A class of one degrades to exactly the per-peer baseline. *)
-  and flush_groups t =
     let classes = ref [] in
     Rib.Update_group.iter_groups t.ugroups (fun g ->
         List.iter
@@ -1000,18 +940,11 @@ module Make (R : REPR) :
           send sessions (advertisement_frames t t.peers.(List.hd members) advs))
       (List.rev !classes)
 
-  and send_withdrawals t peer prefixes =
-    List.iter
-      (fun frame ->
-        Telemetry.Counter.inc t.probes.c_updates_tx;
-        Session.Fsm.send_raw peer.session frame)
-      (withdrawal_frames prefixes)
-
-  (* Build the UPDATE frames advertising [advs] towards [peer]. The
-     grouped path calls this once per flush class with a representative
-     member — sound because peers only share a group when the outbound
-     chains pass [Vmm.group_invariant], so the bytecode provably never
-     observes which peer the ops record answers for. *)
+  (* Build the UPDATE frames advertising [advs] towards [peer]. The flush
+     calls this once per flush class with a representative member —
+     sound because peers only share a group when the outbound chains
+     pass [Vmm.group_invariant], so the bytecode provably never observes
+     which peer the ops record answers for. *)
   and advertisement_frames t peer advs =
     (* group prefixes whose attributes share the host's grouping key *)
     let groups : (R.attrs * Bgp.Prefix.t list ref) R.Group_tbl.t =
@@ -1058,13 +991,6 @@ module Make (R : REPR) :
         Bgp.Message.split_update_raw ~withdrawn:[] ~attr_bytes ~nlri:prefixes)
       (List.rev !order)
 
-  and send_advertisements t peer advs =
-    List.iter
-      (fun frame ->
-        Telemetry.Counter.inc t.probes.c_updates_tx;
-        Session.Fsm.send_raw peer.session frame)
-      (advertisement_frames t peer advs)
-
   (* Inside a [learn_routes] batch whose outbound chain is batch-invariant,
      every prefix sharing one route record exports identically to a given
      target: the chain never reads the prefix, and [native_export] and
@@ -1092,8 +1018,7 @@ module Make (R : REPR) :
      the peer type and reflection role; the xprog chains are covered by
      their signatures and may not read peer identity at all when
      [t.groupable] holds. Peer-dependent chains degrade every peer to a
-     singleton group, which flows through the same machinery as the
-     per-peer baseline. *)
+     singleton group, which flows through the same machinery. *)
   and group_key t peer =
     if not t.groupable then Printf.sprintf "solo:%d" peer.idx
     else
@@ -1103,11 +1028,11 @@ module Make (R : REPR) :
   (* Re-derive the partition key when the attached chains changed (one
      integer compare per propagate — [Vmm.generation] bumps only on
      attach/detach). Queued events are drained under the old partition
-     first; the re-key itself emits nothing, like the baseline. *)
+     first; the re-key itself emits nothing. *)
   and refresh_grouping t =
     let gen = match t.vmm with Some v -> Xbgp.Vmm.generation v | None -> 0 in
     if gen <> t.group_gen then begin
-      flush_groups t;
+      flush t;
       (match t.vmm with
       | Some vmm ->
         t.groupable <-
@@ -1158,8 +1083,8 @@ module Make (R : REPR) :
         match export t t.peers.(rep) prefix r with
         | Some attrs -> Some (attrs, if src_member then r.src else -1)
         | None ->
-          (* keep the rejection counter peer-accurate: the baseline counts
-             one rejection per eligible member *)
+          (* keep the rejection counter peer-accurate: one rejection
+             per eligible member *)
           let eligible =
             Rib.Update_group.size g - if src_member then 1 else 0
           in
@@ -1169,61 +1094,17 @@ module Make (R : REPR) :
       Rib.Update_group.route_update t.ugroups g prefix entry
 
   and propagate t prefix (change : cand Rib.Loc_rib.change) =
-    if t.config.update_groups then begin
-      refresh_grouping t;
-      match change with
-      | Rib.Loc_rib.Unchanged -> ()
-      | Rib.Loc_rib.Withdrawn ->
-        Rib.Update_group.iter_groups t.ugroups (fun g ->
-            Rib.Update_group.route_update t.ugroups g prefix None);
-        schedule_flush t
-      | Rib.Loc_rib.New_best { route = r; _ } ->
-        Rib.Update_group.iter_groups t.ugroups (fun g ->
-            export_to_group t g prefix r);
-        schedule_flush t
-    end
-    else
-      match change with
-      | Rib.Loc_rib.Unchanged -> ()
-      | Rib.Loc_rib.Withdrawn ->
-        Array.iter
-          (fun peer ->
-            match Rib.Adj_rib.clear t.adj_out ~peer:peer.idx prefix with
-            | Some _ ->
-              purge_pending_adv t peer.idx prefix;
-              let l = pending_list t.pending_wd peer.idx in
-              l := prefix :: !l
-            | None -> ())
-          t.peers;
-        schedule_flush t
-      | Rib.Loc_rib.New_best { route = r; _ } ->
-        Array.iter
-          (fun peer ->
-            if Session.Fsm.is_established peer.session && peer.synced then
-              advertise_to t peer prefix r)
-          t.peers;
-        schedule_flush t
-
-  and advertise_to t peer prefix r =
-    match export t peer prefix r with
-    | Some attrs ->
-      let same =
-        match Rib.Adj_rib.find t.adj_out ~peer:peer.idx prefix with
-        | Some previous -> R.equal previous attrs
-        | None -> false
-      in
-      if not same then begin
-        ignore (Rib.Adj_rib.set t.adj_out ~peer:peer.idx prefix attrs);
-        let l = pending_list t.pending_adv peer.idx in
-        l := (prefix, attrs) :: !l
-      end
-    | None -> (
-      match Rib.Adj_rib.clear t.adj_out ~peer:peer.idx prefix with
-      | Some _ ->
-        purge_pending_adv t peer.idx prefix;
-        let l = pending_list t.pending_wd peer.idx in
-        l := prefix :: !l
-      | None -> ())
+    refresh_grouping t;
+    match change with
+    | Rib.Loc_rib.Unchanged -> ()
+    | Rib.Loc_rib.Withdrawn ->
+      Rib.Update_group.iter_groups t.ugroups (fun g ->
+          Rib.Update_group.route_update t.ugroups g prefix None);
+      schedule_flush t
+    | Rib.Loc_rib.New_best { route = r; _ } ->
+      Rib.Update_group.iter_groups t.ugroups (fun g ->
+          export_to_group t g prefix r);
+      schedule_flush t
 
   (* --- inbound processing --- *)
 
@@ -1270,28 +1151,6 @@ module Make (R : REPR) :
     Hashtbl.replace t.last_prov prefix
       (import_record t prefix ~src:peer.idx ~chain ~import
          ~status:Obs.Provenance.Rejected)
-
-  (* The legacy per-prefix path (kept verbatim for the dispatch-bench
-     baseline; [config.batch_updates = false]). *)
-  let learn_route t peer prefix (route : route) =
-    let route_ref = ref route in
-    let ops = route_ops t ~peer:(Some peer) ~route_ref in
-    let verdict =
-      vmm_run t Xbgp.Api.Bgp_inbound_filter ~ops
-        ~args:
-          (Xbgp.Host_intf.Args.of_list
-             [
-               (Xbgp.Api.arg_prefix, prefix_arg prefix);
-               (Xbgp.Api.arg_source, source_arg route);
-             ])
-        ~default:(fun () -> native_import t route_ref prefix peer)
-    in
-    let chain = import_trace t in
-    let accepted = verdict = Xbgp.Api.filter_accept in
-    let import = import_verdict chain ~accepted in
-    if accepted then
-      accept_route t peer prefix (candidate t !route_ref ~chain ~import)
-    else reject_route t peer prefix ~chain ~import
 
   (* Import every prefix of one UPDATE: one shared verdict when the
      inbound chain allows it, else one dispatch per prefix. *)
@@ -1498,8 +1357,7 @@ module Make (R : REPR) :
             igp_cost = t.config.igp_metric (R.next_hop attrs0);
           }
         in
-        if t.config.batch_updates then learn_routes t peer u.nlri route
-        else List.iter (fun p -> learn_route t peer p route) u.nlri
+        learn_routes t peer u.nlri route
       end
     end
 
@@ -1513,27 +1371,22 @@ module Make (R : REPR) :
            ~local_addr:t.config.local_addr ~local_asn:t.config.local_as
            ~local_bgp_id:t.config.router_id ~hold_time:t.config.hold_time);
     peer.synced <- true;
-    if t.config.update_groups then begin
-      refresh_grouping t;
-      let g =
-        Rib.Update_group.join t.ugroups ~peer:peer.idx ~key:(group_key t peer)
-      in
-      (* catch-up: one fresh export per Loc-RIB best, targeted at the
-         joiner only — identical to a baseline initial sync, and
-         self-healing for group entries dropped while nobody listened *)
-      Rib.Loc_rib.iter_best t.loc (fun prefix { route = r; _ } ->
-          match export t peer prefix r with
-          | Some attrs ->
-            let skip =
-              if Rib.Update_group.is_member g r.src then r.src else -1
-            in
-            Rib.Update_group.catch_up_entry g prefix attrs ~skip
-              ~member:peer.idx
-          | None -> ())
-    end
-    else
-      Rib.Loc_rib.iter_best t.loc (fun prefix c ->
-          advertise_to t peer prefix c.route);
+    refresh_grouping t;
+    let g =
+      Rib.Update_group.join t.ugroups ~peer:peer.idx ~key:(group_key t peer)
+    in
+    (* catch-up: one fresh export per Loc-RIB best, targeted at the
+       joiner only — the initial table sync, and self-healing for group
+       entries dropped while nobody listened *)
+    Rib.Loc_rib.iter_best t.loc (fun prefix { route = r; _ } ->
+        match export t peer prefix r with
+        | Some attrs ->
+          let skip =
+            if Rib.Update_group.is_member g r.src then r.src else -1
+          in
+          Rib.Update_group.catch_up_entry g prefix attrs ~skip
+            ~member:peer.idx
+        | None -> ());
     schedule_flush t
 
   let on_close t peer =
@@ -1543,24 +1396,14 @@ module Make (R : REPR) :
            ~ts_us:(Netsim.Sched.now t.sched)
            ~reason:Obs.Bmp.reason_remote_no_notification);
     peer.synced <- false;
-    if t.config.update_groups then
-      Rib.Update_group.leave t.ugroups ~peer:peer.idx;
-    (* a closed session must not leave stale queued frames behind — on
-       re-establishment the initial sync re-sends the whole table *)
-    (match Hashtbl.find_opt t.pending_adv peer.idx with
-    | Some l -> l := []
-    | None -> ());
-    (match Hashtbl.find_opt t.pending_wd peer.idx with
-    | Some l -> l := []
-    | None -> ());
+    Rib.Update_group.leave t.ugroups ~peer:peer.idx;
     (* like FRR's [bgp_clear_route] and BIRD's [rt_prune]: walk the
        Loc-RIB for the peer's candidates *)
     List.iter
       (fun prefix ->
         drop_candidate t ~src:peer.idx prefix
           ~import:"withdrawn: session closed")
-      (Rib.Loc_rib.peer_prefixes t.loc ~peer:peer.idx);
-    Rib.Adj_rib.drop_peer t.adj_out peer.idx
+      (Rib.Loc_rib.peer_prefixes t.loc ~peer:peer.idx)
 
   let create ?telemetry ?vmm ~sched (config : config)
       (peer_confs : peer_conf list) : t =
@@ -1583,10 +1426,7 @@ module Make (R : REPR) :
         probes =
           make_probes tele ~daemon:config.name ~impl:R.impl ~store:R.store_name;
         peers = [||];
-        adj_out = Rib.Adj_rib.create ();
         loc = Rib.Loc_rib.create decision_view;
-        pending_adv = Hashtbl.create 8;
-        pending_wd = Hashtbl.create 8;
         flush_scheduled = false;
         ugroups =
           Rib.Update_group.create ~telemetry:tele ~daemon:config.name
@@ -1728,19 +1568,10 @@ module Make (R : REPR) :
       t.peers
 
   let refresh_exports t =
-    if t.config.update_groups then begin
-      refresh_grouping t;
-      Rib.Loc_rib.iter_best t.loc (fun prefix { route = r; _ } ->
-          Rib.Update_group.iter_groups t.ugroups (fun g ->
-              export_to_group t g prefix r))
-    end
-    else
-      Rib.Loc_rib.iter_best t.loc (fun prefix { route = r; _ } ->
-          Array.iter
-            (fun peer ->
-              if Session.Fsm.is_established peer.session && peer.synced then
-                advertise_to t peer prefix r)
-            t.peers);
+    refresh_grouping t;
+    Rib.Loc_rib.iter_best t.loc (fun prefix { route = r; _ } ->
+        Rib.Update_group.iter_groups t.ugroups (fun g ->
+            export_to_group t g prefix r));
     schedule_flush t
 
   (* --- introspection --- *)

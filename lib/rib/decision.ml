@@ -39,14 +39,17 @@ let steps =
     (fun v a b -> Int.compare (v.peer_addr a) (v.peer_addr b));
   ]
 
+(* A top-level loop taking the view and both routes as arguments: a
+   local closure over them would cost 6 minor words per comparison, and
+   the decision process compares on every Loc-RIB update. *)
+let rec compare_from steps view a b =
+  match steps with
+  | [] -> 0
+  | step :: rest -> (
+    match step view a b with 0 -> compare_from rest view a b | c -> c)
+
 (** Total order on routes; negative means [a] is preferred. *)
-let compare view a b =
-  let rec go = function
-    | [] -> 0
-    | step :: rest -> (
-      match step view a b with 0 -> go rest | c -> c)
-  in
-  go steps
+let compare view a b = compare_from steps view a b
 
 (** Best route of a candidate list, [None] on empty input. *)
 let best view = function

@@ -22,8 +22,8 @@
    Correctness of sharing one export evaluation rests on the caller
    only grouping peers whose outbound chains pass
    {!Vmm.group_invariant}; peer-dependent chains get singleton "solo"
-   groups and flow through the very same machinery, which then degrades
-   to exactly the per-peer baseline.
+   groups and flow through the very same machinery, which then behaves
+   exactly as a per-peer Adj-RIB-Out would.
 
    Split horizon makes streams per-member even inside a group: the
    member that sourced a route must not receive it. Events therefore
@@ -206,7 +206,7 @@ let push g ev =
    representative member. [entry = Some (attrs, skip)] means "every
    member except [skip] should carry [attrs]"; [None] means no member
    should carry the route. Emits exactly the per-member advertise /
-   withdraw transitions the per-peer baseline would, collapsed into
+   withdraw transitions a per-peer Adj-RIB-Out would, collapsed into
    targeted events. *)
 let route_update t g prefix entry =
   match entry with
@@ -289,12 +289,10 @@ let take_classes g =
            daemon sends withdrawals first — so an advertisement
            superseded by a LATER withdrawal of the same prefix must be
            dropped here, or it would be delivered after that withdrawal
-           and leave the receivers holding a ghost route. This mirrors
-           the daemons' own pending queues, which purge queued
-           advertisements when a withdrawal is queued; every other
+           and leave the receivers holding a ghost route. Every other
            event (duplicate advertisements, a withdrawal followed by a
-           fresher advertisement) is kept in enqueue order so grouped
-           streams stay byte-identical to the per-peer baseline. *)
+           fresher advertisement) is kept in enqueue order, so each
+           member's stream is what a per-peer queue would send. *)
         let withdrawn = Hashtbl.create 8 in
         let wds = ref [] and advs = ref [] in
         for i = n - 1 downto start do
@@ -334,8 +332,8 @@ let rib_equal t items g2 =
    Members of one group wanting one new key move as a cluster: they
    merge into an existing group under that key only when its RIB equals
    theirs (same routes already sent), otherwise they seed a fresh group
-   from a copy of their old RIB — no events are emitted, matching the
-   baseline, which sends nothing on attach/detach either. *)
+   from a copy of their old RIB — no events are emitted: a chain change
+   alone re-exports nothing. *)
 let rekey t ~desired =
   let moving = ref [] in
   iter_groups t (fun g ->

@@ -11,7 +11,7 @@
     at {!create}. Sharing is only sound when the caller groups peers
     whose outbound chains pass {!Vmm.group_invariant}; peer-dependent
     chains belong in singleton groups, which flow through the same
-    machinery and degrade to the per-peer baseline.
+    machinery and behave exactly as a per-peer Adj-RIB-Out would.
 
     Membership is dynamic: peers {!join} on session sync, {!leave} on
     close, and {!rekey} re-partitions everyone when attachment changes
@@ -32,8 +32,8 @@ val create :
   unit ->
   'attrs t
 (** [equal] decides whether two export results are the same
-    advertisement (drives re-advertise suppression, exactly as the
-    per-peer baseline's comparison does). *)
+    advertisement (drives re-advertise suppression, as a per-peer
+    Adj-RIB-Out's comparison would). *)
 
 val set_recorder : 'attrs t -> Obs.Recorder.t option -> unit
 (** Attach a flight recorder: every split, merge and re-key cluster
@@ -78,16 +78,16 @@ val route_update :
     representative member. [Some (attrs, skip)]: every member except
     [skip] (the route's source; [-1] when not a member) should carry
     [attrs]. [None]: nobody should. Updates the shared adj-RIB-out and
-    queues exactly the per-member advertise/withdraw transitions the
-    baseline would emit. *)
+    queues exactly the per-member advertise/withdraw transitions a
+    per-peer Adj-RIB-Out would emit. *)
 
 val catch_up_entry :
   'attrs group -> Bgp.Prefix.t -> 'attrs -> skip:int -> member:int -> unit
 (** Queue a targeted advertisement bringing a just-joined [member] up to
     date with one accepted export ([attrs]); creates the shared RIB
     entry (with [skip]) when the group didn't have it yet. Call in
-    Loc-RIB iteration order so the catch-up stream matches a baseline
-    initial sync. *)
+    Loc-RIB iteration order so the catch-up stream is an initial table
+    sync in prefix order. *)
 
 val take_classes :
   'attrs group ->
@@ -103,8 +103,8 @@ val rekey : 'attrs t -> desired:(int -> string) -> unit
     attach/detach). Members of one group moving to one key travel as a
     cluster: they merge into an existing group under that key only when
     its shared RIB equals theirs, and otherwise seed a fresh group from
-    a copy of their RIB — no events are emitted (the baseline sends
-    nothing on attach/detach either). Counts one split per cluster that
+    a copy of their RIB — no events are emitted (a chain change alone
+    re-exports nothing). Counts one split per cluster that
     leaves a surviving group and one merge per cluster absorbed into an
     existing group.
     @raise Invalid_argument if an affected group has pending events —

@@ -37,6 +37,15 @@ let has_route t prefix = best_attrs t prefix <> None
 let loc_snapshot t =
   match host t with Host ((module D), d) -> D.loc_snapshot d
 
+(** The peer each best route came from ([-1] = locally originated),
+    sorted by prefix like {!loc_snapshot}. *)
+let best_sources t =
+  match host t with
+  | Host ((module D), d) ->
+    let acc = ref [] in
+    D.iter_loc d (fun p r -> acc := (p, r.D.src) :: !acc);
+    List.sort (fun (a, _) (b, _) -> Bgp.Prefix.compare a b) !acc
+
 (** AS path (flattened) of the best route towards [prefix]. *)
 let best_path t prefix =
   Option.bind (best_attrs t prefix) (fun attrs ->
@@ -77,7 +86,7 @@ let rerun_init t = match host t with Host ((module D), d) -> D.rerun_init d
 let refresh_exports t =
   match host t with Host ((module D), d) -> D.refresh_exports d
 
-(** Active update groups on the daemon (0 with update groups off). *)
+(** Active update groups on the daemon (0 until a peer syncs). *)
 let group_count t = match host t with Host ((module D), d) -> D.group_count d
 
 let vmm t = match host t with Host ((module D), d) -> D.vmm d

@@ -21,6 +21,10 @@ val has_route : t -> Bgp.Prefix.t -> bool
 val loc_snapshot : t -> (Bgp.Prefix.t * Bgp.Attr.t list) list
 (** Whole-Loc-RIB snapshot in the neutral codec form, sorted by prefix. *)
 
+val best_sources : t -> (Bgp.Prefix.t * int) list
+(** The peer index each best route came from ([-1] = locally
+    originated), sorted by prefix like {!loc_snapshot}. *)
+
 val best_path : t -> Bgp.Prefix.t -> int list option
 (** Flattened AS path of the best route. *)
 
@@ -46,7 +50,7 @@ val refresh_exports : t -> unit
 (** Re-evaluate export policy for every best route. *)
 
 val group_count : t -> int
-(** Active update groups (0 when update groups are off). *)
+(** Active update groups (0 until a peer syncs). *)
 
 val vmm : t -> Xbgp.Vmm.t option
 

@@ -22,8 +22,7 @@ type t = {
 let hold_time = 9 (* short hold: failure scenarios converge quickly *)
 
 let build ?(host : Testbed.host = `Frr) ?(with_transit = false)
-    ?(engine = Ebpf.Vm.Interpreted) ?telemetry ?(batch_updates = true)
-    ?(update_groups = true) (config : config) : t =
+    ?(engine = Ebpf.Vm.Interpreted) ?telemetry (config : config) : t =
   let clos =
     Dataset.Clos.fig5 ~with_transit ~same_spine_as:(config = `Same_as) ()
   in
@@ -91,8 +90,7 @@ let build ?(host : Testbed.host = `Frr) ?(with_transit = false)
             Daemon.Frr
               (Frrouting.Bgpd.create ~telemetry ?vmm ~sched
                  (Frrouting.Bgpd.config ~name:r.rname ~router_id:r.router_id
-                    ~local_as:r.asn ~local_addr:r.addr ~hold_time
-                    ~batch_updates ~update_groups ~xtras ())
+                    ~local_as:r.asn ~local_addr:r.addr ~hold_time ~xtras ())
                  confs)
           | `Bird ->
             let confs =
@@ -111,8 +109,7 @@ let build ?(host : Testbed.host = `Frr) ?(with_transit = false)
             Daemon.Bird
               (Bird.Bgpd.create ~telemetry ?vmm ~sched
                  (Bird.Bgpd.config ~name:r.rname ~router_id:r.router_id
-                    ~local_as:r.asn ~local_addr:r.addr ~hold_time
-                    ~batch_updates ~update_groups ~xtras ())
+                    ~local_as:r.asn ~local_addr:r.addr ~hold_time ~xtras ())
                  confs)
         in
         (r.rname, daemon))

@@ -19,15 +19,11 @@ val build :
   ?with_transit:bool ->
   ?engine:Ebpf.Vm.engine ->
   ?telemetry:Telemetry.t ->
-  ?batch_updates:bool ->
-  ?update_groups:bool ->
   config ->
   t
 (** [engine] selects the eBPF execution engine for the valley_free VMMs
     (only meaningful under [`Xbgp]); [telemetry] is shared by every
-    daemon and pipe (default: a fresh disabled registry);
-    [batch_updates] / [update_groups] (both default [true]) are the same
-    daemon knobs as on {!Star.create}. *)
+    daemon and pipe (default: a fresh disabled registry). *)
 
 val daemon : t -> string -> Daemon.t
 (** @raise Not_found for an unknown router name. *)

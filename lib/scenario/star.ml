@@ -4,10 +4,10 @@
    Under Test runs either host; every spoke is a minimal scripted "sink"
    built directly on {!Session.Fsm}, which completes the OPEN/KEEPALIVE
    handshake, emits keepalives, and records every UPDATE frame it
-   receives — in arrival order, bytes included — so grouped and per-peer
-   export paths can be compared stream-for-stream. Sinks can also
-   originate routes into the DUT, which makes one of them a split-horizon
-   source member of its own update group. *)
+   receives — in arrival order, bytes included — so two runs of one
+   scenario can be compared stream-for-stream. Sinks can also originate
+   routes into the DUT, which makes one of them a split-horizon source
+   member of its own update group. *)
 
 type sink = {
   sidx : int;
@@ -26,16 +26,20 @@ type t = {
   dut_vmm : Xbgp.Vmm.t option;
   telemetry : Telemetry.t;
   sinks : sink array;
+  dut_as : int;
+  native_rr : bool;
+  ibgp : bool;
+  rr_client : int -> bool;
 }
 
 let addr = Bgp.Prefix.addr_of_quad
 
 let create ?(host = `Frr) ?manifest ?(engine = Ebpf.Vm.Interpreted) ?telemetry
-    ?vmm ?(update_groups = true) ?(batch_updates = true)
-    ?(ibgp = false) ?(native_rr = false) ?(rr_client = fun _ -> false)
-    ?(hold_time = 90) ?(record_frames = true) ?(track_rib = true) ?(xtras = [])
-    ~npeers () : t =
+    ?vmm ?update_groups ?batch_updates ?(ibgp = false) ?(native_rr = false)
+    ?(rr_client = fun _ -> false) ?(hold_time = 90) ?(record_frames = true)
+    ?(track_rib = true) ?(xtras = []) ~npeers () : t =
   if npeers < 1 || npeers > 200 then invalid_arg "Star.create: npeers";
+  Testbed.only_path ~fn:"Star.create" ~batch_updates ~update_groups;
   (* fresh-process semantics: a new star means new daemons *)
   Frrouting.Attr_intern.reset_intern_table ();
   let sched = Netsim.Sched.create () in
@@ -69,7 +73,7 @@ let create ?(host = `Frr) ?manifest ?(engine = Ebpf.Vm.Interpreted) ?telemetry
         (Frrouting.Bgpd.create ~telemetry ?vmm:dut_vmm ~sched
            (Frrouting.Bgpd.config ~name:"dut" ~router_id:dut_addr
               ~local_as:dut_as ~local_addr:dut_addr ~hold_time ~native_rr
-              ~batch_updates ~update_groups ~xtras ())
+              ~xtras ())
            (List.init npeers (fun i ->
                 {
                   Frrouting.Bgpd.pname = Printf.sprintf "sink%d" i;
@@ -83,7 +87,7 @@ let create ?(host = `Frr) ?manifest ?(engine = Ebpf.Vm.Interpreted) ?telemetry
         (Bird.Bgpd.create ~telemetry ?vmm:dut_vmm ~sched
            (Bird.Bgpd.config ~name:"dut" ~router_id:dut_addr
               ~local_as:dut_as ~local_addr:dut_addr ~hold_time ~native_rr
-              ~batch_updates ~update_groups ~xtras ())
+              ~xtras ())
            (List.init npeers (fun i ->
                 {
                   Bird.Bgpd.pname = Printf.sprintf "sink%d" i;
@@ -126,7 +130,7 @@ let create ?(host = `Frr) ?manifest ?(engine = Ebpf.Vm.Interpreted) ?telemetry
         in
         { sidx = i; fsm; port; frames; adv_seen; wd_seen; rib })
   in
-  { sched; dut; dut_vmm; telemetry; sinks }
+  { sched; dut; dut_vmm; telemetry; sinks; dut_as; native_rr; ibgp; rr_client }
 
 let npeers t = Array.length t.sinks
 let dut t = t.dut
@@ -210,6 +214,12 @@ let sink_established t i = Session.Fsm.is_established t.sinks.(i).fsm
 let sink_address t i =
   if i < 0 || i >= Array.length t.sinks then invalid_arg "Star.sink_address";
   addr (10, 1, 0, 2 + i)
+
+let dut_as t = t.dut_as
+let dut_address _ = addr (10, 0, 0, 1)
+let native_rr t = t.native_rr
+let sink_as t i = if t.ibgp then t.dut_as else 65101 + i
+let sink_rr_client t i = t.rr_client i
 let sink_frames t i = List.rev !(t.sinks.(i).frames)
 let sink_frame_count t i = List.length !(t.sinks.(i).frames)
 let sink_adv_seen t i = !(t.sinks.(i).adv_seen)

@@ -1,14 +1,15 @@
 (** Star topology: one DUT hub fanning a table out to N spoke peers — the
-    harness behind the fan-out benchmark and the chaos campaign's star
-    cases, whose groups-flip leg checks grouped against per-peer export.
+    harness behind the repository benchmark's fan-out workload and the
+    chaos campaign's star cases, whose sinks the export reference model
+    ({!Fuzz.Export_model}) checks after every phase.
 
     The DUT runs either host. Every spoke is a minimal scripted "sink"
     peer built directly on {!Session.Fsm}: it completes the handshake,
     keeps the session alive, and records each UPDATE frame it receives —
-    in arrival order, raw bytes included — so the grouped export path can
-    be compared stream-for-stream against the per-peer baseline. Sinks
-    can also originate routes into the DUT, making one of them a
-    split-horizon source member of its own update group. *)
+    in arrival order, raw bytes included — so two legs of one case can be
+    compared stream-for-stream. Sinks can also originate routes into the
+    DUT, making one of them a split-horizon source member of its own
+    update group. *)
 
 type t
 
@@ -37,8 +38,13 @@ val create :
     [record_frames] / [track_rib] (default true) can be switched off to
     keep full-table benchmark runs lean. [xtras] are the DUT's named
     configuration extras (ROA tables, thresholds) fed to [get_xtra].
+    [update_groups] and [batch_updates] change nothing: the DUT has one
+    export path (update groups) and one import path (batched NLRI), and
+    the two labels stay for the repository benchmark, which passes
+    [true] (see {!Testbed.only_path}).
     Also resets the FRR intern table (fresh-process semantics).
-    @raise Invalid_argument unless [1 <= npeers <= 200]. *)
+    @raise Invalid_argument unless [1 <= npeers <= 200], or if
+    [update_groups] or [batch_updates] is [false]. *)
 
 val npeers : t -> int
 val dut : t -> Daemon.t
@@ -92,7 +98,19 @@ val sink_send_raw : t -> int -> bytes -> unit
 val sink_established : t -> int -> bool
 
 val sink_address : t -> int -> int
-(** Sink [i]'s address (its NEXT_HOP when it originates routes). *)
+(** Sink [i]'s address (its NEXT_HOP when it originates routes) and its
+    BGP identifier. *)
+
+(** {1 The DUT's configuration, as an export model reads it} *)
+
+val dut_as : t -> int
+
+val dut_address : t -> int
+(** The DUT's router id, cluster id and next-hop-self address. *)
+
+val native_rr : t -> bool
+val sink_as : t -> int -> int
+val sink_rr_client : t -> int -> bool
 
 val sink_frames : t -> int -> bytes list
 (** UPDATE frames received by sink [i], oldest first, raw bytes — the

@@ -19,18 +19,27 @@ type mode = {
   engine : Ebpf.Vm.engine;  (** eBPF engine for the DUT's extensions *)
   telemetry : Telemetry.t option;
       (** shared registry for the whole deployment; None = disabled *)
-  batch_updates : bool;
-      (** batched NLRI processing in every daemon (false = the legacy
-          per-prefix path, the dispatch-bench baseline) *)
-  update_groups : bool;
-      (** update-group export in every daemon (false = the legacy
-          per-peer export path, the fan-out baseline) *)
 }
+
+(* The daemons have one import path (batched NLRI) and one export path
+   (update groups). The two labels that once chose a legacy lane stay
+   only because the repository benchmark passes them as [true]; [false]
+   named a lane that no longer exists. *)
+let only_path ~fn ~batch_updates ~update_groups =
+  let check label = function
+    | Some false ->
+      invalid_arg
+        (Printf.sprintf "%s: ~%s:false (the legacy lane is gone)" fn label)
+    | Some true | None -> ()
+  in
+  check "batch_updates" batch_updates;
+  check "update_groups" update_groups
 
 let mode ?(host = `Frr) ?(ibgp = true) ?manifest ?(native_rr = false)
     ?native_ov_roas ?(xtras = []) ?(hold_time = 90)
-    ?(engine = Ebpf.Vm.Interpreted) ?telemetry ?(batch_updates = true)
-    ?(update_groups = true) () =
+    ?(engine = Ebpf.Vm.Interpreted) ?telemetry ?batch_updates ?update_groups
+    () =
+  only_path ~fn:"Testbed.mode" ~batch_updates ~update_groups;
   {
     host;
     ibgp;
@@ -41,8 +50,6 @@ let mode ?(host = `Frr) ?(ibgp = true) ?manifest ?(native_rr = false)
     hold_time;
     engine;
     telemetry;
-    batch_updates;
-    update_groups;
   }
 
 type t = {
@@ -85,15 +92,13 @@ let create (m : mode) : t =
   let upstream =
     Frrouting.Bgpd.create ~telemetry ~sched
       (Frrouting.Bgpd.config ~name:"upstream" ~router_id:up_addr
-         ~local_as:up_as ~local_addr:up_addr ~hold_time:m.hold_time
-         ~batch_updates:m.batch_updates ~update_groups:m.update_groups ())
+         ~local_as:up_as ~local_addr:up_addr ~hold_time:m.hold_time ())
       [ frr_peer "dut" dut_as dut_addr l1_up ]
   in
   let downstream =
     Frrouting.Bgpd.create ~telemetry ~sched
       (Frrouting.Bgpd.config ~name:"downstream" ~router_id:down_addr
-         ~local_as:down_as ~local_addr:down_addr ~hold_time:m.hold_time
-         ~batch_updates:m.batch_updates ~update_groups:m.update_groups ())
+         ~local_as:down_as ~local_addr:down_addr ~hold_time:m.hold_time ())
       [ frr_peer "dut" dut_as dut_addr l2_down ]
   in
   let dut_vmm =
@@ -111,8 +116,7 @@ let create (m : mode) : t =
         (Frrouting.Bgpd.create ~telemetry ?vmm:dut_vmm ~sched
            (Frrouting.Bgpd.config ~name:"dut" ~router_id:dut_addr
               ~local_as:dut_as ~local_addr:dut_addr ~hold_time:m.hold_time
-              ~native_rr:m.native_rr ?native_ov ~xtras:m.xtras
-              ~batch_updates:m.batch_updates ~update_groups:m.update_groups ())
+              ~native_rr:m.native_rr ?native_ov ~xtras:m.xtras ())
            [
              frr_peer "upstream" up_as up_addr l1_dut;
              frr_peer ~rr_client:true "downstream" down_as down_addr l2_dut;
@@ -123,8 +127,7 @@ let create (m : mode) : t =
         (Bird.Bgpd.create ~telemetry ?vmm:dut_vmm ~sched
            (Bird.Bgpd.config ~name:"dut" ~router_id:dut_addr
               ~local_as:dut_as ~local_addr:dut_addr ~hold_time:m.hold_time
-              ~native_rr:m.native_rr ?native_ov ~xtras:m.xtras
-              ~batch_updates:m.batch_updates ~update_groups:m.update_groups ())
+              ~native_rr:m.native_rr ?native_ov ~xtras:m.xtras ())
            [
              bird_peer "upstream" up_as up_addr l1_dut;
              bird_peer ~rr_client:true "downstream" down_as down_addr l2_dut;

@@ -18,12 +18,6 @@ type mode = {
   engine : Ebpf.Vm.engine;  (** eBPF engine for the DUT's extensions *)
   telemetry : Telemetry.t option;
       (** shared registry for the whole deployment; None = disabled *)
-  batch_updates : bool;
-      (** batched NLRI processing in every daemon (false = the legacy
-          per-prefix path, the dispatch-bench baseline) *)
-  update_groups : bool;
-      (** update-group export in every daemon (false = the legacy
-          per-peer export path, the fan-out baseline) *)
 }
 
 val mode :
@@ -40,6 +34,17 @@ val mode :
   ?update_groups:bool ->
   unit ->
   mode
+(** Every daemon imports a multi-prefix UPDATE as one batch and exports
+    through update groups; there is no other lane. [batch_updates] and
+    [update_groups] are accepted for the repository benchmark's callers,
+    which pass [true]; they change nothing.
+    @raise Invalid_argument if either is [false]. *)
+
+val only_path :
+  fn:string -> batch_updates:bool option -> update_groups:bool option -> unit
+(** The check behind {!mode}'s and {!Star.create}'s two legacy labels:
+    [None] or [Some true] pass.
+    @raise Invalid_argument naming [fn] on [Some false]. *)
 
 type t = {
   sched : Netsim.Sched.t;

@@ -2,8 +2,9 @@
    convert exactly as the same value rebuilt from scratch, for both
    hosts), batch-invariance analysis (which import chains may legally
    share one dispatch across an UPDATE's NLRI), batched NLRI processing
-   (a K-prefix UPDATE must leave exactly the state of K single-prefix
-   UPDATEs), and span sampling (counters exact, spans 1-in-N). *)
+   (the import oracle: a K-prefix UPDATE must leave exactly the state of
+   the same K prefixes sent as K single-prefix UPDATEs), and span
+   sampling (counters exact, spans 1-in-N). *)
 
 let qc = Qc.to_alcotest
 let check = Alcotest.check
@@ -313,15 +314,33 @@ let dut_state tb =
   ( Scenario.Daemon.loc_snapshot tb.Scenario.Testbed.dut,
     Frrouting.Bgpd.loc_snapshot tb.Scenario.Testbed.downstream )
 
-let run_mode mode routes =
+(* Feed the upstream router: the whole table at once, so its flush packs
+   prefixes sharing attributes into multi-prefix UPDATEs, or [split]:
+   one route per flush, so every UPDATE towards the DUT carries one
+   prefix. *)
+let feed ~split (tb : Scenario.Testbed.t) routes =
+  if split then
+    List.iter
+      (fun r ->
+        Scenario.Testbed.feed tb [ r ];
+        ignore (Netsim.Sched.run ~until:(Netsim.Sched.now tb.sched) tb.sched))
+      routes
+  else Scenario.Testbed.feed tb routes
+
+(* the framing each leg promised actually reached the DUT *)
+let check_framing ~split (tb : Scenario.Testbed.t) routes =
+  let n = List.length routes in
+  let rx = Scenario.Daemon.updates_rx tb.dut in
+  if split then check_bool "one UPDATE per prefix reached the DUT" true (rx >= n)
+  else check_bool "multi-prefix UPDATEs reached the DUT" true (rx < n)
+
+let run_mode ~split mode routes =
   let tb = Scenario.Testbed.create mode in
   Scenario.Testbed.establish tb;
-  Scenario.Testbed.feed tb routes;
+  feed ~split tb routes;
   check_bool "table converged" true
     (Scenario.Testbed.run_until_downstream_has tb (List.length routes));
-  (* the batching scenario must actually see multi-prefix UPDATEs *)
-  check_bool "multi-prefix UPDATEs reached the DUT" true
-    (Scenario.Daemon.updates_rx tb.Scenario.Testbed.dut < List.length routes);
+  check_framing ~split tb routes;
   dut_state tb
 
 let snap =
@@ -330,78 +349,83 @@ let snap =
       Fmt.pf ppf "%d prefixes, hash %d" (List.length s) (Hashtbl.hash s))
     ( = )
 
-let batch_vs_sequential ~host ~mk_mode () =
+(* the import oracle: the same table in multi-prefix UPDATEs and in one
+   UPDATE per prefix must leave the same DUT and downstream state *)
+let batched_vs_split ~host ~mk_mode () =
   let routes = grouped_routes ~groups:4 ~per_group:8 in
-  let batched = run_mode (mk_mode ~host ~batch:true) routes in
-  let sequential = run_mode (mk_mode ~host ~batch:false) routes in
-  check (Alcotest.pair snap snap) "batched = sequential state" sequential
-    batched
+  let batched = run_mode ~split:false (mk_mode ~host) routes in
+  let split = run_mode ~split:true (mk_mode ~host) routes in
+  check (Alcotest.pair snap snap) "batched = split state" split batched
 
 (* route reflection: the chain is batch-invariant, so the batched run
    exercises the shared-verdict fast path *)
-let rr_mode ~host ~batch =
+let rr_mode ~host =
   Scenario.Testbed.mode ~host ~ibgp:true
-    ~manifest:Xprogs.Route_reflector.manifest ~batch_updates:batch ()
+    ~manifest:Xprogs.Route_reflector.manifest ()
 
 (* origin validation reads the prefix: the batched run must detect the
    variance and fall back to per-prefix dispatch, same final state *)
-let ov_mode roas ~host ~batch =
+let ov_mode roas ~host =
   Scenario.Testbed.mode ~host ~ibgp:false
     ~manifest:Xprogs.Origin_validation.manifest
     ~xtras:[ ("roa_table", Xprogs.Util.encode_roa_table roas) ]
-    ~batch_updates:batch ()
+    ()
 
 let test_batch_ov ~host () =
   let routes = grouped_routes ~groups:4 ~per_group:8 in
   let roas =
     Dataset.Ris_gen.roas_for ~seed:11 ~valid_pct:50 ~invalid_pct:25 routes
   in
-  let batched = run_mode (ov_mode roas ~host ~batch:true) routes in
-  let sequential = run_mode (ov_mode roas ~host ~batch:false) routes in
-  check (Alcotest.pair snap snap) "batched = sequential state" sequential
-    batched
+  batched_vs_split ~host ~mk_mode:(ov_mode roas) ()
 
 (* rate_limit writes its window map once per prefix: the batch gate must
-   force per-prefix dispatch, leaving routing state AND final map state
-   identical to the sequential run. The window (5) is smaller than each
-   multi-prefix UPDATE (8 prefixes), so the map chain demonstrably bites:
-   only 5 prefixes of each UPDATE survive. *)
+   force per-prefix dispatch. Its window is one UPDATE by design, so
+   splitting would change its verdicts; the oracle is the program's own
+   contract instead. The window (5) is smaller than each multi-prefix
+   UPDATE (8 prefixes), so exactly 5 prefixes of each of the 4 UPDATEs
+   survive, and the upstream's slot counts 3 drops per UPDATE. One
+   verdict per UPDATE would admit 0 or 8 of each. *)
 let test_batch_map_chain ~host () =
   let routes = grouped_routes ~groups:4 ~per_group:8 in
   let admitted = 4 * 5 in
-  let run ~batch =
-    let tb =
-      Scenario.Testbed.create
-        (Scenario.Testbed.mode ~host ~ibgp:false
-           ~manifest:Xprogs.Rate_limit.manifest
-           ~xtras:[ ("rate_limit", Xprogs.Util.encode_u32 5) ]
-           ~batch_updates:batch ())
-    in
-    Scenario.Testbed.establish tb;
-    Scenario.Testbed.feed tb routes;
-    check_bool "admitted prefixes converged" true
-      (Scenario.Testbed.run_until_downstream_has tb admitted);
-    check_bool "multi-prefix UPDATEs reached the DUT" true
-      (Scenario.Daemon.updates_rx tb.Scenario.Testbed.dut
-      < List.length routes);
-    let maps =
-      match tb.Scenario.Testbed.dut_vmm with
-      | Some vmm -> Xbgp.Vmm.map_state vmm
-      | None -> []
-    in
-    (dut_state tb, maps)
+  let tb =
+    Scenario.Testbed.create
+      (Scenario.Testbed.mode ~host ~ibgp:false
+         ~manifest:Xprogs.Rate_limit.manifest
+         ~xtras:[ ("rate_limit", Xprogs.Util.encode_u32 5) ]
+         ())
   in
-  let (b_state, b_maps) = run ~batch:true in
-  let (s_state, s_maps) = run ~batch:false in
-  check (Alcotest.pair snap snap) "batched = sequential routing state"
-    s_state b_state;
-  check_bool "final map state non-empty" true (b_maps <> []);
-  check_bool "batched = sequential map state" true (b_maps = s_maps)
+  Scenario.Testbed.establish tb;
+  feed ~split:false tb routes;
+  check_bool "admitted prefixes converged" true
+    (Scenario.Testbed.run_until_downstream_has tb admitted);
+  check_framing ~split:false tb routes;
+  check_int "5 of each UPDATE's 8 prefixes admitted" admitted
+    (List.length (fst (dut_state tb)));
+  let drops =
+    match tb.Scenario.Testbed.dut_vmm with
+    | None -> []
+    | Some vmm ->
+      List.concat_map
+        (fun (_, maps) ->
+          List.concat_map
+            (fun (_, entries) ->
+              List.filter_map
+                (fun (_, v) ->
+                  match Int32.to_int (String.get_int32_le v 4) with
+                  | 0 -> None
+                  | d -> Some d)
+                entries)
+            maps)
+        (Xbgp.Vmm.map_state vmm)
+  in
+  check Alcotest.(list int) "one slot counted 3 drops per UPDATE" [ 12 ] drops
 
 (* --- one outbound evaluation per UPDATE ---------------------------- *)
 
 (* A hub with four sinks; sink 0 feeds the batch. [setup] and then
-   [script] run after the sessions settle, and the leg reports the
+   [script] run after the sessions settle, sending every UPDATE split
+   into one per prefix when [split] is set, and the leg reports the
    outbound runs and export rejections [script] caused, the hub's
    Loc-RIB, every sink's adj-RIB-in and every sink's raw UPDATE frame
    stream. *)
@@ -424,6 +448,7 @@ let outbound_runs tele =
     0 (Telemetry.counters tele)
 
 type star_leg = {
+  star : Scenario.Star.t;
   runs : int;
   rejected : int;
   exporting_groups : int;  (** groups with a member other than sink 0 *)
@@ -446,33 +471,32 @@ let vmm_with ?telemetry (xp, points) =
   vmm
 
 let star_leg ?manifest ?xprog ?(ibgp = false) ?(rr_client = fun _ -> false)
-    ?(update_groups = true) ?(setup = ignore) ~host ~batch script =
+    ?(setup = fun ~split:_ _ -> ()) ~host ~split script =
   let tele = Telemetry.create ~enabled:true () in
   let vmm = Option.map (vmm_with ~telemetry:tele) xprog in
   let star =
     Scenario.Star.create ~host ?manifest ?vmm ~telemetry:tele ~ibgp ~rr_client
-      ~update_groups ~batch_updates:batch ~npeers:star_peers ()
+      ~npeers:star_peers ()
   in
   Scenario.Star.establish star;
   Scenario.Star.settle star;
-  setup star;
+  setup ~split star;
   Scenario.Star.settle star;
   let dut = Scenario.Star.dut star in
   let runs0 = outbound_runs tele in
   let rej0 = (Scenario.Daemon.stats dut).Telemetry.export_rejected in
-  script star;
+  script ~split star;
   Scenario.Star.settle star;
   let sinks = List.init star_peers Fun.id in
   {
+    star;
     runs = outbound_runs tele - runs0;
     rejected = (Scenario.Daemon.stats dut).Telemetry.export_rejected - rej0;
     exporting_groups =
-      (if update_groups then
-         List.length
-           (List.filter
-              (fun (_, ms) -> List.exists (fun m -> m <> 0) ms)
-              (Scenario.Daemon.group_details dut))
-       else star_peers - 1);
+      List.length
+        (List.filter
+           (fun (_, ms) -> List.exists (fun m -> m <> 0) ms)
+           (Scenario.Daemon.group_details dut));
     hub = Scenario.Daemon.loc_snapshot dut;
     ribs = List.map (Scenario.Star.sink_rib star) sinks;
     frames =
@@ -481,52 +505,58 @@ let star_leg ?manifest ?xprog ?(ibgp = false) ?(rr_client = fun _ -> false)
         sinks;
   }
 
-let announce_batch ?(path = [ 65101 ]) star =
-  Scenario.Star.sink_announce star 0 ~attrs:(star_attrs path) star_batch
+(* sink [i] sends [nlri] (or withdraws [wd]) in one UPDATE, or split
+   into one UPDATE per prefix *)
+let each ~split send nlri =
+  if split then List.iter (fun p -> send [ p ]) nlri else send nlri
 
-(* the batched leg must leave what the per-prefix leg leaves *)
-let check_same_as_per_prefix label (b : star_leg) (s : star_leg) =
+let sink_announce ~split star i ~attrs nlri =
+  each ~split (Scenario.Star.sink_announce star i ~attrs) nlri
+
+let sink_withdraw ~split star i wd =
+  each ~split (Scenario.Star.sink_withdraw star i) wd
+
+(* sink 0 announces the batch with [path] *)
+let announce_path path ~split star =
+  sink_announce ~split star 0 ~attrs:(star_attrs path) star_batch
+
+let announce_batch = announce_path [ 65101 ]
+
+(* the import oracle: the batched leg must leave what the split leg
+   leaves *)
+let check_same_as_split label (b : star_leg) (s : star_leg) =
   let same what x y =
-    match
-      Fuzz.Oracle.diff_snapshots ~what ~l0:"per-prefix" ~l1:"batched" x y
-    with
+    match Fuzz.Oracle.diff_snapshots ~what ~l0:"split" ~l1:"batched" x y with
     | None -> ()
     | Some d -> Alcotest.failf "%s: %s" label d
   in
   same "hub Loc-RIB" s.hub b.hub;
   List.iteri
     (fun i (x, y) -> same (Printf.sprintf "sink %d adj-RIB-in" i) x y)
-    (List.combine s.ribs b.ribs);
-  List.iteri
-    (fun i (x, y) ->
-      check_bool
-        (Printf.sprintf "%s: sink %d frames byte-identical" label i)
-        true (x = y))
-    (List.combine s.frames b.frames)
+    (List.combine s.ribs b.ribs)
+
+(* the export oracle: every sink holds what the reference model derives
+   from the hub's Loc-RIB under the chain [chain] *)
+let check_export_model label ~chain (l : star_leg) =
+  match Fuzz.Export_model.diff_star l.star ~chains:[ chain ] with
+  | [] -> ()
+  | d :: _ -> Alcotest.failf "%s: %s" label d
 
 let host_name = function `Frr -> "frr" | `Bird -> "bird"
 
-(* [f] on both hosts, grouped and per-peer export *)
+(* [f] on both hosts *)
 let each_export_path f =
-  List.iter
-    (fun host ->
-      List.iter
-        (fun update_groups ->
-          f
-            ~label:(Printf.sprintf "%s groups=%b" (host_name host) update_groups)
-            ~host ~update_groups)
-        [ true; false ])
-    [ `Frr; `Bird ]
+  List.iter (fun host -> f ~label:(host_name host) ~host) [ `Frr; `Bird ]
 
-let rr_leg ~host ~update_groups ~batch script =
+let rr_leg ~host ~split script =
   star_leg ~manifest:Xprogs.Route_reflector.manifest ~ibgp:true
-    ~rr_client:(fun i -> i < 2) ~update_groups ~host ~batch script
+    ~rr_client:(fun i -> i < 2) ~host ~split script
 
 (* the stock RR outbound chain never reads the prefix: one run per
-   exporting group (per peer on the per-peer path) covers the UPDATE *)
+   exporting group covers the UPDATE *)
 let test_export_once_rr () =
-  each_export_path (fun ~label ~host ~update_groups ->
-      let l = rr_leg ~host ~update_groups ~batch:true announce_batch in
+  each_export_path (fun ~label ~host ->
+      let l = rr_leg ~host ~split:false announce_batch in
       check_bool (label ^ ": some group exports") true (l.exporting_groups > 0);
       check_int
         (label ^ ": one outbound run per exporting group")
@@ -537,27 +567,31 @@ let test_export_once_rr () =
             check_int
               (Printf.sprintf "%s: sink %d has the batch" label i)
               batch_k (List.length rib))
-        l.ribs)
+        l.ribs;
+      check_export_model label ~chain:[ "route_reflector" ] l)
 
 (* a richer RR script — a second source, a re-announcement that changes
-   the exported attributes, withdrawals — must leave the per-prefix
-   leg's hub RIB, sink RIBs and frame streams exactly *)
+   the exported attributes, withdrawals — must leave the split leg's hub
+   RIB and sink RIBs exactly, and every sink must hold what the export
+   model derives from the hub *)
 let test_export_once_equivalence () =
-  let script star =
-    announce_batch star;
+  let script ~split star =
+    announce_batch ~split star;
     Scenario.Star.settle star;
-    Scenario.Star.sink_announce star 2 ~attrs:(star_attrs [ 65001 ])
+    sink_announce ~split star 2 ~attrs:(star_attrs [ 65001 ])
       (List.init 3 (fun i -> star_pfx (i + 6)));
     Scenario.Star.settle star;
-    announce_batch ~path:[ 65101; 65102 ] star;
+    announce_path [ 65101; 65102 ] ~split star;
     Scenario.Star.settle star;
-    Scenario.Star.sink_withdraw star 0 [ star_pfx 1; star_pfx 7 ]
+    sink_withdraw ~split star 0 [ star_pfx 1; star_pfx 7 ]
   in
-  each_export_path (fun ~label ~host ~update_groups ->
-      let b = rr_leg ~host ~update_groups ~batch:true script in
-      let s = rr_leg ~host ~update_groups ~batch:false script in
+  each_export_path (fun ~label ~host ->
+      let b = rr_leg ~host ~split:false script in
+      let s = rr_leg ~host ~split:true script in
       check_bool (label ^ ": fewer outbound runs") true (b.runs < s.runs);
-      check_same_as_per_prefix label b s)
+      check_same_as_split label b s;
+      check_export_model (label ^ " batched") ~chain:[ "route_reflector" ] b;
+      check_export_model (label ^ " split") ~chain:[ "route_reflector" ] s)
 
 (* a one-bytecode program attached at the outbound point *)
 let outbound items =
@@ -584,7 +618,7 @@ let test_export_prefix_reader () =
   List.iter
     (fun host ->
       let l =
-        star_leg ~xprog:prefix_reading_chain ~host ~batch:true announce_batch
+        star_leg ~xprog:prefix_reading_chain ~host ~split:false announce_batch
       in
       check_int "one exporting group" 1 l.exporting_groups;
       check_int
@@ -595,50 +629,49 @@ let test_export_prefix_reader () =
 let test_export_reject_counts () =
   List.iter
     (fun host ->
-      let run ~batch = star_leg ~xprog:reject_chain ~host ~batch announce_batch in
-      let b = run ~batch:true and s = run ~batch:false in
+      let run ~split = star_leg ~xprog:reject_chain ~host ~split announce_batch in
+      let b = run ~split:false and s = run ~split:true in
       let label = host_name host in
       check_int (label ^ ": one evaluation for the batch") 1 b.runs;
-      check_int (label ^ ": per-prefix leg runs k times") batch_k s.runs;
+      check_int (label ^ ": split leg runs k times") batch_k s.runs;
       check_int
         (label ^ ": rejections counted per prefix and target")
         (batch_k * (star_peers - 1))
         b.rejected;
-      check_int (label ^ ": same rejections as per-prefix") s.rejected
-        b.rejected)
+      check_int (label ^ ": same rejections as split") s.rejected b.rejected)
     [ `Frr; `Bird ]
 
 (* sink 1 holds a runner-up for one mid-batch prefix; sink 0's second
    UPDATE worsens its own path below it, so that prefix's new best is
    sink 1's route — a different record, which must get its own
-   evaluation rather than sink 0's memoized one. On the per-peer path
-   the two routes share targets (sinks 2 and 3), so reusing the wrong
-   record's result would show in their frames. *)
+   evaluation rather than sink 0's memoized one. The two routes share
+   targets (sinks 2 and 3), so reusing the wrong record's result would
+   show in their adj-RIB-ins. *)
 let test_export_displaced_route () =
   let mid = star_pfx (batch_k / 2) in
-  let setup star =
-    announce_batch star;
+  let setup ~split star =
+    announce_batch ~split star;
     Scenario.Star.settle star;
     Scenario.Star.sink_announce star 1
       ~attrs:(star_attrs [ 65102; 65001 ])
       [ mid ]
   in
-  each_export_path (fun ~label ~host ~update_groups ->
-      let run ~batch =
-        star_leg ~xprog:accept_chain ~setup ~update_groups ~host ~batch
-          (announce_batch ~path:[ 65101; 65001; 65002 ])
+  each_export_path (fun ~label ~host ->
+      let run ~split =
+        star_leg ~xprog:accept_chain ~setup ~host ~split
+          (announce_path [ 65101; 65001; 65002 ])
       in
-      let b = run ~batch:true and s = run ~batch:false in
-      if update_groups then begin
-        (* one group: sink 0's route exports via sink 1, sink 1's via
-           sink 0 *)
-        check_int (label ^ ": one run per distinct new best") 2 b.runs;
-        check_int (label ^ ": per-prefix leg runs k times") batch_k s.runs
-      end
-      else check_bool (label ^ ": fewer outbound runs") true (b.runs < s.runs);
+      let b = run ~split:false and s = run ~split:true in
+      (* one group: sink 0's route exports via sink 1, sink 1's via
+         sink 0 *)
+      check_int (label ^ ": one run per distinct new best") 2 b.runs;
+      check_int (label ^ ": split leg runs k times") batch_k s.runs;
       check_bool (label ^ ": sink 0 now hears the runner-up") true
         (List.mem_assoc mid (List.nth b.ribs 0));
-      check_same_as_per_prefix label b s)
+      check_same_as_split label b s;
+      (* the accept-all chain defers nothing to an unmodelled program:
+         it is the native export, as the model states it *)
+      check_export_model label ~chain:[] b)
 
 (* The import bytecode bumps a counter in a hash map once per prefix;
    the export bytecode copies the counter into MED. The export chain
@@ -711,23 +744,20 @@ let test_export_map_epoch () =
     (Xbgp.Vmm.batch_invariant (vmm_with counter_program)
        Xbgp.Api.Bgp_outbound_filter ~variant_args:[ Xbgp.Api.arg_prefix ]);
   List.iter
-    (fun (host, update_groups) ->
-      let run ~batch =
-        star_leg ~xprog:counter_program ~host ~update_groups ~batch
-          announce_batch
+    (fun host ->
+      let run ~split =
+        star_leg ~xprog:counter_program ~host ~split announce_batch
       in
-      let b = run ~batch:true and s = run ~batch:false in
-      let label =
-        host_name host ^ if update_groups then " grouped" else " per-peer"
-      in
+      let b = run ~split:false and s = run ~split:true in
+      let label = host_name host in
       (* the map read makes the chain peer-sensitive: one solo group per
-         sink, or one export per sink on the per-peer path *)
+         sink *)
       check_int
         (label ^ ": one export run per prefix and target")
         (batch_k * b.exporting_groups)
         b.runs;
-      check_same_as_per_prefix label b s)
-    [ (`Frr, true); (`Frr, false); (`Bird, true); (`Bird, false) ]
+      check_same_as_split label b s)
+    [ `Frr; `Bird ]
 
 (* --- an argument id with its high half set -------------------------- *)
 
@@ -760,11 +790,11 @@ let test_lddw_not_invariant () =
        Xbgp.Api.Bgp_inbound_filter ~variant_args:[ Xbgp.Api.arg_prefix ])
 
 (* an eBGP testbed whose DUT runs [xp]'s bytecodes at [points] *)
-let testbed_with ~host ~batch (xp, points) =
+let testbed_with ~host (xp, points) =
   let tb =
     Scenario.Testbed.create
       (Scenario.Testbed.mode ~host ~ibgp:false ~manifest:Xbgp.Manifest.empty
-         ~batch_updates:batch ())
+         ())
   in
   let vmm = Option.get tb.Scenario.Testbed.dut_vmm in
   (match Xbgp.Vmm.register vmm xp with
@@ -785,35 +815,33 @@ let test_lddw_batch ~host () =
   let routes = grouped_routes ~groups:4 ~per_group:8 in
   (* 11.0.i.0/24 for i = 0..31: the even half is accepted *)
   let accepted = List.length routes / 2 in
-  let run ~batch =
-    let tb = testbed_with ~host ~batch lddw_prefix_program in
+  let run ~split =
+    let tb = testbed_with ~host lddw_prefix_program in
     Scenario.Testbed.establish tb;
-    Scenario.Testbed.feed tb routes;
+    feed ~split tb routes;
     check_bool "accepted half converged" true
       (Scenario.Testbed.run_until_downstream_has tb accepted);
-    check_bool "multi-prefix UPDATEs reached the DUT" true
-      (Scenario.Daemon.updates_rx tb.Scenario.Testbed.dut < List.length routes);
+    check_framing ~split tb routes;
     dut_state tb
   in
-  let batched = run ~batch:true in
-  let sequential = run ~batch:false in
+  let batched = run ~split:false in
+  let split = run ~split:true in
   check_int "per-prefix verdicts: half the table downstream" accepted
-    (List.length (snd sequential));
-  check (Alcotest.pair snap snap) "batched = sequential state" sequential
-    batched
+    (List.length (snd split));
+  check (Alcotest.pair snap snap) "batched = split state" split batched
 
 let test_lddw_export () =
   let chain = outbound lddw_prefix_items in
   List.iter
     (fun host ->
-      let run ~batch = star_leg ~xprog:chain ~host ~batch announce_batch in
-      let b = run ~batch:true and s = run ~batch:false in
+      let run ~split = star_leg ~xprog:chain ~host ~split announce_batch in
+      let b = run ~split:false and s = run ~split:true in
       let label = host_name host in
       check_int (label ^ ": one outbound run per prefix, no memo hit")
         (batch_k * b.exporting_groups)
         b.runs;
-      check_int (label ^ ": as many runs as per-prefix") s.runs b.runs;
-      check_same_as_per_prefix label b s)
+      check_int (label ^ ": as many runs as split") s.runs b.runs;
+      check_same_as_split label b s)
     [ `Frr; `Bird ]
 
 (* --- host agreement on extension-written attributes -------------- *)
@@ -850,7 +878,7 @@ let test_add_attr_hosts_agree () =
     (fun (flags, len) ->
       let run host =
         let tb =
-          testbed_with ~host ~batch:true (add_community_program ~flags ~len)
+          testbed_with ~host (add_community_program ~flags ~len)
         in
         Scenario.Testbed.establish tb;
         Scenario.Testbed.feed tb routes;
@@ -1099,9 +1127,9 @@ let () =
       ( "batched-updates",
         [
           Alcotest.test_case "rr frr" `Quick
-            (batch_vs_sequential ~host:`Frr ~mk_mode:rr_mode);
+            (batched_vs_split ~host:`Frr ~mk_mode:rr_mode);
           Alcotest.test_case "rr bird" `Quick
-            (batch_vs_sequential ~host:`Bird ~mk_mode:rr_mode);
+            (batched_vs_split ~host:`Bird ~mk_mode:rr_mode);
           Alcotest.test_case "ov frr" `Quick (test_batch_ov ~host:`Frr);
           Alcotest.test_case "ov bird" `Quick (test_batch_ov ~host:`Bird);
           Alcotest.test_case "map chain frr" `Quick

@@ -273,11 +273,12 @@ let prop_chaos_gen_pure =
       (* restricting to every index is the identity *)
       && Fuzz.Config_gen.restrict (Fuzz.Config_gen.indices a) a = a)
 
-(* The export-side faults (sinkfeed, wdrace, detach) and the groups-flip
-   leg came after these cases were first generated. They are drawn from
+(* The export-side faults (sinkfeed, wdrace, detach) and the split leg
+   came after these cases were first generated. They are drawn from
    their own stream and appended, so every earlier case keeps its fault
    schedule and its first legs exactly: the literals below are what the
-   generator produced before they existed. *)
+   generator produced before they existed, less the retired batching
+   and update-group knobs, whose draws are kept and discarded. *)
 let test_chaos_gen_stable () =
   List.iter
     (fun ((seed, index), faults, legs) ->
@@ -297,23 +298,23 @@ let test_chaos_gen_stable () =
       ( (42, 17),
         [ "flap:1" ],
         [
-          "frr/interpreted batch- groups- tel+ s1";
-          "bird/interpreted batch- groups- tel+ s1";
-          "frr/block batch+ groups+ tel- s8";
+          "frr/interpreted tel+ s1";
+          "bird/interpreted tel+ s1";
+          "frr/block tel- s8";
         ] );
       ( (7, 0),
         [ "roa_swap"; "midfail:4" ],
         [
-          "bird/interpreted batch+ groups- tel- s16";
-          "frr/interpreted batch+ groups- tel- s16";
-          "bird/block batch- groups+ tel+ s1";
+          "bird/interpreted tel- s16";
+          "frr/interpreted tel- s16";
+          "bird/block tel+ s1";
         ] );
       ( (7, 3),
         [ "midfail:4"; "rechain:igp_filter" ],
         [
-          "frr/block batch- groups- tel- s1";
-          "bird/block batch- groups- tel- s1";
-          "frr/interpreted batch+ groups+ tel+ s8";
+          "frr/block tel- s1";
+          "bird/block tel- s1";
+          "frr/interpreted tel+ s8";
         ] );
     ]
 

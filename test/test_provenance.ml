@@ -1,10 +1,10 @@
 (* Route provenance: the record that explains why a route is installed.
 
    The determinism contract under test: provenance records carry no
-   counters, timestamps or batching artifacts, so the SAME scenario must
-   yield byte-identical provenance (text AND json) whether the daemon
-   processes NLRI batched or per-prefix, and whether it exports grouped
-   or per-peer — on both hosts. Plus content checks: ingress peer, the
+   counters, timestamps or batching artifacts, so the SAME routes must
+   yield byte-identical provenance (text AND json) whether the peers
+   announce them in multi-prefix UPDATEs or one UPDATE per prefix — on
+   both hosts. Plus content checks: ingress peer, the
    xprog chain verdict, the winning decision step, and the on-demand
    decision recomputation when a competing withdrawal promotes a
    shadowed candidate. *)
@@ -20,32 +20,54 @@ let pfx_gone = pfx "10.34.0.0/24" (* sink 2 announces then withdraws *)
 
 (* The deterministic observed scenario: 4 sinks around an
    origin-validation DUT (same script as `xbgp-sim show --scenario star`). *)
-let build ~host ~batch_updates ~update_groups =
+let ov_star ?(manifest = Xprogs.Origin_validation.manifest) host =
   let roas = [ Rpki.Roa.v pfx_contested ~max_len:24 ~asn:65101 ] in
   let star =
-    Scenario.Star.create ~host ~npeers:4
-      ~manifest:Xprogs.Origin_validation.manifest
+    Scenario.Star.create ~host ~npeers:4 ~manifest
       ~xtras:[ ("roa_table", Xprogs.Util.encode_roa_table roas) ]
-      ~batch_updates ~update_groups ()
+      ()
   in
   Scenario.Star.establish star;
-  let announce i path nlri =
-    Scenario.Star.sink_announce star i
-      ~attrs:
-        Bgp.Attr.
-          [
-            v (Origin Igp);
-            v (As_path [ Seq path ]);
-            v (Next_hop (Scenario.Star.sink_address star i));
-          ]
-      nlri
-  in
-  announce 0 [ 65101 ] [ pfx_contested ];
-  announce 1 [ 65102; 64999 ] [ pfx_contested ];
-  announce 1 [ 65102 ] [ pfx_single ];
-  announce 2 [ 65103 ] [ pfx_gone ];
+  star
+
+let announce star i path nlri =
+  Scenario.Star.sink_announce star i
+    ~attrs:
+      Bgp.Attr.
+        [
+          v (Origin Igp);
+          v (As_path [ Seq path ]);
+          v (Next_hop (Scenario.Star.sink_address star i));
+        ]
+    nlri
+
+let build ~host =
+  let star = ov_star host in
+  announce star 0 [ 65101 ] [ pfx_contested ];
+  announce star 1 [ 65102; 64999 ] [ pfx_contested ];
+  announce star 1 [ 65102 ] [ pfx_single ];
+  announce star 2 [ 65103 ] [ pfx_gone ];
   Scenario.Star.settle star;
   Scenario.Star.sink_withdraw star 2 [ pfx_gone ];
+  Scenario.Star.settle star;
+  star
+
+(* The import oracle's metamorphic pair: the same announcements and
+   withdrawals sent as multi-prefix UPDATEs, or with every UPDATE split
+   into one per prefix. [manifest] picks the import chain: origin
+   validation reads the prefix, so each prefix gets its own dispatch; an
+   empty chain takes the one-verdict-per-UPDATE path. *)
+let build_framed ?manifest ~host ~split () =
+  let star = ov_star ?manifest host in
+  let each send nlri =
+    if split then List.iter (fun p -> send [ p ]) nlri else send nlri
+  in
+  let announce i path = each (announce star i path) in
+  announce 0 [ 65101 ] [ pfx_contested; pfx_single ];
+  announce 1 [ 65102; 64999 ] [ pfx_contested; pfx_single; pfx_gone ];
+  announce 2 [ 65103 ] [ pfx_gone; pfx_single ];
+  Scenario.Star.settle star;
+  each (Scenario.Star.sink_withdraw star 2) [ pfx_gone; pfx_single ];
   Scenario.Star.settle star;
   star
 
@@ -68,30 +90,27 @@ let observe star =
 
 let host_name = function `Frr -> "frr" | `Bird -> "bird"
 
-(* batched vs per-prefix dispatch, grouped vs per-peer export: all four
-   knob corners must render byte-identically *)
+let chains = [ ("ov", None); ("empty", Some Xbgp.Manifest.empty) ]
+
+(* multi-prefix UPDATEs vs one UPDATE per prefix, over a per-prefix and
+   a one-verdict import chain: both must render byte-identically *)
 let test_knob_invariance host () =
-  let base =
-    observe (build ~host ~batch_updates:true ~update_groups:true)
-  in
   List.iter
-    (fun (batch_updates, update_groups) ->
-      let label =
-        Printf.sprintf "%s batch=%b groups=%b" (host_name host) batch_updates
-          update_groups
-      in
-      let got = observe (build ~host ~batch_updates ~update_groups) in
-      check_bool (label ^ ": provenance byte-identical") true (got = base))
-    [ (true, false); (false, true); (false, false) ]
+    (fun (name, manifest) ->
+      let label = Printf.sprintf "%s %s chain" (host_name host) name in
+      let batched = build_framed ?manifest ~host ~split:false () in
+      let split = build_framed ?manifest ~host ~split:true () in
+      let updates s = Scenario.Daemon.updates_rx (Scenario.Star.dut s) in
+      check_bool (label ^ ": the split leg sends more UPDATEs") true
+        (updates split > updates batched);
+      check_bool (label ^ ": provenance byte-identical") true
+        (observe split = observe batched))
+    chains
 
 (* the structural equality the fuzz oracles would use *)
 let test_structural_equality host () =
-  let d1 =
-    Scenario.Star.dut (build ~host ~batch_updates:true ~update_groups:true)
-  in
-  let d2 =
-    Scenario.Star.dut (build ~host ~batch_updates:false ~update_groups:false)
-  in
+  let d1 = Scenario.Star.dut (build_framed ~host ~split:false ()) in
+  let d2 = Scenario.Star.dut (build_framed ~host ~split:true ()) in
   List.iter
     (fun p ->
       match
@@ -105,7 +124,7 @@ let test_structural_equality host () =
     [ pfx_contested; pfx_single; pfx_gone ]
 
 let test_content host () =
-  let star = build ~host ~batch_updates:true ~update_groups:true in
+  let star = build ~host in
   let d = Scenario.Star.dut star in
   (* the contested prefix: sink 0 wins on AS-path length, the OV chain
      ran and mutated attributes (validation community) *)
@@ -158,7 +177,7 @@ let test_content host () =
 (* decision disposal is computed on demand: when the winner goes away,
    the shadowed candidate's record is promoted without a re-announce *)
 let test_promotion_after_withdraw host () =
-  let star = build ~host ~batch_updates:true ~update_groups:true in
+  let star = build ~host in
   let d = Scenario.Star.dut star in
   Scenario.Star.sink_withdraw star 0 [ pfx_contested ];
   Scenario.Star.settle star;
@@ -176,7 +195,7 @@ let test_promotion_after_withdraw host () =
    steps), which is the cross-host determinism the paper's equivalence
    claims rest on *)
 let test_cross_host () =
-  let ob host = observe (build ~host ~batch_updates:true ~update_groups:true) in
+  let ob host = observe (build ~host) in
   check_bool "frr and bird provenance byte-identical" true
     (ob `Frr = ob `Bird)
 

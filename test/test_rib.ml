@@ -351,6 +351,24 @@ let test_decision_steps () =
   prefer "lower peer addr" base { base with paddr = 9 };
   check Alcotest.int "full tie" 0 (Rib.Decision.compare view base base)
 
+(* The decision process compares routes on every Loc-RIB update, so a
+   comparison must not allocate: 100k of them, tied down to the last
+   step, add under one minor word each. *)
+let test_decision_compare_alloc () =
+  let a = base and b = { base with paddr = 9 } in
+  let calls = 100_000 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    acc := !acc + Rib.Decision.compare view a b
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.int "every call prefers a" (-calls) !acc;
+  check Alcotest.bool
+    (Printf.sprintf "%.0f minor words over %d calls" words calls)
+    true
+    (words < float_of_int calls)
+
 let gen_troute =
   QCheck2.Gen.(
     let small = int_range 0 3 in
@@ -598,62 +616,6 @@ let test_loc_rib_memory_bounded () =
       (Obj.reachable_words (Obj.repr rib))
   done
 
-(* --- Adj-RIB --- *)
-
-let test_adj_rib () =
-  let adj = Rib.Adj_rib.create () in
-  ignore (Rib.Adj_rib.set adj ~peer:0 (p "10.0.0.0/8") 1);
-  ignore (Rib.Adj_rib.set adj ~peer:1 (p "10.0.0.0/8") 2);
-  check
-    Alcotest.(option int)
-    "per-peer" (Some 1)
-    (Rib.Adj_rib.find adj ~peer:0 (p "10.0.0.0/8"));
-  check
-    Alcotest.(option int)
-    "per-peer 2" (Some 2)
-    (Rib.Adj_rib.find adj ~peer:1 (p "10.0.0.0/8"));
-  check Alcotest.int "total" 2 (Rib.Adj_rib.total adj);
-  check
-    Alcotest.(option int)
-    "clear returns old" (Some 1)
-    (Rib.Adj_rib.clear adj ~peer:0 (p "10.0.0.0/8"));
-  Rib.Adj_rib.drop_peer adj 1;
-  check Alcotest.int "dropped" 0 (Rib.Adj_rib.total adj)
-
-(* [total] is an O(1) running counter: after every kind of change it
-   must equal a recount over the peers *)
-let test_adj_total_consistent () =
-  let adj = Rib.Adj_rib.create () in
-  let prefix k =
-    if k mod 3 = 0 then Bgp.Prefix.v ((k lsl 16) * 256) 16
-    else Bgp.Prefix.v (0x0A00_0000 lor (k lsl 8)) 24
-  in
-  let check_total ctx =
-    let recount =
-      List.fold_left
-        (fun acc peer -> acc + Rib.Adj_rib.count_peer adj ~peer)
-        0 (Rib.Adj_rib.peers adj)
-    in
-    check Alcotest.int ctx recount (Rib.Adj_rib.total adj)
-  in
-  check_total "empty";
-  for peer = 0 to 3 do
-    for k = 0 to 15 do
-      ignore (Rib.Adj_rib.set adj ~peer (prefix k) (peer + k))
-    done
-  done;
-  check_total "after 64 sets";
-  (* replacing is not an insert *)
-  ignore (Rib.Adj_rib.set adj ~peer:0 (prefix 0) 999);
-  check_total "after replace";
-  ignore (Rib.Adj_rib.clear adj ~peer:1 (prefix 3));
-  (* double clear: the second is a no-op *)
-  ignore (Rib.Adj_rib.clear adj ~peer:1 (prefix 3));
-  check_total "after clear";
-  Rib.Adj_rib.drop_peer adj 2;
-  check_total "after drop_peer";
-  check Alcotest.int "total reflects the drops" 47 (Rib.Adj_rib.total adj)
-
 let () =
   let qc = Qc.to_alcotest in
   Alcotest.run "rib"
@@ -677,6 +639,8 @@ let () =
       ( "decision",
         [
           Alcotest.test_case "tie-break steps" `Quick test_decision_steps;
+          Alcotest.test_case "compare allocates nothing" `Quick
+            test_decision_compare_alloc;
           qc prop_decision_total_order;
           qc prop_decision_best_is_min;
         ] );
@@ -688,11 +652,5 @@ let () =
           Alcotest.test_case "words per prefix" `Quick test_loc_rib_entry_words;
           Alcotest.test_case "memory bounded under churn" `Quick
             test_loc_rib_memory_bounded;
-        ] );
-      ("adj-rib", [ Alcotest.test_case "basics" `Quick test_adj_rib ]);
-      ( "adj_rib",
-        [
-          Alcotest.test_case "total is a consistent running counter" `Quick
-            test_adj_total_consistent;
         ] );
     ]
