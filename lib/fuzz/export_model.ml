@@ -1,7 +1,7 @@
-(* A reference model of the DUT's export side.
+(* A reference model of a star hub's export side.
 
-   Given the DUT's Loc-RIB (each best route's attributes and the peer it
-   came from), the model states what every peer's Adj-RIB-Out must hold:
+   Given the hub's Loc-RIB (each best route's attributes and the peer it
+   came from), the model states what every sink's Adj-RIB-In must hold:
    the native export rules — split horizon towards the source peer,
    iBGP-to-iBGP suppression, RFC 4456 reflection, eBGP/iBGP outbound
    canonicalization — and the outbound programs the fuzz chains draw
@@ -16,32 +16,7 @@
    and bumps no counter, so checking it after every phase leaves the
    scenario exactly as it was. *)
 
-type view = {
-  local_as : int;
-  router_id : int;  (** also the cluster id and the next-hop-self address *)
-  native_rr : bool;
-  ibgp : int -> bool;  (** peer [i] is an iBGP peer *)
-  rr_client : int -> bool;
-  peer_router_id : int -> int;
-  igp_cost : int -> int;  (** IGP metric towards a next-hop address *)
-  igp_max_metric : int option;  (** igp_filter's bound; [None] = unset *)
-}
-
-let star_view ?igp_max_metric star =
-  let module S = Scenario.Star in
-  {
-    local_as = S.dut_as star;
-    router_id = S.dut_address star;
-    native_rr = S.native_rr star;
-    ibgp = (fun i -> S.sink_as star i = S.dut_as star);
-    rr_client = S.sink_rr_client star;
-    peer_router_id = S.sink_address star;
-    (* the star's DUT has no IGP: every next hop costs 0 *)
-    igp_cost = (fun _ -> 0);
-    igp_max_metric;
-  }
-
-(* --- attribute edits in the neutral form --- *)
+module Star = Scenario.Star
 
 let find f attrs = List.find_map (fun (a : Bgp.Attr.t) -> f a.value) attrs
 
@@ -51,46 +26,45 @@ let drop code attrs =
 let set value attrs =
   Bgp.Attr.v value :: drop (Bgp.Attr.code_of_value value) attrs
 
-let next_hop attrs =
-  Option.value ~default:0
-    (find (function Bgp.Attr.Next_hop nh -> Some nh | _ -> None) attrs)
-
-(* RFC 4456 §8: ORIGINATOR_ID when absent, our cluster id in front of
-   CLUSTER_LIST *)
-let reflect v ~originator attrs =
-  let attrs =
-    match find (function Bgp.Attr.Originator_id o -> Some o | _ -> None) attrs
-    with
-    | Some _ -> attrs
-    | None -> set (Bgp.Attr.Originator_id originator) attrs
+(* RFC 4456 §8: ORIGINATOR_ID when absent, our cluster id (the router
+   id) in front of CLUSTER_LIST *)
+let reflect star ~src attrs =
+  let originator =
+    find (function Bgp.Attr.Originator_id o -> Some o | _ -> None) attrs
   in
   let clusters =
-    Option.value ~default:[]
-      (find (function Bgp.Attr.Cluster_list l -> Some l | _ -> None) attrs)
+    find (function Bgp.Attr.Cluster_list l -> Some l | _ -> None) attrs
   in
-  set (Bgp.Attr.Cluster_list (v.router_id :: clusters)) attrs
+  let attrs =
+    if originator <> None then attrs
+    else set (Bgp.Attr.Originator_id (Star.sink_address star src)) attrs
+  in
+  set
+    (Bgp.Attr.Cluster_list
+       (Star.dut_address star :: Option.value ~default:[] clusters))
+    attrs
 
 (* community_strip: drop the communities tagged with our own AS; an
    attribute left empty goes away *)
-let strip_own_communities v attrs =
+let strip_own_communities star attrs =
   match find (function Bgp.Attr.Communities l -> Some l | _ -> None) attrs with
   | None -> attrs
   | Some cs -> (
-    match List.filter (fun c -> c lsr 16 <> v.local_as) cs with
+    match List.filter (fun c -> c lsr 16 <> Star.dut_as star) cs with
     | kept when List.length kept = List.length cs -> attrs
     | [] -> drop Bgp.Attr.code_communities attrs
     | kept -> set (Bgp.Attr.Communities kept) attrs)
 
 (* the outbound canonicalization RFC 4271 §5.1 asks of every speaker *)
-let canonicalize v ~src_ebgp ~src_ibgp ~target_ebgp attrs =
+let canonicalize star ~src_ebgp ~src_ibgp ~target_ebgp attrs =
+  let self = Star.dut_address star in
   if target_ebgp then
-    let path =
-      Option.value ~default:[]
-        (find (function Bgp.Attr.As_path p -> Some p | _ -> None) attrs)
-    in
+    let path = find (function Bgp.Attr.As_path p -> Some p | _ -> None) attrs in
+    let path = Option.value ~default:[] path in
     let attrs =
-      set (Bgp.Attr.As_path (Bgp.Attr.as_path_prepend v.local_as path)) attrs
-      |> set (Bgp.Attr.Next_hop v.router_id)
+      set (Bgp.Attr.As_path (Bgp.Attr.as_path_prepend (Star.dut_as star) path))
+        attrs
+      |> set (Bgp.Attr.Next_hop self)
       |> drop Bgp.Attr.code_local_pref
       |> drop Bgp.Attr.code_originator_id
       |> drop Bgp.Attr.code_cluster_list
@@ -98,58 +72,50 @@ let canonicalize v ~src_ebgp ~src_ibgp ~target_ebgp attrs =
     (* MED is not passed beyond the neighbouring AS *)
     if src_ebgp then drop Bgp.Attr.code_med attrs else attrs
   else
-    let pref =
-      Option.value ~default:100
-        (find (function Bgp.Attr.Local_pref p -> Some p | _ -> None) attrs)
-    in
-    let attrs = set (Bgp.Attr.Local_pref pref) attrs in
-    if src_ibgp then attrs else set (Bgp.Attr.Next_hop v.router_id) attrs
+    let pref = find (function Bgp.Attr.Local_pref p -> Some p | _ -> None) attrs in
+    let attrs = set (Bgp.Attr.Local_pref (Option.value ~default:100 pref)) attrs in
+    if src_ibgp then attrs else set (Bgp.Attr.Next_hop self) attrs
 
-(* What peer [target] must hold for a best route with [attrs] learned
-   from peer [src] ([-1] = originated locally), under the outbound
-   program chain [outbound] (attachment order). [None]: nothing. *)
-let export v ~outbound ~target ~src attrs =
+(* What sink [target] must hold for a best route with [attrs] learned
+   from sink [src] ([-1] = originated by the hub), under the manifest
+   chain [chain] (load order). [None]: nothing. *)
+let export star ~chain ~target ~src attrs =
+  let ibgp i = Star.sink_as star i = Star.dut_as star in
+  let src_ibgp = src >= 0 && ibgp src in
+  let src_ebgp = src >= 0 && not src_ibgp in
+  let target_ebgp = not (ibgp target) in
+  let ibgp_to_ibgp = src_ibgp && not target_ebgp in
+  let client = Star.sink_rr_client star in
+  let reflects = ibgp_to_ibgp && (client src || client target) in
+  (* each outbound program either decides or defers to the next, and
+     the native export policy decides when every program deferred *)
+  let rec outbound attrs = function
+    | [] ->
+      if not ibgp_to_ibgp then Some attrs
+      else if Star.native_rr star && reflects then Some (reflect star ~src attrs)
+      else None
+    | "community_strip" :: rest ->
+      outbound
+        (if target_ebgp then strip_own_communities star attrs else attrs)
+        rest
+    | "route_reflector" :: rest ->
+      if not ibgp_to_ibgp then outbound attrs rest
+      else if reflects then Some (reflect star ~src attrs)
+      else None
+    (* igp_filter rejects only past a configured IGP metric, and the
+       star's hub has no IGP: every next hop costs 0, so it defers. The
+       others act inbound or at the decision point. *)
+    | ( "igp_filter" | "origin_validation" | "prefix_limit" | "flap_damping"
+      | "rate_limit" | "med_compare" )
+      :: rest ->
+      outbound attrs rest
+    | p :: _ -> invalid_arg ("Export_model: no model of " ^ p)
+  in
   if src = target then None
   else
-    let src_ibgp = src >= 0 && v.ibgp src in
-    let src_ebgp = src >= 0 && not src_ibgp in
-    let target_ebgp = not (v.ibgp target) in
-    let reflects () =
-      src_ibgp && (not target_ebgp) && (v.rr_client src || v.rr_client target)
-    in
-    let native attrs =
-      if src_ibgp && not target_ebgp then
-        if v.native_rr && reflects () then
-          Some (reflect v ~originator:(v.peer_router_id src) attrs)
-        else None
-      else Some attrs
-    in
-    (* each program either decides or defers to the next, and the native
-       export policy runs when every program deferred *)
-    let rec chain attrs = function
-      | [] -> native attrs
-      | "community_strip" :: rest ->
-        chain (if target_ebgp then strip_own_communities v attrs else attrs) rest
-      | "igp_filter" :: rest -> (
-        match v.igp_max_metric with
-        | Some m when target_ebgp && v.igp_cost (next_hop attrs) > m -> None
-        | _ -> chain attrs rest)
-      | "route_reflector" :: rest ->
-        if src_ibgp && not target_ebgp then
-          if reflects () then
-            Some (reflect v ~originator:(v.peer_router_id src) attrs)
-          else None
-        else chain attrs rest
-      | p :: _ -> invalid_arg ("Export_model: no model of outbound program " ^ p)
-    in
-    Option.map (canonicalize v ~src_ebgp ~src_ibgp ~target_ebgp) (chain attrs outbound)
-
-(* the outbound programs among a chain's manifests, in load order *)
-let outbound_programs chain =
-  List.filter
-    (fun p ->
-      p = "community_strip" || p = "igp_filter" || p = "route_reflector")
-    chain
+    Option.map
+      (canonicalize star ~src_ebgp ~src_ibgp ~target_ebgp)
+      (outbound attrs chain)
 
 (* One comparable form: known attributes with their RFC-default flags,
    in canonical order. The model states what is exported, not how it is
@@ -158,64 +124,50 @@ let outbound_programs chain =
 let canonical attrs =
   List.filter_map
     (fun (a : Bgp.Attr.t) ->
-      match a.value with Bgp.Attr.Unknown _ -> None | value -> Some (Bgp.Attr.v value))
+      match a.value with Bgp.Attr.Unknown _ -> None | v -> Some (Bgp.Attr.v v))
     attrs
   |> Bgp.Attr.sort_canonical
 
-let pp_attrs ppf = function
-  | None -> Fmt.string ppf "nothing"
-  | Some attrs ->
-    Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any "; ") Bgp.Attr.pp) attrs
+let pp_held =
+  Fmt.option ~none:(Fmt.any "nothing")
+    (Fmt.brackets (Fmt.list ~sep:(Fmt.any "; ") Bgp.Attr.pp))
 
-(* Compare every sink whose session is up at both ends with the model.
-   [chains] lists the outbound chains that may have produced what a sink
-   holds: a chain change with no export refresh leaves the routes
-   exported before it in place, so a route may match any chain in force
-   since the start. *)
-let diff_star ?igp_max_metric star ~chains =
-  let v = star_view ?igp_max_metric star in
-  let dut = Scenario.Star.dut star in
+let diff_star star ~chains =
+  let dut = Star.dut star in
   let loc =
     List.map2
-      (fun (p, attrs) (p', src) ->
-        assert (Bgp.Prefix.equal p p');
-        (p, (src, attrs)))
-      (Scenario.Daemon.loc_snapshot dut)
+      (fun (p, src) (_, attrs) -> (p, (src, attrs)))
       (Scenario.Daemon.best_sources dut)
+      (Scenario.Daemon.loc_snapshot dut)
   in
-  let diffs = ref [] in
-  for j = Scenario.Star.npeers star - 1 downto 0 do
-    if
-      Scenario.Star.sink_established star j
-      && Scenario.Daemon.peer_established dut j
-    then begin
-      let held = Scenario.Star.sink_rib star j in
-      let prefixes =
-        List.sort_uniq Bgp.Prefix.compare (List.map fst loc @ List.map fst held)
-      in
-      List.iter
-        (fun p ->
-          let got = Option.map canonical (List.assoc_opt p held) in
-          let want =
-            match List.assoc_opt p loc with
-            | None -> [ None ]
-            | Some (src, attrs) ->
-              List.sort_uniq compare
-                (List.map
-                   (fun c ->
-                     Option.map canonical
-                       (export v ~outbound:(outbound_programs c) ~target:j ~src
-                          attrs))
-                   chains)
-          in
-          if not (List.mem got want) then
-            diffs :=
-              Fmt.str "sink %d holds %a for %a, the export model expects %a" j
-                pp_attrs got Bgp.Prefix.pp p
-                (Fmt.list ~sep:(Fmt.any " or ") pp_attrs)
-                want
-              :: !diffs)
-        prefixes
-    end
-  done;
-  !diffs
+  let diff_sink j =
+    let held = Star.sink_rib star j in
+    let expected p =
+      match List.assoc_opt p loc with
+      | None -> [ None ]
+      | Some (src, attrs) ->
+        List.sort_uniq compare
+          (List.map
+             (fun chain ->
+               Option.map canonical (export star ~chain ~target:j ~src attrs))
+             chains)
+    in
+    List.filter_map
+      (fun p ->
+        let got = Option.map canonical (List.assoc_opt p held) in
+        let want = expected p in
+        if List.mem got want then None
+        else
+          Some
+            (Fmt.str "sink %d holds %a for %a, the export model expects %a" j
+               pp_held got Bgp.Prefix.pp p
+               (Fmt.list ~sep:(Fmt.any " or ") pp_held)
+               want))
+      (List.sort_uniq Bgp.Prefix.compare (List.map fst loc @ List.map fst held))
+  in
+  List.concat_map
+    (fun j ->
+      if Star.sink_established star j && Scenario.Daemon.peer_established dut j
+      then diff_sink j
+      else [])
+    (List.init (Star.npeers star) Fun.id)

@@ -1,50 +1,17 @@
-(** A reference model of the DUT's export side: from the Loc-RIB and the
-    native export rules (split horizon, iBGP-to-iBGP suppression, RFC
-    4456 reflection, eBGP/iBGP outbound canonicalization) plus the
-    outbound programs the fuzz chains draw (community_strip,
-    igp_filter, route_reflector), what each peer's Adj-RIB-Out must
+(** A reference model of a {!Scenario.Star} hub's export side: from the
+    hub's Loc-RIB, the native export rules (split horizon, iBGP-to-iBGP
+    suppression, RFC 4456 reflection, eBGP/iBGP outbound
+    canonicalization) and the outbound programs the fuzz chains draw
+    (community_strip, igp_filter, route_reflector), what each sink must
     hold. It reads the daemon and nothing else: no extension runs, no
     map is written, no counter moves. *)
 
-type view = {
-  local_as : int;
-  router_id : int;  (** also the cluster id and the next-hop-self address *)
-  native_rr : bool;
-  ibgp : int -> bool;  (** peer [i] is an iBGP peer *)
-  rr_client : int -> bool;
-  peer_router_id : int -> int;
-  igp_cost : int -> int;  (** IGP metric towards a next-hop address *)
-  igp_max_metric : int option;  (** igp_filter's bound; [None] = unset *)
-}
-(** The DUT configuration the export rules read. *)
-
-val star_view : ?igp_max_metric:int -> Scenario.Star.t -> view
-(** A {!Scenario.Star} hub's view ([igp_max_metric] is the DUT's
-    ["igp_max_metric"] extra, when it has one). *)
-
-val export :
-  view ->
-  outbound:string list ->
-  target:int ->
-  src:int ->
-  Bgp.Attr.t list ->
-  Bgp.Attr.t list option
-(** What peer [target] must hold for a best route with these attributes
-    learned from peer [src] ([-1] = originated locally), under the
-    outbound programs [outbound] in attachment order; [None] when
-    nothing is exported.
-    @raise Invalid_argument on an outbound program the model does not
+val diff_star : Scenario.Star.t -> chains:string list list -> string list
+(** Every difference between a sink's adj-RIB-in and the model, over the
+    sinks whose session is up at both ends; [[]] when they all agree.
+    Attributes are compared as known values in canonical order.
+    [chains] are the manifest chains (load order) that may have
+    exported what a sink holds: after a chain change with no export
+    refresh, a route may match any of them.
+    @raise Invalid_argument on a chain program the model does not
     know. *)
-
-val outbound_programs : string list -> string list
-(** The outbound programs among a chain of manifest names, in order. *)
-
-val diff_star :
-  ?igp_max_metric:int -> Scenario.Star.t -> chains:string list list -> string list
-(** Every difference between a sink's adj-RIB-in and the model of the
-    hub's Adj-RIB-Out towards it, over the sinks whose session is up at
-    both ends; [[]] when they all agree. Attributes are compared as
-    known values in canonical order. [chains] are the manifest chains
-    (see {!outbound_programs}) that may have exported what a sink holds:
-    after a chain change with no export refresh, a route may match any
-    of them. *)

@@ -184,7 +184,6 @@ module type S = sig
     peer_type : int;
     label : string;
     session : Session.Fsm.t;
-    mutable synced : bool;
   }
 
   type stats = Telemetry.daemon_stats = {
@@ -376,7 +375,6 @@ module Make (R : REPR) :
     peer_type : int;  (** [src_ebgp] or [src_ibgp] *)
     label : string;  (** ["peer <name> (AS <n>)"], as provenance shows it *)
     session : Session.Fsm.t;
-    mutable synced : bool;  (** initial table sent *)
   }
 
   type stats = Telemetry.daemon_stats = {
@@ -1370,7 +1368,6 @@ module Make (R : REPR) :
            ~ts_us:(Netsim.Sched.now t.sched)
            ~local_addr:t.config.local_addr ~local_asn:t.config.local_as
            ~local_bgp_id:t.config.router_id ~hold_time:t.config.hold_time);
-    peer.synced <- true;
     refresh_grouping t;
     let g =
       Rib.Update_group.join t.ugroups ~peer:peer.idx ~key:(group_key t peer)
@@ -1395,7 +1392,6 @@ module Make (R : REPR) :
         (Obs.Bmp.peer_down ~peer:(bmp_peer peer)
            ~ts_us:(Netsim.Sched.now t.sched)
            ~reason:Obs.Bmp.reason_remote_no_notification);
-    peer.synced <- false;
     Rib.Update_group.leave t.ugroups ~peer:peer.idx;
     (* like FRR's [bgp_clear_route] and BIRD's [rt_prune]: walk the
        Loc-RIB for the peer's candidates *)
@@ -1486,7 +1482,6 @@ module Make (R : REPR) :
                            (fun () -> sync_peer t (Lazy.force peer));
                          on_close = (fun _ -> on_close t (Lazy.force peer));
                        };
-                   synced = false;
                  }
              in
              Lazy.force peer)

@@ -26,13 +26,15 @@ type t = {
   dut_vmm : Xbgp.Vmm.t option;
   telemetry : Telemetry.t;
   sinks : sink array;
-  dut_as : int;
   native_rr : bool;
   ibgp : bool;
   rr_client : int -> bool;
 }
 
 let addr = Bgp.Prefix.addr_of_quad
+let dut_as = 65000
+let dut_addr = addr (10, 0, 0, 1)
+let spoke_as ~ibgp i = if ibgp then dut_as else 65101 + i
 
 let create ?(host = `Frr) ?manifest ?(engine = Ebpf.Vm.Interpreted) ?telemetry
     ?vmm ?update_groups ?batch_updates ?(ibgp = false) ?(native_rr = false)
@@ -49,9 +51,7 @@ let create ?(host = `Frr) ?manifest ?(engine = Ebpf.Vm.Interpreted) ?telemetry
     | None -> Telemetry.create ~enabled:false ()
   in
   Telemetry.set_clock_us telemetry (fun () -> Netsim.Sched.now sched);
-  let dut_as = 65000 in
-  let dut_addr = addr (10, 0, 0, 1) in
-  let sink_as i = if ibgp then dut_as else 65101 + i in
+  let sink_as = spoke_as ~ibgp in
   let sink_addr i = addr (10, 1, 0, 2 + i) in
   let links =
     Array.init npeers (fun i ->
@@ -130,7 +130,7 @@ let create ?(host = `Frr) ?manifest ?(engine = Ebpf.Vm.Interpreted) ?telemetry
         in
         { sidx = i; fsm; port; frames; adv_seen; wd_seen; rib })
   in
-  { sched; dut; dut_vmm; telemetry; sinks; dut_as; native_rr; ibgp; rr_client }
+  { sched; dut; dut_vmm; telemetry; sinks; native_rr; ibgp; rr_client }
 
 let npeers t = Array.length t.sinks
 let dut t = t.dut
@@ -215,15 +215,13 @@ let sink_address t i =
   if i < 0 || i >= Array.length t.sinks then invalid_arg "Star.sink_address";
   addr (10, 1, 0, 2 + i)
 
-let dut_as t = t.dut_as
-let dut_address _ = addr (10, 0, 0, 1)
+let sink_as t = spoke_as ~ibgp:t.ibgp
+let dut_as _ = dut_as
+let dut_address _ = dut_addr
 let native_rr t = t.native_rr
-let sink_as t i = if t.ibgp then t.dut_as else 65101 + i
 let sink_rr_client t i = t.rr_client i
 let sink_frames t i = List.rev !(t.sinks.(i).frames)
-let sink_frame_count t i = List.length !(t.sinks.(i).frames)
 let sink_adv_seen t i = !(t.sinks.(i).adv_seen)
-let sink_wd_seen t i = !(t.sinks.(i).wd_seen)
 let sink_rib_size t i = Hashtbl.length t.sinks.(i).rib
 
 let sink_rib t i =

@@ -114,11 +114,9 @@ val sink_rr_client : t -> int -> bool
 
 val sink_frames : t -> int -> bytes list
 (** UPDATE frames received by sink [i], oldest first, raw bytes — the
-    stream the chaos oracle compares across export modes. *)
+    stream the chaos oracle compares between legs on one host. *)
 
-val sink_frame_count : t -> int -> int
 val sink_adv_seen : t -> int -> int
-val sink_wd_seen : t -> int -> int
 val sink_rib_size : t -> int -> int
 
 val sink_rib : t -> int -> (Bgp.Prefix.t * Bgp.Attr.t list) list

@@ -305,14 +305,6 @@ and start t =
 let send_update t u =
   if t.state = Established then send_msg t (Bgp.Message.Update u)
 
-(** Send a pre-encoded UPDATE frame (the daemons build these themselves so
-    the BGP_ENCODE_MESSAGE insertion point can append attribute bytes). *)
-let send_raw t frame =
-  if t.state = Established then begin
-    t.msgs_tx <- t.msgs_tx + 1;
-    Netsim.Pipe.send t.port frame
-  end
-
 (** Fan one pre-encoded UPDATE frame out to every Established session,
     sharing the single buffer across the deliveries
     ([Netsim.Pipe.send_shared]). Returns the number of sessions the

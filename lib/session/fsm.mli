@@ -47,11 +47,6 @@ val start : t -> unit
 val send_update : t -> Bgp.Message.update -> unit
 (** Ignored unless Established. *)
 
-val send_raw : t -> bytes -> unit
-(** Send a pre-encoded UPDATE frame — the daemons build frames themselves
-    so the BGP_ENCODE_MESSAGE insertion point can append attribute
-    bytes. *)
-
 val send_raw_shared : t list -> bytes -> int
 (** Fan one pre-encoded UPDATE frame out to every Established session of
     the list, sharing the single buffer across deliveries

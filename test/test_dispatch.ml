@@ -669,8 +669,8 @@ let test_export_displaced_route () =
       check_bool (label ^ ": sink 0 now hears the runner-up") true
         (List.mem_assoc mid (List.nth b.ribs 0));
       check_same_as_split label b s;
-      (* the accept-all chain defers nothing to an unmodelled program:
-         it is the native export, as the model states it *)
+      (* towards eBGP sinks the accept-all chain accepts exactly what
+         native export accepts, so the model's native rules state it *)
       check_export_model label ~chain:[] b)
 
 (* The import bytecode bumps a counter in a hash map once per prefix;

@@ -325,8 +325,8 @@ let test_fanout_saved_counter () =
 (* --- model property: grouped event streams == naive per-peer model ---
 
    A per-peer model daemon keeps, for every member, its own adj-RIB-out
-   mirror and append-only pending withdraw/advertise lists (exactly the
-   baseline daemons' bookkeeping). Random op sequences — join with
+   mirror and append-only pending withdraw/advertise lists (a per-peer
+   export path's bookkeeping). Random op sequences — join with
    catch-up, leave, route updates with randomized source members,
    flushes — must produce identical per-member streams from the engine's
    take_classes. *)
@@ -355,7 +355,7 @@ let engine_model_prop =
           pend_adv.(m) <- (p, a) :: pend_adv.(m)
         | None when old <> None ->
           Hashtbl.remove mrib.(m) p;
-          (* like the daemons' pending queues: a withdrawal purges any
+          (* like a per-peer pending queue: a withdrawal purges any
              queued advertisement it supersedes — the flush sends
              withdrawals first, so a stale advertisement surviving here
              would resurrect the route at the receivers *)
@@ -550,6 +550,44 @@ let test_grouping_effectiveness () =
       done)
     [ `Frr; `Bird ]
 
+(* Native reflection with mixed roles: sinks 0 and 1 are route-reflector
+   clients, sinks 2 and 3 are not, so the hub keeps two update groups,
+   and a non-client's route must reach the clients only. Every sink must
+   hold what the export model derives from the hub's Loc-RIB. *)
+let test_native_rr_mixed_roles () =
+  List.iter
+    (fun host ->
+      let star =
+        Scenario.Star.create ~host ~ibgp:true ~native_rr:true
+          ~rr_client:(fun i -> i < 2) ~npeers:4 ()
+      in
+      Scenario.Star.establish star;
+      let announce i k =
+        Scenario.Star.sink_announce star i
+          ~attrs:
+            Bgp.Attr.
+              [
+                v (Origin Igp);
+                v (As_path [ Seq [ 64900 + i ] ]);
+                v (Next_hop (Scenario.Star.sink_address star i));
+              ]
+          (List.init 3 (fun j -> pfx ((10 * k) + j)))
+      in
+      List.iteri announce [ 0; 1; 2; 3 ];
+      Scenario.Star.originate star (pfx 100)
+        Bgp.Attr.
+          [ v (Origin Igp); v (As_path []); v (Next_hop 0x0A000001) ];
+      Scenario.Star.settle star;
+      let label = Cg.host_name host in
+      (match Fuzz.Export_model.diff_star star ~chains:[ [] ] with
+      | [] -> ()
+      | d :: _ -> Alcotest.failf "%s: %s" label d);
+      check_int (label ^ ": a non-client hears clients and the hub only") 7
+        (Scenario.Star.sink_rib_size star 3);
+      check_int (label ^ ": clients and non-clients apart") 2
+        (Scenario.Daemon.group_count (Scenario.Star.dut star)))
+    [ `Frr; `Bird ]
+
 (* --- map-carrying chains across UPDATE framings ---
 
    With flap_damping attached on the hub's inbound side, the split leg
@@ -644,6 +682,8 @@ let () =
           ("every host x churn variant", `Quick, test_equivalence_per_churn);
           ("withdrawal racing re-advertisement", `Quick, test_wd_race_pinned);
           ("grouping effectiveness", `Quick, test_grouping_effectiveness);
+          ("native reflection, mixed client roles", `Quick,
+            test_native_rr_mixed_roles);
           ("map state across export modes", `Quick,
             test_map_state_equivalence);
           ("map-state oracle self-test", `Quick, test_map_state_perturb);
