@@ -8,6 +8,8 @@
    that order), and community scrubbing on export. The example feeds a
    mix of routes through an edge router and shows each program acting. *)
 
+open Scenario
+
 let addr = Bgp.Prefix.addr_of_quad
 
 let read_file path =
@@ -41,45 +43,31 @@ let () =
   | Ok () -> ()
   | Error e -> failwith e);
 
-  (* 3. a three-router chain: feeder --eBGP-- edge --eBGP-- customer *)
-  let sched = Netsim.Sched.create () in
-  let f_addr = addr (10, 5, 0, 1)
-  and e_addr = addr (10, 5, 0, 2)
-  and c_addr = addr (10, 5, 0, 3) in
-  let fe_a, fe_b = Netsim.Pipe.create sched in
-  let ec_a, ec_b = Netsim.Pipe.create sched in
-  let frr_peer pname remote_as remote_addr port =
-    { Frrouting.Bgpd.pname; remote_as; remote_addr; rr_client = false; port }
-  in
-  let feeder =
-    Frrouting.Bgpd.create ~sched
-      (Frrouting.Bgpd.config ~name:"feeder" ~router_id:f_addr
-         ~local_as:64601 ~local_addr:f_addr ())
-      [ frr_peer "edge" 65000 e_addr fe_a ]
-  in
-  let edge =
-    Frrouting.Bgpd.create ~vmm ~sched
-      (Frrouting.Bgpd.config ~name:"edge" ~router_id:e_addr ~local_as:65000
-         ~local_addr:e_addr
-         ~xtras:
-           [
-             ("max_prefix", Xprogs.Util.encode_u32 25);
-             ("roa_table", Xprogs.Util.encode_roa_table roas);
-           ]
-         ())
+  (* 3. a three-router chain, as a node/link list:
+     feeder --eBGP-- edge --eBGP-- customer *)
+  let topo =
+    Topology.create
       [
-        frr_peer "feeder" 64601 f_addr fe_b;
-        frr_peer "customer" 64999 c_addr ec_a;
+        Topology.router ~name:"feeder" ~router_id:(addr (10, 5, 0, 1))
+          ~local_as:64601 ();
+        Topology.router ~vmm ~name:"edge" ~router_id:(addr (10, 5, 0, 2))
+          ~local_as:65000
+          ~xtras:
+            [
+              ("max_prefix", Xprogs.Util.encode_u32 25);
+              ("roa_table", Xprogs.Util.encode_roa_table roas);
+            ]
+          ();
+        Topology.router ~name:"customer" ~router_id:(addr (10, 5, 0, 3))
+          ~local_as:64999 ();
       ]
+      [ Topology.link "feeder" "edge"; Topology.link "edge" "customer" ]
   in
-  let customer =
-    Frrouting.Bgpd.create ~sched
-      (Frrouting.Bgpd.config ~name:"customer" ~router_id:c_addr
-         ~local_as:64999 ~local_addr:c_addr ())
-      [ frr_peer "edge" 65000 e_addr ec_b ]
-  in
-  List.iter Frrouting.Bgpd.start [ feeder; edge; customer ];
-  ignore (Netsim.Sched.run ~until:(2 * 1_000_000) sched);
+  let feeder = Topology.daemon topo "feeder" in
+  let edge = Topology.daemon topo "edge" in
+  let customer = Topology.daemon topo "customer" in
+  Topology.start topo;
+  Topology.run_for topo 2_000_000;
 
   (* 4. feed 40 routes, each additionally tagged with an internal
      community of the edge's AS (which must not leak to the customer) *)
@@ -88,25 +76,25 @@ let () =
       let internal_tag =
         Bgp.Attr.v (Bgp.Attr.Communities [ (65000 lsl 16) lor 666 ])
       in
-      Frrouting.Bgpd.originate feeder r.prefix (internal_tag :: r.attrs))
+      Daemon.originate feeder r.prefix (internal_tag :: r.attrs))
     routes;
-  ignore (Netsim.Sched.run ~until:(20 * 1_000_000) sched);
+  Topology.run_for topo 18_000_000;
 
   (* 5. observe all three programs *)
   Fmt.pr "feeder announced %d routes@." (List.length routes);
   Fmt.pr "edge accepted    %d routes (prefix_limit capped at 25)@."
-    (Frrouting.Bgpd.loc_count edge);
-  Fmt.pr "customer holds   %d routes@." (Frrouting.Bgpd.loc_count customer);
-  let leaked = ref 0 and validated = ref 0 in
-  Frrouting.Bgpd.iter_loc customer (fun _ r ->
-      List.iter
-        (fun c ->
-          if c lsr 16 = 65000 then incr leaked
-          else if c lsr 16 = 65535 then incr validated)
-        r.attrs.communities);
-  Fmt.pr "internal 65000:* communities leaked to the customer: %d@." !leaked;
+    (Daemon.loc_count edge);
+  Fmt.pr "customer holds   %d routes@." (Daemon.loc_count customer);
+  let communities =
+    List.concat_map
+      (fun (p, _) ->
+        Option.value ~default:[] (Daemon.best_communities customer p))
+      (Daemon.loc_snapshot customer)
+  in
+  let tagged asn = List.length (List.filter (fun c -> c lsr 16 = asn) communities) in
+  Fmt.pr "internal 65000:* communities leaked to the customer: %d@." (tagged 65000);
   Fmt.pr "origin-validation tags visible on the customer:      %d@."
-    !validated;
+    (tagged 65535);
   let stats = Xbgp.Vmm.stats vmm in
   Fmt.pr "vmm: %d runs, %d next() delegations, %d faults@." stats.runs
     stats.next_calls stats.faults

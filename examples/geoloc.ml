@@ -15,6 +15,8 @@
    BGP_RECEIVE_MESSAGE (the native parser drops it) and filters at
    BGP_INBOUND_FILTER. *)
 
+open Scenario
+
 let addr = Bgp.Prefix.addr_of_quad
 
 let coords_of ~lat ~lon =
@@ -31,77 +33,58 @@ let max_dist2 =
 let geoloc_vmm host = Xprogs.Registry.vmm_of_manifest ~host Xprogs.Geoloc.manifest
 
 let () =
-  let sched = Netsim.Sched.create () in
   let mk_addr i = addr (10, 1, 0, i) in
-  let core_addr = mk_addr 1
-  and brussels_addr = mk_addr 2
-  and sydney_addr = mk_addr 3
-  and feeder_b_addr = mk_addr 4
-  and feeder_s_addr = mk_addr 5 in
-  (* pipes: feeder_b -- brussels -- core -- sydney -- feeder_s *)
-  let fb_a, fb_b = Netsim.Pipe.create sched in
-  let bc_a, bc_b = Netsim.Pipe.create sched in
-  let sc_a, sc_b = Netsim.Pipe.create sched in
-  let fs_a, fs_b = Netsim.Pipe.create sched in
-  let frr_peer ?(rr_client = false) pname remote_as remote_addr port =
-    { Frrouting.Bgpd.pname; remote_as; remote_addr; rr_client; port }
+  (* each external feeder originates one prefix *)
+  let feeders =
+    [
+      ("feeder-brussels", 4, 64501, "203.0.113.0/24");
+      ("feeder-sydney", 5, 64502, "198.51.100.0/24");
+    ]
   in
-  let feeder name fa own pipe prefix =
-    let d =
-      Frrouting.Bgpd.create ~sched
-        (Frrouting.Bgpd.config ~name ~router_id:own ~local_as:fa
-           ~local_addr:own ())
-        [ frr_peer "border" 65000 0 pipe ]
-    in
-    Frrouting.Bgpd.originate d
-      (Bgp.Prefix.of_string prefix)
-      [
-        Bgp.Attr.v (Bgp.Attr.Origin Bgp.Attr.Igp);
-        Bgp.Attr.v (Bgp.Attr.As_path []);
-        Bgp.Attr.v (Bgp.Attr.Next_hop own);
-      ];
-    d
+  let border name i ~lat ~lon =
+    Topology.router ~vmm:(geoloc_vmm name) ~name ~router_id:(mk_addr i)
+      ~local_as:65000
+      ~xtras:[ ("coords", coords_of ~lat ~lon) ]
+      ()
   in
-  let feeder_b = feeder "feeder-brussels" 64501 feeder_b_addr fb_a "203.0.113.0/24" in
-  let feeder_s = feeder "feeder-sydney" 64502 feeder_s_addr fs_a "198.51.100.0/24" in
-  let border name own peer_feeder_as feeder_addr feeder_pipe core_pipe ~lat
-      ~lon =
-    Frrouting.Bgpd.create ~vmm:(geoloc_vmm name) ~sched
-      (Frrouting.Bgpd.config ~name ~router_id:own ~local_as:65000
-         ~local_addr:own
-         ~xtras:[ ("coords", coords_of ~lat ~lon) ]
-         ())
+  (* feeder-brussels -- brussels -- core -- sydney -- feeder-sydney *)
+  let topo =
+    Topology.create
+      (List.map
+         (fun (name, i, asn, _) ->
+           Topology.router ~name ~router_id:(mk_addr i) ~local_as:asn ())
+         feeders
+      @ [
+          border "brussels" 2 ~lat:50.85 ~lon:4.35;
+          border "sydney" 3 ~lat:(-33.87) ~lon:151.21;
+          (* the Paris core: recovers GeoLoc from the wire and filters on it *)
+          Topology.router ~vmm:(geoloc_vmm "core") ~name:"core"
+            ~router_id:(mk_addr 1) ~local_as:65000
+            ~xtras:
+              [
+                ("coords", coords_of ~lat:48.85 ~lon:2.35);
+                ("geo_max_dist2", max_dist2);
+              ]
+            ();
+        ])
       [
-        frr_peer "feeder" peer_feeder_as feeder_addr feeder_pipe;
-        frr_peer "core" 65000 core_addr core_pipe;
+        Topology.link "feeder-brussels" "brussels";
+        Topology.link "brussels" "core";
+        Topology.link "feeder-sydney" "sydney";
+        Topology.link "sydney" "core";
       ]
   in
-  let brussels =
-    border "brussels" brussels_addr 64501 feeder_b_addr fb_b bc_a ~lat:50.85
-      ~lon:4.35
-  in
-  let sydney =
-    border "sydney" sydney_addr 64502 feeder_s_addr fs_b sc_a ~lat:(-33.87)
-      ~lon:151.21
-  in
-  (* the Paris core: recovers GeoLoc from the wire and filters on it *)
-  let core =
-    Frrouting.Bgpd.create ~vmm:(geoloc_vmm "core") ~sched
-      (Frrouting.Bgpd.config ~name:"core" ~router_id:core_addr
-         ~local_as:65000 ~local_addr:core_addr
-         ~xtras:
-           [
-             ("coords", coords_of ~lat:48.85 ~lon:2.35);
-             ("geo_max_dist2", max_dist2);
-           ]
-         ())
-      [
-        frr_peer "brussels" 65000 brussels_addr bc_b;
-        frr_peer "sydney" 65000 sydney_addr sc_b;
-      ]
-  in
-  List.iter Frrouting.Bgpd.start [ feeder_b; feeder_s; brussels; sydney; core ];
-  ignore (Netsim.Sched.run ~until:(20 * 1_000_000) sched);
+  List.iter
+    (fun (name, i, _, prefix) ->
+      Daemon.originate (Topology.daemon topo name) (Bgp.Prefix.of_string prefix)
+        [
+          Bgp.Attr.v (Bgp.Attr.Origin Bgp.Attr.Igp);
+          Bgp.Attr.v (Bgp.Attr.As_path []);
+          Bgp.Attr.v (Bgp.Attr.Next_hop (mk_addr i));
+        ])
+    feeders;
+  Topology.start topo;
+  Topology.run_for topo 20_000_000;
 
   let decode_geoloc payload =
     let lat = Bgp.Attr.(get_u32 (Bytes.of_string payload) 0 8) in
@@ -109,13 +92,13 @@ let () =
     ( (float_of_int lat /. 1000.) -. 500.,
       (float_of_int lon /. 1000.) -. 500. )
   in
-  let show daemon name prefix =
-    let p = Bgp.Prefix.of_string prefix in
-    match Frrouting.Bgpd.best_route daemon p with
+  (* GeoLoc is an attribute only the FRR-like host's native record
+     carries as an extra, so read that record *)
+  let show name prefix =
+    let d = Daemon.frr (Topology.daemon topo name) in
+    match Frrouting.Bgpd.best_route d (Bgp.Prefix.of_string prefix) with
     | Some r -> (
-      match
-        List.find_opt (fun (c, _, _) -> c = 42) r.attrs.extra
-      with
+      match List.find_opt (fun (c, _, _) -> c = 42) r.attrs.extra with
       | Some (_, _, payload) ->
         let lat, lon = decode_geoloc payload in
         Fmt.pr "%-10s %-18s GeoLoc = (%.2f, %.2f)@." name prefix lat lon
@@ -123,10 +106,10 @@ let () =
     | None -> Fmt.pr "%-10s %-18s filtered (too far away)@." name prefix
   in
   print_endline "=== border routers stamp entry coordinates ===";
-  show brussels "brussels" "203.0.113.0/24";
-  show sydney "sydney" "198.51.100.0/24";
+  show "brussels" "203.0.113.0/24";
+  show "sydney" "198.51.100.0/24";
   print_endline "";
   print_endline
     "=== the Paris core recovers GeoLoc over iBGP and filters >30 degrees ===";
-  show core "core" "203.0.113.0/24";
-  show core "core" "198.51.100.0/24"
+  show "core" "203.0.113.0/24";
+  show "core" "198.51.100.0/24"

@@ -11,6 +11,8 @@
    withdraws the London-learned routes from the peer, which plain
    BGP-community tagging cannot do. *)
 
+open Scenario
+
 let addr = Bgp.Prefix.addr_of_quad
 
 (* IGP node ids *)
@@ -33,7 +35,7 @@ let build_igp () =
   topo
 
 let () =
-  let topo = build_igp () in
+  let igp = build_igp () in
   let london_addr = addr (10, 2, 0, 1) in
   let frankfurt_addr = addr (10, 2, 0, 3) in
   let peer_addr = addr (10, 2, 0, 9) in
@@ -43,57 +45,41 @@ let () =
     match node_of_addr nh with
     | Some node ->
       Option.value ~default:Xbgp.Api.igp_unreachable
-        (Igp.Spf.cost topo ~src:frankfurt ~dst:node)
+        (Igp.Spf.cost igp ~src:frankfurt ~dst:node)
     | None -> 0
   in
-  let sched = Netsim.Sched.create () in
-  let lf_a, lf_b = Netsim.Pipe.create sched in
-  let fp_a, fp_b = Netsim.Pipe.create sched in
-  let frr_peer pname remote_as remote_addr port =
-    { Frrouting.Bgpd.pname; remote_as; remote_addr; rr_client = false; port }
-  in
-  (* London: originates the routes it learned locally (iBGP to Frankfurt) *)
-  let london_d =
-    Frrouting.Bgpd.create ~sched
-      (Frrouting.Bgpd.config ~name:"london" ~router_id:london_addr
-         ~local_as:65010 ~local_addr:london_addr ())
-      [ frr_peer "frankfurt" 65010 frankfurt_addr lf_a ]
-  in
-  (* Frankfurt: runs the Listing 1 extension *)
+  (* the deployment as a node/link list; London originates the routes
+     it learned locally (iBGP to Frankfurt), Frankfurt runs Listing 1 *)
   let vmm = Xprogs.Registry.vmm_of_manifest ~host:"frankfurt" Xprogs.Igp_filter.manifest in
-  let frankfurt_d =
-    Frrouting.Bgpd.create ~vmm ~sched
-      (Frrouting.Bgpd.config ~name:"frankfurt" ~router_id:frankfurt_addr
-         ~local_as:65010 ~local_addr:frankfurt_addr ~igp_metric
-         ~xtras:[ ("igp_max_metric", Xprogs.Util.encode_u32 1000) ]
-         ())
+  let topo =
+    Topology.create
       [
-        frr_peer "london" 65010 london_addr lf_b;
-        frr_peer "peer" 64999 peer_addr fp_a;
+        Topology.router ~name:"london" ~router_id:london_addr ~local_as:65010 ();
+        Topology.router ~vmm ~igp_metric
+          ~xtras:[ ("igp_max_metric", Xprogs.Util.encode_u32 1000) ]
+          ~name:"frankfurt" ~router_id:frankfurt_addr ~local_as:65010 ();
+        (* the European eBGP peer *)
+        Topology.router ~name:"peer" ~router_id:peer_addr ~local_as:64999 ();
       ]
+      [ Topology.link "london" "frankfurt"; Topology.link "frankfurt" "peer" ]
   in
-  (* the European eBGP peer *)
-  let peer_d =
-    Frrouting.Bgpd.create ~sched
-      (Frrouting.Bgpd.config ~name:"peer" ~router_id:peer_addr
-         ~local_as:64999 ~local_addr:peer_addr ())
-      [ frr_peer "frankfurt" 65010 frankfurt_addr fp_b ]
-  in
-  List.iter Frrouting.Bgpd.start [ london_d; frankfurt_d; peer_d ];
-  ignore (Netsim.Sched.run ~until:(10 * 1_000_000) sched);
+  let london_d = Topology.daemon topo "london" in
+  let frankfurt_d = Topology.daemon topo "frankfurt" in
+  Topology.start topo;
+  Topology.run_for topo 10_000_000;
 
   (* London-learned route (next hop London via iBGP) *)
   let p = Bgp.Prefix.of_string "203.0.113.0/24" in
-  Frrouting.Bgpd.originate london_d p
+  Daemon.originate london_d p
     [
       Bgp.Attr.v (Bgp.Attr.Origin Bgp.Attr.Igp);
       Bgp.Attr.v (Bgp.Attr.As_path [ Bgp.Attr.Seq [ 64700 ] ]);
       Bgp.Attr.v (Bgp.Attr.Next_hop london_addr);
     ];
-  ignore (Netsim.Sched.run ~until:(20 * 1_000_000) sched);
+  Topology.run_for topo 10_000_000;
   let show label =
     let cost = igp_metric london_addr in
-    let exported = Frrouting.Bgpd.best_route peer_d p <> None in
+    let exported = Daemon.has_route (Topology.daemon topo "peer") p in
     Fmt.pr "%-28s IGP cost Frankfurt->London = %-6d exported to peer: %b@."
       label
       (if cost = Xbgp.Api.igp_unreachable then -1 else cost)
@@ -102,15 +88,15 @@ let () =
   show "all links up:";
 
   (* the two UK-Europe links fail *)
-  Igp.Topology.remove_link topo london amsterdam;
-  Igp.Topology.remove_link topo london frankfurt;
-  Frrouting.Bgpd.refresh_exports frankfurt_d;
-  ignore (Netsim.Sched.run ~until:(30 * 1_000_000) sched);
+  Igp.Topology.remove_link igp london amsterdam;
+  Igp.Topology.remove_link igp london frankfurt;
+  Daemon.refresh_exports frankfurt_d;
+  Topology.run_for topo 10_000_000;
   show "after UK-Europe links fail:";
 
   (* links restored *)
-  Igp.Topology.add_link topo london amsterdam 10;
-  Igp.Topology.add_link topo london frankfurt 12;
-  Frrouting.Bgpd.refresh_exports frankfurt_d;
-  ignore (Netsim.Sched.run ~until:(40 * 1_000_000) sched);
+  Igp.Topology.add_link igp london amsterdam 10;
+  Igp.Topology.add_link igp london frankfurt 12;
+  Daemon.refresh_exports frankfurt_d;
+  Topology.run_for topo 10_000_000;
   show "after repair:"

@@ -9,6 +9,7 @@
 
 open Ebpf.Asm
 open Ebpf.Insn
+open Scenario
 
 (* 1. The extension bytecode: reject if as_path_len > 4, else defer to
    the host's native policy via next(). *)
@@ -85,32 +86,26 @@ let () =
   | Ok () -> print_endline "manifest loaded"
   | Error e -> failwith e);
 
-  (* 4. A live two-router setup: upstream feeds routes with paths of
-     different lengths into a DUT running the extension. *)
-  let sched = Netsim.Sched.create () in
+  (* 4. A live two-router deployment, written as a node/link list: the
+     upstream feeds routes with paths of different lengths into a DUT
+     running the extension. Either host would do ([~host:`Bird]). *)
   let a_addr = Bgp.Prefix.addr_of_quad (10, 0, 0, 1) in
-  let b_addr = Bgp.Prefix.addr_of_quad (10, 0, 0, 2) in
-  let pa, pb = Netsim.Pipe.create sched in
-  let upstream =
-    Frrouting.Bgpd.create ~sched
-      (Frrouting.Bgpd.config ~name:"upstream" ~router_id:a_addr
-         ~local_as:65001 ~local_addr:a_addr ())
-      [ { pname = "dut"; remote_as = 65000; remote_addr = b_addr;
-          rr_client = false; port = pa } ]
+  let topo =
+    Topology.create
+      [
+        Topology.router ~name:"upstream" ~router_id:a_addr ~local_as:65001 ();
+        Topology.router ~vmm ~name:"dut" ~local_as:65000
+          ~router_id:(Bgp.Prefix.addr_of_quad (10, 0, 0, 2)) ();
+      ]
+      [ Topology.link "upstream" "dut" ]
   in
-  let dut =
-    Frrouting.Bgpd.create ~vmm ~sched
-      (Frrouting.Bgpd.config ~name:"dut" ~router_id:b_addr ~local_as:65000
-         ~local_addr:b_addr ())
-      [ { pname = "upstream"; remote_as = 65001; remote_addr = a_addr;
-          rr_client = false; port = pb } ]
-  in
-  Frrouting.Bgpd.start upstream;
-  Frrouting.Bgpd.start dut;
-  ignore (Netsim.Sched.run ~until:(5 * 1_000_000) sched);
+  let upstream = Topology.daemon topo "upstream" in
+  let dut = Topology.daemon topo "dut" in
+  Topology.start topo;
+  Topology.run_for topo 5_000_000;
 
   let announce prefix path =
-    Frrouting.Bgpd.originate upstream (Bgp.Prefix.of_string prefix)
+    Daemon.originate upstream (Bgp.Prefix.of_string prefix)
       [
         Bgp.Attr.v (Bgp.Attr.Origin Bgp.Attr.Igp);
         Bgp.Attr.v (Bgp.Attr.As_path [ Bgp.Attr.Seq path ]);
@@ -119,16 +114,15 @@ let () =
   in
   announce "203.0.113.0/24" [ 4200; 4201 ];
   announce "198.51.100.0/24" [ 4300; 4301; 4302; 4303; 4304; 4305 ];
-  ignore (Netsim.Sched.run ~until:(10 * 1_000_000) sched);
+  Topology.run_for topo 5_000_000;
 
   (* 5. Observe: the short path passed, the long one was filtered. Note
      that the DUT's eBGP import sees the path with the upstream AS
      prepended (3 and 7 hops). *)
   let show prefix =
-    let p = Bgp.Prefix.of_string prefix in
-    match Frrouting.Bgpd.best_route dut p with
-    | Some r ->
-      Fmt.pr "%-18s accepted (path length %d)@." prefix r.attrs.as_path_len
+    match Daemon.best_path dut (Bgp.Prefix.of_string prefix) with
+    | Some path ->
+      Fmt.pr "%-18s accepted (path length %d)@." prefix (List.length path)
     | None -> Fmt.pr "%-18s rejected by the extension@." prefix
   in
   print_endline "=== routing state on the DUT ===";

@@ -30,6 +30,17 @@
    signature would add both interning and indirect calls on the hot
    path. *)
 
+(** One session of a daemon, the same record on both hosts (each host's
+    [peer_conf] re-exports it), so harness code wires either host with
+    one value. *)
+type peer_conf = {
+  pname : string;
+  remote_as : int;
+  remote_addr : int;
+  rr_client : bool;  (** route-reflector client (RFC 4456) *)
+  port : Netsim.Pipe.port;
+}
+
 (** What differs between hosts: the attribute representation, its xBGP
     adapter, the ROA store and the native policy steps over them. *)
 module type REPR = sig
@@ -124,7 +135,7 @@ module type S = sig
   type attrs
   type roa_store
 
-  type peer_conf = {
+  type nonrec peer_conf = peer_conf = {
     pname : string;
     remote_as : int;
     remote_addr : int;
@@ -301,7 +312,7 @@ module Make (R : REPR) :
   type attrs = R.attrs
   type roa_store = R.roa_store
 
-  type peer_conf = {
+  type nonrec peer_conf = peer_conf = {
     pname : string;
     remote_as : int;
     remote_addr : int;

@@ -235,15 +235,13 @@ let route_update t g prefix entry =
 (* Catch-up for a member that just joined: the daemon re-runs its export
    per Loc-RIB best and feeds the accepted routes here in RIB order.
    Broadcast events already pending predate the member's join serial, so
-   a targeted event here can never duplicate one of them. *)
+   a targeted event here can never duplicate one of them. The member is
+   never the entry's split-horizon source: its own candidates were
+   dropped when its session closed, and export refuses a route back to
+   its source. *)
 let catch_up_entry g prefix attrs ~skip ~member =
-  match Ptrie_core.find_exn g.rib prefix with
-  | _, skip0 ->
-    if skip0 <> member then
-      push g (Adv { prefix; attrs; targets = Only member })
-  | exception Not_found ->
-    ignore (Ptrie_core.replace g.rib prefix (attrs, skip));
-    push g (Adv { prefix; attrs; targets = Only member })
+  ignore (Ptrie_core.find_or_add g.rib prefix (fun _ -> (attrs, skip)));
+  push g (Adv { prefix; attrs; targets = Only member })
 
 let event_includes ev m =
   match (match ev with Adv a -> a.targets | Wd w -> w.targets) with

@@ -87,7 +87,9 @@ val catch_up_entry :
     date with one accepted export ([attrs]); creates the shared RIB
     entry (with [skip]) when the group didn't have it yet. Call in
     Loc-RIB iteration order so the catch-up stream is an initial table
-    sync in prefix order. *)
+    sync in prefix order. Precondition: [member <> skip], and [member]
+    is not the source an existing entry skips (the daemon's export
+    never offers a route back to its source). *)
 
 val take_classes :
   'attrs group ->

@@ -6,7 +6,43 @@
    in one, eattr lists in the other), hence the sum type. *)
 
 type t = Frr of Frrouting.Bgpd.t | Bird of Bird.Bgpd.t
-type host = Host : (module Pipeline.S with type t = 'd) * 'd -> host
+type host = [ `Frr | `Bird ]
+
+type router = {
+  host : host;
+  name : string;
+  router_id : int;
+  local_as : int;
+  hold_time : int;
+  native_rr : bool;
+  native_ov_roas : Rpki.Roa.t list option;
+  igp_metric : (int -> int) option;
+  xtras : (string * bytes) list;
+  vmm : Xbgp.Vmm.t option;
+}
+
+(* One configuration for both hosts; only the ROA store differs. *)
+let config (type c s) (module D : Pipeline.S
+    with type config = c and type roa_store = s) (store : _ -> s) r : c =
+  D.config ~name:r.name ~router_id:r.router_id ~local_as:r.local_as
+    ~local_addr:r.router_id ~hold_time:r.hold_time ~native_rr:r.native_rr
+    ?native_ov:(Option.map store r.native_ov_roas) ?igp_metric:r.igp_metric
+    ~xtras:r.xtras ()
+
+let create ?telemetry ~sched r peers =
+  match r.host with
+  | `Frr ->
+    let config = config (module Frrouting.Bgpd) Rpki.Store_trie.of_list r in
+    Frr (Frrouting.Bgpd.create ?telemetry ?vmm:r.vmm ~sched config peers)
+  | `Bird ->
+    let config = config (module Bird.Bgpd) Rpki.Store_hash.of_list r in
+    Bird (Bird.Bgpd.create ?telemetry ?vmm:r.vmm ~sched config peers)
+
+let frr = function
+  | Frr d -> d
+  | Bird _ -> invalid_arg "Daemon.frr: a BIRD-like daemon"
+
+type packed = Host : (module Pipeline.S with type t = 'd) * 'd -> packed
 
 let host = function
   | Frr d -> Host ((module Frrouting.Bgpd), d)

@@ -4,6 +4,33 @@
     distinct, hence the sum type. *)
 
 type t = Frr of Frrouting.Bgpd.t | Bird of Bird.Bgpd.t
+type host = [ `Frr | `Bird ]
+
+type router = {
+  host : host;
+  name : string;
+  router_id : int;  (** also the local (next-hop-self) address *)
+  local_as : int;
+  hold_time : int;
+  native_rr : bool;  (** RFC 4456 reflection in native code *)
+  native_ov_roas : Rpki.Roa.t list option;
+      (** native origin validation, through the host's own ROA store *)
+  igp_metric : (int -> int) option;  (** IGP cost towards a next hop *)
+  xtras : (string * bytes) list;  (** configuration extras for [get_xtra] *)
+  vmm : Xbgp.Vmm.t option;  (** loaded extensions; None = native only *)
+}
+(** A daemon's configuration, the same for both hosts ({!Pipeline.S.config}
+    plus the host and the VMM). *)
+
+val create :
+  ?telemetry:Telemetry.t -> sched:Netsim.Sched.t -> router ->
+  Pipeline.peer_conf list -> t
+(** Build the daemon on [router.host]; the one place either host's
+    [Bgpd.create] is called. *)
+
+val frr : t -> Frrouting.Bgpd.t
+(** The FRR-like daemon underneath, for harness code that reads its
+    native route records. @raise Invalid_argument on a BIRD-like one. *)
 
 val name : t -> string
 val start : t -> unit

@@ -1,4 +1,5 @@
-(* Instantiate the Fig. 5 data-center fabric as live daemons.
+(* Instantiate the Fig. 5 data-center fabric as live daemons: a
+   {!Topology} preset with one router per Clos node and one link per edge.
 
    Three configurations matter for §3.3:
    - [`Plain]    distinct ASNs, no filter: valleys are accepted;
@@ -26,32 +27,7 @@ let build ?(host : Testbed.host = `Frr) ?(with_transit = false)
   let clos =
     Dataset.Clos.fig5 ~with_transit ~same_spine_as:(config = `Same_as) ()
   in
-  Frrouting.Attr_intern.reset_intern_table ();
-  let sched = Netsim.Sched.create () in
-  let telemetry =
-    match telemetry with
-    | Some t -> t
-    | None -> Telemetry.create ~enabled:false ()
-  in
-  Telemetry.set_clock_us telemetry (fun () -> Netsim.Sched.now sched);
-  let pipes =
-    List.map
-      (fun ((a, b) as link) ->
-        ( link,
-          Netsim.Pipe.create ~telemetry
-            ~name:(Printf.sprintf "%s-%s" a b)
-            sched ))
-      clos.links
-  in
-  (* peer configurations per router *)
-  let ports_of name =
-    List.filter_map
-      (fun (((a, b) as link), (pa, pb)) ->
-        if a = name then Some (link, b, pa)
-        else if b = name then Some (link, a, pb)
-        else None)
-      pipes
-  in
+  let telemetry = Topology.registry telemetry in
   let xtras =
     if config = `Xbgp then
       [
@@ -60,76 +36,36 @@ let build ?(host : Testbed.host = `Frr) ?(with_transit = false)
       ]
     else []
   in
-  let daemons =
-    List.map
-      (fun (r : Dataset.Clos.router) ->
-        let peers = ports_of r.rname in
-        let vmm =
-          if config = `Xbgp then
-            Some
-              (Xprogs.Registry.vmm_of_manifest ~engine ~telemetry
-                 ~host:r.rname Xprogs.Valley_free.manifest)
-          else None
-        in
-        let daemon =
-          match host with
-          | `Frr ->
-            let confs =
-              List.map
-                (fun (_, other, port) ->
-                  let o = Dataset.Clos.router clos other in
-                  {
-                    Frrouting.Bgpd.pname = other;
-                    remote_as = o.asn;
-                    remote_addr = o.addr;
-                    rr_client = false;
-                    port;
-                  })
-                peers
-            in
-            Daemon.Frr
-              (Frrouting.Bgpd.create ~telemetry ?vmm ~sched
-                 (Frrouting.Bgpd.config ~name:r.rname ~router_id:r.router_id
-                    ~local_as:r.asn ~local_addr:r.addr ~hold_time ~xtras ())
-                 confs)
-          | `Bird ->
-            let confs =
-              List.map
-                (fun (_, other, port) ->
-                  let o = Dataset.Clos.router clos other in
-                  {
-                    Bird.Bgpd.pname = other;
-                    remote_as = o.asn;
-                    remote_addr = o.addr;
-                    rr_client = false;
-                    port;
-                  })
-                peers
-            in
-            Daemon.Bird
-              (Bird.Bgpd.create ~telemetry ?vmm ~sched
-                 (Bird.Bgpd.config ~name:r.rname ~router_id:r.router_id
-                    ~local_as:r.asn ~local_addr:r.addr ~hold_time ~xtras ())
-                 confs)
-        in
-        (r.rname, daemon))
-      clos.routers
+  let router (r : Dataset.Clos.router) =
+    let vmm =
+      if config = `Xbgp then
+        Some
+          (Xprogs.Registry.vmm_of_manifest ~engine ~telemetry ~host:r.rname
+             Xprogs.Valley_free.manifest)
+      else None
+    in
+    Topology.router ~host ~hold_time ~xtras ?vmm ~name:r.rname
+      ~router_id:r.router_id ~local_as:r.asn ()
   in
-  { sched; clos; daemons; pipes }
+  let topo =
+    Topology.create ~telemetry
+      (List.map router clos.routers)
+      (List.map (fun (a, b) -> Topology.link a b) clos.links)
+  in
+  { sched = topo.sched; clos; daemons = topo.daemons; pipes = topo.pipes }
+
+(* The fabric as the topology it was built from, for the shared
+   operations. *)
+let topo (t : t) =
+  { Topology.sched = t.sched; daemons = t.daemons; sinks = [||]; pipes = t.pipes }
 
 let daemon t name = List.assoc name t.daemons
-
-(* One recorder for the whole fabric: events carry the daemon name, and
-   the shared simulated clock keeps the stream totally ordered. *)
-let attach_recorder t rc =
-  Obs.Recorder.set_clock rc (fun () -> Netsim.Sched.now t.sched);
-  List.iter (fun (_, d) -> Daemon.set_recorder d (Some rc)) t.daemons
-
-let attach_collector t name col = Daemon.set_collector (daemon t name) (Some col)
+let attach_recorder t rc = Topology.attach_recorder (topo t) rc
+let attach_collector t name col = Topology.attach_collector (topo t) name col
 
 (** Start every daemon; every router originates its prefix. *)
 let start t =
-  List.iter (fun (_, d) -> Daemon.start d) t.daemons;
+  Topology.start (topo t);
   List.iter
     (fun (r : Dataset.Clos.router) ->
       Daemon.originate (daemon t r.rname)
@@ -142,32 +78,15 @@ let start t =
     t.clos.routers
 
 (** Advance simulated time by [seconds]. *)
-let settle t seconds =
-  ignore (Netsim.Sched.run ~until:(Netsim.Sched.now t.sched + (seconds * 1_000_000)) t.sched)
+let settle t seconds = Topology.run_for (topo t) (seconds * 1_000_000)
 
 (** Fail the link [a]--[b]; sessions notice via their hold timers. *)
-let fail_link t a b =
-  match
-    List.assoc_opt (a, b) t.pipes
-    |> (function None -> List.assoc_opt (b, a) t.pipes | some -> some)
-  with
-  | Some (pa, _) -> Netsim.Pipe.set_up pa false
-  | None -> invalid_arg (Printf.sprintf "Fabric.fail_link: no link %s-%s" a b)
+let fail_link t a b = Topology.set_link_up (topo t) a b false
 
 (** Repair the link [a]--[b] and re-open the sessions that died. *)
 let repair_link t a b =
-  (match
-     List.assoc_opt (a, b) t.pipes
-     |> function None -> List.assoc_opt (b, a) t.pipes | some -> some
-   with
-  | Some (pa, _) -> Netsim.Pipe.set_up pa true
-  | None -> invalid_arg (Printf.sprintf "Fabric.repair_link: no link %s-%s" a b));
-  List.iter
-    (fun (_, d) ->
-      match d with
-      | Daemon.Frr fd -> Frrouting.Bgpd.restart_sessions fd
-      | Daemon.Bird bd -> Bird.Bgpd.restart_sessions bd)
-    t.daemons
+  Topology.set_link_up (topo t) a b true;
+  Topology.restart (topo t)
 
 (** Does [router] currently hold a route towards [target]'s prefix? *)
 let reaches t router target =

@@ -4,9 +4,9 @@
    FRR-like daemon; the Device Under Test runs either host, natively or
    with extension bytecode loaded. Sessions on links L1/L2 are iBGP for
    the route-reflection experiment (§3.2) and eBGP for origin validation
-   (§3.4). *)
+   (§3.4). A {!Topology} preset: three routers, two links. *)
 
-type host = [ `Frr | `Bird ]
+type host = Daemon.host
 
 type mode = {
   host : host;
@@ -63,77 +63,41 @@ type t = {
 
 let addr = Bgp.Prefix.addr_of_quad
 
-let frr_peer ?(rr_client = false) name remote_as remote_addr port =
-  { Frrouting.Bgpd.pname = name; remote_as; remote_addr; rr_client; port }
-
-let bird_peer ?(rr_client = false) name remote_as remote_addr port =
-  { Bird.Bgpd.pname = name; remote_as; remote_addr; rr_client; port }
-
 let create (m : mode) : t =
-  (* fresh-process semantics: a new testbed means new daemons *)
-  Frrouting.Attr_intern.reset_intern_table ();
-  let sched = Netsim.Sched.create () in
-  let telemetry =
-    match m.telemetry with
-    | Some t -> t
-    | None -> Telemetry.create ~enabled:false ()
-  in
-  (* the scheduler clock is the trace timebase: deterministic under
-     simulation, so traces of the same scenario are identical *)
-  Telemetry.set_clock_us telemetry (fun () -> Netsim.Sched.now sched);
-  let dut_as = 65000 in
-  let up_as = if m.ibgp then 65000 else 65001 in
-  let down_as = if m.ibgp then 65000 else 65002 in
-  let up_addr = addr (10, 0, 0, 1)
-  and dut_addr = addr (10, 0, 0, 2)
-  and down_addr = addr (10, 0, 0, 3) in
-  let l1_up, l1_dut = Netsim.Pipe.create ~telemetry ~name:"L1" sched in
-  let l2_dut, l2_down = Netsim.Pipe.create ~telemetry ~name:"L2" sched in
-  let upstream =
-    Frrouting.Bgpd.create ~telemetry ~sched
-      (Frrouting.Bgpd.config ~name:"upstream" ~router_id:up_addr
-         ~local_as:up_as ~local_addr:up_addr ~hold_time:m.hold_time ())
-      [ frr_peer "dut" dut_as dut_addr l1_up ]
-  in
-  let downstream =
-    Frrouting.Bgpd.create ~telemetry ~sched
-      (Frrouting.Bgpd.config ~name:"downstream" ~router_id:down_addr
-         ~local_as:down_as ~local_addr:down_addr ~hold_time:m.hold_time ())
-      [ frr_peer "dut" dut_as dut_addr l2_down ]
-  in
+  let telemetry = Topology.registry m.telemetry in
   let dut_vmm =
     Option.map
-      (fun manifest ->
-        Xprogs.Registry.vmm_of_manifest ~engine:m.engine ~telemetry
-          ~host:"dut" manifest)
+      (Xprogs.Registry.vmm_of_manifest ~engine:m.engine ~telemetry ~host:"dut")
       m.manifest
   in
-  let dut =
-    match m.host with
-    | `Frr ->
-      let native_ov = Option.map Rpki.Store_trie.of_list m.native_ov_roas in
-      Daemon.Frr
-        (Frrouting.Bgpd.create ~telemetry ?vmm:dut_vmm ~sched
-           (Frrouting.Bgpd.config ~name:"dut" ~router_id:dut_addr
-              ~local_as:dut_as ~local_addr:dut_addr ~hold_time:m.hold_time
-              ~native_rr:m.native_rr ?native_ov ~xtras:m.xtras ())
-           [
-             frr_peer "upstream" up_as up_addr l1_dut;
-             frr_peer ~rr_client:true "downstream" down_as down_addr l2_dut;
-           ])
-    | `Bird ->
-      let native_ov = Option.map Rpki.Store_hash.of_list m.native_ov_roas in
-      Daemon.Bird
-        (Bird.Bgpd.create ~telemetry ?vmm:dut_vmm ~sched
-           (Bird.Bgpd.config ~name:"dut" ~router_id:dut_addr
-              ~local_as:dut_as ~local_addr:dut_addr ~hold_time:m.hold_time
-              ~native_rr:m.native_rr ?native_ov ~xtras:m.xtras ())
-           [
-             bird_peer "upstream" up_as up_addr l1_dut;
-             bird_peer ~rr_client:true "downstream" down_as down_addr l2_dut;
-           ])
+  (* under iBGP the two neighbours share the DUT's AS *)
+  let neighbour_as asn = if m.ibgp then 65000 else asn in
+  let router = Topology.router ~hold_time:m.hold_time in
+  let topo =
+    Topology.create ~telemetry
+      [
+        router ~name:"upstream" ~router_id:(addr (10, 0, 0, 1))
+          ~local_as:(neighbour_as 65001) ();
+        router ~name:"downstream" ~router_id:(addr (10, 0, 0, 3))
+          ~local_as:(neighbour_as 65002) ();
+        router ~host:m.host ?vmm:dut_vmm ~native_rr:m.native_rr
+          ?native_ov_roas:m.native_ov_roas ~xtras:m.xtras ~name:"dut"
+          ~router_id:(addr (10, 0, 0, 2)) ~local_as:65000 ();
+      ]
+      [
+        Topology.link ~name:"L1" "upstream" "dut";
+        Topology.link ~name:"L2" ~b_client:true "dut" "downstream";
+      ]
   in
-  { sched; upstream; dut; downstream; dut_vmm; telemetry }
+  let daemon = Topology.daemon topo in
+  {
+    sched = topo.sched;
+    upstream = Daemon.frr (daemon "upstream");
+    dut = daemon "dut";
+    downstream = Daemon.frr (daemon "downstream");
+    dut_vmm;
+    telemetry;
+  }
 
 (** Bring all three sessions up. @raise Failure if they do not establish. *)
 let establish t =

@@ -312,25 +312,8 @@ let test_fabric_partition_same_as_vs_xbgp () =
 (* --- BGP_DECISION point: always-compare-MED (circle 3) --- *)
 
 let med_scenario ~extension =
-  Frrouting.Attr_intern.reset_intern_table ();
   let addr = Bgp.Prefix.addr_of_quad in
-  let sched = Netsim.Sched.create () in
-  let a1 = addr (10, 8, 0, 1)
-  and a2 = addr (10, 8, 0, 2)
-  and b = addr (10, 8, 0, 3) in
-  let p1a, p1b = Netsim.Pipe.create sched in
-  let p2a, p2b = Netsim.Pipe.create sched in
-  let feeder name own own_as port =
-    Frrouting.Bgpd.create ~sched
-      (Frrouting.Bgpd.config ~name ~router_id:own ~local_as:own_as
-         ~local_addr:own ())
-      [
-        { Frrouting.Bgpd.pname = "b"; remote_as = 65000; remote_addr = b;
-          rr_client = false; port };
-      ]
-  in
-  let d1 = feeder "f1" a1 65001 p1a in
-  let d2 = feeder "f2" a2 65002 p2a in
+  let a1 = addr (10, 8, 0, 1) and a2 = addr (10, 8, 0, 2) in
   let vmm =
     if extension then
       Some
@@ -338,19 +321,20 @@ let med_scenario ~extension =
            Xprogs.Med_compare.manifest)
     else None
   in
-  let db =
-    Frrouting.Bgpd.create ?vmm ~sched
-      (Frrouting.Bgpd.config ~name:"b" ~router_id:b ~local_as:65000
-         ~local_addr:b ())
+  let topo =
+    Scenario.Topology.create
       [
-        { Frrouting.Bgpd.pname = "f1"; remote_as = 65001; remote_addr = a1;
-          rr_client = false; port = p1b };
-        { Frrouting.Bgpd.pname = "f2"; remote_as = 65002; remote_addr = a2;
-          rr_client = false; port = p2b };
+        Scenario.Topology.router ~name:"f1" ~router_id:a1 ~local_as:65001 ();
+        Scenario.Topology.router ~name:"f2" ~router_id:a2 ~local_as:65002 ();
+        Scenario.Topology.router ?vmm ~name:"b" ~router_id:(addr (10, 8, 0, 3))
+          ~local_as:65000 ();
       ]
+      [ Scenario.Topology.link "f1" "b"; Scenario.Topology.link "f2" "b" ]
   in
-  List.iter Frrouting.Bgpd.start [ d1; d2; db ];
-  ignore (Netsim.Sched.run ~until:(2 * 1_000_000) sched);
+  let frr name = Scenario.Daemon.frr (Scenario.Topology.daemon topo name) in
+  let d1 = frr "f1" and d2 = frr "f2" and db = frr "b" in
+  Scenario.Topology.start topo;
+  Scenario.Topology.run_for topo 2_000_000;
   let p = Bgp.Prefix.of_string "203.0.113.0/24" in
   (* same path length, different MEDs, different neighbouring ASes:
      RFC 4271 skips the MED comparison; the extension applies it *)
@@ -367,7 +351,7 @@ let med_scenario ~extension =
   (* f1: lower router id, higher MED *)
   announce d2 a2 10;
   (* f2: higher router id, lower MED *)
-  ignore (Netsim.Sched.run ~until:(10 * 1_000_000) sched);
+  Scenario.Topology.run_for topo 8_000_000;
   match Frrouting.Bgpd.best_route db p with
   | Some r -> Frrouting.Attr_intern.neighbor_as r.attrs
   | None -> Alcotest.fail "no route"
@@ -381,43 +365,14 @@ let test_decision_point_med () =
 (* --- GeoLoc end-to-end across an iBGP hop (Fig. 2) --- *)
 
 let geoloc_chain ~core_max_dist2 =
-  Frrouting.Attr_intern.reset_intern_table ();
   let addr = Bgp.Prefix.addr_of_quad in
-  let sched = Netsim.Sched.create () in
-  let f_addr = addr (10, 7, 0, 1)
-  and border_addr = addr (10, 7, 0, 2)
-  and core_addr = addr (10, 7, 0, 3) in
-  let fb_a, fb_b = Netsim.Pipe.create sched in
-  let bc_a, bc_b = Netsim.Pipe.create sched in
-  let feeder =
-    Frrouting.Bgpd.create ~sched
-      (Frrouting.Bgpd.config ~name:"feeder" ~router_id:f_addr
-         ~local_as:64501 ~local_addr:f_addr ())
-      [
-        { Frrouting.Bgpd.pname = "border"; remote_as = 65000;
-          remote_addr = border_addr; rr_client = false; port = fb_a };
-      ]
-  in
+  let f_addr = addr (10, 7, 0, 1) in
   let coords lat lon =
     Xprogs.Util.encode_coords
       ~lat:(Xprogs.Util.coord_of_degrees lat)
       ~lon:(Xprogs.Util.coord_of_degrees lon)
   in
-  let border =
-    Frrouting.Bgpd.create
-      ~vmm:(Xprogs.Registry.vmm_of_manifest ~host:"border" Xprogs.Geoloc.manifest)
-      ~sched
-      (Frrouting.Bgpd.config ~name:"border" ~router_id:border_addr
-         ~local_as:65000 ~local_addr:border_addr
-         ~xtras:[ ("coords", coords (-33.87) 151.21) ]
-         ())
-      [
-        { Frrouting.Bgpd.pname = "feeder"; remote_as = 64501;
-          remote_addr = f_addr; rr_client = false; port = fb_b };
-        { Frrouting.Bgpd.pname = "core"; remote_as = 65000;
-          remote_addr = core_addr; rr_client = false; port = bc_a };
-      ]
-  in
+  let geoloc host = Xprogs.Registry.vmm_of_manifest ~host Xprogs.Geoloc.manifest in
   let core_xtras =
     ("coords", coords 48.85 2.35)
     ::
@@ -425,19 +380,27 @@ let geoloc_chain ~core_max_dist2 =
     | Some d -> [ ("geo_max_dist2", Xprogs.Util.encode_u32 d) ]
     | None -> [])
   in
-  let core =
-    Frrouting.Bgpd.create
-      ~vmm:(Xprogs.Registry.vmm_of_manifest ~host:"core" Xprogs.Geoloc.manifest)
-      ~sched
-      (Frrouting.Bgpd.config ~name:"core" ~router_id:core_addr
-         ~local_as:65000 ~local_addr:core_addr ~xtras:core_xtras ())
+  let topo =
+    Scenario.Topology.create
       [
-        { Frrouting.Bgpd.pname = "border"; remote_as = 65000;
-          remote_addr = border_addr; rr_client = false; port = bc_b };
+        Scenario.Topology.router ~name:"feeder" ~router_id:f_addr
+          ~local_as:64501 ();
+        Scenario.Topology.router ~vmm:(geoloc "border") ~name:"border"
+          ~router_id:(addr (10, 7, 0, 2)) ~local_as:65000
+          ~xtras:[ ("coords", coords (-33.87) 151.21) ]
+          ();
+        Scenario.Topology.router ~vmm:(geoloc "core") ~name:"core"
+          ~router_id:(addr (10, 7, 0, 3)) ~local_as:65000 ~xtras:core_xtras ();
+      ]
+      [
+        Scenario.Topology.link "feeder" "border";
+        Scenario.Topology.link "border" "core";
       ]
   in
-  List.iter Frrouting.Bgpd.start [ feeder; border; core ];
-  ignore (Netsim.Sched.run ~until:(2 * 1_000_000) sched);
+  let frr name = Scenario.Daemon.frr (Scenario.Topology.daemon topo name) in
+  let feeder = frr "feeder" and border = frr "border" and core = frr "core" in
+  Scenario.Topology.start topo;
+  Scenario.Topology.run_for topo 2_000_000;
   let p = Bgp.Prefix.of_string "203.0.113.0/24" in
   Frrouting.Bgpd.originate feeder p
     [
@@ -445,7 +408,7 @@ let geoloc_chain ~core_max_dist2 =
       Bgp.Attr.v (Bgp.Attr.As_path []);
       Bgp.Attr.v (Bgp.Attr.Next_hop f_addr);
     ];
-  ignore (Netsim.Sched.run ~until:(10 * 1_000_000) sched);
+  Scenario.Topology.run_for topo 8_000_000;
   (border, core, p)
 
 let test_geoloc_end_to_end () =
@@ -642,16 +605,9 @@ let test_fault_injection_end_to_end () =
                Bgp_encode_message;
              ])
   in
-  (* sneak the program into the resolution path via a local registry *)
-  let saved = Xprogs.Registry.find in
-  ignore saved;
   let routes = small_table 60 in
   let run_with_vmm use_boom =
-    let tb =
-      Scenario.Testbed.create (Scenario.Testbed.mode ~ibgp:false ())
-    in
-    ignore tb;
-    (* rebuild DUT manually is heavy; instead drive a fresh testbed whose
+    (* Fig. 3's eBGP testbed, hand-built so the DUT takes a VMM whose
        manifest resolves through a custom registry *)
     let vmm = Xbgp.Vmm.create ~host:"dut" () in
     if use_boom then (
@@ -662,46 +618,32 @@ let test_fault_injection_end_to_end () =
       with
       | Ok () -> ()
       | Error e -> Alcotest.fail e);
-    let sched = Netsim.Sched.create () in
-    Frrouting.Attr_intern.reset_intern_table ();
     let addr = Bgp.Prefix.addr_of_quad in
-    let up_addr = addr (10, 0, 0, 1)
-    and dut_addr = addr (10, 0, 0, 2)
-    and down_addr = addr (10, 0, 0, 3) in
-    let l1_up, l1_dut = Netsim.Pipe.create sched in
-    let l2_dut, l2_down = Netsim.Pipe.create sched in
-    let frr_peer pname remote_as remote_addr port =
-      { Frrouting.Bgpd.pname; remote_as; remote_addr; rr_client = false;
-        port }
-    in
-    let upstream =
-      Frrouting.Bgpd.create ~sched
-        (Frrouting.Bgpd.config ~name:"upstream" ~router_id:up_addr
-           ~local_as:65001 ~local_addr:up_addr ())
-        [ frr_peer "dut" 65000 dut_addr l1_up ]
-    in
-    let dut =
-      Frrouting.Bgpd.create ~vmm ~sched
-        (Frrouting.Bgpd.config ~name:"dut" ~router_id:dut_addr
-           ~local_as:65000 ~local_addr:dut_addr ())
+    let router = Scenario.Topology.router in
+    let topo =
+      Scenario.Topology.create
         [
-          frr_peer "upstream" 65001 up_addr l1_dut;
-          frr_peer "downstream" 65002 down_addr l2_dut;
+          router ~name:"upstream" ~router_id:(addr (10, 0, 0, 1))
+            ~local_as:65001 ();
+          router ~vmm ~name:"dut" ~router_id:(addr (10, 0, 0, 2))
+            ~local_as:65000 ();
+          router ~name:"downstream" ~router_id:(addr (10, 0, 0, 3))
+            ~local_as:65002 ();
+        ]
+        [
+          Scenario.Topology.link "upstream" "dut";
+          Scenario.Topology.link "dut" "downstream";
         ]
     in
-    let downstream =
-      Frrouting.Bgpd.create ~sched
-        (Frrouting.Bgpd.config ~name:"downstream" ~router_id:down_addr
-           ~local_as:65002 ~local_addr:down_addr ())
-        [ frr_peer "dut" 65000 dut_addr l2_down ]
-    in
-    List.iter Frrouting.Bgpd.start [ upstream; dut; downstream ];
-    ignore (Netsim.Sched.run ~until:(2 * 1_000_000) sched);
+    let frr name = Scenario.Daemon.frr (Scenario.Topology.daemon topo name) in
+    let upstream = frr "upstream" and downstream = frr "downstream" in
+    Scenario.Topology.start topo;
+    Scenario.Topology.run_for topo 2_000_000;
     List.iter
       (fun (r : Dataset.Ris_gen.route) ->
         Frrouting.Bgpd.originate upstream r.prefix r.attrs)
       routes;
-    ignore (Netsim.Sched.run ~until:(30 * 1_000_000) sched);
+    Scenario.Topology.run_for topo 28_000_000;
     ( List.map
         (fun (r : Dataset.Ris_gen.route) ->
           Frrouting.Bgpd.best_attrs downstream r.prefix)
@@ -775,46 +717,22 @@ let test_rib_add_helper host () =
    with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  (* hand-build a testbed so we can pass the custom VMM *)
-  Frrouting.Attr_intern.reset_intern_table ();
-  let sched = Netsim.Sched.create () in
+  (* a DUT on either host with the custom VMM, and one FRR-like peer *)
   let addr = Bgp.Prefix.addr_of_quad in
-  let d_addr = addr (10, 0, 0, 2) and s_addr = addr (10, 0, 0, 3) in
-  let pa, pb = Netsim.Pipe.create sched in
-  let peer_conf_frr =
-    { Frrouting.Bgpd.pname = "sink"; remote_as = 65002;
-      remote_addr = s_addr; rr_client = false; port = pa }
-  in
-  let dut =
-    match host with
-    | `Frr ->
-      Scenario.Daemon.Frr
-        (Frrouting.Bgpd.create ~vmm ~sched
-           (Frrouting.Bgpd.config ~name:"dut" ~router_id:d_addr
-              ~local_as:65000 ~local_addr:d_addr ())
-           [ peer_conf_frr ])
-    | `Bird ->
-      Scenario.Daemon.Bird
-        (Bird.Bgpd.create ~vmm ~sched
-           (Bird.Bgpd.config ~name:"dut" ~router_id:d_addr ~local_as:65000
-              ~local_addr:d_addr ())
-           [
-             { Bird.Bgpd.pname = "sink"; remote_as = 65002;
-               remote_addr = s_addr; rr_client = false; port = pa };
-           ])
-  in
-  let sink =
-    Frrouting.Bgpd.create ~sched
-      (Frrouting.Bgpd.config ~name:"sink" ~router_id:s_addr ~local_as:65002
-         ~local_addr:s_addr ())
+  let topo =
+    Scenario.Topology.create
       [
-        { Frrouting.Bgpd.pname = "dut"; remote_as = 65000;
-          remote_addr = d_addr; rr_client = false; port = pb };
+        Scenario.Topology.router ~host ~vmm ~name:"dut"
+          ~router_id:(addr (10, 0, 0, 2)) ~local_as:65000 ();
+        Scenario.Topology.router ~name:"sink" ~router_id:(addr (10, 0, 0, 3))
+          ~local_as:65002 ();
       ]
+      [ Scenario.Topology.link "dut" "sink" ]
   in
-  Scenario.Daemon.start dut;
-  Frrouting.Bgpd.start sink;
-  ignore (Netsim.Sched.run ~until:(5 * 1_000_000) sched);
+  let dut = Scenario.Topology.daemon topo "dut" in
+  let sink = Scenario.Daemon.frr (Scenario.Topology.daemon topo "sink") in
+  Scenario.Topology.start topo;
+  Scenario.Topology.run_for topo 5_000_000;
   let p = Bgp.Prefix.of_string "198.51.100.0/24" in
   checkb "route injected into the DUT's Loc-RIB" true
     (Scenario.Daemon.has_route dut p);
