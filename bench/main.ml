@@ -1,6 +1,6 @@
 (* The benchmark harness: regenerates every figure of the paper.
 
-     dune exec bench/main.exe                  -- all: fig1 fig4 fig5 churn
+     dune exec bench/main.exe                  -- all: fig1 fig4 fig5
                                                   telemetry micro
      dune exec bench/main.exe fig4             -- extension vs native
      dune exec bench/main.exe -- fig4 dispatch --json
@@ -8,15 +8,17 @@
                                                   and write BENCH.json
 
    Benches: fig1 (CDF of IETF standardization delay), fig4 (extension
-   vs native on both hosts and both eBPF engines; `ablation` is the same
-   bench), fig5 (valley-free fabric audit), micro (Bechamel), churn,
-   telemetry, dispatch, recorder, chaos. A bench named twice
-   runs once.
+   vs native on both hosts and both eBPF engines), fig5 (valley-free
+   fabric audit), micro (Bechamel), telemetry, dispatch, recorder,
+   chaos. A bench named twice runs once. fig4 and the pipeline halves
+   of dispatch and recorder are slices of one checked Fig. 3 leg list.
 
    `--json` writes every number measured in the invocation to one
    BENCH.json: a header (core count, OCaml version, each bench's routes
    and rounds) and metrics keyed <bench>.<host>.<leg>.<metric>, with
-   host "any" for host-independent numbers.
+   host "any" for host-independent numbers. Every timed leg also
+   records <bench>.<host>.<leg>.correct: 1 when each of its runs
+   produced the routing outcome it was checked against, else 0.
 
    Environment knobs: XBGP_BENCH_ROUTES (table size, default 8000),
    XBGP_BENCH_RUNS (paired rounds, default 15, the paper's run count;
@@ -59,7 +61,7 @@ let pct (m, lo, hi) =
   ((m -. 1.) *. 100., (lo -. 1.) *. 100., (hi -. 1.) *. 100.)
 
 (* ------------------------------------------------------------------ *)
-(* The paired-round driver and the Testbed timer                       *)
+(* Paired rounds                                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* [paired ~rounds legs] runs every leg once as a warmup (discarded),
@@ -68,7 +70,7 @@ let pct (m, lo, hi) =
    reproducible 10-20% bias against whichever legs run last. The heap is
    compacted before each leg, so no leg pays for another's garbage. A
    leg returns the time it measured; the result is each leg's per-round
-   times, keyed by leg name. *)
+   times, keyed like [legs]. *)
 let paired ~rounds legs =
   let legs = Array.of_list legs in
   let n = Array.length legs in
@@ -90,31 +92,6 @@ let wall f =
   let t0 = Unix.gettimeofday () in
   f ();
   Unix.gettimeofday () -. t0
-
-(* Wall seconds from [act ()] until [converged ()] holds on the
-   testbed's scheduler. *)
-let timed (tb : Scenario.Testbed.t) act converged =
-  wall (fun () ->
-      act ();
-      if not (Netsim.Sched.run_until tb.sched converged) then
-        failwith "bench: pipeline did not converge")
-
-(* One Fig. 3 pipeline run on a fresh testbed ([setup] runs before the
-   sessions come up): the seconds between the first announcement and
-   the downstream router holding all of [routes], and the testbed. *)
-let feed_and_wait ?(setup = ignore) mode routes =
-  let tb = Scenario.Testbed.create mode in
-  setup tb;
-  Scenario.Testbed.establish tb;
-  let n = List.length routes in
-  let dt =
-    timed tb
-      (fun () -> Scenario.Testbed.feed tb routes)
-      (fun () -> Scenario.Testbed.downstream_count tb >= n)
-  in
-  (dt, tb)
-
-let hosts = [ (`Frr, "frr"); (`Bird, "bird") ]
 
 let ris_routes ?(disjoint = false) ?(seed = 42) n =
   Dataset.Ris_gen.generate
@@ -138,6 +115,10 @@ let record_stats bench host leg name (m, lo, hi) =
   record bench host leg (name ^ "_median") m;
   record bench host leg (name ^ "_min") lo;
   record bench host leg (name ^ "_max") hi
+
+(* a checked leg's verdict: 1 if every run was right, else 0 *)
+let record_correct bench host leg ok =
+  record bench host leg "correct" (if ok then 1. else 0.)
 
 (* a bench's size, for the header *)
 let describe bench ps = params := (bench, ps) :: !params
@@ -168,6 +149,233 @@ let write_json path =
   Printf.printf "wrote %s (%d measurements)\n%!" path (List.length ms)
 
 (* ------------------------------------------------------------------ *)
+(* The Fig. 3 leg list and its checked runner                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Every pipeline bench times one run: a fresh Fig. 3 testbed fed one
+   table, from the first announcement until the downstream router holds
+   all of it. A leg names the DUT's host, the use case (reflection over
+   iBGP, origin validation over eBGP), what implements it on the DUT and
+   what observes the run; fig4, dispatch and recorder time slices. *)
+
+type usecase = Rr | Ov
+type dut = Native | Ext of Ebpf.Vm.engine
+type obs = Off | Tele_full | Tele_sampled | Recorder | Recorder_bmp
+type leg = { host : Scenario.Daemon.host; uc : usecase; dut : dut; obs : obs }
+
+let hosts = [ `Frr; `Bird ]
+
+let legs =
+  let ( let* ) l f = List.concat_map f l in
+  let* host = hosts in
+  let* uc = [ Rr; Ov ] in
+  let* dut = Native :: List.map (fun e -> Ext e) Ebpf.Vm.all_engines in
+  List.map
+    (fun obs -> { host; uc; dut; obs })
+    [ Off; Tele_full; Tele_sampled; Recorder; Recorder_bmp ]
+
+let host_name = function `Frr -> "frr" | `Bird -> "bird"
+let uc_name = function Rr -> "rr" | Ov -> "ov"
+let dut_name = function Native -> "native" | Ext e -> Ebpf.Vm.engine_name e
+let sample_n = 16
+
+let obs_name = function
+  | Off -> "off"
+  | Tele_full -> "tele_full"
+  | Tele_sampled -> Printf.sprintf "tele_sampled_%d" sample_n
+  | Recorder -> "recorder"
+  | Recorder_bmp -> "recorder_bmp"
+
+(* One use case's table at one size. [expect] maps each prefix to the
+   origin-validation tag its native leg must deliver downstream ([None]
+   on rr); [reference] caches each host's native downstream snapshot,
+   [None] if that run was itself wrong. *)
+type feed = {
+  routes : Dataset.Ris_gen.route list;
+  n : int;
+  roas : Rpki.Roa.t list;
+  expect : (Bgp.Prefix.t, int option) Hashtbl.t;
+  reference :
+    (Scenario.Daemon.host, (Bgp.Prefix.t * Bgp.Attr.t list) list option)
+    Hashtbl.t;
+}
+
+(* the community both OV implementations tag a route with: 65535:1
+   valid, 65535:2 invalid, 65535:3 not found *)
+let ov_tag attrs =
+  List.find_map
+    (fun (a : Bgp.Attr.t) ->
+      match a.value with
+      | Bgp.Attr.Communities cs -> List.find_opt (fun c -> c lsr 16 = 0xFFFF) cs
+      | _ -> None)
+    attrs
+
+let make_feed fuc n =
+  let routes =
+    if fuc = Rr then ris_routes n else ris_routes ~disjoint:true ~seed:43 n
+  in
+  let roas = if fuc = Rr then [] else roas_for routes in
+  (* [Roa.validate_list] handed only the ROAs filed under one of the
+     route's covering prefixes: the same answer without a pass over the
+     whole table per route *)
+  let by_prefix = Hashtbl.create 1024 in
+  List.iter (fun (r : Rpki.Roa.t) -> Hashtbl.add by_prefix r.prefix r) roas;
+  let tag (r : Dataset.Ris_gen.route) =
+    let p = r.prefix in
+    let filed_under l = Bgp.Prefix.v (Bgp.Prefix.addr p) l in
+    let covering =
+      List.concat_map
+        (fun l -> Hashtbl.find_all by_prefix (filed_under l))
+        (List.init (Bgp.Prefix.len p + 1) Fun.id)
+    in
+    let origin = Option.value ~default:0 (Dataset.Ris_gen.origin_as r) in
+    match Rpki.Roa.validate_list covering p origin with
+    | Valid -> 0xFFFF0001
+    | Invalid -> 0xFFFF0002
+    | Not_found -> 0xFFFF0003
+  in
+  let expect = Hashtbl.create 1024 in
+  List.iter
+    (fun (r : Dataset.Ris_gen.route) ->
+      Hashtbl.replace expect r.prefix (if fuc = Rr then None else Some (tag r)))
+    routes;
+  { routes; n; roas; expect; reference = Hashtbl.create 2 }
+
+(* each use case's feed at [n] routes, built when a leg first needs it *)
+let feeds n =
+  let rr = lazy (make_feed Rr n) and ov = lazy (make_feed Ov n) in
+  function Rr -> Lazy.force rr | Ov -> Lazy.force ov
+
+(* One run on a fresh testbed: the wall seconds between the first
+   announcement and the downstream router holding the whole table (or
+   the testbed's bound on simulated time passing first), and the testbed
+   to check. *)
+let run feed leg =
+  let telemetry =
+    if leg.obs <> Tele_full && leg.obs <> Tele_sampled then None
+    else begin
+      let t = Telemetry.create ~enabled:true () in
+      if leg.obs = Tele_sampled then Telemetry.set_span_sampling t sample_n;
+      Some t
+    end
+  in
+  let mode = Scenario.Testbed.mode ~host:leg.host ?telemetry in
+  let tb =
+    Scenario.Testbed.create
+      (match (leg.uc, leg.dut) with
+      | Rr, Native -> mode ~ibgp:true ~native_rr:true ()
+      | Rr, Ext engine ->
+        mode ~ibgp:true ~manifest:Xprogs.Route_reflector.manifest ~engine ()
+      | Ov, Native -> mode ~ibgp:false ~native_ov_roas:feed.roas ()
+      | Ov, Ext engine ->
+        mode ~ibgp:false ~manifest:Xprogs.Origin_validation.manifest
+          ~xtras:[ ("roa_table", Xprogs.Util.encode_roa_table feed.roas) ]
+          ~engine ())
+  in
+  (* the observability legs watch the DUT alone *)
+  if leg.obs = Recorder || leg.obs = Recorder_bmp then begin
+    let rc = Obs.Recorder.create ~name:"dut" () in
+    Obs.Recorder.set_clock rc (fun () -> Netsim.Sched.now tb.sched);
+    Scenario.Daemon.set_recorder tb.dut (Some rc)
+  end;
+  if leg.obs = Recorder_bmp then
+    Scenario.Daemon.set_collector tb.dut (Some (Obs.Bmp.collector ()));
+  Scenario.Testbed.establish tb;
+  let dt =
+    wall (fun () ->
+        Scenario.Testbed.feed tb feed.routes;
+        ignore (Scenario.Testbed.run_until_downstream_has tb feed.n))
+  in
+  (dt, tb)
+
+let snapshot (tb : Scenario.Testbed.t) =
+  Fuzz.Oracle.normalize (Frrouting.Bgpd.loc_snapshot tb.downstream)
+
+(* A native leg must deliver [expect]: every route of the table, each
+   tagged as [Roa.validate_list] says on ov. *)
+let check_native feed snap =
+  let held = List.length snap in
+  if held <> feed.n then
+    Some (Printf.sprintf "downstream holds %d of %d routes" held feed.n)
+  else
+    List.find_map
+      (fun (p, attrs) ->
+        if Hashtbl.find_opt feed.expect p = Some (ov_tag attrs) then None
+        else Some (Fmt.str "%a: unexpected or mistagged" Bgp.Prefix.pp p))
+      snap
+
+(* Every other leg must leave the downstream Loc-RIB equal to the native
+   leg's on the same host and use case. *)
+let check feed leg tb =
+  let snap = snapshot tb in
+  if leg.dut = Native then check_native feed snap
+  else
+    let reference =
+      match Hashtbl.find_opt feed.reference leg.host with
+      | Some r -> r
+      | None ->
+        let _, tb = run feed { leg with dut = Native; obs = Off } in
+        let snap = snapshot tb in
+        let r = if check_native feed snap = None then Some snap else None in
+        Hashtbl.replace feed.reference leg.host r;
+        r
+    in
+    match reference with
+    | None -> Some "the native reference run was wrong"
+    | Some r ->
+      Fuzz.Oracle.diff_snapshots ~what:"downstream" ~l0:"native"
+        ~l1:(dut_name leg.dut) r snap
+
+(* [time_legs ~bench ~n ~rounds ~name slice] times [slice] at [n] routes
+   in paired rounds and checks every run, warmup included, outside its
+   timed window. It records <bench>.<host>.<name leg>.correct and prints
+   INCORRECT with the first wrong run's reason. [inspect] sees each
+   run's testbed. Returns each leg's times. *)
+let time_legs ~bench ~n ~rounds ~name ?(inspect = fun _ _ -> ()) slice =
+  let feed_of = feeds n and wrong = Hashtbl.create 16 in
+  let timed leg () =
+    let feed = feed_of leg.uc in
+    let dt, tb = run feed leg in
+    inspect leg tb;
+    (match check feed leg tb with
+    | Some why when not (Hashtbl.mem wrong leg) ->
+      Hashtbl.replace wrong leg ();
+      Printf.printf "INCORRECT %s.%s.%s: %s\n%!" bench (host_name leg.host)
+        (name leg)
+        (String.map (fun c -> if c = '\n' then ' ' else c) why)
+    | _ -> ());
+    dt
+  in
+  let t = paired ~rounds (List.map (fun l -> (l, timed l)) slice) in
+  List.iter
+    (fun l ->
+      let ok = not (Hashtbl.mem wrong l) in
+      record_correct bench (host_name l.host) (name l) ok)
+    slice;
+  fun l -> List.assoc l t
+
+(* The pipeline halves of dispatch and recorder: [slice] in updates/sec
+   at the downstream router, each observed leg paired per round against
+   its unobserved ([Off]) leg as an overhead in percent. *)
+let observed ~bench ~n ~rounds ~name ?inspect slice =
+  let times = time_legs ~bench ~n ~rounds ~name ?inspect slice in
+  List.iter
+    (fun l ->
+      let h = host_name l.host and ups = float_of_int n /. median (times l) in
+      record bench h (name l) "updates_per_s" ups;
+      let over =
+        if l.obs = Off then ""
+        else begin
+          let off = times { l with obs = Off } in
+          let ((m, _, _) as r) = pct (ratio_stats (times l) off) in
+          record_stats bench h (name l) "overhead_pct" r;
+          Printf.sprintf "  overhead %+.1f%%" m
+        end
+      in
+      Printf.printf "%-6s %-24s %8.0f up/s%s\n%!" h (name l) ups over)
+    slice
+
+(* ------------------------------------------------------------------ *)
 (* Fig. 1: Delay between first IETF draft and RFC publication          *)
 (* ------------------------------------------------------------------ *)
 
@@ -186,13 +394,14 @@ let fig1 () =
 (* Fig. 4: extension bytecode vs native code (E3, E4, E9)              *)
 (* ------------------------------------------------------------------ *)
 
-(* The one extension-vs-native measurement: hosts x {rr, ov} x {native,
-   interpreted, block}, every leg in the same paired rounds. Each
-   extension leg is compared per round with the host's native
-   re-implementation of the same function (native RR for rr, the native
-   trie/hash ROA store for ov). The block-engine rows are the paper's
-   Fig. 4 and feed the CI guard (tools/check_bench_guard.py); the
-   interpreter rows are the §4 engine ablation. *)
+(* The one extension-vs-native measurement: the observability-off slice
+   of [legs], hosts x {rr, ov} x {native, interpreted, block}, every leg
+   in the same paired rounds. Each extension leg is compared per round
+   with the host's native re-implementation of the same function (native
+   RR for rr, the native trie/hash ROA store for ov), and must leave the
+   same downstream Loc-RIB. The block-engine rows are the paper's Fig. 4
+   and feed the CI guard (tools/check_bench_guard.py); the interpreter
+   rows are the §4 engine ablation. *)
 let fig4 () =
   let n = routes_n and rounds = runs_n in
   describe "fig4" [ ("routes", n); ("rounds", rounds) ];
@@ -201,70 +410,31 @@ let fig4 () =
      (%d routes, %d paired rounds; paper: 724k routes, 15 runs)\n\
      %!"
     n rounds;
-  let rr_routes = ris_routes n in
-  let ov_routes = ris_routes ~disjoint:true ~seed:43 n in
-  let roas = roas_for ov_routes in
-  let roa_xtra = [ ("roa_table", Xprogs.Util.encode_roa_table roas) ] in
-  let mode host usecase engine =
-    match (usecase, engine) with
-    | "rr", None -> Scenario.Testbed.mode ~host ~ibgp:true ~native_rr:true ()
-    | "rr", Some engine ->
-      Scenario.Testbed.mode ~host ~ibgp:true
-        ~manifest:Xprogs.Route_reflector.manifest ~engine ()
-    | _, None -> Scenario.Testbed.mode ~host ~ibgp:false ~native_ov_roas:roas ()
-    | _, Some engine ->
-      Scenario.Testbed.mode ~host ~ibgp:false
-        ~manifest:Xprogs.Origin_validation.manifest ~xtras:roa_xtra ~engine ()
-  in
-  let variants =
-    (None, "native")
-    :: List.map (fun e -> (Some e, Ebpf.Vm.engine_name e)) Ebpf.Vm.all_engines
-  in
-  let legs =
-    List.concat_map
-      (fun (host, hname) ->
-        List.concat_map
-          (fun (usecase, routes) ->
-            List.map
-              (fun (engine, vname) ->
-                ( Printf.sprintf "%s.%s_%s" hname usecase vname,
-                  fun () ->
-                    fst (feed_and_wait (mode host usecase engine) routes) ))
-              variants)
-          [ ("rr", rr_routes); ("ov", ov_routes) ])
-      hosts
-  in
-  let t = paired ~rounds legs in
+  let slice = List.filter (fun l -> l.obs = Off) legs in
+  let name l = uc_name l.uc ^ "_" ^ dut_name l.dut in
+  let times = time_legs ~bench:"fig4" ~n ~rounds ~name slice in
   Printf.printf
     "%-5s %-3s %-12s %9s %9s  impact%% per round: min/q1/med/q3/max\n" "host"
     "use" "engine" "native" "ext";
   List.iter
-    (fun (_, hname) ->
-      List.iter
-        (fun usecase ->
-          let leg v = Printf.sprintf "%s_%s" usecase v in
-          let native = List.assoc (hname ^ "." ^ leg "native") t in
-          record "fig4" hname (leg "native") "median_s" (median native);
-          List.iter
-            (fun e ->
-              let en = Ebpf.Vm.engine_name e in
-              let ext = List.assoc (hname ^ "." ^ leg en) t in
-              let impact =
-                Array.map2 (fun e n -> ((e /. n) -. 1.) *. 100.) ext native
-              in
-              let q p = quantile p impact in
-              Printf.printf
-                "%-5s %-3s %-12s %8.3fs %8.3fs  %+.1f / %+.1f / %+.1f / \
-                 %+.1f / %+.1f\n\
-                 %!"
-                hname usecase en (median native) (median ext) (q 0.) (q 0.25)
-                (q 0.5) (q 0.75) (q 1.);
-              record "fig4" hname (leg en) "median_s" (median ext);
-              record_stats "fig4" hname (leg en) "ratio"
-                (ratio_stats ext native))
-            Ebpf.Vm.all_engines)
-        [ "rr"; "ov" ])
-    hosts;
+    (fun l ->
+      let h = host_name l.host and ext = times l in
+      record "fig4" h (name l) "median_s" (median ext);
+      if l.dut <> Native then begin
+        let native = times { l with dut = Native } in
+        let impact =
+          Array.map2 (fun e n -> ((e /. n) -. 1.) *. 100.) ext native
+        in
+        let q p = quantile p impact in
+        Printf.printf
+          "%-5s %-3s %-12s %8.3fs %8.3fs  %+.1f / %+.1f / %+.1f / %+.1f / \
+           %+.1f\n\
+           %!"
+          h (uc_name l.uc) (dut_name l.dut) (median native) (median ext) (q 0.)
+          (q 0.25) (q 0.5) (q 0.75) (q 1.);
+        record_stats "fig4" h (name l) "ratio" (ratio_stats ext native)
+      end)
+    slice;
   Printf.printf
     "expected shape (paper): RR extension <20%% slower on both hosts;\n\
      OV extension ~= native on BIRD and ~10%% FASTER than native on \
@@ -456,52 +626,6 @@ let micro () =
   Printf.printf "\n"
 
 (* ------------------------------------------------------------------ *)
-(* Churn: convergence under withdrawal/re-announcement, extension vs   *)
-(* native (supporting experiment: the paper only measures the initial  *)
-(* full-table transfer; operators care about churn too)                *)
-(* ------------------------------------------------------------------ *)
-
-let churn () =
-  let n = max 1000 (routes_n / 2) and rounds = max 3 (runs_n / 3) in
-  describe "churn" [ ("routes", n); ("rounds", rounds) ];
-  Printf.printf
-    "=== Churn: withdraw/re-announce half the table (route reflection) ===\n";
-  let routes = ris_routes n in
-  let half = List.filteri (fun i _ -> i mod 2 = 0) routes in
-  let leg mode () =
-    let _, tb = feed_and_wait mode routes in
-    let count () = Scenario.Testbed.downstream_count tb in
-    timed tb
-      (fun () ->
-        List.iter
-          (fun (r : Dataset.Ris_gen.route) ->
-            Frrouting.Bgpd.withdraw_local tb.upstream r.prefix)
-          half)
-      (fun () -> count () <= n - List.length half)
-    +. timed tb
-         (fun () -> Scenario.Testbed.feed tb half)
-         (fun () -> count () >= n)
-  in
-  let t =
-    paired ~rounds
-      [
-        ("native", leg (Scenario.Testbed.mode ~ibgp:true ~native_rr:true ()));
-        ( "ext",
-          leg
-            (Scenario.Testbed.mode ~ibgp:true
-               ~manifest:Xprogs.Route_reflector.manifest ()) );
-      ]
-  in
-  let native = List.assoc "native" t and ext = List.assoc "ext" t in
-  let ((impact, _, _) as r) = pct (ratio_stats ext native) in
-  Printf.printf
-    "native churn median=%.3fs  extension churn median=%.3fs  impact: %+.1f%%\n\n%!"
-    (median native) (median ext) impact;
-  record "churn" "frr" "native" "median_s" (median native);
-  record "churn" "frr" "ext" "median_s" (median ext);
-  record_stats "churn" "frr" "ext" "overhead_pct" r
-
-(* ------------------------------------------------------------------ *)
 (* Telemetry overhead: the paired enabled/disabled experiment (E11)    *)
 (* ------------------------------------------------------------------ *)
 
@@ -605,21 +729,22 @@ let telemetry_bench () =
 
 (* The extensions-attached dispatch benchmark, isolated from the rest of
    the pipeline. One "update" is what a daemon must dispatch for one
-   received UPDATE message; the baseline leg reconstructs the legacy
-   work (a fresh ops record, a fresh argument list, fresh prefix/source
-   buffers and a dispatch per prefix) and the engine legs are what the
-   daemons do now (hoisted ops, a reused argument buffer, and — when
-   [Vmm.batch_invariant] proves the chain never reads the prefix — one
-   dispatch shared by the whole NLRI list). Two programs bound the
-   spectrum:
+   received UPDATE message, the way the daemons dispatch it: one hoisted
+   ops record, a reused argument buffer and, when [Vmm.batch_invariant]
+   proves the chain never reads the prefix, one dispatch shared by the
+   whole NLRI list. Two programs bound the spectrum:
 
-   - [ov]: origin validation, prefix-dependent, so both legs dispatch
-     per prefix (single-prefix updates); the gap is the calling
-     convention.
+   - [ov]: origin validation, prefix-dependent, dispatched per prefix
+     (single-prefix updates); with no ROA table loaded every route is
+     not-found, so each dispatch accepts and writes COMMUNITIES with
+     65535:3 appended.
    - [rr]: route reflection, statically batch-invariant, dispatched over
      updates carrying [batch_k] prefixes (RIS tables are bursty; updates
      sharing one attribute set across many NLRI are the common case);
-     the fast leg collapses the batch to one dispatch. *)
+     the loop-free attribute set makes each dispatch defer to accept.
+
+   Each engine's leg is checked, outside its timed loop, against that
+   outcome on the first 64 updates. *)
 let dispatch_micro ~rounds ~batch_k =
   let pi =
     {
@@ -636,18 +761,19 @@ let dispatch_micro ~rounds ~batch_k =
   (* a RIS-like attribute set: a transit-depth AS path, communities (the
      attributes OV converts per call), and reflection attributes from a
      peer reflector (the ones RR probes per call) *)
-  let attr_list =
+  let attrs_with cs =
     Bgp.Attr.
       [
         v (Origin Igp);
         v (As_path [ Seq [ 65010; 65020; 65030; 65040; 65050; 65060 ] ]);
         v (Next_hop 0x0A000001);
         v (Local_pref 100);
-        v (Communities [ 0x00010001; 0x00010002; 0x00020001 ]);
+        v (Communities cs);
         v (Originator_id 0x0A000009);
         v (Cluster_list [ 0x0A000007; 0x0A000008 ]);
       ]
   in
+  let communities = [ 0x00010001; 0x00010002; 0x00020001 ] in
   let source =
     {
       Xbgp.Host_intf.src_peer_type = Xbgp.Api.ibgp_session;
@@ -660,34 +786,19 @@ let dispatch_micro ~rounds ~batch_k =
   let point = Xbgp.Api.Bgp_inbound_filter in
   let default () = Xbgp.Api.filter_accept in
   List.iter
-    (fun (hname, get_attr) ->
-      let make_ops () =
-        {
-          Xbgp.Host_intf.null_ops with
-          peer_info = (fun () -> Some pi);
-          get_attr;
-          set_attr = (fun _ -> true);
-        }
-      in
-      (* legacy per-prefix dispatch: everything rebuilt per call *)
-      let legacy_dispatch vmm i =
-        let ops = make_ops () in
-        let pbuf = Bytes.create 5 in
-        Bytes.set_int32_be pbuf 0 (Int32.of_int i);
-        Bytes.set_uint8 pbuf 4 24;
-        let args =
-          Xbgp.Host_intf.Args.of_list
-            [
-              (Xbgp.Api.arg_prefix, pbuf);
-              (Xbgp.Api.arg_source, Xbgp.Host_intf.source_to_bytes source);
-            ]
-        in
-        ignore (Xbgp.Vmm.run vmm point ~ops ~args ~default)
-      in
+    (fun (hname, tlv) ->
+      let get_attr = tlv (attrs_with communities) in
       (* the hoisted calling convention: one ops record and one argument
          buffer per VMM, the prefix rewritten in place *)
-      let hoisted vmm =
-        let ops = make_ops () in
+      let hoisted ?(set_attr = fun _ -> true) vmm =
+        let ops =
+          {
+            Xbgp.Host_intf.null_ops with
+            peer_info = (fun () -> Some pi);
+            get_attr;
+            set_attr;
+          }
+        in
         let pbuf = Bytes.create 5 in
         Bytes.set_uint8 pbuf 4 24;
         let args = Xbgp.Host_intf.Args.create () in
@@ -696,168 +807,78 @@ let dispatch_micro ~rounds ~batch_k =
           (Xbgp.Host_intf.source_to_bytes source);
         fun i ->
           Bytes.set_int32_be pbuf 0 (Int32.of_int i);
-          ignore (Xbgp.Vmm.run vmm point ~ops ~args ~default)
+          Xbgp.Vmm.run vmm point ~ops ~args ~default
       in
-      (* one group: the legacy baseline (block engine) plus the hoisted
-         loop on every engine, in per-update seconds *)
-      let grid group manifest ~updates ~legacy ~fast =
-        let vmm engine =
-          Xprogs.Registry.vmm_of_manifest ~engine
-            ~telemetry:(Telemetry.create ~enabled:false ())
-            ~host:"bench" manifest
+      (* one group: the hoisted loop on every engine, in per-update
+         seconds; [update vmm dispatch u] is the daemon's work for update
+         [u]. Before timing, each engine's first 64 updates are checked:
+         every dispatch accepts and hands set_attr [writes]. *)
+      let grid group manifest ~updates ~update ~writes =
+        let leg engine =
+          let vmm =
+            Xprogs.Registry.vmm_of_manifest ~engine
+              ~telemetry:(Telemetry.create ~enabled:false ())
+              ~host:"bench" manifest
+          in
+          let got = ref [] and want = ref [] and accepted = ref true in
+          let set_attr b = got := Bytes.copy b :: !got; true in
+          let checked = hoisted ~set_attr vmm in
+          for u = 1 to 64 do
+            update vmm
+              (fun i ->
+                let v = checked i in
+                want := writes @ !want;
+                accepted := !accepted && v = Xbgp.Api.filter_accept;
+                v)
+              u
+          done;
+          let dispatch = hoisted vmm in
+          ( (Ebpf.Vm.engine_name engine, !accepted && !got = !want),
+            fun () ->
+              wall (fun () ->
+                  for u = 1 to updates do
+                    update vmm dispatch u
+                  done)
+              /. float_of_int updates )
         in
-        let per_update f () = wall f /. float_of_int updates in
-        let t =
-          paired ~rounds
-            (("baseline", per_update (legacy (vmm Ebpf.Vm.Block)))
-            :: List.map
-                 (fun e ->
-                   let vmm = vmm e in
-                   (Ebpf.Vm.engine_name e, per_update (fast vmm (hoisted vmm))))
-                 Ebpf.Vm.all_engines)
-        in
-        let base = List.assoc "baseline" t and block = List.assoc "block" t in
-        let ((sp, lo, hi) as speedup) = ratio_stats base block in
-        Printf.printf
-          "micro  %-6s %-8s baseline=%.0f up/s  block=%.0f up/s  \
-           speedup=%.2fx [%.2f..%.2f]\n\
-           %!"
-          hname group
-          (1.0 /. median base)
-          (1.0 /. median block)
-          sp lo hi;
         List.iter
-          (fun (lname, times) ->
-            record "dispatch" hname
-              (Printf.sprintf "micro_%s_%s" group lname)
-              "updates_per_s"
-              (1.0 /. median times))
-          t;
-        record_stats "dispatch" hname ("micro_" ^ group ^ "_block") "speedup"
-          speedup
+          (fun ((lname, correct), times) ->
+            let leg = Printf.sprintf "micro_%s_%s" group lname in
+            let ups = 1.0 /. median times in
+            Printf.printf "micro  %-6s %-8s %-12s %.0f up/s%s\n%!" hname group
+              lname ups
+              (if correct then "" else "  INCORRECT");
+            record "dispatch" hname leg "updates_per_s" ups;
+            record_correct "dispatch" hname leg correct)
+          (paired ~rounds (List.map leg Ebpf.Vm.all_engines))
       in
       (* --- ov: prefix-dependent, single-prefix updates --- *)
-      let iters = 50_000 in
-      grid "ov" Xprogs.Origin_validation.manifest ~updates:iters
-        ~legacy:(fun vmm () ->
-          for i = 1 to iters do
-            legacy_dispatch vmm i
-          done)
-        ~fast:(fun _ dispatch () ->
-          for i = 1 to iters do
-            dispatch i
-          done);
+      grid "ov" Xprogs.Origin_validation.manifest ~updates:50_000
+        ~update:(fun _ dispatch u -> ignore (dispatch u))
+        ~writes:
+          [
+            Option.get
+              (tlv (attrs_with (communities @ [ 0xFFFF0003 ]))
+                 Bgp.Attr.code_communities);
+          ];
       (* --- rr: batch-invariant, [batch_k]-prefix updates --- *)
-      let updates = 8_000 in
-      grid "rr_batch" Xprogs.Route_reflector.manifest ~updates
-        ~legacy:(fun vmm () ->
-          for u = 1 to updates do
+      grid "rr_batch" Xprogs.Route_reflector.manifest ~updates:8_000
+        ~update:(fun vmm dispatch u ->
+          (* the daemon's guard: one dispatch covers the batch only when
+             the chain is provably prefix-independent *)
+          if
+            Xbgp.Vmm.batch_invariant vmm point
+              ~variant_args:[ Xbgp.Api.arg_prefix ]
+          then ignore (dispatch (u * batch_k))
+          else
             for k = 1 to batch_k do
-              legacy_dispatch vmm ((u * batch_k) + k)
-            done
-          done)
-        ~fast:(fun vmm dispatch () ->
-          for u = 1 to updates do
-            (* the daemon's guard: one dispatch covers the batch only
-               when the chain is provably prefix-independent *)
-            if
-              Xbgp.Vmm.batch_invariant vmm point
-                ~variant_args:[ Xbgp.Api.arg_prefix ]
-            then dispatch (u * batch_k)
-            else
-              for k = 1 to batch_k do
-                dispatch ((u * batch_k) + k)
-              done
-          done))
+              ignore (dispatch ((u * batch_k) + k))
+            done)
+        ~writes:[])
     [
-      ( "frr",
-        let attrs = Frrouting.Attr_intern.of_attrs attr_list in
-        fun code -> Frrouting.Attr_intern.get_tlv attrs code );
-      ( "bird",
-        let attrs = Bird.Eattr.of_attrs attr_list in
-        fun code -> Bird.Eattr.get_tlv attrs code );
+      ("frr", fun attrs -> Frrouting.Attr_intern.(get_tlv (of_attrs attrs)));
+      ("bird", fun attrs -> Bird.Eattr.(get_tlv (of_attrs attrs)));
     ]
-
-(* End-to-end: the full Fig. 3 pipeline in updates/sec at the downstream
-   router, on the block engine, over a telemetry ablation: off / full
-   (every span) / sampled (1-in-16 spans). *)
-let dispatch_pipeline ~n ~rounds =
-  let routes = ris_routes n in
-  let roas = roas_for routes in
-  let sample_n = 16 in
-  let telemetry_of = function
-    | `Off -> None
-    | `Full -> Some (Telemetry.create ~enabled:true ())
-    | `Sampled ->
-      let t = Telemetry.create ~enabled:true () in
-      Telemetry.set_span_sampling t sample_n;
-      Some t
-  in
-  let tele_name = function
-    | `Off -> "tele_off"
-    | `Full -> "tele_full"
-    | `Sampled -> Printf.sprintf "tele_sampled_%d" sample_n
-  in
-  List.iter
-    (fun (host, hname) ->
-      List.iter
-        (fun (sname, mk) ->
-          let leg ~tele () =
-            let telemetry = telemetry_of tele in
-            fst (feed_and_wait (mk ~engine:Ebpf.Vm.Block ?telemetry ()) routes)
-          in
-          let t =
-            paired ~rounds
-              (List.map
-                 (fun tele ->
-                   (Printf.sprintf "%s_%s" sname (tele_name tele), leg ~tele))
-                 [ `Off; `Full; `Sampled ])
-          in
-          let times l = List.assoc (Printf.sprintf "%s_%s" sname l) t in
-          let ups times = float_of_int n /. median times in
-          List.iter
-            (fun (lname, times) ->
-              record "dispatch" hname lname "updates_per_s" (ups times))
-            t;
-          let fast = tele_name `Off in
-          Printf.printf "%-6s %-8s %.0f up/s\n%!" hname sname
-            (ups (times fast));
-          (* per-dispatch telemetry overhead, paired per round against the
-             same fast configuration with telemetry off: the acceptance
-             bound for the sampled leg is < 25% *)
-          let overhead tele =
-            let leg = tele_name tele in
-            let ((m, _, _) as r) =
-              pct (ratio_stats (times leg) (times fast))
-            in
-            record_stats "dispatch" hname (sname ^ "_" ^ leg) "overhead_pct" r;
-            m
-          in
-          let full = overhead `Full in
-          let sampled = overhead `Sampled in
-          Printf.printf
-            "%-6s %-8s telemetry overhead: full=%.1f%%  sampled=%.1f%%\n%!"
-            hname sname full sampled)
-        [
-          ( "native",
-            fun ~engine:_ ?telemetry () ->
-              Scenario.Testbed.mode ~host ~ibgp:true ~native_rr:true
-                ?telemetry () );
-          ( "rr_ext",
-            fun ~engine ?telemetry () ->
-              Scenario.Testbed.mode ~host ~ibgp:true
-                ~manifest:Xprogs.Route_reflector.manifest ~engine ?telemetry
-                () );
-          (* the conversion-heavy extension: OV pulls the AS_PATH and
-             COMMUNITIES TLVs for every prefix *)
-          ( "ov_ext",
-            fun ~engine ?telemetry () ->
-              Scenario.Testbed.mode ~host ~ibgp:false
-                ~manifest:Xprogs.Origin_validation.manifest ~engine
-                ~xtras:[ ("roa_table", Xprogs.Util.encode_roa_table roas) ]
-                ?telemetry () );
-        ])
-    hosts
 
 let dispatch_bench () =
   let n = max 1000 (routes_n / 2) and rounds = max 6 (runs_n / 2) in
@@ -870,7 +891,18 @@ let dispatch_bench () =
   Printf.printf
     "=== Dispatch fast path: batching x telemetry ===\n";
   dispatch_micro ~rounds:micro_rounds ~batch_k;
-  dispatch_pipeline ~n ~rounds;
+  (* end to end: native RR and the RR and OV extensions on the block
+     engine, over a telemetry ablation (off / full: every span /
+     sampled: 1-in-16 spans) *)
+  let scenario l = if l.dut = Native then "native" else uc_name l.uc ^ "_ext" in
+  observed ~bench:"dispatch" ~n ~rounds
+    ~name:(fun l ->
+      scenario l ^ "_" ^ if l.obs = Off then "tele_off" else obs_name l.obs)
+    (List.filter
+       (fun l ->
+         (l.dut = Ext Ebpf.Vm.Block || (l.dut = Native && l.uc = Rr))
+         && List.mem l.obs [ Off; Tele_full; Tele_sampled ])
+       legs);
   Printf.printf "\n"
 
 (* ------------------------------------------------------------------ *)
@@ -879,11 +911,12 @@ let dispatch_bench () =
 
 (* The observability tax. Micro: nanoseconds per [Recorder.record] in
    the two ring regimes (append-only vs. steady-state eviction). End to
-   end: the Fig. 3 pipeline with route-reflection bytecode, run bare,
-   with a flight recorder attached (default 64 KiB ring — a full-table
-   feed overflows it, so the eviction path is priced in), and with a
-   recorder plus a BMP mirror; the overhead is the per-round time ratio
-   against the bare leg. *)
+   end: the recorder slice of [legs], the Fig. 3 pipeline with
+   route-reflection bytecode on the interpreter, run bare, with a flight
+   recorder on the DUT (default 64 KiB ring - a full-table feed
+   overflows it, so the eviction path is priced in), and with a recorder
+   plus a BMP mirror; the overhead is the per-round time ratio against
+   the bare leg. *)
 let recorder_bench () =
   let n = max 1000 (routes_n / 2) and rounds = max 5 (runs_n / 3) in
   describe "recorder" [ ("routes", n); ("rounds", rounds) ];
@@ -915,56 +948,27 @@ let recorder_bench () =
          (* 4 KiB is full within ~60 events: every record also evicts *)
          ("record_evicting", micro 4096);
        ]);
-  let routes = ris_routes n in
+  let ring = Hashtbl.create 2 in
+  let inspect l (tb : Scenario.Testbed.t) =
+    match (l.obs, Scenario.Daemon.recorder tb.dut) with
+    | Recorder, Some rc ->
+      Hashtbl.replace ring l.host Obs.Recorder.(length rc, dropped rc)
+    | _ -> ()
+  in
+  observed ~bench:"recorder" ~n ~rounds ~inspect
+    ~name:(fun l -> obs_name l.obs)
+    (List.filter
+       (fun l ->
+         l.uc = Rr && l.dut = Ext Ebpf.Vm.Interpreted
+         && List.mem l.obs [ Off; Recorder; Recorder_bmp ])
+       legs);
   List.iter
-    (fun (host, hname) ->
-      let mode =
-        Scenario.Testbed.mode ~host ~ibgp:true
-          ~manifest:Xprogs.Route_reflector.manifest ()
-      in
-      let held = ref 0 and evicted = ref 0 in
-      let leg obs () =
-        let setup (tb : Scenario.Testbed.t) =
-          if obs <> `Off then begin
-            let rc = Obs.Recorder.create ~name:"dut" () in
-            Obs.Recorder.set_clock rc (fun () -> Netsim.Sched.now tb.sched);
-            Scenario.Daemon.set_recorder tb.dut (Some rc)
-          end;
-          if obs = `Bmp then
-            Scenario.Daemon.set_collector tb.dut (Some (Obs.Bmp.collector ()))
-        in
-        let dt, tb = feed_and_wait ~setup mode routes in
-        (match (obs, Scenario.Daemon.recorder tb.dut) with
-        | `Recorder, Some rc ->
-          held := Obs.Recorder.length rc;
-          evicted := Obs.Recorder.dropped rc
-        | _ -> ());
-        dt
-      in
-      let t =
-        paired ~rounds
-          [
-            ("off", leg `Off); ("recorder", leg `Recorder);
-            ("recorder_bmp", leg `Bmp);
-          ]
-      in
-      let ups l = float_of_int n /. median (List.assoc l t) in
-      let over l = pct (ratio_stats (List.assoc l t) (List.assoc "off" t)) in
-      let (r, _, _) = over "recorder" and (rb, _, _) = over "recorder_bmp" in
-      Printf.printf
-        "%-6s off=%.0f up/s  recorder=%.0f up/s (%+.1f%%)  \
-         recorder+bmp=%.0f up/s (%+.1f%%)  ring held=%d evicted=%d\n%!"
-        hname (ups "off") (ups "recorder") r (ups "recorder_bmp") rb !held
-        !evicted;
-      let rec_ = record "recorder" hname in
-      rec_ "off" "updates_per_s" (ups "off");
-      List.iter
-        (fun l ->
-          rec_ l "updates_per_s" (ups l);
-          record_stats "recorder" hname l "overhead_pct" (over l))
-        [ "recorder"; "recorder_bmp" ];
-      rec_ "recorder" "ring_events_held" (float_of_int !held);
-      rec_ "recorder" "ring_events_evicted" (float_of_int !evicted))
+    (fun host ->
+      let h = host_name host and held, evicted = Hashtbl.find ring host in
+      Printf.printf "%-6s ring held=%d evicted=%d\n" h held evicted;
+      let rec_ m v = record "recorder" h "recorder" m (float_of_int v) in
+      rec_ "ring_events_held" held;
+      rec_ "ring_events_evicted" evicted)
     hosts;
   Printf.printf "\n"
 
@@ -1027,13 +1031,13 @@ let chaos_bench () =
 
 let benches =
   [
-    ("fig1", fig1); ("fig4", fig4); ("ablation", fig4); ("fig5", fig5);
-    ("micro", micro); ("churn", churn); ("telemetry", telemetry_bench);
+    ("fig1", fig1); ("fig4", fig4); ("fig5", fig5); ("micro", micro);
+    ("telemetry", telemetry_bench);
     ("dispatch", dispatch_bench); ("recorder", recorder_bench);
     ("chaos", chaos_bench);
   ]
 
-let all = [ "fig1"; "fig4"; "fig5"; "churn"; "telemetry"; "micro" ]
+let all = [ "fig1"; "fig4"; "fig5"; "telemetry"; "micro" ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -1043,6 +1047,9 @@ let () =
     | [] -> all
     | names -> List.concat_map (fun a -> if a = "all" then all else [ a ]) names
   in
+  (* a bench named twice runs once, where it is first named *)
+  let first seen a = if List.mem a seen then seen else a :: seen in
+  let names = List.rev (List.fold_left first [] names) in
   let run =
     List.map
       (fun name ->
@@ -1055,14 +1062,6 @@ let () =
           exit 1)
       names
   in
-  List.fold_left
-    (fun ran f ->
-      if List.memq f ran then ran
-      else begin
-        f ();
-        f :: ran
-      end)
-    [] run
-  |> ignore;
+  List.iter (fun f -> f ()) run;
   if json then write_json "BENCH.json";
   Printf.printf "done.\n"

@@ -53,6 +53,7 @@ let mode ?(host = `Frr) ?(ibgp = true) ?manifest ?(native_rr = false)
   }
 
 type t = {
+  topo : Topology.t;
   sched : Netsim.Sched.t;
   upstream : Frrouting.Bgpd.t;
   dut : Daemon.t;
@@ -91,6 +92,7 @@ let create (m : mode) : t =
   in
   let daemon = Topology.daemon topo in
   {
+    topo;
     sched = topo.sched;
     upstream = Daemon.frr (daemon "upstream");
     dut = daemon "dut";
@@ -99,7 +101,8 @@ let create (m : mode) : t =
     telemetry;
   }
 
-(** Bring all three sessions up. @raise Failure if they do not establish. *)
+(** Bring all three sessions up, starting upstream, DUT, downstream in
+    that order. @raise Failure if they do not establish. *)
 let establish t =
   Frrouting.Bgpd.start t.upstream;
   Daemon.start t.dut;
@@ -108,7 +111,7 @@ let establish t =
     Frrouting.Bgpd.peer_established t.upstream 0
     && Frrouting.Bgpd.peer_established t.downstream 0
   in
-  if not (Netsim.Sched.run_until t.sched up) then
+  if not (Topology.run_until t.topo up) then
     failwith "Testbed.establish: sessions did not come up"
 
 (** Feed the RIS table into the upstream router (§3.2: "the upstream
@@ -122,9 +125,10 @@ let feed t (routes : Dataset.Ris_gen.route list) =
 (** Run the simulation until the downstream router holds [expect] routes
     ("the delay between the announcement of the first prefix ... and the
     reception of the last prefix ... on the downstream router").
-    Returns false if the event queue drains first. *)
+    Returns false if {!Topology.run_until}'s simulated-time bound passes
+    first. *)
 let run_until_downstream_has t expect =
-  Netsim.Sched.run_until t.sched (fun () ->
+  Topology.run_until t.topo (fun () ->
       Frrouting.Bgpd.loc_count t.downstream >= expect)
 
 let downstream_count t = Frrouting.Bgpd.loc_count t.downstream

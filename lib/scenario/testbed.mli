@@ -47,6 +47,7 @@ val only_path :
     @raise Invalid_argument naming [fn] on [Some false]. *)
 
 type t = {
+  topo : Topology.t;  (** the three routers and two links *)
   sched : Netsim.Sched.t;
   upstream : Frrouting.Bgpd.t;
   dut : Daemon.t;
@@ -61,7 +62,9 @@ val create : mode -> t
 (** Also resets the FRR intern table (fresh-process semantics). *)
 
 val establish : t -> unit
-(** Bring all sessions up. @raise Failure if they do not establish. *)
+(** Start upstream, DUT and downstream, in that order, and run until
+    their sessions are up, within {!Topology.run_until}'s bound.
+    @raise Failure if they do not establish. *)
 
 val feed : t -> Dataset.Ris_gen.route list -> unit
 (** Originate the table at the upstream router (§3.2: "the upstream
@@ -69,7 +72,7 @@ val feed : t -> Dataset.Ris_gen.route list -> unit
 
 val run_until_downstream_has : t -> int -> bool
 (** Run the simulation until the downstream router holds that many
-    routes — the paper's measurement interval; false if the event queue
-    drains first. *)
+    routes — the paper's measurement interval; false if that does not
+    happen within {!Topology.run_until}'s bound of simulated time. *)
 
 val downstream_count : t -> int

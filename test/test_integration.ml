@@ -70,6 +70,17 @@ let test_split_horizon () =
   check Alcotest.int "downstream got nothing" 0
     (Scenario.Testbed.downstream_count tb)
 
+(* a run that never converges ends at the simulated-time bound: with no
+   reflection the downstream router never learns a route *)
+let test_unconverged_run_is_bounded () =
+  let tb = Scenario.Testbed.create (Scenario.Testbed.mode ~ibgp:true ()) in
+  Scenario.Testbed.establish tb;
+  Scenario.Testbed.feed tb (small_table 10);
+  checkb "run_until_downstream_has gives up" false
+    (Scenario.Testbed.run_until_downstream_has tb 10);
+  check Alcotest.int "downstream got nothing" 0
+    (Scenario.Testbed.downstream_count tb)
+
 (* --- route reflection as extension bytecode (§3.2) --- *)
 
 let test_rr_extension host () =
@@ -860,6 +871,8 @@ let tests =
       (test_pipeline_ibgp_native_rr `Bird);
     Alcotest.test_case "pipeline: iBGP split horizon" `Quick
       test_split_horizon;
+    Alcotest.test_case "pipeline: unconverged run is bounded" `Quick
+      test_unconverged_run_is_bounded;
     Alcotest.test_case "RR extension (FRR)" `Quick (test_rr_extension `Frr);
     Alcotest.test_case "RR extension (BIRD)" `Quick (test_rr_extension `Bird);
     Alcotest.test_case "RR: native ≡ extension (FRR)" `Quick

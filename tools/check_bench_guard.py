@@ -6,8 +6,10 @@ re-implementation of the same function in the same rounds; the ratio is
 extension time / native time per round (1.0 = native parity). The guard
 reads the block engine's median ratio for each host x use case
 (fig4.<host>.<rr|ov>_block.ratio_median, 4 ratios), prints it with its
-round min/max, and fails when any median exceeds --threshold or when
-fewer than 4 ratios are present.
+round min/max, and fails when any median exceeds --threshold, when
+fewer than 4 ratios are present, or when either leg of a ratio (the
+block leg and its native leg) lacks a `.correct` of 1: a time for a
+wrong routing outcome says nothing.
 
 Usage: check_bench_guard.py [--threshold 1.3] [BENCH.json | -]
 """
@@ -17,7 +19,7 @@ import json
 import re
 import sys
 
-RATIO = re.compile(r"^(fig4\.\w+\.\w+_block\.ratio)_median$")
+RATIO = re.compile(r"^(fig4\.\w+\.\w+_)block\.ratio_median$")
 EXPECTED = 4  # 2 hosts (frr, bird) x 2 use cases (rr, ov)
 
 
@@ -41,18 +43,24 @@ def main():
 
     bad = 0
     for stem in stems:
-        med, lo, hi = (metrics.get(f"{stem}_{s}", float("nan"))
+        ratio = f"{stem}block.ratio"
+        med, lo, hi = (metrics.get(f"{ratio}_{s}", float("nan"))
                        for s in ("median", "min", "max"))
-        ok = med <= args.threshold
+        wrong = [stem + leg for leg in ("block", "native")
+                 if metrics.get(f"{stem}{leg}.correct") != 1]
+        ok = med <= args.threshold and not wrong
         bad += not ok
-        print(f"  {stem}: {med:.3f} [{lo:.3f}..{hi:.3f}] "
-              f"{'ok' if ok else 'FAIL'}")
+        why = f" (not correct: {', '.join(wrong)})" if wrong else ""
+        print(f"  {ratio}: {med:.3f} [{lo:.3f}..{hi:.3f}] "
+              f"{'ok' if ok else 'FAIL'}{why}")
 
     if bad:
-        print(f"guard: {bad} ext/native median(s) exceed the "
-              f"{args.threshold:.2f}x budget", file=sys.stderr)
+        print(f"guard: {bad} ext/native ratio(s) exceed the "
+              f"{args.threshold:.2f}x budget or time a wrong outcome",
+              file=sys.stderr)
         return 1
-    print(f"guard: all ext/native medians within {args.threshold:.2f}x")
+    print(f"guard: all ext/native medians within {args.threshold:.2f}x, "
+          f"every leg correct")
     return 0
 
 
