@@ -730,15 +730,15 @@ let telemetry_bench () =
 (* The extensions-attached dispatch benchmark, isolated from the rest of
    the pipeline. One "update" is what a daemon must dispatch for one
    received UPDATE message, the way the daemons dispatch it: one hoisted
-   ops record, a reused argument buffer and, when [Vmm.batch_invariant]
-   proves the chain never reads the prefix, one dispatch shared by the
+   ops record, a reused argument buffer and, when the chain's
+   [Vmm.summary] proves it prefix-blind, one dispatch shared by the
    whole NLRI list. Two programs bound the spectrum:
 
    - [ov]: origin validation, prefix-dependent, dispatched per prefix
      (single-prefix updates); with no ROA table loaded every route is
      not-found, so each dispatch accepts and writes COMMUNITIES with
      65535:3 appended.
-   - [rr]: route reflection, statically batch-invariant, dispatched over
+   - [rr]: route reflection, statically prefix-blind, dispatched over
      updates carrying [batch_k] prefixes (RIS tables are bursty; updates
      sharing one attribute set across many NLRI are the common case);
      the loop-free attribute set makes each dispatch defer to accept.
@@ -861,15 +861,13 @@ let dispatch_micro ~rounds ~batch_k =
               (tlv (attrs_with (communities @ [ 0xFFFF0003 ]))
                  Bgp.Attr.code_communities);
           ];
-      (* --- rr: batch-invariant, [batch_k]-prefix updates --- *)
+      (* --- rr: prefix-blind, [batch_k]-prefix updates --- *)
       grid "rr_batch" Xprogs.Route_reflector.manifest ~updates:8_000
         ~update:(fun vmm dispatch u ->
           (* the daemon's guard: one dispatch covers the batch only when
              the chain is provably prefix-independent *)
-          if
-            Xbgp.Vmm.batch_invariant vmm point
-              ~variant_args:[ Xbgp.Api.arg_prefix ]
-          then ignore (dispatch (u * batch_k))
+          if (Xbgp.Vmm.summary vmm point).prefix_blind then
+            ignore (dispatch (u * batch_k))
           else
             for k = 1 to batch_k do
               ignore (dispatch ((u * batch_k) + k))

@@ -166,6 +166,14 @@ type trace = {
   mutable steps_val : int64;
 }
 
+type summary = {
+  prefix_blind : bool;
+  peer_blind : bool;
+  signature : string;
+}
+
+let no_chain = { prefix_blind = true; peer_blind = true; signature = "" }
+
 type t = {
   host : string;
   extensions : (string, ext) Hashtbl.t;
@@ -173,6 +181,9 @@ type t = {
       (** indexed by [Api.point_index]; total over all points, so an
           unattached (or never-touched) point is an empty array and
           dispatch can never raise [Not_found] *)
+  summaries : summary array;
+      (** per point, what its chain allows; re-derived by [set_chain]
+          whenever [chains] changes *)
   heap_size : int;
   budget : int;
   engine : Ebpf.Vm.engine;
@@ -182,9 +193,9 @@ type t = {
   fallbacks : Telemetry.Counter.t array;  (** indexed by [Api.point_index] *)
   mutable last_fault_record : fault option;
   mutable generation : int;
-      (** bumped on every attach/detach, so hosts caching decisions
-          derived from the chains (update-group keys) can revalidate
-          with one integer compare *)
+      (** bumped by [set_chain], so hosts caching decisions derived from
+          the chains (update-group keys) can revalidate with one integer
+          compare *)
   mutable map_writes : int;
       (** map updates and deletes attempted by bytecode, so hosts
           memoizing a run that reads maps can tell whether the state it
@@ -215,6 +226,7 @@ let create ?(heap_size = 1 lsl 16) ?(budget = Ebpf.Vm.default_budget)
     host;
     extensions = Hashtbl.create 8;
     chains = Array.make Api.num_points [||];
+    summaries = Array.make Api.num_points no_chain;
     heap_size;
     budget;
     engine;
@@ -811,6 +823,83 @@ let make_probe t (ext : ext) ~bytecode ~point =
         ~name:"xbgp_heap_bytes" ~labels ();
   }
 
+(* Whether [att] provably computes the same result for every prefix of
+   an UPDATE: no effectful helpers or persistent scratch, every argument
+   read statically resolved to an id other than the prefix, and no map
+   access that makes the run count observable — writes are out entirely
+   (they are also [effectful]), and every lookup must statically resolve
+   to a non-LRU map, because an LRU lookup refreshes recency and thereby
+   changes later eviction order. *)
+let prefix_blind att =
+  (not att.facts.effectful)
+  && att.facts.map_writes = Some []
+  && (match att.facts.map_reads with
+     | None -> false
+     | Some idxs ->
+       List.for_all
+         (fun i ->
+           match List.nth_opt att.ext.prog.Xprog.maps i with
+           | Some spec -> spec.Ebpf.Map.kind <> Ebpf.Map.Lru
+           | None -> false)
+         idxs)
+  &&
+  match att.facts.arg_reads with
+  | None -> false
+  | Some reads -> not (List.mem Api.arg_prefix reads)
+
+(* Whether [att] provably behaves the same towards every peer: the chain
+   is global (all peers run the same bytecodes), so the only ways a run
+   can depend on — or reveal — the peer are reading peer state
+   ([h_get_peer_info]) and per-call observable effects (maps, logs,
+   rib_add, persistent scratch: one run per group instead of one per
+   peer changes what they see). Route edits and the ephemeral heap are
+   fine — the exported route is shared by the whole group, exactly like
+   an NLRI batch shares them. [h_write_buf] is per-call observable too,
+   but at the encode point ([write_buf]) one buffer per group is
+   precisely the intended semantics.
+
+   Map access of ANY kind — including lookups — rules grouping out: a
+   per-peer-keyed map read necessarily depends on which peer is asking
+   (the whole point of the key), and even a peer-blind LRU lookup
+   refreshes recency, so one run per group would leave different state
+   than one per peer. *)
+let peer_blind ~write_buf att =
+  att.ext.prog.Xprog.scratch_size = 0
+  && List.for_all
+       (fun id ->
+         (write_buf && id = Api.h_write_buf)
+         || id <> Api.h_get_peer_info
+            && id <> Api.h_map_lookup
+            && List.mem id batchable_helpers)
+       att.facts.helpers
+
+(* The one place a chain changes: install [atts] at [point] in execution
+   order (so [run] reads a ready-sorted flat array, with no per-dispatch
+   sorting or consing), re-derive the point's summary and bump
+   [generation]. An empty chain is vacuously prefix- and peer-blind. *)
+let set_chain t point atts =
+  let idx = Api.point_index point in
+  let chain = List.sort (fun a b -> Int.compare a.order b.order) atts in
+  t.chains.(idx) <- Array.of_list chain;
+  t.summaries.(idx) <-
+    {
+      prefix_blind = List.for_all prefix_blind chain;
+      peer_blind =
+        List.for_all
+          (peer_blind ~write_buf:(point = Api.Bgp_encode_message))
+          chain;
+      signature =
+        String.concat ";"
+          (List.map
+             (fun att ->
+               Printf.sprintf "%s/%s@%d" att.ext.prog.Xprog.name att.bc_name
+                 att.order)
+             chain);
+    };
+  t.generation <- t.generation + 1
+
+let summary t point = t.summaries.(Api.point_index point)
+
 (** Attach one bytecode of a registered program to an insertion point;
     [order] positions it in the point's execution queue (§2.1: "the
     manifest defines in which order they are executed"). *)
@@ -822,7 +911,6 @@ let attach t ~program ~bytecode ~point ~order : (unit, string) result =
     | None ->
       Error (Printf.sprintf "program %S has no bytecode %S" program bytecode)
     | Some code ->
-      let idx = Api.point_index point in
       (* maps come up with the program's first attachment *)
       ensure_maps_live t ext;
       let att =
@@ -835,23 +923,15 @@ let attach t ~program ~bytecode ~point ~order : (unit, string) result =
           facts = List.assoc bytecode ext.facts;
         }
       in
-      (* the chain is rebuilt per attach — cold path — so [run] reads a
-         ready-sorted flat array with no per-dispatch sorting or consing *)
-      t.chains.(idx) <-
-        Array.of_list
-          (List.sort
-             (fun a b -> Int.compare a.order b.order)
-             (att :: Array.to_list t.chains.(idx)));
-      t.generation <- t.generation + 1;
+      set_chain t point
+        (att :: Array.to_list t.chains.(Api.point_index point));
       Ok ())
 
 let detach t ~program ~point =
-  let idx = Api.point_index point in
-  t.chains.(idx) <-
-    Array.of_list
-      (List.filter
-         (fun a -> a.ext.prog.name <> program)
-         (Array.to_list t.chains.(idx)));
+  set_chain t point
+    (List.filter
+       (fun a -> a.ext.prog.name <> program)
+       (Array.to_list t.chains.(Api.point_index point)));
   (* maps die with the program's last attachment — across all points,
      because every bytecode of the program shares them *)
   let still_attached =
@@ -861,8 +941,7 @@ let detach t ~program ~point =
       t.chains
   in
   if not still_attached then
-    Option.iter destroy_maps (Hashtbl.find_opt t.extensions program);
-  t.generation <- t.generation + 1
+    Option.iter destroy_maps (Hashtbl.find_opt t.extensions program)
 
 (* [Api.point_index] maps to [all_points] order, so the inverse is an
    array index. *)
@@ -873,14 +952,15 @@ let point_of_index =
 (** Hot-swap a registered program with a new version — the rekey path.
     Attachments and their orders survive: every point where the program
     is attached gets fresh runtimes built from the new bytecodes, and
-    the generation bump invalidates everything cached off the chains
-    (update-group keys), so the very next dispatch runs the new code —
-    there is no detached window in which dispatches would fall back to
-    native. The new version must pass the same verification as
-    [register] and must still carry every bytecode name currently
-    attached. Persistent scratch survives when its size is unchanged;
-    map instances (and their contents) survive when the map specs are
-    unchanged, otherwise they are torn down and recreated. *)
+    [set_chain] re-derives its summary and bumps the generation, which
+    invalidates everything cached off the chains (update-group keys), so
+    the very next dispatch runs the new code — there is no detached
+    window in which dispatches would fall back to native. The new
+    version must pass the same verification as [register] and must
+    still carry every bytecode name currently attached. Persistent
+    scratch survives when its size is unchanged; map instances (and
+    their contents) survive when the map specs are unchanged, otherwise
+    they are torn down and recreated. *)
 let replace_program t (prog : Xprog.t) : (unit, string) result =
   match Hashtbl.find_opt t.extensions prog.name with
   | None -> Error (Printf.sprintf "program %S not registered" prog.name)
@@ -921,40 +1001,32 @@ let replace_program t (prog : Xprog.t) : (unit, string) result =
           }
         in
         Hashtbl.replace t.extensions prog.name ext;
-        let attached_somewhere =
-          Array.exists
-            (fun chain ->
-              Array.exists (fun a -> a.ext.prog.Xprog.name = prog.name) chain)
-            t.chains
+        let holds chain =
+          Array.exists (fun a -> a.ext.prog.Xprog.name = prog.name) chain
         in
-        if attached_somewhere then ensure_maps_live t ext;
+        if Array.exists holds t.chains then ensure_maps_live t ext;
         Array.iteri
           (fun idx chain ->
-            if
-              Array.exists (fun a -> a.ext.prog.Xprog.name = prog.name) chain
-            then begin
+            if holds chain then begin
               let point = point_of_index idx in
-              t.chains.(idx) <-
-                Array.map
-                  (fun att ->
-                    if att.ext.prog.Xprog.name <> prog.name then att
-                    else begin
-                      let code =
-                        Option.get (Xprog.bytecode prog att.bc_name)
-                      in
-                      {
-                        ext;
-                        bc_name = att.bc_name;
-                        order = att.order;
-                        rt = make_runtime t ext code;
-                        probe = make_probe t ext ~bytecode:att.bc_name ~point;
-                        facts = List.assoc att.bc_name facts;
-                      }
-                    end)
-                  chain
+              set_chain t point
+                (List.map
+                   (fun att ->
+                     if att.ext.prog.Xprog.name <> prog.name then att
+                     else
+                       {
+                         ext;
+                         bc_name = att.bc_name;
+                         order = att.order;
+                         rt =
+                           make_runtime t ext
+                             (Option.get (Xprog.bytecode prog att.bc_name));
+                         probe = make_probe t ext ~bytecode:att.bc_name ~point;
+                         facts = List.assoc att.bc_name facts;
+                       })
+                   (Array.to_list chain))
             end)
           t.chains;
-        t.generation <- t.generation + 1;
         Ok ()))
 
 let attachments t point =
@@ -964,74 +1036,6 @@ let attachments t point =
 
 let has_attachment t point =
   Array.length t.chains.(Api.point_index point) > 0
-
-(* True when every bytecode attached at [point] provably computes the
-   same result for every element of a batch whose members differ only in
-   [variant_args]: no effectful helpers or persistent scratch, every
-   argument read statically resolved to an id outside [variant_args],
-   and no map access that makes the run count observable — writes are
-   out entirely (they are also [effectful]), and every lookup must
-   statically resolve to a non-LRU map, because an LRU lookup refreshes
-   recency and thereby changes later eviction order. An empty chain is
-   vacuously invariant. *)
-let batch_invariant t point ~variant_args =
-  Array.for_all
-    (fun att ->
-      (not att.facts.effectful)
-      && att.facts.map_writes = Some []
-      && (match att.facts.map_reads with
-         | None -> false
-         | Some idxs ->
-           List.for_all
-             (fun i ->
-               match List.nth_opt att.ext.prog.Xprog.maps i with
-               | Some spec -> spec.Ebpf.Map.kind <> Ebpf.Map.Lru
-               | None -> false)
-             idxs)
-      &&
-      match att.facts.arg_reads with
-      | None -> false
-      | Some reads -> not (List.exists (fun a -> List.mem a variant_args) reads))
-    t.chains.(Api.point_index point)
-
-(* True when every bytecode attached at [point] provably behaves the same
-   towards every peer: the chain is global (all peers run the same
-   bytecodes), so the only ways a run can depend on — or reveal — the
-   peer are reading peer state ([h_get_peer_info]) and per-call
-   observable effects (maps, logs, rib_add, persistent scratch: one run
-   per group instead of one per peer changes what they see). Route edits
-   and the ephemeral heap are fine — the exported route is shared by the
-   whole group, exactly like an NLRI batch shares them. [h_write_buf] is
-   per-call observable too, but at the encode point one buffer per group
-   is precisely the semantics the caller wants, so it is opt-in.
-
-   Map access of ANY kind — including lookups — disqualifies a chain
-   from grouping: a per-peer-keyed map read necessarily depends on which
-   peer is asking (the whole point of the key), and even a peer-blind
-   LRU lookup refreshes recency, so one run per group would leave
-   different state than one per peer. *)
-let group_invariant t point ~allow_write_buf =
-  Array.for_all
-    (fun att ->
-      att.ext.prog.Xprog.scratch_size = 0
-      && List.for_all
-           (fun id ->
-             (allow_write_buf && id = Api.h_write_buf)
-             || id <> Api.h_get_peer_info
-                && id <> Api.h_map_lookup
-                && List.mem id batchable_helpers)
-           att.facts.helpers)
-    t.chains.(Api.point_index point)
-
-(* A stable textual identity of the chain at [point] — update-group keys
-   embed it so an attach/detach re-partitions the peers. *)
-let chain_signature t point =
-  String.concat ";"
-    (List.map
-       (fun att ->
-         Printf.sprintf "%s/%s@%d" att.ext.prog.Xprog.name att.bc_name
-           att.order)
-       (Array.to_list t.chains.(Api.point_index point)))
 
 let registered t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.extensions []

@@ -86,8 +86,8 @@ val fault_detail : fault -> string
     fuzz divergence reports print. *)
 
 (** What one bytecode may do, derived once from {!Ebpf.Verifier.facts}
-    when its program is registered or replaced, and read by
-    {!batch_invariant}, {!group_invariant} and {!last_trace}. Argument
+    when its program is registered or replaced, and read by the chain
+    {!summary} and by {!last_trace}. Argument
     ids and map indices are r1 at the call site, normalised to the 32
     bits every helper reads. *)
 type facts = {
@@ -148,10 +148,10 @@ val detach : t -> program:string -> point:Api.point -> unit
 val replace_program : t -> Xprog.t -> (unit, string) result
 (** Hot-swap a registered program with a new version — the rekey path.
     Attachments and their orders survive: every point where the program
-    is attached gets fresh runtimes built from the new bytecodes, and
-    the generation bump invalidates everything cached off the chains
-    (update-group keys), so the very next dispatch runs the new code
-    with no detached window. The new version
+    is attached gets fresh runtimes built from the new bytecodes and a
+    fresh {!summary}, and the generation bump invalidates everything
+    cached off the chains (update-group keys), so the very next dispatch
+    runs the new code with no detached window. The new version
     must pass {!register}'s verification and still carry every bytecode
     name currently attached. Persistent scratch survives when its size
     is unchanged; map instances (and contents) survive when the map
@@ -164,40 +164,44 @@ val has_attachment : t -> Api.point -> bool
 
 val registered : t -> string list
 
-val batch_invariant : t -> Api.point -> variant_args:int list -> bool
-(** True when every bytecode attached at [point] provably computes the
-    same result for every element of a batch whose members differ only
-    in the [variant_args] argument ids: it never fetches those
-    arguments, all its argument reads are statically resolved
-    ({!facts}), and it has no per-call observable
-    effects (map writes, RIB injection, logging, persistent scratch).
-    Map lookups are admitted only when every lookup statically resolves
-    to a non-LRU map — an LRU lookup refreshes recency, so the run
-    count would change later eviction order. An empty chain is
-    vacuously invariant. The hosts use this to run an UPDATE's import
-    chain once and share the verdict — and any route-attribute edits —
-    across the whole NLRI list. *)
+(** What the chain attached at one point allows, derived from its
+    bytecodes' {!facts} by the one function every {!attach}, {!detach}
+    and {!replace_program} goes through, so reading it is an array
+    load. An empty chain is vacuously prefix- and peer-blind. *)
+type summary = {
+  prefix_blind : bool;
+      (** every bytecode provably computes the same result for every
+          prefix of an UPDATE: it never fetches {!Api.arg_prefix}, all
+          its argument reads are statically resolved, and it has no
+          per-call observable effects (map writes, RIB injection,
+          logging, persistent scratch). Map lookups are admitted only
+          when each statically resolves to a non-LRU map — an LRU lookup
+          refreshes recency, so the run count would change later
+          eviction order. The hosts run an UPDATE's chain once and share
+          the verdict, and any route-attribute edits, across the NLRI
+          list. *)
+  peer_blind : bool;
+      (** every bytecode provably behaves the same towards every peer,
+          so one run can stand in for a whole update group: no
+          [h_get_peer_info], no map access of any kind (a per-peer-keyed
+          read depends on which peer asks, and an LRU lookup is a write
+          in disguise), no per-call observable effects. [h_write_buf] is
+          admitted at [Bgp_encode_message] only, where one shared buffer
+          per group is the intended semantics. *)
+  signature : string;
+      (** stable identity of the chain (program/bytecode\@order, in
+          execution order); update-group keys embed it *)
+}
 
-val group_invariant : t -> Api.point -> allow_write_buf:bool -> bool
-(** True when every bytecode attached at [point] provably behaves the
-    same towards every peer, so one run can stand in for a whole
-    update-group: no [h_get_peer_info], no map access of any kind (a
-    per-peer-keyed read depends on which peer asks, and an LRU lookup
-    is a write in disguise), no per-call observable effects
-    (map writes, RIB injection, logging, message-buffer writes,
-    persistent scratch). [allow_write_buf] additionally admits
-    [h_write_buf] — at the encode point one shared buffer per group is
-    exactly the intended semantics. An empty chain is vacuously
-    invariant. *)
+val no_chain : summary
+(** The summary of an empty chain: what a host without a VMM reads. *)
 
-val chain_signature : t -> Api.point -> string
-(** Stable textual identity (program/bytecode\@order, execution order) of
-    the chain attached at [point]; update-group keys embed it. *)
+val summary : t -> Api.point -> summary
 
 val generation : t -> int
-(** Monotonic counter bumped by every {!attach}, {!detach} and
-    {!replace_program} — lets a host revalidate chain-derived cached
-    decisions (update-group keys) with one integer compare. *)
+(** Monotonic counter bumped with every chain {!summary} — lets a host
+    revalidate chain-derived cached decisions (update-group keys) with
+    one integer compare. *)
 
 val map_writes : t -> int
 (** Monotonic count of map updates and deletes attempted by bytecode at

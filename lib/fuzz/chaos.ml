@@ -215,8 +215,6 @@ let star_xtras (c : Cg.case) =
     [ ("rate_limit", Xprogs.Util.encode_u32 n) ]
   | _ -> []
 
-let feed_prefix k = Bgp.Prefix.v (Bgp.Prefix.addr_of_quad (198, 18, k, 0)) 24
-
 let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers : leg =
   let telemetry = Telemetry.create ~enabled:knobs.telemetry () in
   Telemetry.set_span_sampling telemetry knobs.span_sampling;
@@ -343,14 +341,14 @@ let run_star_leg (c : Cg.case) (knobs : Cg.knobs) ~npeers : leg =
     | Cg.Sink_feed j ->
       (* sink j becomes a source member of its own update group: its
          routes must reach every sink EXCEPT itself *)
-      sink_announce j (List.init 4 feed_prefix);
+      sink_announce j (List.init 4 Cg.feed_prefix);
       Scenario.Star.settle star;
-      withdraw j [ feed_prefix 0; feed_prefix 2 ]
+      withdraw j [ Cg.feed_prefix 0; Cg.feed_prefix 2 ]
     | Cg.Wd_race j ->
       (* once sink j's block has settled, its withdrawal and sink k's
          re-advertisement of the SAME prefixes land in one unsettled
          window: the hub must process the two batches in arrival order *)
-      let race = List.init 8 feed_prefix in
+      let race = List.init 8 Cg.feed_prefix in
       sink_announce j race;
       Scenario.Star.settle star;
       withdraw j race;

@@ -439,6 +439,21 @@ let gen_guided_prog rng =
 
 (* --- putting a case together --- *)
 
+let feed_prefix k = Bgp.Prefix.v (Bgp.Prefix.addr_of_quad (198, 18, k, 0)) 24
+
+(* Exact-prefix ROAs over the sinks' own feed, drawn from no RNG so
+   every case keeps its other fields: feed prefix 1 is valid from sink 0
+   (origin AS 65101) and invalid from every other sink, feed prefix 3 is
+   invalid from all of them, the rest are not-found. One multi-prefix
+   UPDATE of a [Sink_feed] or [Wd_race] fault thus mixes all three
+   origin-validation tags, so sharing one import verdict across it would
+   show on the split leg. *)
+let feed_roas =
+  [
+    Rpki.Roa.v (feed_prefix 1) ~max_len:24 ~asn:65101;
+    Rpki.Roa.v (feed_prefix 3) ~max_len:24 ~asn:64512;
+  ]
+
 let topology_case ~seed ~index : case =
   let rng = Prng.create (seed + (index * 0x9E3779B1) + 0xc4a05) in
   let base = gen_knobs rng in
@@ -496,10 +511,12 @@ let topology_case ~seed ~index : case =
       if List.mem "origin_validation" chain then
         ( Dataset.Ris_gen.roas_for
             ~seed:(Prng.int rng 1_000_000)
-            ~valid_pct:60 ~invalid_pct:20 routes,
+            ~valid_pct:60 ~invalid_pct:20 routes
+          @ feed_roas,
           Dataset.Ris_gen.roas_for
             ~seed:(Prng.int rng 1_000_000)
-            ~valid_pct:40 ~invalid_pct:40 routes )
+            ~valid_pct:40 ~invalid_pct:40 routes
+          @ feed_roas )
       else ([], [])
     in
     let faults =

@@ -84,6 +84,13 @@ val case : seed:int -> index:int -> case
     they existed keep their knobs, chain prefix, routes and faults. The
     draws of retired knobs are kept and discarded for the same reason. *)
 
+val feed_prefix : int -> Bgp.Prefix.t
+(** [198.18.k.0/24]: the prefixes a star sink announces in the
+    {!Sink_feed} and {!Wd_race} faults. When the chain holds
+    origin_validation, both ROA tables end with exact ROAs making feed
+    prefix 1 valid from sink 0 only and feed prefix 3 invalid, so one
+    such UPDATE carries valid, invalid and not-found routes. *)
+
 val lists : string list
 (** The names of a case's shrinkable lists: faults, routes, frames,
     progs. *)

@@ -115,7 +115,7 @@ let to_text t =
       (Printf.sprintf "  decision: %s\n" (decision_to_text d)));
   Buffer.contents b
 
-let js = Recorder.json_escape
+let js = Telemetry.json_escape
 
 let step_to_json s =
   Printf.sprintf

@@ -297,28 +297,13 @@ let event_to_text ev =
   Printf.sprintf "#%d %dus %s%s" ev.seq ev.ts_us (kind_name ev.kind)
     (if fields = "" then "" else " " ^ fields)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let event_to_json ev =
   let fields =
     String.concat ","
       (List.map
          (fun (k, v) ->
-           Printf.sprintf "%S:\"%s\"" (json_escape k) (json_escape v))
+           Printf.sprintf "%S:\"%s\"" (Telemetry.json_escape k)
+             (Telemetry.json_escape v))
          ev.fields)
   in
   Printf.sprintf "{\"seq\":%d,\"ts_us\":%d,\"kind\":\"%s\",\"fields\":{%s}}"

@@ -83,5 +83,3 @@ val tail_lines : ?n:int -> ?prefix:string -> t -> string list
 (** The last-N tail as report lines (oldest first) — what fuzz
     divergence reports attach next to their fault records. *)
 
-val json_escape : string -> string
-(** Minimal JSON string escaping, shared by the obs emitters. *)

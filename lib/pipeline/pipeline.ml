@@ -450,20 +450,7 @@ module Make (R : REPR) :
             flush class is encoded once and fanned out to its members *)
     mutable group_gen : int;
         (** {!Xbgp.Vmm.generation} at the last re-grouping; -1 forces the
-            first {!refresh_grouping} to compute the partition key *)
-    mutable groupable : bool;
-        (** both outbound points pass {!Xbgp.Vmm.group_invariant}; when
-            false every peer gets a singleton "solo" group *)
-    mutable chain_sig : string;  (** outbound chain signatures *)
-    mutable batch_gen : int;
-        (** {!Xbgp.Vmm.generation} at the last batch-invariance check; -1
-            forces the first {!refresh_batching} *)
-    mutable import_batchable : bool;
-        (** the inbound chain passes {!Xbgp.Vmm.batch_invariant} over
-            the prefix argument: one import verdict covers an UPDATE *)
-    mutable export_batchable : bool;
-        (** the same proof for the outbound chain: one export evaluation
-            per (route, target) covers an UPDATE's prefixes *)
+            first {!refresh_grouping} to key the partition *)
     mutable export_memo : (route * int * R.attrs option) option array;
         (** per target peer index, the last export evaluated inside the
             current [learn_routes] batch: (route record, {!map_epoch} after
@@ -564,12 +551,22 @@ module Make (R : REPR) :
     in
     go 0
 
+  let generation t =
+    match t.vmm with Some v -> Xbgp.Vmm.generation v | None -> 0
+
+  (* what the chain at [point] allows, read live: the VMM re-derives it
+     whenever a chain changes *)
+  let summary t point =
+    match t.vmm with
+    | Some v -> Xbgp.Vmm.summary v point
+    | None -> Xbgp.Vmm.no_chain
+
   (* A chain change may alter the BGP_DECISION behaviour hidden inside
      the Loc-RIB's compare closure: drop the incumbent fast path until
      each prefix has re-selected in full. One integer compare per
      dispatch. *)
   let invalidate_best_on_chain_change t =
-    let gen = match t.vmm with Some v -> Xbgp.Vmm.generation v | None -> 0 in
+    let gen = generation t in
     if gen <> t.chain_gen then begin
       Rib.Loc_rib.invalidate_best t.loc;
       t.chain_gen <- gen
@@ -952,7 +949,7 @@ module Make (R : REPR) :
   (* Build the UPDATE frames advertising [advs] towards [peer]. The flush
      calls this once per flush class with a representative member —
      sound because peers only share a group when the outbound chains
-     pass [Vmm.group_invariant], so the bytecode provably never observes
+     are peer-blind ([Vmm.summary]), so the bytecode provably never observes
      which peer the ops record answers for. *)
   and advertisement_frames t peer advs =
     (* group prefixes whose attributes share the host's grouping key *)
@@ -1000,7 +997,7 @@ module Make (R : REPR) :
         Bgp.Message.split_update_raw ~withdrawn:[] ~attr_bytes ~nlri:prefixes)
       (List.rev !order)
 
-  (* Inside a [learn_routes] batch whose outbound chain is batch-invariant,
+  (* Inside a [learn_routes] batch whose outbound chain is prefix-blind,
      every prefix sharing one route record exports identically to a given
      target: the chain never reads the prefix, and [native_export] and
      [canonicalize] read only the route and the peer. So the first
@@ -1025,59 +1022,28 @@ module Make (R : REPR) :
   (* Which update group a peer belongs in: everything the export path can
      observe about the peer. [native_export] and [canonicalize] read only
      the peer type and reflection role; the xprog chains are covered by
-     their signatures and may not read peer identity at all when
-     [t.groupable] holds. Peer-dependent chains degrade every peer to a
+     their signatures and may not read peer identity at all when both
+     are peer-blind. Peer-dependent chains degrade every peer to a
      singleton group, which flows through the same machinery. *)
   and group_key t peer =
-    if not t.groupable then Printf.sprintf "solo:%d" peer.idx
+    let out = summary t Xbgp.Api.Bgp_outbound_filter
+    and enc = summary t Xbgp.Api.Bgp_encode_message in
+    if not (out.peer_blind && enc.peer_blind) then
+      Printf.sprintf "solo:%d" peer.idx
     else
-      Printf.sprintf "pt%d:rr%b:%s" peer.peer_type peer.conf.rr_client
-        t.chain_sig
+      Printf.sprintf "pt%d:rr%b:%s|%s" peer.peer_type peer.conf.rr_client
+        out.signature enc.signature
 
-  (* Re-derive the partition key when the attached chains changed (one
-     integer compare per propagate — [Vmm.generation] bumps only on
-     attach/detach). Queued events are drained under the old partition
-     first; the re-key itself emits nothing. *)
+  (* Re-key the partition when the attached chains changed (one integer
+     compare per propagate). Queued events are drained under the old
+     partition first; the re-key itself emits nothing. *)
   and refresh_grouping t =
-    let gen = match t.vmm with Some v -> Xbgp.Vmm.generation v | None -> 0 in
+    let gen = generation t in
     if gen <> t.group_gen then begin
       flush t;
-      (match t.vmm with
-      | Some vmm ->
-        t.groupable <-
-          Xbgp.Vmm.group_invariant vmm Xbgp.Api.Bgp_outbound_filter
-            ~allow_write_buf:false
-          && Xbgp.Vmm.group_invariant vmm Xbgp.Api.Bgp_encode_message
-               ~allow_write_buf:true;
-        t.chain_sig <-
-          Xbgp.Vmm.chain_signature vmm Xbgp.Api.Bgp_outbound_filter
-          ^ "|"
-          ^ Xbgp.Vmm.chain_signature vmm Xbgp.Api.Bgp_encode_message
-      | None ->
-        t.groupable <- true;
-        t.chain_sig <- "");
       t.group_gen <- gen;
       Rib.Update_group.rekey t.ugroups ~desired:(fun m ->
           group_key t t.peers.(m))
-    end
-
-  (* The batch-invariance verdicts behind [learn_routes], likewise
-     re-derived only when the attached chains changed. *)
-  and refresh_batching t =
-    let gen = match t.vmm with Some v -> Xbgp.Vmm.generation v | None -> 0 in
-    if gen <> t.batch_gen then begin
-      (match t.vmm with
-      | Some vmm ->
-        let inv point =
-          Xbgp.Vmm.batch_invariant vmm point
-            ~variant_args:[ Xbgp.Api.arg_prefix ]
-        in
-        t.import_batchable <- inv Xbgp.Api.Bgp_inbound_filter;
-        t.export_batchable <- inv Xbgp.Api.Bgp_outbound_filter
-      | None ->
-        t.import_batchable <- true;
-        t.export_batchable <- true);
-      t.batch_gen <- gen
     end
 
   (* One export evaluation per group instead of per peer: run the filter
@@ -1161,67 +1127,34 @@ module Make (R : REPR) :
       (import_record t prefix ~src:peer.idx ~chain ~import
          ~status:Obs.Provenance.Rejected)
 
-  (* Import every prefix of one UPDATE: one shared verdict when the
-     inbound chain allows it, else one dispatch per prefix. *)
+  (* Import every prefix of one UPDATE. The first prefix dispatches;
+     when nothing on the import path depends on the prefix — the inbound
+     chain is prefix-blind ([Vmm.summary]), and the RFC 4456 loop checks
+     in [native_import] read only the shared attributes, with no native
+     ROA store to tag per prefix — its verdict, trace and candidate (and
+     so its route-attribute edits) stand for the rest of the NLRI list.
+     Otherwise every prefix dispatches again. The ops record, the source
+     argument and the argument buffer are hoisted out of the loop; the
+     5-byte prefix buffer is mutated in place between runs, which is
+     safe because [get_arg] copies the payload into the VM heap. *)
   let import_batch t peer prefixes (route : route) =
-    match prefixes with
-    | [] -> ()
-    | first :: _ ->
-      let has_inbound_ext =
-        match t.vmm with
-        | Some vmm -> Xbgp.Vmm.has_attachment vmm Xbgp.Api.Bgp_inbound_filter
-        | None -> false
-      in
-      if t.import_batchable && t.config.native_ov = None then begin
-        (* Fast path: no prefix-dependent policy anywhere on the import
-           chain. The RFC 4456 loop checks in [native_import] read only
-           the shared attributes, and any attached bytecode provably
-           never fetches the prefix argument and has no per-call state
-           ([Vmm.batch_invariant]) — so one verdict (and one set of
-           route-attribute edits) covers the whole NLRI list. *)
-        let route_ref = ref route in
-        let verdict =
-          if has_inbound_ext then begin
-            let ops = route_ops t ~peer:(Some peer) ~route_ref in
-            let args = borrow_args t in
-            Xbgp.Host_intf.Args.set args Xbgp.Api.arg_prefix (prefix_arg first);
-            Xbgp.Host_intf.Args.set args Xbgp.Api.arg_source (source_arg route);
-            let v =
-              vmm_run t Xbgp.Api.Bgp_inbound_filter ~ops ~args
-                ~default:(fun () -> native_import t route_ref first peer)
-            in
-            release_args t args;
-            v
-          end
-          else native_import t route_ref first peer
-        in
-        (* one trace covers the whole batch — [batch_invariant] is exactly
-           the proof that per-prefix dispatches would have replayed it *)
-        let chain = if has_inbound_ext then import_trace t else [] in
-        let accepted = verdict = Xbgp.Api.filter_accept in
-        let import = import_verdict chain ~accepted in
-        if accepted then
-          let c = candidate t !route_ref ~chain ~import in
-          List.iter (fun prefix -> accept_route t peer prefix c) prefixes
-        else
-          List.iter
-            (fun prefix -> reject_route t peer prefix ~chain ~import)
-            prefixes
-      end
-      else begin
-        (* The per-prefix lane: the ops record, the source argument and
-           the argument buffer are hoisted out of the loop. The 5-byte
-           prefix buffer is mutated in place between runs — safe because
-           [get_arg] copies the payload into the VM heap. *)
-        let route_ref = ref route in
-        let ops = route_ops t ~peer:(Some peer) ~route_ref in
-        let src = source_arg route in
-        let pbuf = Bytes.create 5 in
-        let args = borrow_args t in
-        Xbgp.Host_intf.Args.set args Xbgp.Api.arg_prefix pbuf;
-        Xbgp.Host_intf.Args.set args Xbgp.Api.arg_source src;
-        List.iter
-          (fun prefix ->
+    let shared =
+      (summary t Xbgp.Api.Bgp_inbound_filter).prefix_blind
+      && t.config.native_ov = None
+    in
+    let route_ref = ref route in
+    let ops = route_ops t ~peer:(Some peer) ~route_ref in
+    let pbuf = Bytes.create 5 in
+    let args = borrow_args t in
+    Xbgp.Host_intf.Args.set args Xbgp.Api.arg_prefix pbuf;
+    Xbgp.Host_intf.Args.set args Xbgp.Api.arg_source (source_arg route);
+    let reused = ref None in
+    List.iter
+      (fun prefix ->
+        let chain, import, cand =
+          match !reused with
+          | Some outcome -> outcome
+          | None ->
             route_ref := route;
             set_prefix_arg pbuf prefix;
             let verdict =
@@ -1231,16 +1164,24 @@ module Make (R : REPR) :
             let chain = import_trace t in
             let accepted = verdict = Xbgp.Api.filter_accept in
             let import = import_verdict chain ~accepted in
-            if accepted then
-              accept_route t peer prefix (candidate t !route_ref ~chain ~import)
-            else reject_route t peer prefix ~chain ~import)
-          prefixes;
-        release_args t args
-      end
+            let outcome =
+              ( chain,
+                import,
+                if accepted then Some (candidate t !route_ref ~chain ~import)
+                else None )
+            in
+            if shared then reused := Some outcome;
+            outcome
+        in
+        match cand with
+        | Some c -> accept_route t peer prefix c
+        | None -> reject_route t peer prefix ~chain ~import)
+      prefixes;
+    release_args t args
 
   (* Batched NLRI processing: every prefix of one UPDATE shares the same
      attribute record, so share the converted view and the dispatch
-     plumbing across the batch. When the outbound chain is batch-invariant
+     plumbing across the batch. When the outbound chain is prefix-blind
      too, [export] memoizes per (route record, target) for the duration of
      the batch, so every prefix whose new best is that same record reuses
      one outbound evaluation. The inbound and outbound points'
@@ -1251,9 +1192,8 @@ module Make (R : REPR) :
      nothing in it outlives the UPDATE; a single-prefix UPDATE, which
      could never hit it, skips it. *)
   let learn_routes t peer prefixes (route : route) =
-    refresh_batching t;
     match prefixes with
-    | _ :: _ :: _ when t.export_batchable ->
+    | _ :: _ :: _ when (summary t Xbgp.Api.Bgp_outbound_filter).prefix_blind ->
       t.memo_on <- true;
       Fun.protect
         ~finally:(fun () ->
@@ -1439,11 +1379,6 @@ module Make (R : REPR) :
           Rib.Update_group.create ~telemetry:tele ~daemon:config.name
             ~equal:R.equal ();
         group_gen = -1;
-        groupable = false;
-        chain_sig = "";
-        batch_gen = -1;
-        import_batchable = false;
-        export_batchable = false;
         export_memo = [||];
         memo_on = false;
         chain_gen = -1;

@@ -11,7 +11,7 @@
 
    - [join]s each synced peer under a string key capturing everything
      export-relevant (peer type, reflection role, attached xprog chains
-     via {!Vmm.chain_signature}); peers with equal keys land in one
+     via the signature of {!Vmm.summary}); peers with equal keys land in one
      group;
    - feeds each Loc-RIB change through [route_update] with the export
      result computed ONCE for a representative member;
@@ -20,8 +20,8 @@
      daemon encodes the class stream once and fans the frames out.
 
    Correctness of sharing one export evaluation rests on the caller
-   only grouping peers whose outbound chains pass
-   {!Vmm.group_invariant}; peer-dependent chains get singleton "solo"
+   only grouping peers whose outbound chains are peer-blind
+   ({!Vmm.summary}); peer-dependent chains get singleton "solo"
    groups and flow through the very same machinery, which then behaves
    exactly as a per-peer Adj-RIB-Out would.
 

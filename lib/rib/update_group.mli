@@ -9,7 +9,7 @@
     representation ['attrs] (the FRR-like host groups interned records,
     the BIRD-like host wire-form attribute sets) — equality is injected
     at {!create}. Sharing is only sound when the caller groups peers
-    whose outbound chains pass {!Vmm.group_invariant}; peer-dependent
+    whose outbound chains are peer-blind ({!Vmm.summary}); peer-dependent
     chains belong in singleton groups, which flow through the same
     machinery and behave exactly as a per-peer Adj-RIB-Out would.
 

@@ -6,7 +6,7 @@
    shapes). The queries are read-only: answering one never dispatches
    extension bytecode or mutates daemon state. *)
 
-let jstr s = "\"" ^ Obs.Recorder.json_escape s ^ "\""
+let jstr s = "\"" ^ Telemetry.json_escape s ^ "\""
 
 let jlist f xs = "[" ^ String.concat "," (List.map f xs) ^ "]"
 

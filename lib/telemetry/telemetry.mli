@@ -200,6 +200,10 @@ val to_prometheus : t -> string
     headers, one sample line per labeled instance, histograms expanded
     into [_bucket]/[_sum]/[_count] with cumulative [le] labels. *)
 
+val json_escape : string -> string
+(** Minimal JSON string escaping (quote, backslash, control characters),
+    shared by every JSON emitter in the tree. *)
+
 val to_chrome_trace : t -> string
 (** Chrome trace-event JSON ([{"traceEvents": [...]}]), one complete
     event (["ph":"X"]) per finished span, [ts]/[dur] in microseconds of

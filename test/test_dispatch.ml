@@ -157,10 +157,7 @@ let prop_bird_edited =
 let vmm_of m = Xprogs.Registry.vmm_of_manifest ~host:"test" m
 
 let test_batch_invariant () =
-  let inv vmm =
-    Xbgp.Vmm.batch_invariant vmm Xbgp.Api.Bgp_inbound_filter
-      ~variant_args:[ Xbgp.Api.arg_prefix ]
-  in
+  let inv vmm = (Xbgp.Vmm.summary vmm Xbgp.Api.Bgp_inbound_filter).prefix_blind in
   (* empty chain: vacuously invariant *)
   check_bool "empty chain" true (inv (Xbgp.Vmm.create ~host:"test" ()));
   (* route reflection reads peer info and attributes only *)
@@ -438,8 +435,9 @@ let star_attrs path =
   Bgp.Attr.
     [ v (Origin Igp); v (As_path [ Seq path ]); v (Next_hop 0x0A010002) ]
 
-let outbound_runs tele =
-  let point = Xbgp.Api.point_name Xbgp.Api.Bgp_outbound_filter in
+(* bytecode runs started at [point] *)
+let point_runs point tele =
+  let point = Xbgp.Api.point_name point in
   List.fold_left
     (fun acc (name, labels, v) ->
       if name = "xbgp_runs_total" && List.assoc_opt "point" labels = Some point
@@ -483,14 +481,14 @@ let star_leg ?manifest ?xprog ?(ibgp = false) ?(rr_client = fun _ -> false)
   setup ~split star;
   Scenario.Star.settle star;
   let dut = Scenario.Star.dut star in
-  let runs0 = outbound_runs tele in
+  let runs0 = point_runs Xbgp.Api.Bgp_outbound_filter tele in
   let rej0 = (Scenario.Daemon.stats dut).Telemetry.export_rejected in
   script ~split star;
   Scenario.Star.settle star;
   let sinks = List.init star_peers Fun.id in
   {
     star;
-    runs = outbound_runs tele - runs0;
+    runs = point_runs Xbgp.Api.Bgp_outbound_filter tele - runs0;
     rejected = (Scenario.Daemon.stats dut).Telemetry.export_rejected - rej0;
     exporting_groups =
       List.length
@@ -741,8 +739,8 @@ let counter_program =
 
 let test_export_map_epoch () =
   check_bool "export bytecode is batch-invariant" true
-    (Xbgp.Vmm.batch_invariant (vmm_with counter_program)
-       Xbgp.Api.Bgp_outbound_filter ~variant_args:[ Xbgp.Api.arg_prefix ]);
+    (Xbgp.Vmm.summary (vmm_with counter_program) Xbgp.Api.Bgp_outbound_filter)
+      .prefix_blind;
   List.iter
     (fun host ->
       let run ~split =
@@ -757,6 +755,62 @@ let test_export_map_epoch () =
         (batch_k * b.exporting_groups)
         b.runs;
       check_same_as_split label b s)
+    [ `Frr; `Bird ]
+
+(* --- the chain summary follows every chain edit --------------------- *)
+
+(* a one-bytecode program that accepts at the inbound point, after
+   fetching the prefix argument when [reads_prefix] *)
+let import_gate name ~reads_prefix =
+  let fetch =
+    if reads_prefix then
+      Ebpf.Asm.[ movi R1 Xbgp.Api.arg_prefix; call Xbgp.Api.h_get_arg ]
+    else []
+  in
+  Xbgp.Xprog.v ~name
+    [ ("import", Ebpf.Asm.(assemble (fetch @ [ movi R0 0; exit_ ]))) ]
+
+(* The import path reads the inbound chain's summary on every UPDATE, so
+   each kind of chain edit must re-derive it: a prefix-blind chain runs
+   once per 8-prefix UPDATE, a chain holding a prefix reader once per
+   prefix (the blind gate decides first, so a run is a gate run). *)
+let test_summary_follows_edits () =
+  let point = Xbgp.Api.Bgp_inbound_filter in
+  List.iter
+    (fun host ->
+      let tele = Telemetry.create ~enabled:true () in
+      let vmm = Xbgp.Vmm.create ~telemetry:tele ~host:"dut" () in
+      let ok = function Ok () -> () | Error e -> Alcotest.fail e in
+      let attach program ~order =
+        ok (Xbgp.Vmm.attach vmm ~program ~bytecode:"import" ~point ~order)
+      in
+      ok (Xbgp.Vmm.register vmm (import_gate "gate" ~reads_prefix:false));
+      ok (Xbgp.Vmm.register vmm (import_gate "reader" ~reads_prefix:true));
+      attach "gate" ~order:0;
+      let star =
+        Scenario.Star.create ~host ~vmm ~telemetry:tele ~npeers:2 ()
+      in
+      Scenario.Star.establish star;
+      Scenario.Star.settle star;
+      let sent = ref 0 in
+      let expect what runs =
+        let before = point_runs point tele in
+        Scenario.Star.sink_announce star 0 ~attrs:(star_attrs [ 65101 ])
+          (List.init batch_k (fun i -> star_pfx (!sent + i)));
+        sent := !sent + batch_k;
+        Scenario.Star.settle star;
+        check_int
+          (Printf.sprintf "%s: %s" (host_name host) what)
+          runs
+          (point_runs point tele - before)
+      in
+      expect "prefix-blind chain: one run per UPDATE" 1;
+      attach "reader" ~order:10;
+      expect "reader attached: one run per prefix" batch_k;
+      Xbgp.Vmm.detach vmm ~program:"reader" ~point;
+      expect "reader detached: one run per UPDATE" 1;
+      ok (Xbgp.Vmm.replace_program vmm (import_gate "gate" ~reads_prefix:true));
+      expect "gate replaced by a reader: one run per prefix" batch_k)
     [ `Frr; `Bird ]
 
 (* --- an argument id with its high half set -------------------------- *)
@@ -786,8 +840,8 @@ let lddw_prefix_program =
 
 let test_lddw_not_invariant () =
   check_bool "prefix read through a 64-bit id is not batch-invariant" false
-    (Xbgp.Vmm.batch_invariant (vmm_with lddw_prefix_program)
-       Xbgp.Api.Bgp_inbound_filter ~variant_args:[ Xbgp.Api.arg_prefix ])
+    (Xbgp.Vmm.summary (vmm_with lddw_prefix_program) Xbgp.Api.Bgp_inbound_filter)
+      .prefix_blind
 
 (* an eBGP testbed whose DUT runs [xp]'s bytecodes at [points] *)
 let testbed_with ~host (xp, points) =
@@ -1123,6 +1177,8 @@ let () =
           Alcotest.test_case "chain analysis" `Quick test_batch_invariant;
           Alcotest.test_case "bytecode summaries" `Quick
             test_dispatch_summary;
+          Alcotest.test_case "summary follows every chain edit" `Quick
+            test_summary_follows_edits;
         ] );
       ( "batched-updates",
         [

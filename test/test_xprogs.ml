@@ -951,9 +951,41 @@ let test_util_encoders () =
   check_bool "coord fixed point positive" true
     (Xprogs.Util.coord_of_degrees (-33.87) > 0)
 
+(* Each shipped manifest file but the composed edge router restates one
+   program's registry manifest by hand: the two must parse equal. The
+   directory is [../manifests] under [dune runtest] and [manifests] when
+   the binary runs from the repository root. *)
+let test_shipped_manifests () =
+  let dir = List.find Sys.file_exists [ "../manifests"; "manifests" ] in
+  let files =
+    List.filter
+      (fun f ->
+        Filename.check_suffix f ".manifest" && f <> "edge_router.manifest")
+      (List.sort compare (Array.to_list (Sys.readdir dir)))
+  in
+  check_bool "some shipped manifests" true (files <> []);
+  List.iter
+    (fun file ->
+      let name = Filename.chop_suffix file ".manifest" in
+      let text =
+        In_channel.with_open_bin (Filename.concat dir file)
+          In_channel.input_all
+      in
+      match (Xbgp.Manifest.parse text, Xprogs.Registry.find_manifest name) with
+      | Error e, _ -> Alcotest.failf "%s: %s" file e
+      | Ok _, None -> Alcotest.failf "%s: no registered program %s" file name
+      | Ok m, Some want ->
+        check_bool (file ^ " equals the registry manifest") true (m = want))
+    files
+
 let () =
   Alcotest.run "xprogs"
     [
+      ( "manifests",
+        [
+          Alcotest.test_case "shipped files match the registry" `Quick
+            test_shipped_manifests;
+        ] );
       ("igp_filter", [ Alcotest.test_case "Listing 1" `Quick test_igp_filter ]);
       ( "route_reflector",
         [
